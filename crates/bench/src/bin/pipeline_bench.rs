@@ -92,7 +92,14 @@ fn main() {
         "synth/generate".into(),
         bench_stage(&stopwatch, "synth/generate", threads, &move || {
             let ds = TweetGenerator::new(gen_cfg.clone()).generate();
-            format!("{:?}|{:?}|{:?}|{:?}", ds.users(), ds.times(), ds.lats(), ds.lons())
+            format!(
+                "{:?}|{:?}|{:?}|{:?}|{:?}",
+                ds.unique_users(),
+                ds.user_starts(),
+                ds.times(),
+                ds.lats(),
+                ds.lons()
+            )
         }),
     );
 

@@ -1,10 +1,11 @@
 //! Command implementations.
 
-use crate::args::Args;
+use crate::args::{ArgError, Args};
 use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter};
 use tweetmob_core::{
-    correlation_json, deterrence_ablation, AreaSet, Experiment, PopulationSource, Scale,
+    correlation_json, data_funnel, deterrence_ablation, AreaSet, Experiment, PopulationSource,
+    Scale,
 };
 use tweetmob_data::{io as dataio, DatasetSummary, ModelBundle, TweetDataset};
 use tweetmob_epidemic::{MobilityNetwork, OutbreakScenario, SeirParams};
@@ -366,18 +367,34 @@ pub fn generate(args: &Args) -> Result<()> {
     Ok(())
 }
 
-/// `tweetmob summary <dataset>`
+/// `tweetmob summary <dataset>` — Table I statistics, then one data
+/// funnel line per scale: tweets inside at least one area, and where the
+/// consecutive same-user pairs go.
 pub fn summary(args: &Args) -> Result<()> {
     let ds = dataset_arg(args)?;
     println!("{}", DatasetSummary::of(&ds));
+    for scale in Scale::ALL {
+        let funnel = data_funnel(&ds, &AreaSet::of_scale(scale));
+        println!(
+            "Funnel {} (ε = {} km): {funnel}",
+            scale.name(),
+            scale.search_radius_km()
+        );
+    }
     Ok(())
 }
 
 /// `tweetmob population <dataset> [--scale S] [--radius KM]`
 pub fn population(args: &Args) -> Result<()> {
-    let ds = dataset_arg(args)?;
     let scale = scale_arg(args)?;
     let radius = args.get_parsed("radius", scale.search_radius_km())?;
+    if !(radius.is_finite() && radius > 0.0) {
+        return Err(ArgError(format!(
+            "--radius {radius}: the search radius must be a positive, finite number of km"
+        ))
+        .into());
+    }
+    let ds = dataset_arg(args)?;
     let exp = experiment(args, &ds);
     let pop = exp.population_correlation_with_radius(scale, radius)?;
     println!("{} scale, ε = {radius} km", scale.name());

@@ -60,6 +60,17 @@ fn generate_summary_population_mobility_pipeline() {
     let out = run(&["summary", path_str]);
     assert!(out.status.success(), "summary: {}", stderr(&out));
     assert!(stdout(&out).contains("No. unique users   : 1500"));
+    // One data-funnel line per scale.
+    for scale in ["National", "State", "Metropolitan"] {
+        let line = stdout(&out)
+            .lines()
+            .find(|l| l.starts_with(&format!("Funnel {scale} ")))
+            .map(str::to_string)
+            .unwrap_or_else(|| panic!("no {scale} funnel line"));
+        for part in ["tweets in ≥1 area", "same-area", "unassigned", "trips"] {
+            assert!(line.contains(part), "{line}");
+        }
+    }
 
     // population (national default)
     let out = run(&["population", path_str]);
@@ -210,8 +221,14 @@ fn metrics_out_writes_stage_spans_and_counters() {
             "missing span {span}"
         );
     }
-    assert!(doc["counters"]["data/tweets_read"].as_u64().unwrap() > 0);
+    let tweets_read = doc["counters"]["data/tweets_read"].as_u64().unwrap();
+    assert!(tweets_read > 0);
     assert!(doc["counters"]["trips/extracted"].as_u64().unwrap() > 0);
+    let in_area = doc["counters"]["trips/tweets_in_area"].as_u64().unwrap();
+    assert!(
+        0 < in_area && in_area <= tweets_read,
+        "{in_area} of {tweets_read}"
+    );
     assert!(doc["gauges"]["odmatrix/nonzero_pairs"].as_f64().unwrap() > 0.0);
     std::fs::remove_file(&data).ok();
     std::fs::remove_file(&metrics).ok();
@@ -684,6 +701,23 @@ fn bad_flag_values_report_the_flag() {
     let out = run(&["epidemic", path_str, "--seed-city", "Atlantis"]);
     assert!(!out.status.success());
     assert!(stderr(&out).contains("Atlantis"));
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn population_rejects_a_radius_that_is_not_positive_and_finite() {
+    let path = tmp("radius.jsonl");
+    let path_str = path.to_str().unwrap();
+    assert!(run(&["generate", path_str, "--users", "200"])
+        .status
+        .success());
+    for radius in ["0", "-1", "NaN", "inf"] {
+        let out = run(&["population", path_str, "--radius", radius]);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(1), "--radius {radius}: {err}");
+        assert!(!err.contains("panicked"), "--radius {radius}: {err}");
+        assert!(err.contains("--radius"), "--radius {radius}: {err}");
+    }
     std::fs::remove_file(&path).ok();
 }
 

@@ -227,7 +227,11 @@ impl AreaSet {
 
     /// Assigns a whole coordinate-column slice at once, appending one
     /// code per point to `out`: the assigned area index, or `-1` when no
-    /// area covers the point.
+    /// area covers the point. Also calls `covered(k, area)` for every
+    /// area whose centre lies within ε of point `k` (an index into the
+    /// columns), not just the nearest one: discs overlap wherever two
+    /// centres are less than 2ε apart (Sydney and Wollongong at national
+    /// scale), and population counting needs all of them.
     ///
     /// Decision-identical to calling [`AreaSet::assign`] per point — the
     /// equirectangular gate and the haversine comparison are the exact
@@ -239,11 +243,21 @@ impl AreaSet {
     /// # Panics
     ///
     /// If the columns have different lengths.
-    pub fn assign_batch(&self, lats: &[f64], lons: &[f64], out: &mut Vec<i32>) {
-        assert_eq!(lats.len(), lons.len(), "coordinate columns must be parallel");
+    pub fn assign_batch(
+        &self,
+        lats: &[f64],
+        lons: &[f64],
+        out: &mut Vec<i32>,
+        mut covered: impl FnMut(usize, usize),
+    ) {
+        assert_eq!(
+            lats.len(),
+            lons.len(),
+            "coordinate columns must be parallel"
+        );
         let prefilter = self.radius_km * 1.05 + 1.0;
         out.reserve(lats.len());
-        for (&lat, &lon) in lats.iter().zip(lons.iter()) {
+        for (k, (&lat, &lon)) in lats.iter().zip(lons.iter()).enumerate() {
             let mut best: Option<(usize, f64)> = None;
             let mut point_trig: Option<TrigPoint> = None;
             let p = Point::new_unchecked(lat, lon);
@@ -261,8 +275,11 @@ impl AreaSet {
                 // scale) never pay for it.
                 let pt = *point_trig.get_or_insert_with(|| TrigPoint::new(p));
                 let d = f.trig.distance_km(&pt);
-                if d <= self.radius_km && best.is_none_or(|(_, bd)| d < bd) {
-                    best = Some((i, d));
+                if d <= self.radius_km {
+                    covered(k, i);
+                    if best.is_none_or(|(_, bd)| d < bd) {
+                        best = Some((i, d));
+                    }
                 }
             }
             out.push(best.map_or(-1, |(i, _)| i as i32));
@@ -416,7 +433,7 @@ mod tests {
                 }
             }
             let mut codes = Vec::new();
-            set.assign_batch(&lats, &lons, &mut codes);
+            set.assign_batch(&lats, &lons, &mut codes, |_, _| {});
             assert_eq!(codes.len(), lats.len());
             for k in 0..lats.len() {
                 let p = Point::new_unchecked(lats[k], lons[k]);
@@ -430,7 +447,7 @@ mod tests {
     fn batch_assign_appends_without_clearing() {
         let set = AreaSet::of_scale(Scale::National);
         let mut codes = vec![7];
-        set.assign_batch(&[-33.8688], &[151.2093], &mut codes);
+        set.assign_batch(&[-33.8688], &[151.2093], &mut codes, |_, _| {});
         assert_eq!(codes, vec![7, 0]);
     }
 
@@ -443,7 +460,7 @@ mod tests {
             let lats: Vec<f64> = (0..n).map(|_| rng.range_f64(-55.0, -8.0)).collect();
             let lons: Vec<f64> = (0..n).map(|_| rng.range_f64(110.0, 160.0)).collect();
             let mut codes = Vec::new();
-            set.assign_batch(&lats, &lons, &mut codes);
+            set.assign_batch(&lats, &lons, &mut codes, |_, _| {});
             for k in 0..n {
                 let scalar = set
                     .assign(Point::new_unchecked(lats[k], lons[k]))

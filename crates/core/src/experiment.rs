@@ -3,13 +3,14 @@
 use crate::areaset::{AreaSet, Scale};
 use crate::odmatrix::OdMatrix;
 use crate::population::{
-    estimate_population, pool_population, PooledPopulation, PopulationCorrelation,
+    estimate_population, pool_population, population_from_counts, PooledPopulation,
+    PopulationCorrelation,
 };
-use crate::trips::extract_trips;
+use crate::trips::trips_scan;
 use std::fmt;
 use std::sync::Arc;
 use tweetmob_data::{BundleArea, BundleMeta, ModelBundle, TweetDataset};
-use tweetmob_geo::{GridIndex, PairGeometry};
+use tweetmob_geo::PairGeometry;
 use tweetmob_models::{
     evaluate, FittedModelSet, FlowObservation, Gravity2Fit, Gravity4Fit, InterveningPopulation,
     ModelError, ModelEvaluation, OpportunitiesFit, RadiationFit,
@@ -157,22 +158,19 @@ impl From<ModelError> for ExperimentError {
     }
 }
 
-/// The experiment runner: borrows a dataset, builds the shared spatial
-/// index once, and exposes each of the paper's analyses as a method.
+/// The experiment runner: borrows a dataset and exposes each of the
+/// paper's analyses as a method. Every analysis is one columnar scan of
+/// the dataset, so construction builds nothing.
 pub struct Experiment<'a> {
     dataset: &'a TweetDataset,
-    index: GridIndex,
     geometry_cache: bool,
 }
 
 impl<'a> Experiment<'a> {
-    /// Indexes the dataset (0.2° grid cells — a few km; good for every ε
-    /// the paper uses).
+    /// Wraps the dataset.
     pub fn new(dataset: &'a TweetDataset) -> Self {
-        let index = GridIndex::from_columns(dataset.lats(), dataset.lons(), 0.2);
         Self {
             dataset,
-            index,
             geometry_cache: true,
         }
     }
@@ -221,7 +219,7 @@ impl<'a> Experiment<'a> {
         radius_km: f64,
     ) -> Result<PopulationCorrelation, ExperimentError> {
         let areas = AreaSet::of_scale_with_radius(scale, radius_km);
-        Ok(estimate_population(self.dataset, &self.index, &areas)?)
+        Ok(estimate_population(self.dataset, &areas)?)
     }
 
     /// The paper's pooled 60-sample population correlation (Fig. 3(a)):
@@ -286,12 +284,14 @@ impl<'a> Experiment<'a> {
     }
 
     /// Mobility fitting that also assembles the persistable
-    /// [`ModelBundle`]: the four fitted artifacts, the area metadata
-    /// and population vector they were fitted against, and the shared
-    /// pairwise geometry (an [`Arc`] clone of the area set's cache, so
-    /// saving an artifact adds no geometry rebuild). Predictions made
-    /// through the bundle are bit-identical to predicting with the
-    /// report's fits directly.
+    /// [`ModelBundle`]. One scan of the dataset yields the OD matrix,
+    /// the `trips/*` funnel counters (published once per fit) and the
+    /// Twitter populations. The bundle holds the four fitted artifacts,
+    /// the area metadata and population vector they were fitted
+    /// against, and the shared pairwise geometry (an [`Arc`] clone of
+    /// the area set's cache, so saving an artifact adds no geometry
+    /// rebuild). Predictions made through the bundle are bit-identical
+    /// to predicting with the report's fits directly.
     ///
     /// # Errors
     ///
@@ -302,14 +302,18 @@ impl<'a> Experiment<'a> {
         source: PopulationSource,
         label: String,
     ) -> Result<(MobilityReport, ModelBundle), ExperimentError> {
-        let od = extract_trips(self.dataset, areas);
+        let scan = trips_scan(self.dataset, areas);
+        let od = &scan.od;
         let populations = match source {
             PopulationSource::Census => areas.census_populations(),
-            PopulationSource::Twitter => estimate_population(self.dataset, &self.index, areas)?
-                .areas
-                .iter()
-                .map(|a| a.twitter_users as f64)
-                .collect(),
+            PopulationSource::Twitter => {
+                let _span = tweetmob_obs::span!("population");
+                population_from_counts(areas, &scan.users)?
+                    .areas
+                    .iter()
+                    .map(|a| a.twitter_users as f64)
+                    .collect()
+            }
         };
         let observations = {
             let _span = tweetmob_obs::span!("odmatrix");
@@ -317,7 +321,7 @@ impl<'a> Experiment<'a> {
                 .set(i64::try_from(areas.len() * areas.len()).unwrap_or(i64::MAX));
             tweetmob_obs::gauge!("odmatrix/nonzero_pairs")
                 .set(i64::try_from(od.nonzero_pairs()).unwrap_or(i64::MAX));
-            build_observations(areas, &populations, &od, self.geometry_cache)
+            build_observations(areas, &populations, od, self.geometry_cache)
         };
         let gravity4 = Gravity4Fit::fit(&observations)?;
         let gravity2 = Gravity2Fit::fit(&observations)?;

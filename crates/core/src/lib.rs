@@ -41,6 +41,7 @@ mod displacement;
 mod experiment;
 mod odmatrix;
 mod population;
+mod scan;
 mod temporal;
 mod trips;
 
@@ -54,6 +55,7 @@ pub use experiment::{
 };
 pub use odmatrix::OdMatrix;
 pub use population::{correlation_json, AreaPopulation, PooledPopulation, PopulationCorrelation};
+pub use scan::{data_funnel, DataFunnel};
 pub use temporal::{
     temporal_stability, waiting_time_stationarity, TemporalStability, WindowResult,
 };

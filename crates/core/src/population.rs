@@ -1,9 +1,9 @@
 //! Population estimation from unique Twitter users (paper §III, Fig. 3).
 
 use crate::areaset::AreaSet;
+use crate::scan::scan;
 use std::fmt;
 use tweetmob_data::TweetDataset;
-use tweetmob_geo::GridIndex;
 use tweetmob_obs::{Json, ToJson};
 use tweetmob_stats::correlation::{log_pearson, pearson, Correlation};
 use tweetmob_stats::StatsError;
@@ -117,14 +117,27 @@ pub struct PooledPopulation {
 
 /// Estimates populations for one area set.
 ///
-/// `index` must be a [`GridIndex`] over the dataset's coordinate
-/// columns in row order (e.g. [`GridIndex::from_columns`]),
-/// so hit indices map straight to the dataset's parallel user column.
-/// The per-area radius queries are independent reads of a shared
-/// [`GridIndex`], so they are dispatched over the [`tweetmob_par`] pool
-/// (`par/population/*` gauges); each area's unique-user count is
-/// computed entirely inside its own map call, so the concatenated
-/// counts are identical at every thread count.
+/// Runs the shared population-and-trips scan ([`crate::scan`]) over the
+/// dataset's CSR user ranges: every tweet is tested against every area
+/// (degree window, equirectangular gate, exact haversine) and each user
+/// is counted at most once per area whose disc holds one of their
+/// tweets. The scan publishes no `trips/*` counters, so a population
+/// estimate never inflates the run's trips funnel. Counts are integer
+/// sums over disjoint user ranges, identical at every thread count.
+///
+/// # Errors
+///
+/// As [`population_from_counts`].
+pub fn estimate_population(
+    dataset: &TweetDataset,
+    areas: &AreaSet,
+) -> Result<PopulationCorrelation, StatsError> {
+    let _span = tweetmob_obs::span!("population");
+    population_from_counts(areas, &scan("population", dataset, areas).users)
+}
+
+/// Rescales and correlates per-area distinct-user counts (aligned with
+/// `areas`) against census populations.
 ///
 /// # Errors
 ///
@@ -133,39 +146,10 @@ pub struct PooledPopulation {
 /// used to silently come out NaN and poison every downstream metric).
 /// Otherwise propagates correlation failures (e.g. every area had the
 /// same user count → zero variance).
-pub fn estimate_population(
-    dataset: &TweetDataset,
-    index: &GridIndex,
+pub(crate) fn population_from_counts(
     areas: &AreaSet,
+    twitter: &[u64],
 ) -> Result<PopulationCorrelation, StatsError> {
-    let _span = tweetmob_obs::span!("population");
-    let users = dataset.users();
-    // Areas are few (≈20) but each query scans a 50 km circle over
-    // potentially millions of points, so even 4 areas are worth
-    // fanning out.
-    let area_list = areas.areas();
-    let twitter: Vec<u64> = tweetmob_par::par_map_reduce(
-        "population",
-        area_list.len(),
-        4,
-        |range| {
-            let mut counts = Vec::with_capacity(range.len());
-            for a in &area_list[range] {
-                let mut hits: Vec<u32> = Vec::new();
-                index.for_each_within_radius(a.center, areas.radius_km(), |i, _| {
-                    hits.push(users[i as usize].0);
-                });
-                hits.sort_unstable();
-                hits.dedup();
-                counts.push(hits.len() as u64);
-            }
-            counts
-        },
-        |mut acc, chunk| {
-            acc.extend(chunk);
-            acc
-        },
-    );
     let census = areas.census_populations();
     let census_total: f64 = census.iter().sum();
     let twitter_total: f64 = twitter.iter().map(|&u| u as f64).sum();
@@ -259,10 +243,6 @@ mod tests {
         TweetDataset::from_tweets(tweets)
     }
 
-    fn index_of(ds: &TweetDataset) -> GridIndex {
-        GridIndex::from_columns(ds.lats(), ds.lons(), 0.2)
-    }
-
     #[test]
     fn unique_users_counted_once() {
         // Users proportional to census → perfect correlation, C exact.
@@ -273,7 +253,7 @@ mod tests {
             .map(|a| (a.population / 10_000).max(1))
             .collect();
         let ds = dataset_with_users(&users);
-        let pop = estimate_population(&ds, &index_of(&ds), &areas).unwrap();
+        let pop = estimate_population(&ds, &areas).unwrap();
         for (a, &want) in pop.areas.iter().zip(&users) {
             assert_eq!(a.twitter_users, want, "{}", a.name);
         }
@@ -291,7 +271,7 @@ mod tests {
         let areas = AreaSet::of_scale(Scale::National);
         let users: Vec<u64> = (1..=20).map(|i| i * 7).collect();
         let ds = dataset_with_users(&users);
-        let pop = estimate_population(&ds, &index_of(&ds), &areas).unwrap();
+        let pop = estimate_population(&ds, &areas).unwrap();
         let rescaled_total: f64 = pop.areas.iter().map(|a| a.rescaled).sum();
         let census_total: f64 = pop.areas.iter().map(|a| a.census).sum();
         assert!((rescaled_total - census_total).abs() / census_total < 1e-9);
@@ -305,7 +285,7 @@ mod tests {
         let users: Vec<u64> = (1..=20).map(|i| i * 50).collect();
         let areas = AreaSet::of_scale(Scale::National);
         let ds = dataset_with_users(&users);
-        let pop = estimate_population(&ds, &index_of(&ds), &areas).unwrap();
+        let pop = estimate_population(&ds, &areas).unwrap();
         assert!(pop.correlation.r < 0.3, "r = {}", pop.correlation.r);
     }
 
@@ -325,7 +305,7 @@ mod tests {
         }
         let ds = TweetDataset::from_tweets(tweets);
         let areas = AreaSet::of_scale(Scale::National);
-        let pop = estimate_population(&ds, &index_of(&ds), &areas).unwrap();
+        let pop = estimate_population(&ds, &areas).unwrap();
         assert_eq!(pop.areas[0].twitter_users, 0, "Sydney should see nobody");
     }
 
@@ -345,7 +325,7 @@ mod tests {
             .collect();
         let ds = TweetDataset::from_tweets(tweets);
         let areas = AreaSet::of_scale(Scale::National);
-        let err = estimate_population(&ds, &index_of(&ds), &areas).unwrap_err();
+        let err = estimate_population(&ds, &areas).unwrap_err();
         assert!(matches!(err, StatsError::EmptySample(_)), "got {err:?}");
     }
 
@@ -358,9 +338,8 @@ mod tests {
             .map(|a| (a.population / 10_000).max(1))
             .collect();
         let ds = dataset_with_users(&users);
-        let idx = index_of(&ds);
-        let a = estimate_population(&ds, &idx, &areas).unwrap();
-        let b = estimate_population(&ds, &idx, &areas).unwrap();
+        let a = estimate_population(&ds, &areas).unwrap();
+        let b = estimate_population(&ds, &areas).unwrap();
         let pooled = pool_population(vec![a, b]).unwrap();
         assert_eq!(pooled.per_scale.len(), 2);
         assert_eq!(pooled.pooled.n, 40);
@@ -372,10 +351,85 @@ mod tests {
         let areas = AreaSet::of_scale(Scale::National);
         let users: Vec<u64> = (1..=20).collect();
         let ds = dataset_with_users(&users);
-        let text = estimate_population(&ds, &index_of(&ds), &areas)
-            .unwrap()
-            .to_string();
+        let text = estimate_population(&ds, &areas).unwrap().to_string();
         assert!(text.contains("Sydney"));
         assert!(text.contains("r(log)"));
+    }
+
+    /// Whether `p` lies within ε of `area`'s centre, by plain haversine.
+    fn covers(areas: &AreaSet, area: usize, p: tweetmob_geo::Point) -> bool {
+        // lint: allow(raw-haversine) — the brute-force test oracle must not share the batch kernel it checks
+        tweetmob_geo::haversine_km(areas.areas()[area].center, p) <= areas.radius_km()
+    }
+
+    /// Brute-force oracle for the per-area distinct-user counts: every
+    /// tweet × every area, `haversine_km(center, p) <= ε`. No degree
+    /// window, no equirectangular gate and no spatial index.
+    fn population_reference(ds: &TweetDataset, areas: &AreaSet) -> Vec<u64> {
+        let mut counts = vec![0u64; areas.len()];
+        for view in ds.iter_users() {
+            for (a, count) in counts.iter_mut().enumerate() {
+                *count += u64::from(view.iter_points().any(|p| covers(areas, a, p)));
+            }
+        }
+        counts
+    }
+
+    #[test]
+    fn scan_matches_brute_force_reference_at_every_scale_and_thread_count() {
+        use tweetmob_synth::{GeneratorConfig, TweetGenerator};
+        let ds = TweetGenerator::new(GeneratorConfig::default()).generate();
+        let sets = [
+            AreaSet::of_scale(Scale::National),
+            AreaSet::of_scale(Scale::State),
+            AreaSet::of_scale(Scale::Metropolitan),
+            AreaSet::of_scale_with_radius(Scale::Metropolitan, 0.5),
+        ];
+        for areas in &sets {
+            let in_area = ds
+                .iter_points()
+                .filter(|&p| (0..areas.len()).any(|a| covers(areas, a, p)))
+                .count() as u64;
+            let funnel = crate::scan::data_funnel(&ds, areas);
+            assert_eq!(funnel.tweets_in_area, in_area, "ε = {}", areas.radius_km());
+            let want = population_reference(&ds, areas);
+            assert!(
+                want.iter().all(|&u| u > 0),
+                "ε = {}: {want:?}",
+                areas.radius_km()
+            );
+            for threads in [1, 8] {
+                let got = tweetmob_par::with_threads(threads, || {
+                    estimate_population(&ds, areas).unwrap()
+                });
+                let got: Vec<u64> = got.areas.iter().map(|a| a.twitter_users).collect();
+                assert_eq!(got, want, "ε = {} at {threads} threads", areas.radius_km());
+            }
+        }
+    }
+
+    #[test]
+    fn a_user_in_two_overlapping_discs_counts_in_both() {
+        // Sydney (0) and Wollongong (9) are ~65 km apart, so their 50 km
+        // national discs overlap; the midpoint lies inside both.
+        let areas = AreaSet::of_scale(Scale::National);
+        let (syd, wol) = (areas.areas()[0].center, areas.areas()[9].center);
+        let mid = tweetmob_geo::Point::new_unchecked(
+            (syd.lat + wol.lat) / 2.0,
+            (syd.lon + wol.lon) / 2.0,
+        );
+        assert!(
+            areas.radius_km() < areas.distance_km(0, 9),
+            "distinct discs"
+        );
+        let ds = TweetDataset::from_tweets(vec![
+            Tweet::new(UserId(1), Timestamp::from_secs(100), mid),
+            Tweet::new(UserId(1), Timestamp::from_secs(200), syd),
+            Tweet::new(UserId(2), Timestamp::from_secs(100), wol),
+        ]);
+        let users = scan("test", &ds, &areas).users;
+        assert_eq!(users, population_reference(&ds, &areas));
+        assert_eq!((users[0], users[9]), (1, 2), "{users:?}");
+        assert_eq!(users.iter().sum::<u64>(), 3);
     }
 }

@@ -13,7 +13,6 @@ use crate::areaset::{AreaSet, Scale};
 use crate::experiment::ExperimentError;
 use crate::population::estimate_population;
 use tweetmob_data::{Timestamp, TweetDataset};
-use tweetmob_geo::GridIndex;
 use tweetmob_stats::correlation::{log_pearson, Correlation};
 use tweetmob_stats::distributions::ks_two_sample;
 
@@ -124,8 +123,7 @@ pub fn temporal_stability(
     let areas = AreaSet::of_scale(scale);
 
     // Full-period reference counts.
-    let full_index = GridIndex::from_columns(dataset.lats(), dataset.lons(), 0.2);
-    let full = estimate_population(dataset, &full_index, &areas)?;
+    let full = estimate_population(dataset, &areas)?;
     let full_counts: Vec<f64> = full.areas.iter().map(|a| a.twitter_users as f64).collect();
 
     let mut windows = Vec::with_capacity(n_windows);
@@ -137,8 +135,7 @@ pub fn temporal_stability(
             Timestamp::from_secs(t_min + span * (k + 1) as i64 / n_windows as i64 - 1)
         };
         let slice = dataset.filter_time_range(start, end);
-        let index = GridIndex::from_columns(slice.lats(), slice.lons(), 0.2);
-        let pop = estimate_population(&slice, &index, &areas)?;
+        let pop = estimate_population(&slice, &areas)?;
         let counts: Vec<f64> = pop.areas.iter().map(|a| a.twitter_users as f64).collect();
         let vs_full = log_pearson(&counts, &full_counts)?;
         windows.push(WindowResult {

@@ -8,46 +8,32 @@
 
 use crate::areaset::AreaSet;
 use crate::odmatrix::OdMatrix;
+use crate::scan::{scan, AreaScan, DataFunnel};
 use tweetmob_data::{TweetDataset, UserTweets};
 
-/// Extracts the directed OD matrix of a dataset over an area set.
+/// Extracts the directed OD matrix of a dataset over an area set and
+/// publishes the run's data funnel (`trips/*` counters).
 ///
-/// Users are sharded by index range over the dataset's CSR user offsets
-/// — no per-user view vector is materialised — and each user's
-/// coordinate columns go through [`AreaSet::assign_batch`] in one call,
-/// so the hot loop is a linear scan over contiguous `lat[]` / `lon[]`
-/// slices. Work is dispatched over the shared [`tweetmob_par`] pool per
-/// user block; the result is identical at every thread count because
-/// each trip increments an independent integer cell count and the drop
-/// tallies are commutative sums, and identical to the row-struct
-/// reference path ([`extract_trips_reference`]) because the batch
-/// assignment is decision-identical to scalar [`AreaSet::assign`].
+/// This is the shared population-and-trips scan ([`crate::scan`]):
+/// users are sharded by index range over the dataset's CSR user offsets
+/// and each user's coordinate columns go through
+/// [`AreaSet::assign_batch`] in one call. The result is
+/// identical at every thread count because each trip increments an
+/// independent integer cell count and the funnel tallies are
+/// commutative sums, and identical to the row-struct reference path
+/// ([`extract_trips_reference`]) because the batch assignment is
+/// decision-identical to scalar [`AreaSet::assign`].
 pub fn extract_trips(dataset: &TweetDataset, areas: &AreaSet) -> OdMatrix {
+    trips_scan(dataset, areas).od
+}
+
+/// The scan behind [`extract_trips`], with everything it produced: runs
+/// under the `trips` span and publishes the funnel counters once.
+pub(crate) fn trips_scan(dataset: &TweetDataset, areas: &AreaSet) -> AreaScan {
     let _span = tweetmob_obs::span!("trips");
-    let (od, drops) = tweetmob_par::par_map_reduce(
-        "trips",
-        dataset.n_users(),
-        64,
-        |range| {
-            let mut od = OdMatrix::new(areas.len());
-            let mut drops = DropCounts::default();
-            let mut codes: Vec<i32> = Vec::new();
-            for i in range {
-                let view = dataset.user_view(i);
-                codes.clear();
-                areas.assign_batch(view.lats, view.lons, &mut codes);
-                drops.merge(record_codes(&codes, &mut od));
-            }
-            (od, drops)
-        },
-        |(mut od, mut drops), (chunk_od, chunk_drops)| {
-            od.merge(&chunk_od);
-            drops.merge(chunk_drops);
-            (od, drops)
-        },
-    );
-    publish_counts(&od, drops);
-    od
+    let scan = scan("trips", dataset, areas);
+    scan.publish();
+    scan
 }
 
 /// Serial row-struct reference for [`extract_trips`]: per-point scalar
@@ -56,70 +42,38 @@ pub fn extract_trips(dataset: &TweetDataset, areas: &AreaSet) -> OdMatrix {
 /// batch path must produce a byte-identical matrix.
 pub fn extract_trips_reference(dataset: &TweetDataset, areas: &AreaSet) -> OdMatrix {
     let mut od = OdMatrix::new(areas.len());
+    let mut funnel = DataFunnel::default();
     for view in dataset.iter_users() {
-        extract_user(&view, areas, &mut od);
+        extract_user(&view, areas, &mut od, &mut funnel);
     }
     od
 }
 
-/// Folds one user's assignment codes (area index or `-1`) into `od`,
-/// counting the consecutive pairs that contribute no trip.
-fn record_codes(codes: &[i32], od: &mut OdMatrix) -> DropCounts {
-    let mut drops = DropCounts::default();
-    for w in codes.windows(2) {
-        match (w[0], w[1]) {
-            (a, b) if a >= 0 && b >= 0 && a != b => od.record(a as usize, b as usize),
-            (a, b) if a >= 0 && b >= 0 => drops.same_area += 1,
-            _ => drops.unassigned += 1,
-        }
-    }
-    drops
-}
-
-/// Tallies of consecutive same-user pairs that contribute no trip.
-/// Accumulated per chunk and merged on the outer thread, so the published
-/// counter totals are deterministic regardless of thread count.
-#[derive(Debug, Default, Clone, Copy)]
-struct DropCounts {
-    /// Both endpoints resolved to the same area.
-    same_area: u64,
-    /// At least one endpoint resolved to no study area.
-    unassigned: u64,
-}
-
-impl DropCounts {
-    fn merge(&mut self, other: DropCounts) {
-        self.same_area += other.same_area;
-        self.unassigned += other.unassigned;
-    }
-}
-
-/// Publishes extraction totals to the global metrics registry.
-fn publish_counts(od: &OdMatrix, drops: DropCounts) {
-    tweetmob_obs::counter!("trips/extracted").add(od.total());
-    tweetmob_obs::counter!("trips/dropped_same_area").add(drops.same_area);
-    tweetmob_obs::counter!("trips/dropped_unassigned").add(drops.unassigned);
-}
-
 /// Extracts one user's trips into `od` through the scalar assignment
-/// path, returning the pairs dropped.
-fn extract_user(view: &UserTweets<'_>, areas: &AreaSet, od: &mut OdMatrix) -> DropCounts {
-    let mut drops = DropCounts::default();
+/// path, tallying every consecutive pair in `funnel`.
+fn extract_user(
+    view: &UserTweets<'_>,
+    areas: &AreaSet,
+    od: &mut OdMatrix,
+    funnel: &mut DataFunnel,
+) {
     let mut prev: Option<usize> = None;
     let mut seen_any = false;
     for p in view.iter_points() {
         let cur = areas.assign(p);
         if seen_any {
             match (prev, cur) {
-                (Some(a), Some(b)) if a != b => od.record(a, b),
-                (Some(_), Some(_)) => drops.same_area += 1,
-                _ => drops.unassigned += 1,
+                (Some(a), Some(b)) if a != b => {
+                    od.record(a, b);
+                    funnel.trips += 1;
+                }
+                (Some(_), Some(_)) => funnel.same_area += 1,
+                _ => funnel.unassigned += 1,
             }
         }
         prev = cur;
         seen_any = true;
     }
-    drops
 }
 
 #[cfg(test)]
@@ -248,8 +202,9 @@ mod tests {
         let areas = national();
         let parallel = extract_trips(&ds, &areas);
         let mut serial = OdMatrix::new(areas.len());
+        let mut funnel = DataFunnel::default();
         for view in ds.iter_users() {
-            let _ = super::extract_user(&view, &areas, &mut serial);
+            super::extract_user(&view, &areas, &mut serial, &mut funnel);
         }
         assert_eq!(parallel, serial);
         assert_eq!(parallel, extract_trips_reference(&ds, &areas));
@@ -286,10 +241,24 @@ mod tests {
             tweet(1, 400, MEL.0, MEL.1),
         ]);
         let view = ds.iter_users().next().unwrap();
-        let drops = super::extract_user(&view, &areas, &mut od);
+        let mut drops = DataFunnel::default();
+        super::extract_user(&view, &areas, &mut od, &mut drops);
         assert_eq!(drops.same_area, 1);
         assert_eq!(drops.unassigned, 2, "both pairs touching the outback tweet");
         assert_eq!(od.total(), 0);
+        // The columnar scan classifies the same pairs, and counts the
+        // three tweets inside an area.
+        let funnel = crate::scan::data_funnel(&ds, &areas);
+        assert_eq!(
+            (
+                funnel.tweets,
+                funnel.tweets_in_area,
+                funnel.same_area,
+                funnel.unassigned,
+                funnel.trips
+            ),
+            (4, 3, 1, 2, 0)
+        );
     }
 
     #[test]

@@ -220,7 +220,8 @@ mod tests {
         let buf = encode(&ds);
         assert_eq!(buf.len(), HEADER_BYTES + 4 * 3 + 4 * 4 + 3 * 8 * 4);
         let back = read_columnar(&buf[..]).unwrap();
-        assert_eq!(back.users(), ds.users());
+        assert_eq!(back.unique_users(), ds.unique_users());
+        assert_eq!(back.user_starts(), ds.user_starts());
         assert_eq!(back.times(), ds.times());
         for i in 0..ds.n_tweets() {
             assert_eq!(back.lats()[i].to_bits(), ds.lats()[i].to_bits());
@@ -369,7 +370,8 @@ mod tests {
                 .collect();
             let ds = TweetDataset::from_tweets(tweets);
             let back = read_columnar(&encode(&ds)[..]).unwrap();
-            assert_eq!(ds.users(), back.users(), "seed {seed}");
+            assert_eq!(ds.unique_users(), back.unique_users(), "seed {seed}");
+            assert_eq!(ds.user_starts(), back.user_starts(), "seed {seed}");
             assert_eq!(ds.times(), back.times(), "seed {seed}");
             for i in 0..ds.n_tweets() {
                 assert_eq!(

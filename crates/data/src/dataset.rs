@@ -7,18 +7,18 @@ use tweetmob_geo::{BoundingBox, Point};
 
 /// A struct-of-arrays tweet dataset, sorted by `(user, time)`.
 ///
-/// Storage is fully columnar: parallel `users`, `times`, `lats`, `lons`
-/// columns rather than a `Vec<Tweet>` (or even a `Vec<Point>`), so the
-/// dominant access patterns — coordinate scans for density maps and
-/// spatial indexing, timestamp scans for waiting times, per-user slices
-/// for trip extraction — each stream through one contiguous `f64`/`i64`
-/// array. User offsets form a CSR layout so a user's tweets are one
-/// contiguous, time-ordered slice; this is also exactly the on-disk
+/// Storage is fully columnar: parallel `times`, `lats`, `lons` columns
+/// rather than a `Vec<Tweet>` (or even a `Vec<Point>`), so the dominant
+/// access patterns — coordinate scans for density maps, timestamp scans
+/// for waiting times, per-user slices for population and trip
+/// extraction — each stream through one contiguous `f64`/`i64` array.
+/// User offsets form a CSR layout so a user's tweets are one contiguous,
+/// time-ordered slice, and a row's user is found through them rather
+/// than stored per row; this is also exactly the on-disk
 /// layout of the `TWC0` columnar format ([`crate::columnar`]), which is
 /// why loading it needs no re-sort and no per-record decode.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TweetDataset {
-    users: Vec<UserId>,
     times: Vec<Timestamp>,
     lats: Vec<f64>,
     lons: Vec<f64>,
@@ -78,7 +78,6 @@ impl TweetDataset {
     /// deterministic relative order.
     pub fn from_tweets(mut tweets: Vec<Tweet>) -> Self {
         tweets.sort_by_key(|t| (t.user, t.time));
-        let mut users = Vec::with_capacity(tweets.len());
         let mut times = Vec::with_capacity(tweets.len());
         let mut lats = Vec::with_capacity(tweets.len());
         let mut lons = Vec::with_capacity(tweets.len());
@@ -89,14 +88,12 @@ impl TweetDataset {
                 unique_users.push(t.user);
                 user_starts.push(i as u32);
             }
-            users.push(t.user);
             times.push(t.time);
             lats.push(t.location.lat);
             lons.push(t.location.lon);
         }
         user_starts.push(tweets.len() as u32);
         Self {
-            users,
             times,
             lats,
             lons,
@@ -191,13 +188,7 @@ impl TweetDataset {
         {
             return Err(format!("row {i}: invalid longitude {}", lons[i]));
         }
-        // Materialise the per-row user column from the CSR index.
-        let mut users = Vec::with_capacity(n);
-        for (i, w) in user_starts.windows(2).enumerate() {
-            users.resize(w[1] as usize, unique_users[i]);
-        }
         Ok(Self {
-            users,
             times,
             lats,
             lons,
@@ -209,7 +200,7 @@ impl TweetDataset {
     /// Total number of tweets.
     #[inline]
     pub fn n_tweets(&self) -> usize {
-        self.users.len()
+        self.times.len()
     }
 
     /// Number of distinct users.
@@ -221,7 +212,7 @@ impl TweetDataset {
     /// Whether the dataset holds no tweets.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.users.is_empty()
+        self.times.is_empty()
     }
 
     /// All tweet latitudes, in `(user, time)` order.
@@ -265,12 +256,6 @@ impl TweetDataset {
         &self.times
     }
 
-    /// The user id of each row, in `(user, time)` order.
-    #[inline]
-    pub fn users(&self) -> &[UserId] {
-        &self.users
-    }
-
     /// Distinct users, ascending.
     #[inline]
     pub fn unique_users(&self) -> &[UserId] {
@@ -305,13 +290,19 @@ impl TweetDataset {
         (0..self.n_users()).map(move |i| self.user_view(i))
     }
 
-    /// Iterates over every tweet, in `(user, time)` order.
+    /// Iterates over every tweet, in `(user, time)` order; each row's
+    /// user comes from the CSR index.
     pub fn iter_tweets(&self) -> impl Iterator<Item = Tweet> + '_ {
-        (0..self.n_tweets()).map(move |i| Tweet {
-            user: self.users[i],
-            time: self.times[i],
-            location: self.point(i),
-        })
+        self.unique_users
+            .iter()
+            .zip(self.user_starts.windows(2))
+            .flat_map(move |(&user, w)| {
+                (w[0] as usize..w[1] as usize).map(move |i| Tweet {
+                    user,
+                    time: self.times[i],
+                    location: self.point(i),
+                })
+            })
     }
 
     /// A new dataset containing only tweets inside `bbox` — the paper's
@@ -479,7 +470,8 @@ mod tests {
             ds.lons().to_vec(),
         )
         .unwrap();
-        assert_eq!(back.users(), ds.users());
+        assert_eq!(back.unique_users(), ds.unique_users());
+        assert_eq!(back.user_starts(), ds.user_starts());
         assert!(ds.iter_tweets().zip(back.iter_tweets()).all(|(a, b)| a == b));
     }
 

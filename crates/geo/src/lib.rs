@@ -1,19 +1,18 @@
 //! # tweetmob-geo
 //!
-//! Geodesy and spatial-indexing substrate for the `tweetmob` workspace.
+//! Geodesy substrate for the `tweetmob` workspace.
 //!
 //! The paper ("Multi-scale Population and Mobility Estimation with
 //! Geo-tagged Tweets", Liu et al.) works with raw WGS-84 coordinates of
-//! geo-tagged tweets and needs three geometric capabilities, all provided
+//! geo-tagged tweets and needs these geometric capabilities, all provided
 //! here:
 //!
 //! * **great-circle distances** between tweet locations and area centres
 //!   ([`haversine_km`], with a fast [`equirectangular_km`] approximation
-//!   for hot loops over nearby points);
-//! * **radius extraction** — "number of Tweets / users within a search
-//!   radius ε of an area centre" — served by the uniform [`GridIndex`]
-//!   which answers radius, k-nearest-neighbour and bounding-box queries
-//!   over millions of points;
+//!   for hot loops over nearby points). Radius extraction — "number of
+//!   Tweets / users within a search radius ε of an area centre" — needs
+//!   no spatial index: `tweetmob-core` tests every tweet against the
+//!   ≈20 study areas in one columnar scan;
 //! * **density rasterisation** for the paper's Figure 1 tweet-density map
 //!   ([`DensityGrid`]);
 //! * a **columnar geometry cache** for the model-fitting path —
@@ -33,16 +32,12 @@
 //! ## Example
 //!
 //! ```
-//! use tweetmob_geo::{Point, GridIndex, haversine_km};
+//! use tweetmob_geo::{Point, haversine_km};
 //!
 //! let sydney = Point::new(-33.8688, 151.2093).unwrap();
 //! let melbourne = Point::new(-37.8136, 144.9631).unwrap();
 //! let d = haversine_km(sydney, melbourne);
 //! assert!((d - 713.0).abs() < 10.0); // ~713 km apart
-//!
-//! let index = GridIndex::build(vec![sydney, melbourne], 1.0);
-//! let near_sydney = index.within_radius(sydney, 50.0);
-//! assert_eq!(near_sydney.len(), 1);
 //! ```
 
 #![deny(missing_docs)]
@@ -55,7 +50,6 @@ mod bbox;
 mod cache;
 mod density;
 mod distance;
-mod grid;
 mod point;
 mod polygon;
 
@@ -67,6 +61,5 @@ pub use cache::{
 };
 pub use density::{DensityCell, DensityGrid};
 pub use distance::{bearing_deg, destination, equirectangular_km, haversine_km, EARTH_RADIUS_KM};
-pub use grid::{GridIndex, Neighbor};
 pub use point::{GeoError, Point};
 pub use polygon::Polygon;

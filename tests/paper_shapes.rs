@@ -124,6 +124,10 @@ fn fig2b_waiting_times_span_many_decades() {
     assert!(decades >= 6.0, "waiting times span only {decades:.1} decades");
 }
 
+/// Fig. 3 on the default corpus (20,000 users, default seed). The
+/// National > Metropolitan ordering here is a smoke check on one seed;
+/// the claim itself is asserted over a seed ensemble by
+/// [`fig3_national_beats_metro_on_the_median_of_five_seeds`].
 #[test]
 fn fig3_population_correlation_strong_and_ordered() {
     let exp = experiment();
@@ -145,6 +149,43 @@ fn fig3_population_correlation_strong_and_ordered() {
         "national {} vs metro {}",
         national.correlation.r,
         metro.correlation.r
+    );
+}
+
+/// Fig. 3's ordering claim ("the correlation appears to weaken as the
+/// population size and geographic scale decrease"), stated at the size
+/// it holds at: the median log-log r over **5 seeds** (the default seed
+/// and the next four) at the default **20,000 users**, National above
+/// Metropolitan. On single seeds the metro r is sample-size-limited and
+/// overtakes the national r on a few seeds by 0.01–0.03, so one seed
+/// cannot carry the claim.
+#[test]
+fn fig3_national_beats_metro_on_the_median_of_five_seeds() {
+    const SEEDS: u64 = 5;
+    let base = GeneratorConfig::default();
+    let median = |mut v: Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    let (mut national, mut metro) = (Vec::new(), Vec::new());
+    for k in 0..SEEDS {
+        let cfg = base.clone().with_seed(base.seed + k);
+        assert_eq!(cfg.n_users, 20_000);
+        let ds = TweetGenerator::new(cfg).generate();
+        let exp = Experiment::new(&ds);
+        let r = |scale| {
+            exp.population_correlation(scale)
+                .expect("fig 3")
+                .correlation
+                .r
+        };
+        national.push(r(Scale::National));
+        metro.push(r(Scale::Metropolitan));
+    }
+    let (n, m) = (median(national.clone()), median(metro.clone()));
+    assert!(
+        n > m,
+        "median national r {n} vs metro r {m} (national {national:?}, metro {metro:?})"
     );
 }
 

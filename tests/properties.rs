@@ -2,8 +2,9 @@
 //! inputs, not just the synthetic presets. Each test runs a seeded loop
 //! of cases drawn from `SplitMix64`; a failure names its seed.
 
+use tweetmob::core::AreaSet;
 use tweetmob::data::{Timestamp, Tweet, TweetDataset, UserId};
-use tweetmob::geo::{destination, haversine_km, BoundingBox, GridIndex, Point};
+use tweetmob::geo::{destination, haversine_km, BoundingBox, Point};
 use tweetmob::models::{FlowObservation, Gravity2Fit, MobilityModel};
 use tweetmob::stats::correlation::pearson;
 use tweetmob::stats::descriptive::{mean, quantile};
@@ -64,22 +65,29 @@ fn destination_inverts_distance() {
 }
 
 #[test]
-fn grid_index_matches_brute_force() {
+fn area_coverage_matches_brute_force() {
     for seed in 0..CASES {
         let mut rng = SplitMix64::new(seed);
+        let areas = vec_of(&mut rng, 1, 21, |rng| tweetmob::synth::Area {
+            name: "area",
+            center: aus_point(rng),
+            population: 1,
+        });
         let pts = vec_of(&mut rng, 1, 200, aus_point);
-        let center = aus_point(&mut rng);
-        let radius = rng.range_f64(0.0, 2_000.0);
-        let cell = rng.range_f64(0.01, 5.0);
-        let index = GridIndex::build(pts.clone(), cell);
-        let mut got = index.within_radius(center, radius);
-        got.sort_unstable();
-        let want: Vec<u32> = pts
-            .iter()
-            .enumerate()
-            .filter(|(_, &p)| haversine_km(center, p) <= radius)
-            .map(|(i, _)| i as u32)
-            .collect();
+        let radius = rng.range_f64(0.01, 2_000.0);
+        let set = AreaSet::new(areas.clone(), radius);
+        let lats: Vec<f64> = pts.iter().map(|p| p.lat).collect();
+        let lons: Vec<f64> = pts.iter().map(|p| p.lon).collect();
+        let mut got = Vec::new();
+        set.assign_batch(&lats, &lons, &mut Vec::new(), |k, a| got.push((k, a)));
+        let mut want = Vec::new();
+        for (k, &p) in pts.iter().enumerate() {
+            for (a, area) in areas.iter().enumerate() {
+                if haversine_km(area.center, p) <= radius {
+                    want.push((k, a));
+                }
+            }
+        }
         assert_eq!(got, want, "seed {seed}");
     }
 }
