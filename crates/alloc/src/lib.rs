@@ -1,4 +1,3 @@
-// lint: allow(crate-header) — a GlobalAlloc impl is necessarily unsafe; this is the one workspace crate that cannot forbid unsafe_code, and it is kept to the four trait methods below.
 //! # tweetmob-alloc
 //!
 //! A counting wrapper around the system allocator, feeding the

@@ -120,12 +120,12 @@ fn main() {
         let dataset = TweetGenerator::with_places(cfg.clone(), places).generate();
         let experiment = Experiment::new(&dataset);
         let area_set = AreaSet::new(areas, radius);
-        match experiment.mobility_with(
+        match experiment.fit_with(
             &area_set,
             PopulationSource::Twitter,
             format!("{world} / {study}"),
         ) {
-            Ok(report) => {
+            Ok((report, _)) => {
                 let g2 = report.evaluation("Gravity 2Param").expect("g2");
                 let rad = report.evaluation("Radiation").expect("radiation");
                 let gap = g2.pearson - rad.pearson;

@@ -10,7 +10,7 @@
 
 use tweetmob_bench::{print_header, standard_dataset};
 use tweetmob_core::{Experiment, Scale};
-use tweetmob_models::{FlowObservation, MobilityModel};
+use tweetmob_models::{FittedModel, FlowObservation};
 use tweetmob_stats::binning::LogBins;
 
 /// A boxed flow predictor (one per Fig. 4 panel).
@@ -38,15 +38,15 @@ fn main() {
         let models: Vec<(&str, Predictor)> = vec![
             ("Gravity 4Param", {
                 let m = report.gravity4;
-                Box::new(move |o: &FlowObservation| m.predict(o))
+                Box::new(move |o: &FlowObservation| m.predict_flow(o))
             }),
             ("Gravity 2Param", {
                 let m = report.gravity2;
-                Box::new(move |o: &FlowObservation| m.predict(o))
+                Box::new(move |o: &FlowObservation| m.predict_flow(o))
             }),
             ("Radiation", {
                 let m = report.radiation;
-                Box::new(move |o: &FlowObservation| m.predict(o))
+                Box::new(move |o: &FlowObservation| m.predict_flow(o))
             }),
         ];
         for (name, predict) in &models {

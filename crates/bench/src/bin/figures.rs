@@ -11,7 +11,7 @@ use std::path::Path;
 use tweetmob_bench::{print_header, standard_dataset};
 use tweetmob_core::{Experiment, Scale};
 use tweetmob_geo::{DensityGrid, AUSTRALIA_BBOX};
-use tweetmob_models::MobilityModel;
+use tweetmob_models::FittedModel;
 use tweetmob_plot::{AxisKind, Heatmap, ScatterChart};
 use tweetmob_stats::binning::LogBins;
 
@@ -102,7 +102,7 @@ fn main() {
                 continue;
             }
         };
-        let panels: [(&str, &dyn MobilityModel); 3] = [
+        let panels: [(&str, &dyn FittedModel); 3] = [
             ("Gravity 4Param", &report.gravity4),
             ("Gravity 2Param", &report.gravity2),
             ("Radiation", &report.radiation),
@@ -111,7 +111,7 @@ fn main() {
             let mut pairs = Vec::new();
             for o in &report.observations {
                 if o.observed_flow > 0.0 {
-                    let p = model.predict(o);
+                    let p = model.predict_flow(o);
                     if p > 0.0 && p.is_finite() {
                         pairs.push((p, o.observed_flow));
                     }

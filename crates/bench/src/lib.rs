@@ -21,9 +21,6 @@
 //!   own scale is 473,956 — pass it for a full-scale run).
 //! * `TWEETMOB_SEED` — generator seed (default the calibrated preset).
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-
 pub mod regress;
 
 use std::collections::BTreeMap;

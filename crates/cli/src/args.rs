@@ -36,11 +36,6 @@ pub const TRACE: &str = "trace";
 /// The `--threads <n>` flag every subcommand accepts: pin the shared
 /// worker pool's thread count (overrides `TWEETMOB_THREADS`).
 pub const THREADS: &str = "threads";
-/// The `--no-geometry-cache` switch every subcommand accepts: assemble
-/// observations through the scalar per-pair distance path instead of the
-/// shared pairwise-geometry cache (A/B escape hatch; results are
-/// bit-identical either way).
-pub const NO_GEO_CACHE: &str = "no-geometry-cache";
 /// The `--trace-out <path>` flag every subcommand accepts: export the
 /// deterministic trace-event buffer after the run — collapsed flamegraph
 /// stacks when the path ends in `.folded`/`.collapsed`, Chrome
@@ -68,8 +63,8 @@ const MANIFEST_EXCLUDED: &[&str] = &[
 
 impl Args {
     /// Parses raw arguments with the global flags ([`METRICS_OUT`],
-    /// [`TRACE`], [`THREADS`], [`NO_GEO_CACHE`]) appended to the
-    /// accepted lists — every subcommand takes them.
+    /// [`METRICS_REDACTED`], [`TRACE`], [`TRACE_OUT`], [`THREADS`])
+    /// appended to the accepted lists — every subcommand takes them.
     ///
     /// # Errors
     ///
@@ -85,7 +80,6 @@ impl Args {
         valued.push(TRACE_OUT);
         let mut switches: Vec<&str> = switches.to_vec();
         switches.push(TRACE);
-        switches.push(NO_GEO_CACHE);
         switches.push(METRICS_REDACTED);
         Self::parse(raw, &valued, &switches)
     }
@@ -250,22 +244,14 @@ mod tests {
 
     #[test]
     fn observability_flags_accepted_on_any_command() {
-        let raw = [
-            "out.jsonl",
-            "--metrics-out",
-            "m.json",
-            "--trace",
-            "--no-geometry-cache",
-        ];
+        let raw = ["out.jsonl", "--metrics-out", "m.json", "--trace"];
         let a = Args::parse_with_observability(raw.iter().map(|s| s.to_string()), &["users"], &[])
             .unwrap();
         assert_eq!(a.get(METRICS_OUT), Some("m.json"));
         assert!(a.has(TRACE));
-        assert!(a.has(NO_GEO_CACHE));
         assert_eq!(a.positional(0), Some("out.jsonl"));
         // Plain parse without the helper still rejects them.
         assert!(parse(&["--trace"], &["users"], &[]).is_err());
-        assert!(parse(&["--no-geometry-cache"], &["users"], &[]).is_err());
         assert!(parse(&["--trace-out", "t.json"], &["users"], &[]).is_err());
         assert!(parse(&["--metrics-redacted"], &["users"], &[]).is_err());
     }

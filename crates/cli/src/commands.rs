@@ -21,7 +21,7 @@ type Result<T> = std::result::Result<T, Box<dyn std::error::Error>>;
 pub fn export(args: &Args) -> Result<()> {
     let ds = dataset_arg(args)?;
     let out_path = args.positional(1).ok_or("missing output path")?;
-    let exp = experiment(args, &ds);
+    let exp = Experiment::new(&ds);
     let mut scales = Vec::new();
     for scale in Scale::ALL {
         let population = exp.population_correlation(scale)?;
@@ -293,13 +293,6 @@ fn dataset_arg(args: &Args) -> Result<TweetDataset> {
     load(path)
 }
 
-/// Builds the experiment runner honouring `--no-geometry-cache`.
-fn experiment<'a>(args: &Args, ds: &'a TweetDataset) -> Experiment<'a> {
-    let mut exp = Experiment::new(ds);
-    exp.set_geometry_cache(!args.has(crate::args::NO_GEO_CACHE));
-    exp
-}
-
 fn scale_arg(args: &Args) -> Result<Scale> {
     match args.get("scale").unwrap_or("national") {
         "national" => Ok(Scale::National),
@@ -324,7 +317,7 @@ fn fit_bundle(
     ds: &TweetDataset,
 ) -> Result<(tweetmob_core::MobilityReport, ModelBundle)> {
     let scale = scale_arg(args)?;
-    let exp = experiment(args, ds);
+    let exp = Experiment::new(ds);
     Ok(exp.fit_with(
         &AreaSet::of_scale(scale),
         source_arg(args),
@@ -395,7 +388,7 @@ pub fn population(args: &Args) -> Result<()> {
         .into());
     }
     let ds = dataset_arg(args)?;
-    let exp = experiment(args, &ds);
+    let exp = Experiment::new(&ds);
     let pop = exp.population_correlation_with_radius(scale, radius)?;
     println!("{} scale, ε = {radius} km", scale.name());
     println!("{pop}");
@@ -520,7 +513,7 @@ pub fn epidemic(args: &Args) -> Result<()> {
         ModelBundle::load_file(path)?
     } else {
         let ds = dataset_arg(args)?;
-        let exp = experiment(args, &ds);
+        let exp = Experiment::new(&ds);
         exp.fit(Scale::National)?.1
     };
     let seed_patch = bundle

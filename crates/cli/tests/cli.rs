@@ -721,6 +721,23 @@ fn population_rejects_a_radius_that_is_not_positive_and_finite() {
     std::fs::remove_file(&path).ok();
 }
 
+#[test]
+fn epidemic_rejects_an_infinite_horizon() {
+    let path = tmp("epi-inf.jsonl");
+    let path_str = path.to_str().unwrap();
+    assert!(
+        run(&["generate", path_str, "--users", "1500", "--seed", "8"])
+            .status
+            .success()
+    );
+    let out = run(&["epidemic", path_str, "--days", "inf"]);
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(err.contains("days must be finite"), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+    std::fs::remove_file(&path).ok();
+}
+
 /// Kills the serve child on drop so a failed assertion can't leak it.
 struct ServeChild(std::process::Child);
 

@@ -10,7 +10,6 @@ use crate::trips::trips_scan;
 use std::fmt;
 use std::sync::Arc;
 use tweetmob_data::{BundleArea, BundleMeta, ModelBundle, TweetDataset};
-use tweetmob_geo::PairGeometry;
 use tweetmob_models::{
     evaluate, FittedModelSet, FlowObservation, Gravity2Fit, Gravity4Fit, InterveningPopulation,
     ModelError, ModelEvaluation, OpportunitiesFit, RadiationFit,
@@ -163,30 +162,12 @@ impl From<ModelError> for ExperimentError {
 /// the dataset, so construction builds nothing.
 pub struct Experiment<'a> {
     dataset: &'a TweetDataset,
-    geometry_cache: bool,
 }
 
 impl<'a> Experiment<'a> {
     /// Wraps the dataset.
     pub fn new(dataset: &'a TweetDataset) -> Self {
-        Self {
-            dataset,
-            geometry_cache: true,
-        }
-    }
-
-    /// Toggles the shared pairwise-geometry cache (`--no-geometry-cache`
-    /// escape hatch). When off, observations are assembled through the
-    /// scalar per-pair distance path; results are bit-identical either
-    /// way — the toggle exists for A/B benchmarking and as a fallback.
-    pub fn set_geometry_cache(&mut self, enabled: bool) -> &mut Self {
-        self.geometry_cache = enabled;
-        self
-    }
-
-    /// Whether the pairwise-geometry cache is enabled (default: true).
-    pub fn geometry_cache(&self) -> bool {
-        self.geometry_cache
+        Self { dataset }
     }
 
     /// The underlying dataset.
@@ -244,29 +225,7 @@ impl<'a> Experiment<'a> {
     /// [`ExperimentError::Model`] when a model cannot be fitted (too few
     /// trips).
     pub fn mobility(&self, scale: Scale) -> Result<MobilityReport, ExperimentError> {
-        self.mobility_with(
-            &AreaSet::of_scale(scale),
-            PopulationSource::Twitter,
-            scale.name().to_string(),
-        )
-    }
-
-    /// Mobility experiment over a custom area set and population source.
-    ///
-    /// Thin wrapper over [`Experiment::fit_with`] that discards the
-    /// artifact bundle; results are identical.
-    ///
-    /// # Errors
-    ///
-    /// As [`Experiment::mobility`].
-    pub fn mobility_with(
-        &self,
-        areas: &AreaSet,
-        source: PopulationSource,
-        label: String,
-    ) -> Result<MobilityReport, ExperimentError> {
-        self.fit_with(areas, source, label)
-            .map(|(report, _)| report)
+        self.fit(scale).map(|(report, _)| report)
     }
 
     /// [`Experiment::fit_with`] at a paper scale with Twitter-derived
@@ -321,7 +280,7 @@ impl<'a> Experiment<'a> {
                 .set(i64::try_from(areas.len() * areas.len()).unwrap_or(i64::MAX));
             tweetmob_obs::gauge!("odmatrix/nonzero_pairs")
                 .set(i64::try_from(od.nonzero_pairs()).unwrap_or(i64::MAX));
-            build_observations(areas, &populations, od, self.geometry_cache)
+            build_observations(areas, &populations, od)
         };
         let gravity4 = Gravity4Fit::fit(&observations)?;
         let gravity2 = Gravity2Fit::fit(&observations)?;
@@ -343,11 +302,6 @@ impl<'a> Experiment<'a> {
             radiation,
             opportunities,
             evaluations,
-        };
-        let geometry = if self.geometry_cache {
-            Arc::clone(areas.geometry())
-        } else {
-            Arc::new(PairGeometry::build_direct(&areas.centers()))
         };
         let bundle = ModelBundle::new(
             BundleMeta {
@@ -371,7 +325,7 @@ impl<'a> Experiment<'a> {
                 radiation,
                 opportunities,
             },
-            geometry,
+            Arc::clone(areas.geometry()),
         );
         Ok((report, bundle))
     }
@@ -397,42 +351,21 @@ impl<'a> Experiment<'a> {
 /// Assembles `FlowObservation`s for every ordered pair of areas: `m`, `n`
 /// from `populations`, `d` from centre distances, `s` from the
 /// intervening-population structure over the same population vector, `T`
-/// from the OD matrix.
-///
-/// With `use_cache` the distances and rank lists come from the area
-/// set's shared [`PairGeometry`](tweetmob_geo::PairGeometry); without it
-/// everything is recomputed through the scalar per-pair path. The two
-/// paths produce bit-identical observations (asserted by the
-/// `geometry_equivalence` suite).
-fn build_observations(
-    areas: &AreaSet,
-    populations: &[f64],
-    od: &OdMatrix,
-    use_cache: bool,
-) -> Vec<FlowObservation> {
+/// from the OD matrix. Distances and rank lists come from the area set's
+/// shared [`PairGeometry`](tweetmob_geo::PairGeometry).
+fn build_observations(areas: &AreaSet, populations: &[f64], od: &OdMatrix) -> Vec<FlowObservation> {
     use tweetmob_stats::check::{debug_assert_finite_slice, debug_assert_nonneg};
     // This is where integer OD counts and estimated populations become
     // the floats every downstream fit consumes — the last place a NaN or
     // negative estimate can be caught near its source.
     debug_assert_finite_slice(populations, "area populations");
-    let centers = areas.centers();
-    let intervening = if use_cache {
-        InterveningPopulation::from_geometry(std::sync::Arc::clone(areas.geometry()), populations)
-    } else {
-        InterveningPopulation::build_direct(&centers, populations)
-    };
-    let distance = |i: usize, j: usize| {
-        if use_cache {
-            areas.distance_km(i, j)
-        } else {
-            tweetmob_geo::haversine_km(centers[i], centers[j])
-        }
-    };
+    let intervening =
+        InterveningPopulation::from_geometry(Arc::clone(areas.geometry()), populations);
     od.iter_pairs()
         .map(|(i, j, count)| FlowObservation {
             origin_population: debug_assert_nonneg(populations[i], "origin population"),
             dest_population: debug_assert_nonneg(populations[j], "destination population"),
-            distance_km: debug_assert_nonneg(distance(i, j), "pair distance"),
+            distance_km: debug_assert_nonneg(areas.distance_km(i, j), "pair distance"),
             intervening_population: debug_assert_nonneg(
                 intervening.s(i, j),
                 "intervening population",
@@ -566,20 +499,8 @@ mod tests {
     }
 
     #[test]
-    fn geometry_cache_toggle_is_bit_identical() {
-        let ds = medium();
-        let cached = Experiment::new(ds).mobility(Scale::National).unwrap();
-        let mut exp = Experiment::new(ds);
-        assert!(exp.geometry_cache());
-        exp.set_geometry_cache(false);
-        assert!(!exp.geometry_cache());
-        let direct = exp.mobility(Scale::National).unwrap();
-        assert_eq!(format!("{cached:?}"), format!("{direct:?}"));
-    }
-
-    #[test]
     fn fit_bundle_round_trips_and_bit_matches_report() {
-        use tweetmob_models::{MobilityModel, ModelKind};
+        use tweetmob_models::{FittedModel, ModelKind};
         let exp = Experiment::new(medium());
         let (report, bundle) = exp.fit(Scale::National).unwrap();
         assert_eq!(bundle.len(), 20);
@@ -593,26 +514,13 @@ mod tests {
             let obs = bundle.observation(i, j).unwrap();
             assert_eq!(
                 loaded.predict(ModelKind::Gravity4, i, j).unwrap().to_bits(),
-                report.gravity4.predict(&obs).to_bits()
+                report.gravity4.predict_flow(&obs).to_bits()
             );
             assert_eq!(
                 loaded.predict(ModelKind::Radiation, i, j).unwrap().to_bits(),
-                report.radiation.predict(&obs).to_bits()
+                report.radiation.predict_flow(&obs).to_bits()
             );
         }
-    }
-
-    #[test]
-    fn mobility_with_matches_fit_with_report() {
-        let exp = Experiment::new(medium());
-        let areas = AreaSet::of_scale(Scale::National);
-        let via_wrapper = exp
-            .mobility_with(&areas, PopulationSource::Twitter, "x".into())
-            .unwrap();
-        let (via_fit, _) = exp
-            .fit_with(&areas, PopulationSource::Twitter, "x".into())
-            .unwrap();
-        assert_eq!(format!("{via_wrapper:?}"), format!("{via_fit:?}"));
     }
 
     #[test]
@@ -630,8 +538,8 @@ mod tests {
     #[test]
     fn census_population_source_also_fits() {
         let exp = Experiment::new(medium());
-        let report = exp
-            .mobility_with(
+        let (report, _) = exp
+            .fit_with(
                 &AreaSet::of_scale(Scale::National),
                 PopulationSource::Census,
                 "census".into(),

@@ -42,8 +42,6 @@
 //! assert_eq!(ds.user_tweets(UserId(1)).unwrap().len(), 2);
 //! ```
 
-#![deny(missing_docs)]
-#![forbid(unsafe_code)]
 // `!(x > 0.0)` guards are deliberate: they also reject NaN.
 #![allow(clippy::neg_cmp_op_on_partial_ord)]
 

@@ -28,8 +28,6 @@
 //! assert!(timeline.peak_infected(1) > 1.0);
 //! ```
 
-#![deny(missing_docs)]
-#![forbid(unsafe_code)]
 // `!(x > 0.0)` guards are deliberate: they also reject NaN.
 #![allow(clippy::neg_cmp_op_on_partial_ord)]
 

@@ -3,8 +3,7 @@
 use std::fmt;
 use std::sync::Arc;
 use tweetmob_data::ModelBundle;
-use tweetmob_geo::PairGeometry;
-use tweetmob_models::{FlowObservation, InterveningPopulation, MobilityModel, ModelKind};
+use tweetmob_models::{FittedModel, FlowObservation, InterveningPopulation, ModelKind};
 
 /// Errors building a mobility network.
 #[derive(Debug, Clone, PartialEq)]
@@ -111,64 +110,22 @@ impl MobilityNetwork {
     }
 
     /// Builds a network by predicting every pairwise flow with a fitted
-    /// mobility model over patch centres/populations/distances.
-    ///
-    /// `distances[i][j]` and `intervening[i][j]` supply the model's `d`
-    /// and `s`; diagonal entries are ignored.
+    /// mobility model. The intervening-population structure supplies
+    /// the patch populations (the model's `m` and `n`, and the network's
+    /// populations), the pair distances `d` from its shared
+    /// [`InterveningPopulation::geometry`], and `s`.
     ///
     /// # Errors
     ///
     /// As [`MobilityNetwork::from_flows`].
-    pub fn from_model<M: MobilityModel>(
+    pub fn from_model<M: FittedModel + ?Sized>(
         model: &M,
-        populations: Vec<f64>,
-        distances: &[Vec<f64>],
-        intervening: &[Vec<f64>],
+        intervening: &InterveningPopulation,
         leave_rate: f64,
     ) -> Result<Self, NetworkError> {
+        let populations = intervening.populations();
+        let geometry = intervening.geometry();
         let n = populations.len();
-        let mut flows = Vec::with_capacity(n * n);
-        for i in 0..n {
-            for j in 0..n {
-                if i == j {
-                    continue;
-                }
-                let obs = FlowObservation {
-                    origin_population: populations[i],
-                    dest_population: populations[j],
-                    distance_km: distances[i][j],
-                    intervening_population: intervening[i][j],
-                    observed_flow: 0.0,
-                };
-                let p = model.predict(&obs);
-                if p.is_finite() && p > 0.0 {
-                    flows.push((i, j, p));
-                }
-            }
-        }
-        Self::from_flows(populations, &flows, leave_rate)
-    }
-
-    /// As [`MobilityNetwork::from_model`], but with pair distances drawn
-    /// from a shared [`PairGeometry`] cache instead of caller-assembled
-    /// dense rows — the epidemic pipeline reuses the geometry the
-    /// mobility fit already built rather than recomputing n² haversines.
-    ///
-    /// # Errors
-    ///
-    /// As [`MobilityNetwork::from_flows`], plus [`NetworkError::BadFlow`]
-    /// when the geometry does not cover every patch.
-    pub fn from_model_geometry<M: MobilityModel>(
-        model: &M,
-        populations: Vec<f64>,
-        geometry: &PairGeometry,
-        intervening: &[Vec<f64>],
-        leave_rate: f64,
-    ) -> Result<Self, NetworkError> {
-        let n = populations.len();
-        if geometry.len() != n || intervening.len() != n {
-            return Err(NetworkError::BadFlow("geometry does not cover all patches"));
-        }
         let mut flows = Vec::with_capacity(n * n);
         for i in 0..n {
             for j in 0..n {
@@ -179,27 +136,24 @@ impl MobilityNetwork {
                     origin_population: populations[i],
                     dest_population: populations[j],
                     distance_km: geometry.distance(i, j),
-                    intervening_population: intervening[i][j],
+                    intervening_population: intervening.s(i, j),
                     observed_flow: 0.0,
                 };
-                let p = model.predict(&obs);
+                let p = model.predict_flow(&obs);
                 if p.is_finite() && p > 0.0 {
                     flows.push((i, j, p));
                 }
             }
         }
-        Self::from_flows(populations, &flows, leave_rate)
+        Self::from_flows(populations.to_vec(), &flows, leave_rate)
     }
 
     /// Builds the network straight from a loaded model-artifact bundle:
-    /// census populations and the shared geometry come from the bundle,
-    /// the intervening-population structure is rebuilt over the census
-    /// vector (the bundle's own rankings cover its *fitting*
-    /// populations), and every pairwise flow is predicted with the
-    /// chosen fitted model. Output is bit-identical to assembling the
-    /// same inputs by hand through
-    /// [`MobilityNetwork::from_model_geometry`] — the epidemic pipeline
-    /// no longer needs a dataset or a refit once an artifact exists.
+    /// [`MobilityNetwork::from_model`] with the chosen fitted model over
+    /// the bundle's census populations and shared geometry. The
+    /// intervening-population structure is rebuilt over the census
+    /// vector, because the bundle's own rankings cover its *fitting*
+    /// populations.
     ///
     /// # Errors
     ///
@@ -209,33 +163,10 @@ impl MobilityNetwork {
         kind: ModelKind,
         leave_rate: f64,
     ) -> Result<Self, NetworkError> {
-        let populations: Vec<f64> = bundle.areas().iter().map(|a| a.census_population).collect();
-        let geometry = bundle.geometry();
-        let n = populations.len();
-        if geometry.len() != n {
-            return Err(NetworkError::BadFlow("geometry does not cover all patches"));
-        }
-        let calc = InterveningPopulation::from_geometry(Arc::clone(geometry), &populations);
-        let mut flows = Vec::with_capacity(n * n);
-        for i in 0..n {
-            for j in 0..n {
-                if i == j {
-                    continue;
-                }
-                let obs = FlowObservation {
-                    origin_population: populations[i],
-                    dest_population: populations[j],
-                    distance_km: geometry.distance(i, j),
-                    intervening_population: calc.s(i, j),
-                    observed_flow: 0.0,
-                };
-                let p = bundle.models().predict(kind, &obs);
-                if p.is_finite() && p > 0.0 {
-                    flows.push((i, j, p));
-                }
-            }
-        }
-        Self::from_flows(populations, &flows, leave_rate)
+        let census: Vec<f64> = bundle.areas().iter().map(|a| a.census_population).collect();
+        let intervening =
+            InterveningPopulation::from_geometry(Arc::clone(bundle.geometry()), &census);
+        Self::from_model(bundle.models().model(kind), &intervening, leave_rate)
     }
 
     /// Number of patches.
@@ -367,6 +298,7 @@ mod tests {
 
     #[test]
     fn from_model_uses_predictions() {
+        use tweetmob_geo::Point;
         use tweetmob_models::Gravity2Fit;
         // A hand-specified gravity model: flows ∝ mn/d².
         let model = Gravity2Fit {
@@ -375,66 +307,17 @@ mod tests {
             log_r_squared: 1.0,
             n_used: 0,
         };
-        let populations = vec![1_000.0, 1_000.0, 1_000.0];
-        // Patch 1 close to 0 (10 km), patch 2 far (100 km).
-        let d = vec![
-            vec![0.0, 10.0, 100.0],
-            vec![10.0, 0.0, 90.0],
-            vec![100.0, 90.0, 0.0],
+        // Patch 1 close to 0 (~11 km), patch 2 far (~111 km).
+        let centers = [
+            Point::new_unchecked(0.0, 100.0),
+            Point::new_unchecked(0.0, 100.1),
+            Point::new_unchecked(0.0, 101.0),
         ];
-        let s = vec![vec![0.0; 3]; 3];
-        let net = MobilityNetwork::from_model(&model, populations, &d, &s, 0.1).unwrap();
+        let intervening = InterveningPopulation::build(&centers, &[1_000.0; 3]);
+        let net = MobilityNetwork::from_model(&model, &intervening, 0.1).unwrap();
+        assert_eq!(net.populations(), intervening.populations());
         // From patch 0: rate to 1 should dominate 100:1.
         assert!(net.rate(0, 1) / net.rate(0, 2) > 50.0);
         assert!((net.leave_rate(0) - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn from_model_geometry_matches_dense_rows() {
-        use tweetmob_geo::Point;
-        use tweetmob_models::Gravity2Fit;
-        let model = Gravity2Fit {
-            c: 1.0,
-            gamma: 2.0,
-            log_r_squared: 1.0,
-            n_used: 0,
-        };
-        let centers = vec![
-            Point::new_unchecked(-33.8688, 151.2093),
-            Point::new_unchecked(-37.8136, 144.9631),
-            Point::new_unchecked(-27.4698, 153.0251),
-        ];
-        let geo = PairGeometry::build(&centers);
-        let pops = vec![1_000.0, 2_000.0, 3_000.0];
-        let s = vec![vec![0.0; 3]; 3];
-        let dense = geo.dense_rows();
-        let a = MobilityNetwork::from_model(&model, pops.clone(), &dense, &s, 0.1).unwrap();
-        let b = MobilityNetwork::from_model_geometry(&model, pops, &geo, &s, 0.1).unwrap();
-        for i in 0..3 {
-            for j in 0..3 {
-                assert_eq!(a.rate(i, j).to_bits(), b.rate(i, j).to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn from_model_geometry_rejects_size_mismatch() {
-        use tweetmob_geo::Point;
-        use tweetmob_models::Gravity2Fit;
-        let model = Gravity2Fit {
-            c: 1.0,
-            gamma: 2.0,
-            log_r_squared: 1.0,
-            n_used: 0,
-        };
-        let geo = PairGeometry::build(&[
-            Point::new_unchecked(0.0, 100.0),
-            Point::new_unchecked(0.0, 101.0),
-        ]);
-        let s = vec![vec![0.0; 3]; 3];
-        assert!(matches!(
-            MobilityNetwork::from_model_geometry(&model, vec![1.0, 1.0, 1.0], &geo, &s, 0.1),
-            Err(NetworkError::BadFlow(_))
-        ));
     }
 }

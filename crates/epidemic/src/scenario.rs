@@ -132,6 +132,10 @@ impl OutbreakScenario {
                 "days must cover at least one step",
             ));
         }
+        // An infinite horizon would round to usize::MAX steps.
+        if !days.is_finite() {
+            return Err(ScenarioError::BadTimestep("days must be finite"));
+        }
         for &(p, _) in &self.seeds {
             if p >= self.network.n_patches() {
                 return Err(ScenarioError::BadSeedPatch(p));
@@ -472,6 +476,19 @@ mod tests {
                 .seed(99, 1.0)
                 .run_deterministic(10.0, 0.1),
             Err(ScenarioError::BadSeedPatch(99))
+        ));
+    }
+
+    #[test]
+    fn infinite_horizon_rejected_by_both_engines() {
+        let scenario = OutbreakScenario::new(chain_network(), 0.5, 0.2).seed(0, 1.0);
+        assert!(matches!(
+            scenario.run_deterministic(f64::INFINITY, 0.25),
+            Err(ScenarioError::BadTimestep(_))
+        ));
+        assert!(matches!(
+            scenario.run_stochastic(f64::INFINITY, 0.25, 7),
+            Err(ScenarioError::BadTimestep(_))
         ));
     }
 

@@ -13,14 +13,12 @@
 //! *same* floating-point expression as [`haversine_km`], operation for
 //! operation, on precomputed `lat.to_radians()` / `lon.to_radians()` /
 //! `cos(lat)` values — so every distance in the cache is bit-identical
-//! to the scalar path it replaces. [`PairGeometry::build_direct`] keeps
-//! the scalar path alive for A/B benchmarking (`--no-geometry-cache`)
-//! and the equivalence suite asserts both agree to the bit.
+//! to the scalar path it replaces; the tests build the same cache from
+//! [`pairwise_km_direct`] and assert both agree to the bit.
 //!
 //! Observability (`cache/pairgeo/*`): `build_ns` (cumulative build
-//! time, redacted like every `_ns` field), `hits` (distance lookups
-//! served from a built cache) and `misses` (pair distances recomputed
-//! by the scalar escape path).
+//! time, redacted like every `_ns` field) and `hits` (distance lookups
+//! served from a built cache).
 
 use crate::distance::{haversine_km, EARTH_RADIUS_KM};
 use crate::point::Point;
@@ -172,16 +170,6 @@ impl PairGeometry {
         Self::from_triangle(points.len(), pairwise_km(points))
     }
 
-    /// Builds the cache with scalar per-pair [`haversine_km`] — the
-    /// pre-cache path, kept for A/B runs (`--no-geometry-cache`). Every
-    /// pair distance is counted as a `cache/pairgeo/misses`.
-    #[must_use]
-    pub fn build_direct(points: &[Point]) -> Self {
-        let tri = pairwise_km_direct(points);
-        tweetmob_obs::counter!("cache/pairgeo/misses").add(tri.len() as u64);
-        Self::from_triangle(points.len(), tri)
-    }
-
     /// [`PairGeometry::build`] wrapped in an [`Arc`] for sharing.
     #[must_use]
     pub fn shared(points: &[Point]) -> Arc<Self> {
@@ -288,15 +276,6 @@ impl PairGeometry {
         self.tri.iter().sum()
     }
 
-    /// The full symmetric distance matrix as dense rows, for consumers
-    /// with a `distances[i][j]` interface (epidemic network builder).
-    #[must_use]
-    pub fn dense_rows(&self) -> Vec<Vec<f64>> {
-        (0..self.n)
-            .map(|i| (0..self.n).map(|j| self.distance(i, j)).collect())
-            .collect()
-    }
-
     /// Serializes the cache: [`GEOMETRY_MAGIC`], [`GEOMETRY_VERSION`]
     /// (u32 LE), point count (u64 LE), then every upper-triangle
     /// distance as its `f64::to_bits` in LE order.
@@ -401,6 +380,12 @@ mod tests {
             .collect()
     }
 
+    /// The pre-cache path: the same structure over scalar per-pair
+    /// [`haversine_km`] distances.
+    fn build_direct(points: &[Point]) -> PairGeometry {
+        PairGeometry::from_triangle(points.len(), pairwise_km_direct(points))
+    }
+
     #[test]
     fn trig_distance_bit_identical_to_haversine() {
         let pts = scatter(40, 3);
@@ -467,7 +452,7 @@ mod tests {
     fn direct_build_matches_kernel_build() {
         let pts = scatter(15, 23);
         let fast = PairGeometry::build(&pts);
-        let slow = PairGeometry::build_direct(&pts);
+        let slow = build_direct(&pts);
         assert_eq!(fast.upper_triangle().len(), slow.upper_triangle().len());
         for (a, b) in fast.upper_triangle().iter().zip(slow.upper_triangle()) {
             assert_eq!(a.to_bits(), b.to_bits());
@@ -486,19 +471,6 @@ mod tests {
             assert!(row
                 .iter()
                 .all(|&(d, j)| { j != i && d.to_bits() == geo.distance(i, j).to_bits() }));
-        }
-    }
-
-    #[test]
-    fn dense_rows_round_trip() {
-        let pts = scatter(6, 99);
-        let geo = PairGeometry::build(&pts);
-        let rows = geo.dense_rows();
-        assert_eq!(rows.len(), 6);
-        for (i, row) in rows.iter().enumerate() {
-            for (j, d) in row.iter().enumerate() {
-                assert_eq!(d.to_bits(), geo.distance(i, j).to_bits());
-            }
         }
     }
 
@@ -581,13 +553,7 @@ mod tests {
 
     #[test]
     fn cache_metrics_are_recorded() {
-        let pts = scatter(5, 77);
-        let before_misses = tweetmob_obs::counter!("cache/pairgeo/misses").value();
-        let geo = PairGeometry::build_direct(&pts);
-        assert_eq!(
-            tweetmob_obs::counter!("cache/pairgeo/misses").value(),
-            before_misses + 10
-        );
+        let geo = PairGeometry::build(&scatter(5, 77));
         let before_hits = tweetmob_obs::counter!("cache/pairgeo/hits").value();
         let _ = geo.distance(0, 1);
         let _ = geo.distance(2, 2);

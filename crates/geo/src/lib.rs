@@ -40,8 +40,6 @@
 //! assert!((d - 713.0).abs() < 10.0); // ~713 km apart
 //! ```
 
-#![deny(missing_docs)]
-#![forbid(unsafe_code)]
 // `!(x > 0.0)` guards are deliberate: they also reject NaN.
 #![allow(clippy::neg_cmp_op_on_partial_ord)]
 

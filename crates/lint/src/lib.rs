@@ -9,8 +9,6 @@
 //! panicking `unwrap()` deep in a fitting loop. These rules make the
 //! conventions machine-enforced:
 //!
-//! * **`crate-header`** — every crate root declares
-//!   `#![forbid(unsafe_code)]` and `#![deny(missing_docs)]`.
 //! * **`no-panic`** — no `unwrap()` / `expect()` / `panic!` /
 //!   `unreachable!` / `todo!` / `unimplemented!` in non-test, non-binary
 //!   library code. (`assert!` remains available for documented
@@ -80,9 +78,6 @@
 //! fires, so fixtures in doc comments or test modules never trip the
 //! linter.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-
 mod api_lock;
 mod model;
 mod semantic;
@@ -133,11 +128,9 @@ const GEOMETRY_CACHE_CRATES: &[&str] = &["tweetmob-models", "tweetmob-epidemic"]
 /// measure single pairs during construction and queries.
 const BATCH_KERNEL_CRATES: &[&str] = &["tweetmob-geo", "tweetmob-core"];
 
-/// The eleven rule families.
+/// The ten rule families.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
-    /// Crate root missing `#![forbid(unsafe_code)]` / `#![deny(missing_docs)]`.
-    CrateHeader,
     /// Panicking call in library code.
     NoPanic,
     /// NaN-unsafe float ordering.
@@ -165,7 +158,6 @@ impl Rule {
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
-            Rule::CrateHeader => "crate-header",
             Rule::NoPanic => "no-panic",
             Rule::FloatOrd => "float-ord",
             Rule::Determinism => "determinism",
@@ -181,7 +173,6 @@ impl Rule {
 
     /// Every rule name, for validating annotations.
     pub(crate) const ALL_NAMES: &'static [&'static str] = &[
-        "crate-header",
         "no-panic",
         "float-ord",
         "determinism",
@@ -199,7 +190,6 @@ impl Rule {
     fn accepted_names(self) -> &'static [&'static str] {
         match self {
             Rule::NoPanic | Rule::PanicPath => &["no-panic", "panic-path"],
-            Rule::CrateHeader => &["crate-header"],
             Rule::FloatOrd => &["float-ord"],
             Rule::Determinism => &["determinism"],
             Rule::LossyCast => &["lossy-cast"],
@@ -261,10 +251,6 @@ impl FileKind {
     pub fn is_library(self) -> bool {
         matches!(self, FileKind::LibRoot | FileKind::Library)
     }
-
-    fn is_crate_root(self) -> bool {
-        matches!(self, FileKind::LibRoot | FileKind::BinRoot)
-    }
 }
 
 /// One workspace source file, loaded and classified — the input unit of
@@ -316,9 +302,6 @@ fn textual_checks(
     in_test: &dyn Fn(usize) -> bool,
     out: &mut Vec<Diagnostic>,
 ) {
-    if kind.is_crate_root() {
-        check_crate_header(label, code, out);
-    }
     if kind.is_library() {
         check_no_panic(label, code, in_test, out);
     }
@@ -1056,28 +1039,7 @@ impl Suppressor {
 }
 
 // ---------------------------------------------------------------------------
-// Rule 1: crate headers.
-// ---------------------------------------------------------------------------
-
-fn check_crate_header(label: &str, code: &str, out: &mut Vec<Diagnostic>) {
-    let flat: String = code.chars().filter(|c| !c.is_whitespace()).collect();
-    for (needle, attr) in [
-        ("#![forbid(unsafe_code)]", "#![forbid(unsafe_code)]"),
-        ("#![deny(missing_docs)]", "#![deny(missing_docs)]"),
-    ] {
-        if !flat.contains(needle) {
-            out.push(Diagnostic {
-                file: label.to_string(),
-                line: 1,
-                rule: Rule::CrateHeader,
-                message: format!("crate root must declare `{attr}`"),
-            });
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Rule 2: no panicking calls in library code.
+// Rule 1: no panicking calls in library code.
 // ---------------------------------------------------------------------------
 
 fn check_no_panic(
@@ -1148,7 +1110,7 @@ pub(crate) fn find_token(code: &str, token: &str) -> Vec<usize> {
 }
 
 // ---------------------------------------------------------------------------
-// Rule 3: NaN-safe float ordering.
+// Rule 2: NaN-safe float ordering.
 // ---------------------------------------------------------------------------
 
 fn check_float_ord(
@@ -1223,7 +1185,7 @@ fn matching_paren(code: &str, open: usize) -> Option<usize> {
 }
 
 // ---------------------------------------------------------------------------
-// Rule 4: determinism.
+// Rule 3: determinism.
 // ---------------------------------------------------------------------------
 
 fn check_determinism(
@@ -1296,7 +1258,7 @@ fn check_determinism(
 }
 
 // ---------------------------------------------------------------------------
-// Rule 5: lossy float→int casts.
+// Rule 4: lossy float→int casts.
 // ---------------------------------------------------------------------------
 
 const INT_TYPES: &[&str] = &[
@@ -1454,7 +1416,7 @@ fn has_float_literal(fragment: &str) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// Rule 6: parallel execution stays on the shared pool.
+// Rule 5: parallel execution stays on the shared pool.
 // ---------------------------------------------------------------------------
 
 /// Raw-thread tokens sanctioned per crate, narrower than a blanket
@@ -1507,7 +1469,7 @@ fn check_par_layer(
 }
 
 // ---------------------------------------------------------------------------
-// Rule 7: pairwise distances come from the geometry cache.
+// Rule 6: pairwise distances come from the geometry cache.
 // ---------------------------------------------------------------------------
 
 /// Rejects direct `haversine_km` calls in the model-fitting crates, and
@@ -1671,31 +1633,6 @@ mod tests {
 
     fn rules(diags: &[Diagnostic]) -> Vec<Rule> {
         diags.iter().map(|d| d.rule).collect()
-    }
-
-    // -- crate-header ------------------------------------------------------
-
-    #[test]
-    fn crate_header_fires_on_missing_attributes() {
-        let bad = "//! Docs.\npub fn f() {}\n";
-        let d = lint_source("lib.rs", "tweetmob-stats", FileKind::LibRoot, bad);
-        assert_eq!(rules(&d), vec![Rule::CrateHeader, Rule::CrateHeader]);
-        // Same line, same rule: the unified (file, line, rule, message)
-        // order ties-breaks on message text, deterministically.
-        assert!(d[0].message.contains("deny(missing_docs)"));
-        assert!(d[1].message.contains("forbid(unsafe_code)"));
-    }
-
-    #[test]
-    fn crate_header_passes_with_both_attributes() {
-        let good = "//! Docs.\n#![forbid(unsafe_code)]\n#![deny(missing_docs)]\npub fn f() {}\n";
-        assert!(lint_source("lib.rs", "x", FileKind::LibRoot, good).is_empty());
-    }
-
-    #[test]
-    fn crate_header_not_required_on_modules() {
-        let src = "pub fn f() {}\n";
-        assert!(lint_source("m.rs", "x", FileKind::Library, src).is_empty());
     }
 
     // -- no-panic ----------------------------------------------------------

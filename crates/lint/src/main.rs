@@ -13,9 +13,6 @@
 //! crate docs of `tweetmob_lint` (or `DESIGN.md` §12) for the rules and
 //! the `// lint: allow(<rule>) — <reason>` escape hatch.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 

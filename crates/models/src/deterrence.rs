@@ -142,7 +142,6 @@ impl FittedModel for TannerFit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MobilityModel;
 
     fn obs(m: f64, n: f64, d: f64, t: f64) -> FlowObservation {
         FlowObservation {
@@ -180,7 +179,7 @@ mod tests {
         );
         assert!((fit.c - 0.001).abs() / 0.001 < 1e-9);
         for o in &data {
-            assert!((fit.predict(o) - o.observed_flow).abs() / o.observed_flow < 1e-9);
+            assert!((fit.predict_flow(o) - o.observed_flow).abs() / o.observed_flow < 1e-9);
         }
     }
 
@@ -252,7 +251,7 @@ mod tests {
             log_r_squared: 1.0,
             n_used: 0,
         };
-        assert_eq!(g.name(), "Gravity Exp");
+        assert_eq!(g.model_name(), "Gravity Exp");
         let t = TannerFit {
             c: 1.0,
             gamma: 2.0,
@@ -260,6 +259,6 @@ mod tests {
             log_r_squared: 1.0,
             n_used: 0,
         };
-        assert_eq!(t.name(), "Gravity Tanner");
+        assert_eq!(t.model_name(), "Gravity Tanner");
     }
 }

@@ -1,6 +1,7 @@
 //! Model scoring with the paper's Table-II metrics and extensions.
 
-use crate::traits::{FlowObservation, MobilityModel, ModelError};
+use crate::fitted::FittedModel;
+use crate::traits::{FlowObservation, ModelError};
 use std::fmt;
 use tweetmob_obs::{Json, ToJson};
 use tweetmob_stats::check::{debug_assert_finite, debug_assert_nonneg, debug_assert_prob};
@@ -86,7 +87,7 @@ impl fmt::Display for ModelEvaluation {
 ///
 /// [`ModelError::TooFewObservations`] when fewer than 3 scorable pairs
 /// remain (Pearson needs 3).
-pub fn evaluate<M: MobilityModel>(
+pub fn evaluate<M: FittedModel>(
     model: &M,
     observations: &[FlowObservation],
 ) -> Result<ModelEvaluation, ModelError> {
@@ -97,11 +98,11 @@ pub fn evaluate<M: MobilityModel>(
         if o.observed_flow > 0.0 && o.observed_flow.is_finite() {
             // Keep the raw prediction: evaluate_vectors owns the
             // drop accounting so both entry points count identically.
-            est.push(model.predict(o));
+            est.push(model.predict_flow(o));
             obs.push(o.observed_flow);
         }
     }
-    evaluate_vectors(model.name(), &est, &obs)
+    evaluate_vectors(model.model_name(), &est, &obs)
 }
 
 /// Scores pre-computed prediction/observation vectors with the same

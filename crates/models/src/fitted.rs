@@ -14,11 +14,6 @@
 //!   artifact container stores and a query addresses by name.
 //! * [`FittedModelSet`] — all four fitted artifacts together: the unit
 //!   the `tweetmob fit` command produces and `ModelBundle` serialises.
-//!
-//! The pre-existing [`MobilityModel`](crate::MobilityModel) trait is now
-//! a thin blanket wrapper over [`FittedModel`] (see `traits.rs`), so the
-//! evaluation harness, the examples and every existing test keep
-//! working unchanged.
 
 use crate::gravity::{Gravity2Fit, Gravity4Fit};
 use crate::opportunities::OpportunitiesFit;
@@ -153,7 +148,6 @@ impl FittedModelSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MobilityModel;
 
     fn obs(m: f64, n: f64, d: f64, s: f64, t: f64) -> FlowObservation {
         FlowObservation {
@@ -208,19 +202,19 @@ mod tests {
         for o in &data {
             assert_eq!(
                 set.predict(ModelKind::Gravity4, o).to_bits(),
-                set.gravity4.predict(o).to_bits()
+                set.gravity4.predict_flow(o).to_bits()
             );
             assert_eq!(
                 set.predict(ModelKind::Gravity2, o).to_bits(),
-                set.gravity2.predict(o).to_bits()
+                set.gravity2.predict_flow(o).to_bits()
             );
             assert_eq!(
                 set.predict(ModelKind::Radiation, o).to_bits(),
-                set.radiation.predict(o).to_bits()
+                set.radiation.predict_flow(o).to_bits()
             );
             assert_eq!(
                 set.predict(ModelKind::Opportunities, o).to_bits(),
-                set.opportunities.predict(o).to_bits()
+                set.opportunities.predict_flow(o).to_bits()
             );
         }
     }

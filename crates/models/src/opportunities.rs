@@ -101,7 +101,6 @@ impl FittedModel for OpportunitiesFit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MobilityModel;
 
     fn obs(m: f64, n: f64, s: f64, t: f64) -> FlowObservation {
         FlowObservation {
@@ -135,7 +134,7 @@ mod tests {
         let fit = OpportunitiesFit::fit(&data).unwrap();
         assert!((fit.c - 3.0).abs() / 3.0 < 1e-9);
         for o in &data {
-            assert!((fit.predict(o) - o.observed_flow).abs() / o.observed_flow < 1e-9);
+            assert!((fit.predict_flow(o) - o.observed_flow).abs() / o.observed_flow < 1e-9);
         }
     }
 
@@ -170,6 +169,6 @@ mod tests {
     #[test]
     fn name_is_stable() {
         let fit = OpportunitiesFit { c: 1.0, n_used: 0 };
-        assert_eq!(fit.name(), "Opportunities");
+        assert_eq!(fit.model_name(), "Opportunities");
     }
 }

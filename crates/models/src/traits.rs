@@ -1,4 +1,4 @@
-//! The model interface and shared observation type.
+//! The shared observation type and the model-fitting error.
 
 use std::fmt;
 
@@ -79,32 +79,6 @@ impl From<tweetmob_stats::StatsError> for ModelError {
             }
             _ => ModelError::DegenerateFit("singular log-space regression"),
         }
-    }
-}
-
-/// A fitted mobility model that can predict a flow for an observation.
-///
-/// This is the historical entry point the evaluation harness and the
-/// examples consume. Since the fit/predict split it is a thin wrapper:
-/// every fitted artifact implements [`FittedModel`](crate::FittedModel),
-/// and the blanket impl below forwards `name`/`predict` to it, so both
-/// spellings stay available and bit-identical.
-pub trait MobilityModel {
-    /// Short display name ("Gravity 4Param", …) used in report tables.
-    fn name(&self) -> &'static str;
-
-    /// Predicted flow for the observation's `(m, n, d, s)`; the
-    /// observation's `observed_flow` is ignored.
-    fn predict(&self, obs: &FlowObservation) -> f64;
-}
-
-impl<T: crate::FittedModel> MobilityModel for T {
-    fn name(&self) -> &'static str {
-        self.model_name()
-    }
-
-    fn predict(&self, obs: &FlowObservation) -> f64 {
-        self.predict_flow(obs)
     }
 }
 

@@ -25,9 +25,6 @@
 //! assert!(svg.contains("demo"));
 //! ```
 
-#![deny(missing_docs)]
-#![forbid(unsafe_code)]
-
 mod axes;
 mod chart;
 mod heatmap;

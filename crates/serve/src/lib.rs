@@ -54,9 +54,6 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-
 mod handlers;
 mod http;
 mod loadgen;

@@ -45,8 +45,6 @@
 //! assert!(r.p_two_tailed < 0.01);
 //! ```
 
-#![deny(missing_docs)]
-#![forbid(unsafe_code)]
 // `!(x > 0.0)` (and friends) are used deliberately throughout: unlike
 // `x <= 0.0` they are also true for NaN, which is exactly the poisoned
 // input the guards must reject.

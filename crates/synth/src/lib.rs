@@ -32,8 +32,6 @@
 //! assert_eq!(dataset.n_users(), 100);
 //! ```
 
-#![deny(missing_docs)]
-#![forbid(unsafe_code)]
 // `!(x > 0.0)` guards are deliberate: they also reject NaN.
 #![allow(clippy::neg_cmp_op_on_partial_ord)]
 

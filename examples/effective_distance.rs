@@ -8,6 +8,7 @@
 //! cargo run --release --example effective_distance
 //! ```
 
+use std::sync::Arc;
 use tweetmob::core::{AreaSet, Experiment, Scale};
 use tweetmob::epidemic::{
     arrival_time_correlation, effective_distance_from, estimate_r0, MobilityNetwork,
@@ -23,27 +24,11 @@ fn main() {
     let report = experiment.mobility(Scale::National).expect("mobility fit");
     let areas = AreaSet::of_scale(Scale::National);
     let n = areas.len();
-    let populations = areas.census_populations();
-    let distances: Vec<Vec<f64>> = (0..n)
-        .map(|i| (0..n).map(|j| areas.distance_km(i, j)).collect())
-        .collect();
-    let centers = areas.centers();
-    let calc = InterveningPopulation::build(&centers, &populations);
-    let intervening: Vec<Vec<f64>> = (0..n)
-        .map(|i| {
-            (0..n)
-                .map(|j| if i == j { 0.0 } else { calc.s(i, j) })
-                .collect()
-        })
-        .collect();
-    let network = MobilityNetwork::from_model(
-        &report.gravity2,
-        populations,
-        &distances,
-        &intervening,
-        0.02,
-    )
-    .expect("network");
+    let census = InterveningPopulation::from_geometry(
+        Arc::clone(areas.geometry()),
+        &areas.census_populations(),
+    );
+    let network = MobilityNetwork::from_model(&report.gravity2, &census, 0.02).expect("network");
 
     // Simulate an outbreak from Sydney and estimate R0 back from the
     // curve (surveillance sanity check).

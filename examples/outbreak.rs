@@ -12,6 +12,7 @@
 //! cargo run --release --example outbreak
 //! ```
 
+use std::sync::Arc;
 use tweetmob::core::{AreaSet, Experiment, Scale};
 use tweetmob::epidemic::{MobilityNetwork, OutbreakScenario, SeirParams};
 use tweetmob::models::InterveningPopulation;
@@ -32,26 +33,13 @@ fn main() {
     // 2. Build the metapopulation network from the *fitted* model over
     //    census populations — the paper's proposed census swap.
     let areas = AreaSet::of_scale(Scale::National);
-    let populations = areas.census_populations();
-    let n = areas.len();
-    let distances: Vec<Vec<f64>> = (0..n)
-        .map(|i| (0..n).map(|j| areas.distance_km(i, j)).collect())
-        .collect();
-    let centers = areas.centers();
-    let intervening_calc = InterveningPopulation::build(&centers, &populations);
-    let intervening: Vec<Vec<f64>> = (0..n)
-        .map(|i| {
-            (0..n)
-                .map(|j| if i == j { 0.0 } else { intervening_calc.s(i, j) })
-                .collect()
-        })
-        .collect();
-    let model = report.gravity2;
+    let census = InterveningPopulation::from_geometry(
+        Arc::clone(areas.geometry()),
+        &areas.census_populations(),
+    );
     let network = MobilityNetwork::from_model(
-        &model,
-        populations,
-        &distances,
-        &intervening,
+        &report.gravity2,
+        &census,
         0.02, // 2 % of each city travels per day
     )
     .expect("network construction");

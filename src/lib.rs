@@ -44,9 +44,6 @@
 //! assert!(pop.correlation.r > 0.5);
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-
 pub use tweetmob_core as core;
 pub use tweetmob_data as data;
 pub use tweetmob_epidemic as epidemic;

@@ -12,7 +12,7 @@ use tweetmob::data::{BundleArea, BundleMeta, ModelBundle};
 use tweetmob::epidemic::MobilityNetwork;
 use tweetmob::geo::{PairGeometry, Point};
 use tweetmob::models::{
-    FittedModelSet, FlowObservation, InterveningPopulation, MobilityModel, ModelKind,
+    FittedModel, FittedModelSet, FlowObservation, InterveningPopulation, ModelKind,
 };
 use tweetmob::par::with_threads;
 use tweetmob::stats::rng::SplitMix64;
@@ -163,19 +163,19 @@ fn pipeline_fit_save_load_predict_is_bit_identical_at_1_and_8_threads() {
                 let obs = bundle.observation(i, j).unwrap();
                 assert_eq!(
                     loaded.predict(ModelKind::Gravity4, i, j).unwrap().to_bits(),
-                    report.gravity4.predict(&obs).to_bits()
+                    report.gravity4.predict_flow(&obs).to_bits()
                 );
                 assert_eq!(
                     loaded.predict(ModelKind::Gravity2, i, j).unwrap().to_bits(),
-                    report.gravity2.predict(&obs).to_bits()
+                    report.gravity2.predict_flow(&obs).to_bits()
                 );
                 assert_eq!(
                     loaded.predict(ModelKind::Radiation, i, j).unwrap().to_bits(),
-                    report.radiation.predict(&obs).to_bits()
+                    report.radiation.predict_flow(&obs).to_bits()
                 );
                 assert_eq!(
                     loaded.predict(ModelKind::Opportunities, i, j).unwrap().to_bits(),
-                    report.opportunities.predict(&obs).to_bits()
+                    report.opportunities.predict_flow(&obs).to_bits()
                 );
             }
         }
@@ -206,7 +206,8 @@ fn top_k_from_loaded_artifact_matches_in_memory() {
 }
 
 /// The epidemic network built straight from a loaded artifact is
-/// bit-identical to one assembled by hand from the same bundle parts.
+/// bit-identical, for every model kind, to one assembled by hand from
+/// the same bundle parts through `MobilityNetwork::from_model`.
 #[test]
 fn epidemic_network_from_artifact_matches_hand_assembly() {
     let ds = TweetGenerator::new(GeneratorConfig::small()).generate();
@@ -215,36 +216,29 @@ fn epidemic_network_from_artifact_matches_hand_assembly() {
     bundle.save(&mut bytes).expect("save");
     let loaded = ModelBundle::load(&bytes[..]).expect("load");
 
-    let from_artifact =
-        MobilityNetwork::from_artifact(&loaded, ModelKind::Gravity2, 0.02).expect("network");
-
     let census: Vec<f64> = bundle.areas().iter().map(|a| a.census_population).collect();
     let n = census.len();
     let calc = InterveningPopulation::from_geometry(Arc::clone(bundle.geometry()), &census);
-    let dense: Vec<Vec<f64>> = (0..n)
-        .map(|i| {
-            (0..n)
-                .map(|j| if i == j { 0.0 } else { calc.s(i, j) })
-                .collect()
-        })
-        .collect();
-    let by_hand = MobilityNetwork::from_model_geometry(
-        &bundle.models().gravity2,
-        census,
-        bundle.geometry(),
-        &dense,
-        0.02,
-    )
-    .expect("hand network");
-
-    assert_eq!(from_artifact.n_patches(), by_hand.n_patches());
-    for i in 0..n {
-        for j in 0..n {
-            assert_eq!(
-                from_artifact.rate(i, j).to_bits(),
-                by_hand.rate(i, j).to_bits(),
-                "rate {i}->{j}"
-            );
+    let models = bundle.models();
+    let fits: [&dyn FittedModel; 4] = [
+        &models.gravity4,
+        &models.gravity2,
+        &models.radiation,
+        &models.opportunities,
+    ];
+    for (kind, fit) in ModelKind::ALL.into_iter().zip(fits) {
+        let from_artifact = MobilityNetwork::from_artifact(&loaded, kind, 0.02).expect("network");
+        let by_hand = MobilityNetwork::from_model(fit, &calc, 0.02).expect("hand network");
+        assert_eq!(from_artifact.populations(), by_hand.populations());
+        assert_eq!(from_artifact.n_patches(), n);
+        for i in 0..n {
+            for j in 0..n {
+                assert_eq!(
+                    from_artifact.rate(i, j).to_bits(),
+                    by_hand.rate(i, j).to_bits(),
+                    "{kind}: rate {i}->{j}"
+                );
+            }
         }
     }
 }

@@ -48,8 +48,8 @@ fn radiation_recovers_on_even_geography() {
     // Australia, state scale (the paper's worst case for Radiation).
     let aus_ds = TweetGenerator::with_places(cfg.clone(), australia).generate();
     let aus_exp = Experiment::new(&aus_ds);
-    let aus = aus_exp
-        .mobility_with(
+    let (aus, _) = aus_exp
+        .fit_with(
             &AreaSet::of_scale(Scale::State),
             PopulationSource::Twitter,
             "aus-state".into(),
@@ -60,8 +60,8 @@ fn radiation_recovers_on_even_geography() {
     let uni_areas = central_region(&uniform, 20);
     let uni_ds = TweetGenerator::with_places(cfg, uniform).generate();
     let uni_exp = Experiment::new(&uni_ds);
-    let uni = uni_exp
-        .mobility_with(
+    let (uni, _) = uni_exp
+        .fit_with(
             &AreaSet::new(uni_areas, 25.0),
             PopulationSource::Twitter,
             "uniform-state".into(),

@@ -1,7 +1,7 @@
 //! End-to-end integration: generator → I/O → experiment → models →
 //! epidemic, across every crate in the workspace.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use tweetmob::core::{AreaSet, Experiment, PopulationSource, Scale};
 use tweetmob::data::{io, DatasetSummary, TweetDataset};
 use tweetmob::epidemic::{MobilityNetwork, OutbreakScenario};
@@ -67,28 +67,11 @@ fn mobility_fit_feeds_epidemic_simulation() {
     let report = exp.mobility(Scale::National).expect("mobility fit");
 
     let areas = AreaSet::of_scale(Scale::National);
-    let populations = areas.census_populations();
-    let n = areas.len();
-    let distances: Vec<Vec<f64>> = (0..n)
-        .map(|i| (0..n).map(|j| areas.distance_km(i, j)).collect())
-        .collect();
-    let centers = areas.centers();
-    let calc = InterveningPopulation::build(&centers, &populations);
-    let intervening: Vec<Vec<f64>> = (0..n)
-        .map(|i| {
-            (0..n)
-                .map(|j| if i == j { 0.0 } else { calc.s(i, j) })
-                .collect()
-        })
-        .collect();
-    let net = MobilityNetwork::from_model(
-        &report.gravity2,
-        populations,
-        &distances,
-        &intervening,
-        0.02,
-    )
-    .expect("network");
+    let census = InterveningPopulation::from_geometry(
+        Arc::clone(areas.geometry()),
+        &areas.census_populations(),
+    );
+    let net = MobilityNetwork::from_model(&report.gravity2, &census, 0.02).expect("network");
     let tl = OutbreakScenario::new(net, 0.5, 0.2)
         .seed(0, 50.0)
         .run_deterministic(200.0, 0.25)
@@ -110,27 +93,11 @@ fn effective_distance_beats_geography_as_arrival_predictor() {
     let report = exp.mobility(Scale::National).expect("mobility fit");
     let areas = AreaSet::of_scale(Scale::National);
     let n = areas.len();
-    let populations = areas.census_populations();
-    let distances: Vec<Vec<f64>> = (0..n)
-        .map(|i| (0..n).map(|j| areas.distance_km(i, j)).collect())
-        .collect();
-    let centers = areas.centers();
-    let calc = InterveningPopulation::build(&centers, &populations);
-    let intervening: Vec<Vec<f64>> = (0..n)
-        .map(|i| {
-            (0..n)
-                .map(|j| if i == j { 0.0 } else { calc.s(i, j) })
-                .collect()
-        })
-        .collect();
-    let net = MobilityNetwork::from_model(
-        &report.gravity2,
-        populations,
-        &distances,
-        &intervening,
-        0.02,
-    )
-    .expect("network");
+    let census = InterveningPopulation::from_geometry(
+        Arc::clone(areas.geometry()),
+        &areas.census_populations(),
+    );
+    let net = MobilityNetwork::from_model(&report.gravity2, &census, 0.02).expect("network");
     let tl = OutbreakScenario::new(net.clone(), 0.5, 0.2)
         .seed(0, 20.0)
         .run_deterministic(365.0, 0.25)
@@ -167,15 +134,15 @@ fn columnar_format_roundtrips_through_full_pipeline() {
 fn census_and_twitter_population_sources_agree_on_ordering() {
     let ds = dataset();
     let exp = Experiment::new(ds);
-    let tw = exp
-        .mobility_with(
+    let (tw, _) = exp
+        .fit_with(
             &AreaSet::of_scale(Scale::National),
             PopulationSource::Twitter,
             "tw".into(),
         )
         .unwrap();
-    let cs = exp
-        .mobility_with(
+    let (cs, _) = exp
+        .fit_with(
             &AreaSet::of_scale(Scale::National),
             PopulationSource::Census,
             "cs".into(),

@@ -1,12 +1,12 @@
-//! Equivalence suite for the geometry cache (DESIGN.md §11): the cached
-//! fitting path (`PairGeometry` + columnar `FitColumns` kernel) must
-//! produce **byte-identical** model fits to the pre-cache scalar path,
-//! on every paper scale, at one worker thread and at eight.
+//! Equivalence suite for the fitting path (DESIGN.md §11): the shared
+//! `PairGeometry` cache and the columnar `FitColumns` kernel must
+//! produce **byte-identical** model fits on every paper scale at one
+//! worker thread and at eight, and the columnar grid search must match
+//! its scalar reference fitter. (The cache itself is compared to the
+//! scalar per-pair distances bit for bit in `tweetmob-geo`.)
 //!
-//! This is the contract that makes `--no-geometry-cache` a pure A/B
-//! switch: the cache changes wall-clock time and the `cache/pairgeo/*`
-//! metrics, and nothing else. `with_threads` serialises callers on a
-//! global lock, so these tests are safe under the parallel test runner.
+//! `with_threads` serialises callers on a global lock, so these tests
+//! are safe under the parallel test runner.
 
 use tweetmob::core::{Experiment, Scale};
 use tweetmob::models::{Gravity4Fit, GravityGrid};
@@ -21,31 +21,25 @@ fn config() -> GeneratorConfig {
 
 /// One mobility run rendered through `Debug`, which prints every float
 /// exactly (shortest round-trip form).
-fn report_json(ds: &tweetmob::data::TweetDataset, scale: Scale, cache: bool) -> String {
-    let mut exp = Experiment::new(ds);
-    exp.set_geometry_cache(cache);
-    let report = exp.mobility(scale).expect("mobility report");
+fn report_debug(ds: &tweetmob::data::TweetDataset, scale: Scale) -> String {
+    let report = Experiment::new(ds)
+        .mobility(scale)
+        .expect("mobility report");
     format!("{report:?}")
 }
 
 #[test]
-fn cached_and_direct_fits_are_bit_identical_on_every_scale() {
+fn fits_are_bit_identical_across_threads_on_every_scale() {
     let ds = TweetGenerator::new(config()).generate();
     for scale in Scale::ALL {
-        // Cached at 1 thread is the baseline; the direct path and the
-        // 8-thread runs of both must reproduce it byte for byte.
-        let baseline = with_threads(1, || report_json(&ds, scale, true));
-        for threads in [1usize, 8] {
-            for cache in [true, false] {
-                let run = with_threads(threads, || report_json(&ds, scale, cache));
-                assert_eq!(
-                    baseline,
-                    run,
-                    "{} scale: cache={cache} at {threads} thread(s) diverged",
-                    scale.name()
-                );
-            }
-        }
+        let baseline = with_threads(1, || report_debug(&ds, scale));
+        let run = with_threads(8, || report_debug(&ds, scale));
+        assert_eq!(
+            baseline,
+            run,
+            "{} scale: 8 threads diverged from 1",
+            scale.name()
+        );
     }
 }
 

@@ -5,7 +5,7 @@
 use tweetmob::core::AreaSet;
 use tweetmob::data::{Timestamp, Tweet, TweetDataset, UserId};
 use tweetmob::geo::{destination, haversine_km, BoundingBox, Point};
-use tweetmob::models::{FlowObservation, Gravity2Fit, MobilityModel};
+use tweetmob::models::{FittedModel, FlowObservation, Gravity2Fit};
 use tweetmob::stats::correlation::pearson;
 use tweetmob::stats::descriptive::{mean, quantile};
 use tweetmob::stats::metrics::{hit_rate, sorensen_index};
@@ -232,7 +232,7 @@ fn gravity2_fit_recovers_generating_law() {
                 fit.gamma
             );
             for o in &obs {
-                let rel = (fit.predict(o) - o.observed_flow).abs() / o.observed_flow;
+                let rel = (fit.predict_flow(o) - o.observed_flow).abs() / o.observed_flow;
                 assert!(rel < 1e-6, "seed {seed}");
             }
         }
