@@ -1,7 +1,7 @@
 //! # tweetmob-alloc
 //!
-//! A counting wrapper around the system allocator, feeding the
-//! perf-regression harness's per-span memory gauges.
+//! A counting wrapper around the system allocator, feeding
+//! `tweetmob-obs`'s per-span memory gauges.
 //!
 //! The binary that wants allocation accounting installs it (behind its
 //! own feature gate, so release binaries pay nothing by default):

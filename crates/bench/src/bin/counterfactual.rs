@@ -15,10 +15,9 @@
 //! the uniform country). If the paper's causal story is right, the
 //! Gravity-vs-Radiation gap must shrink in the uniform world.
 
-use tweetmob_bench::{emit_bench_metrics, measure_instrumentation_overhead, BENCH_METRICS_PATH};
+use tweetmob_bench::measure_instrumentation_overhead;
 use tweetmob_core::{AreaSet, Experiment, PopulationSource, Scale};
 use tweetmob_geo::haversine_km;
-use tweetmob_obs::Json;
 use tweetmob_stats::concentration::{gini, theil};
 use tweetmob_synth::counterfactual::{top_areas, uniform_country_places};
 use tweetmob_synth::gazetteer::world_places;
@@ -189,18 +188,4 @@ fn main() {
         on_ns as f64 / 1e6,
         off_ns as f64 / 1e6
     );
-
-    let notes = Json::obj([(
-        "overhead",
-        Json::obj([
-            ("enabled_ns", on_ns.into()),
-            ("disabled_ns", off_ns.into()),
-            ("overhead_percent", pct.into()),
-        ]),
-    )]);
-    if let Err(e) = emit_bench_metrics("counterfactual", notes) {
-        eprintln!("warning: could not write {BENCH_METRICS_PATH}: {e}");
-    } else {
-        println!("pipeline metrics appended to {BENCH_METRICS_PATH}");
-    }
 }

@@ -7,9 +7,8 @@
 //! It slices the 8-month window into months and repeats Fig. 3 inside
 //! each.
 
-use tweetmob_bench::{emit_bench_metrics, print_header, standard_dataset, BENCH_METRICS_PATH};
+use tweetmob_bench::{print_header, standard_dataset};
 use tweetmob_core::{temporal_stability, waiting_time_stationarity, Scale};
-use tweetmob_obs::Json;
 
 fn main() {
     let (cfg, ds) = standard_dataset();
@@ -49,10 +48,4 @@ fn main() {
     println!("reading: if every monthly r(census) is close to the full-period");
     println!("value, one month of tweets already suffices for a responsive");
     println!("population estimate — the feasibility the paper argues for.");
-
-    if let Err(e) = emit_bench_metrics("temporal", Json::Null) {
-        eprintln!("warning: could not write {BENCH_METRICS_PATH}: {e}");
-    } else {
-        println!("pipeline metrics appended to {BENCH_METRICS_PATH}");
-    }
 }

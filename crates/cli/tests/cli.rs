@@ -722,7 +722,7 @@ fn population_rejects_a_radius_that_is_not_positive_and_finite() {
 }
 
 #[test]
-fn epidemic_rejects_an_infinite_horizon() {
+fn epidemic_rejects_an_unbounded_horizon() {
     let path = tmp("epi-inf.jsonl");
     let path_str = path.to_str().unwrap();
     assert!(
@@ -730,11 +730,17 @@ fn epidemic_rejects_an_infinite_horizon() {
             .status
             .success()
     );
-    let out = run(&["epidemic", path_str, "--days", "inf"]);
-    let err = stderr(&out);
-    assert_eq!(out.status.code(), Some(1), "{err}");
-    assert!(err.contains("days must be finite"), "{err}");
-    assert!(!err.contains("panicked"), "{err}");
+    // 1e12 days is finite, but would be a 4·10¹²-step timeline.
+    for days in ["inf", "1e12"] {
+        let out = run(&["epidemic", path_str, "--days", days]);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(1), "--days {days}: {err}");
+        assert!(
+            err.contains("days must be finite and at most 3650"),
+            "{err}"
+        );
+        assert!(!err.contains("panicked"), "{err}");
+    }
     std::fs::remove_file(&path).ok();
 }
 

@@ -57,7 +57,7 @@ pub use scan::{data_funnel, DataFunnel};
 pub use temporal::{
     temporal_stability, waiting_time_stationarity, TemporalStability, WindowResult,
 };
-pub use trips::{extract_trips, extract_trips_reference};
+pub use trips::extract_trips;
 
 /// The shared deterministic worker pool every parallel stage runs on
 /// (re-exported so pipeline callers can pin thread counts via

@@ -8,8 +8,8 @@
 
 use crate::areaset::AreaSet;
 use crate::odmatrix::OdMatrix;
-use crate::scan::{scan, AreaScan, DataFunnel};
-use tweetmob_data::{TweetDataset, UserTweets};
+use crate::scan::{scan, AreaScan};
+use tweetmob_data::TweetDataset;
 
 /// Extracts the directed OD matrix of a dataset over an area set and
 /// publishes the run's data funnel (`trips/*` counters).
@@ -20,9 +20,9 @@ use tweetmob_data::{TweetDataset, UserTweets};
 /// [`AreaSet::assign_batch`] in one call. The result is
 /// identical at every thread count because each trip increments an
 /// independent integer cell count and the funnel tallies are
-/// commutative sums, and identical to the row-struct reference path
-/// ([`extract_trips_reference`]) because the batch assignment is
-/// decision-identical to scalar [`AreaSet::assign`].
+/// commutative sums, and identical to a serial row-struct walk over
+/// scalar [`AreaSet::assign`] (the tests' reference) because the batch
+/// assignment is decision-identical to it.
 pub fn extract_trips(dataset: &TweetDataset, areas: &AreaSet) -> OdMatrix {
     trips_scan(dataset, areas).od
 }
@@ -36,52 +36,53 @@ pub(crate) fn trips_scan(dataset: &TweetDataset, areas: &AreaSet) -> AreaScan {
     scan
 }
 
-/// Serial row-struct reference for [`extract_trips`]: per-point scalar
-/// assignment, one user at a time. Kept for the A/B equivalence suite
-/// and the paper-scale bench's columnar-vs-rows speedup column; the
-/// batch path must produce a byte-identical matrix.
-pub fn extract_trips_reference(dataset: &TweetDataset, areas: &AreaSet) -> OdMatrix {
-    let mut od = OdMatrix::new(areas.len());
-    let mut funnel = DataFunnel::default();
-    for view in dataset.iter_users() {
-        extract_user(&view, areas, &mut od, &mut funnel);
-    }
-    od
-}
-
-/// Extracts one user's trips into `od` through the scalar assignment
-/// path, tallying every consecutive pair in `funnel`.
-fn extract_user(
-    view: &UserTweets<'_>,
-    areas: &AreaSet,
-    od: &mut OdMatrix,
-    funnel: &mut DataFunnel,
-) {
-    let mut prev: Option<usize> = None;
-    let mut seen_any = false;
-    for p in view.iter_points() {
-        let cur = areas.assign(p);
-        if seen_any {
-            match (prev, cur) {
-                (Some(a), Some(b)) if a != b => {
-                    od.record(a, b);
-                    funnel.trips += 1;
-                }
-                (Some(_), Some(_)) => funnel.same_area += 1,
-                _ => funnel.unassigned += 1,
-            }
-        }
-        prev = cur;
-        seen_any = true;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::areaset::Scale;
-    use tweetmob_data::{Timestamp, Tweet, UserId};
+    use crate::scan::DataFunnel;
+    use tweetmob_data::{Timestamp, Tweet, UserId, UserTweets};
     use tweetmob_geo::Point;
+    use tweetmob_synth::{GeneratorConfig, TweetGenerator};
+
+    /// Serial row-struct reference for [`extract_trips`]: per-point scalar
+    /// assignment, one user at a time. The batch path must produce a
+    /// byte-identical matrix.
+    fn extract_trips_reference(dataset: &TweetDataset, areas: &AreaSet) -> OdMatrix {
+        let mut od = OdMatrix::new(areas.len());
+        let mut funnel = DataFunnel::default();
+        for view in dataset.iter_users() {
+            extract_user(&view, areas, &mut od, &mut funnel);
+        }
+        od
+    }
+
+    /// Extracts one user's trips into `od` through the scalar assignment
+    /// path, tallying every consecutive pair in `funnel`.
+    fn extract_user(
+        view: &UserTweets<'_>,
+        areas: &AreaSet,
+        od: &mut OdMatrix,
+        funnel: &mut DataFunnel,
+    ) {
+        let mut prev: Option<usize> = None;
+        let mut seen_any = false;
+        for p in view.iter_points() {
+            let cur = areas.assign(p);
+            if seen_any {
+                match (prev, cur) {
+                    (Some(a), Some(b)) if a != b => {
+                        od.record(a, b);
+                        funnel.trips += 1;
+                    }
+                    (Some(_), Some(_)) => funnel.same_area += 1,
+                    _ => funnel.unassigned += 1,
+                }
+            }
+            prev = cur;
+            seen_any = true;
+        }
+    }
 
     fn tweet(user: u32, secs: i64, lat: f64, lon: f64) -> Tweet {
         Tweet::new(
@@ -204,7 +205,7 @@ mod tests {
         let mut serial = OdMatrix::new(areas.len());
         let mut funnel = DataFunnel::default();
         for view in ds.iter_users() {
-            super::extract_user(&view, &areas, &mut serial, &mut funnel);
+            extract_user(&view, &areas, &mut serial, &mut funnel);
         }
         assert_eq!(parallel, serial);
         assert_eq!(parallel, extract_trips_reference(&ds, &areas));
@@ -212,8 +213,7 @@ mod tests {
 
     #[test]
     fn thread_count_does_not_change_the_matrix() {
-        // 1-vs-8-thread extraction over user shards must be byte-identical
-        // (the paper-scale run asserts the same at 6.3M tweets).
+        // 1-vs-8-thread extraction over user shards must be byte-identical.
         let mut tweets = Vec::new();
         for u in 0..400 {
             let (a, b) = if u % 2 == 0 { (SYD, BNE) } else { (MEL, SYD) };
@@ -230,6 +230,22 @@ mod tests {
     }
 
     #[test]
+    fn generated_corpus_matches_reference_at_every_scale_and_thread_count() {
+        // A synthetic corpus, unlike the hand-built streams above, has
+        // points near every disc edge and runs of same-area tweets.
+        let ds = TweetGenerator::new(GeneratorConfig::small()).generate();
+        for scale in Scale::ALL {
+            let areas = AreaSet::of_scale(scale);
+            let reference = extract_trips_reference(&ds, &areas);
+            assert!(reference.total() > 0, "{scale:?} corpus has trips");
+            for threads in [1, 8] {
+                let od = tweetmob_par::with_threads(threads, || extract_trips(&ds, &areas));
+                assert_eq!(od, reference, "{scale:?} at {threads} threads");
+            }
+        }
+    }
+
+    #[test]
     fn drop_counts_classify_non_trips() {
         let areas = national();
         let mut od = OdMatrix::new(areas.len());
@@ -242,7 +258,7 @@ mod tests {
         ]);
         let view = ds.iter_users().next().unwrap();
         let mut drops = DataFunnel::default();
-        super::extract_user(&view, &areas, &mut od, &mut drops);
+        extract_user(&view, &areas, &mut od, &mut drops);
         assert_eq!(drops.same_area, 1);
         assert_eq!(drops.unassigned, 2, "both pairs touching the outback tweet");
         assert_eq!(od.total(), 0);

@@ -46,6 +46,12 @@ pub struct TravelRestriction {
     pub rate_factor: f64,
 }
 
+/// Longest horizon a scenario may run, days. Both engines record one
+/// snapshot per step, so a decade at `dt = 0.25` is ~15k snapshots,
+/// while an unbounded horizon would try to allocate a timeline of
+/// `days / dt` of them.
+const MAX_DAYS: f64 = 3650.0;
+
 /// An outbreak configuration over a mobility network.
 #[derive(Debug, Clone)]
 pub struct OutbreakScenario {
@@ -132,9 +138,10 @@ impl OutbreakScenario {
                 "days must cover at least one step",
             ));
         }
-        // An infinite horizon would round to usize::MAX steps.
-        if !days.is_finite() {
-            return Err(ScenarioError::BadTimestep("days must be finite"));
+        if !(days <= MAX_DAYS) {
+            return Err(ScenarioError::BadTimestep(
+                "days must be finite and at most 3650",
+            ));
         }
         for &(p, _) in &self.seeds {
             if p >= self.network.n_patches() {
@@ -480,16 +487,21 @@ mod tests {
     }
 
     #[test]
-    fn infinite_horizon_rejected_by_both_engines() {
+    fn unbounded_horizon_rejected_by_both_engines() {
         let scenario = OutbreakScenario::new(chain_network(), 0.5, 0.2).seed(0, 1.0);
-        assert!(matches!(
-            scenario.run_deterministic(f64::INFINITY, 0.25),
-            Err(ScenarioError::BadTimestep(_))
-        ));
-        assert!(matches!(
-            scenario.run_stochastic(f64::INFINITY, 0.25, 7),
-            Err(ScenarioError::BadTimestep(_))
-        ));
+        for days in [f64::INFINITY, 1e12, MAX_DAYS + 0.25] {
+            assert!(matches!(
+                scenario.run_deterministic(days, 0.25),
+                Err(ScenarioError::BadTimestep(_))
+            ));
+            assert!(matches!(
+                scenario.run_stochastic(days, 0.25, 7),
+                Err(ScenarioError::BadTimestep(_))
+            ));
+        }
+        // The bound itself is a valid horizon.
+        let timeline = scenario.run_deterministic(MAX_DAYS, 1.0).unwrap();
+        assert_eq!(timeline.times.last().copied(), Some(MAX_DAYS));
     }
 
     #[test]

@@ -16,16 +16,18 @@
 //! fit.
 
 use crate::cache::TrigPoint;
-use crate::distance::{haversine_km, EARTH_RADIUS_KM};
+#[cfg(test)]
+use crate::distance::haversine_km;
+use crate::distance::EARTH_RADIUS_KM;
 use crate::point::Point;
 
 /// Haversine distances from one `origin` to every `(lats[i], lons[i])`
 /// coordinate pair, appended to `out` in order.
 ///
-/// Bit-identical to `haversine_km(origin, p)` per element
-/// ([`haversine_km_batch_direct`]): the origin's radian coordinates and
-/// latitude cosine are the exact values the scalar formula recomputes
-/// per call, hoisted once.
+/// Bit-identical to `haversine_km(origin, p)` per element (the tests
+/// compare it against a per-element scalar reference): the origin's
+/// radian coordinates and latitude cosine are the exact values the
+/// scalar formula recomputes per call, hoisted once.
 ///
 /// # Panics
 ///
@@ -46,10 +48,9 @@ pub fn haversine_km_batch(origin: Point, lats: &[f64], lons: &[f64], out: &mut V
 }
 
 /// Scalar reference for [`haversine_km_batch`]: per-element
-/// [`haversine_km`] calls over the same columns. Kept for the A/B
-/// equivalence suite and benches, mirroring
-/// [`pairwise_km_direct`](crate::pairwise_km_direct).
-pub fn haversine_km_batch_direct(origin: Point, lats: &[f64], lons: &[f64], out: &mut Vec<f64>) {
+/// [`haversine_km`] calls over the same columns.
+#[cfg(test)]
+fn haversine_km_batch_direct(origin: Point, lats: &[f64], lons: &[f64], out: &mut Vec<f64>) {
     assert_eq!(lats.len(), lons.len(), "coordinate columns must be parallel");
     out.reserve(lats.len());
     for (&lat, &lon) in lats.iter().zip(lons.iter()) {

@@ -5,22 +5,24 @@
 //! geometry — distances between fixed area centres, and per-origin
 //! distance rankings for the intervening-population term. Before this
 //! module each consumer rebuilt that geometry with scalar
-//! [`haversine_km`] calls; [`PairGeometry`] builds it once (via the
+//! [`haversine_km`](crate::haversine_km) calls; [`PairGeometry`] builds it once (via the
 //! [`TrigPoint`] kernel, which hoists the per-point trigonometry out of
 //! the pair loop) and is cheap to share behind an [`Arc`].
 //!
 //! **Determinism contract**: [`TrigPoint::distance_km`] evaluates the
-//! *same* floating-point expression as [`haversine_km`], operation for
+//! *same* floating-point expression as [`haversine_km`](crate::haversine_km), operation for
 //! operation, on precomputed `lat.to_radians()` / `lon.to_radians()` /
 //! `cos(lat)` values — so every distance in the cache is bit-identical
 //! to the scalar path it replaces; the tests build the same cache from
-//! [`pairwise_km_direct`] and assert both agree to the bit.
+//! per-pair [`haversine_km`](crate::haversine_km) distances and assert both agree to the bit.
 //!
 //! Observability (`cache/pairgeo/*`): `build_ns` (cumulative build
 //! time, redacted like every `_ns` field) and `hits` (distance lookups
 //! served from a built cache).
 
-use crate::distance::{haversine_km, EARTH_RADIUS_KM};
+#[cfg(test)]
+use crate::distance::haversine_km;
+use crate::distance::EARTH_RADIUS_KM;
 use crate::point::Point;
 use std::fmt;
 use std::sync::Arc;
@@ -84,7 +86,7 @@ impl TrigPoint {
     }
 
     /// Great-circle distance to `other`, km — bit-identical to
-    /// [`haversine_km`] on the originating points.
+    /// [`haversine_km`](crate::haversine_km) on the originating points.
     ///
     /// This must stay the exact expression from `distance.rs` (same
     /// operations, same association) with the per-point factors
@@ -106,10 +108,10 @@ impl TrigPoint {
 /// Batch pairwise-distance kernel: the upper triangle (`i < j`,
 /// row-major) of the distance matrix over `points`, via [`TrigPoint`].
 ///
-/// Output is bit-identical to calling [`haversine_km`] per pair
-/// ([`pairwise_km_direct`]), at roughly a third of the transcendental
-/// work — the per-point trigonometry is computed n times instead of
-/// n·(n−1) times.
+/// Output is bit-identical to calling [`haversine_km`](crate::haversine_km) per pair (the
+/// tests compare it against that scalar reference), at roughly a third
+/// of the transcendental work — the per-point trigonometry is computed
+/// n times instead of n·(n−1) times.
 #[must_use]
 pub fn pairwise_km(points: &[Point]) -> Vec<f64> {
     let trig: Vec<TrigPoint> = points.iter().copied().map(TrigPoint::new).collect();
@@ -124,10 +126,9 @@ pub fn pairwise_km(points: &[Point]) -> Vec<f64> {
 }
 
 /// Scalar reference for [`pairwise_km`]: the same upper triangle via
-/// per-pair [`haversine_km`]. Kept as the pre-cache baseline for the
-/// `kernels_bench` A/B and the equivalence suite.
-#[must_use]
-pub fn pairwise_km_direct(points: &[Point]) -> Vec<f64> {
+/// per-pair [`haversine_km`].
+#[cfg(test)]
+fn pairwise_km_direct(points: &[Point]) -> Vec<f64> {
     let n = points.len();
     let mut out = Vec::with_capacity(n * n.saturating_sub(1) / 2);
     for (i, &a) in points.iter().enumerate() {

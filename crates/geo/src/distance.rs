@@ -5,8 +5,7 @@
 //! that whole range on the spherical model, which is far below the noise of
 //! tweet geotags. For radius filtering in hot loops the equirectangular
 //! approximation is ~3x cheaper and accurate to <0.2 % under 100 km at
-//! Australian latitudes; the `bench` crate carries an ablation comparing
-//! both (DESIGN.md §6.2).
+//! Australian latitudes (DESIGN.md §6.2).
 
 use crate::point::Point;
 

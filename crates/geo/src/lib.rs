@@ -49,15 +49,12 @@ mod cache;
 mod density;
 mod distance;
 mod point;
-mod polygon;
 
-pub use batch::{haversine_km_batch, haversine_km_batch_direct};
+pub use batch::haversine_km_batch;
 pub use bbox::{BoundingBox, AUSTRALIA_BBOX};
 pub use cache::{
-    pairwise_km, pairwise_km_direct, GeometryFormatError, PairGeometry, TrigPoint, GEOMETRY_MAGIC,
-    GEOMETRY_VERSION,
+    pairwise_km, GeometryFormatError, PairGeometry, TrigPoint, GEOMETRY_MAGIC, GEOMETRY_VERSION,
 };
 pub use density::{DensityCell, DensityGrid};
 pub use distance::{bearing_deg, destination, equirectangular_km, haversine_km, EARTH_RADIUS_KM};
 pub use point::{GeoError, Point};
-pub use polygon::Polygon;

@@ -1519,7 +1519,7 @@ fn check_raw_haversine(
             continue;
         }
         // Batch-kernel arm. A longer identifier (`haversine_km_batch`,
-        // `haversine_km_batch_direct`) IS the sanctioned batch API.
+        // or its test-only `_direct` reference) is not a scalar call.
         let end = off + "haversine_km".len();
         if bytes.get(end).is_some_and(|&b| is_ident_byte(b)) {
             continue;

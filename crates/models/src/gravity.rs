@@ -305,23 +305,15 @@ impl Gravity4Fit {
         }
     }
 
-    /// The pre-columnar grid search, kept verbatim as the A/B baseline
-    /// for `kernels_bench` and the equivalence suite: array-of-structs
-    /// logs, full 3-multiply residual per observation per candidate.
-    ///
-    /// Semantics and guards are identical to [`fit_grid`](Self::fit_grid);
-    /// only the per-candidate evaluation differs. Not deprecated — it is
-    /// the measuring stick the committed `BENCH_kernels.json` is ranked
-    /// against.
-    ///
-    /// # Errors
-    ///
-    /// As [`fit_grid`](Self::fit_grid).
-    pub fn fit_grid_reference(
+    /// The pre-columnar grid search, the reference [`fit_grid`](Self::fit_grid)
+    /// is tested against: array-of-structs logs, full 3-multiply
+    /// residual per observation per candidate. Semantics and guards are
+    /// identical; only the per-candidate evaluation differs.
+    #[cfg(test)]
+    fn fit_grid_reference(
         observations: &[FlowObservation],
         grid: &GravityGrid,
     ) -> Result<Self, ModelError> {
-        let _span = tweetmob_obs::span!("fit/gravity4-grid-reference");
         if !(grid.alpha.valid() && grid.beta.valid() && grid.gamma.valid()) {
             return Err(ModelError::DegenerateFit("invalid gravity search grid"));
         }
@@ -614,6 +606,20 @@ mod tests {
         for o in &mut data {
             o.observed_flow *= prand(&mut k, 0.8, 1.2);
         }
+        // Both paths must drop the same rows: zero flows (what real OD
+        // matrices are mostly made of) and other non-fittable pairs,
+        // interleaved with the fittable ones.
+        let mut holes = data.clone();
+        for (i, o) in holes.iter_mut().enumerate() {
+            match i % 4 {
+                0 => o.observed_flow = 0.0,
+                1 if i % 3 == 0 => o.distance_km = 0.0,
+                1 if i % 5 == 0 => o.dest_population = f64::NAN,
+                _ => {}
+            }
+        }
+        data.extend(holes);
+        assert!(data.iter().any(|o| !o.fittable()));
         let grid = GravityGrid::default();
         for threads in [1, 8] {
             let new = tweetmob_par::with_threads(threads, || {

@@ -11,8 +11,7 @@
 //!   `tweetmob-par` worker pool ([`Gravity4Fit::fit_grid`] with
 //!   [`GravityGrid`]). The search runs on struct-of-arrays log-feature
 //!   columns ([`FitColumns`]) that hoist the `α`/`β` part of each
-//!   residual across gamma runs; the pre-columnar path survives as
-//!   [`Gravity4Fit::fit_grid_reference`] for A/B benchmarking.
+//!   residual across gamma runs.
 //! * **Radiation** (Eq. 3): `P ∝ C · m n / ((m+s)(m+n+s))`, where `s` is
 //!   the population within radius `d` of the origin excluding origin and
 //!   destination ([`RadiationFit`], with [`InterveningPopulation`]

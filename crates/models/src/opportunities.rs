@@ -36,13 +36,9 @@ impl OpportunitiesFit {
             / (obs.intervening_population + obs.dest_population)
     }
 
-    /// Fits `C` as the log-space intercept (geometric mean of `T / φ`).
-    ///
-    /// # Errors
-    ///
-    /// [`ModelError::TooFewObservations`] when no observation is usable.
-    pub fn fit(observations: &[FlowObservation]) -> Result<Self, ModelError> {
-        let _span = tweetmob_obs::span!("fit/opportunities");
+    /// Serial row-wise reference for [`OpportunitiesFit::fit_columnar`].
+    #[cfg(test)]
+    pub(crate) fn fit(observations: &[FlowObservation]) -> Result<Self, ModelError> {
         let mut acc = 0.0;
         let mut n_used = 0usize;
         for o in observations.iter().filter(|o| o.fittable()) {
@@ -61,10 +57,11 @@ impl OpportunitiesFit {
         })
     }
 
-    /// As [`OpportunitiesFit::fit`], through a [`ScoreColumns`] built
-    /// in parallel over the shared worker pool; bit-identical to the
-    /// row-wise reference at every thread count because the final
-    /// reduction is serial and in observation order.
+    /// Fits `C` as the log-space intercept (geometric mean of `T / φ`),
+    /// through a [`ScoreColumns`] built in parallel over the shared
+    /// worker pool; bit-identical to a serial row-wise fit at every
+    /// thread count because the final reduction is serial and in
+    /// observation order.
     ///
     /// # Errors
     ///

@@ -25,7 +25,7 @@ use tweetmob_stats::check::debug_assert_finite;
 /// disc-count path — is a cached lookup, never a fresh haversine. A
 /// population prefix sum in rank order makes each query a binary
 /// search — O(n log n) build, O(log n) per pair instead of the naive
-/// O(n) scan (ablated in `bench/radiation.rs`).
+/// O(n) scan the tests compare it with.
 #[derive(Debug, Clone)]
 pub struct InterveningPopulation {
     geometry: Arc<PairGeometry>,
@@ -123,9 +123,9 @@ impl InterveningPopulation {
         self.s_at_radius(origin, dest, d)
     }
 
-    /// `s` for an explicit radius (exposed for the naive-vs-prefix bench
-    /// and the radius-sweep ablation).
-    pub fn s_at_radius(&self, origin: usize, dest: usize, radius_km: f64) -> f64 {
+    /// `s` for an explicit radius: one binary search over the origin's
+    /// distance ranking plus a prefix-sum lookup.
+    fn s_at_radius(&self, origin: usize, dest: usize, radius_km: f64) -> f64 {
         let row = self.geometry.ranked(origin);
         // Count areas with distance <= radius.
         let k = row.partition_point(|&(dist, _)| dist <= radius_km);
@@ -142,9 +142,10 @@ impl InterveningPopulation {
         total.max(0.0)
     }
 
-    /// Reference O(n) implementation used by tests and the bench
-    /// baseline.
-    pub fn s_naive(&self, origin: usize, dest: usize) -> f64 {
+    /// Reference O(n) implementation the prefix-sum path is tested
+    /// against.
+    #[cfg(test)]
+    fn s_naive(&self, origin: usize, dest: usize) -> f64 {
         let d = self.geometry.distance(origin, dest);
         let mut total = 0.0;
         for j in 0..self.len() {
@@ -182,14 +183,9 @@ impl RadiationFit {
         m * n / ((m + s) * (m + n + s))
     }
 
-    /// Fits `C` over observations with positive flow and a positive
-    /// structural factor.
-    ///
-    /// # Errors
-    ///
-    /// [`ModelError::TooFewObservations`] when no observation is usable.
-    pub fn fit(observations: &[FlowObservation]) -> Result<Self, ModelError> {
-        let _span = tweetmob_obs::span!("fit/radiation");
+    /// Serial row-wise reference for [`RadiationFit::fit_columnar`].
+    #[cfg(test)]
+    pub(crate) fn fit(observations: &[FlowObservation]) -> Result<Self, ModelError> {
         let mut acc = 0.0;
         let mut n_used = 0usize;
         for o in observations.iter().filter(|o| o.fittable()) {
@@ -208,11 +204,12 @@ impl RadiationFit {
         })
     }
 
-    /// As [`RadiationFit::fit`], through a [`ScoreColumns`] built in
-    /// parallel over the shared worker pool. The reduction is serial
-    /// and in observation order, so the fitted constant is bit-identical
-    /// to the row-wise reference at every thread count (asserted by the
-    /// paper-scale bench at 6.3M tweets).
+    /// Fits `C` over observations with positive flow and a positive
+    /// structural factor, through a [`ScoreColumns`] built in parallel
+    /// over the shared worker pool. The reduction is serial and in
+    /// observation order, so the fitted constant is bit-identical to a
+    /// serial row-wise fit at every thread count (asserted in the
+    /// tests).
     ///
     /// # Errors
     ///

@@ -56,10 +56,8 @@
 
 mod handlers;
 mod http;
-mod loadgen;
 mod server;
 
 pub use handlers::{handle, predict_json, top_k_json, AppState, ApiError};
 pub use http::{read_request, HttpError, Request, Response, MAX_BODY_BYTES};
-pub use loadgen::{run_load, LoadReport};
 pub use server::{serve, ServerHandle};

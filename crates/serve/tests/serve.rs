@@ -337,6 +337,18 @@ fn epidemic_scenarios_run_deterministically_over_the_artifact() {
 }
 
 #[test]
+fn epidemic_horizon_outside_the_scenario_bound_is_a_400() {
+    let server = start(bundle(5, 17), 1);
+    for days in ["1e12", "3651", "0", "-5"] {
+        let body = format!("{{\"seed_city\": \"City 0\", \"days\": {days}}}");
+        let (status, reply) = exchange(server.addr(), "POST", "/epidemic", &body);
+        assert_eq!(status, 400, "days {days}: {reply}");
+        assert!(reply.contains("bad timestep"), "days {days}: {reply}");
+    }
+    server.stop();
+}
+
+#[test]
 fn deeply_nested_body_is_a_400_and_the_worker_survives() {
     let b = bundle(5, 17);
     let server = start(b, 1);

@@ -1,15 +1,15 @@
 //! Equivalence suite for the fitting path (DESIGN.md §11): the shared
 //! `PairGeometry` cache and the columnar `FitColumns` kernel must
 //! produce **byte-identical** model fits on every paper scale at one
-//! worker thread and at eight, and the columnar grid search must match
-//! its scalar reference fitter. (The cache itself is compared to the
-//! scalar per-pair distances bit for bit in `tweetmob-geo`.)
+//! worker thread and at eight. (The cache itself is compared to the
+//! scalar per-pair distances bit for bit in `tweetmob-geo`, and the
+//! columnar grid search to its scalar reference fitter in
+//! `tweetmob-models`.)
 //!
 //! `with_threads` serialises callers on a global lock, so these tests
 //! are safe under the parallel test runner.
 
 use tweetmob::core::{Experiment, Scale};
-use tweetmob::models::{Gravity4Fit, GravityGrid};
 use tweetmob::par::with_threads;
 use tweetmob::synth::{GeneratorConfig, TweetGenerator};
 
@@ -39,44 +39,6 @@ fn fits_are_bit_identical_across_threads_on_every_scale() {
             run,
             "{} scale: 8 threads diverged from 1",
             scale.name()
-        );
-    }
-}
-
-#[test]
-fn columnar_grid_search_matches_the_reference_fitter() {
-    let ds = TweetGenerator::new(config()).generate();
-    let exp = Experiment::new(&ds);
-    let report = with_threads(1, || {
-        exp.mobility(Scale::National).expect("mobility report")
-    });
-    let grid = GravityGrid::default();
-    let baseline = format!(
-        "{:?}",
-        with_threads(1, || {
-            Gravity4Fit::fit_grid_reference(&report.observations, &grid).expect("reference fit")
-        })
-    );
-    for threads in [1usize, 8] {
-        let columnar = format!(
-            "{:?}",
-            with_threads(threads, || {
-                Gravity4Fit::fit_grid(&report.observations, &grid).expect("columnar fit")
-            })
-        );
-        assert_eq!(
-            baseline, columnar,
-            "columnar grid search diverged from the reference at {threads} thread(s)"
-        );
-        let reference = format!(
-            "{:?}",
-            with_threads(threads, || {
-                Gravity4Fit::fit_grid_reference(&report.observations, &grid).expect("reference fit")
-            })
-        );
-        assert_eq!(
-            baseline, reference,
-            "reference fitter is not thread-count invariant at {threads} thread(s)"
         );
     }
 }
