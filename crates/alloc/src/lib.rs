@@ -24,6 +24,12 @@
 //! vary with thread count and allocator behaviour, which is why the
 //! metrics redaction zeroes every `alloc/` gauge.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 #![deny(missing_docs)]
 
 use std::alloc::{GlobalAlloc, Layout, System};

@@ -21,6 +21,13 @@
 //!   own scale is 473,956 — pass it for a full-scale run).
 //! * `TWEETMOB_SEED` — generator seed (default the calibrated preset).
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 use tweetmob_data::TweetDataset;
 use tweetmob_synth::{GeneratorConfig, TweetGenerator};
 

@@ -5,13 +5,13 @@
 //! appear in any order; unknown flags are errors (typos should not
 //! silently become defaults).
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Parsed command-line arguments: positionals in order, flags by name.
 #[derive(Debug, Default)]
 pub struct Args {
     positionals: Vec<String>,
-    flags: HashMap<String, String>,
+    flags: BTreeMap<String, String>,
     switches: Vec<String>,
 }
 
@@ -148,13 +148,12 @@ impl Args {
     /// [`RunManifest`]: tweetmob_obs::RunManifest
     pub fn normalized(&self) -> Vec<String> {
         let mut out = self.positionals.clone();
-        let mut flags: Vec<(&String, &String)> = self
-            .flags
-            .iter()
-            .filter(|(name, _)| !MANIFEST_EXCLUDED.contains(&name.as_str()))
-            .collect();
-        flags.sort();
-        out.extend(flags.into_iter().map(|(n, v)| format!("--{n}={v}")));
+        out.extend(
+            self.flags
+                .iter()
+                .filter(|(name, _)| !MANIFEST_EXCLUDED.contains(&name.as_str()))
+                .map(|(n, v)| format!("--{n}={v}")),
+        );
         let mut switches: Vec<&String> = self
             .switches
             .iter()

@@ -47,6 +47,10 @@ impl DeterrenceAblation {
 
 /// Number of areas implied by a full ordered-pair observation list
 /// (`len = n(n−1)`).
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "the rounded root is an area count, a few dozen at most"
+)]
 fn n_areas_of(report: &MobilityReport) -> usize {
     let len = report.observations.len() as f64;
     ((1.0 + (1.0 + 4.0 * len).sqrt()) / 2.0).round() as usize

@@ -1,9 +1,7 @@
 //! Study scales and area sets with point-to-area assignment.
 
 use std::sync::Arc;
-use tweetmob_geo::{
-    equirectangular_km, haversine_km, PairGeometry, Point, TrigPoint, EARTH_RADIUS_KM,
-};
+use tweetmob_geo::{equirectangular_km, PairGeometry, Point, TrigPoint, EARTH_RADIUS_KM};
 use tweetmob_synth::{Area, NATIONAL_TOP20, NSW_TOP20, SYDNEY_SUBURBS_TOP20};
 
 /// The paper's three geographic scales (§III).
@@ -204,20 +202,20 @@ impl AreaSet {
     }
 
     /// Assigns a point to the nearest area whose centre is within ε, or
-    /// `None` when no area covers it.
+    /// `None` when no area covers it: the scalar reference
+    /// [`AreaSet::assign_batch`] is checked against.
     ///
     /// A cheap equirectangular pre-filter at 1.05× the radius rejects
-    /// far-away areas before the exact haversine test (the extraction
-    /// loop runs this for every tweet).
-    pub fn assign(&self, p: Point) -> Option<usize> {
+    /// far-away areas before the exact haversine test.
+    #[cfg(test)]
+    pub(crate) fn assign(&self, p: Point) -> Option<usize> {
         let mut best: Option<(usize, f64)> = None;
         let prefilter = self.radius_km * 1.05 + 1.0;
         for (i, a) in self.areas.iter().enumerate() {
             if equirectangular_km(a.center, p) > prefilter {
                 continue;
             }
-            // lint: allow(raw-haversine) — single-point query path; the column shape is assign_batch
-            let d = haversine_km(a.center, p);
+            let d = tweetmob_geo::haversine_km(a.center, p);
             if d <= self.radius_km && best.is_none_or(|(_, bd)| d < bd) {
                 best = Some((i, d));
             }
@@ -233,7 +231,7 @@ impl AreaSet {
     /// centres are less than 2ε apart (Sydney and Wollongong at national
     /// scale), and population counting needs all of them.
     ///
-    /// Decision-identical to calling [`AreaSet::assign`] per point — the
+    /// Decision-identical to calling the scalar `assign` per point — the
     /// equirectangular gate and the haversine comparison are the exact
     /// same float expressions — but structured for columnar callers:
     /// the per-area trigonometry is hoisted into build-once
@@ -282,6 +280,10 @@ impl AreaSet {
                     }
                 }
             }
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "an area index is below the area count, a few dozen at most"
+            )]
             out.push(best.map_or(-1, |(i, _)| i as i32));
         }
     }
@@ -437,8 +439,8 @@ mod tests {
             assert_eq!(codes.len(), lats.len());
             for k in 0..lats.len() {
                 let p = Point::new_unchecked(lats[k], lons[k]);
-                let scalar = set.assign(p).map_or(-1, |i| i as i32);
-                assert_eq!(codes[k], scalar, "{scale:?} point {p:?}");
+                let batch = usize::try_from(codes[k]).ok();
+                assert_eq!(batch, set.assign(p), "{scale:?} point {p:?}");
             }
         }
     }
@@ -462,10 +464,9 @@ mod tests {
             let mut codes = Vec::new();
             set.assign_batch(&lats, &lons, &mut codes, |_, _| {});
             for k in 0..n {
-                let scalar = set
-                    .assign(Point::new_unchecked(lats[k], lons[k]))
-                    .map_or(-1, |i| i as i32);
-                assert_eq!(codes[k], scalar, "seed {seed}, point {k}");
+                let batch = usize::try_from(codes[k]).ok();
+                let scalar = set.assign(Point::new_unchecked(lats[k], lons[k]));
+                assert_eq!(batch, scalar, "seed {seed}, point {k}");
             }
         }
     }

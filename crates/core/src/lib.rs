@@ -30,8 +30,13 @@
 //! assert_eq!(pop.areas.len(), 20);
 //! ```
 
-// `!(x > 0.0)` guards are deliberate: they also reject NaN.
-#![allow(clippy::neg_cmp_op_on_partial_ord)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::cast_possible_truncation
+)]
 
 mod ablation;
 mod areaset;

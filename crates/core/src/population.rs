@@ -296,12 +296,8 @@ mod tests {
         let far = tweetmob_geo::destination(sydney, 90.0, 60.0);
         let mut tweets = vec![Tweet::new(UserId(0), Timestamp::from_secs(1), far)];
         // Give every other area one user so correlation is defined.
-        for (i, a) in Scale::National.areas().iter().enumerate().skip(1) {
-            tweets.push(Tweet::new(
-                UserId(i as u32 + 1),
-                Timestamp::from_secs(1),
-                a.center,
-            ));
+        for (user, a) in (2..).zip(Scale::National.areas().iter().skip(1)) {
+            tweets.push(Tweet::new(UserId(user), Timestamp::from_secs(1), a.center));
         }
         let ds = TweetDataset::from_tweets(tweets);
         let areas = AreaSet::of_scale(Scale::National);
@@ -358,7 +354,6 @@ mod tests {
 
     /// Whether `p` lies within ε of `area`'s centre, by plain haversine.
     fn covers(areas: &AreaSet, area: usize, p: tweetmob_geo::Point) -> bool {
-        // lint: allow(raw-haversine) — the brute-force test oracle must not share the batch kernel it checks
         tweetmob_geo::haversine_km(areas.areas()[area].center, p) <= areas.radius_km()
     }
 

@@ -42,8 +42,12 @@
 //! assert_eq!(ds.user_tweets(UserId(1)).unwrap().len(), 2);
 //! ```
 
-// `!(x > 0.0)` guards are deliberate: they also reject NaN.
-#![allow(clippy::neg_cmp_op_on_partial_ord)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 
 pub mod artifact;
 pub mod columnar;

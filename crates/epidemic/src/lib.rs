@@ -28,8 +28,16 @@
 //! assert!(timeline.peak_infected(1) > 1.0);
 //! ```
 
-// `!(x > 0.0)` guards are deliberate: they also reject NaN.
-#![allow(clippy::neg_cmp_op_on_partial_ord)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+#![expect(
+    clippy::neg_cmp_op_on_partial_ord,
+    reason = "`!(x > 0.0)` guards are deliberate: they also reject NaN"
+)]
 
 pub mod deterministic;
 pub mod effective;

@@ -289,11 +289,13 @@ impl OutbreakScenario {
                 let mut out = Vec::with_capacity(range.len());
                 for k in range {
                     let seed = replicate_seed(base_seed, k as u64);
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "validate() succeeded above and run_stochastic re-validates the \
+                                  same immutable inputs, so per-replicate failure is unreachable"
+                    )]
                     out.push(
                         self.run_stochastic(days, dt, seed)
-                            // lint: allow(no-panic) — validate() succeeded above and
-                            // run_stochastic re-validates the same immutable inputs, so
-                            // per-replicate failure is unreachable
                             .expect("validated scenario cannot fail"),
                     );
                 }

@@ -54,7 +54,6 @@ fn haversine_km_batch_direct(origin: Point, lats: &[f64], lons: &[f64], out: &mu
     assert_eq!(lats.len(), lons.len(), "coordinate columns must be parallel");
     out.reserve(lats.len());
     for (&lat, &lon) in lats.iter().zip(lons.iter()) {
-        // lint: allow(raw-haversine) — this IS the scalar reference the batch kernel is bit-compared against
         out.push(haversine_km(origin, Point::new_unchecked(lat, lon)));
     }
 }

@@ -100,28 +100,6 @@ impl BoundingBox {
         }
     }
 
-    /// The intersection of two boxes, or `None` when they are disjoint.
-    pub fn intersection(&self, other: &BoundingBox) -> Option<BoundingBox> {
-        let b = BoundingBox {
-            min_lat: self.min_lat.max(other.min_lat),
-            max_lat: self.max_lat.min(other.max_lat),
-            min_lon: self.min_lon.max(other.min_lon),
-            max_lon: self.max_lon.min(other.max_lon),
-        };
-        (b.min_lat <= b.max_lat && b.min_lon <= b.max_lon).then_some(b)
-    }
-
-    /// Expands every edge outward by `margin_deg` degrees, clamped to the
-    /// valid coordinate range.
-    pub fn expanded(&self, margin_deg: f64) -> BoundingBox {
-        BoundingBox {
-            min_lat: (self.min_lat - margin_deg).max(-90.0),
-            max_lat: (self.max_lat + margin_deg).min(90.0),
-            min_lon: (self.min_lon - margin_deg).max(-180.0),
-            max_lon: (self.max_lon + margin_deg).min(180.0),
-        }
-    }
-
     /// The smallest box covering every point in the iterator, or `None`
     /// when the iterator is empty.
     pub fn covering<I: IntoIterator<Item = Point>>(points: I) -> Option<BoundingBox> {
@@ -188,30 +166,11 @@ mod tests {
     }
 
     #[test]
-    fn union_and_intersection() {
+    fn union_covers_both() {
         let a = BoundingBox::new(-40.0, -30.0, 140.0, 150.0).unwrap();
         let b = BoundingBox::new(-35.0, -25.0, 145.0, 155.0).unwrap();
         let u = a.union(&b);
         assert_eq!(u, BoundingBox::new(-40.0, -25.0, 140.0, 155.0).unwrap());
-        let i = a.intersection(&b).unwrap();
-        assert_eq!(i, BoundingBox::new(-35.0, -30.0, 145.0, 150.0).unwrap());
-    }
-
-    #[test]
-    fn disjoint_intersection_is_none() {
-        let a = BoundingBox::new(-40.0, -30.0, 140.0, 150.0).unwrap();
-        let b = BoundingBox::new(-20.0, -10.0, 140.0, 150.0).unwrap();
-        assert!(a.intersection(&b).is_none());
-    }
-
-    #[test]
-    fn expanded_clamps_to_valid_range() {
-        let b = BoundingBox::new(-89.0, 89.0, -179.0, 179.0).unwrap();
-        let e = b.expanded(5.0);
-        assert_eq!(e.min_lat, -90.0);
-        assert_eq!(e.max_lat, 90.0);
-        assert_eq!(e.min_lon, -180.0);
-        assert_eq!(e.max_lon, 180.0);
     }
 
     #[test]

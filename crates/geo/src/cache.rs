@@ -133,7 +133,6 @@ fn pairwise_km_direct(points: &[Point]) -> Vec<f64> {
     let mut out = Vec::with_capacity(n * n.saturating_sub(1) / 2);
     for (i, &a) in points.iter().enumerate() {
         for &b in &points[i + 1..] {
-            // lint: allow(raw-haversine) — this IS the pre-cache scalar baseline the cache is bit-compared against
             out.push(haversine_km(a, b));
         }
     }

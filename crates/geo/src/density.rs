@@ -37,6 +37,10 @@ pub struct DensityGrid {
 impl DensityGrid {
     /// Creates an empty raster covering `bbox` with `cell_deg`-degree
     /// cells (clamped to a minimum of 1e-6°).
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a floored, non-negative cell count; `as` saturates past usize::MAX"
+    )]
     pub fn new(bbox: BoundingBox, cell_deg: f64) -> Self {
         let cell_deg = cell_deg.max(1e-6);
         let nx = (bbox.lon_span() / cell_deg).floor() as usize + 1;
@@ -79,6 +83,10 @@ impl DensityGrid {
     /// Adds one point; points outside the extent are counted in
     /// [`DensityGrid::dropped`] and otherwise ignored.
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a floored, non-negative offset inside the extent, clamped to the last cell"
+    )]
     pub fn add(&mut self, p: Point) {
         if !self.bbox.contains(p) {
             self.dropped += 1;
@@ -102,15 +110,8 @@ impl DensityGrid {
         (col < self.nx && row < self.ny).then(|| self.counts[row * self.nx + col])
     }
 
-    /// `log10(count)` at `(col, row)`, with empty cells mapped to `None`
-    /// inside `Some` — i.e. `Some(None)` means "in bounds but empty".
-    pub fn log10_count(&self, col: usize, row: usize) -> Option<Option<f64>> {
-        self.count(col, row)
-            .map(|c| (c > 0).then(|| (c as f64).log10()))
-    }
-
     /// All non-empty cells, in row-major order (south-west first).
-    pub fn nonempty_cells(&self) -> Vec<DensityCell> {
+    fn nonempty_cells(&self) -> Vec<DensityCell> {
         let mut out = Vec::new();
         for row in 0..self.ny {
             for col in 0..self.nx {
@@ -142,7 +143,7 @@ impl DensityGrid {
     }
 
     /// Geographic centre of cell `(col, row)`.
-    pub fn cell_center(&self, col: usize, row: usize) -> Point {
+    fn cell_center(&self, col: usize, row: usize) -> Point {
         Point::new_unchecked(
             self.bbox.min_lat + (row as f64 + 0.5) * self.cell_deg,
             self.bbox.min_lon + (col as f64 + 0.5) * self.cell_deg,
@@ -178,6 +179,10 @@ impl DensityGrid {
                 if c == 0 {
                     s.push(' ');
                 } else {
+                    #[expect(
+                        clippy::cast_possible_truncation,
+                        reason = "rounded and clamped to [0, ramp.len() - 1]"
+                    )]
                     let level = ((c as f64).log10() / log_max * (ramp.len() - 1) as f64)
                         .round()
                         .clamp(0.0, (ramp.len() - 1) as f64)
@@ -233,15 +238,6 @@ mod tests {
         let g = DensityGrid::new(unit_box(), 1.0);
         assert_eq!(g.count(1000, 0), None);
         assert_eq!(g.count(0, 1000), None);
-    }
-
-    #[test]
-    fn log10_distinguishes_empty_from_one() {
-        let mut g = DensityGrid::new(unit_box(), 1.0);
-        g.add(Point::new_unchecked(0.5, 0.5));
-        assert_eq!(g.log10_count(0, 0), Some(Some(0.0))); // log10(1) = 0
-        assert_eq!(g.log10_count(1, 1), Some(None)); // empty
-        assert_eq!(g.log10_count(99, 99), None); // out of bounds
     }
 
     #[test]

@@ -40,8 +40,13 @@
 //! assert!((d - 713.0).abs() < 10.0); // ~713 km apart
 //! ```
 
-// `!(x > 0.0)` guards are deliberate: they also reject NaN.
-#![allow(clippy::neg_cmp_op_on_partial_ord)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::cast_possible_truncation
+)]
 
 mod batch;
 mod bbox;

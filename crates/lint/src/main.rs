@@ -5,13 +5,11 @@
 //! cargo run -p tweetmob-lint -- <root>        # lint an explicit workspace root
 //! cargo run -p tweetmob-lint -- --gen-api     # (re)write API.lock
 //! cargo run -p tweetmob-lint -- --check-api   # fail on public-surface drift
-//! cargo run -p tweetmob-lint -- --index-panics  # indexing joins panic-path
 //! ```
 //!
 //! Exits 0 when the workspace is clean, 1 with `file:line: [rule] message`
 //! diagnostics (or an API diff) otherwise, and 2 on I/O errors. See the
-//! crate docs of `tweetmob_lint` (or `DESIGN.md` §12) for the rules and
-//! the `// lint: allow(<rule>) — <reason>` escape hatch.
+//! crate docs of `tweetmob_lint` (or `DESIGN.md` §12) for the rules.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -23,12 +21,10 @@ fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
     let mut gen_api = false;
     let mut check_api = false;
-    let mut opts = tweetmob_lint::LintOptions::default();
     for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--gen-api" => gen_api = true,
             "--check-api" => check_api = true,
-            "--index-panics" => opts.index_panics = true,
             other if other.starts_with("--") => {
                 eprintln!("tweetmob-lint: unknown flag {other}");
                 return ExitCode::from(2);
@@ -50,7 +46,7 @@ fn main() -> ExitCode {
         return run_api_mode(&root, &files, gen_api);
     }
 
-    let diags = tweetmob_lint::lint_files(&files, &opts);
+    let diags = tweetmob_lint::lint_files(&files);
     print!("{}", tweetmob_lint::render_report(&diags));
     if diags.is_empty() {
         ExitCode::SUCCESS

@@ -9,8 +9,8 @@
 //! `type`, `use`, `macro_rules!`), and skips anything it does not
 //! understand by advancing one token. It never panics and never rejects a
 //! file — on confusion it simply models less, which for every downstream
-//! rule is the conservative direction (fewer entry points, fewer edges,
-//! fewer findings). Soundness caveats are catalogued in DESIGN.md §12.
+//! rule is the conservative direction (fewer functions, fewer
+//! findings). Soundness caveats are catalogued in DESIGN.md §12.
 
 use crate::{FileKind, SourceFile};
 
@@ -134,34 +134,15 @@ pub struct FnInfo {
     /// Declared `pub` (exactly `pub`, not `pub(crate)`/`pub(super)`), or a
     /// method of a `pub trait` declaration.
     pub is_pub: bool,
-    /// 1-based line of the `fn` keyword.
-    #[allow(dead_code)]
-    pub line: usize,
     /// Whitespace-normalised signature text (qualifiers through return
     /// type, excluding the body and `where` clause).
     pub sig: String,
     /// Parameters, `self` excluded.
     pub params: Vec<Param>,
-    /// Whether the function takes `self`.
-    pub has_self: bool,
-    /// Return type text, if declared.
-    #[allow(dead_code)]
-    pub ret: Option<String>,
     /// Byte span of the body including braces, `None` for bodiless sigs.
     pub body: Option<(usize, usize)>,
     /// Inside `#[cfg(test)]` / `#[test]` context.
     pub in_test: bool,
-}
-
-impl FnInfo {
-    /// `Type::name` or plain `name`, used in panic-chain reports.
-    #[must_use]
-    pub fn qualified(&self) -> String {
-        match &self.self_ty {
-            Some(t) => format!("{t}::{}", self.name),
-            None => self.name.clone(),
-        }
-    }
 }
 
 /// A non-`fn` public item recorded for the API snapshot.
@@ -196,8 +177,6 @@ pub(crate) struct ParsedFile {
     pub raw: String,
     /// Stripped code (comments/strings blanked, byte-preserving).
     pub code: String,
-    /// Comment content (non-doc comments only), same geometry as `code`.
-    pub comments: String,
     pub toks: Vec<Tok>,
     /// Byte ranges of `#[test]` / `#[cfg(test)]` items.
     pub tests: Vec<(usize, usize)>,
@@ -245,16 +224,15 @@ pub(crate) fn parse_workspace(files: &[SourceFile]) -> (Vec<ParsedFile>, Model) 
     let mut pfs = Vec::with_capacity(files.len());
     let mut model = Model::default();
     for (idx, sf) in files.iter().enumerate() {
-        let stripped = crate::strip_non_code(&sf.source);
-        let tests = crate::find_test_regions(&stripped);
-        let toks = lex(&stripped.code);
+        let code = crate::strip_non_code(&sf.source);
+        let tests = crate::find_test_regions(&code);
+        let toks = lex(&code);
         let pf = ParsedFile {
             label: sf.label.clone(),
             crate_name: sf.crate_name.clone(),
             kind: sf.kind,
             raw: sf.source.clone(),
-            code: stripped.code,
-            comments: stripped.comments,
+            code,
             toks,
             tests,
         };
@@ -414,7 +392,6 @@ impl Parser<'_> {
     }
 
     /// Parses the items in `toks[*i..end]`, leaving `*i` at `end`.
-    #[allow(clippy::too_many_lines)]
     fn parse_items(&mut self, i: &mut usize, end: usize, ctx: &Ctx, depth: usize) {
         if depth > MAX_DEPTH {
             *i = end;
@@ -621,13 +598,11 @@ impl Parser<'_> {
         }
         let params_open = j;
         let params_close = self.skip_balanced(j, b'(', b')');
-        let (params, has_self) = self.parse_params(params_open + 1, params_close.saturating_sub(1));
+        let params = self.parse_params(params_open + 1, params_close.saturating_sub(1));
         j = params_close;
 
         // Return type: `-> Type` until `{`, `;`, or `where`.
-        let mut ret: Option<String> = None;
         if self.punct(j) == Some(b'-') && self.punct(j + 1) == Some(b'>') {
-            let ret_start = self.offset(j + 2);
             let mut k = j + 2;
             let (mut angles, mut pars) = (0i64, 0i64);
             while k < self.pf.toks.len() {
@@ -650,9 +625,6 @@ impl Parser<'_> {
                 }
                 k += 1;
             }
-            ret = Some(normalize_ws(
-                &self.pf.raw[ret_start..self.offset(k).min(self.pf.raw.len())],
-            ));
             j = k;
         }
         // `where` clause: skip to the body or semicolon.
@@ -689,11 +661,8 @@ impl Parser<'_> {
             self_ty: ctx.self_ty.clone(),
             name,
             is_pub: vis_pub || ctx.in_pub_trait,
-            line: self.pf.line_of(fn_off),
             sig: self.normalize(sig_start, sig_end),
             params,
-            has_self,
-            ret,
             body,
             in_test: ctx.in_test || pending_test || self.pf.in_test(fn_off),
         });
@@ -701,9 +670,8 @@ impl Parser<'_> {
     }
 
     /// Parses a parameter token range (exclusive of the parens).
-    fn parse_params(&self, start: usize, end: usize) -> (Vec<Param>, bool) {
+    fn parse_params(&self, start: usize, end: usize) -> Vec<Param> {
         let mut params = Vec::new();
-        let mut has_self = false;
         let mut seg_start = start;
         let (mut angles, mut pars, mut brks) = (0i64, 0i64, 0i64);
         let mut k = start;
@@ -712,7 +680,7 @@ impl Parser<'_> {
                 k == end || (angles <= 0 && pars == 0 && brks == 0 && self.punct(k) == Some(b','));
             if boundary {
                 if seg_start < k {
-                    self.parse_one_param(seg_start, k, &mut params, &mut has_self);
+                    self.parse_one_param(seg_start, k, &mut params);
                 }
                 seg_start = k + 1;
                 if k == end {
@@ -738,22 +706,13 @@ impl Parser<'_> {
             }
             k += 1;
         }
-        (params, has_self)
+        params
     }
 
-    fn parse_one_param(
-        &self,
-        start: usize,
-        end: usize,
-        params: &mut Vec<Param>,
-        has_self: &mut bool,
-    ) {
+    fn parse_one_param(&self, start: usize, end: usize, params: &mut Vec<Param>) {
         // `self`, `&self`, `&mut self`, `mut self` in the leading tokens.
-        for k in start..end.min(start + 4) {
-            if self.is_ident(k, "self") {
-                *has_self = true;
-                return;
-            }
+        if (start..end.min(start + 4)).any(|k| self.is_ident(k, "self")) {
+            return;
         }
         // Simple `name: Type`; anything else (destructuring patterns)
         // records as `_`.

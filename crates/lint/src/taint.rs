@@ -18,9 +18,10 @@
 //! serialization sink (functions whose name mentions `json`/`serialize`
 //! or one of the trace-event exporters, and the formatting macros). Taint does not cross function boundaries —
 //! a tainted value returned from a helper re-enters untracked. That
-//! under-approximation is the price of a dep-free engine; the textual
-//! `determinism` rule still bans the sources outright in result crates,
-//! so cross-function laundering cannot start there in the first place.
+//! under-approximation is the price of a dep-free engine; clippy's
+//! `disallowed-methods`/`disallowed-types` still ban the sources outright
+//! outside `tweetmob-obs`, so cross-function laundering cannot start
+//! there in the first place.
 
 use crate::model::{Model, ParsedFile, Tok, TokKind};
 use crate::{Diagnostic, Rule};

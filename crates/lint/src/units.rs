@@ -109,7 +109,6 @@ fn ident_unit(env: &BTreeMap<String, Unit>, name: &str) -> Option<Unit> {
     env.get(name).copied().or_else(|| suffix_unit(name))
 }
 
-#[allow(clippy::too_many_lines)]
 fn check_body(
     pf: &ParsedFile,
     body: (usize, usize),

@@ -1,13 +1,12 @@
-//! Integration tests for the workspace semantic passes: panic-path call
-//! chains, unit-of-measure inference, determinism taint, unused-allow
-//! auditing, the API snapshot, and the unified finding sort order.
+//! Integration tests for the workspace semantic passes: unit-of-measure
+//! inference, determinism taint, the API snapshot, and the unified
+//! finding sort order.
 //!
 //! These run `lint_files` on in-memory fixtures (no disk, no scratch
 //! dirs), which exercises exactly the workspace path the binary uses.
 
 use tweetmob_lint::{
-    api_snapshot, diff_api, lint_files, lint_source, render_report, FileKind, LintOptions, Rule,
-    SourceFile,
+    api_snapshot, diff_api, lint_files, lint_source, render_report, FileKind, Rule, SourceFile,
 };
 
 /// Crate-root doc line shared by fixtures.
@@ -29,123 +28,7 @@ fn lint_one(crate_name: &str, body: &str) -> Vec<tweetmob_lint::Diagnostic> {
         FileKind::LibRoot,
         body,
     )];
-    lint_files(&files, &LintOptions::default())
-}
-
-// ---------------------------------------------------------------------------
-// panic-path: call-graph reachability with full chains.
-// ---------------------------------------------------------------------------
-
-const PANIC_CHAIN: &str = "\
-fn inner(xs: &[f64]) -> f64 {
-    *xs.first().unwrap()
-}
-
-fn middle(xs: &[f64]) -> f64 {
-    inner(xs)
-}
-
-/// Entry.
-pub fn entry(xs: &[f64]) -> f64 {
-    middle(xs)
-}
-";
-
-#[test]
-fn panic_path_reports_full_call_chain() {
-    let diags = lint_one("tweetmob-fixture", PANIC_CHAIN);
-    let pp: Vec<_> = diags.iter().filter(|d| d.rule == Rule::PanicPath).collect();
-    assert_eq!(
-        pp.len(),
-        1,
-        "one reachable site:\n{}",
-        render_report(&diags)
-    );
-    let msg = &pp[0].message;
-    // The chain runs entry → middle → inner, callers first.
-    assert!(
-        msg.contains("`entry` → `middle` → `inner`"),
-        "chain must list every hop from the public entry point, got: {msg}"
-    );
-    assert!(msg.contains("unwrap()"), "site named in message: {msg}");
-    // The textual no-panic rule fires on the same line as the path rule.
-    assert!(
-        diags
-            .iter()
-            .any(|d| d.rule == Rule::NoPanic && d.line == pp[0].line),
-        "{}",
-        render_report(&diags)
-    );
-}
-
-#[test]
-fn panic_path_ignores_unreachable_private_fn() {
-    // No public caller reaches `inner`: the textual rule still fires, the
-    // path rule stays quiet.
-    let body = "\
-fn inner(xs: &[f64]) -> f64 {
-    *xs.first().unwrap()
-}
-
-/// Entry that never calls `inner`.
-pub fn entry() -> f64 {
-    0.0
-}
-";
-    let diags = lint_one("tweetmob-fixture", body);
-    assert!(
-        !diags.iter().any(|d| d.rule == Rule::PanicPath),
-        "{}",
-        render_report(&diags)
-    );
-    assert!(diags.iter().any(|d| d.rule == Rule::NoPanic));
-}
-
-#[test]
-fn panic_rule_aliases_suppress_each_other() {
-    // One `no-panic` annotation on the site must silence BOTH rules and
-    // count as used (no unused-allow), in either alias spelling.
-    for alias in ["no-panic", "panic-path"] {
-        let annotated = PANIC_CHAIN.replace(
-            "    *xs.first().unwrap()",
-            &format!(
-                "    // lint: allow({alias}) — fixture: slice is non-empty by contract\n    \
-                 *xs.first().unwrap()"
-            ),
-        );
-        let diags = lint_one("tweetmob-fixture", &annotated);
-        assert!(
-            diags.is_empty(),
-            "alias `{alias}` must clear both panic rules:\n{}",
-            render_report(&diags)
-        );
-    }
-}
-
-#[test]
-fn index_panics_is_opt_in() {
-    let body = "\
-/// Indexes.
-pub fn pick(xs: &[f64]) -> f64 {
-    xs[0]
-}
-";
-    let files = [sf(
-        "crates/fix/src/lib.rs",
-        "tweetmob-fixture",
-        FileKind::LibRoot,
-        body,
-    )];
-    let quiet = lint_files(&files, &LintOptions::default());
-    assert!(quiet.is_empty(), "{}", render_report(&quiet));
-    let strict = lint_files(&files, &LintOptions { index_panics: true });
-    assert!(
-        strict
-            .iter()
-            .any(|d| d.rule == Rule::PanicPath && d.message.contains("indexing")),
-        "{}",
-        render_report(&strict)
-    );
+    lint_files(&files)
 }
 
 // ---------------------------------------------------------------------------
@@ -242,19 +125,6 @@ pub const KM_PER_DEG: f64 = 111.32;
 pub fn window(radius_km: f64) -> f64 {
     let dlat = radius_km / KM_PER_DEG;
     dlat.to_radians()
-}
-";
-    let diags = lint_one("tweetmob-geo", body);
-    assert!(diags.is_empty(), "{}", render_report(&diags));
-}
-
-#[test]
-fn unit_measure_is_suppressible() {
-    let body = "\
-/// Sine of a latitude handed over in degrees.
-pub fn bad(lat_deg: f64) -> f64 {
-    // lint: allow(unit-measure) — fixture documents the escape hatch
-    lat_deg.sin()
 }
 ";
     let diags = lint_one("tweetmob-geo", body);
@@ -390,101 +260,6 @@ pub fn report(n: u64) {
 }
 
 // ---------------------------------------------------------------------------
-// unused-allow: escape hatches must keep earning their place.
-// ---------------------------------------------------------------------------
-
-#[test]
-fn stale_allow_is_a_finding() {
-    let body = "\
-/// Nothing here panics.
-pub fn fine(xs: &[f64]) -> f64 {
-    // lint: allow(no-panic) — left behind after a refactor
-    xs.first().copied().unwrap_or(0.0)
-}
-";
-    let diags = lint_one("tweetmob-fixture", body);
-    let ua: Vec<_> = diags
-        .iter()
-        .filter(|d| d.rule == Rule::UnusedAllow)
-        .collect();
-    assert_eq!(ua.len(), 1, "{}", render_report(&diags));
-    assert!(
-        ua[0].message.contains("stale") && ua[0].message.contains("no-panic"),
-        "{}",
-        ua[0].message
-    );
-}
-
-#[test]
-fn unknown_rule_and_missing_reason_are_findings() {
-    let body = "\
-/// Typo'd rule name.
-pub fn f(xs: &[f64]) -> f64 {
-    // lint: allow(no-panics) — off by a letter
-    *xs.first().unwrap()
-}
-
-/// Annotation without a justification.
-pub fn g(xs: &[f64]) -> f64 {
-    // lint: allow(no-panic)
-    *xs.first().unwrap()
-}
-";
-    let diags = lint_one("tweetmob-fixture", body);
-    assert!(
-        diags
-            .iter()
-            .any(|d| d.rule == Rule::UnusedAllow && d.message.contains("unknown rule")),
-        "{}",
-        render_report(&diags)
-    );
-    assert!(
-        diags
-            .iter()
-            .any(|d| d.rule == Rule::UnusedAllow && d.message.contains("justification")),
-        "{}",
-        render_report(&diags)
-    );
-    // Neither malformed annotation suppresses: the unwraps still fire.
-    assert_eq!(
-        diags.iter().filter(|d| d.rule == Rule::NoPanic).count(),
-        2,
-        "{}",
-        render_report(&diags)
-    );
-}
-
-#[test]
-fn unused_allow_skips_test_code_and_single_file_mode() {
-    let body = "\
-/// Fine.
-pub fn fine() -> f64 {
-    0.0
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn t() {
-        // lint: allow(no-panic) — tests may hedge freely
-        assert_eq!(super::fine(), 0.0);
-    }
-}
-";
-    let diags = lint_one("tweetmob-fixture", body);
-    assert!(diags.is_empty(), "{}", render_report(&diags));
-
-    // `lint_source` (single-file mode, e.g. editor integration) never
-    // reports unused-allow: it cannot see the whole workspace.
-    let stale = format!(
-        "{HEADER}/// Fine.\npub fn fine() -> f64 {{\n    \
-         // lint: allow(no-panic) — stale\n    0.0\n}}\n"
-    );
-    let diags = lint_source("lib.rs", "tweetmob-fixture", FileKind::LibRoot, &stale);
-    assert!(diags.is_empty(), "{}", render_report(&diags));
-}
-
-// ---------------------------------------------------------------------------
 // API snapshot: generation and drift detection.
 // ---------------------------------------------------------------------------
 
@@ -567,41 +342,40 @@ fn api_diff_reports_drift_both_ways() {
 
 #[test]
 fn multi_rule_same_line_output_is_deterministic() {
-    // One line that violates float-ord AND no-panic at once.
+    // One line that violates float-ord AND raw-haversine, twice each.
     let body = "\
-/// Sorts NaN-unsafely and panics on NaN, all on one line.
-pub fn sort(xs: &mut [f64]) {
-    xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
+/// Sorts by a scalar distance, NaN-unsafely.
+pub fn sort(xs: &mut [Point], o: Point) {
+    xs.sort_by(|a, b| haversine_km(o, *a).partial_cmp(&haversine_km(o, *b)).unwrap());
 }
 ";
-    let via_files = lint_one("tweetmob-fixture", body);
+    let via_files = lint_one("tweetmob-models", body);
     let source = format!("{HEADER}{body}");
     let via_source = lint_source(
         "crates/fix/src/lib.rs",
-        "tweetmob-fixture",
+        "tweetmob-models",
         FileKind::LibRoot,
         &source,
     );
 
-    // Both paths produce the same findings in the same order. (The
-    // workspace path adds the panic-path diagnostic; drop it to compare
-    // the shared textual set.)
-    let textual: Vec<_> = via_files
-        .iter()
-        .filter(|d| d.rule != Rule::PanicPath)
-        .cloned()
-        .collect();
-    assert_eq!(textual, via_source, "paths must agree byte-for-byte");
+    // Both paths produce the same findings in the same order.
+    assert_eq!(via_files, via_source, "paths must agree byte-for-byte");
 
     // Same-line findings come out rule-ordered, and repeat runs are
     // byte-identical.
     // The shared header is two lines; the violating line is body line 3.
     let same_line: Vec<_> = via_files.iter().filter(|d| d.line == 5).collect();
-    assert!(same_line.len() >= 2, "{}", render_report(&via_files));
-    let mut rules: Vec<Rule> = same_line.iter().map(|d| d.rule).collect();
-    let unsorted = rules.clone();
-    rules.sort();
-    assert_eq!(rules, unsorted, "same-line findings sorted by rule");
-    assert_eq!(via_files, lint_one("tweetmob-fixture", body));
-    assert_eq!(render_report(&via_files), render_report(&via_files.clone()));
+    assert_eq!(same_line.len(), 4, "{}", render_report(&via_files));
+    let rules: Vec<Rule> = same_line.iter().map(|d| d.rule).collect();
+    assert_eq!(
+        rules,
+        [
+            Rule::FloatOrd,
+            Rule::FloatOrd,
+            Rule::RawHaversine,
+            Rule::RawHaversine
+        ],
+        "same-line findings sorted by rule"
+    );
+    assert_eq!(via_files, lint_one("tweetmob-models", body));
 }

@@ -40,16 +40,9 @@ impl Drop for Scratch {
     }
 }
 
-/// Writes a one-crate fixture workspace. The crate is named
-/// `tweetmob-core` so the result-crate (determinism) and cast-strict
-/// (lossy-cast) rule families both apply.
-fn write_fixture(root: &Path, lib_source: &str) {
-    write_named_fixture(root, "tweetmob-core", lib_source);
-}
-
-/// As [`write_fixture`] but with an explicit package name, for rules
-/// scoped to particular crates (e.g. `raw-haversine`).
-fn write_named_fixture(root: &Path, package: &str, lib_source: &str) {
+/// Writes a one-crate fixture workspace whose package is `package`, so
+/// crate-scoped rules (`raw-haversine`) apply as they would to that crate.
+fn write_fixture(root: &Path, package: &str, lib_source: &str) {
     fs::write(
         root.join("Cargo.toml"),
         "[workspace]\nmembers = [\"crates/*\"]\n",
@@ -65,61 +58,49 @@ fn write_named_fixture(root: &Path, package: &str, lib_source: &str) {
     fs::write(pkg.join("src/lib.rs"), lib_source).expect("write fixture lib.rs");
 }
 
-const BAD_FIXTURE: &str = "\
-//! Bad fixture: violates every rule family.
+/// The fixtures' package: a model-fitting crate, where both textual rules
+/// apply.
+const MODELS: &str = "tweetmob-models";
 
-/// Returns the first element.
-pub fn first(xs: &[f64]) -> f64 {
-    *xs.first().unwrap()
-}
+const BAD_FIXTURE: &str = "\
+//! Bad fixture: violates every textual rule family.
 
 /// Sorts floats NaN-unsafely.
 pub fn sort_floats(xs: &mut [f64]) {
-    xs.sort_by(|a, b| a.partial_cmp(b).expect(\"nan\"));
+    xs.sort_by(|a, b| b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal));
 }
 
-/// Counts values through a hash map.
-pub fn count(map: &std::collections::HashMap<u32, u32>) -> u32 {
-    map.values().sum()
+/// Measures one pair without the geometry cache.
+pub fn dist(a: Point, b: Point) -> f64 {
+    tweetmob_geo::haversine_km(a, b)
 }
 
-/// Truncates a scaled value.
-pub fn trunc(x: f64) -> i64 {
-    (x * 3.0) as i64
-}
-
-/// Spawns a bespoke worker thread.
-pub fn spawn_worker() {
-    std::thread::spawn(|| {});
+/// Compiles in every non-test build, so it is linted like any other item.
+#[cfg(not(test))]
+pub fn release_only(xs: &mut [f64]) {
+    xs.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Less));
 }
 ";
 
 const GOOD_FIXTURE: &str = "\
 //! Good fixture: the same shapes written within the rules.
 
-/// Returns the first element, if any.
-pub fn first(xs: &[f64]) -> Option<f64> {
-    xs.first().copied()
-}
-
 /// Sorts floats with a total order.
 pub fn sort_floats(xs: &mut [f64]) {
-    xs.sort_by(|a, b| a.total_cmp(b));
+    xs.sort_by(|a, b| b.total_cmp(a));
 }
 
-/// Counts values through an ordered map.
-pub fn count(map: &std::collections::BTreeMap<u32, u32>) -> u32 {
-    map.values().sum()
+/// Takes the distance from the shared geometry cache.
+pub fn dist(geometry: &PairGeometry, i: usize, j: usize) -> f64 {
+    geometry.distance_km(i, j)
 }
 
-/// Rounds a scaled value explicitly before converting.
-pub fn trunc(x: f64) -> i64 {
-    (x * 3.0).floor() as i64
-}
-
-/// Dispatches work on the shared pool instead of spawning raw threads.
-pub fn spawn_worker() -> usize {
-    tweetmob_par::par_map_chunks(\"fixture\", 8, 0, |r| r.len()).len()
+#[cfg(test)]
+mod tests {
+    /// Test code may compare against the scalar path.
+    fn reference(a: Point, b: Point) -> f64 {
+        tweetmob_geo::haversine_km(a, b)
+    }
 }
 ";
 
@@ -136,7 +117,7 @@ fn real_workspace_is_clean() {
 #[test]
 fn good_fixture_is_clean() {
     let scratch = Scratch::new("good");
-    write_fixture(scratch.path(), GOOD_FIXTURE);
+    write_fixture(scratch.path(), MODELS, GOOD_FIXTURE);
     let diags = lint_workspace(scratch.path()).expect("lint good fixture");
     assert!(diags.is_empty(), "unexpected:\n{}", render_report(&diags));
 }
@@ -144,35 +125,23 @@ fn good_fixture_is_clean() {
 #[test]
 fn bad_fixture_is_flagged_on_exact_lines() {
     let scratch = Scratch::new("bad");
-    write_fixture(scratch.path(), BAD_FIXTURE);
+    write_fixture(scratch.path(), MODELS, BAD_FIXTURE);
     let diags = lint_workspace(scratch.path()).expect("lint bad fixture");
-
-    let has = |line: usize, rule: Rule| {
-        diags
-            .iter()
-            .any(|d| d.file.ends_with("lib.rs") && d.line == line && d.rule == rule)
-    };
-    // `.unwrap()` in library code.
-    assert!(has(5, Rule::NoPanic), "{}", render_report(&diags));
-    // `partial_cmp` inside a sort closure (and `.expect` riding along).
-    assert!(has(10, Rule::FloatOrd), "{}", render_report(&diags));
-    assert!(has(10, Rule::NoPanic), "{}", render_report(&diags));
-    // `HashMap` in a result-producing crate's library path.
-    assert!(has(14, Rule::Determinism), "{}", render_report(&diags));
-    // Bare float→int truncation with float arithmetic in the cast span.
-    assert!(has(20, Rule::LossyCast), "{}", render_report(&diags));
-    // Raw thread spawn outside the shared pool.
-    assert!(has(25, Rule::ParLayer), "{}", render_report(&diags));
-
-    // No stray findings outside the five violation sites.
-    let expected_lines = [5, 10, 14, 20, 25];
-    for d in &diags {
-        assert!(expected_lines.contains(&d.line), "unexpected finding: {d}");
-    }
+    let found: Vec<(usize, Rule)> = diags.iter().map(|d| (d.line, d.rule)).collect();
+    assert_eq!(
+        found,
+        vec![
+            (5, Rule::FloatOrd),
+            (10, Rule::RawHaversine),
+            (16, Rule::FloatOrd)
+        ],
+        "{}",
+        render_report(&diags)
+    );
 }
 
 #[test]
-fn raw_haversine_fixture_is_flagged_and_annotatable() {
+fn raw_haversine_fixture_is_scoped_by_crate() {
     const FIXTURE: &str = "\
 //! Model crate fixture calling the scalar distance path directly.
 
@@ -188,7 +157,7 @@ pub fn total(points: &[Point]) -> f64 {
 }
 ";
     let scratch = Scratch::new("raw-haversine");
-    write_named_fixture(scratch.path(), "tweetmob-models", FIXTURE);
+    write_fixture(scratch.path(), MODELS, FIXTURE);
     let diags = lint_workspace(scratch.path()).expect("lint raw-haversine fixture");
     assert_eq!(
         diags.len(),
@@ -202,7 +171,7 @@ pub fn total(points: &[Point]) -> f64 {
     // Under a batch-kernel crate the same loop flags with the
     // hoist-onto-the-batch-API message (the call sits inside `for`
     // bodies)...
-    write_named_fixture(scratch.path(), "tweetmob-geo", FIXTURE);
+    write_fixture(scratch.path(), "tweetmob-geo", FIXTURE);
     let geo = lint_workspace(scratch.path()).expect("lint under tweetmob-geo");
     assert_eq!(geo.len(), 1, "{}", render_report(&geo));
     assert_eq!(geo[0].rule, Rule::RawHaversine);
@@ -214,48 +183,15 @@ pub fn total(points: &[Point]) -> f64 {
     );
 
     // ...while a crate on neither list never sees the rule.
-    write_named_fixture(scratch.path(), "tweetmob-synth", FIXTURE);
+    write_fixture(scratch.path(), "tweetmob-synth", FIXTURE);
     let synth = lint_workspace(scratch.path()).expect("lint under tweetmob-synth");
     assert!(synth.is_empty(), "{}", render_report(&synth));
-
-    // ...and the escape hatch clears the finding in the fitting crate.
-    let annotated = FIXTURE.replace(
-        "            sum += tweetmob_geo::haversine_km(*a, *b);",
-        "            // lint: allow(raw-haversine) — fixture documents the escape hatch\n            \
-         sum += tweetmob_geo::haversine_km(*a, *b);",
-    );
-    write_named_fixture(scratch.path(), "tweetmob-models", &annotated);
-    let allowed = lint_workspace(scratch.path()).expect("lint annotated fixture");
-    assert!(allowed.is_empty(), "{}", render_report(&allowed));
-}
-
-#[test]
-fn annotated_bad_fixture_is_allowed() {
-    let scratch = Scratch::new("annotated");
-    let annotated = BAD_FIXTURE.replace(
-        "    *xs.first().unwrap()",
-        "    // lint: allow(no-panic) — fixture documents the escape hatch\n    \
-         *xs.first().unwrap()",
-    );
-    write_fixture(scratch.path(), &annotated);
-    let diags = lint_workspace(scratch.path()).expect("lint annotated fixture");
-    assert!(
-        !diags
-            .iter()
-            .any(|d| d.rule == Rule::NoPanic && d.message.contains("unwrap")),
-        "annotated unwrap must be allowed:\n{}",
-        render_report(&diags)
-    );
-    // The other, un-annotated violations still fire.
-    assert!(diags.iter().any(|d| d.rule == Rule::FloatOrd));
-    assert!(diags.iter().any(|d| d.rule == Rule::Determinism));
-    assert!(diags.iter().any(|d| d.rule == Rule::LossyCast));
 }
 
 #[test]
 fn binary_reports_diagnostics_and_exit_codes() {
     let scratch = Scratch::new("bin");
-    write_fixture(scratch.path(), BAD_FIXTURE);
+    write_fixture(scratch.path(), MODELS, BAD_FIXTURE);
     let bin = env!("CARGO_BIN_EXE_tweetmob-lint");
 
     let out = std::process::Command::new(bin)
@@ -265,7 +201,7 @@ fn binary_reports_diagnostics_and_exit_codes() {
     assert_eq!(out.status.code(), Some(1), "bad fixture must exit 1");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
-        stdout.contains("lib.rs:5: [no-panic]"),
+        stdout.contains("lib.rs:5: [float-ord]"),
         "diagnostics must carry file:line: [rule], got:\n{stdout}"
     );
     assert!(

@@ -59,8 +59,17 @@
 //! assert!((fit.predict_flow(&obs[3]) - obs[3].observed_flow).abs() < 1e-6);
 //! ```
 
-// `!(x > 0.0)` guards are deliberate: they also reject NaN.
-#![allow(clippy::neg_cmp_op_on_partial_ord)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::cast_possible_truncation
+)]
+#![expect(
+    clippy::neg_cmp_op_on_partial_ord,
+    reason = "`!(x > 0.0)` guards are deliberate: they also reject NaN"
+)]
 
 mod columns;
 mod deterrence;

@@ -51,8 +51,16 @@
 //! gauges.
 //!
 //! This crate is the one place in the workspace permitted to call
-//! `std::time::Instant::now` — `tweetmob-lint`'s determinism rule
-//! enforces that everything else routes timing through this API.
+//! `std::time::Instant::now` — clippy's `disallowed-methods` (see
+//! `clippy.toml`) enforces that everything else routes timing through
+//! this API.
+
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 
 mod histogram;
 pub mod json;

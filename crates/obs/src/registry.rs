@@ -171,6 +171,10 @@ impl MetricsRegistry {
     /// Opens a span named `name`, nested under any span already live on
     /// this thread. While the registry is disabled this is a no-op guard
     /// that never reads the clock.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "tweetmob-obs owns the monotonic clock; span timings never reach a result"
+    )]
     pub fn span(&self, name: &str) -> SpanGuard<'_> {
         if !self.is_enabled() {
             return SpanGuard {
@@ -202,6 +206,10 @@ impl MetricsRegistry {
 
     /// Nanoseconds since the registry's first trace event (the epoch is
     /// initialized on first call, so the first event reads ~0).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "tweetmob-obs owns the monotonic clock; trace timestamps are redacted"
+    )]
     fn epoch_ns(&self) -> u64 {
         let elapsed = self.epoch.get_or_init(Instant::now).elapsed().as_nanos();
         u64::try_from(elapsed).unwrap_or(u64::MAX)
@@ -236,15 +244,8 @@ impl MetricsRegistry {
     }
 
     /// A snapshot of the trace ring buffer, oldest event first.
-    #[must_use]
-    pub fn trace_events(&self) -> Vec<TraceEvent> {
+    fn trace_events(&self) -> Vec<TraceEvent> {
         lock(&self.trace).events()
-    }
-
-    /// How many trace events have been dropped by the bounded buffer.
-    #[must_use]
-    pub fn trace_dropped(&self) -> u64 {
-        lock(&self.trace).dropped()
     }
 
     /// Resizes the trace ring buffer (default
@@ -264,28 +265,6 @@ impl MetricsRegistry {
     #[must_use]
     pub fn manifest(&self) -> Option<RunManifest> {
         lock(&self.manifest).clone()
-    }
-
-    /// Zeroes every counter and histogram, clears gauges, spans, trace
-    /// events and the manifest. Handles already handed out stay valid
-    /// (they share the cells).
-    pub fn reset(&self) {
-        for cell in lock(&self.counters).values() {
-            cell.store(0, Ordering::Relaxed);
-        }
-        for cell in lock(&self.gauges).values() {
-            cell.store(0, Ordering::Relaxed);
-        }
-        for hist in lock(&self.histograms).values() {
-            for bucket in &hist.buckets {
-                bucket.store(0, Ordering::Relaxed);
-            }
-            hist.count.store(0, Ordering::Relaxed);
-            hist.sum.store(0, Ordering::Relaxed);
-        }
-        *lock(&self.spans) = SpanStore::default();
-        *lock(&self.trace) = TraceBuffer::default();
-        *lock(&self.manifest) = None;
     }
 
     /// Serializes the registry to its stable JSON document. Two runs of
@@ -571,24 +550,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_zeroes_but_keeps_handles() {
-        let r = MetricsRegistry::new();
-        let c = r.counter("n");
-        c.add(7);
-        let h = r.histogram("h", &[10]);
-        h.record(3);
-        {
-            let _g = r.span("s");
-        }
-        r.reset();
-        assert_eq!(r.counter_value("n"), Some(0));
-        assert_eq!(h.count(), 0);
-        assert!(r.span_paths().is_empty());
-        c.add(2);
-        assert_eq!(r.counter_value("n"), Some(2));
-    }
-
-    #[test]
     fn trace_renders_indented_tree() {
         let r = MetricsRegistry::new();
         {
@@ -660,7 +621,7 @@ mod tests {
                 (4, "E", "load".to_string()),
             ]
         );
-        assert_eq!(r.trace_dropped(), 0);
+        assert_eq!(lock(&r.trace).dropped(), 0);
         // End events carry the span duration; begins do not.
         assert_eq!(events[0].dur_ns, 0);
         assert!(events[3].t_ns >= events[0].t_ns);
@@ -825,6 +786,6 @@ mod tests {
             let _s = r.span("s");
         }
         assert_eq!(r.trace_events().len(), 2);
-        assert_eq!(r.trace_dropped(), 4, "3 begins + 3 ends, 2 kept");
+        assert_eq!(lock(&r.trace).dropped(), 4, "3 begins + 3 ends, 2 kept");
     }
 }

@@ -9,7 +9,7 @@
 //! *children* spent, so a closed span knows both total and self time
 //! (total minus child) — the weight the flamegraph export uses. Timing
 //! uses `std::time::Instant` — the only place in the workspace allowed
-//! to touch a clock (see the `tweetmob-lint` determinism rule) — and
+//! to touch a clock (clippy's `disallowed-methods` bans it elsewhere) — and
 //! durations never feed any result-bearing field.
 
 use crate::registry::MetricsRegistry;
@@ -122,6 +122,10 @@ pub struct Timer {
 impl Timer {
     /// Starts the stopwatch.
     #[must_use]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "tweetmob-obs owns the monotonic clock; a timer's reading is never a result"
+    )]
     pub fn start() -> Self {
         Self { started: Instant::now() }
     }

@@ -4,9 +4,9 @@
 //! chunked worker pool that every hot pipeline stage (trip extraction,
 //! population estimation, tweet synthesis, gravity grid search,
 //! stochastic epidemic replicates) runs on. It replaces the bespoke
-//! per-stage `crossbeam::thread::scope` blocks the seed grew — the
-//! `tweetmob-lint` `par-layer` rule now rejects raw thread spawns
-//! anywhere else in the workspace.
+//! per-stage `crossbeam::thread::scope` blocks the seed grew — clippy's
+//! `disallowed-methods` (see `clippy.toml`) now rejects raw thread
+//! spawns anywhere else in the workspace.
 //!
 //! ## The determinism contract
 //!
@@ -49,6 +49,13 @@
 //! results, and are expected to differ between runs at different thread
 //! counts; determinism comparisons must ignore the `par/` gauge subtree
 //! (alongside the `*_ns` duration fields).
+
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -149,15 +156,21 @@ where
     publish_shape(stage, threads, ranges.len());
     let map = &map;
     let mut out = Vec::with_capacity(ranges.len());
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "this is the shared worker pool every parallel stage dispatches on"
+    )]
     std::thread::scope(|scope| {
         let handles: Vec<_> = ranges
             .into_iter()
             .map(|r| scope.spawn(move || map(r)))
             .collect();
         for h in handles {
-            // lint: allow(no-panic) — join() errs only when the worker itself
-            // panicked; propagating that panic is the contract (no half-merged
-            // chunk may ever reach a caller)
+            #[expect(
+                clippy::expect_used,
+                reason = "join() errs only when the worker itself panicked; propagating that \
+                          panic is the contract (no half-merged chunk may ever reach a caller)"
+            )]
             out.push(h.join().expect("tweetmob-par worker panicked"));
         }
     });
@@ -169,6 +182,10 @@ where
 /// The merge must be chunking-invariant (concatenation over contiguous
 /// ranges, or an order-independent reduction — see the crate docs) for
 /// the result to be identical at every thread count.
+#[expect(
+    clippy::expect_used,
+    reason = "par_map_chunks always returns ≥ 1 chunk"
+)]
 pub fn par_map_reduce<T, F, M>(
     stage: &str,
     n_items: usize,
@@ -182,7 +199,6 @@ where
     M: FnMut(T, T) -> T,
 {
     let chunks = par_map_chunks(stage, n_items, min_parallel, map);
-    // lint: allow(no-panic) — par_map_chunks always returns ≥ 1 chunk
     chunks.into_iter().reduce(merge).expect("at least one chunk")
 }
 

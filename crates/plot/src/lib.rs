@@ -25,6 +25,13 @@
 //! assert!(svg.contains("demo"));
 //! ```
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 mod axes;
 mod chart;
 mod heatmap;

@@ -25,8 +25,8 @@
 //! * **No HTTP-reachable input may panic a handler.** Every query
 //!   string, body and path is funnelled through typed errors
 //!   ([`ApiError`], [`tweetmob_data::QueryError`]) into 4xx responses;
-//!   the workspace lint's no-panic and panic-path rules hold over this
-//!   crate's library code like any other.
+//!   clippy's `unwrap_used`/`expect_used`/`panic`/`unreachable` denial
+//!   holds over this crate's library code like any other.
 //! * **Byte-deterministic responses.** Handlers are pure reads over an
 //!   immutable bundle and serialize through the same
 //!   [`tweetmob_obs::Json`] writer the CLI uses, so N identical concurrent requests return
@@ -53,6 +53,13 @@
 //! handle.join();
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
+
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 
 mod handlers;
 mod http;

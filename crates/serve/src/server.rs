@@ -2,7 +2,8 @@
 //! worker threads, each running a keep-alive accept/serve loop.
 //!
 //! This is the one sanctioned `thread::spawn` site outside
-//! `tweetmob-par` (see the lint's par-layer rule): request fan-out is
+//! `tweetmob-par` (clippy's `disallowed-methods` bans it elsewhere, see
+//! `clippy.toml`): request fan-out is
 //! I/O concurrency over immutable shared state — there is no chunk
 //! order to keep deterministic and no compute to route through the
 //! shared pool. Each worker owns a `try_clone` of the listener and
@@ -90,6 +91,11 @@ pub fn serve<A: ToSocketAddrs>(
     for state in std::iter::repeat_n(state, workers) {
         let listener = listener.try_clone()?;
         let stop = Arc::clone(&stop);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "I/O workers over an immutable bundle: no compute to route through \
+                      tweetmob-par and no chunk order to keep"
+        )]
         handles.push(std::thread::spawn(move || worker_loop(&listener, &state, &stop)));
     }
     Ok(ServerHandle {

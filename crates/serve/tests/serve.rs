@@ -276,6 +276,10 @@ fn every_shape_of_bad_input_is_a_typed_4xx() {
 // --- determinism under concurrency ------------------------------------
 
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the test needs concurrent clients, not a compute stage"
+)]
 fn concurrent_identical_requests_return_byte_identical_bodies() {
     let server = start(bundle(7, 23), 4);
     let addr = server.addr();

@@ -81,6 +81,10 @@ impl LogBins {
             ));
         }
         let decades = (max / min).log10();
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "a ceiled, positive bin count; `as` saturates past usize::MAX"
+        )]
         let n_bins = ((decades * bins_per_decade as f64).ceil() as usize).max(1);
         // Nudge the top edge up so `max` falls inside the final bin even
         // after floating-point round-trips.
@@ -104,8 +108,11 @@ impl LogBins {
             return None;
         }
         let first = self.edges[0];
-        // lint: allow(no-panic) — every constructor rejects fewer than two
-        // edges (LogBins::new / from_edges), so `last()` cannot be None
+        #[expect(
+            clippy::unwrap_used,
+            reason = "every constructor rejects fewer than two edges (LogBins::new / \
+                      from_edges), so `last()` cannot be None"
+        )]
         let last = *self.edges.last().unwrap();
         if x < first || x > last {
             return None;

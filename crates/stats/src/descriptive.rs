@@ -56,6 +56,10 @@ pub fn std_dev(xs: &[f64]) -> Result<f64> {
 ///
 /// [`StatsError::TooFewSamples`] on empty input,
 /// [`StatsError::Degenerate`] for `q` outside `[0, 1]`.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "h = q·(n − 1) with q in [0, 1], so floor(h) and ceil(h) index the sample"
+)]
 pub fn quantile(xs: &[f64], q: f64) -> Result<f64> {
     if xs.is_empty() {
         return Err(StatsError::TooFewSamples { needed: 1, got: 0 });
@@ -130,25 +134,6 @@ impl Summary {
             median: median(xs)?,
         })
     }
-}
-
-/// Geometric mean of strictly positive values.
-///
-/// # Errors
-///
-/// Empty input or any value ≤ 0 / non-finite.
-pub fn geometric_mean(xs: &[f64]) -> Result<f64> {
-    if xs.is_empty() {
-        return Err(StatsError::TooFewSamples { needed: 1, got: 0 });
-    }
-    let mut acc = 0.0;
-    for &x in xs {
-        if !x.is_finite() || x <= 0.0 {
-            return Err(StatsError::NonPositiveValue(x));
-        }
-        acc += x.ln();
-    }
-    Ok((acc / xs.len() as f64).exp())
 }
 
 #[cfg(test)]
@@ -238,14 +223,5 @@ mod tests {
         let s = Summary::of(&[7.0]).unwrap();
         assert_eq!(s.mean, 7.0);
         assert!(s.std_dev.is_nan());
-    }
-
-    #[test]
-    fn geometric_mean_known() {
-        assert!((geometric_mean(&[1.0, 100.0]).unwrap() - 10.0).abs() < 1e-12);
-        assert!((geometric_mean(&[2.0, 8.0]).unwrap() - 4.0).abs() < 1e-12);
-        assert!(geometric_mean(&[1.0, 0.0]).is_err());
-        assert!(geometric_mean(&[1.0, -2.0]).is_err());
-        assert!(geometric_mean(&[]).is_err());
     }
 }

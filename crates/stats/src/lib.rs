@@ -20,7 +20,7 @@
 //!   log-binned means ([`binning`]).
 //! * **Power-law fitting** — Fig. 2(a) "essentially follows a power-law
 //!   distribution"; [`powerlaw`] has a Clauset-style MLE and KS distance.
-//! * **HitRate@q and friends** — Table II's HitRate@50% plus RMSE/MAE/SSI
+//! * **HitRate@q and friends** — Table II's HitRate@50% plus RMSE/SSI
 //!   used as additional metrics ([`metrics`]), answering the paper's
 //!   future-work call for "more metrics".
 //! * **Bootstrap confidence intervals** ([`bootstrap`]) with a tiny
@@ -45,12 +45,21 @@
 //! assert!(r.p_two_tailed < 0.01);
 //! ```
 
-// `!(x > 0.0)` (and friends) are used deliberately throughout: unlike
-// `x <= 0.0` they are also true for NaN, which is exactly the poisoned
-// input the guards must reject.
-#![allow(clippy::neg_cmp_op_on_partial_ord)]
-// Special-function coefficients are quoted at published precision.
-#![allow(clippy::excessive_precision)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::cast_possible_truncation
+)]
+#![expect(
+    clippy::neg_cmp_op_on_partial_ord,
+    reason = "`!(x > 0.0)` guards are deliberate: unlike `x <= 0.0` they also reject NaN"
+)]
+#![expect(
+    clippy::excessive_precision,
+    reason = "special-function coefficients are quoted at published precision"
+)]
 
 pub mod binning;
 pub mod bootstrap;

@@ -4,7 +4,7 @@
 //! (see [`crate::correlation`]) and **HitRate@50%** — "percentage of
 //! estimates which have smaller than 50% relative errors". This module
 //! implements HitRate@q plus the extra metrics the paper's future work
-//! calls for: RMSE, MAE, MAPE (all optionally in log space) and the
+//! calls for: RMSE (also in log space) and the
 //! Sørensen similarity index (common-part-of-commuters) that the mobility
 //! literature uses to compare flow matrices.
 
@@ -55,45 +55,6 @@ pub fn rmse(estimated: &[f64], observed: &[f64]) -> Result<f64> {
         .map(|(&e, &o)| (e - o) * (e - o))
         .sum();
     Ok((ss / estimated.len() as f64).sqrt())
-}
-
-/// Mean absolute error.
-///
-/// # Errors
-///
-/// Mismatched lengths or empty input.
-pub fn mae(estimated: &[f64], observed: &[f64]) -> Result<f64> {
-    check_paired(estimated, observed)?;
-    if estimated.is_empty() {
-        return Err(StatsError::TooFewSamples { needed: 1, got: 0 });
-    }
-    let s: f64 = estimated
-        .iter()
-        .zip(observed)
-        .map(|(&e, &o)| (e - o).abs())
-        .sum();
-    Ok(s / estimated.len() as f64)
-}
-
-/// Mean absolute percentage error over pairs with positive observations.
-///
-/// # Errors
-///
-/// Mismatched lengths, or no usable pair.
-pub fn mape(estimated: &[f64], observed: &[f64]) -> Result<f64> {
-    check_paired(estimated, observed)?;
-    let mut used = 0usize;
-    let mut acc = 0.0;
-    for (&e, &o) in estimated.iter().zip(observed) {
-        if o > 0.0 && o.is_finite() && e.is_finite() {
-            used += 1;
-            acc += ((e - o) / o).abs();
-        }
-    }
-    if used == 0 {
-        return Err(StatsError::TooFewSamples { needed: 1, got: 0 });
-    }
-    Ok(debug_assert_nonneg(acc / used as f64, "MAPE"))
 }
 
 /// RMSE of `log10` values over pairs where both sides are positive —
@@ -183,26 +144,17 @@ mod tests {
     }
 
     #[test]
-    fn rmse_and_mae_known_values() {
+    fn rmse_known_value() {
         let est = [1.0, 2.0, 3.0];
         let obs = [2.0, 2.0, 5.0];
-        // errors −1, 0, −2 → rmse = sqrt(5/3), mae = 1
+        // errors −1, 0, −2 → rmse = sqrt(5/3)
         assert!((rmse(&est, &obs).unwrap() - (5.0f64 / 3.0).sqrt()).abs() < 1e-12);
-        assert!((mae(&est, &obs).unwrap() - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn rmse_zero_for_identical() {
         let xs = [1.0, 5.0, 9.0];
         assert_eq!(rmse(&xs, &xs).unwrap(), 0.0);
-        assert_eq!(mae(&xs, &xs).unwrap(), 0.0);
-    }
-
-    #[test]
-    fn mape_known_value() {
-        let est = [110.0, 90.0];
-        let obs = [100.0, 100.0];
-        assert!((mape(&est, &obs).unwrap() - 0.1).abs() < 1e-12);
     }
 
     #[test]

@@ -83,6 +83,10 @@ pub fn fit_scan_xmin(xs: &[f64]) -> Result<PowerLawFit> {
         });
     }
     positive.sort_by(f64::total_cmp);
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "floor(0.9·n) < n indexes the sample"
+    )]
     let cutoff = positive[(positive.len() as f64 * 0.9).floor() as usize];
     let mut candidates: Vec<f64> = positive.clone();
     candidates.dedup();

@@ -49,10 +49,13 @@ impl SplitMix64 {
     ///
     /// If `bound == 0`.
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "integer-only u128 fixed-point multiply; the shift guarantees the result is \
+                  < bound and fits in usize"
+    )]
     pub fn next_below(&mut self, bound: usize) -> usize {
         assert!(bound > 0, "bound must be positive");
-        // lint: allow(lossy-cast) — integer-only u128 fixed-point multiply; the
-        // shift guarantees the result is < bound and fits in usize.
         ((self.next_u64() as u128 * bound as u128) >> 64) as usize
     }
 }

@@ -82,9 +82,11 @@ impl TweetGenerator {
     ///
     /// On an invalid config; use [`TweetGenerator::try_new`] to handle the
     /// error instead.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panicking constructor; try_new is the fallible variant"
+    )]
     pub fn new(config: GeneratorConfig) -> Self {
-        // lint: allow(no-panic) — documented panicking constructor; try_new is
-        // the fallible variant
         Self::try_new(config).expect("invalid generator config")
     }
 
@@ -194,6 +196,10 @@ impl TweetGenerator {
             offset += c;
             user_starts.push(offset);
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "the generator upholds the sort invariant by construction"
+        )]
         let ds = TweetDataset::from_sorted_columns(
             std::mem::take(&mut cols.unique_users),
             user_starts,
@@ -201,7 +207,6 @@ impl TweetGenerator {
             cols.lats,
             cols.lons,
         )
-        // lint: allow(no-panic) — the generator upholds the sort invariant by construction
         .expect("generator output satisfies the columnar sort invariant");
         tweetmob_obs::counter!("synth/users").add(u64::from(n_users));
         tweetmob_obs::counter!("synth/tweets_generated").add(ds.n_tweets() as u64);
@@ -254,7 +259,10 @@ impl TweetGenerator {
 
     /// Samples a home place index from the biased population CDF.
     fn sample_home(&self, rng: &mut SplitMix64) -> usize {
-        // lint: allow(no-panic) — gazetteers are validated non-empty before use
+        #[expect(
+            clippy::expect_used,
+            reason = "gazetteers are validated non-empty before use"
+        )]
         let total = *self.home_cdf.last().expect("world has places");
         let target = rng.next_f64() * total;
         self.home_cdf

@@ -32,8 +32,16 @@
 //! assert_eq!(dataset.n_users(), 100);
 //! ```
 
-// `!(x > 0.0)` guards are deliberate: they also reject NaN.
-#![allow(clippy::neg_cmp_op_on_partial_ord)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+#![expect(
+    clippy::neg_cmp_op_on_partial_ord,
+    reason = "`!(x > 0.0)` guards are deliberate: they also reject NaN"
+)]
 
 pub mod config;
 pub mod counterfactual;

@@ -44,6 +44,13 @@
 //! assert!(pop.correlation.r > 0.5);
 //! ```
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 pub use tweetmob_core as core;
 pub use tweetmob_data as data;
 pub use tweetmob_epidemic as epidemic;
