@@ -15,7 +15,6 @@
 //! the uniform country). If the paper's causal story is right, the
 //! Gravity-vs-Radiation gap must shrink in the uniform world.
 
-use tweetmob_bench::measure_instrumentation_overhead;
 use tweetmob_core::{AreaSet, Experiment, PopulationSource, Scale};
 use tweetmob_geo::haversine_km;
 use tweetmob_stats::concentration::{gini, theil};
@@ -167,25 +166,4 @@ fn main() {
     } else {
         println!("→ the gap did NOT shrink — investigate before citing E11.");
     }
-
-    // Coda — instrumentation overhead: the same generate + national-fit
-    // pipeline with the registry recording vs disabled (no-op baseline).
-    let mut overhead_cfg = cfg.clone();
-    overhead_cfg.n_users = overhead_cfg.n_users.min(20_000);
-    let (on_ns, off_ns) = measure_instrumentation_overhead(|| {
-        let ds = TweetGenerator::with_places(overhead_cfg.clone(), australia.clone()).generate();
-        let exp = Experiment::new(&ds);
-        let _ = std::hint::black_box(exp.mobility(Scale::National));
-    });
-    let pct = if off_ns > 0 {
-        (on_ns as f64 - off_ns as f64) / off_ns as f64 * 100.0
-    } else {
-        0.0
-    };
-    println!();
-    println!(
-        "instrumentation overhead: enabled {:.0} ms vs disabled {:.0} ms ({pct:+.2}%)",
-        on_ns as f64 / 1e6,
-        off_ns as f64 / 1e6
-    );
 }

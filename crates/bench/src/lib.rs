@@ -49,29 +49,6 @@ fn env_u64(name: &str) -> Option<u64> {
     std::env::var(name).ok()?.trim().parse().ok()
 }
 
-/// Times `workload` once with the global registry enabled and once
-/// disabled (the no-op baseline), returning `(enabled_ns, disabled_ns)`.
-/// A warm-up pass runs first so caches don't bias the enabled pass. The
-/// stopwatch is a private always-on registry — the global one can't time
-/// its own disabled pass.
-pub fn measure_instrumentation_overhead<F: FnMut()>(mut workload: F) -> (u64, u64) {
-    let stopwatch = tweetmob_obs::MetricsRegistry::new();
-    let global = tweetmob_obs::global();
-    workload();
-    {
-        let _timer = stopwatch.span("enabled");
-        workload();
-    }
-    global.set_enabled(false);
-    {
-        let _timer = stopwatch.span("disabled");
-        workload();
-    }
-    global.set_enabled(true);
-    let ns = |name: &str| stopwatch.span_stat(name).map_or(0, |s| s.total_ns);
-    (ns("enabled"), ns("disabled"))
-}
-
 /// Prints the standard run header (dataset provenance) every regeneration
 /// binary starts with.
 pub fn print_header(title: &str, cfg: &GeneratorConfig, ds: &TweetDataset) {
@@ -102,22 +79,5 @@ mod tests {
         assert_eq!(ds.n_users(), 300);
         std::env::remove_var("TWEETMOB_USERS");
         std::env::remove_var("TWEETMOB_SEED");
-    }
-
-    #[test]
-    fn overhead_measurement_times_both_passes() {
-        let (on, off) = measure_instrumentation_overhead(|| {
-            tweetmob_obs::counter!("bench-test/work").add(1);
-            std::hint::black_box((0..10_000u64).sum::<u64>());
-        });
-        assert!(on > 0, "enabled pass was timed");
-        assert!(off > 0, "disabled pass was timed");
-        // Three workload calls ran (warm-up, enabled, disabled) but the
-        // disabled pass must not have recorded into the global registry.
-        assert_eq!(
-            tweetmob_obs::global().counter_value("bench-test/work"),
-            Some(2)
-        );
-        assert!(tweetmob_obs::global().is_enabled(), "re-enabled afterwards");
     }
 }

@@ -28,7 +28,8 @@ impl std::fmt::Display for ArgError {
 impl std::error::Error for ArgError {}
 
 /// The `--metrics-out <path>` flag every subcommand accepts: where to
-/// write the pipeline metrics JSON after the run.
+/// write the pipeline metrics JSON (counters, gauges, histograms, run
+/// manifest and `timing/spans`) after the run.
 pub const METRICS_OUT: &str = "metrics-out";
 /// The `--trace` switch every subcommand accepts: print the span trace
 /// tree to stderr after the run.
@@ -36,15 +37,14 @@ pub const TRACE: &str = "trace";
 /// The `--threads <n>` flag every subcommand accepts: pin the shared
 /// worker pool's thread count (overrides `TWEETMOB_THREADS`).
 pub const THREADS: &str = "threads";
-/// The `--trace-out <path>` flag every subcommand accepts: export the
-/// deterministic trace-event buffer after the run — collapsed flamegraph
-/// stacks when the path ends in `.folded`/`.collapsed`, Chrome
-/// `trace_event` JSON otherwise.
+/// The `--trace-out <path>` flag every subcommand accepts: write the span
+/// tree as collapsed flamegraph stacks after the run, whatever the
+/// path's extension.
 pub const TRACE_OUT: &str = "trace-out";
 /// The `--metrics-redacted` switch every subcommand accepts: write the
-/// redacted metrics document (durations, sequence numbers and execution-
-/// shape fields zeroed) instead of the full one, so same-seed runs are
-/// byte-comparable.
+/// redacted metrics document (durations and execution-shape fields
+/// zeroed) and collapsed stacks weighted by call count instead of self
+/// time, so same-seed runs are byte-comparable.
 pub const METRICS_REDACTED: &str = "metrics-redacted";
 
 /// Observability flags excluded from the normalized argument list a run

@@ -204,8 +204,8 @@ fn embedded_provenance(args: &Args, subcommand: &str) -> String {
     build_manifest(args, subcommand, "ok").to_embedded_json().to_pretty()
 }
 
-/// Writes the metrics JSON (`--metrics-out`), exports the trace buffer
-/// (`--trace-out`) and prints the span trace (`--trace`) after a
+/// Writes the metrics JSON (`--metrics-out`), the collapsed span stacks
+/// (`--trace-out`) and prints the span tree (`--trace`) after a
 /// command — including after one that failed, so a partial run's
 /// counters and spans are still inspectable. Sets the `run/outcome`
 /// gauge (0 ok, 1 error) and attaches the run manifest first, so both
@@ -230,14 +230,9 @@ pub fn emit_observability(args: &Args, subcommand: &str, ok: bool) -> Result<()>
         eprintln!("wrote pipeline metrics to {path}");
     }
     if let Some(path) = args.get(crate::args::TRACE_OUT) {
-        let rendered = if path.ends_with(".folded") || path.ends_with(".collapsed") {
-            registry.to_collapsed_stacks(redact)
-        } else {
-            registry.to_chrome_trace(redact)
-        };
-        std::fs::write(path, rendered)
+        std::fs::write(path, registry.to_collapsed_stacks(redact))
             .map_err(|e| format!("cannot write trace to {path}: {e}"))?;
-        eprintln!("wrote trace events to {path}");
+        eprintln!("wrote collapsed span stacks to {path}");
     }
     if args.has(crate::args::TRACE) {
         eprint!("{}", registry.render_trace());

@@ -84,16 +84,17 @@ COMMANDS:
     help                         this text
 
 GLOBAL FLAGS (accepted by every command):
-    --metrics-out PATH       write pipeline metrics (spans, counters,
-                             histograms, run manifest, trace) as JSON
-                             after the run
-    --metrics-redacted       write the redacted metrics document instead
-                             (durations and execution-shape fields
-                             zeroed; byte-identical across same-seed runs)
+    --metrics-out PATH       write pipeline metrics (counters, gauges,
+                             histograms, run manifest, span timings) as
+                             JSON after the run
+    --metrics-redacted       zero durations and execution-shape fields
+                             in --metrics-out and weight --trace-out
+                             stacks by call count; byte-identical across
+                             same-seed runs
     --trace                  print the span trace tree to stderr
-    --trace-out PATH         export the trace-event buffer: collapsed
-                             flamegraph stacks for .folded/.collapsed,
-                             Chrome trace_event JSON otherwise
+    --trace-out PATH         write the span tree as collapsed flamegraph
+                             stacks (`frame;frame weight`, weight = self
+                             time in ns)
     --threads N              worker threads for parallel stages
                              (overrides TWEETMOB_THREADS; results are
                              identical at every thread count)

@@ -412,9 +412,9 @@ fn failed_command_still_emits_metrics() {
     );
     let doc = Json::parse(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
     assert_eq!(doc["counters"]["data/load_errors"], 1);
-    // The failure document still carries the partial span tree, the
-    // trace events that led up to the error, the run manifest with the
-    // corrupt input stamped, and the outcome gauge.
+    // The failure document still carries the partial span tree (the
+    // `load` span that was open when the run died), the run manifest
+    // with the corrupt input stamped, and the outcome gauge.
     assert_eq!(doc["gauges"]["run/outcome"], 1);
     assert_eq!(doc["manifest"]["outcome"], "error");
     assert_eq!(doc["manifest"]["subcommand"], "summary");
@@ -424,13 +424,6 @@ fn failed_command_still_emits_metrics() {
     );
     assert_eq!(doc["manifest"]["inputs"][0]["bytes"], 9);
     assert!(doc["timing"]["spans"]["load"]["calls"].as_u64().is_some());
-    let events = doc["trace"]["events"].as_array().unwrap();
-    assert!(
-        events
-            .iter()
-            .any(|e| e["path"] == "load" && e["phase"] == "B"),
-        "trace records the span that was open when the run died: {events:?}"
-    );
     std::fs::remove_file(&bad).ok();
     std::fs::remove_file(&metrics).ok();
 }
@@ -498,8 +491,10 @@ fn redacted_metrics_byte_identical_across_thread_counts() {
     .status
     .success());
     let mut docs = Vec::new();
+    let mut stacks = Vec::new();
     for (name, threads) in [("red-1", "1"), ("red-8", "8")] {
         let metrics = tmp(&format!("{name}.json"));
+        let folded = tmp(&format!("{name}.folded"));
         let out = run(&[
             "mobility",
             data.to_str().unwrap(),
@@ -510,22 +505,30 @@ fn redacted_metrics_byte_identical_across_thread_counts() {
             "--metrics-redacted",
             "--metrics-out",
             metrics.to_str().unwrap(),
+            "--trace-out",
+            folded.to_str().unwrap(),
         ]);
         assert!(out.status.success(), "{}", stderr(&out));
         docs.push(std::fs::read(&metrics).unwrap());
+        stacks.push(std::fs::read(&folded).unwrap());
         std::fs::remove_file(&metrics).ok();
+        std::fs::remove_file(&folded).ok();
     }
     // No JSON-level normalization: the redacted document — including
-    // the trace events and the manifest — must already be byte-stable.
+    // the span calls and the manifest — must already be byte-stable.
     assert_eq!(
         docs[0], docs[1],
         "redacted metrics must be byte-identical at 1 vs 8 threads"
+    );
+    assert_eq!(
+        stacks[0], stacks[1],
+        "redacted stacks must be byte-identical at 1 vs 8 threads"
     );
     std::fs::remove_file(&data).ok();
 }
 
 #[test]
-fn trace_out_exports_chrome_and_collapsed_formats() {
+fn trace_out_writes_collapsed_stacks_whatever_the_extension() {
     let data = tmp("traceout.jsonl");
     assert!(run(&[
         "generate",
@@ -537,42 +540,27 @@ fn trace_out_exports_chrome_and_collapsed_formats() {
     ])
     .status
     .success());
-    let chrome = tmp("trace.json");
-    let folded = tmp("trace.folded");
-    let out = run(&[
-        "mobility",
-        data.to_str().unwrap(),
-        "--trace-out",
-        chrome.to_str().unwrap(),
-    ]);
-    assert!(out.status.success(), "{}", stderr(&out));
-    let doc = Json::parse(&std::fs::read_to_string(&chrome).unwrap()).unwrap();
-    let events = doc["traceEvents"].as_array().unwrap();
-    assert!(!events.is_empty());
-    assert!(events
-        .iter()
-        .all(|e| e["ph"] == "X" && e["pid"] == 1 && e["name"].as_str().is_some()));
-    assert!(events.iter().any(|e| e["name"] == "load"));
-    let out = run(&[
-        "mobility",
-        data.to_str().unwrap(),
-        "--trace-out",
-        folded.to_str().unwrap(),
-    ]);
-    assert!(out.status.success(), "{}", stderr(&out));
-    let text = std::fs::read_to_string(&folded).unwrap();
-    assert!(
-        text.lines().any(|l| l.starts_with("load/read_jsonl ")
-            || l.starts_with("load;read_jsonl ")),
-        "collapsed stacks use ;-joined frames: {text}"
-    );
-    for line in text.lines() {
-        let (_stack, weight) = line.rsplit_once(' ').expect("stack weight");
-        weight.parse::<u64>().expect("numeric weight");
+    for name in ["trace.json", "trace.folded"] {
+        let path = tmp(name);
+        let out = run(&[
+            "mobility",
+            data.to_str().unwrap(),
+            "--trace-out",
+            path.to_str().unwrap(),
+        ]);
+        assert!(out.status.success(), "{}", stderr(&out));
+        let text = std::fs::read_to_string(&path).unwrap();
+        let mut frames = Vec::new();
+        for line in text.lines() {
+            let (stack, weight) = line.rsplit_once(' ').expect("stack weight");
+            weight.parse::<u64>().expect("numeric weight");
+            frames.push(stack);
+        }
+        assert!(frames.contains(&"load;read_jsonl"), "{name}: {text}");
+        assert!(frames.contains(&"fit/gravity4"), "{name}: {text}");
+        std::fs::remove_file(&path).ok();
     }
     std::fs::remove_file(&data).ok();
-    std::fs::remove_file(&chrome).ok();
-    std::fs::remove_file(&folded).ok();
 }
 
 #[test]

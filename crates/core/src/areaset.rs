@@ -190,7 +190,8 @@ impl AreaSet {
 
     /// Mean pairwise centre distance (the paper quotes 1422 / 341 /
     /// 7.5 km for its three scales).
-    pub fn mean_pairwise_distance_km(&self) -> f64 {
+    #[cfg(test)]
+    fn mean_pairwise_distance_km(&self) -> f64 {
         let n = self.len();
         if n < 2 {
             return 0.0;

@@ -43,8 +43,8 @@
 //! in `tests/artifacts.rs`.
 //!
 //! Malformed containers surface as [`IoError::Format`]; saving and
-//! loading record `artifact/save`/`artifact/load` spans plus
-//! `artifact/{save_ns,load_ns,bytes}` gauges.
+//! loading record `artifact/save`/`artifact/load` spans plus the
+//! `artifact/bytes` gauge.
 
 use crate::io::IoError;
 use std::io::{Read, Write};
@@ -560,7 +560,7 @@ impl ModelBundle {
     }
 
     /// Writes the bundle to a stream, recording the `artifact/save`
-    /// span and the `artifact/{save_ns,bytes}` gauges.
+    /// span and the `artifact/bytes` gauge.
     ///
     /// # Errors
     ///
@@ -571,17 +571,13 @@ impl ModelBundle {
             self.encode()
         };
         w.write_all(&encoded)?;
-        let save_ns = tweetmob_obs::global()
-            .span_stat("artifact/save")
-            .map_or(0, |s| s.total_ns);
-        tweetmob_obs::gauge!("artifact/save_ns").set(i64::try_from(save_ns).unwrap_or(i64::MAX));
         tweetmob_obs::gauge!("artifact/bytes")
             .set(i64::try_from(encoded.len()).unwrap_or(i64::MAX));
         Ok(())
     }
 
     /// Reads a bundle written by [`ModelBundle::save`], recording the
-    /// `artifact/load` span and the `artifact/{load_ns,bytes}` gauges.
+    /// `artifact/load` span and the `artifact/bytes` gauge.
     ///
     /// # Errors
     ///
@@ -596,10 +592,6 @@ impl ModelBundle {
             let _span = tweetmob_obs::span!("artifact/load");
             Self::decode(&bytes)?
         };
-        let load_ns = tweetmob_obs::global()
-            .span_stat("artifact/load")
-            .map_or(0, |s| s.total_ns);
-        tweetmob_obs::gauge!("artifact/load_ns").set(i64::try_from(load_ns).unwrap_or(i64::MAX));
         tweetmob_obs::gauge!("artifact/bytes").set(i64::try_from(bytes.len()).unwrap_or(i64::MAX));
         Ok(bundle)
     }

@@ -16,9 +16,9 @@
 //! to the scalar path it replaces; the tests build the same cache from
 //! per-pair [`haversine_km`](crate::haversine_km) distances and assert both agree to the bit.
 //!
-//! Observability (`cache/pairgeo/*`): `build_ns` (cumulative build
-//! time, redacted like every `_ns` field) and `hits` (distance lookups
-//! served from a built cache).
+//! Observability: the `cache/pairgeo/build` span times each build, and
+//! the `cache/pairgeo/hits` counter counts distance lookups served from
+//! a built cache.
 
 #[cfg(test)]
 use crate::distance::haversine_km;
@@ -177,47 +177,36 @@ impl PairGeometry {
     }
 
     fn from_triangle(n: usize, tri: Vec<f64>) -> Self {
-        let built = {
-            let _span = tweetmob_obs::span!("cache/pairgeo/build");
-            debug_assert_eq!(tri.len(), n * n.saturating_sub(1) / 2);
-            // One streaming pass over the row-major triangle appends each
-            // pair to both endpoint rows. Row `i` receives its `j < i`
-            // partners while earlier rows are scanned (in ascending `j`)
-            // and its `j > i` partners when row `i` itself is scanned —
-            // so every pre-sort row is exactly the ascending-index order
-            // the per-origin scalar build produced, and the stable sort
-            // below yields bit-identical rank lists (ties included).
-            let mut ranked: Vec<Vec<(f64, usize)>> = (0..n)
-                .map(|_| Vec::with_capacity(n.saturating_sub(1)))
-                .collect();
-            let mut idx = 0;
-            for i in 0..n {
-                for j in (i + 1)..n {
-                    let d = tri[idx];
-                    idx += 1;
-                    ranked[i].push((d, j));
-                    ranked[j].push((d, i));
-                }
+        let _span = tweetmob_obs::span!("cache/pairgeo/build");
+        debug_assert_eq!(tri.len(), n * n.saturating_sub(1) / 2);
+        // One streaming pass over the row-major triangle appends each
+        // pair to both endpoint rows. Row `i` receives its `j < i`
+        // partners while earlier rows are scanned (in ascending `j`)
+        // and its `j > i` partners when row `i` itself is scanned —
+        // so every pre-sort row is exactly the ascending-index order
+        // the per-origin scalar build produced, and the stable sort
+        // below yields bit-identical rank lists (ties included).
+        let mut ranked: Vec<Vec<(f64, usize)>> = (0..n)
+            .map(|_| Vec::with_capacity(n.saturating_sub(1)))
+            .collect();
+        let mut idx = 0;
+        for i in 0..n {
+            for j in (i + 1)..n {
+                let d = tri[idx];
+                idx += 1;
+                ranked[i].push((d, j));
+                ranked[j].push((d, i));
             }
-            for row in &mut ranked {
-                row.sort_by(|a, b| a.0.total_cmp(&b.0));
-            }
-            Self {
-                n,
-                tri,
-                ranked,
-                hits: tweetmob_obs::counter!("cache/pairgeo/hits"),
-            }
-        };
-        // Surface cumulative build time as a gauge; `_ns` fields are
-        // zeroed by redacted serialization so determinism comparisons
-        // stay byte-stable.
-        let build_ns = tweetmob_obs::global()
-            .span_stat("cache/pairgeo/build")
-            .map_or(0, |s| s.total_ns);
-        tweetmob_obs::gauge!("cache/pairgeo/build_ns")
-            .set(i64::try_from(build_ns).unwrap_or(i64::MAX));
-        built
+        }
+        for row in &mut ranked {
+            row.sort_by(|a, b| a.0.total_cmp(&b.0));
+        }
+        Self {
+            n,
+            tri,
+            ranked,
+            hits: tweetmob_obs::counter!("cache/pairgeo/hits"),
+        }
     }
 
     /// Number of points the cache covers.
@@ -261,13 +250,6 @@ impl PairGeometry {
     #[must_use]
     pub fn ranked(&self, i: usize) -> &[(f64, usize)] {
         &self.ranked[i]
-    }
-
-    /// The raw upper triangle (`i < j`, row-major).
-    #[inline]
-    #[must_use]
-    pub fn upper_triangle(&self) -> &[f64] {
-        &self.tri
     }
 
     /// Sum of all pairwise distances (each unordered pair once).
@@ -453,8 +435,8 @@ mod tests {
         let pts = scatter(15, 23);
         let fast = PairGeometry::build(&pts);
         let slow = build_direct(&pts);
-        assert_eq!(fast.upper_triangle().len(), slow.upper_triangle().len());
-        for (a, b) in fast.upper_triangle().iter().zip(slow.upper_triangle()) {
+        assert_eq!(fast.tri.len(), slow.tri.len());
+        for (a, b) in fast.tri.iter().zip(&slow.tri) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
         assert_eq!(fast.ranked(3), slow.ranked(3));
@@ -478,7 +460,7 @@ mod tests {
     fn empty_and_single_point_sets() {
         let empty = PairGeometry::build(&[]);
         assert!(empty.is_empty());
-        assert_eq!(empty.upper_triangle().len(), 0);
+        assert!(empty.tri.is_empty());
         let one = PairGeometry::build(&[Point::new_unchecked(0.0, 0.0)]);
         assert_eq!(one.len(), 1);
         assert_eq!(one.distance(0, 0), 0.0);
@@ -499,8 +481,8 @@ mod tests {
         let bytes = geo.to_bytes();
         let back = PairGeometry::from_bytes(&bytes).unwrap();
         assert_eq!(back.len(), geo.len());
-        assert_eq!(back.upper_triangle().len(), geo.upper_triangle().len());
-        for (a, b) in geo.upper_triangle().iter().zip(back.upper_triangle()) {
+        assert_eq!(back.tri.len(), geo.tri.len());
+        for (a, b) in geo.tri.iter().zip(&back.tri) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
         for i in 0..geo.len() {
@@ -516,7 +498,7 @@ mod tests {
             let geo = PairGeometry::build(&scatter(count, 3));
             let back = PairGeometry::from_bytes(&geo.to_bytes()).unwrap();
             assert_eq!(back.len(), count);
-            assert!(back.upper_triangle().is_empty());
+            assert!(back.tri.is_empty());
         }
     }
 

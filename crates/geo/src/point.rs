@@ -91,13 +91,6 @@ impl Point {
     pub fn lon_rad(self) -> f64 {
         self.lon.to_radians()
     }
-
-    /// Component-wise midpoint in coordinate space (not the geodesic
-    /// midpoint; adequate for small spans such as suburb polyglabel work).
-    #[inline]
-    pub fn coordinate_midpoint(self, other: Point) -> Point {
-        Point::new_unchecked((self.lat + other.lat) / 2.0, (self.lon + other.lon) / 2.0)
-    }
 }
 
 impl fmt::Display for Point {
@@ -157,15 +150,6 @@ mod tests {
         let p = Point::new(90.0, -180.0).unwrap();
         assert!((p.lat_rad() - std::f64::consts::FRAC_PI_2).abs() < 1e-12);
         assert!((p.lon_rad() + std::f64::consts::PI).abs() < 1e-12);
-    }
-
-    #[test]
-    fn midpoint_is_componentwise() {
-        let a = Point::new(-30.0, 150.0).unwrap();
-        let b = Point::new(-34.0, 152.0).unwrap();
-        let m = a.coordinate_midpoint(b);
-        assert_eq!(m.lat, -32.0);
-        assert_eq!(m.lon, 151.0);
     }
 
     #[test]

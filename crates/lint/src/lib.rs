@@ -27,7 +27,7 @@
 //!   `haversine_km_batch`, which hoists the origin trigonometry out of
 //!   the loop.
 //!
-//! Two semantic rules run over a parsed workspace model (lexer → item
+//! One semantic rule runs over a parsed workspace model (lexer → item
 //! parser; the architecture and its soundness caveats are in DESIGN.md
 //! §12):
 //!
@@ -35,10 +35,6 @@
 //!   parameter and binding suffixes plus known conversions, flagging
 //!   mixed-unit arithmetic, double conversions and trig-on-degrees in the
 //!   geographic crates.
-//! * **`determinism-taint`** — values derived from `Instant`, thread
-//!   identity or unordered-container iteration may not flow into
-//!   JSON/serialization sinks or formatting macros, except inside
-//!   `tweetmob-obs` (the sanctioned `_ns`-redaction path).
 //!
 //! The workspace's public surface is additionally snapshotted into a
 //! committed `API.lock` (see [`api_snapshot`] / [`diff_api`]); the binary's
@@ -60,7 +56,6 @@
 
 mod api_lock;
 mod model;
-mod taint;
 mod units;
 
 pub use api_lock::diff_api;
@@ -85,7 +80,7 @@ const GEOMETRY_CACHE_CRATES: &[&str] = &["tweetmob-models", "tweetmob-epidemic"]
 /// measure single pairs during construction and queries.
 const BATCH_KERNEL_CRATES: &[&str] = &["tweetmob-geo", "tweetmob-core"];
 
-/// The four rule families.
+/// The three rule families.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
     /// NaN-unsafe float ordering.
@@ -94,8 +89,6 @@ pub enum Rule {
     RawHaversine,
     /// Degree/radian/km convention violation in the geographic crates.
     UnitMeasure,
-    /// Nondeterministic value flowing into serialized output.
-    DeterminismTaint,
 }
 
 impl Rule {
@@ -106,7 +99,6 @@ impl Rule {
             Rule::FloatOrd => "float-ord",
             Rule::RawHaversine => "raw-haversine",
             Rule::UnitMeasure => "unit-measure",
-            Rule::DeterminismTaint => "determinism-taint",
         }
     }
 }
@@ -214,8 +206,8 @@ fn textual_checks(
 /// `Cargo.toml`) and [`FileKind`]. `label` is used verbatim in
 /// diagnostics. This is the core entry point the fixture tests drive.
 ///
-/// Only the textual rules run here: the semantic passes (`unit-measure`,
-/// `determinism-taint`) need the workspace model and run through
+/// Only the textual rules run here: the semantic pass (`unit-measure`)
+/// needs the workspace model and runs through
 /// [`lint_files`] / [`lint_workspace`].
 #[must_use]
 pub fn lint_source(label: &str, crate_name: &str, kind: FileKind, source: &str) -> Vec<Diagnostic> {
@@ -229,7 +221,7 @@ pub fn lint_source(label: &str, crate_name: &str, kind: FileKind, source: &str) 
 }
 
 /// Lints a loaded file set: textual rules per file, then the semantic
-/// passes over the parsed workspace model.
+/// pass over the parsed workspace model.
 #[must_use]
 pub fn lint_files(files: &[SourceFile]) -> Vec<Diagnostic> {
     let (pfs, model) = model::parse_workspace(files);
@@ -246,7 +238,6 @@ pub fn lint_files(files: &[SourceFile]) -> Vec<Diagnostic> {
         );
     }
     units::check_units(&pfs, &model, &mut out);
-    taint::check_taint(&pfs, &model, &mut out);
     sort_findings(&mut out);
     out
 }
@@ -302,7 +293,7 @@ pub fn api_snapshot(files: &[SourceFile]) -> String {
 /// Rejects a `root` that is not a workspace (no `Cargo.toml`) — a typo'd
 /// path must not pass as "clean" — and propagates I/O failures listing
 /// directories.
-pub fn workspace_files(root: &Path) -> io::Result<Vec<(PathBuf, String, FileKind)>> {
+fn workspace_files(root: &Path) -> io::Result<Vec<(PathBuf, String, FileKind)>> {
     if !root.join("Cargo.toml").is_file() {
         return Err(io::Error::new(
             io::ErrorKind::NotFound,

@@ -104,18 +104,6 @@ pub(crate) fn lex(code: &str) -> Vec<Tok> {
 // Item model.
 // ---------------------------------------------------------------------------
 
-/// One function parameter.
-#[derive(Debug, Clone)]
-pub struct Param {
-    /// Binding name (`_` when the pattern is not a simple identifier).
-    pub name: String,
-    /// Declared type, whitespace-normalised. The taint pass seeds its
-    /// environment from this (an `Instant` or `HashMap` parameter is
-    /// nondeterministic from the first use); unit inference keys off
-    /// `name` suffixes alone.
-    pub ty: String,
-}
-
 /// One `fn` item anywhere in the workspace.
 #[derive(Debug, Clone)]
 pub struct FnInfo {
@@ -137,8 +125,10 @@ pub struct FnInfo {
     /// Whitespace-normalised signature text (qualifiers through return
     /// type, excluding the body and `where` clause).
     pub sig: String,
-    /// Parameters, `self` excluded.
-    pub params: Vec<Param>,
+    /// Parameter binding names, `self` excluded (`_` when the pattern
+    /// is not a simple identifier). Unit inference keys off their
+    /// suffixes.
+    pub params: Vec<String>,
     /// Byte span of the body including braces, `None` for bodiless sigs.
     pub body: Option<(usize, usize)>,
     /// Inside `#[cfg(test)]` / `#[test]` context.
@@ -670,7 +660,7 @@ impl Parser<'_> {
     }
 
     /// Parses a parameter token range (exclusive of the parens).
-    fn parse_params(&self, start: usize, end: usize) -> Vec<Param> {
+    fn parse_params(&self, start: usize, end: usize) -> Vec<String> {
         let mut params = Vec::new();
         let mut seg_start = start;
         let (mut angles, mut pars, mut brks) = (0i64, 0i64, 0i64);
@@ -709,7 +699,7 @@ impl Parser<'_> {
         params
     }
 
-    fn parse_one_param(&self, start: usize, end: usize, params: &mut Vec<Param>) {
+    fn parse_one_param(&self, start: usize, end: usize, params: &mut Vec<String>) {
         // `self`, `&self`, `&mut self`, `mut self` in the leading tokens.
         if (start..end.min(start + 4)).any(|k| self.is_ident(k, "self")) {
             return;
@@ -720,7 +710,7 @@ impl Parser<'_> {
         if self.is_ident(k, "mut") {
             k += 1;
         }
-        let (name, ty_from) = if matches!(
+        let name = if matches!(
             self.pf.toks.get(k),
             Some(Tok {
                 kind: TokKind::Ident,
@@ -728,14 +718,11 @@ impl Parser<'_> {
             })
         ) && self.punct(k + 1) == Some(b':')
         {
-            (self.text(k).to_string(), k + 2)
+            self.text(k).to_string()
         } else {
-            ("_".to_string(), start)
+            "_".to_string()
         };
-        let ty = normalize_ws(
-            &self.pf.raw[self.offset(ty_from)..self.offset(end).min(self.pf.raw.len())],
-        );
-        params.push(Param { name, ty });
+        params.push(name);
     }
 
     /// Parses `impl<...> [Trait for] Type { items }` with `*i` at `impl`.

@@ -82,8 +82,8 @@ pub(crate) fn check_units(pfs: &[ParsedFile], model: &Model, out: &mut Vec<Diagn
         let pf = &pfs[f.file];
         let mut env: BTreeMap<String, Unit> = BTreeMap::new();
         for p in &f.params {
-            if let Some(u) = suffix_unit(&p.name) {
-                env.insert(p.name.clone(), u);
+            if let Some(u) = suffix_unit(p) {
+                env.insert(p.clone(), u);
             }
         }
         check_body(pf, body, &mut env, out);

@@ -1,6 +1,5 @@
-//! Integration tests for the workspace semantic passes: unit-of-measure
-//! inference, determinism taint, the API snapshot, and the unified
-//! finding sort order.
+//! Integration tests for the workspace semantic pass (unit-of-measure
+//! inference), the API snapshot, and the unified finding sort order.
 //!
 //! These run `lint_files` on in-memory fixtures (no disk, no scratch
 //! dirs), which exercises exactly the workspace path the binary uses.
@@ -128,134 +127,6 @@ pub fn window(radius_km: f64) -> f64 {
 }
 ";
     let diags = lint_one("tweetmob-geo", body);
-    assert!(diags.is_empty(), "{}", render_report(&diags));
-}
-
-// ---------------------------------------------------------------------------
-// determinism-taint: clock/thread/unordered values must not reach output.
-// ---------------------------------------------------------------------------
-
-#[test]
-fn taint_flags_elapsed_flowing_into_format_macro() {
-    let body = "\
-/// Prints how long a stage took.
-pub fn report(start: std::time::Instant) {
-    let dt = start.elapsed();
-    println!(\"stage took {:?}\", dt);
-}
-";
-    let diags = lint_one("tweetmob-fixture", body);
-    let taint: Vec<_> = diags
-        .iter()
-        .filter(|d| d.rule == Rule::DeterminismTaint)
-        .collect();
-    assert_eq!(taint.len(), 1, "{}", render_report(&diags));
-    assert!(
-        taint[0].message.contains("wall-clock") && taint[0].message.contains("_ns"),
-        "message names the source and routes to obs: {}",
-        taint[0].message
-    );
-}
-
-#[test]
-fn taint_flags_unordered_iteration_into_json_sink() {
-    let body = "\
-/// Serializes counts in whatever order the map yields them.
-pub fn dump(map: &std::collections::HashMap<u32, u32>) -> String {
-    let mut out = String::new();
-    for v in map.values() {
-        out.push_str(&to_json(v));
-    }
-    out
-}
-
-fn to_json(v: &u32) -> String {
-    format!(\"{v}\")
-}
-";
-    // `tweetmob-bench` is outside the result crates, so the textual
-    // HashMap ban stays quiet and only the flow-sensitive rule fires.
-    let diags = lint_one("tweetmob-bench", body);
-    assert!(
-        diags
-            .iter()
-            .any(|d| d.rule == Rule::DeterminismTaint && d.message.contains("unordered")),
-        "{}",
-        render_report(&diags)
-    );
-}
-
-#[test]
-fn taint_flags_clock_values_flowing_into_trace_exporters() {
-    // Both exporter spellings are sinks: a wall-clock value handed to
-    // either would put nondeterministic bytes in the exported trace.
-    for sink in ["to_chrome_trace", "to_collapsed_stacks"] {
-        let body = format!(
-            "\
-/// Exports the event log, wrongly skewed by a live clock reading.
-pub fn export(start: std::time::Instant, buf: &TraceLog) -> String {{
-    let skew = start.elapsed().as_nanos() as u64;
-    buf.{sink}(skew)
-}}
-"
-        );
-        let diags = lint_one("tweetmob-cli", &body);
-        assert!(
-            diags
-                .iter()
-                .any(|d| d.rule == Rule::DeterminismTaint && d.message.contains("wall-clock")),
-            "{sink} should be a taint sink: {}",
-            render_report(&diags)
-        );
-    }
-}
-
-#[test]
-fn taint_exempts_trace_exporters_inside_obs() {
-    // The event log's own exporter is the sanctioned path: inside
-    // tweetmob-obs the redaction contract (and its byte-diff tests)
-    // polices timing, not the taint pass.
-    let body = "\
-/// Renders the event buffer, stamping each event's recorded clock.
-pub fn export(log: &TraceLog, captured_at: std::time::Instant) -> String {
-    let t_ns = captured_at.elapsed().as_nanos() as u64;
-    log.to_chrome_trace(t_ns)
-}
-";
-    let diags = lint_one("tweetmob-obs", body);
-    assert!(
-        !diags.iter().any(|d| d.rule == Rule::DeterminismTaint),
-        "{}",
-        render_report(&diags)
-    );
-}
-
-#[test]
-fn taint_exempts_obs_and_untainted_values() {
-    let body = "\
-/// Prints how long a stage took.
-pub fn report(start: std::time::Instant) {
-    let dt = start.elapsed();
-    println!(\"stage took {:?}\", dt);
-}
-";
-    // The obs crate owns the sanctioned `_ns` redaction path.
-    let diags = lint_one("tweetmob-obs", body);
-    assert!(
-        !diags.iter().any(|d| d.rule == Rule::DeterminismTaint),
-        "{}",
-        render_report(&diags)
-    );
-
-    // A value with no nondeterministic ancestry may be printed anywhere.
-    let clean = "\
-/// Prints a pure function of the input.
-pub fn report(n: u64) {
-    let doubled = n * 2;
-    println!(\"{doubled}\");
-}
-";
-    let diags = lint_one("tweetmob-fixture", clean);
     assert!(diags.is_empty(), "{}", render_report(&diags));
 }
 

@@ -11,21 +11,18 @@
 //! [`RunMoments`].
 //!
 //! **Determinism contract**: every reduction here runs in a fixed
-//! order — [`FitColumns::candidate_moments`] accumulates into
-//! [`LANES`] independent lanes combined in a fixed tree, then folds the
-//! tail serially. The result depends only on the column contents and
-//! `γ`, never on thread count or chunk boundaries, so the grid search
-//! stays byte-identical under any `tweetmob-par` dispatch.
+//! order — [`FitColumns::run_moments`] and [`ScoreColumns::intercept`]
+//! sum serially in observation order. The result depends only on the
+//! column contents, never on thread count or chunk boundaries, so the
+//! grid search stays byte-identical under any `tweetmob-par` dispatch.
 
 use crate::traits::FlowObservation;
 
-/// Fixed accumulator-lane count of [`FitColumns::candidate_moments`].
-///
-/// Independent lanes break the serial dependency chain of the running
-/// sums (the bottleneck of the pre-columnar loop) and vectorize; the
-/// count is part of the determinism contract — changing it changes the
-/// low bits of every SSE, so it must never vary at runtime.
-pub const LANES: usize = 4;
+/// Fixed accumulator-lane count of `FitColumns::candidate_moments`, the
+/// direct per-candidate sweep the closed-form [`RunMoments`] are tested
+/// against. Changing it changes the low bits of every direct SSE.
+#[cfg(test)]
+const LANES: usize = 4;
 
 /// Log-space feature columns of the fittable observations, in input
 /// order: `log₁₀ m`, `log₁₀ n`, `log₁₀ d`, `log₁₀ T`.
@@ -126,8 +123,8 @@ impl FitColumns {
     /// # Panics
     ///
     /// If `u.len() != self.len()`.
-    #[must_use]
-    pub fn candidate_moments(&self, u: &[f64], gamma: f64) -> (f64, f64) {
+    #[cfg(test)]
+    fn candidate_moments(&self, u: &[f64], gamma: f64) -> (f64, f64) {
         assert_eq!(u.len(), self.len(), "scratch buffer must match columns");
         let ld = &self.ln_d[..u.len()];
         let mut s = [0.0f64; LANES];
@@ -256,13 +253,6 @@ impl ScoreColumns {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.dlog.is_empty()
-    }
-
-    /// The score column itself, in observation order.
-    #[inline]
-    #[must_use]
-    pub fn dlog(&self) -> &[f64] {
-        &self.dlog
     }
 
     /// `(Σ dlog, n)` — the serial left-to-right sum the geometric-mean
@@ -471,7 +461,7 @@ mod tests {
             let p = phi(o);
             if p > 0.0 && p.is_finite() {
                 assert_eq!(
-                    cols.dlog()[n].to_bits(),
+                    cols.dlog[n].to_bits(),
                     (o.observed_flow.log10() - p.log10()).to_bits()
                 );
                 acc += o.observed_flow.log10() - p.log10();

@@ -81,7 +81,7 @@ mod opportunities;
 mod radiation;
 mod traits;
 
-pub use columns::{FitColumns, RunMoments, ScoreColumns, LANES};
+pub use columns::{FitColumns, RunMoments, ScoreColumns};
 pub use deterrence::{GravityExpFit, TannerFit};
 pub use evaluation::{evaluate, evaluate_vectors, ModelEvaluation};
 pub use fitted::{FittedModel, FittedModelSet, ModelKind};

@@ -6,7 +6,7 @@
 //! frozen at registration, so two runs of the same pipeline produce the
 //! same bucket layout byte for byte.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The shared state behind a [`Histogram`] handle.
@@ -39,20 +39,16 @@ impl HistogramInner {
 
 /// A cloneable handle onto one registered fixed-bucket histogram.
 ///
-/// Cheap to clone (two `Arc`s); recording is a couple of relaxed atomic
+/// Cheap to clone (one `Arc`); recording is a couple of relaxed atomic
 /// adds and never locks, so handles may be cached in hot loops.
 #[derive(Debug, Clone)]
 pub struct Histogram {
     pub(crate) inner: Arc<HistogramInner>,
-    pub(crate) enabled: Arc<AtomicBool>,
 }
 
 impl Histogram {
-    /// Records one sample. A no-op while the owning registry is disabled.
+    /// Records one sample.
     pub fn record(&self, value: u64) {
-        if !self.enabled.load(Ordering::Relaxed) {
-            return;
-        }
         let idx = self.inner.bounds.partition_point(|&b| b < value);
         self.inner.buckets[idx].fetch_add(1, Ordering::Relaxed);
         self.inner.count.fetch_add(1, Ordering::Relaxed);
@@ -165,7 +161,6 @@ mod tests {
     fn hist(bounds: &[u64]) -> Histogram {
         Histogram {
             inner: Arc::new(HistogramInner::new(bounds)),
-            enabled: Arc::new(AtomicBool::new(true)),
         }
     }
 
@@ -187,15 +182,6 @@ mod tests {
         let h = hist(&[10, 1, 10, 5]);
         assert_eq!(h.bounds(), &[1, 5, 10]);
         assert_eq!(h.bucket_counts().len(), 4);
-    }
-
-    #[test]
-    fn disabled_handle_records_nothing() {
-        let h = hist(&[1]);
-        h.enabled.store(false, Ordering::Relaxed);
-        h.record(7);
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.bucket_counts(), vec![0, 0]);
     }
 
     #[test]

@@ -10,15 +10,13 @@
 //! 1. **Determinism of results is untouchable.** Timing never feeds a
 //!    result-bearing field; the JSON document is `BTreeMap`-ordered and
 //!    carries no wall-clock timestamp, so two runs of the same seeded
-//!    pipeline differ only in duration fields (`*_ns` and the
-//!    `timing/latency_ns` subtree). [`MetricsRegistry::to_json_redacted`]
-//!    zeroes those for byte-identical comparison.
+//!    pipeline differ only in `*_ns` duration fields.
+//!    [`MetricsRegistry::to_json_redacted`] zeroes those for
+//!    byte-identical comparison.
 //! 2. **Near-zero cost.** Counter/gauge/histogram handles are a couple of
 //!    relaxed atomics per record; span open/close locks a `Mutex` but
 //!    spans wrap pipeline *stages* (load, trip extraction, each model
-//!    fit), not inner loops. A disabled registry reduces every operation
-//!    to one relaxed load, which is the no-op baseline the benches use to
-//!    demonstrate overhead.
+//!    fit), not inner loops.
 //! 3. **No dependencies.** Every pipeline crate links this, so it is
 //!    `std`-only. Its [`mod@json`] module is the workspace's one JSON
 //!    value, writer and reader.
@@ -38,17 +36,13 @@
 //! Tests and benches that need isolation construct their own
 //! [`MetricsRegistry`] instead.
 //!
-//! Beyond aggregates, the registry keeps a bounded, sequence-ordered
-//! [`TraceEvent`] ring buffer ([`mod@trace`]) exportable as Chrome
-//! `trace_event` JSON or collapsed flamegraph stacks, and can carry a
-//! [`RunManifest`] ([`mod@manifest`]) — the run's provenance (args,
-//! seed, input/output content hashes, crate versions) — serialized into
-//! the metrics document and embeddable in artifacts.
-//!
-//! With the `alloc` feature (and a `tweetmob_alloc::CountingAlloc`
-//! installed as the global allocator by the host binary), every closed
-//! span additionally publishes `alloc/<path>/{allocations,peak_bytes}`
-//! gauges.
+//! Each span path has one record, a [`SpanStat`] (calls, total, min,
+//! max and child time). The span tree renders as indented text
+//! ([`MetricsRegistry::render_trace`]) or as collapsed flamegraph stacks
+//! ([`MetricsRegistry::to_collapsed_stacks`]). The registry can also
+//! carry a [`RunManifest`] ([`mod@manifest`]) — the run's provenance
+//! (args, seed, input/output content hashes, crate versions) —
+//! serialized into the metrics document and embeddable in artifacts.
 //!
 //! This crate is the one place in the workspace permitted to call
 //! `std::time::Instant::now` — clippy's `disallowed-methods` (see
@@ -67,21 +61,20 @@ pub mod json;
 pub mod manifest;
 mod registry;
 mod span;
-pub mod trace;
+mod trace;
 
 pub use histogram::Histogram;
 pub use json::{Json, ToJson};
 pub use manifest::{FileStamp, RunManifest, MANIFEST_SCHEMA_VERSION};
 pub use registry::{Counter, Gauge, MetricsRegistry};
-pub use span::{SpanGuard, SpanStat, Timer, LATENCY_BOUNDS_NS, SERVE_LATENCY_BOUNDS_NS};
-pub use trace::{TraceEvent, TracePhase, DEFAULT_TRACE_CAPACITY};
+pub use span::{SpanGuard, SpanStat, Timer, SERVE_LATENCY_BOUNDS_NS};
 
 use std::sync::OnceLock;
 
 static GLOBAL: OnceLock<MetricsRegistry> = OnceLock::new();
 
 /// The process-wide registry every pipeline crate records into. Created
-/// enabled on first touch.
+/// on first touch.
 pub fn global() -> &'static MetricsRegistry {
     GLOBAL.get_or_init(MetricsRegistry::new)
 }
@@ -115,8 +108,7 @@ macro_rules! gauge {
 #[cfg(test)]
 mod tests {
     #[test]
-    fn global_registry_is_shared_and_enabled() {
-        assert!(super::global().is_enabled());
+    fn global_registry_is_shared() {
         let c = crate::counter!("lib-test/shared");
         c.add(2);
         assert_eq!(super::global().counter_value("lib-test/shared"), Some(2));

@@ -225,7 +225,8 @@ pub fn recorded_outputs() -> Vec<String> {
 }
 
 /// Clears the recorded input/output paths (test isolation).
-pub fn clear_recorded() {
+#[cfg(test)]
+fn clear_recorded() {
     RECORDED_INPUTS
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)

@@ -4,27 +4,22 @@
 use crate::histogram::{Histogram, HistogramInner};
 use crate::json::Json;
 use crate::manifest::RunManifest;
-use crate::span::{SpanGuard, SpanStat, SpanStore, LATENCY_BOUNDS_NS};
-use crate::trace::{TraceBuffer, TraceEvent, TracePhase};
+use crate::span::{SpanGuard, SpanStat, SpanStore};
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// A cloneable handle onto one registered monotonic counter.
 #[derive(Debug, Clone)]
 pub struct Counter {
     cell: Arc<AtomicU64>,
-    enabled: Arc<AtomicBool>,
 }
 
 impl Counter {
-    /// Adds `n`. A no-op while the owning registry is disabled.
+    /// Adds `n`.
     pub fn add(&self, n: u64) {
-        if self.enabled.load(Ordering::Relaxed) {
-            self.cell.fetch_add(n, Ordering::Relaxed);
-        }
+        self.cell.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Adds one.
@@ -43,15 +38,12 @@ impl Counter {
 #[derive(Debug, Clone)]
 pub struct Gauge {
     cell: Arc<AtomicI64>,
-    enabled: Arc<AtomicBool>,
 }
 
 impl Gauge {
-    /// Sets the gauge. A no-op while the owning registry is disabled.
+    /// Sets the gauge.
     pub fn set(&self, v: i64) {
-        if self.enabled.load(Ordering::Relaxed) {
-            self.cell.store(v, Ordering::Relaxed);
-        }
+        self.cell.store(v, Ordering::Relaxed);
     }
 
     /// The current value.
@@ -71,22 +63,16 @@ impl Gauge {
 /// Serialization ([`MetricsRegistry::to_json`]) is deterministic: keys
 /// are `BTreeMap`-ordered and no wall-clock timestamp appears anywhere.
 /// The run-to-run variation is duration data and execution shape —
-/// fields suffixed `_ns`, the `timing/latency_ns` subtree, trace-event
-/// timestamps and sequence numbers, allocator (`alloc/`) and worker-pool
-/// (`par/`) gauges, and the manifest thread count — all of which
+/// span and histogram fields suffixed `_ns`, worker-pool (`par/`)
+/// gauges and the manifest thread count — all of which
 /// [`MetricsRegistry::to_json_redacted`] zeroes for byte-comparison.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
-    enabled: Arc<AtomicBool>,
     counters: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
     gauges: Mutex<BTreeMap<String, Arc<AtomicI64>>>,
     histograms: Mutex<BTreeMap<String, Arc<HistogramInner>>>,
     spans: Mutex<SpanStore>,
-    trace: Mutex<TraceBuffer>,
     manifest: Mutex<Option<RunManifest>>,
-    /// The instant of the first recorded trace event; every event's
-    /// `t_ns` is an offset from it, so no wall-clock value is stored.
-    epoch: OnceLock<Instant>,
 }
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -97,30 +83,10 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 impl MetricsRegistry {
-    /// A fresh, enabled registry.
+    /// A fresh, empty registry.
     #[must_use]
     pub fn new() -> Self {
-        let registry = Self::default();
-        registry.enabled.store(true, Ordering::Relaxed);
-        registry
-    }
-
-    /// A fresh registry that records nothing until enabled — the no-op
-    /// baseline for overhead measurements.
-    #[must_use]
-    pub fn disabled() -> Self {
         Self::default()
-    }
-
-    /// Turns recording on or off. Existing handles observe the switch.
-    pub fn set_enabled(&self, enabled: bool) {
-        self.enabled.store(enabled, Ordering::Relaxed);
-    }
-
-    /// Whether the registry is recording.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
     }
 
     /// The counter registered under `name`, created at zero on first use.
@@ -131,10 +97,7 @@ impl MetricsRegistry {
                 .entry(name.to_string())
                 .or_insert_with(|| Arc::new(AtomicU64::new(0))),
         );
-        Counter {
-            cell,
-            enabled: Arc::clone(&self.enabled),
-        }
+        Counter { cell }
     }
 
     /// The gauge registered under `name`, created at zero on first use.
@@ -145,10 +108,7 @@ impl MetricsRegistry {
                 .entry(name.to_string())
                 .or_insert_with(|| Arc::new(AtomicI64::new(0))),
         );
-        Gauge {
-            cell,
-            enabled: Arc::clone(&self.enabled),
-        }
+        Gauge { cell }
     }
 
     /// The histogram registered under `name`. Bucket bounds freeze on
@@ -162,57 +122,27 @@ impl MetricsRegistry {
                 .entry(name.to_string())
                 .or_insert_with(|| Arc::new(HistogramInner::new(bounds))),
         );
-        Histogram {
-            inner,
-            enabled: Arc::clone(&self.enabled),
-        }
+        Histogram { inner }
     }
 
     /// Opens a span named `name`, nested under any span already live on
-    /// this thread. While the registry is disabled this is a no-op guard
-    /// that never reads the clock.
+    /// this thread.
     #[expect(
         clippy::disallowed_methods,
         reason = "tweetmob-obs owns the monotonic clock; span timings never reach a result"
     )]
     pub fn span(&self, name: &str) -> SpanGuard<'_> {
-        if !self.is_enabled() {
-            return SpanGuard {
-                active: None,
-                #[cfg(feature = "alloc")]
-                alloc_at_open: None,
-            };
-        }
-        let path = crate::span::push_scope(name);
-        let t_ns = self.epoch_ns();
-        {
-            let mut spans = lock(&self.spans);
-            spans.note_start(&path);
-        }
-        lock(&self.trace).record(TracePhase::Begin, &path, t_ns, 0);
+        let (path, depth) = crate::span::push_scope(name);
+        lock(&self.spans).note_start(&path, name, depth);
         SpanGuard {
-            active: Some((self, path, Instant::now())),
-            #[cfg(feature = "alloc")]
-            alloc_at_open: tweetmob_alloc::is_counting().then(tweetmob_alloc::snapshot),
+            registry: self,
+            path,
+            start: Instant::now(),
         }
     }
 
     pub(crate) fn record_span(&self, path: &str, elapsed_ns: u64, child_ns: u64) {
-        let t_ns = self.epoch_ns();
         lock(&self.spans).record(path, elapsed_ns, child_ns);
-        lock(&self.trace)
-            .record(TracePhase::End, path, t_ns, elapsed_ns);
-    }
-
-    /// Nanoseconds since the registry's first trace event (the epoch is
-    /// initialized on first call, so the first event reads ~0).
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "tweetmob-obs owns the monotonic clock; trace timestamps are redacted"
-    )]
-    fn epoch_ns(&self) -> u64 {
-        let elapsed = self.epoch.get_or_init(Instant::now).elapsed().as_nanos();
-        u64::try_from(elapsed).unwrap_or(u64::MAX)
     }
 
     /// Current value of a counter, or `None` if never registered.
@@ -240,19 +170,11 @@ impl MetricsRegistry {
     /// Every span path seen, in first-start order.
     #[must_use]
     pub fn span_paths(&self) -> Vec<String> {
-        lock(&self.spans).order.clone()
-    }
-
-    /// A snapshot of the trace ring buffer, oldest event first.
-    fn trace_events(&self) -> Vec<TraceEvent> {
-        lock(&self.trace).events()
-    }
-
-    /// Resizes the trace ring buffer (default
-    /// [`crate::trace::DEFAULT_TRACE_CAPACITY`] events); shrinking drops
-    /// the oldest events. Capacity 0 disables event recording entirely.
-    pub fn set_trace_capacity(&self, capacity: usize) {
-        lock(&self.trace).set_capacity(capacity);
+        lock(&self.spans)
+            .order
+            .iter()
+            .map(|node| node.path.clone())
+            .collect()
     }
 
     /// Attaches the run's provenance manifest; it serializes as the
@@ -269,7 +191,7 @@ impl MetricsRegistry {
 
     /// Serializes the registry to its stable JSON document. Two runs of
     /// the same deterministic pipeline differ only in duration data:
-    /// fields suffixed `_ns` and the `timing/latency_ns` subtree.
+    /// fields suffixed `_ns`.
     #[must_use]
     pub fn to_json(&self) -> String {
         self.render_json(false)
@@ -289,17 +211,16 @@ impl MetricsRegistry {
             .iter()
             .map(|(name, cell)| (name.clone(), cell.load(Ordering::Relaxed).into()))
             .collect();
-        // gauges — redaction zeroes everything that varies run to run or
-        // with execution shape: `_ns`-suffixed durations (e.g.
-        // cache/pairgeo/build_ns), allocator accounting (`alloc/`), and
-        // worker-pool shape (`par/`, the documented thread-variant
-        // exception of DESIGN.md §10).
+        // gauges — redaction zeroes worker-pool shape (`par/`, the
+        // documented thread-variant exception of DESIGN.md §10).
         let gauges = lock(&self.gauges)
             .iter()
             .map(|(name, cell)| {
-                let shape =
-                    name.ends_with("_ns") || name.starts_with("alloc/") || name.starts_with("par/");
-                let shown = if redact && shape { 0 } else { cell.load(Ordering::Relaxed) };
+                let shown = if redact && name.starts_with("par/") {
+                    0
+                } else {
+                    cell.load(Ordering::Relaxed)
+                };
                 (name.clone(), shown.into())
             })
             .collect();
@@ -341,17 +262,8 @@ impl MetricsRegistry {
             .as_ref()
             .map(|m| m.to_json(redact))
             .unwrap_or(Json::Null);
-        // timing (spans + latency histograms) — the duration-bearing part.
-        let spans = lock(&self.spans);
-        let latency = spans
-            .latency
-            .iter()
-            .map(|(name, buckets)| {
-                let shown = if redact { &[0; LATENCY_BOUNDS_NS.len() + 1] } else { buckets };
-                (name.clone(), u64s(shown))
-            })
-            .collect();
-        let stats = spans
+        // timing — the span aggregates, the duration-bearing part.
+        let stats = lock(&self.spans)
             .stats
             .iter()
             .map(|(name, stat)| {
@@ -367,69 +279,22 @@ impl MetricsRegistry {
                 (name.clone(), doc)
             })
             .collect();
-        drop(spans);
-        // trace — the bounded deterministic event log.
-        let trace = lock(&self.trace);
-        let (capacity, dropped, events) = (trace.capacity(), trace.dropped(), trace.events());
-        drop(trace);
-        let events = events
-            .iter()
-            .map(|e| {
-                let ns = |v: u64| Json::from(if redact { 0 } else { v });
-                Json::obj([
-                    ("dur_ns", ns(e.dur_ns)),
-                    ("path", e.path.as_str().into()),
-                    ("phase", e.phase.code().into()),
-                    ("seq", ns(e.seq)),
-                    ("t_ns", ns(e.t_ns)),
-                ])
-            })
-            .collect();
         let doc = Json::obj([
             ("counters", Json::Obj(counters)),
             ("gauges", Json::Obj(gauges)),
             ("histograms", Json::Obj(histograms)),
             ("manifest", manifest),
-            (
-                "timing",
-                Json::obj([
-                    ("latency_bounds_ns", u64s(&LATENCY_BOUNDS_NS)),
-                    ("latency_ns", Json::Obj(latency)),
-                    ("spans", Json::Obj(stats)),
-                ]),
-            ),
-            (
-                "trace",
-                Json::obj([
-                    ("capacity", capacity.into()),
-                    ("dropped", dropped.into()),
-                    ("events", Json::Arr(events)),
-                ]),
-            ),
+            ("timing", Json::obj([("spans", Json::Obj(stats))])),
         ]);
         doc.to_pretty() + "\n"
     }
 
-    /// Exports the trace ring buffer as a Chrome `trace_event` JSON
-    /// document (see [`crate::trace::render_chrome_trace`]).
-    #[must_use]
-    pub fn to_chrome_trace(&self, redact: bool) -> String {
-        crate::trace::render_chrome_trace(&self.trace_events(), redact)
-    }
-
     /// Exports span aggregates as collapsed stacks for flamegraph
-    /// tooling (see [`crate::trace::render_collapsed`]).
+    /// tooling (`--trace-out`): `frame;frame weight` lines, weighted by
+    /// self time in ns, or by call count under `redact`.
     #[must_use]
     pub fn to_collapsed_stacks(&self, redact: bool) -> String {
-        let spans = lock(&self.spans);
-        let order = spans.order.clone();
-        let stats: Vec<(String, SpanStat)> = spans
-            .stats
-            .iter()
-            .map(|(path, stat)| (path.clone(), *stat))
-            .collect();
-        drop(spans);
-        crate::trace::render_collapsed(&order, &stats, redact)
+        crate::trace::render_collapsed(&lock(&self.spans), redact)
     }
 
     /// Renders the span tree as human-readable text, one line per path
@@ -437,41 +302,7 @@ impl MetricsRegistry {
     /// output.
     #[must_use]
     pub fn render_trace(&self) -> String {
-        let spans = lock(&self.spans);
-        if spans.order.is_empty() {
-            return String::from("(no spans recorded)\n");
-        }
-        let mut out = String::new();
-        for path in &spans.order {
-            let Some(stat) = spans.stats.get(path) else {
-                continue;
-            };
-            let depth = path.matches('/').count();
-            let name = path.rsplit('/').next().unwrap_or(path);
-            let _ = write!(out, "{:indent$}{name}", "", indent = depth * 2);
-            let pad = 40usize.saturating_sub(depth * 2 + name.len());
-            let _ = writeln!(
-                out,
-                "{:pad$} {:>10}  x{}",
-                "",
-                format_ns(stat.total_ns),
-                stat.calls,
-            );
-        }
-        out
-    }
-}
-
-/// Formats nanoseconds as a human-friendly duration.
-fn format_ns(ns: u64) -> String {
-    if ns >= 1_000_000_000 {
-        format!("{:.2} s", ns as f64 / 1e9)
-    } else if ns >= 1_000_000 {
-        format!("{:.2} ms", ns as f64 / 1e6)
-    } else if ns >= 1_000 {
-        format!("{:.1} µs", ns as f64 / 1e3)
-    } else {
-        format!("{ns} ns")
+        crate::trace::render_tree(&lock(&self.spans))
     }
 }
 
@@ -488,25 +319,6 @@ mod tests {
         b.incr();
         assert_eq!(r.counter_value("x"), Some(4));
         assert_eq!(a.value(), 4);
-    }
-
-    #[test]
-    fn disabled_registry_records_nothing() {
-        let r = MetricsRegistry::disabled();
-        let c = r.counter("x");
-        c.add(10);
-        let g = r.gauge("y");
-        g.set(5);
-        {
-            let _guard = r.span("stage");
-        }
-        assert_eq!(r.counter_value("x"), Some(0));
-        assert_eq!(r.gauge_value("y"), Some(0));
-        assert!(r.span_paths().is_empty());
-        // Flipping it on makes the same handles live.
-        r.set_enabled(true);
-        c.add(10);
-        assert_eq!(c.value(), 10);
     }
 
     #[test]
@@ -564,11 +376,28 @@ mod tests {
     }
 
     #[test]
-    fn format_ns_scales_units() {
-        assert_eq!(format_ns(500), "500 ns");
-        assert_eq!(format_ns(1_500), "1.5 µs");
-        assert_eq!(format_ns(2_000_000), "2.00 ms");
-        assert_eq!(format_ns(3_000_000_000), "3.00 s");
+    fn slashes_inside_span_names_are_not_nesting() {
+        let r = MetricsRegistry::new();
+        {
+            let _fit = r.span("fit/gravity4");
+        }
+        {
+            let _load = r.span("load");
+            let _read = r.span("read_jsonl");
+        }
+        let trace = r.render_trace();
+        let lines: Vec<&str> = trace.lines().collect();
+        assert!(lines[0].starts_with("fit/gravity4 "), "{trace}");
+        assert!(lines[2].starts_with("  read_jsonl "), "{trace}");
+        let folded = r.to_collapsed_stacks(true);
+        assert_eq!(folded, "fit/gravity4 1\nload 1\nload;read_jsonl 1\n");
+        let weights = r.to_collapsed_stacks(false);
+        let frames: Vec<&str> = weights
+            .lines()
+            .filter_map(|l| l.rsplit_once(' '))
+            .map(|(f, _)| f)
+            .collect();
+        assert_eq!(frames, ["fit/gravity4", "load", "load;read_jsonl"]);
     }
 
     #[test]
@@ -601,42 +430,9 @@ mod tests {
     }
 
     #[test]
-    fn trace_events_pair_begin_and_end_in_sequence_order() {
+    fn document_carries_the_manifest_section() {
         let r = MetricsRegistry::new();
-        {
-            let _a = r.span("load");
-            let _b = r.span("parse");
-        }
-        let events = r.trace_events();
-        let shape: Vec<(u64, &str, String)> = events
-            .iter()
-            .map(|e| (e.seq, e.phase.code(), e.path.clone()))
-            .collect();
-        assert_eq!(
-            shape,
-            vec![
-                (1, "B", "load".to_string()),
-                (2, "B", "load/parse".to_string()),
-                (3, "E", "load/parse".to_string()),
-                (4, "E", "load".to_string()),
-            ]
-        );
-        assert_eq!(lock(&r.trace).dropped(), 0);
-        // End events carry the span duration; begins do not.
-        assert_eq!(events[0].dur_ns, 0);
-        assert!(events[3].t_ns >= events[0].t_ns);
-    }
-
-    #[test]
-    fn document_carries_trace_and_manifest_sections() {
-        let r = MetricsRegistry::new();
-        {
-            let _s = r.span("stage");
-        }
-        let json = r.to_json();
-        assert!(json.contains("\"trace\": {"));
-        assert!(json.contains("\"phase\": \"B\""));
-        assert!(json.contains("\"manifest\": null"));
+        assert!(r.to_json().contains("\"manifest\": null"));
         r.set_manifest(RunManifest {
             subcommand: "fit".into(),
             outcome: "ok".into(),
@@ -648,7 +444,7 @@ mod tests {
     }
 
     #[test]
-    fn redacted_document_is_identical_across_runs_with_trace() {
+    fn redacted_document_is_identical_across_runs() {
         let run = || {
             let r = MetricsRegistry::new();
             {
@@ -667,21 +463,17 @@ mod tests {
         let b = run();
         assert_eq!(a.to_json_redacted(), b.to_json_redacted());
         let redacted = a.to_json_redacted();
-        assert!(redacted.contains("\"seq\": 0"));
-        assert!(redacted.contains("\"t_ns\": 0"));
         assert!(redacted.contains("\"threads\": 0"));
         assert!(redacted.contains("\"child_ns\": 0"));
         assert!(redacted.contains("\"self_ns\": 0"));
     }
 
     #[test]
-    fn redaction_zeroes_alloc_and_par_gauges() {
+    fn redaction_zeroes_par_gauges() {
         let r = MetricsRegistry::new();
-        r.gauge("alloc/load/peak_bytes").set(4096);
         r.gauge("par/trips/threads").set(8);
         r.gauge("odmatrix/cells").set(400);
         let redacted = r.to_json_redacted();
-        assert!(redacted.contains("\"alloc/load/peak_bytes\": 0"));
         assert!(redacted.contains("\"par/trips/threads\": 0"));
         assert!(redacted.contains("\"odmatrix/cells\": 400"));
     }
@@ -755,37 +547,5 @@ mod tests {
         std::hint::black_box((0..10_000u64).sum::<u64>());
         let second = t.elapsed_ns();
         assert!(second >= first, "{second} >= {first}");
-    }
-
-    #[test]
-    fn chrome_trace_and_collapsed_exports_come_from_the_registry() {
-        let r = MetricsRegistry::new();
-        {
-            let _a = r.span("fit");
-            let _b = r.span("gravity4");
-        }
-        let chrome = r.to_chrome_trace(false);
-        assert!(chrome.contains("\"name\": \"fit/gravity4\""));
-        let folded = r.to_collapsed_stacks(false);
-        assert!(folded.contains("fit;gravity4 "));
-        // Redacted exports are stable across identical runs.
-        let again = MetricsRegistry::new();
-        {
-            let _a = again.span("fit");
-            let _b = again.span("gravity4");
-        }
-        assert_eq!(r.to_chrome_trace(true), again.to_chrome_trace(true));
-        assert_eq!(r.to_collapsed_stacks(true), again.to_collapsed_stacks(true));
-    }
-
-    #[test]
-    fn trace_capacity_bounds_the_registry_buffer() {
-        let r = MetricsRegistry::new();
-        r.set_trace_capacity(2);
-        for _ in 0..3 {
-            let _s = r.span("s");
-        }
-        assert_eq!(r.trace_events().len(), 2);
-        assert_eq!(lock(&r.trace).dropped(), 4, "3 begins + 3 ends, 2 kept");
     }
 }

@@ -68,28 +68,14 @@ impl SpanStat {
     }
 }
 
-/// Upper bounds of the fixed per-span latency histogram, nanoseconds:
-/// 1 µs, 10 µs, 100 µs, 1 ms, 10 ms, 100 ms, 1 s, 10 s (+ overflow).
-pub const LATENCY_BOUNDS_NS: [u64; 8] = [
-    1_000,
-    10_000,
-    100_000,
-    1_000_000,
-    10_000_000,
-    100_000_000,
-    1_000_000_000,
-    10_000_000_000,
-];
-
 /// Upper bounds for request-serving latency histograms, nanoseconds:
 /// 50 µs, 200 µs, 1 ms, 5 ms, 20 ms, 100 ms, 500 ms, 2 s, 10 s, 30 s
-/// (+ overflow). Wider at the top than [`LATENCY_BOUNDS_NS`] on
-/// purpose: the first request against a cold artifact (page-faulting
-/// the geometry cache, warming allocator arenas) can take seconds, and
-/// a histogram whose last bound is below the cold-start cost silently
-/// under-reports p99 — the quantile saturates at the last finite bound
-/// (see `HistogramInner::quantile`), with only the rendered `overflow`
-/// count as a signal. These bounds keep cold-start requests inside the
+/// (+ overflow). Wide at the top on purpose: the first request against
+/// a cold artifact (page-faulting the geometry cache, warming allocator
+/// arenas) can take seconds, and a histogram whose last bound is below
+/// the cold-start cost silently under-reports p99 — the quantile
+/// saturates at the last finite bound (see `HistogramInner::quantile`),
+/// with only the rendered `overflow` count as a signal. These bounds keep cold-start requests inside the
 /// finite buckets so serve p99 stays honest.
 pub const SERVE_LATENCY_BOUNDS_NS: [u64; 10] = [
     50_000,
@@ -108,8 +94,8 @@ pub const SERVE_LATENCY_BOUNDS_NS: [u64; 10] = [
 /// duration *sample* (e.g. per-request latency in a serving loop)
 /// without holding a span open or touching `std::time::Instant`
 /// directly — this crate is the one place in the workspace sanctioned
-/// to read the wall clock, and the determinism lint's taint pass keys
-/// on `Instant`/`elapsed` tokens at call sites.
+/// to read the clock (clippy's `disallowed-methods` bans
+/// `Instant::now` everywhere else).
 ///
 /// Feed the result straight into a [`Histogram`](crate::Histogram) or
 /// counter; never format it into user-visible output on a
@@ -137,45 +123,70 @@ impl Timer {
     }
 }
 
+/// Where one span path sits in the span tree. Recorded when the path
+/// first opens, because `/` both joins nesting levels and appears inside
+/// span names (`fit/gravity4`), so the path alone cannot be split back.
+#[derive(Debug)]
+pub(crate) struct SpanNode {
+    /// The full nesting-prefixed path.
+    pub(crate) path: String,
+    /// The name the span was opened with: the path's own frame.
+    pub(crate) name: String,
+    /// How many spans enclosed it (0 for a top-level span).
+    pub(crate) depth: usize,
+}
+
+impl SpanNode {
+    /// The enclosing span's path, or `None` at the top level.
+    pub(crate) fn parent(&self) -> Option<&str> {
+        if self.depth == 0 {
+            return None;
+        }
+        self.path
+            .strip_suffix(self.name.as_str())?
+            .strip_suffix('/')
+    }
+}
+
 /// All spans a registry has seen: first-start order for trace rendering,
 /// alphabetical (`BTreeMap`) order for serialization.
 #[derive(Debug, Default)]
 pub(crate) struct SpanStore {
-    /// Full paths in the order each was first *started* — parents before
+    /// Each path in the order it was first *started* — parents before
     /// children, deterministic for a deterministic pipeline.
-    pub(crate) order: Vec<String>,
+    pub(crate) order: Vec<SpanNode>,
     pub(crate) stats: BTreeMap<String, SpanStat>,
-    /// Per-path latency histogram: one count per `LATENCY_BOUNDS_NS`
-    /// entry plus a trailing overflow cell.
-    pub(crate) latency: BTreeMap<String, [u64; LATENCY_BOUNDS_NS.len() + 1]>,
 }
 
 impl SpanStore {
-    pub(crate) fn note_start(&mut self, path: &str) {
+    /// Enters a path in `timing/spans` when it opens, so a span still open
+    /// when a run fails is visible (with zero calls).
+    pub(crate) fn note_start(&mut self, path: &str, name: &str, depth: usize) {
         if !self.stats.contains_key(path) {
-            self.order.push(path.to_string());
+            self.order.push(SpanNode {
+                path: path.to_string(),
+                name: name.to_string(),
+                depth,
+            });
             self.stats.insert(path.to_string(), SpanStat::default());
         }
     }
 
+    /// Folds one closed call into the path's record, which
+    /// [`SpanStore::note_start`] entered when the span opened.
     pub(crate) fn record(&mut self, path: &str, elapsed_ns: u64, child_ns: u64) {
-        self.stats
-            .entry(path.to_string())
-            .or_default()
-            .observe(elapsed_ns, child_ns);
-        let buckets = self
-            .latency
-            .entry(path.to_string())
-            .or_insert([0; LATENCY_BOUNDS_NS.len() + 1]);
-        let idx = LATENCY_BOUNDS_NS.partition_point(|&b| b < elapsed_ns);
-        buckets[idx] += 1;
+        if let Some(stat) = self.stats.get_mut(path) {
+            stat.observe(elapsed_ns, child_ns);
+        }
     }
 }
 
-/// Pushes `name` onto the thread's span stack, returning the full path.
-pub(crate) fn push_scope(name: &str) -> String {
+/// Pushes `name` onto the thread's span stack, returning the full path
+/// and its nesting depth.
+pub(crate) fn push_scope(name: &str) -> (String, usize) {
     SPAN_STACK.with(|stack| {
         let mut stack = stack.borrow_mut();
+        let depth = stack.len();
         let path = match stack.last() {
             Some(parent) => format!("{}/{name}", parent.path),
             None => name.to_string(),
@@ -184,7 +195,7 @@ pub(crate) fn push_scope(name: &str) -> String {
             path: path.clone(),
             child_ns: 0,
         });
-        path
+        (path, depth)
     })
 }
 
@@ -208,41 +219,16 @@ pub(crate) fn pop_scope(elapsed_ns: u64) -> u64 {
 #[must_use = "a span guard measures until dropped; binding it to `_` drops it immediately"]
 #[derive(Debug)]
 pub struct SpanGuard<'a> {
-    /// `None` for the no-op guard handed out while the registry is
-    /// disabled — no clock is read and nothing is recorded.
-    pub(crate) active: Option<(&'a MetricsRegistry, String, Instant)>,
-    /// Allocation counts at span open, for the per-span allocator
-    /// gauges. `None` when no counting allocator is installed.
-    #[cfg(feature = "alloc")]
-    pub(crate) alloc_at_open: Option<tweetmob_alloc::AllocSnapshot>,
-}
-
-impl SpanGuard<'_> {
-    /// The full (nesting-prefixed) path, or `None` for a no-op guard.
-    #[must_use]
-    pub fn path(&self) -> Option<&str> {
-        self.active.as_ref().map(|(_, p, _)| p.as_str())
-    }
+    pub(crate) registry: &'a MetricsRegistry,
+    pub(crate) path: String,
+    pub(crate) start: Instant,
 }
 
 impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
-        if let Some((registry, path, start)) = self.active.take() {
-            let elapsed = start.elapsed().as_nanos();
-            // u128→u64 ns saturates after ~584 years of elapsed time.
-            let elapsed_ns = u64::try_from(elapsed).unwrap_or(u64::MAX);
-            let child_ns = pop_scope(elapsed_ns);
-            registry.record_span(&path, elapsed_ns, child_ns);
-            #[cfg(feature = "alloc")]
-            if let Some(open) = self.alloc_at_open.take() {
-                let now = tweetmob_alloc::snapshot();
-                registry
-                    .gauge(&format!("alloc/{path}/allocations"))
-                    .set(i64::try_from(now.allocations.saturating_sub(open.allocations)).unwrap_or(i64::MAX));
-                registry
-                    .gauge(&format!("alloc/{path}/peak_bytes"))
-                    .set(i64::try_from(now.peak_bytes).unwrap_or(i64::MAX));
-            }
-        }
+        // u128→u64 ns saturates after ~584 years of elapsed time.
+        let elapsed_ns = u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        let child_ns = pop_scope(elapsed_ns);
+        self.registry.record_span(&self.path, elapsed_ns, child_ns);
     }
 }

@@ -1,170 +1,44 @@
-//! Deterministic trace events: a bounded, sequence-ordered ring buffer
-//! of span begin/end events plus the exporters built over it.
+//! Text renderings of the span tree, both read from the aggregated
+//! [`SpanStat`](crate::SpanStat)s in first-start order:
 //!
-//! Unlike the aggregated [`crate::SpanStat`] timings, trace events
-//! preserve *order*: every span open and close appends one event
-//! carrying a monotonically increasing sequence number. Ordering is by
-//! sequence, never by wall clock — for a deterministic pipeline the
-//! event stream (paths, phases, sequence) is identical run to run and
-//! across thread counts; only the `t_ns`/`dur_ns` duration fields vary,
-//! and the redacted exports zero exactly those (plus the sequence
-//! numbers, so a redacted document carries no covert channel for
-//! execution shape).
-//!
-//! Two export formats:
-//!
-//! * **Chrome trace** ([`render_chrome_trace`]) — the `trace_event`
-//!   JSON consumed by `chrome://tracing` / Perfetto: one complete
-//!   (`"ph": "X"`) event per span close.
+//! * **Tree** ([`render_tree`]) — the `--trace` output: one line per
+//!   path, indented by nesting depth, with total time and call count.
 //! * **Collapsed stacks** ([`render_collapsed`]) — the
 //!   `frame;frame;frame weight` lines consumed by flamegraph tooling,
 //!   weighted by span *self time* (time not attributed to a child
 //!   span); the redacted variant weights by call count instead.
 //!
-//! The buffer is bounded (default [`DEFAULT_TRACE_CAPACITY`] events):
-//! when full, the oldest events are dropped and counted, so a
-//! pathological span storm can never exhaust memory.
+//! Frames are the names spans were opened with, so a top-level
+//! `fit/gravity4` stays one frame and one unindented line.
 
-use crate::span::SpanStat;
-use std::collections::VecDeque;
-use crate::json::Json;
+use crate::span::SpanStore;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// Default ring-buffer capacity, in events. Pipeline runs produce a few
-/// hundred events; the headroom is for future per-window streaming
-/// stages.
-pub const DEFAULT_TRACE_CAPACITY: usize = 4096;
-
-/// Which side of a span an event marks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TracePhase {
-    /// The span opened.
-    Begin,
-    /// The span closed; the event carries the span's duration.
-    End,
-}
-
-impl TracePhase {
-    /// The single-letter phase code used in exports ("B" / "E").
-    #[must_use]
-    pub fn code(self) -> &'static str {
-        match self {
-            TracePhase::Begin => "B",
-            TracePhase::End => "E",
-        }
+/// Renders the span tree as human-readable text, one line per path in
+/// first-start order, indented by nesting depth.
+pub(crate) fn render_tree(spans: &SpanStore) -> String {
+    if spans.order.is_empty() {
+        return String::from("(no spans recorded)\n");
     }
-}
-
-/// One recorded span transition.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// Position in the global event order, starting at 1. Deterministic
-    /// for a deterministic pipeline; zeroed by redacted exports.
-    pub seq: u64,
-    /// Open or close.
-    pub phase: TracePhase,
-    /// Full nesting-prefixed span path.
-    pub path: String,
-    /// Nanoseconds since the registry first recorded an event
-    /// (duration data — varies run to run).
-    pub t_ns: u64,
-    /// Span duration for [`TracePhase::End`] events, zero for begins.
-    pub dur_ns: u64,
-}
-
-/// The bounded event buffer attached to a registry's span store.
-#[derive(Debug)]
-pub(crate) struct TraceBuffer {
-    capacity: usize,
-    next_seq: u64,
-    dropped: u64,
-    events: VecDeque<TraceEvent>,
-}
-
-impl Default for TraceBuffer {
-    fn default() -> Self {
-        Self {
-            capacity: DEFAULT_TRACE_CAPACITY,
-            next_seq: 1,
-            dropped: 0,
-            events: VecDeque::new(),
-        }
+    let mut out = String::new();
+    for node in &spans.order {
+        let Some(stat) = spans.stats.get(&node.path) else {
+            continue;
+        };
+        let indent = node.depth * 2;
+        let pad = 40usize.saturating_sub(indent + node.name.len());
+        let _ = writeln!(
+            out,
+            "{:indent$}{}{:pad$} {:>10}  x{}",
+            "",
+            node.name,
+            "",
+            format_ns(stat.total_ns),
+            stat.calls,
+        );
     }
-}
-
-impl TraceBuffer {
-    pub(crate) fn record(&mut self, phase: TracePhase, path: &str, t_ns: u64, dur_ns: u64) {
-        if self.capacity == 0 {
-            self.dropped += 1;
-            self.next_seq += 1;
-            return;
-        }
-        while self.events.len() >= self.capacity {
-            self.events.pop_front();
-            self.dropped += 1;
-        }
-        self.events.push_back(TraceEvent {
-            seq: self.next_seq,
-            phase,
-            path: path.to_string(),
-            t_ns,
-            dur_ns,
-        });
-        self.next_seq += 1;
-    }
-
-    pub(crate) fn set_capacity(&mut self, capacity: usize) {
-        self.capacity = capacity;
-        while self.events.len() > capacity {
-            self.events.pop_front();
-            self.dropped += 1;
-        }
-    }
-
-    pub(crate) fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    pub(crate) fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    pub(crate) fn events(&self) -> Vec<TraceEvent> {
-        self.events.iter().cloned().collect()
-    }
-}
-
-/// Renders events as a Chrome `trace_event` document (the format
-/// `chrome://tracing` and Perfetto load): one complete (`"ph": "X"`)
-/// event per span close, timestamps in microseconds. Under `redact`,
-/// `ts` becomes the event's sequence number and `dur` zero, so two
-/// same-seed runs render byte-identically while the viewer still shows
-/// the true ordering.
-#[must_use]
-pub fn render_chrome_trace(events: &[TraceEvent], redact: bool) -> String {
-    let events = events
-        .iter()
-        .filter(|e| e.phase == TracePhase::End)
-        .map(|e| {
-            let (ts_us, dur_us) = if redact {
-                (e.seq, 0)
-            } else {
-                (e.t_ns.saturating_sub(e.dur_ns) / 1_000, e.dur_ns / 1_000)
-            };
-            Json::obj([
-                ("args", Json::obj([("seq", if redact { 0 } else { e.seq }.into())])),
-                ("cat", "span".into()),
-                ("dur", dur_us.into()),
-                ("name", e.path.as_str().into()),
-                ("ph", "X".into()),
-                ("pid", 1u64.into()),
-                ("tid", 1u64.into()),
-                ("ts", ts_us.into()),
-            ])
-        })
-        .collect();
-    let doc = Json::obj([("displayTimeUnit", "ms".into()), ("traceEvents", Json::Arr(events))]);
-    doc.to_pretty() + "\n"
+    out
 }
 
 /// Renders span aggregates as collapsed stacks (`a;b;c weight`, one
@@ -172,123 +46,77 @@ pub fn render_chrome_trace(events: &[TraceEvent], redact: bool) -> String {
 /// weight is the span's *self time* in nanoseconds — total minus the
 /// time attributed to child spans — or, under `redact`, its call count
 /// (deterministic, so redacted flamegraphs compare byte-for-byte).
-#[must_use]
-pub fn render_collapsed(order: &[String], stats: &[(String, SpanStat)], redact: bool) -> String {
+pub(crate) fn render_collapsed(spans: &SpanStore, redact: bool) -> String {
+    // A parent always opens before its children, so its stack is known
+    // by the time a child's line is rendered.
+    let mut stacks: BTreeMap<&str, String> = BTreeMap::new();
     let mut out = String::new();
-    for path in order {
-        let Some((_, stat)) = stats.iter().find(|(p, _)| p == path) else {
-            continue;
+    for node in &spans.order {
+        let stack = match node.parent().and_then(|p| stacks.get(p)) {
+            Some(parent) => format!("{parent};{}", node.name),
+            None => node.name.clone(),
         };
-        let weight = if redact {
-            stat.calls
-        } else {
-            stat.total_ns.saturating_sub(stat.child_ns)
-        };
-        let frames = path.replace('/', ";");
-        let _ = writeln!(out, "{frames} {weight}");
+        if let Some(stat) = spans.stats.get(&node.path) {
+            let weight = if redact { stat.calls } else { stat.self_ns() };
+            let _ = writeln!(out, "{stack} {weight}");
+        }
+        stacks.insert(&node.path, stack);
     }
     out
+}
+
+/// Formats nanoseconds as a human-friendly duration.
+fn format_ns(ns: u64) -> String {
+    if ns >= 1_000_000_000 {
+        format!("{:.2} s", ns as f64 / 1e9)
+    } else if ns >= 1_000_000 {
+        format!("{:.2} ms", ns as f64 / 1e6)
+    } else if ns >= 1_000 {
+        format!("{:.1} µs", ns as f64 / 1e3)
+    } else {
+        format!("{ns} ns")
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SpanStat;
 
-    fn event(seq: u64, phase: TracePhase, path: &str, t_ns: u64, dur_ns: u64) -> TraceEvent {
-        TraceEvent {
-            seq,
-            phase,
-            path: path.to_string(),
-            t_ns,
-            dur_ns,
+    fn store(nodes: &[(&str, &str, usize, SpanStat)]) -> SpanStore {
+        let mut spans = SpanStore::default();
+        for &(path, name, depth, stat) in nodes {
+            spans.note_start(path, name, depth);
+            spans.stats.insert(path.to_string(), stat);
         }
+        spans
     }
 
-    #[test]
-    fn ring_buffer_drops_oldest_and_counts() {
-        let mut buf = TraceBuffer::default();
-        buf.set_capacity(3);
-        for i in 0..5 {
-            buf.record(TracePhase::Begin, &format!("s{i}"), i, 0);
+    fn stat(calls: u64, total_ns: u64, child_ns: u64) -> SpanStat {
+        SpanStat {
+            calls,
+            total_ns,
+            min_ns: 0,
+            max_ns: 0,
+            child_ns,
         }
-        assert_eq!(buf.dropped(), 2);
-        let events = buf.events();
-        assert_eq!(events.len(), 3);
-        assert_eq!(events[0].path, "s2");
-        assert_eq!(events[0].seq, 3);
-        assert_eq!(events[2].seq, 5);
-    }
-
-    #[test]
-    fn shrinking_capacity_trims_front() {
-        let mut buf = TraceBuffer::default();
-        for i in 0..4 {
-            buf.record(TracePhase::Begin, "s", i, 0);
-        }
-        buf.set_capacity(2);
-        assert_eq!(buf.events().len(), 2);
-        assert_eq!(buf.dropped(), 2);
-        buf.set_capacity(0);
-        assert!(buf.events().is_empty());
-        buf.record(TracePhase::Begin, "s", 9, 0);
-        assert!(buf.events().is_empty());
-        assert_eq!(buf.dropped(), 5);
-    }
-
-    #[test]
-    fn chrome_trace_exports_complete_events() {
-        let events = vec![
-            event(1, TracePhase::Begin, "load", 0, 0),
-            event(2, TracePhase::End, "load", 5_000, 5_000),
-        ];
-        let json = render_chrome_trace(&events, false);
-        assert!(json.contains("\"name\": \"load\""));
-        assert!(json.contains("\"ph\": \"X\""));
-        assert!(json.contains("\"dur\": 5"));
-        assert!(json.contains("\"ts\": 0"));
-        // Begins are folded into the complete event, not exported.
-        assert_eq!(json.matches("\"name\"").count(), 1);
-    }
-
-    #[test]
-    fn redacted_chrome_trace_is_duration_free_and_stable() {
-        let a = vec![event(2, TracePhase::End, "fit", 7_000, 6_000)];
-        let b = vec![event(2, TracePhase::End, "fit", 9_999, 8_888)];
-        let ra = render_chrome_trace(&a, true);
-        assert_eq!(ra, render_chrome_trace(&b, true));
-        assert!(ra.contains("\"ts\": 2"), "redacted ts is the sequence");
-        assert!(ra.contains("\"dur\": 0"));
-        assert!(ra.contains("\"seq\": 0"));
     }
 
     #[test]
     fn collapsed_weights_by_self_time_or_calls() {
-        let order = vec!["a".to_string(), "a/b".to_string()];
-        let stats = vec![
-            (
-                "a".to_string(),
-                SpanStat {
-                    calls: 1,
-                    total_ns: 100,
-                    min_ns: 100,
-                    max_ns: 100,
-                    child_ns: 60,
-                },
-            ),
-            (
-                "a/b".to_string(),
-                SpanStat {
-                    calls: 2,
-                    total_ns: 60,
-                    min_ns: 20,
-                    max_ns: 40,
-                    child_ns: 0,
-                },
-            ),
-        ];
-        let full = render_collapsed(&order, &stats, false);
-        assert_eq!(full, "a 40\na;b 60\n");
-        let redacted = render_collapsed(&order, &stats, true);
-        assert_eq!(redacted, "a 1\na;b 2\n");
+        let spans = store(&[
+            ("a", "a", 0, stat(1, 100, 60)),
+            ("a/b", "b", 1, stat(2, 60, 0)),
+        ]);
+        assert_eq!(render_collapsed(&spans, false), "a 40\na;b 60\n");
+        assert_eq!(render_collapsed(&spans, true), "a 1\na;b 2\n");
+    }
+
+    #[test]
+    fn format_ns_scales_units() {
+        assert_eq!(format_ns(500), "500 ns");
+        assert_eq!(format_ns(1_500), "1.5 µs");
+        assert_eq!(format_ns(2_000_000), "2.00 ms");
+        assert_eq!(format_ns(3_000_000_000), "3.00 s");
     }
 }

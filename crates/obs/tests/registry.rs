@@ -2,20 +2,28 @@
 //! document is valid, deterministic (`BTreeMap`-ordered, no wall-clock
 //! fields), and histogram/span edge cases serialize sanely.
 
-use tweetmob_obs::{Json, MetricsRegistry, LATENCY_BOUNDS_NS};
+use tweetmob_obs::{Json, MetricsRegistry};
 
 #[test]
 fn empty_registry_serializes_to_a_valid_document() {
     let registry = MetricsRegistry::new();
     let json = registry.to_json();
     let doc = Json::parse(&json).expect("valid JSON");
-    for section in ["counters", "gauges", "histograms", "manifest", "timing", "trace"] {
-        assert!(doc.get(section).is_some(), "missing section {section}");
-    }
+    let sections: Vec<&str> = doc
+        .as_object()
+        .expect("object")
+        .keys()
+        .map(String::as_str)
+        .collect();
+    assert_eq!(
+        sections,
+        ["counters", "gauges", "histograms", "manifest", "timing"]
+    );
+    let timing: Vec<&String> = doc["timing"].as_object().expect("object").keys().collect();
+    assert_eq!(timing, ["spans"]);
     assert_eq!(doc["counters"], Json::obj([]));
     assert_eq!(doc["timing"]["spans"], Json::obj([]));
     assert_eq!(doc["manifest"], Json::Null);
-    assert_eq!(doc["trace"]["events"], Json::Arr(vec![]));
     // An empty registry is trivially run-stable.
     assert_eq!(json, MetricsRegistry::new().to_json());
 }
@@ -140,33 +148,6 @@ fn nested_span_ordering_is_deterministic_across_two_runs() {
         full["timing"]["spans"]["load"]["calls"],
         redacted["timing"]["spans"]["load"]["calls"]
     );
-}
-
-#[test]
-fn redaction_zeroes_duration_gauges_but_keeps_the_rest() {
-    let registry = MetricsRegistry::new();
-    registry.gauge("cache/pairgeo/build_ns").set(123_456);
-    registry.gauge("odmatrix/cells").set(400);
-    let full = Json::parse(&registry.to_json()).expect("valid");
-    let redacted = Json::parse(&registry.to_json_redacted()).expect("valid");
-    assert_eq!(full["gauges"]["cache/pairgeo/build_ns"], 123_456);
-    assert_eq!(
-        redacted["gauges"]["cache/pairgeo/build_ns"], 0,
-        "`_ns` gauges are duration data and must redact"
-    );
-    assert_eq!(redacted["gauges"]["odmatrix/cells"], 400);
-}
-
-#[test]
-fn latency_histogram_buckets_cover_every_span_call() {
-    let registry = identical_run();
-    let doc = Json::parse(&registry.to_json()).expect("valid");
-    let lat = doc["timing"]["latency_ns"]["load"]
-        .as_array()
-        .expect("array");
-    assert_eq!(lat.len(), LATENCY_BOUNDS_NS.len() + 1);
-    let total: u64 = lat.iter().map(|v| v.as_u64().unwrap_or(0)).sum();
-    assert_eq!(total, 1, "one `load` call, one latency sample");
 }
 
 #[test]

@@ -32,7 +32,7 @@ impl Heatmap {
     /// Maps `log10(count)/log10(max)` to a white→orange→dark-red ramp
     /// (hex colour). Zero counts map to a pale ocean blue so land/sea
     /// structure reads like the paper's figure.
-    pub fn color_for(count: u64, max: u64) -> String {
+    fn color_for(count: u64, max: u64) -> String {
         if count == 0 {
             return "#eef4fb".to_string();
         }

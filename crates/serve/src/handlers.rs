@@ -56,13 +56,13 @@ impl ApiError {
 
     /// `404 Not Found`.
     #[must_use]
-    pub fn not_found(message: String) -> Self {
+    fn not_found(message: String) -> Self {
         ApiError { status: 404, message }
     }
 
     /// `405 Method Not Allowed`.
     #[must_use]
-    pub fn method_not_allowed(method: &str, path: &str, allowed: &str) -> Self {
+    fn method_not_allowed(method: &str, path: &str, allowed: &str) -> Self {
         ApiError {
             status: 405,
             message: format!("{method} is not supported on {path}; use {allowed}"),

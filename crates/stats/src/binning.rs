@@ -2,8 +2,7 @@
 //!
 //! The paper's Figure 2 plots log-binned probability densities spanning
 //! eight-plus decades, and Figure 4's red dots are "the averaged values in
-//! the bins after logarithmic binning". Both operations live here, plus
-//! the empirical CCDF used to sanity-check heavy tails.
+//! the bins after logarithmic binning". Both operations live here.
 
 use crate::{Result, StatsError};
 
@@ -103,7 +102,7 @@ impl LogBins {
 
     /// Bin index of `x`, or `None` when `x` is outside `[min, max]` or not
     /// positive. The final bin includes its upper edge.
-    pub fn index_of(&self, x: f64) -> Option<usize> {
+    fn index_of(&self, x: f64) -> Option<usize> {
         if !(x > 0.0) || !x.is_finite() {
             return None;
         }
@@ -182,31 +181,6 @@ impl LogBins {
         }
         Ok(bins)
     }
-}
-
-/// Empirical complementary CDF: returns `(value, P(X ≥ value))` pairs at
-/// each distinct sample value, descending in probability. Useful for
-/// eyeballing heavy tails without binning artefacts.
-pub fn ccdf(xs: &[f64]) -> Vec<(f64, f64)> {
-    let mut sorted: Vec<f64> = xs.iter().copied().filter(|v| v.is_finite()).collect();
-    if sorted.is_empty() {
-        return Vec::new();
-    }
-    sorted.sort_by(f64::total_cmp);
-    let n = sorted.len() as f64;
-    let mut out: Vec<(f64, f64)> = Vec::new();
-    let mut i = 0;
-    while i < sorted.len() {
-        let v = sorted[i];
-        // P(X >= v) = (count of samples >= v) / n
-        out.push((v, (sorted.len() - i) as f64 / n));
-        let mut j = i + 1;
-        while j < sorted.len() && sorted[j] == v {
-            j += 1;
-        }
-        i = j;
-    }
-    out
 }
 
 #[cfg(test)]
@@ -337,30 +311,5 @@ mod tests {
         let pdf = b.pdf(&[]);
         assert!((pdf[0].center - (1.0f64 * 10.0).sqrt()).abs() < 1e-9);
         assert!((pdf[1].center - (10.0f64 * 100.0).sqrt()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn ccdf_basic_properties() {
-        let c = ccdf(&[1.0, 2.0, 2.0, 3.0]);
-        assert_eq!(c.len(), 3); // distinct values
-        assert_eq!(c[0], (1.0, 1.0)); // P(X >= min) = 1
-        assert_eq!(c[1], (2.0, 0.75));
-        assert_eq!(c[2], (3.0, 0.25));
-    }
-
-    #[test]
-    fn ccdf_monotone_decreasing() {
-        let xs: Vec<f64> = (0..100).map(|i| ((i * 37) % 50) as f64).collect();
-        let c = ccdf(&xs);
-        for w in c.windows(2) {
-            assert!(w[0].0 < w[1].0);
-            assert!(w[0].1 > w[1].1);
-        }
-    }
-
-    #[test]
-    fn ccdf_empty_and_nan() {
-        assert!(ccdf(&[]).is_empty());
-        assert_eq!(ccdf(&[f64::NAN, 2.0]).len(), 1);
     }
 }

@@ -6,30 +6,30 @@
 //! invariant checks the rest of the workspace threads through its
 //! numeric hot paths:
 //!
-//! * [`assert_finite`] — the value is neither NaN nor ±∞;
-//! * [`assert_nonneg`] — finite and `>= 0` (counts, distances, flows);
-//! * [`assert_prob`] — finite and in `[0, 1]` (rates, shares, p-values).
+//! * [`debug_assert_finite`] — the value is neither NaN nor ±∞;
+//! * [`debug_assert_nonneg`] — finite and `>= 0` (counts, distances, flows);
+//! * [`debug_assert_prob`] — finite and in `[0, 1]` (rates, shares, p-values);
+//! * [`debug_assert_finite_slice`] — every element is finite.
 //!
-//! Each check returns its input so it can wrap an expression in place:
+//! Each value check returns its input so it can wrap an expression in
+//! place:
 //!
 //! ```
-//! use tweetmob_stats::check::assert_prob;
+//! use tweetmob_stats::check::debug_assert_prob;
 //!
 //! let hits = 3.0;
 //! let used = 4.0;
-//! let rate = assert_prob(hits / used, "hit rate");
+//! let rate = debug_assert_prob(hits / used, "hit rate");
 //! assert_eq!(rate, 0.75);
 //! ```
 //!
-//! The `debug_` variants compile to a pass-through in release builds —
-//! use them on per-observation hot loops (OD-matrix assembly, model
-//! prediction) where a release-mode branch per value is not acceptable;
-//! use the unprefixed variants at API boundaries that run once per fit
-//! or per report.
+//! The checks compile to a pass-through in release builds, so they fit
+//! per-observation hot loops (OD-matrix assembly, model prediction)
+//! where a release-mode branch per value is not acceptable.
 //!
-//! All checks panic on violation: a failed invariant here is a bug in
-//! the caller (or corrupt upstream data), never a recoverable condition
-//! — recoverable validation belongs to [`crate::StatsError`].
+//! A check panics on violation: a failed invariant here is a bug in the
+//! caller (or corrupt upstream data), never a recoverable condition —
+//! recoverable validation belongs to [`crate::StatsError`].
 
 /// Asserts that `value` is finite (not NaN, not ±∞) and returns it.
 ///
@@ -38,7 +38,7 @@
 /// If `value` is NaN or infinite; `what` names the quantity in the
 /// panic message.
 #[must_use = "the checked value should be used; call only for its side effect via `let _ =` if not"]
-pub fn assert_finite(value: f64, what: &str) -> f64 {
+fn assert_finite(value: f64, what: &str) -> f64 {
     assert!(
         value.is_finite(),
         "numeric invariant violated: {what} must be finite, got {value}"
@@ -52,7 +52,7 @@ pub fn assert_finite(value: f64, what: &str) -> f64 {
 ///
 /// If `value` is NaN, infinite or negative.
 #[must_use = "the checked value should be used; call only for its side effect via `let _ =` if not"]
-pub fn assert_nonneg(value: f64, what: &str) -> f64 {
+fn assert_nonneg(value: f64, what: &str) -> f64 {
     assert!(
         value.is_finite() && value >= 0.0,
         "numeric invariant violated: {what} must be finite and >= 0, got {value}"
@@ -67,7 +67,7 @@ pub fn assert_nonneg(value: f64, what: &str) -> f64 {
 ///
 /// If `value` is NaN, infinite or outside `[0, 1]`.
 #[must_use = "the checked value should be used; call only for its side effect via `let _ =` if not"]
-pub fn assert_prob(value: f64, what: &str) -> f64 {
+fn assert_prob(value: f64, what: &str) -> f64 {
     assert!(
         value.is_finite() && (0.0..=1.0).contains(&value),
         "numeric invariant violated: {what} must be a probability in [0, 1], got {value}"
@@ -80,7 +80,7 @@ pub fn assert_prob(value: f64, what: &str) -> f64 {
 /// # Panics
 ///
 /// On the first NaN/±∞ element, reporting its index.
-pub fn assert_finite_slice(values: &[f64], what: &str) {
+fn assert_finite_slice(values: &[f64], what: &str) {
     for (i, &v) in values.iter().enumerate() {
         assert!(
             v.is_finite(),
@@ -89,7 +89,8 @@ pub fn assert_finite_slice(values: &[f64], what: &str) {
     }
 }
 
-/// [`assert_finite`] in debug builds; a pass-through in release builds.
+/// Asserts in debug builds that `value` is finite (not NaN, not ±∞);
+/// a pass-through in release builds.
 #[inline]
 #[must_use = "the checked value should be used; call only for its side effect via `let _ =` if not"]
 pub fn debug_assert_finite(value: f64, what: &str) -> f64 {
@@ -100,7 +101,8 @@ pub fn debug_assert_finite(value: f64, what: &str) -> f64 {
     }
 }
 
-/// [`assert_nonneg`] in debug builds; a pass-through in release builds.
+/// Asserts in debug builds that `value` is finite and non-negative; a
+/// pass-through in release builds.
 #[inline]
 #[must_use = "the checked value should be used; call only for its side effect via `let _ =` if not"]
 pub fn debug_assert_nonneg(value: f64, what: &str) -> f64 {
@@ -111,7 +113,8 @@ pub fn debug_assert_nonneg(value: f64, what: &str) -> f64 {
     }
 }
 
-/// [`assert_prob`] in debug builds; a pass-through in release builds.
+/// Asserts in debug builds that `value` is a probability — finite and
+/// in `[0, 1]`; a pass-through in release builds.
 #[inline]
 #[must_use = "the checked value should be used; call only for its side effect via `let _ =` if not"]
 pub fn debug_assert_prob(value: f64, what: &str) -> f64 {
@@ -122,7 +125,8 @@ pub fn debug_assert_prob(value: f64, what: &str) -> f64 {
     }
 }
 
-/// [`assert_finite_slice`] in debug builds; a no-op in release builds.
+/// Asserts in debug builds that every element of `values` is finite,
+/// reporting the first offending index; a no-op in release builds.
 #[inline]
 pub fn debug_assert_finite_slice(values: &[f64], what: &str) {
     if cfg!(debug_assertions) {

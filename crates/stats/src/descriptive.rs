@@ -40,15 +40,6 @@ pub fn variance(xs: &[f64]) -> Result<f64> {
     Ok(m2 / (xs.len() - 1) as f64)
 }
 
-/// Sample standard deviation (square root of [`variance`]).
-///
-/// # Errors
-///
-/// Same as [`variance`].
-pub fn std_dev(xs: &[f64]) -> Result<f64> {
-    variance(xs).map(f64::sqrt)
-}
-
 /// Linear-interpolation quantile (type-7, the NumPy/R default).
 /// `q` must be in `[0, 1]`.
 ///
@@ -83,57 +74,6 @@ pub fn quantile(xs: &[f64], q: f64) -> Result<f64> {
 /// Same as [`quantile`].
 pub fn median(xs: &[f64]) -> Result<f64> {
     quantile(xs, 0.5)
-}
-
-/// A one-pass numeric summary of a sample.
-#[derive(Debug, Clone, PartialEq)]
-#[must_use = "a summary is pure data; dropping it discards the statistics"]
-pub struct Summary {
-    /// Sample size.
-    pub n: usize,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Sample standard deviation (NaN when `n < 2`).
-    pub std_dev: f64,
-    /// Minimum value.
-    pub min: f64,
-    /// Maximum value.
-    pub max: f64,
-    /// Median.
-    pub median: f64,
-}
-
-impl Summary {
-    /// Computes the summary.
-    ///
-    /// # Errors
-    ///
-    /// Empty or non-finite input.
-    pub fn of(xs: &[f64]) -> Result<Self> {
-        if xs.is_empty() {
-            return Err(StatsError::TooFewSamples { needed: 1, got: 0 });
-        }
-        check_finite(xs)?;
-        let mean = mean(xs)?;
-        let std_dev = if xs.len() >= 2 {
-            std_dev(xs)?
-        } else {
-            f64::NAN
-        };
-        let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
-        for &x in xs {
-            min = min.min(x);
-            max = max.max(x);
-        }
-        Ok(Self {
-            n: xs.len(),
-            mean,
-            std_dev,
-            min,
-            max,
-            median: median(xs)?,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -172,12 +112,6 @@ mod tests {
     }
 
     #[test]
-    fn std_dev_is_sqrt_variance() {
-        let xs = [1.0, 2.0, 3.0, 4.0];
-        assert!((std_dev(&xs).unwrap().powi(2) - variance(&xs).unwrap()).abs() < 1e-12);
-    }
-
-    #[test]
     fn quantile_type7_matches_numpy() {
         let xs = [1.0, 2.0, 3.0, 4.0];
         // numpy.percentile([1,2,3,4], 25) = 1.75
@@ -204,24 +138,5 @@ mod tests {
     fn median_odd_even() {
         assert_eq!(median(&[3.0, 1.0, 2.0]).unwrap(), 2.0);
         assert_eq!(median(&[4.0, 1.0, 3.0, 2.0]).unwrap(), 2.5);
-    }
-
-    #[test]
-    fn summary_fields_consistent() {
-        let xs = [4.0, 1.0, 3.0, 2.0, 5.0];
-        let s = Summary::of(&xs).unwrap();
-        assert_eq!(s.n, 5);
-        assert_eq!(s.mean, 3.0);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 5.0);
-        assert_eq!(s.median, 3.0);
-        assert!((s.std_dev - 2.5f64.sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn summary_single_sample_has_nan_std() {
-        let s = Summary::of(&[7.0]).unwrap();
-        assert_eq!(s.mean, 7.0);
-        assert!(s.std_dev.is_nan());
     }
 }

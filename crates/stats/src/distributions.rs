@@ -1,35 +1,8 @@
 //! Probability distributions needed by the hypothesis tests: Student-t and
-//! the standard normal.
+//! Kolmogorov–Smirnov.
 
-use crate::special::{erfc, inc_beta};
+use crate::special::inc_beta;
 use crate::{Result, StatsError};
-
-/// Standard normal survival function `1 − Φ(x)`, computed without
-/// cancellation in the far tail.
-pub fn normal_sf(x: f64) -> f64 {
-    0.5 * erfc(x / std::f64::consts::SQRT_2)
-}
-
-/// Student-t CDF with `df` degrees of freedom.
-///
-/// Uses the incomplete-beta identity
-/// `P(T ≤ t) = 1 − ½ I_{df/(df+t²)}(df/2, 1/2)` for `t ≥ 0` and symmetry
-/// for `t < 0`.
-///
-/// # Errors
-///
-/// [`StatsError::Degenerate`] for `df ≤ 0`.
-pub fn student_t_cdf(t: f64, df: f64) -> Result<f64> {
-    if df <= 0.0 || df.is_nan() {
-        return Err(StatsError::Degenerate("student t requires df > 0"));
-    }
-    if t.is_nan() {
-        return Ok(f64::NAN);
-    }
-    let x = df / (df + t * t);
-    let tail = 0.5 * inc_beta(df / 2.0, 0.5, x);
-    Ok(if t >= 0.0 { 1.0 - tail } else { tail })
-}
 
 /// Two-tailed p-value for a t statistic: `P(|T| ≥ |t|)`.
 ///
@@ -120,44 +93,6 @@ mod tests {
     }
 
     #[test]
-    fn normal_sf_tail_accuracy() {
-        // SciPy norm.sf(6) = 9.865876450376946e-10
-        let got = normal_sf(6.0);
-        let want = 9.865_876_450_376_946e-10;
-        assert!((got - want).abs() / want < 1e-6, "got {got}");
-    }
-
-    #[test]
-    fn t_cdf_symmetry_and_median() {
-        for df in [1.0, 5.0, 30.0] {
-            close(student_t_cdf(0.0, df).unwrap(), 0.5, 1e-14);
-            for t in [0.5, 1.0, 2.5] {
-                let upper = student_t_cdf(t, df).unwrap();
-                let lower = student_t_cdf(-t, df).unwrap();
-                close(upper + lower, 1.0, 1e-13);
-            }
-        }
-    }
-
-    #[test]
-    fn t_cdf_reference_values() {
-        // SciPy t.cdf(2.0, 10) = 0.9633059826146299
-        close(
-            student_t_cdf(2.0, 10.0).unwrap(),
-            0.963_305_982_614_629_9,
-            1e-12,
-        );
-        // t.cdf(1.0, 1) = 0.75 (Cauchy)
-        close(student_t_cdf(1.0, 1.0).unwrap(), 0.75, 1e-12);
-        // Large df approaches the normal.
-        close(
-            student_t_cdf(1.96, 1e6).unwrap(),
-            1.0 - normal_sf(1.96),
-            1e-5,
-        );
-    }
-
-    #[test]
     fn t_two_tailed_reference_values() {
         // SciPy 2*t.sf(2.0, 10) = 0.07338803477074023
         close(
@@ -180,14 +115,13 @@ mod tests {
 
     #[test]
     fn t_functions_reject_bad_df() {
-        assert!(student_t_cdf(1.0, 0.0).is_err());
-        assert!(student_t_cdf(1.0, -3.0).is_err());
+        assert!(student_t_two_tailed(1.0, 0.0).is_err());
+        assert!(student_t_two_tailed(1.0, -3.0).is_err());
         assert!(student_t_two_tailed(1.0, f64::NAN).is_err());
     }
 
     #[test]
     fn t_nan_statistic_propagates() {
-        assert!(student_t_cdf(f64::NAN, 5.0).unwrap().is_nan());
         assert!(student_t_two_tailed(f64::NAN, 5.0).unwrap().is_nan());
     }
 

@@ -2,7 +2,7 @@
 //!
 //! From-scratch statistics substrate for the `tweetmob` workspace. No
 //! external math dependencies: special functions (ln-gamma, regularised
-//! incomplete beta, erf) are implemented here and everything else builds on
+//! incomplete beta) are implemented here and everything else builds on
 //! them.
 //!
 //! The paper needs, and this crate provides:

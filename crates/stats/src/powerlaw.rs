@@ -116,20 +116,16 @@ fn ks_distance_tail(tail: &mut [f64], xmin: f64, alpha: f64) -> f64 {
     ks
 }
 
-/// Draws one Pareto (continuous power-law) sample from a uniform variate
-/// `u ∈ (0, 1)`: `x = xmin · (1 − u)^(−1/(α−1))`.
-///
-/// Deterministic helper used by tests and the synthetic generator (which
-/// supplies its own RNG).
-#[inline]
-pub fn pareto_inverse_cdf(u: f64, xmin: f64, alpha: f64) -> f64 {
-    xmin * (1.0 - u).powf(-1.0 / (alpha - 1.0))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rng::SplitMix64;
+
+    /// One Pareto sample from a uniform variate `u ∈ (0, 1)`:
+    /// `x = xmin · (1 − u)^(−1/(α−1))`.
+    fn pareto_inverse_cdf(u: f64, xmin: f64, alpha: f64) -> f64 {
+        xmin * (1.0 - u).powf(-1.0 / (alpha - 1.0))
+    }
 
     fn pareto_sample(n: usize, xmin: f64, alpha: f64, seed: u64) -> Vec<f64> {
         let mut rng = SplitMix64::new(seed);

@@ -1,9 +1,8 @@
-//! Special functions: ln-gamma, regularised incomplete beta, erf.
+//! Special functions: ln-gamma and the regularised incomplete beta.
 //!
 //! Implemented from scratch (DESIGN.md §5): Lanczos approximation for
-//! ln-gamma, Lentz continued fractions for the incomplete beta, and the
-//! Abramowitz & Stegun 7.1.26-style rational approximation refined to a
-//! higher-order series for erf. Accuracy targets: ~1e-12 relative for
+//! ln-gamma and Lentz continued fractions for the incomplete beta.
+//! Accuracy targets: ~1e-12 relative for
 //! ln-gamma, ~1e-10 absolute for the incomplete beta over the t-test
 //! parameter range, which is far tighter than anything the paper's
 //! p-values need.
@@ -131,109 +130,6 @@ fn beta_cf(a: f64, b: f64, x: f64) -> f64 {
     h
 }
 
-/// Error function, computed from the regularised incomplete gamma via the
-/// series/continued-fraction split; absolute error < 1e-12.
-pub fn erf(x: f64) -> f64 {
-    if x.is_nan() {
-        return f64::NAN;
-    }
-    let sign = if x < 0.0 { -1.0 } else { 1.0 };
-    sign * lower_inc_gamma_regularized(0.5, x * x)
-}
-
-/// Complementary error function `1 − erf(x)` without cancellation for
-/// large positive `x`.
-pub fn erfc(x: f64) -> f64 {
-    if x.is_nan() {
-        return f64::NAN;
-    }
-    if x < 0.0 {
-        return 2.0 - erfc(-x);
-    }
-    upper_inc_gamma_regularized(0.5, x * x)
-}
-
-/// Regularised upper incomplete gamma `Q(a, x) = 1 − P(a, x)`, evaluated
-/// directly in the tail (continued fraction) so it stays accurate when
-/// `P(a, x)` is within one ulp of 1.
-pub fn upper_inc_gamma_regularized(a: f64, x: f64) -> f64 {
-    if x < 0.0 || a <= 0.0 {
-        return f64::NAN;
-    }
-    if x == 0.0 {
-        return 1.0;
-    }
-    if x < a + 1.0 {
-        1.0 - gamma_series(a, x)
-    } else {
-        gamma_cf(a, x)
-    }
-}
-
-/// Regularised lower incomplete gamma `P(a, x)` for `a > 0`, `x ≥ 0`.
-///
-/// Series expansion for `x < a + 1`, continued fraction for the upper tail
-/// otherwise (Numerical Recipes `gammp`).
-pub fn lower_inc_gamma_regularized(a: f64, x: f64) -> f64 {
-    if x < 0.0 || a <= 0.0 {
-        return f64::NAN;
-    }
-    if x == 0.0 {
-        return 0.0;
-    }
-    if x < a + 1.0 {
-        gamma_series(a, x)
-    } else {
-        1.0 - gamma_cf(a, x)
-    }
-}
-
-fn gamma_series(a: f64, x: f64) -> f64 {
-    const MAX_ITER: usize = 500;
-    const EPS: f64 = 1e-15;
-    let mut ap = a;
-    let mut sum = 1.0 / a;
-    let mut del = sum;
-    for _ in 0..MAX_ITER {
-        ap += 1.0;
-        del *= x / ap;
-        sum += del;
-        if del.abs() < sum.abs() * EPS {
-            break;
-        }
-    }
-    sum * (-x + a * x.ln() - ln_gamma(a)).exp()
-}
-
-fn gamma_cf(a: f64, x: f64) -> f64 {
-    const MAX_ITER: usize = 500;
-    const EPS: f64 = 1e-15;
-    const TINY: f64 = 1e-300;
-    let mut b = x + 1.0 - a;
-    let mut c = 1.0 / TINY;
-    let mut d = 1.0 / b;
-    let mut h = d;
-    for i in 1..=MAX_ITER {
-        let an = -(i as f64) * (i as f64 - a);
-        b += 2.0;
-        d = an * d + b;
-        if d.abs() < TINY {
-            d = TINY;
-        }
-        c = b + an / c;
-        if c.abs() < TINY {
-            c = TINY;
-        }
-        d = 1.0 / d;
-        let del = d * c;
-        h *= del;
-        if (del - 1.0).abs() < EPS {
-            break;
-        }
-    }
-    h * (-x + a * x.ln() - ln_gamma(a)).exp()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -351,66 +247,6 @@ mod tests {
         assert!(inc_beta(f64::NAN, 3.0, 0.5).is_nan());
     }
 
-    #[test]
-    fn erf_known_values() {
-        // SciPy: erf(1) = 0.8427007929497149, erf(2) = 0.9953222650189527
-        assert_close(erf(0.0), 0.0, 1e-15, "erf(0)");
-        assert_close(erf(1.0), 0.842_700_792_949_714_9, 1e-10, "erf(1)");
-        assert_close(erf(2.0), 0.995_322_265_018_952_7, 1e-10, "erf(2)");
-        assert_close(erf(-1.0), -0.842_700_792_949_714_9, 1e-10, "erf(-1)");
-    }
-
-    #[test]
-    fn erf_odd_function() {
-        for x in [0.1, 0.5, 1.3, 2.7] {
-            assert!((erf(x) + erf(-x)).abs() < 1e-14);
-        }
-    }
-
-    #[test]
-    fn erfc_complements_erf() {
-        for x in [0.0, 0.3, 1.0, 2.5] {
-            assert_close(erfc(x), 1.0 - erf(x), 1e-12, &format!("erfc({x})"));
-        }
-    }
-
-    #[test]
-    fn erfc_large_x_no_cancellation() {
-        // SciPy: erfc(5) = 1.5374597944280351e-12 — a naive 1-erf(5) would
-        // lose all precision here.
-        let got = erfc(5.0);
-        let want = 1.537_459_794_428_035_1e-12;
-        assert!((got - want).abs() / want < 1e-6, "got {got}, want {want}");
-    }
-
-    #[test]
-    fn inc_gamma_boundaries_and_known() {
-        assert_eq!(lower_inc_gamma_regularized(1.0, 0.0), 0.0);
-        // P(1, x) = 1 - e^-x
-        for x in [0.5, 1.0, 3.0] {
-            assert_close(
-                lower_inc_gamma_regularized(1.0, x),
-                1.0 - (-x).exp(),
-                1e-12,
-                &format!("P(1,{x})"),
-            );
-        }
-        assert!(lower_inc_gamma_regularized(-1.0, 1.0).is_nan());
-        assert!(lower_inc_gamma_regularized(1.0, -1.0).is_nan());
-    }
-
-    #[test]
-    fn inc_gamma_monotone_in_x() {
-        let mut prev = 0.0;
-        for i in 1..100 {
-            let x = i as f64 * 0.2;
-            let v = lower_inc_gamma_regularized(2.5, x);
-            assert!(v >= prev, "P(2.5,{x}) = {v} < previous {prev}");
-            prev = v;
-        }
-        assert!(prev > 0.999); // approaches 1
-    }
-
     mod properties {
         use super::super::*;
         use crate::rng::SplitMix64;
@@ -459,32 +295,6 @@ mod tests {
                 let lhs = inc_beta(a, b, x);
                 let rhs = 1.0 - inc_beta(b, a, 1.0 - x);
                 assert!((lhs - rhs).abs() < 1e-10, "seed {seed}: {lhs} vs {rhs}");
-            }
-        }
-
-        #[test]
-        fn erf_bounded_and_odd() {
-            for seed in 0..CASES {
-                let x = SplitMix64::new(seed).range_f64(-6.0, 6.0);
-                let v = erf(x);
-                assert!((-1.0..=1.0).contains(&v), "seed {seed}: erf({x}) = {v}");
-                assert!((v + erf(-x)).abs() < 1e-12, "seed {seed}: x={x}");
-                // erf + erfc = 1 at moderate arguments.
-                assert!((v + erfc(x) - 1.0).abs() < 1e-10, "seed {seed}: x={x}");
-            }
-        }
-
-        #[test]
-        fn inc_gamma_bounded() {
-            for seed in 0..CASES {
-                let mut rng = SplitMix64::new(seed);
-                let a = rng.range_f64(0.05, 30.0);
-                let x = rng.range_f64(0.0, 100.0);
-                let p = lower_inc_gamma_regularized(a, x);
-                assert!((0.0..=1.0).contains(&p), "seed {seed}: P({a},{x}) = {p}");
-                let q = upper_inc_gamma_regularized(a, x);
-                assert!((0.0..=1.0).contains(&q), "seed {seed}: Q({a},{x}) = {q}");
-                assert!((p + q - 1.0).abs() < 1e-9, "seed {seed}: a={a} x={x}");
             }
         }
     }

@@ -156,7 +156,7 @@ pub const BACKGROUND_TOWNS: [Area; 35] = [
 
 /// Sum of the Sydney suburb census populations (used to derive the
 /// uniform scale factor that spreads Sydney's total across them).
-pub fn sydney_suburbs_total() -> u64 {
+fn sydney_suburbs_total() -> u64 {
     SYDNEY_SUBURBS_TOP20.iter().map(|a| a.population).sum()
 }
 

@@ -65,8 +65,6 @@ pub struct TweetGenerator {
     kernel: MobilityKernel,
     /// Cumulative home-assignment weights over places.
     home_cdf: Vec<f64>,
-    /// The frozen per-place adoption bias, aligned with `places`.
-    biases: Vec<f64>,
     /// Frozen per-place activity centroids: the official gazetteer
     /// centre displaced by a small, place-specific offset. Real suburbs'
     /// population centroids rarely coincide with their nominal centres;
@@ -111,13 +109,10 @@ impl TweetGenerator {
             config.far_move_probability,
             config.seed ^ 0xA5A5_5A5A,
         );
-        let biases: Vec<f64> = (0..places.len())
-            .map(|i| frozen_place_bias(config.seed, i, config.bias_sigma))
-            .collect();
         let mut home_cdf = Vec::with_capacity(places.len());
         let mut acc = 0.0;
-        for (p, b) in places.iter().zip(&biases) {
-            acc += p.area.population as f64 * b;
+        for (i, p) in places.iter().enumerate() {
+            acc += p.area.population as f64 * frozen_place_bias(config.seed, i, config.bias_sigma);
             home_cdf.push(acc);
         }
         let activity_centers: Vec<Point> = places
@@ -130,7 +125,6 @@ impl TweetGenerator {
             places,
             kernel,
             home_cdf,
-            biases,
             activity_centers,
         }
     }
@@ -143,11 +137,6 @@ impl TweetGenerator {
     /// The world places (index space shared with the kernel).
     pub fn places(&self) -> &[Place] {
         &self.places
-    }
-
-    /// The frozen per-place Twitter-adoption bias factors.
-    pub fn biases(&self) -> &[f64] {
-        &self.biases
     }
 
     /// Generates the full dataset, parallelising across users on the
@@ -545,14 +534,21 @@ mod tests {
         assert!(TweetGenerator::try_new(bad).is_err());
     }
 
+    /// The frozen per-place adoption biases a generator's home CDF uses.
+    fn biases(g: &TweetGenerator) -> Vec<f64> {
+        (0..g.places.len())
+            .map(|i| frozen_place_bias(g.config.seed, i, g.config.bias_sigma))
+            .collect()
+    }
+
     #[test]
     fn biases_are_frozen_and_positive() {
         let g1 = TweetGenerator::new(GeneratorConfig::small());
         let g2 = TweetGenerator::new(GeneratorConfig::small());
-        assert_eq!(g1.biases(), g2.biases());
-        assert!(g1.biases().iter().all(|&b| b > 0.0));
+        assert_eq!(biases(&g1), biases(&g2));
+        assert!(biases(&g1).iter().all(|&b| b > 0.0));
         let g3 = TweetGenerator::new(GeneratorConfig::small().with_seed(9));
-        assert_ne!(g1.biases(), g3.biases());
+        assert_ne!(biases(&g1), biases(&g3));
     }
 
     #[test]
@@ -562,7 +558,7 @@ mod tests {
             ..GeneratorConfig::small()
         };
         let g = TweetGenerator::new(cfg);
-        assert!(g.biases().iter().all(|&b| b == 1.0));
+        assert!(biases(&g).iter().all(|&b| b == 1.0));
     }
 
     #[test]
