@@ -14,6 +14,7 @@ use tweetmob::geo::{PairGeometry, Point};
 use tweetmob::models::{
     FittedModel, FittedModelSet, FlowObservation, InterveningPopulation, ModelKind,
 };
+use tweetmob::obs::manifest::fnv1a64;
 use tweetmob::par::with_threads;
 use tweetmob::stats::rng::SplitMix64;
 use tweetmob::synth::{GeneratorConfig, TweetGenerator};
@@ -239,6 +240,36 @@ fn epidemic_network_from_artifact_matches_hand_assembly() {
                     "{kind}: rate {i}->{j}"
                 );
             }
+        }
+    }
+}
+
+/// Golden artifact digests: the FNV-1a 64 of the saved bundle of the
+/// small default corpus, pinned per scale at one worker thread and at
+/// eight. The other byte-identity tests compare one run with another
+/// run of the same build; these compare with bytes recorded once, so a
+/// change to the scan, the fits or the encoder that is wrong in the
+/// same way on every run still fails here.
+#[test]
+fn artifact_digests_match_golden_values_at_1_and_8_threads() {
+    let ds = TweetGenerator::new(GeneratorConfig::small()).generate();
+    let golden = [
+        (Scale::National, 0xa933_5ae5_a9ea_7aac_u64, 2_605),
+        (Scale::State, 0x74c8_0baa_e9f7_1610, 2_602),
+        (Scale::Metropolitan, 0x9e3e_f55c_ce73_a322, 2_605),
+    ];
+    for threads in [1usize, 8] {
+        for (scale, digest, len) in golden {
+            let (_, bundle) =
+                with_threads(threads, || Experiment::new(&ds).fit(scale).expect("fit"));
+            let mut bytes = Vec::new();
+            bundle.save(&mut bytes).expect("save");
+            assert_eq!(
+                (fnv1a64(&bytes), bytes.len()),
+                (digest, len),
+                "{scale:?} at {threads} threads: got {:016x}",
+                fnv1a64(&bytes)
+            );
         }
     }
 }
