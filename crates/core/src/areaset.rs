@@ -1,5 +1,7 @@
 //! Study scales and area sets with point-to-area assignment.
 
+use std::collections::BTreeMap;
+use std::fmt;
 use std::sync::Arc;
 use tweetmob_geo::{equirectangular_km, PairGeometry, Point, TrigPoint, EARTH_RADIUS_KM};
 use tweetmob_synth::{Area, NATIONAL_TOP20, NSW_TOP20, SYDNEY_SUBURBS_TOP20};
@@ -58,6 +60,9 @@ pub struct AreaSet {
     geometry: Arc<PairGeometry>,
     /// Per-area precomputed assignment filters for the batch path.
     filters: Vec<AreaFilter>,
+    /// Build-once lat/lon grid that resolves most points of the batch
+    /// path without trigonometry.
+    cells: CellTable,
 }
 
 /// Per-area state precomputed once for [`AreaSet::assign_batch`]: a
@@ -73,6 +78,7 @@ pub struct AreaSet {
 /// Survivors still run the exact equirectangular gate and the exact
 /// haversine (via [`TrigPoint`], bit-identical by its contract), which
 /// makes batch assignments decision-identical to [`AreaSet::assign`].
+/// The window also bounds the area's reach in the [`CellTable`].
 #[derive(Debug, Clone)]
 struct AreaFilter {
     lat: f64,
@@ -112,6 +118,276 @@ impl AreaFilter {
     }
 }
 
+/// Most cells a [`CellTable`] holds: 2¹⁹ `u16` codes, 1 MiB.
+const MAX_CELLS: usize = 1 << 19;
+
+/// Degrees by which every cell is widened on each side when it is
+/// classified, so that the rounding of the `floor()` in
+/// [`CellTable::cell`] cannot carry a point into a cell whose kind does
+/// not hold for it.
+const CELL_PAD_DEG: f64 = 1e-9;
+
+/// Kilometres by which every distance bound is widened, absorbing the
+/// rounding of the haversine and equirectangular expressions.
+const BOUND_TOL_KM: f64 = 1e-6;
+
+/// Cell code of an empty cell. Codes `1..MIXED` are interior cells of
+/// area `code - 1`; codes `MIXED..` are mixed cells with candidate list
+/// `code - MIXED`.
+const EMPTY: u16 = 0;
+const MIXED: u16 = 0x8000;
+
+/// A build-once lat/lon grid over the union of the [`AreaFilter`]
+/// windows, padded by one cell, that tells [`AreaSet::assign_batch`]
+/// which areas a point can be within ε of.
+///
+/// Each cell is one of three kinds:
+/// - *empty*: no disc reaches the cell;
+/// - *interior(i)*: every point of the cell is within ε of area `i` and
+///   passes its window and equirectangular gate, and no other disc
+///   reaches the cell;
+/// - *mixed*: an ascending list of candidate areas for the exact path.
+///
+/// The classification is conservative, so the batch path stays
+/// decision-identical to the exact one. For a cell with centre `m`,
+/// half-height `h` and half-width `w` (radians, padded by
+/// [`CELL_PAD_DEG`]), a point `p` of the cell is reached from `m` by a
+/// meridian arc then a parallel arc of total length at most
+/// `r = R·(h + w·cos_max)`, with `cos_max` the largest cosine over the
+/// cell's latitude band. The triangle inequality bounds the distance
+/// from a centre `c` to `p` by `d(c, m) ± r`, widened by
+/// [`BOUND_TOL_KM`]. An area is dropped from a cell only when its lower
+/// bound exceeds ε; a cell is interior only when its one candidate's
+/// upper bound and equirectangular upper bound both clear their gates.
+///
+/// If a window reaches a pole, or the grid cannot be encoded, the table
+/// is a single mixed cell that lists every area.
+#[derive(Clone)]
+struct CellTable {
+    /// South-west corner of the grid, degrees.
+    lat0: f64,
+    lon0: f64,
+    /// Cells per degree of latitude and of longitude.
+    inv_dlat: f64,
+    inv_dlon: f64,
+    rows: usize,
+    cols: usize,
+    /// One code per cell, row-major from the south-west corner.
+    cells: Vec<u16>,
+    /// Distinct candidate lists of the mixed cells, each ascending.
+    candidates: Vec<Box<[usize]>>,
+}
+
+/// What the [`CellTable`] knows about one point.
+enum Cell<'a> {
+    Empty,
+    Interior(usize),
+    Mixed(&'a [usize]),
+}
+
+impl CellTable {
+    /// The table whose one mixed cell lists all `n` areas: with zero
+    /// cells per degree every finite point falls in it.
+    fn single_mixed(n: usize) -> Self {
+        Self {
+            lat0: 0.0,
+            lon0: 0.0,
+            inv_dlat: 0.0,
+            inv_dlon: 0.0,
+            rows: 1,
+            cols: 1,
+            cells: vec![MIXED],
+            candidates: vec![(0..n).collect()],
+        }
+    }
+
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "grid sizes are bounded by MAX_CELLS and area indices by MIXED before any cast"
+    )]
+    fn new(filters: &[AreaFilter], radius_km: f64, prefilter_km: f64) -> Self {
+        let n = filters.len();
+        if n >= usize::from(MIXED) || filters.iter().any(|f| !f.dlon_max.is_finite()) {
+            return Self::single_mixed(n);
+        }
+        let lat_lo = filters
+            .iter()
+            .map(|f| f.lat - f.dlat_max)
+            .fold(f64::INFINITY, f64::min);
+        let lat_hi = filters
+            .iter()
+            .map(|f| f.lat + f.dlat_max)
+            .fold(f64::NEG_INFINITY, f64::max);
+        let lon_lo = filters
+            .iter()
+            .map(|f| f.lon - f.dlon_max)
+            .fold(f64::INFINITY, f64::min);
+        let lon_hi = filters
+            .iter()
+            .map(|f| f.lon + f.dlon_max)
+            .fold(f64::NEG_INFINITY, f64::max);
+
+        // Cells of side ε/8 at the grid's middle latitude, grown until
+        // the grid fits in MAX_CELLS.
+        let km_per_deg = EARTH_RADIUS_KM.to_radians();
+        let mut dlat = (radius_km / 8.0 / km_per_deg).max(f64::MIN_POSITIVE);
+        let mut dlon = dlat / ((lat_lo + lat_hi) / 2.0).to_radians().cos();
+        let shape = |dlat: f64, dlon: f64| {
+            (
+                ((lat_hi - lat_lo) / dlat).ceil() + 2.0,
+                ((lon_hi - lon_lo) / dlon).ceil() + 2.0,
+            )
+        };
+        let (mut rows_f, mut cols_f) = shape(dlat, dlon);
+        while rows_f * cols_f > MAX_CELLS as f64 {
+            dlat *= 1.25;
+            dlon *= 1.25;
+            (rows_f, cols_f) = shape(dlat, dlon);
+        }
+        let (rows, cols) = (rows_f as usize, cols_f as usize);
+        let (lat0, lon0) = (lat_lo - dlat, lon_lo - dlon);
+        if lat0 <= -90.0 || lat0 + rows as f64 * dlat >= 90.0 {
+            return Self::single_mixed(n);
+        }
+
+        // One packed `cell << 32 | area << 1 | interior` word per
+        // (cell, area) pair that survives the lower bound. Each area
+        // visits only the cells of its window, plus one on every side.
+        let h_rad = (dlat / 2.0 + CELL_PAD_DEG).to_radians();
+        let w_rad = (dlon / 2.0 + CELL_PAD_DEG).to_radians();
+        let span = |lo: f64, hi: f64, origin: f64, step: f64, len: usize| {
+            let first = ((lo - origin) / step).floor() - 1.0;
+            let last = ((hi - origin) / step).floor() + 1.0;
+            (first.max(0.0) as usize)..=(last.min(len as f64 - 1.0) as usize)
+        };
+        let mut hits: Vec<u64> = Vec::new();
+        for (i, f) in filters.iter().enumerate() {
+            let lon_span = span(f.lon - f.dlon_max, f.lon + f.dlon_max, lon0, dlon, cols);
+            for row in span(f.lat - f.dlat_max, f.lat + f.dlat_max, lat0, dlat, rows) {
+                let cell_lat_lo = lat0 + row as f64 * dlat - CELL_PAD_DEG;
+                let cell_lat_hi = lat0 + (row + 1) as f64 * dlat + CELL_PAD_DEG;
+                let mid =
+                    TrigPoint::new(Point::new_unchecked(lat0 + (row as f64 + 0.5) * dlat, 0.0));
+                let reach_km =
+                    EARTH_RADIUS_KM * (h_rad + w_rad * cos_max(cell_lat_lo, cell_lat_hi));
+                let dy_rad = (cell_lat_lo - f.lat)
+                    .abs()
+                    .max((cell_lat_hi - f.lat).abs())
+                    .to_radians();
+                let mean_cos = cos_max((f.lat + cell_lat_lo) / 2.0, (f.lat + cell_lat_hi) / 2.0);
+                let lat_inside =
+                    cell_lat_lo >= f.lat - f.dlat_max && cell_lat_hi <= f.lat + f.dlat_max;
+                for col in lon_span.clone() {
+                    let cell_lon_lo = lon0 + col as f64 * dlon - CELL_PAD_DEG;
+                    let cell_lon_hi = lon0 + (col + 1) as f64 * dlon + CELL_PAD_DEG;
+                    let m = TrigPoint {
+                        lon_rad: (lon0 + (col as f64 + 0.5) * dlon).to_radians(),
+                        ..mid
+                    };
+                    let d_km = f.trig.distance_km(&m);
+                    if d_km - reach_km - BOUND_TOL_KM > radius_km {
+                        continue;
+                    }
+                    let dx_rad = (cell_lon_lo - f.lon)
+                        .abs()
+                        .max((cell_lon_hi - f.lon).abs())
+                        .to_radians()
+                        * mean_cos;
+                    let interior = d_km + reach_km + BOUND_TOL_KM < radius_km
+                        && EARTH_RADIUS_KM * (dx_rad * dx_rad + dy_rad * dy_rad).sqrt()
+                            + BOUND_TOL_KM
+                            < prefilter_km
+                        && lat_inside
+                        && cell_lon_lo >= f.lon - f.dlon_max
+                        && cell_lon_hi <= f.lon + f.dlon_max;
+                    let cell = row * cols + col;
+                    hits.push((cell as u64) << 32 | (i as u64) << 1 | u64::from(interior));
+                }
+            }
+        }
+        hits.sort_unstable();
+
+        let mut cells = vec![EMPTY; rows * cols];
+        let mut candidates: Vec<Box<[usize]>> = Vec::new();
+        let mut list_ids: BTreeMap<Box<[usize]>, u16> = BTreeMap::new();
+        for group in hits.chunk_by(|a, b| a >> 32 == b >> 32) {
+            let cell = (group[0] >> 32) as usize;
+            cells[cell] = if group.len() == 1 && group[0] & 1 == 1 {
+                ((group[0] >> 1) as u16) + 1
+            } else {
+                let list: Box<[usize]> = group.iter().map(|h| (h >> 1 & 0x7fff) as usize).collect();
+                if let Some(&id) = list_ids.get(&list) {
+                    id
+                } else {
+                    if candidates.len() == usize::from(MIXED) {
+                        return Self::single_mixed(n);
+                    }
+                    let id = MIXED + candidates.len() as u16;
+                    candidates.push(list.clone());
+                    list_ids.insert(list, id);
+                    id
+                }
+            };
+        }
+        Self {
+            lat0,
+            lon0,
+            inv_dlat: 1.0 / dlat,
+            inv_dlon: 1.0 / dlon,
+            rows,
+            cols,
+            cells,
+            candidates,
+        }
+    }
+
+    /// The cell of point `(lat, lon)`. Points outside the grid, and
+    /// non-finite ones, are in no window and so in no disc.
+    #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "both offsets are checked to lie in [0, rows) and [0, cols) first"
+    )]
+    fn cell(&self, lat: f64, lon: f64) -> Cell<'_> {
+        let r = (lat - self.lat0) * self.inv_dlat;
+        let c = (lon - self.lon0) * self.inv_dlon;
+        if r >= 0.0 && c >= 0.0 && r < self.rows as f64 && c < self.cols as f64 {
+            match self.cells[r as usize * self.cols + c as usize] {
+                EMPTY => Cell::Empty,
+                code if code < MIXED => Cell::Interior(usize::from(code - 1)),
+                code => Cell::Mixed(&self.candidates[usize::from(code - MIXED)]),
+            }
+        } else {
+            Cell::Empty
+        }
+    }
+}
+
+/// The largest cosine over the latitude band `[lo_deg, hi_deg]`: cos is
+/// unimodal on `[-90°, 90°]`, peaking at the equator.
+fn cos_max(lo_deg: f64, hi_deg: f64) -> f64 {
+    if lo_deg <= 0.0 && hi_deg >= 0.0 {
+        1.0
+    } else {
+        lo_deg.abs().min(hi_deg.abs()).to_radians().cos()
+    }
+}
+
+/// A summary: the derived `Debug` would print every cell.
+impl fmt::Debug for CellTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let count = |pred: fn(u16) -> bool| self.cells.iter().filter(|&&c| pred(c)).count();
+        f.debug_struct("CellTable")
+            .field("rows", &self.rows)
+            .field("cols", &self.cols)
+            .field("empty", &count(|c| c == EMPTY))
+            .field("interior", &count(|c| c != EMPTY && c < MIXED))
+            .field("mixed", &count(|c| c >= MIXED))
+            .field("candidate_lists", &self.candidates.len())
+            .finish()
+    }
+}
+
 impl AreaSet {
     /// Builds the canonical area set of a scale.
     pub fn of_scale(scale: Scale) -> Self {
@@ -128,22 +404,28 @@ impl AreaSet {
     ///
     /// # Panics
     ///
-    /// If `areas` is empty or `radius_km` is not positive.
+    /// If `areas` is empty or `radius_km` is not a positive finite
+    /// number.
     pub fn new(areas: Vec<Area>, radius_km: f64) -> Self {
         assert!(!areas.is_empty(), "area set cannot be empty");
-        assert!(radius_km > 0.0, "search radius must be positive");
+        assert!(
+            radius_km.is_finite() && radius_km > 0.0,
+            "search radius must be positive and finite"
+        );
         let centers: Vec<Point> = areas.iter().map(|a| a.center).collect();
         let geometry = PairGeometry::shared(&centers);
         let prefilter = radius_km * 1.05 + 1.0;
-        let filters = centers
+        let filters: Vec<AreaFilter> = centers
             .iter()
             .map(|&c| AreaFilter::new(c, prefilter))
             .collect();
+        let cells = CellTable::new(&filters, radius_km, prefilter);
         Self {
             areas,
             radius_km,
             geometry,
             filters,
+            cells,
         }
     }
 
@@ -230,14 +512,15 @@ impl AreaSet {
     /// area whose centre lies within ε of point `k` (an index into the
     /// columns), not just the nearest one: discs overlap wherever two
     /// centres are less than 2ε apart (Sydney and Wollongong at national
-    /// scale), and population counting needs all of them.
+    /// scale), and population counting needs all of them. The calls for
+    /// one point come in ascending area order.
     ///
-    /// Decision-identical to calling the scalar `assign` per point — the
-    /// equirectangular gate and the haversine comparison are the exact
-    /// same float expressions — but structured for columnar callers:
-    /// the per-area trigonometry is hoisted into build-once
-    /// [`AreaFilter`]s, and most `(point, area)` combinations die in a
-    /// two-compare degree-space window before any trigonometry runs.
+    /// Decision-identical to calling the scalar `assign` per point, but
+    /// structured for columnar callers: one lookup in the build-once
+    /// [`CellTable`] settles empty and interior cells with no
+    /// trigonometry, and only points in mixed cells run the exact
+    /// window → equirectangular gate → haversine path, over the cell's
+    /// candidate areas alone.
     ///
     /// # Panics
     ///
@@ -254,39 +537,62 @@ impl AreaSet {
             lons.len(),
             "coordinate columns must be parallel"
         );
-        let prefilter = self.radius_km * 1.05 + 1.0;
         out.reserve(lats.len());
         for (k, (&lat, &lon)) in lats.iter().zip(lons.iter()).enumerate() {
-            let mut best: Option<(usize, f64)> = None;
-            let mut point_trig: Option<TrigPoint> = None;
-            let p = Point::new_unchecked(lat, lon);
-            for (i, f) in self.filters.iter().enumerate() {
-                // Conservative window: can only skip what the
-                // equirectangular gate below would skip anyway.
-                if (lat - f.lat).abs() > f.dlat_max || (lon - f.lon).abs() > f.dlon_max {
-                    continue;
-                }
-                if equirectangular_km(Point::new_unchecked(f.lat, f.lon), p) > prefilter {
-                    continue;
-                }
-                // The point's trigonometry is hoisted lazily: points that
-                // survive no window (the overwhelming majority at paper
-                // scale) never pay for it.
-                let pt = *point_trig.get_or_insert_with(|| TrigPoint::new(p));
-                let d = f.trig.distance_km(&pt);
-                if d <= self.radius_km {
+            let best = match self.cells.cell(lat, lon) {
+                Cell::Empty => None,
+                Cell::Interior(i) => {
                     covered(k, i);
-                    if best.is_none_or(|(_, bd)| d < bd) {
-                        best = Some((i, d));
-                    }
+                    Some(i)
                 }
-            }
+                Cell::Mixed(candidates) => self.assign_exact(k, lat, lon, candidates, &mut covered),
+            };
             #[expect(
                 clippy::cast_possible_truncation,
                 reason = "an area index is below the area count, a few dozen at most"
             )]
-            out.push(best.map_or(-1, |(i, _)| i as i32));
+            out.push(best.map_or(-1, |i| i as i32));
         }
+    }
+
+    /// The exact path for point `k` over `candidates`: the nearest area
+    /// within ε, calling `covered(k, i)` for every candidate within ε.
+    /// The equirectangular gate and the haversine comparison are the
+    /// same float expressions as the scalar `assign`.
+    fn assign_exact(
+        &self,
+        k: usize,
+        lat: f64,
+        lon: f64,
+        candidates: &[usize],
+        covered: &mut impl FnMut(usize, usize),
+    ) -> Option<usize> {
+        let prefilter = self.radius_km * 1.05 + 1.0;
+        let mut best: Option<(usize, f64)> = None;
+        let mut point_trig: Option<TrigPoint> = None;
+        let p = Point::new_unchecked(lat, lon);
+        for &i in candidates {
+            let f = &self.filters[i];
+            // Conservative window: can only skip what the
+            // equirectangular gate below would skip anyway.
+            if (lat - f.lat).abs() > f.dlat_max || (lon - f.lon).abs() > f.dlon_max {
+                continue;
+            }
+            if equirectangular_km(Point::new_unchecked(f.lat, f.lon), p) > prefilter {
+                continue;
+            }
+            // The point's trigonometry is hoisted lazily: a point that
+            // survives no window never pays for it.
+            let pt = *point_trig.get_or_insert_with(|| TrigPoint::new(p));
+            let d = f.trig.distance_km(&pt);
+            if d <= self.radius_km {
+                covered(k, i);
+                if best.is_none_or(|(_, bd)| d < bd) {
+                    best = Some((i, d));
+                }
+            }
+        }
+        best.map(|(i, _)| i)
     }
 
     /// Census populations as `f64`, aligned with [`AreaSet::areas`].
@@ -410,6 +716,12 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "search radius must be positive and finite")]
+    fn infinite_radius_panics() {
+        AreaSet::new(Scale::National.areas().to_vec(), f64::INFINITY);
+    }
+
+    #[test]
     fn batch_assign_matches_scalar_everywhere() {
         // A coarse sweep over the whole continent at every scale: the
         // batch path must make the identical decision for every point,
@@ -444,6 +756,205 @@ mod tests {
                 assert_eq!(batch, set.assign(p), "{scale:?} point {p:?}");
             }
         }
+    }
+
+    /// Checks `assign_batch` against brute force: every code against the
+    /// scalar `assign`, and the whole `covered` sequence against an
+    /// equirectangular-gate + `haversine_km` loop over every area.
+    /// Returns how many points two or more discs cover.
+    fn assert_batch_matches_brute_force(set: &AreaSet, lats: &[f64], lons: &[f64]) -> usize {
+        let mut codes = Vec::new();
+        let mut got = Vec::new();
+        set.assign_batch(lats, lons, &mut codes, |k, a| got.push((k, a)));
+        let prefilter = set.radius_km() * 1.05 + 1.0;
+        let mut want = Vec::new();
+        let mut overlapped = 0;
+        for k in 0..lats.len() {
+            let p = Point::new_unchecked(lats[k], lons[k]);
+            let before = want.len();
+            for (i, a) in set.areas().iter().enumerate() {
+                if equirectangular_km(a.center, p) <= prefilter
+                    && tweetmob_geo::haversine_km(a.center, p) <= set.radius_km()
+                {
+                    want.push((k, i));
+                }
+            }
+            overlapped += usize::from(want.len() - before > 1);
+            let batch = usize::try_from(codes[k]).ok();
+            assert_eq!(batch, set.assign(p), "ε {} point {p:?}", set.radius_km());
+        }
+        if let Some(at) = got.iter().zip(&want).position(|(g, w)| g != w) {
+            panic!(
+                "ε {}: covered call {at} is {:?}, brute force {:?}",
+                set.radius_km(),
+                got[at],
+                want[at]
+            );
+        }
+        assert_eq!(got.len(), want.len(), "ε {}", set.radius_km());
+        overlapped
+    }
+
+    /// Probe points for the cell table of `set`: exact cell edges and
+    /// corners (and one ulp either side) through every area's window,
+    /// rings at 0.97–1.03 ε (and exactly ε) around every centre, points
+    /// in every overlap lens, points within 1.5 ε of every centre, and
+    /// uniform points over the continent.
+    fn table_probe_points(set: &AreaSet, seed: u64) -> (Vec<f64>, Vec<f64>) {
+        let t = &set.cells;
+        let mut rng = tweetmob_stats::rng::SplitMix64::new(seed);
+        let (mut lats, mut lons) = (Vec::new(), Vec::new());
+        let mut push = |lat: f64, lon: f64| {
+            for (dlat, dlon) in [
+                (lat, lon),
+                (lat.next_up(), lon.next_down()),
+                (lat.next_down(), lon.next_up()),
+            ] {
+                lats.push(dlat);
+                lons.push(dlon);
+            }
+        };
+        let eps = set.radius_km();
+        for f in &set.filters {
+            let rows = ((f.lat - f.dlat_max - t.lat0) * t.inv_dlat).floor()
+                ..=((f.lat + f.dlat_max - t.lat0) * t.inv_dlat).ceil();
+            let cols = ((f.lon - f.dlon_max - t.lon0) * t.inv_dlon).floor()
+                ..=((f.lon + f.dlon_max - t.lon0) * t.inv_dlon).ceil();
+            let mut row = *rows.start();
+            while row <= *rows.end() {
+                let lat = t.lat0 + row / t.inv_dlat;
+                let mut col = *cols.start();
+                while col <= *cols.end() {
+                    let lon = t.lon0 + col / t.inv_dlon;
+                    push(lat, lon);
+                    push(lat, rng.range_f64(lon, lon + 1.0 / t.inv_dlon));
+                    push(rng.range_f64(lat, lat + 1.0 / t.inv_dlat), lon);
+                    col += 1.0;
+                }
+                row += 1.0;
+            }
+        }
+        for a in set.areas() {
+            for step in 0..72 {
+                let bearing = f64::from(step) * 5.0 + rng.range_f64(0.0, 5.0);
+                for frac in [
+                    0.97, 0.98, 0.99, 0.995, 0.999, 1.0, 1.001, 1.005, 1.01, 1.02, 1.03,
+                ] {
+                    let p = tweetmob_geo::destination(a.center, bearing, frac * eps);
+                    push(p.lat, p.lon);
+                }
+                push(a.center.lat, a.center.lon);
+            }
+            for _ in 0..400 {
+                let p = tweetmob_geo::destination(
+                    a.center,
+                    rng.range_f64(0.0, 360.0),
+                    rng.range_f64(0.0, 1.5 * eps),
+                );
+                push(p.lat, p.lon);
+            }
+            for b in set.areas() {
+                let d = tweetmob_geo::haversine_km(a.center, b.center);
+                if a.name < b.name && d < 2.0 * eps {
+                    let mid = Point::new_unchecked(
+                        (a.center.lat + b.center.lat) / 2.0,
+                        (a.center.lon + b.center.lon) / 2.0,
+                    );
+                    for _ in 0..400 {
+                        let p = tweetmob_geo::destination(
+                            mid,
+                            rng.range_f64(0.0, 360.0),
+                            rng.range_f64(0.0, eps - d / 2.0 + 0.05 * eps),
+                        );
+                        push(p.lat, p.lon);
+                    }
+                }
+            }
+        }
+        for _ in 0..5_000 {
+            push(rng.range_f64(-45.0, -9.0), rng.range_f64(112.0, 155.0));
+        }
+        (lats, lons)
+    }
+
+    #[test]
+    fn cell_table_matches_brute_force() {
+        let sets = [
+            (Scale::Metropolitan, 0.5),
+            (Scale::Metropolitan, 2.0),
+            (Scale::State, 25.0),
+            (Scale::National, 50.0),
+            (Scale::National, 200.0),
+            (Scale::National, 1_000.0),
+        ];
+        for (seed, (scale, eps)) in (0..).zip(sets) {
+            let set = AreaSet::of_scale_with_radius(scale, eps);
+            let t = &set.cells;
+            assert!(t.rows * t.cols <= MAX_CELLS, "{t:?}");
+            assert!(
+                t.cells.iter().any(|&c| c != EMPTY && c < MIXED),
+                "{scale:?} ε {eps}: no interior cell: {t:?}"
+            );
+            assert!(
+                t.cells.iter().any(|&c| c >= MIXED),
+                "{scale:?} ε {eps}: no mixed cell: {t:?}"
+            );
+            let (lats, lons) = table_probe_points(&set, seed);
+            let overlapped = assert_batch_matches_brute_force(&set, &lats, &lons);
+            if scale == Scale::National && eps == 50.0 {
+                // The Sydney/Wollongong lens (centres ~68 km apart).
+                assert!(overlapped > 100, "{overlapped} lens points");
+            }
+        }
+    }
+
+    #[test]
+    fn cell_table_near_a_pole_is_one_mixed_cell() {
+        let polar = |name, lat, lon| Area {
+            name,
+            center: Point::new_unchecked(lat, lon),
+            population: 1_000,
+        };
+        let set = AreaSet::new(
+            vec![
+                polar("A", -89.7, 10.0),
+                polar("B", -88.9, 140.0),
+                polar("C", -60.0, 0.0),
+            ],
+            50.0,
+        );
+        let t = &set.cells;
+        assert_eq!((t.rows, t.cols, t.cells.as_slice()), (1, 1, &[MIXED][..]));
+        assert_eq!(t.candidates, vec![Box::from([0, 1, 2])]);
+        let (lats, lons) = table_probe_points(&set, 99);
+        assert_batch_matches_brute_force(&set, &lats, &lons);
+        // Non-finite coordinates are in no disc on either path.
+        for set in [set, AreaSet::of_scale(Scale::National)] {
+            let odd = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+            let (mut lats, mut lons) = (Vec::new(), Vec::new());
+            for a in odd {
+                for (lat, lon) in [(a, 151.2093), (-33.8688, a), (a, a)] {
+                    lats.push(lat);
+                    lons.push(lon);
+                }
+            }
+            let mut codes = Vec::new();
+            set.assign_batch(&lats, &lons, &mut codes, |k, a| {
+                panic!("point {k} in area {a}")
+            });
+            assert!(codes.iter().all(|&c| c == -1), "{codes:?}");
+        }
+    }
+
+    #[test]
+    fn cell_table_debug_is_a_summary() {
+        let text = format!("{:?}", AreaSet::of_scale(Scale::National));
+        let table = &text[text.find("CellTable").expect("table in Debug")..];
+        assert!(table.len() < 200, "{table}");
+        assert!(
+            table.contains("interior: ") && table.contains("mixed: "),
+            "{table}"
+        );
     }
 
     #[test]
