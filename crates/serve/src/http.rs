@@ -25,9 +25,12 @@ pub enum HttpError {
     /// The request line was missing, overlong, or not `METHOD TARGET
     /// HTTP/1.x`.
     BadRequestLine,
-    /// More than [`MAX_HEADERS`] header lines, or a header without `:`.
+    /// More than [`MAX_HEADERS`] header lines, a header without `:`, or
+    /// a `Transfer-Encoding` header (only `Content-Length` framing is
+    /// supported).
     BadHeader,
-    /// `Content-Length` was present but not a base-10 integer.
+    /// `Content-Length` was present but not a string of ASCII digits,
+    /// or was repeated with a different value.
     BadContentLength,
     /// The declared body length exceeds [`MAX_BODY_BYTES`].
     BodyTooLarge(usize),
@@ -40,7 +43,7 @@ impl std::fmt::Display for HttpError {
         match self {
             HttpError::BadRequestLine => write!(f, "malformed HTTP request line"),
             HttpError::BadHeader => write!(f, "malformed or too many HTTP headers"),
-            HttpError::BadContentLength => write!(f, "Content-Length is not an integer"),
+            HttpError::BadContentLength => write!(f, "Content-Length is not one decimal integer"),
             HttpError::BodyTooLarge(n) => {
                 write!(f, "request body of {n} bytes exceeds the {MAX_BODY_BYTES}-byte limit")
             }
@@ -89,7 +92,7 @@ pub fn read_request<R: BufRead>(stream: &mut R) -> Result<Option<Request>, HttpE
         return Err(HttpError::BadRequestLine);
     }
 
-    let mut content_length: usize = 0;
+    let mut content_length: Option<usize> = None;
     let mut close = false;
     for n in 0..=MAX_HEADERS {
         let header = read_line(stream, MAX_REQUEST_LINE_BYTES)?.ok_or(HttpError::BadHeader)?;
@@ -102,11 +105,25 @@ pub fn read_request<R: BufRead>(stream: &mut R) -> Result<Option<Request>, HttpE
         let (name, value) = header.split_once(':').ok_or(HttpError::BadHeader)?;
         let value = value.trim();
         if name.eq_ignore_ascii_case("content-length") {
-            content_length = value.parse().map_err(|_| HttpError::BadContentLength)?;
+            // Digits only (`usize::from_str` would take a leading `+`),
+            // and a repeat must agree (RFC 9112 §6.3).
+            let n = Some(value)
+                .filter(|v| !v.is_empty() && v.bytes().all(|b| b.is_ascii_digit()))
+                .and_then(|v| v.parse().ok())
+                .ok_or(HttpError::BadContentLength)?;
+            if content_length.is_some_and(|seen| seen != n) {
+                return Err(HttpError::BadContentLength);
+            }
+            content_length = Some(n);
+        } else if name.eq_ignore_ascii_case("transfer-encoding") {
+            // A chunked body left unread would be parsed as the next
+            // keep-alive request.
+            return Err(HttpError::BadHeader);
         } else if name.eq_ignore_ascii_case("connection") {
             close = value.eq_ignore_ascii_case("close");
         }
     }
+    let content_length = content_length.unwrap_or(0);
     if content_length > MAX_BODY_BYTES {
         return Err(HttpError::BodyTooLarge(content_length));
     }
@@ -319,6 +336,46 @@ mod tests {
             )),
             Err(HttpError::BodyTooLarge(MAX_BODY_BYTES + 1))
         );
+    }
+
+    #[test]
+    fn framing_the_server_cannot_honour_is_rejected() {
+        let post = |headers: &str| parse(&format!("POST /epidemic HTTP/1.1\r\n{headers}\r\nhello"));
+        for bad in ["+5", "-5", " ", "5 5", "0x5", "5,5", "١"] {
+            assert_eq!(
+                post(&format!("Content-Length: {bad}\r\n")),
+                Err(HttpError::BadContentLength),
+                "{bad:?}"
+            );
+        }
+        assert_eq!(
+            post("Content-Length: 5\r\nContent-Length: 6\r\n"),
+            Err(HttpError::BadContentLength)
+        );
+        assert_eq!(
+            post("Content-Length: 5\r\nTransfer-Encoding: chunked\r\n"),
+            Err(HttpError::BadHeader)
+        );
+        assert_eq!(post("transfer-encoding: identity\r\n"), Err(HttpError::BadHeader));
+        // Equal duplicates are one length; leading zeros are digits.
+        let req = post("Content-Length: 5\r\ncontent-length: 005\r\n").unwrap().unwrap();
+        assert_eq!(req.body, "hello");
+    }
+
+    #[test]
+    fn mutated_requests_never_panic() {
+        let valid = b"POST /epidemic?seed=3 HTTP/1.1\r\nHost: x\r\nContent-Length: 13\r\nConnection: keep-alive\r\n\r\n{\"beta\": 0.5}";
+        for seed in 0..1_000 {
+            let mut rng = tweetmob_stats::rng::SplitMix64::new(seed);
+            let mut raw = valid.to_vec();
+            raw.truncate(1 + rng.next_below(raw.len()));
+            for _ in 0..=rng.next_below(4) {
+                let at = rng.next_below(raw.len());
+                raw[at] ^= 1 << rng.next_below(8);
+            }
+            let outcome = std::panic::catch_unwind(|| read_request(&mut BufReader::new(&raw[..])));
+            assert!(outcome.is_ok(), "seed {seed}: read_request panicked on {raw:?}");
+        }
     }
 
     #[test]
