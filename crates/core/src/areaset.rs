@@ -201,6 +201,7 @@ impl CellTable {
         }
     }
 
+    /// Sizes the grid, then classifies the cells of every area's window.
     #[expect(
         clippy::cast_possible_truncation,
         reason = "grid sizes are bounded by MAX_CELLS and area indices by MIXED before any cast"
