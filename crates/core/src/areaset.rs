@@ -211,22 +211,14 @@ impl CellTable {
         if n >= usize::from(MIXED) || filters.iter().any(|f| !f.dlon_max.is_finite()) {
             return Self::single_mixed(n);
         }
-        let lat_lo = filters
-            .iter()
-            .map(|f| f.lat - f.dlat_max)
-            .fold(f64::INFINITY, f64::min);
-        let lat_hi = filters
-            .iter()
-            .map(|f| f.lat + f.dlat_max)
-            .fold(f64::NEG_INFINITY, f64::max);
-        let lon_lo = filters
-            .iter()
-            .map(|f| f.lon - f.dlon_max)
-            .fold(f64::INFINITY, f64::min);
-        let lon_hi = filters
-            .iter()
-            .map(|f| f.lon + f.dlon_max)
-            .fold(f64::NEG_INFINITY, f64::max);
+        let (mut lat_lo, mut lat_hi) = (f64::INFINITY, f64::NEG_INFINITY);
+        let (mut lon_lo, mut lon_hi) = (f64::INFINITY, f64::NEG_INFINITY);
+        for f in filters {
+            lat_lo = lat_lo.min(f.lat - f.dlat_max);
+            lat_hi = lat_hi.max(f.lat + f.dlat_max);
+            lon_lo = lon_lo.min(f.lon - f.dlon_max);
+            lon_hi = lon_hi.max(f.lon + f.dlon_max);
+        }
 
         // Cells of side ε/8 at the grid's middle latitude, grown until
         // the grid fits in MAX_CELLS.
@@ -806,17 +798,18 @@ mod tests {
         let mut rng = tweetmob_stats::rng::SplitMix64::new(seed);
         let (mut lats, mut lons) = (Vec::new(), Vec::new());
         let mut push = |lat: f64, lon: f64| {
-            for (dlat, dlon) in [
+            for (la, lo) in [
                 (lat, lon),
                 (lat.next_up(), lon.next_down()),
                 (lat.next_down(), lon.next_up()),
             ] {
-                lats.push(dlat);
-                lons.push(dlon);
+                lats.push(la);
+                lons.push(lo);
             }
         };
         let eps = set.radius_km();
-        for f in &set.filters {
+        // A single-mixed-cell table has no edges (zero cells per degree).
+        for f in set.filters.iter().filter(|_| t.inv_dlat > 0.0) {
             let rows = ((f.lat - f.dlat_max - t.lat0) * t.inv_dlat).floor()
                 ..=((f.lat + f.dlat_max - t.lat0) * t.inv_dlat).ceil();
             let cols = ((f.lon - f.dlon_max - t.lon0) * t.inv_dlon).floor()
@@ -844,8 +837,8 @@ mod tests {
                     let p = tweetmob_geo::destination(a.center, bearing, frac * eps);
                     push(p.lat, p.lon);
                 }
-                push(a.center.lat, a.center.lon);
             }
+            push(a.center.lat, a.center.lon);
             for _ in 0..400 {
                 let p = tweetmob_geo::destination(
                     a.center,
