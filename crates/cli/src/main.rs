@@ -95,9 +95,9 @@ GLOBAL FLAGS (accepted by every command):
     --trace-out PATH         write the span tree as collapsed flamegraph
                              stacks (`frame;frame weight`, weight = self
                              time in ns)
-    --threads N              worker threads for parallel stages
-                             (overrides TWEETMOB_THREADS; results are
-                             identical at every thread count)
+    --threads N              worker threads for parallel stages, 1 to
+                             256 (overrides TWEETMOB_THREADS; results
+                             are identical at every thread count)
 ";
 
 fn main() {
@@ -170,11 +170,12 @@ fn run(raw: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
     // Every subcommand also accepts the global observability flags.
     let args = Args::parse_with_observability(rest, valued, switches)?;
     if let Some(n) = args.get(args::THREADS) {
-        let n: usize = n
-            .parse()
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or_else(|| format!("--threads {n:?}: expected a positive integer"))?;
+        let n = tweetmob_par::parse_threads(n).ok_or_else(|| {
+            args::ArgError(format!(
+                "--threads {n:?}: expected a positive integer at most {}",
+                tweetmob_par::MAX_THREADS
+            ))
+        })?;
         tweetmob_par::set_threads_override(Some(n));
     }
     let result = handler(&args);

@@ -390,6 +390,28 @@ fn bad_threads_value_reports_the_flag() {
 }
 
 #[test]
+fn thread_count_above_the_bound_is_a_usage_error() {
+    // 10 users stay below every stage's parallel threshold, so even a
+    // regressed bound would start no thread here.
+    let path = tmp("threads-bound.jsonl");
+    let out = run(&[
+        "generate",
+        path.to_str().unwrap(),
+        "--users",
+        "10",
+        "--threads",
+        "100000",
+    ]);
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(
+        err.contains("--threads \"100000\": expected a positive integer at most 256"),
+        "{err}"
+    );
+    assert!(!path.exists(), "a rejected run must write nothing");
+}
+
+#[test]
 fn failed_command_still_emits_metrics() {
     let bad = tmp("bad.jsonl");
     std::fs::write(&bad, "not json\n").unwrap();

@@ -38,9 +38,9 @@ use std::io::{Read, Write};
 /// File magic.
 pub const MAGIC: [u8; 4] = *b"TWC0";
 /// Current format version.
-pub const VERSION: u32 = 1;
+const VERSION: u32 = 1;
 /// Fixed header bytes before the column sections.
-pub const HEADER_BYTES: usize = 24;
+const HEADER_BYTES: usize = 24;
 
 /// Upper bound on the declared tweet count — a plausibility guard that
 /// rejects corrupt headers before any allocation.

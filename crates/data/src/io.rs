@@ -186,7 +186,7 @@ fn tweet_fields(doc: &Json) -> Result<(u32, i64, f64, f64), String> {
 }
 
 /// CSV header emitted by [`write_csv`].
-pub const CSV_HEADER: &str = "user,time_secs,lat,lon";
+const CSV_HEADER: &str = "user,time_secs,lat,lon";
 
 /// Writes the dataset as CSV with header `user,time_secs,lat,lon`.
 ///

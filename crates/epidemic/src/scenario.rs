@@ -259,62 +259,6 @@ impl OutbreakScenario {
         }
         Ok(timeline)
     }
-
-    /// Runs `n_replicates` stochastic simulations on the shared
-    /// [`tweetmob_par`] pool, one independent RNG stream per replicate.
-    ///
-    /// Replicate `k`'s seed is derived from `(base_seed, k)` alone (a
-    /// SplitMix64 mix, matching the synth generator's per-user seeding),
-    /// so the returned timelines — in replicate order — are identical at
-    /// every thread count.
-    ///
-    /// # Errors
-    ///
-    /// As [`OutbreakScenario::run_deterministic`]; validation runs once
-    /// up front so the workers cannot fail.
-    pub fn run_stochastic_replicates(
-        &self,
-        days: f64,
-        dt: f64,
-        base_seed: u64,
-        n_replicates: usize,
-    ) -> Result<Vec<EpidemicTimeline>, ScenarioError> {
-        let _span = tweetmob_obs::span!("epidemic/run_stochastic_replicates");
-        self.validate(days, dt)?;
-        let timelines = tweetmob_par::par_map_reduce(
-            "epidemic/replicates",
-            n_replicates,
-            2,
-            |range| {
-                let mut out = Vec::with_capacity(range.len());
-                for k in range {
-                    let seed = replicate_seed(base_seed, k as u64);
-                    #[expect(
-                        clippy::expect_used,
-                        reason = "validate() succeeded above and run_stochastic re-validates the \
-                                  same immutable inputs, so per-replicate failure is unreachable"
-                    )]
-                    out.push(
-                        self.run_stochastic(days, dt, seed)
-                            .expect("validated scenario cannot fail"),
-                    );
-                }
-                out
-            },
-            |mut acc: Vec<EpidemicTimeline>, chunk| {
-                acc.extend(chunk);
-                acc
-            },
-        );
-        Ok(timelines)
-    }
-}
-
-/// Derives replicate `k`'s RNG seed from the base seed alone, mirroring
-/// the synth generator's per-user scheme: mix through SplitMix64 so
-/// consecutive replicate indices land in unrelated parts of the stream.
-fn replicate_seed(base_seed: u64, k: u64) -> u64 {
-    SplitMix64::new(base_seed ^ ((k << 1) | 1)).next_u64()
 }
 
 /// Recorded infection curves per patch.
@@ -602,47 +546,6 @@ mod tests {
             .with_initial_immunity(0.0)
             .run_deterministic(10.0, 0.25)
             .is_ok());
-    }
-
-    #[test]
-    fn replicates_match_one_by_one_runs_at_any_thread_count() {
-        let scenario = OutbreakScenario::new(chain_network(), 0.5, 0.2).seed(0, 200.0);
-        let serial = tweetmob_par::with_threads(1, || {
-            scenario
-                .run_stochastic_replicates(30.0, 0.25, 99, 6)
-                .unwrap()
-        });
-        let parallel = tweetmob_par::with_threads(8, || {
-            scenario
-                .run_stochastic_replicates(30.0, 0.25, 99, 6)
-                .unwrap()
-        });
-        assert_eq!(serial.len(), 6);
-        for (k, (a, b)) in serial.iter().zip(&parallel).enumerate() {
-            assert_eq!(a.infected, b.infected, "replicate {k}");
-            assert_eq!(a.recovered, b.recovered, "replicate {k}");
-            // And each matches a direct run with the derived seed.
-            let direct = scenario
-                .run_stochastic(30.0, 0.25, super::replicate_seed(99, k as u64))
-                .unwrap();
-            assert_eq!(a.infected, direct.infected, "replicate {k} vs direct");
-        }
-    }
-
-    #[test]
-    fn replicates_validate_before_spawning() {
-        let bad = OutbreakScenario::new(chain_network(), 0.0, 0.2).seed(0, 10.0);
-        assert!(matches!(
-            bad.run_stochastic_replicates(10.0, 0.25, 1, 4),
-            Err(ScenarioError::BadRate("beta", _))
-        ));
-    }
-
-    #[test]
-    fn replicate_seeds_are_distinct() {
-        let seeds: std::collections::BTreeSet<u64> =
-            (0..64).map(|k| super::replicate_seed(7, k)).collect();
-        assert_eq!(seeds.len(), 64);
     }
 
     #[test]

@@ -29,11 +29,11 @@ use std::sync::Arc;
 
 /// Magic bytes opening a serialized [`PairGeometry`] ("TweetMob Pair
 /// Geometry").
-pub const GEOMETRY_MAGIC: [u8; 4] = *b"TMPG";
+const GEOMETRY_MAGIC: [u8; 4] = *b"TMPG";
 
 /// Schema version of the [`PairGeometry`] wire format. Bump on any
 /// layout change; readers reject versions they do not know.
-pub const GEOMETRY_VERSION: u32 = 1;
+const GEOMETRY_VERSION: u32 = 1;
 
 /// A malformed or unsupported serialized [`PairGeometry`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -51,7 +51,7 @@ impl fmt::Display for GeometryFormatError {
 impl std::error::Error for GeometryFormatError {}
 
 /// A point with its trigonometry precomputed: radian coordinates plus
-/// `sin`/`cos` of the latitude.
+/// the cosine of the latitude.
 ///
 /// Pairwise distance through [`TrigPoint::distance_km`] then needs only
 /// two `sin` calls and one `asin` per pair instead of haversine's four
@@ -64,10 +64,6 @@ pub struct TrigPoint {
     pub lat_rad: f64,
     /// Longitude in radians (`lon.to_radians()`).
     pub lon_rad: f64,
-    /// `sin(lat)` — not used by the haversine kernel itself, but hoisted
-    /// here once for consumers that need spherical products (bearings,
-    /// destination sampling).
-    pub sin_lat: f64,
     /// `cos(lat)`, the factor haversine applies to the longitude term.
     pub cos_lat: f64,
 }
@@ -80,7 +76,6 @@ impl TrigPoint {
         Self {
             lat_rad,
             lon_rad: p.lon_rad(),
-            sin_lat: lat_rad.sin(),
             cos_lat: lat_rad.cos(),
         }
     }
@@ -113,7 +108,7 @@ impl TrigPoint {
 /// of the transcendental work — the per-point trigonometry is computed
 /// n times instead of n·(n−1) times.
 #[must_use]
-pub fn pairwise_km(points: &[Point]) -> Vec<f64> {
+fn pairwise_km(points: &[Point]) -> Vec<f64> {
     let trig: Vec<TrigPoint> = points.iter().copied().map(TrigPoint::new).collect();
     let n = points.len();
     let mut out = Vec::with_capacity(n * n.saturating_sub(1) / 2);
@@ -258,7 +253,7 @@ impl PairGeometry {
         self.tri.iter().sum()
     }
 
-    /// Serializes the cache: [`GEOMETRY_MAGIC`], [`GEOMETRY_VERSION`]
+    /// Serializes the cache: the magic `TMPG`, the format version
     /// (u32 LE), point count (u64 LE), then every upper-triangle
     /// distance as its `f64::to_bits` in LE order.
     ///

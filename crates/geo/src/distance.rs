@@ -1,4 +1,4 @@
-//! Great-circle distance, bearing, and destination computations.
+//! Great-circle distance and destination computations.
 //!
 //! The paper measures inter-area distances of 7.5 km (Sydney suburbs) to
 //! 1422 km (national scale); haversine is accurate to well under 0.5 % over
@@ -41,17 +41,6 @@ pub fn equirectangular_km(a: Point, b: Point) -> f64 {
     let x = (b.lon - a.lon).to_radians() * mean_lat.cos();
     let y = (b.lat - a.lat).to_radians();
     EARTH_RADIUS_KM * (x * x + y * y).sqrt()
-}
-
-/// Initial great-circle bearing from `a` to `b`, degrees in `[0, 360)`.
-pub fn bearing_deg(a: Point, b: Point) -> f64 {
-    let (lat1, lon1) = (a.lat_rad(), a.lon_rad());
-    let (lat2, lon2) = (b.lat_rad(), b.lon_rad());
-    let dlon = lon2 - lon1;
-    let y = dlon.sin() * lat2.cos();
-    let x = lat1.cos() * lat2.sin() - lat1.sin() * lat2.cos() * dlon.cos();
-    let deg = y.atan2(x).to_degrees();
-    (deg + 360.0) % 360.0
 }
 
 /// Destination point reached travelling `distance_km` from `start` on the
@@ -165,15 +154,6 @@ mod tests {
         let h = haversine_km(a, b);
         let e = equirectangular_km(a, b);
         assert!((h - e).abs() / h < 0.01, "h={h} e={e}");
-    }
-
-    #[test]
-    fn bearing_cardinal_directions() {
-        let origin = Point::new_unchecked(0.0, 0.0);
-        assert!((bearing_deg(origin, Point::new_unchecked(1.0, 0.0)) - 0.0).abs() < 1e-9);
-        assert!((bearing_deg(origin, Point::new_unchecked(0.0, 1.0)) - 90.0).abs() < 1e-9);
-        assert!((bearing_deg(origin, Point::new_unchecked(-1.0, 0.0)) - 180.0).abs() < 1e-9);
-        assert!((bearing_deg(origin, Point::new_unchecked(0.0, -1.0)) - 270.0).abs() < 1e-9);
     }
 
     #[test]

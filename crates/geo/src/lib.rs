@@ -48,18 +48,14 @@
     clippy::cast_possible_truncation
 )]
 
-mod batch;
 mod bbox;
 mod cache;
 mod density;
 mod distance;
 mod point;
 
-pub use batch::haversine_km_batch;
 pub use bbox::{BoundingBox, AUSTRALIA_BBOX};
-pub use cache::{
-    pairwise_km, GeometryFormatError, PairGeometry, TrigPoint, GEOMETRY_MAGIC, GEOMETRY_VERSION,
-};
+pub use cache::{GeometryFormatError, PairGeometry, TrigPoint};
 pub use density::{DensityCell, DensityGrid};
-pub use distance::{bearing_deg, destination, equirectangular_km, haversine_km, EARTH_RADIUS_KM};
+pub use distance::{destination, equirectangular_km, haversine_km, EARTH_RADIUS_KM};
 pub use point::{GeoError, Point};

@@ -23,9 +23,9 @@
 //!   never recomputes transcendentals and the `cache/pairgeo/*` metrics
 //!   stay honest. In the batch-kernel crates (`geo`, `core`) the same
 //!   rule bans per-element `haversine_km` calls inside `for`/`while`/
-//!   `loop` bodies: column-shaped work there belongs on
-//!   `haversine_km_batch`, which hoists the origin trigonometry out of
-//!   the loop.
+//!   `loop` bodies: per-element distances there go through
+//!   `TrigPoint::distance_km`, which hoists each point's trigonometry
+//!   out of the loop.
 //!
 //! One semantic rule runs over a parsed workspace model (lexer → item
 //! parser; the architecture and its soundness caveats are in DESIGN.md
@@ -74,10 +74,10 @@ const GEOMETRY_CACHE_CRATES: &[&str] = &["tweetmob-models", "tweetmob-epidemic"]
 
 /// Crates that own the columnar batch kernels. A scalar `haversine_km`
 /// call inside a `for`/`while`/`loop` body here is a per-element
-/// distance loop that belongs on `tweetmob_geo::haversine_km_batch`
-/// (origin trig hoisted once, coordinate columns scanned contiguously);
-/// one-off calls outside loops remain fine — these crates legitimately
-/// measure single pairs during construction and queries.
+/// distance loop that belongs on `tweetmob_geo::TrigPoint` (each
+/// point's trigonometry hoisted once, as `AreaSet` and `displacement`
+/// do); one-off calls outside loops remain fine — these crates
+/// legitimately measure single pairs during construction and queries.
 const BATCH_KERNEL_CRATES: &[&str] = &["tweetmob-geo", "tweetmob-core"];
 
 /// The three rule families.
@@ -765,12 +765,12 @@ fn matching_paren(code: &str, open: usize) -> Option<usize> {
 /// `cache/pairgeo/hits` accounting.
 ///
 /// In [`BATCH_KERNEL_CRATES`] only calls inside `for`/`while`/`loop`
-/// bodies flag — column-shaped per-element loops belong on
-/// `haversine_km_batch` — while one-off pair measurements stay legal.
-/// Calls to the batch API itself (`haversine_km_batch*`) never flag.
+/// bodies flag — per-element loops belong on `TrigPoint::distance_km` —
+/// while one-off pair measurements stay legal. Longer identifiers that
+/// merely start with `haversine_km` never flag.
 ///
 /// Test code may call anything freely — the equality fixtures compare
-/// the cache and the batch kernel against exactly these scalar loops.
+/// the cache and `TrigPoint` against exactly these scalar loops.
 fn check_raw_haversine(
     label: &str,
     crate_name: &str,
@@ -801,8 +801,8 @@ fn check_raw_haversine(
             });
             continue;
         }
-        // Batch-kernel arm. A longer identifier (`haversine_km_batch`,
-        // or its test-only `_direct` reference) is not a scalar call.
+        // Batch-kernel arm. A longer identifier (such as a test-only
+        // `_direct` reference) is not a scalar call.
         let end = off + "haversine_km".len();
         if bytes.get(end).is_some_and(|&b| is_ident_byte(b)) {
             continue;
@@ -812,9 +812,9 @@ fn check_raw_haversine(
                 file: label.to_string(),
                 line: line_of(code, off),
                 rule: Rule::RawHaversine,
-                message: "per-element `haversine_km` loop on a batch path: hoist it onto \
-                          `tweetmob_geo::haversine_km_batch` over the coordinate columns \
-                          so the origin trigonometry is computed once outside the loop"
+                message: "per-element `haversine_km` loop on a batch path: build a \
+                          `tweetmob_geo::TrigPoint` per point and call `distance_km`, so \
+                          each point's trigonometry is computed once outside the loop"
                     .to_string(),
             });
         }
@@ -1008,11 +1008,7 @@ mod tests {
             let d = lint_source("m.rs", crate_name, FileKind::Library, looped);
             assert_eq!(rules(&d), vec![Rule::RawHaversine], "{d:?}");
             assert_eq!(d[0].line, 4);
-            assert!(
-                d[0].message.contains("haversine_km_batch"),
-                "{}",
-                d[0].message
-            );
+            assert!(d[0].message.contains("TrigPoint"), "{}", d[0].message);
         }
         // One-off pair measurements outside loops stay legal there...
         let pair = "fn f(a: Point, b: Point) -> f64 { haversine_km(a, b) }\n";
@@ -1038,12 +1034,12 @@ mod tests {
     }
 
     #[test]
-    fn raw_haversine_batch_arm_exempts_the_batch_api_and_impl_blocks() {
-        // Calling the batch kernel inside a loop IS the sanctioned shape.
-        let batched = "fn f(chunks: &[Chunk], o: Point, out: &mut Vec<f64>) {\n    \
-                       for c in chunks {\n        \
-                       haversine_km_batch(o, &c.lats, &c.lons, out);\n    }\n}\n";
-        let d = lint_source("m.rs", "tweetmob-geo", FileKind::Library, batched);
+    fn raw_haversine_batch_arm_exempts_longer_names_and_impl_blocks() {
+        // A longer identifier is another function, not a scalar call.
+        let longer = "fn f(pts: &[Point], o: Point, out: &mut Vec<f64>) {\n    \
+                      for p in pts {\n        \
+                      out.push(haversine_km_direct(o, *p));\n    }\n}\n";
+        let d = lint_source("m.rs", "tweetmob-geo", FileKind::Library, longer);
         assert!(d.is_empty(), "{d:?}");
         // `impl Trait for Type` is not a loop: a straight-line call in a
         // method body stays legal.

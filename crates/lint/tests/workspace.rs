@@ -169,18 +169,14 @@ pub fn total(points: &[Point]) -> f64 {
     assert_eq!(diags[0].line, 8);
 
     // Under a batch-kernel crate the same loop flags with the
-    // hoist-onto-the-batch-API message (the call sits inside `for`
+    // hoist-onto-`TrigPoint` message (the call sits inside `for`
     // bodies)...
     write_fixture(scratch.path(), "tweetmob-geo", FIXTURE);
     let geo = lint_workspace(scratch.path()).expect("lint under tweetmob-geo");
     assert_eq!(geo.len(), 1, "{}", render_report(&geo));
     assert_eq!(geo[0].rule, Rule::RawHaversine);
     assert_eq!(geo[0].line, 8);
-    assert!(
-        geo[0].message.contains("haversine_km_batch"),
-        "{}",
-        geo[0].message
-    );
+    assert!(geo[0].message.contains("TrigPoint"), "{}", geo[0].message);
 
     // ...while a crate on neither list never sees the rule.
     write_fixture(scratch.path(), "tweetmob-synth", FIXTURE);

@@ -191,8 +191,11 @@ mod tests {
         let set = FittedModelSet::fit(&data).unwrap();
         assert_eq!(set.gravity4, Gravity4Fit::fit(&data).unwrap());
         assert_eq!(set.gravity2, Gravity2Fit::fit(&data).unwrap());
-        assert_eq!(set.radiation, RadiationFit::fit(&data).unwrap());
-        assert_eq!(set.opportunities, OpportunitiesFit::fit(&data).unwrap());
+        assert_eq!(set.radiation, RadiationFit::fit_columnar(&data).unwrap());
+        assert_eq!(
+            set.opportunities,
+            OpportunitiesFit::fit_columnar(&data).unwrap()
+        );
     }
 
     #[test]

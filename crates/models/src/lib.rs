@@ -6,18 +6,14 @@
 //!   least squares in log space ([`Gravity4Fit`]).
 //! * **Gravity, 2 parameters** (Eq. 2): `P ∝ C · m n / dᵞ`
 //!   ([`Gravity2Fit`]).
-//! * **Gravity grid search** — exhaustive `(α, β, γ)` search with the
-//!   scale solved in closed form, dispatched over the shared
-//!   `tweetmob-par` worker pool ([`Gravity4Fit::fit_grid`] with
-//!   [`GravityGrid`]). The search runs on struct-of-arrays log-feature
-//!   columns ([`FitColumns`]) that hoist the `α`/`β` part of each
-//!   residual across gamma runs.
 //! * **Radiation** (Eq. 3): `P ∝ C · m n / ((m+s)(m+n+s))`, where `s` is
 //!   the population within radius `d` of the origin excluding origin and
 //!   destination ([`RadiationFit`], with [`InterveningPopulation`]
 //!   computing `s` efficiently).
 //! * **Intervening opportunities** (Stouffer 1940) as an extension model
-//!   beyond the paper ([`OpportunitiesFit`]).
+//!   beyond the paper ([`OpportunitiesFit`]). Like Radiation it has one
+//!   parameter, the scaling constant, fitted as the log-space intercept
+//!   by one serial sum over the observations.
 //! * **Deterrence-function ablations** — exponential and Tanner
 //!   (`d^−γ·e^{−d/κ}`) gravity variants ([`GravityExpFit`],
 //!   [`TannerFit`]).
@@ -71,7 +67,6 @@
     reason = "`!(x > 0.0)` guards are deliberate: they also reject NaN"
 )]
 
-mod columns;
 mod deterrence;
 mod evaluation;
 mod fitted;
@@ -81,11 +76,10 @@ mod opportunities;
 mod radiation;
 mod traits;
 
-pub use columns::{FitColumns, RunMoments, ScoreColumns};
 pub use deterrence::{GravityExpFit, TannerFit};
 pub use evaluation::{evaluate, evaluate_vectors, ModelEvaluation};
 pub use fitted::{FittedModel, FittedModelSet, ModelKind};
-pub use gravity::{Gravity2Fit, Gravity4Fit, GravityGrid, GridAxis};
+pub use gravity::{Gravity2Fit, Gravity4Fit};
 pub use ipf::{DoublyConstrainedFit, IpfError};
 pub use opportunities::OpportunitiesFit;
 pub use radiation::{InterveningPopulation, RadiationFit};

@@ -15,9 +15,8 @@
 //! companion (is Radiation's misfit specific to its functional form, or
 //! shared by all intervening-opportunity laws?).
 
-use crate::columns::ScoreColumns;
 use crate::fitted::FittedModel;
-use crate::traits::{FlowObservation, ModelError};
+use crate::traits::{log_intercept, FlowObservation, ModelError};
 use tweetmob_obs::{Json, ToJson};
 
 /// Fitted intervening-opportunities model: `P = C · m n / (s + n)`.
@@ -36,44 +35,16 @@ impl OpportunitiesFit {
             / (obs.intervening_population + obs.dest_population)
     }
 
-    /// Serial row-wise reference for [`OpportunitiesFit::fit_columnar`].
-    #[cfg(test)]
-    pub(crate) fn fit(observations: &[FlowObservation]) -> Result<Self, ModelError> {
-        let mut acc = 0.0;
-        let mut n_used = 0usize;
-        for o in observations.iter().filter(|o| o.fittable()) {
-            let phi = Self::structural_factor(o);
-            if phi > 0.0 && phi.is_finite() {
-                acc += o.observed_flow.log10() - phi.log10();
-                n_used += 1;
-            }
-        }
-        if n_used == 0 {
-            return Err(ModelError::TooFewObservations { needed: 1, got: 0 });
-        }
-        Ok(Self {
-            c: 10f64.powf(acc / n_used as f64),
-            n_used,
-        })
-    }
-
-    /// Fits `C` as the log-space intercept (geometric mean of `T / φ`),
-    /// through a [`ScoreColumns`] built in parallel over the shared
-    /// worker pool; bit-identical to a serial row-wise fit at every
-    /// thread count because the final reduction is serial and in
-    /// observation order.
+    /// Fits `C` as the log-space intercept (geometric mean of `T / φ`).
     ///
     /// # Errors
     ///
     /// [`ModelError::TooFewObservations`] when no observation is usable.
     pub fn fit_columnar(observations: &[FlowObservation]) -> Result<Self, ModelError> {
         let _span = tweetmob_obs::span!("fit/opportunities");
-        let cols = ScoreColumns::build(observations, Self::structural_factor);
-        let Some((acc, n_used)) = cols.intercept() else {
-            return Err(ModelError::TooFewObservations { needed: 1, got: 0 });
-        };
+        let (log_c, n_used) = log_intercept(observations, Self::structural_factor)?;
         Ok(Self {
-            c: 10f64.powf(acc / n_used as f64),
+            c: 10f64.powf(log_c),
             n_used,
         })
     }
@@ -128,7 +99,7 @@ mod tests {
                 obs(m, n, s, 3.0 * m * n / (s + n))
             })
             .collect();
-        let fit = OpportunitiesFit::fit(&data).unwrap();
+        let fit = OpportunitiesFit::fit_columnar(&data).unwrap();
         assert!((fit.c - 3.0).abs() / 3.0 < 1e-9);
         for o in &data {
             assert!((fit.predict_flow(o) - o.observed_flow).abs() / o.observed_flow < 1e-9);
@@ -137,30 +108,8 @@ mod tests {
 
     #[test]
     fn fit_requires_usable_observations() {
-        assert!(OpportunitiesFit::fit(&[]).is_err());
-        assert!(OpportunitiesFit::fit(&[obs(1e4, 1e3, 0.0, 0.0)]).is_err());
         assert!(OpportunitiesFit::fit_columnar(&[]).is_err());
         assert!(OpportunitiesFit::fit_columnar(&[obs(1e4, 1e3, 0.0, 0.0)]).is_err());
-    }
-
-    #[test]
-    fn columnar_fit_is_bit_identical_to_reference_at_any_thread_count() {
-        let mut k = 29u64;
-        let mut next = |lo: f64, hi: f64| {
-            k = k.wrapping_mul(6364136223846793005).wrapping_add(1);
-            lo + (k >> 11) as f64 / (1u64 << 53) as f64 * (hi - lo)
-        };
-        let data: Vec<FlowObservation> = (0..5_000)
-            .map(|_| obs(next(1e3, 1e6), next(1e3, 1e6), next(0.0, 2e6), next(1.0, 1e4)))
-            .collect();
-        let reference = OpportunitiesFit::fit(&data).unwrap();
-        let one = tweetmob_par::with_threads(1, || OpportunitiesFit::fit_columnar(&data).unwrap());
-        let eight =
-            tweetmob_par::with_threads(8, || OpportunitiesFit::fit_columnar(&data).unwrap());
-        assert_eq!(one.c.to_bits(), reference.c.to_bits());
-        assert_eq!(eight.c.to_bits(), reference.c.to_bits());
-        assert_eq!(one.n_used, reference.n_used);
-        assert_eq!(eight.n_used, reference.n_used);
     }
 
     #[test]

@@ -9,9 +9,8 @@
 //! even for distant pairs, which radiation's smooth-dispersion assumption
 //! does not anticipate.
 
-use crate::columns::ScoreColumns;
 use crate::fitted::FittedModel;
-use crate::traits::{FlowObservation, ModelError};
+use crate::traits::{log_intercept, FlowObservation, ModelError};
 use std::sync::Arc;
 use tweetmob_geo::{PairGeometry, Point};
 use tweetmob_obs::{Json, ToJson};
@@ -183,45 +182,18 @@ impl RadiationFit {
         m * n / ((m + s) * (m + n + s))
     }
 
-    /// Serial row-wise reference for [`RadiationFit::fit_columnar`].
-    #[cfg(test)]
-    pub(crate) fn fit(observations: &[FlowObservation]) -> Result<Self, ModelError> {
-        let mut acc = 0.0;
-        let mut n_used = 0usize;
-        for o in observations.iter().filter(|o| o.fittable()) {
-            let phi = Self::structural_factor(o);
-            if phi > 0.0 && phi.is_finite() {
-                acc += o.observed_flow.log10() - phi.log10();
-                n_used += 1;
-            }
-        }
-        if n_used == 0 {
-            return Err(ModelError::TooFewObservations { needed: 1, got: 0 });
-        }
-        Ok(Self {
-            c: debug_assert_finite(10f64.powf(acc / n_used as f64), "radiation C"),
-            n_used,
-        })
-    }
-
     /// Fits `C` over observations with positive flow and a positive
-    /// structural factor, through a [`ScoreColumns`] built in parallel
-    /// over the shared worker pool. The reduction is serial and in
-    /// observation order, so the fitted constant is bit-identical to a
-    /// serial row-wise fit at every thread count (asserted in the
-    /// tests).
+    /// structural factor, as the log-space intercept (geometric mean of
+    /// `T / φ`).
     ///
     /// # Errors
     ///
     /// [`ModelError::TooFewObservations`] when no observation is usable.
     pub fn fit_columnar(observations: &[FlowObservation]) -> Result<Self, ModelError> {
         let _span = tweetmob_obs::span!("fit/radiation");
-        let cols = ScoreColumns::build(observations, Self::structural_factor);
-        let Some((acc, n_used)) = cols.intercept() else {
-            return Err(ModelError::TooFewObservations { needed: 1, got: 0 });
-        };
+        let (log_c, n_used) = log_intercept(observations, Self::structural_factor)?;
         Ok(Self {
-            c: debug_assert_finite(10f64.powf(acc / n_used as f64), "radiation C"),
+            c: debug_assert_finite(10f64.powf(log_c), "radiation C"),
             n_used,
         })
     }
@@ -366,7 +338,7 @@ mod tests {
                 obs(m, n, 50.0, s, 7.5 * phi)
             })
             .collect();
-        let fit = RadiationFit::fit(&data).unwrap();
+        let fit = RadiationFit::fit_columnar(&data).unwrap();
         assert!((fit.c - 7.5).abs() / 7.5 < 1e-9, "c = {}", fit.c);
         assert_eq!(fit.n_used, 39);
         for o in &data {
@@ -393,7 +365,7 @@ mod tests {
                 obs(m, n, d, s, 0.01 * m * n / (d * d))
             })
             .collect();
-        let fit = RadiationFit::fit(&data).unwrap();
+        let fit = RadiationFit::fit_columnar(&data).unwrap();
         let max_rel = data
             .iter()
             .map(|o| (fit.predict_flow(o) - o.observed_flow).abs() / o.observed_flow)
@@ -407,44 +379,11 @@ mod tests {
     #[test]
     fn fit_errors_without_usable_observations() {
         assert!(matches!(
-            RadiationFit::fit(&[]),
-            Err(ModelError::TooFewObservations { .. })
-        ));
-        let zero_flow = vec![obs(1e4, 1e4, 10.0, 0.0, 0.0)];
-        assert!(RadiationFit::fit(&zero_flow).is_err());
-        assert!(matches!(
             RadiationFit::fit_columnar(&[]),
             Err(ModelError::TooFewObservations { .. })
         ));
+        let zero_flow = vec![obs(1e4, 1e4, 10.0, 0.0, 0.0)];
         assert!(RadiationFit::fit_columnar(&zero_flow).is_err());
-    }
-
-    #[test]
-    fn columnar_fit_is_bit_identical_to_reference_at_any_thread_count() {
-        let mut k = 17u64;
-        let mut next = |lo: f64, hi: f64| {
-            k = k.wrapping_mul(6364136223846793005).wrapping_add(1);
-            lo + (k >> 11) as f64 / (1u64 << 53) as f64 * (hi - lo)
-        };
-        let mut data: Vec<FlowObservation> = (0..5_000)
-            .map(|_| {
-                obs(
-                    next(1e3, 1e6),
-                    next(1e3, 1e6),
-                    next(5.0, 3_000.0),
-                    next(0.0, 2e6),
-                    next(1.0, 1e4),
-                )
-            })
-            .collect();
-        data.push(obs(1e4, 1e4, 10.0, 0.0, 0.0)); // unfittable straggler
-        let reference = RadiationFit::fit(&data).unwrap();
-        let one = tweetmob_par::with_threads(1, || RadiationFit::fit_columnar(&data).unwrap());
-        let eight = tweetmob_par::with_threads(8, || RadiationFit::fit_columnar(&data).unwrap());
-        assert_eq!(one.c.to_bits(), reference.c.to_bits());
-        assert_eq!(eight.c.to_bits(), reference.c.to_bits());
-        assert_eq!(one.n_used, reference.n_used);
-        assert_eq!(eight.n_used, reference.n_used);
     }
 
     #[test]

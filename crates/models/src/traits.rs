@@ -82,6 +82,33 @@ impl From<tweetmob_stats::StatsError> for ModelError {
     }
 }
 
+/// The log-space intercept of a single-constant model `P = C · φ`:
+/// `(mean of log₁₀ T − log₁₀ φ, n)` over the usable observations
+/// (fittable, with a positive finite `φ`), summed serially in
+/// observation order, so `C = 10^mean`.
+///
+/// # Errors
+///
+/// [`ModelError::TooFewObservations`] when no observation is usable.
+pub(crate) fn log_intercept(
+    observations: &[FlowObservation],
+    phi: impl Fn(&FlowObservation) -> f64,
+) -> Result<(f64, usize), ModelError> {
+    let mut acc = 0.0;
+    let mut n_used = 0usize;
+    for o in observations.iter().filter(|o| o.fittable()) {
+        let p = phi(o);
+        if p > 0.0 && p.is_finite() {
+            acc += o.observed_flow.log10() - p.log10();
+            n_used += 1;
+        }
+    }
+    if n_used == 0 {
+        return Err(ModelError::TooFewObservations { needed: 1, got: 0 });
+    }
+    Ok((acc / n_used as f64, n_used))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,19 +1,17 @@
 //! # tweetmob-par
 //!
 //! The workspace's shared parallel-execution layer: a deterministic
-//! chunked worker pool that every hot pipeline stage (trip extraction,
-//! population estimation, tweet synthesis, gravity grid search,
-//! stochastic epidemic replicates) runs on. It replaces the bespoke
-//! per-stage `crossbeam::thread::scope` blocks the seed grew — clippy's
-//! `disallowed-methods` (see `clippy.toml`) now rejects raw thread
-//! spawns anywhere else in the workspace.
+//! chunked worker pool that the two hot stages, tweet synthesis and the
+//! population-and-trips scan, run on. Clippy's `disallowed-methods`
+//! (see `clippy.toml`) rejects raw thread spawns anywhere else in the
+//! workspace.
 //!
 //! ## The determinism contract
 //!
-//! [`par_map_chunks`] splits the index range `0..n_items` into at most
-//! `threads` contiguous chunks and returns one mapped value **per chunk,
-//! in chunk order** (ascending index). Callers get bit-identical output
-//! at every thread count provided they hold up their end:
+//! [`par_map_reduce`] splits the index range `0..n_items` into at most
+//! `threads` contiguous chunks, maps each chunk, and folds the results
+//! **in chunk order** (ascending index). Callers get bit-identical
+//! output at every thread count provided they hold up their end:
 //!
 //! 1. the map closure's result for an index range depends only on the
 //!    items in that range (no shared mutable state, no chunk-boundary
@@ -38,6 +36,11 @@
 //!    determinism tests use these),
 //! 2. the `TWEETMOB_THREADS` environment variable (a positive integer),
 //! 3. [`std::thread::available_parallelism`].
+//!
+//! Every source is bounded by [`MAX_THREADS`]: [`parse_threads`] rejects
+//! larger values, and the overrides and the host count clamp to it, so
+//! outside input can never ask the operating system for an unbounded
+//! number of threads.
 //!
 //! Below a stage-chosen work threshold (`min_parallel` items) the pool
 //! runs the map inline on the calling thread — one chunk, no spawns —
@@ -64,6 +67,9 @@ use std::sync::{Mutex, PoisonError};
 /// Environment variable overriding the worker-thread count.
 pub const THREADS_ENV: &str = "TWEETMOB_THREADS";
 
+/// Upper bound on the worker-thread count from any source.
+pub const MAX_THREADS: usize = 256;
+
 /// Process-local thread-count override; `0` means "not set".
 static OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
@@ -72,21 +78,21 @@ static OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 static SCOPE_LOCK: Mutex<()> = Mutex::new(());
 
 /// Installs (or clears, with `None`) the process-wide thread-count
-/// override. `Some(0)` is treated as `None`. Long-lived callers (the
-/// CLI's `--threads` flag) set this once at startup; tests should prefer
-/// the scoped [`with_threads`].
+/// override, clamped to [`MAX_THREADS`]. `Some(0)` is treated as
+/// `None`. Long-lived callers (the CLI's `--threads` flag) set this once
+/// at startup; tests should prefer the scoped [`with_threads`].
 pub fn set_threads_override(threads: Option<usize>) {
-    OVERRIDE.store(threads.unwrap_or(0), Ordering::SeqCst);
+    OVERRIDE.store(threads.unwrap_or(0).min(MAX_THREADS), Ordering::SeqCst);
 }
 
-/// Runs `f` with the thread count pinned to `threads` (minimum 1),
-/// restoring the previous override afterwards — even on panic. Scopes
-/// are serialized process-wide, so concurrent tests cannot bleed
-/// overrides into each other; do not nest calls (the inner one would
-/// deadlock on the scope lock).
+/// Runs `f` with the thread count pinned to `threads` (clamped to
+/// `1..=`[`MAX_THREADS`]), restoring the previous override afterwards —
+/// even on panic. Scopes are serialized process-wide, so concurrent
+/// tests cannot bleed overrides into each other; do not nest calls (the
+/// inner one would deadlock on the scope lock).
 pub fn with_threads<T>(threads: usize, f: impl FnOnce() -> T) -> T {
     let _scope = SCOPE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-    let prev = OVERRIDE.swap(threads.max(1), Ordering::SeqCst);
+    let prev = OVERRIDE.swap(threads.clamp(1, MAX_THREADS), Ordering::SeqCst);
     struct Restore(usize);
     impl Drop for Restore {
         fn drop(&mut self) {
@@ -98,7 +104,8 @@ pub fn with_threads<T>(threads: usize, f: impl FnOnce() -> T) -> T {
 }
 
 /// The worker-thread count a dispatch would use right now: override,
-/// then [`THREADS_ENV`], then [`std::thread::available_parallelism`].
+/// then [`THREADS_ENV`], then [`std::thread::available_parallelism`]
+/// (at most [`MAX_THREADS`]).
 #[must_use]
 pub fn resolved_threads() -> usize {
     let forced = OVERRIDE.load(Ordering::SeqCst);
@@ -108,12 +115,19 @@ pub fn resolved_threads() -> usize {
     if let Some(n) = std::env::var(THREADS_ENV).ok().and_then(|v| parse_threads(&v)) {
         return n;
     }
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+    std::thread::available_parallelism()
+        .map_or(1, std::num::NonZeroUsize::get)
+        .min(MAX_THREADS)
 }
 
-/// Parses a positive thread count; rejects `0`, junk and empty strings.
-fn parse_threads(v: &str) -> Option<usize> {
-    v.trim().parse::<usize>().ok().filter(|&n| n > 0)
+/// Parses a thread count in `1..=`[`MAX_THREADS`]; rejects `0`, larger
+/// values, junk and empty strings.
+#[must_use]
+pub fn parse_threads(v: &str) -> Option<usize> {
+    v.trim()
+        .parse::<usize>()
+        .ok()
+        .filter(|n| (1..=MAX_THREADS).contains(n))
 }
 
 /// Publishes a dispatch's execution shape as `par/<stage>/*` gauges.
@@ -138,7 +152,7 @@ fn publish_shape(stage: &str, threads: usize, chunks: usize) {
 ///
 /// See the crate docs for the determinism contract the map closure must
 /// satisfy.
-pub fn par_map_chunks<T, F>(stage: &str, n_items: usize, min_parallel: usize, map: F) -> Vec<T>
+fn par_map_chunks<T, F>(stage: &str, n_items: usize, min_parallel: usize, map: F) -> Vec<T>
 where
     T: Send,
     F: Fn(Range<usize>) -> T + Sync,
@@ -177,7 +191,10 @@ where
     out
 }
 
-/// [`par_map_chunks`] folded with `merge` in chunk order.
+/// Maps contiguous index chunks of `0..n_items` across the worker pool
+/// and folds the per-chunk results with `merge` in chunk (ascending
+/// index) order. Runs inline on the calling thread, as one chunk, when
+/// the resolved thread count is 1 or `n_items < min_parallel`.
 ///
 /// The merge must be chunking-invariant (concatenation over contiguous
 /// ranges, or an order-independent reduction — see the crate docs) for
@@ -275,10 +292,18 @@ mod tests {
     }
 
     #[test]
+    fn overrides_clamp_to_the_thread_bound() {
+        // Reads the resolved count only: no dispatch, so no thread starts.
+        assert_eq!(with_threads(1_000_000, resolved_threads), MAX_THREADS);
+    }
+
+    #[test]
     fn parse_threads_rejects_junk() {
         assert_eq!(parse_threads("4"), Some(4));
         assert_eq!(parse_threads(" 12 "), Some(12));
         assert_eq!(parse_threads("0"), None);
+        assert_eq!(parse_threads("256"), Some(MAX_THREADS));
+        assert_eq!(parse_threads("257"), None);
         assert_eq!(parse_threads("-3"), None);
         assert_eq!(parse_threads("eight"), None);
         assert_eq!(parse_threads(""), None);

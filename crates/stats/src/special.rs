@@ -15,7 +15,7 @@
 /// Returns `f64::INFINITY` for `x <= 0` at the poles (non-positive
 /// integers) and uses the reflection formula elsewhere on the negative
 /// axis.
-pub fn ln_gamma(x: f64) -> f64 {
+fn ln_gamma(x: f64) -> f64 {
     const G: f64 = 7.0;
     const COEFFS: [f64; 9] = [
         0.999_999_999_999_809_93,

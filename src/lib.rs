@@ -14,7 +14,7 @@
 //! This crate re-exports the public API of each subsystem under one
 //! namespace:
 //!
-//! * [`geo`] — geodesy, spatial grid index, density rasteriser;
+//! * [`geo`] — geodesy, pair-geometry cache, density rasteriser;
 //! * [`stats`] — correlation/p-values, OLS, log binning, power laws,
 //!   metrics;
 //! * [`data`] — tweet records, columnar dataset, Table-I summaries, I/O;

@@ -8,8 +8,6 @@
 //! are safe under the default parallel test runner.
 
 use tweetmob::core::{extract_trips, AreaSet, Experiment, Scale};
-use tweetmob::epidemic::{MobilityNetwork, OutbreakScenario};
-use tweetmob::models::{Gravity4Fit, GravityGrid};
 use tweetmob::par::with_threads;
 use tweetmob::synth::{GeneratorConfig, TweetGenerator};
 
@@ -63,35 +61,6 @@ fn population_estimation_is_thread_invariant() {
     assert_thread_invariant("population", || {
         exp.population_correlation(Scale::National)
             .expect("population correlation on the standard dataset")
-    });
-}
-
-#[test]
-fn gravity_grid_search_is_thread_invariant() {
-    let ds = TweetGenerator::new(config()).generate();
-    let exp = Experiment::new(&ds);
-    let report = with_threads(1, || {
-        exp.mobility(Scale::National).expect("mobility report")
-    });
-    let grid = GravityGrid::default();
-    assert_thread_invariant("gravity-grid", || {
-        Gravity4Fit::fit_grid(&report.observations, &grid).expect("grid search")
-    });
-}
-
-#[test]
-fn epidemic_replicates_are_thread_invariant() {
-    let net = MobilityNetwork::from_flows(
-        vec![100_000.0, 60_000.0, 40_000.0],
-        &[(0, 1, 5.0), (1, 0, 5.0), (1, 2, 2.0), (2, 1, 2.0)],
-        0.04,
-    )
-    .expect("network");
-    let scenario = OutbreakScenario::new(net, 0.5, 0.2).seed(0, 25.0);
-    assert_thread_invariant("epidemic/replicates", || {
-        scenario
-            .run_stochastic_replicates(90.0, 0.25, 7, 6)
-            .expect("validated scenario")
     });
 }
 
