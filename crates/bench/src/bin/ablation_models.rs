@@ -20,17 +20,12 @@ fn main() {
                 continue;
             }
         };
-        println!(
-            "=== {} ({} trips) ===",
-            scale.name(),
-            report.od_total
-        );
+        println!("=== {} ({} trips) ===", scale.name(), report.od_total);
         println!(
             "{:<16} {:>9} {:>9} {:>9} {:>9} {:>9}",
             "model", "Pearson", "hit@50%", "logRMSE", "rank-ρ", "SSI"
         );
-        let mut rows: Vec<&tweetmob_models::ModelEvaluation> =
-            report.evaluations.iter().collect();
+        let mut rows: Vec<&tweetmob_models::ModelEvaluation> = report.evaluations.iter().collect();
         let ablation = deterrence_ablation(&report);
         rows.extend(ablation.evaluations());
         for e in rows {

@@ -13,8 +13,16 @@ fn main() {
         .to_path_buf();
     let mut failures = 0;
     for bin in [
-        "table1", "fig1", "fig2", "fig3", "fig4", "table2",
-        "counterfactual", "temporal", "ablation_models", "displacement",
+        "table1",
+        "fig1",
+        "fig2",
+        "fig3",
+        "fig4",
+        "table2",
+        "counterfactual",
+        "temporal",
+        "ablation_models",
+        "displacement",
     ] {
         println!();
         let path = exe_dir.join(bin);

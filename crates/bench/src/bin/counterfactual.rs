@@ -38,9 +38,7 @@ fn central_region(places: &[Place], k: usize) -> Vec<Area> {
         / total;
     let centre = tweetmob_geo::Point::new_unchecked(clat, clon);
     let mut areas: Vec<Area> = places.iter().map(|p| p.area).collect();
-    areas.sort_by(|a, b| {
-        haversine_km(centre, a.center).total_cmp(&haversine_km(centre, b.center))
-    });
+    areas.sort_by(|a, b| haversine_km(centre, a.center).total_cmp(&haversine_km(centre, b.center)));
     areas.truncate(k);
     // Study areas are conventionally listed by population.
     areas.sort_by_key(|a| std::cmp::Reverse(a.population));

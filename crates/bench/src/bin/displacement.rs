@@ -15,7 +15,10 @@ fn main() {
 
     match displacement_profile(&ds) {
         Ok(profile) => {
-            println!("{} jumps, median {:.2} km", profile.n_jumps, profile.median_km);
+            println!(
+                "{} jumps, median {:.2} km",
+                profile.n_jumps, profile.median_km
+            );
             println!();
             println!("{:>14} {:>14} {:>10}", "Δr (km)", "density", "count");
             for b in profile.pdf.iter().filter(|b| b.count > 0) {
@@ -29,10 +32,22 @@ fn main() {
                 );
             }
             println!("mass per regime:");
-            println!("  local (<5 km)            {:.1} %", profile.shares.local * 100.0);
-            println!("  metropolitan (5–100)     {:.1} %", profile.shares.metropolitan * 100.0);
-            println!("  inter-city (100–1000)    {:.1} %", profile.shares.intercity * 100.0);
-            println!("  continental (≥1000)      {:.1} %", profile.shares.continental * 100.0);
+            println!(
+                "  local (<5 km)            {:.1} %",
+                profile.shares.local * 100.0
+            );
+            println!(
+                "  metropolitan (5–100)     {:.1} %",
+                profile.shares.metropolitan * 100.0
+            );
+            println!(
+                "  inter-city (100–1000)    {:.1} %",
+                profile.shares.intercity * 100.0
+            );
+            println!(
+                "  continental (≥1000)      {:.1} %",
+                profile.shares.continental * 100.0
+            );
             println!();
             println!("expected shape: heavy tail across four decades with most mass");
             println!("local — the multi-scale structure the paper's three study scales");

@@ -35,8 +35,7 @@ fn main() {
         let nearest = NATIONAL_TOP20
             .iter()
             .min_by(|a, b| {
-                haversine_km(a.center, cell.center)
-                    .total_cmp(&haversine_km(b.center, cell.center))
+                haversine_km(a.center, cell.center).total_cmp(&haversine_km(b.center, cell.center))
             })
             .expect("gazetteer not empty");
         println!(

@@ -49,24 +49,30 @@ fn main() {
 
     // ---- Fig. 2: tweeting dynamics --------------------------------
     let counts: Vec<f64> = ds.tweets_per_user().iter().map(|&c| c as f64).collect();
-    save("fig2a_tweets_per_user.svg", pdf_chart(
-        "Fig. 2(a) — P(no. tweets per user)",
-        "tweets per user",
-        &counts,
-        4,
-    ));
+    save(
+        "fig2a_tweets_per_user.svg",
+        pdf_chart(
+            "Fig. 2(a) — P(no. tweets per user)",
+            "tweets per user",
+            &counts,
+            4,
+        ),
+    );
     let waits: Vec<f64> = ds
         .waiting_times_secs()
         .iter()
         .map(|&s| s as f64)
         .filter(|&s| s > 0.0)
         .collect();
-    save("fig2b_waiting_times.svg", pdf_chart(
-        "Fig. 2(b) — P(DT), seconds",
-        "waiting time DT (s)",
-        &waits,
-        2,
-    ));
+    save(
+        "fig2b_waiting_times.svg",
+        pdf_chart(
+            "Fig. 2(b) — P(DT), seconds",
+            "waiting time DT (s)",
+            &waits,
+            2,
+        ),
+    );
 
     // ---- Fig. 3: population correlation ----------------------------
     let exp = Experiment::new(&ds);
@@ -81,11 +87,8 @@ fn main() {
     for scale in Scale::ALL {
         match exp.population_correlation(scale) {
             Ok(pop) => {
-                let pts: Vec<(f64, f64)> = pop
-                    .areas
-                    .iter()
-                    .map(|a| (a.rescaled, a.census))
-                    .collect();
+                let pts: Vec<(f64, f64)> =
+                    pop.areas.iter().map(|a| (a.rescaled, a.census)).collect();
                 chart = chart.series(scale.name(), &pts);
             }
             Err(e) => eprintln!("{}: {e}", scale.name()),

@@ -29,7 +29,12 @@ fn main() {
         }
     };
 
-    let model_names = ["Gravity 4Param", "Gravity 2Param", "Radiation", "Opportunities"];
+    let model_names = [
+        "Gravity 4Param",
+        "Gravity 2Param",
+        "Radiation",
+        "Opportunities",
+    ];
     print!("{:<14}", "");
     for m in model_names {
         print!("{m:>16}");
@@ -67,7 +72,11 @@ fn main() {
         let r = &row.report;
         println!(
             "  {:<14} G4: α={:.2} β={:.2} γ={:.2} | G2: γ={:.2} | trips={}",
-            row.scale, r.gravity4.alpha, r.gravity4.beta, r.gravity4.gamma, r.gravity2.gamma,
+            row.scale,
+            r.gravity4.alpha,
+            r.gravity4.beta,
+            r.gravity4.gamma,
+            r.gravity2.gamma,
             r.od_total
         );
     }

@@ -12,7 +12,11 @@ use tweetmob_core::{temporal_stability, waiting_time_stationarity, Scale};
 
 fn main() {
     let (cfg, ds) = standard_dataset();
-    print_header("E12 — temporal responsiveness of population estimation", &cfg, &ds);
+    print_header(
+        "E12 — temporal responsiveness of population estimation",
+        &cfg,
+        &ds,
+    );
 
     for scale in [Scale::National, Scale::Metropolitan] {
         println!("--- {} scale, 8 monthly windows ---", scale.name());
@@ -32,7 +36,10 @@ fn main() {
                         w.vs_full_period.r
                     );
                 }
-                println!("worst single-month census correlation: {:.3}", st.worst_census_r());
+                println!(
+                    "worst single-month census correlation: {:.3}",
+                    st.worst_census_r()
+                );
             }
             Err(e) => println!("unavailable: {e}"),
         }

@@ -258,8 +258,8 @@ mod tests {
     #[test]
     fn new_observability_flags_parse() {
         let raw = ["out.jsonl", "--trace-out", "t.folded", "--metrics-redacted"];
-        let a = Args::parse_with_observability(raw.iter().map(|s| s.to_string()), &[], &[])
-            .unwrap();
+        let a =
+            Args::parse_with_observability(raw.iter().map(|s| s.to_string()), &[], &[]).unwrap();
         assert_eq!(a.get(TRACE_OUT), Some("t.folded"));
         assert!(a.has(METRICS_REDACTED));
     }

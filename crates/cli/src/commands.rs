@@ -97,7 +97,9 @@ fn read_dataset(path: &str) -> Result<TweetDataset> {
     let mut reader = BufReader::new(file);
     // fill_buf peeks without consuming, so each branch's reader starts
     // at byte 0 and validates the full header itself.
-    let head = reader.peek_fill_buf().map_err(|e| format!("cannot read: {e}"))?;
+    let head = reader
+        .peek_fill_buf()
+        .map_err(|e| format!("cannot read: {e}"))?;
     Ok(if head.starts_with(&tweetmob_data::columnar::MAGIC) {
         tweetmob_data::columnar::read_columnar(reader)?
     } else if path.ends_with(".csv") {
@@ -201,7 +203,9 @@ fn build_manifest(args: &Args, subcommand: &str, outcome: &str) -> tweetmob_obs:
 /// cannot stamp itself), rendered without outputs, outcome or thread
 /// count so artifact bytes stay invariant across thread counts.
 fn embedded_provenance(args: &Args, subcommand: &str) -> String {
-    build_manifest(args, subcommand, "ok").to_embedded_json().to_pretty()
+    build_manifest(args, subcommand, "ok")
+        .to_embedded_json()
+        .to_pretty()
 }
 
 /// Writes the metrics JSON (`--metrics-out`), the collapsed span stacks
@@ -575,7 +579,9 @@ pub fn epidemic(args: &Args) -> Result<()> {
 /// flushed) before serving starts, so a supervisor binding port `0` can
 /// read where the kernel put us.
 pub fn serve(args: &Args) -> Result<()> {
-    let path = args.get("artifact-in").ok_or("missing --artifact-in PATH")?;
+    let path = args
+        .get("artifact-in")
+        .ok_or("missing --artifact-in PATH")?;
     let _span = tweetmob_obs::span!("artifact_in");
     tweetmob_obs::manifest::record_input(path);
     let bundle = ModelBundle::load_file(path)?;

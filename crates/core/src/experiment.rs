@@ -517,7 +517,10 @@ mod tests {
                 report.gravity4.predict_flow(&obs).to_bits()
             );
             assert_eq!(
-                loaded.predict(ModelKind::Radiation, i, j).unwrap().to_bits(),
+                loaded
+                    .predict(ModelKind::Radiation, i, j)
+                    .unwrap()
+                    .to_bits(),
                 report.radiation.predict_flow(&obs).to_bits()
             );
         }

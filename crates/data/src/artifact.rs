@@ -116,7 +116,11 @@ impl std::fmt::Display for QueryError {
             if len == 0 {
                 write!(f, "the bundle covers no areas")
             } else {
-                write!(f, "the bundle covers {len} areas (valid indices 0..={})", len - 1)
+                write!(
+                    f,
+                    "the bundle covers {len} areas (valid indices 0..={})",
+                    len - 1
+                )
             }
         };
         match self {
@@ -305,10 +309,16 @@ impl ModelBundle {
     /// or [`QueryError::SelfPair`].
     fn check_pair(&self, origin: usize, dest: usize) -> Result<(), QueryError> {
         if origin >= self.len() {
-            return Err(QueryError::OriginOutOfRange { origin, len: self.len() });
+            return Err(QueryError::OriginOutOfRange {
+                origin,
+                len: self.len(),
+            });
         }
         if dest >= self.len() {
-            return Err(QueryError::DestOutOfRange { dest, len: self.len() });
+            return Err(QueryError::DestOutOfRange {
+                dest,
+                len: self.len(),
+            });
         }
         if origin == dest {
             return Err(QueryError::SelfPair { index: origin });
@@ -323,7 +333,9 @@ impl ModelBundle {
     /// [`QueryError::UnknownArea`] when no area carries the name.
     pub fn resolve_area(&self, name: &str) -> Result<usize, QueryError> {
         self.area_index(name)
-            .ok_or_else(|| QueryError::UnknownArea { name: name.to_owned() })
+            .ok_or_else(|| QueryError::UnknownArea {
+                name: name.to_owned(),
+            })
     }
 
     /// Parses a model name into a [`ModelKind`] with a typed error.
@@ -332,8 +344,9 @@ impl ModelBundle {
     ///
     /// [`QueryError::UnknownModel`] when the name is not a model key.
     pub fn resolve_model(name: &str) -> Result<ModelKind, QueryError> {
-        ModelKind::parse(name)
-            .ok_or_else(|| QueryError::UnknownModel { name: name.to_owned() })
+        ModelKind::parse(name).ok_or_else(|| QueryError::UnknownModel {
+            name: name.to_owned(),
+        })
     }
 
     /// The prediction-ready observation for an origin–destination pair:
@@ -380,7 +393,10 @@ impl ModelBundle {
         k: usize,
     ) -> Result<Vec<(usize, f64)>, QueryError> {
         if origin >= self.len() {
-            return Err(QueryError::OriginOutOfRange { origin, len: self.len() });
+            return Err(QueryError::OriginOutOfRange {
+                origin,
+                len: self.len(),
+            });
         }
         if k == 0 {
             return Err(QueryError::ZeroK);
@@ -943,17 +959,27 @@ mod tests {
             bundle.top_k(ModelKind::Gravity2, 11, 3),
             Err(QueryError::OriginOutOfRange { origin: 11, len: 5 })
         );
-        assert_eq!(bundle.top_k(ModelKind::Gravity2, 0, 0), Err(QueryError::ZeroK));
+        assert_eq!(
+            bundle.top_k(ModelKind::Gravity2, 0, 0),
+            Err(QueryError::ZeroK)
+        );
         assert_eq!(
             bundle.resolve_area("atlantis"),
-            Err(QueryError::UnknownArea { name: "atlantis".into() })
+            Err(QueryError::UnknownArea {
+                name: "atlantis".into()
+            })
         );
         assert_eq!(bundle.resolve_area("AREA 1"), Ok(1));
         assert_eq!(
             ModelBundle::resolve_model("newton"),
-            Err(QueryError::UnknownModel { name: "newton".into() })
+            Err(QueryError::UnknownModel {
+                name: "newton".into()
+            })
         );
-        assert_eq!(ModelBundle::resolve_model("gravity2"), Ok(ModelKind::Gravity2));
+        assert_eq!(
+            ModelBundle::resolve_model("gravity2"),
+            Ok(ModelKind::Gravity2)
+        );
         // The messages carry the valid range — serving handlers echo
         // them verbatim into 400 bodies.
         let msg = QueryError::OriginOutOfRange { origin: 5, len: 5 }.to_string();

@@ -154,9 +154,7 @@ pub fn decode_columnar(bytes: &[u8]) -> Result<TweetDataset, IoError> {
     };
     let unique_users: Vec<UserId> = decode_u32s(take(4 * u)).map(UserId).collect();
     let user_starts: Vec<u32> = decode_u32s(take(4 * (u + 1))).collect();
-    let times: Vec<Timestamp> = decode_i64s(take(8 * n))
-        .map(Timestamp::from_secs)
-        .collect();
+    let times: Vec<Timestamp> = decode_i64s(take(8 * n)).map(Timestamp::from_secs).collect();
     let lats: Vec<f64> = decode_f64s(take(8 * n)).collect();
     let lons: Vec<f64> = decode_f64s(take(8 * n)).collect();
     let ds = TweetDataset::from_sorted_columns(unique_users, user_starts, times, lats, lons)
@@ -337,8 +335,7 @@ mod tests {
     fn out_of_range_latitude_rejected() {
         let ds = sample();
         let mut buf = encode(&ds);
-        let lats_at =
-            HEADER_BYTES + 4 * ds.n_users() + 4 * (ds.n_users() + 1) + 8 * ds.n_tweets();
+        let lats_at = HEADER_BYTES + 4 * ds.n_users() + 4 * (ds.n_users() + 1) + 8 * ds.n_tweets();
         buf[lats_at..lats_at + 8].copy_from_slice(&200.0f64.to_le_bytes());
         match decode_columnar(&buf) {
             Err(IoError::Format { message, .. }) => {

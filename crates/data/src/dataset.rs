@@ -472,7 +472,10 @@ mod tests {
         .unwrap();
         assert_eq!(back.unique_users(), ds.unique_users());
         assert_eq!(back.user_starts(), ds.user_starts());
-        assert!(ds.iter_tweets().zip(back.iter_tweets()).all(|(a, b)| a == b));
+        assert!(ds
+            .iter_tweets()
+            .zip(back.iter_tweets())
+            .all(|(a, b)| a == b));
     }
 
     #[test]
@@ -544,9 +547,14 @@ mod tests {
 
     #[test]
     fn from_sorted_columns_empty_is_valid() {
-        let ds =
-            TweetDataset::from_sorted_columns(Vec::new(), vec![0], Vec::new(), Vec::new(), Vec::new())
-                .unwrap();
+        let ds = TweetDataset::from_sorted_columns(
+            Vec::new(),
+            vec![0],
+            Vec::new(),
+            Vec::new(),
+            Vec::new(),
+        )
+        .unwrap();
         assert!(ds.is_empty());
         assert_eq!(ds.n_users(), 0);
     }

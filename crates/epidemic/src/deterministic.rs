@@ -101,10 +101,7 @@ fn derivative(net: &MobilityNetwork, rates: &Rates, state: &State, out: &mut Sta
     // Current patch populations (conserved by migration, but recompute
     // for force-of-infection correctness during transients).
     for p in 0..n {
-        let n_p = state.s[p]
-            + state.i[p]
-            + state.r[p]
-            + if seir { state.e[p] } else { 0.0 };
+        let n_p = state.s[p] + state.i[p] + state.r[p] + if seir { state.e[p] } else { 0.0 };
         let lambda = if n_p > 0.0 {
             rates.beta * state.i[p] / n_p
         } else {
@@ -197,21 +194,11 @@ mod tests {
     }
 
     fn two_patches(leave: f64) -> MobilityNetwork {
-        MobilityNetwork::from_flows(
-            vec![10_000.0, 10_000.0],
-            &[(0, 1, 1.0), (1, 0, 1.0)],
-            leave,
-        )
-        .unwrap()
+        MobilityNetwork::from_flows(vec![10_000.0, 10_000.0], &[(0, 1, 1.0), (1, 0, 1.0)], leave)
+            .unwrap()
     }
 
-    fn run(
-        net: &MobilityNetwork,
-        rates: &Rates,
-        mut state: State,
-        days: f64,
-        dt: f64,
-    ) -> State {
+    fn run(net: &MobilityNetwork, rates: &Rates, mut state: State, days: f64, dt: f64) -> State {
         let steps = (days / dt).round() as usize;
         for _ in 0..steps {
             state = rk4_step(net, rates, &state, dt);
@@ -231,7 +218,11 @@ mod tests {
         state.seed_infection(0, 50.0);
         let before = state.total();
         let after = run(&net, &rates, state, 100.0, 0.1).total();
-        assert!((before - after).abs() / before < 1e-9, "Δ = {}", before - after);
+        assert!(
+            (before - after).abs() / before < 1e-9,
+            "Δ = {}",
+            before - after
+        );
     }
 
     #[test]

@@ -85,7 +85,11 @@ impl DiscreteState {
     pub(crate) fn susceptible(net: &MobilityNetwork, seir: bool) -> Self {
         let n = net.n_patches();
         Self {
-            s: net.populations().iter().map(|&p| p.round() as u64).collect(),
+            s: net
+                .populations()
+                .iter()
+                .map(|&p| p.round() as u64)
+                .collect(),
             e: if seir { vec![0; n] } else { Vec::new() },
             i: vec![0; n],
             r: vec![0; n],
@@ -148,10 +152,7 @@ pub(crate) fn step(
     let seir = rates.sigma.is_some();
     // Epidemic transitions first (per patch, using start-of-step counts).
     for p in 0..n {
-        let pop = state.s[p]
-            + state.i[p]
-            + state.r[p]
-            + if seir { state.e[p] } else { 0 };
+        let pop = state.s[p] + state.i[p] + state.r[p] + if seir { state.e[p] } else { 0 };
         if pop == 0 {
             continue;
         }
@@ -238,12 +239,8 @@ mod tests {
     }
 
     fn net_two() -> MobilityNetwork {
-        MobilityNetwork::from_flows(
-            vec![50_000.0, 50_000.0],
-            &[(0, 1, 1.0), (1, 0, 1.0)],
-            0.05,
-        )
-        .unwrap()
+        MobilityNetwork::from_flows(vec![50_000.0, 50_000.0], &[(0, 1, 1.0), (1, 0, 1.0)], 0.05)
+            .unwrap()
     }
 
     #[test]

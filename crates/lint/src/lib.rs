@@ -1028,7 +1028,11 @@ mod tests {
                    loop {\n        \
                    s += haversine_km(o, pts[0]);\n        break;\n    }\n    s\n}\n";
         let d = lint_source("m.rs", "tweetmob-core", FileKind::Library, src);
-        assert_eq!(rules(&d), vec![Rule::RawHaversine, Rule::RawHaversine], "{d:?}");
+        assert_eq!(
+            rules(&d),
+            vec![Rule::RawHaversine, Rule::RawHaversine],
+            "{d:?}"
+        );
         assert_eq!(d[0].line, 5);
         assert_eq!(d[1].line, 9);
     }

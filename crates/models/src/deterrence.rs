@@ -110,8 +110,7 @@ impl TannerFit {
         for o in observations.iter().filter(|o| o.fittable()) {
             let lhs =
                 o.observed_flow.log10() - o.origin_population.log10() - o.dest_population.log10();
-            ols.add(&[o.distance_km.log10(), o.distance_km], lhs)
-                ?;
+            ols.add(&[o.distance_km.log10(), o.distance_km], lhs)?;
         }
         let n_used = ols.n();
         let fit = ols.solve()?;

@@ -61,8 +61,7 @@ impl Gravity4Fit {
                     o.distance_km.log10(),
                 ],
                 o.observed_flow.log10(),
-            )
-            ?;
+            )?;
         }
         let n_used = ols.n();
         let fit = ols.solve()?;
@@ -113,8 +112,7 @@ impl Gravity2Fit {
         for o in observations.iter().filter(|o| o.fittable()) {
             let lhs =
                 o.observed_flow.log10() - o.origin_population.log10() - o.dest_population.log10();
-            ols.add(&[o.distance_km.log10()], lhs)
-                ?;
+            ols.add(&[o.distance_km.log10()], lhs)?;
         }
         let n_used = ols.n();
         let fit = ols.solve()?;

@@ -189,7 +189,9 @@ static RECORDED_INPUTS: Mutex<Vec<String>> = Mutex::new(Vec::new());
 static RECORDED_OUTPUTS: Mutex<Vec<String>> = Mutex::new(Vec::new());
 
 fn push_unique(store: &Mutex<Vec<String>>, path: &str) {
-    let mut paths = store.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let mut paths = store
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
     if !paths.iter().any(|p| p == path) {
         paths.push(path.to_string());
     }

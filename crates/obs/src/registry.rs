@@ -229,8 +229,11 @@ impl MetricsRegistry {
         let histograms = lock(&self.histograms)
             .iter()
             .map(|(name, hist)| {
-                let mut buckets: Vec<u64> =
-                    hist.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect();
+                let mut buckets: Vec<u64> = hist
+                    .buckets
+                    .iter()
+                    .map(|b| b.load(Ordering::Relaxed))
+                    .collect();
                 let overflow = buckets.pop().unwrap_or(0);
                 let mut values = [
                     overflow,
@@ -487,7 +490,10 @@ mod tests {
         let full = r.to_json();
         assert!(full.contains("\"sum\": 2000500"));
         let redacted = r.to_json_redacted();
-        assert!(redacted.contains("\"count\": 2"), "counts are deterministic");
+        assert!(
+            redacted.contains("\"count\": 2"),
+            "counts are deterministic"
+        );
         assert!(redacted.contains("\"sum\": 0"));
         assert!(redacted.contains("\"p99\": 0"));
     }
@@ -521,7 +527,10 @@ mod tests {
         assert_eq!(h.quantile(0.99), 100, "p99 saturates at the last bound");
         let json = r.to_json();
         assert!(json.contains("\"overflow\": 9"), "overflow visible: {json}");
-        assert!(json.contains("\"p99\": 100"), "saturated p99 rendered: {json}");
+        assert!(
+            json.contains("\"p99\": 100"),
+            "saturated p99 rendered: {json}"
+        );
     }
 
     #[test]

@@ -113,7 +113,9 @@ impl Timer {
         reason = "tweetmob-obs owns the monotonic clock; a timer's reading is never a result"
     )]
     pub fn start() -> Self {
-        Self { started: Instant::now() }
+        Self {
+            started: Instant::now(),
+        }
     }
 
     /// Nanoseconds since [`Timer::start`], saturating at `u64::MAX`.

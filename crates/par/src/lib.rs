@@ -112,7 +112,10 @@ pub fn resolved_threads() -> usize {
     if forced > 0 {
         return forced;
     }
-    if let Some(n) = std::env::var(THREADS_ENV).ok().and_then(|v| parse_threads(&v)) {
+    if let Some(n) = std::env::var(THREADS_ENV)
+        .ok()
+        .and_then(|v| parse_threads(&v))
+    {
         return n;
     }
     std::thread::available_parallelism()
@@ -216,7 +219,10 @@ where
     M: FnMut(T, T) -> T,
 {
     let chunks = par_map_chunks(stage, n_items, min_parallel, map);
-    chunks.into_iter().reduce(merge).expect("at least one chunk")
+    chunks
+        .into_iter()
+        .reduce(merge)
+        .expect("at least one chunk")
 }
 
 #[cfg(test)]
@@ -227,9 +233,8 @@ mod tests {
     fn chunks_partition_the_range_in_order() {
         for n in [0usize, 1, 7, 64, 1000] {
             for threads in [1usize, 2, 3, 8, 17] {
-                let ranges = with_threads(threads, || {
-                    par_map_chunks("test/partition", n, 0, |r| r)
-                });
+                let ranges =
+                    with_threads(threads, || par_map_chunks("test/partition", n, 0, |r| r));
                 let flat: Vec<usize> = ranges.into_iter().flatten().collect();
                 let want: Vec<usize> = (0..n).collect();
                 assert_eq!(flat, want, "n={n} threads={threads}");

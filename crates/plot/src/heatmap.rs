@@ -45,11 +45,7 @@ impl Heatmap {
         // Piecewise ramp: white (t=0) → orange (t=0.5) → dark red (t=1).
         let (r, g, b) = if t < 0.5 {
             let u = t / 0.5;
-            (
-                255.0,
-                255.0 - u * (255.0 - 165.0),
-                255.0 - u * 255.0,
-            )
+            (255.0, 255.0 - u * (255.0 - 165.0), 255.0 - u * 255.0)
         } else {
             let u = (t - 0.5) / 0.5;
             (255.0 - u * (255.0 - 139.0), 165.0 - u * 165.0, 0.0)

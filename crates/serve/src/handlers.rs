@@ -51,13 +51,19 @@ impl ApiError {
     /// `400 Bad Request`.
     #[must_use]
     pub fn bad_request(message: String) -> Self {
-        ApiError { status: 400, message }
+        ApiError {
+            status: 400,
+            message,
+        }
     }
 
     /// `404 Not Found`.
     #[must_use]
     fn not_found(message: String) -> Self {
-        ApiError { status: 404, message }
+        ApiError {
+            status: 404,
+            message,
+        }
     }
 
     /// `405 Method Not Allowed`.
@@ -105,12 +111,17 @@ pub fn handle(state: &AppState, req: &Request) -> Response {
     let endpoint = endpoint_label(&req.path);
     let response = route(state, req).unwrap_or_else(ApiError::into_response);
     let registry = tweetmob_obs::global();
-    registry.counter(&format!("serve/{endpoint}/requests")).add(1);
+    registry
+        .counter(&format!("serve/{endpoint}/requests"))
+        .add(1);
     if response.status >= 400 {
         registry.counter(&format!("serve/{endpoint}/errors")).add(1);
     }
     registry
-        .histogram(&format!("serve/{endpoint}/latency_ns"), &SERVE_LATENCY_BOUNDS_NS)
+        .histogram(
+            &format!("serve/{endpoint}/latency_ns"),
+            &SERVE_LATENCY_BOUNDS_NS,
+        )
         .record(timer.elapsed_ns());
     response
 }
@@ -196,9 +207,8 @@ fn model_param(req: &Request) -> Result<Vec<ModelKind>, ApiError> {
     match req.query.get("model").map(String::as_str) {
         None => Ok(ModelKind::ALL.to_vec()),
         Some(m) if m.eq_ignore_ascii_case("all") => Ok(ModelKind::ALL.to_vec()),
-        Some(m) => Ok(vec![
-            ModelBundle::resolve_model(m).map_err(|e| ApiError::bad_request(format!("{e}, or all")))?,
-        ]),
+        Some(m) => Ok(vec![ModelBundle::resolve_model(m)
+            .map_err(|e| ApiError::bad_request(format!("{e}, or all")))?]),
     }
 }
 
@@ -241,7 +251,9 @@ fn predict(state: &AppState, req: &Request) -> Result<Response, ApiError> {
     let kinds = model_param(req)?;
     let origin = area_param(bundle, req, "origin")?;
     let dest = area_param(bundle, req, "dest")?;
-    Ok(Response::json(predict_json(bundle, &kinds, origin, dest)?.to_string()))
+    Ok(Response::json(
+        predict_json(bundle, &kinds, origin, dest)?.to_string(),
+    ))
 }
 
 /// `GET /top_k?model=&origin=&k=`.
@@ -251,16 +263,21 @@ fn top_k(state: &AppState, req: &Request) -> Result<Response, ApiError> {
     let origin = area_param(bundle, req, "origin")?;
     let k: usize = match req.query.get("k") {
         None => 5,
-        Some(raw) => raw
-            .parse()
-            .map_err(|_| ApiError::bad_request(format!("k={raw:?} is not a non-negative integer")))?,
+        Some(raw) => raw.parse().map_err(|_| {
+            ApiError::bad_request(format!("k={raw:?} is not a non-negative integer"))
+        })?,
     };
-    Ok(Response::json(top_k_json(bundle, &kinds, origin, k)?.to_string()))
+    Ok(Response::json(
+        top_k_json(bundle, &kinds, origin, k)?.to_string(),
+    ))
 }
 
 /// An area's name, or `null` for an index outside the bundle.
 fn name_json(bundle: &ModelBundle, index: usize) -> Json {
-    bundle.areas().get(index).map_or(Json::Null, |a| a.name.as_str().into())
+    bundle
+        .areas()
+        .get(index)
+        .map_or(Json::Null, |a| a.name.as_str().into())
 }
 
 /// The pairwise prediction document: what `GET /predict` serves and
@@ -284,7 +301,10 @@ pub fn predict_json(
     Ok(Json::obj([
         ("origin", name_json(bundle, origin)),
         ("dest", name_json(bundle, dest)),
-        ("distance_km", bundle.geometry().distance(origin, dest).into()),
+        (
+            "distance_km",
+            bundle.geometry().distance(origin, dest).into(),
+        ),
         ("predictions", Json::Obj(predictions)),
     ]))
 }
@@ -307,7 +327,9 @@ pub fn top_k_json(
             let ranked = bundle
                 .top_k(kind, origin, k)?
                 .into_iter()
-                .map(|(dest, flow)| Json::obj([("dest", name_json(bundle, dest)), ("flow", flow.into())]))
+                .map(|(dest, flow)| {
+                    Json::obj([("dest", name_json(bundle, dest)), ("flow", flow.into())])
+                })
                 .collect();
             Ok((kind.key().to_string(), Json::Arr(ranked)))
         })
@@ -371,7 +393,9 @@ fn epidemic(state: &AppState, req: &Request) -> Result<Response, ApiError> {
     let seed_city = body
         .get("seed_city")
         .and_then(Json::as_str)
-        .ok_or_else(|| ApiError::bad_request("field \"seed_city\" (an area name) is required".into()))?;
+        .ok_or_else(|| {
+            ApiError::bad_request("field \"seed_city\" (an area name) is required".into())
+        })?;
     let seed_patch = bundle.resolve_area(seed_city)?;
     let kind = match body.get("model").and_then(Json::as_str) {
         None => ModelKind::Gravity2,

@@ -45,7 +45,10 @@ impl std::fmt::Display for HttpError {
             HttpError::BadHeader => write!(f, "malformed or too many HTTP headers"),
             HttpError::BadContentLength => write!(f, "Content-Length is not one decimal integer"),
             HttpError::BodyTooLarge(n) => {
-                write!(f, "request body of {n} bytes exceeds the {MAX_BODY_BYTES}-byte limit")
+                write!(
+                    f,
+                    "request body of {n} bytes exceeds the {MAX_BODY_BYTES}-byte limit"
+                )
             }
             HttpError::Io(e) => write!(f, "socket error: {e}"),
         }
@@ -83,8 +86,7 @@ pub fn read_request<R: BufRead>(stream: &mut R) -> Result<Option<Request>, HttpE
         return Err(HttpError::BadRequestLine);
     }
     let mut parts = line.split_ascii_whitespace();
-    let (method, target, version) = match (parts.next(), parts.next(), parts.next(), parts.next())
-    {
+    let (method, target, version) = match (parts.next(), parts.next(), parts.next(), parts.next()) {
         (Some(m), Some(t), Some(v), None) => (m, t, v),
         _ => return Err(HttpError::BadRequestLine),
     };
@@ -296,7 +298,10 @@ mod tests {
             .unwrap();
         assert_eq!(req.method, "GET");
         assert_eq!(req.path, "/predict");
-        assert_eq!(req.query.get("origin").map(String::as_str), Some("New South Wales"));
+        assert_eq!(
+            req.query.get("origin").map(String::as_str),
+            Some("New South Wales")
+        );
         assert_eq!(req.query.get("k").map(String::as_str), Some("3"));
         assert!(!req.close);
     }
@@ -356,9 +361,14 @@ mod tests {
             post("Content-Length: 5\r\nTransfer-Encoding: chunked\r\n"),
             Err(HttpError::BadHeader)
         );
-        assert_eq!(post("transfer-encoding: identity\r\n"), Err(HttpError::BadHeader));
+        assert_eq!(
+            post("transfer-encoding: identity\r\n"),
+            Err(HttpError::BadHeader)
+        );
         // Equal duplicates are one length; leading zeros are digits.
-        let req = post("Content-Length: 5\r\ncontent-length: 005\r\n").unwrap().unwrap();
+        let req = post("Content-Length: 5\r\ncontent-length: 005\r\n")
+            .unwrap()
+            .unwrap();
         assert_eq!(req.body, "hello");
     }
 
@@ -374,7 +384,10 @@ mod tests {
                 raw[at] ^= 1 << rng.next_below(8);
             }
             let outcome = std::panic::catch_unwind(|| read_request(&mut BufReader::new(&raw[..])));
-            assert!(outcome.is_ok(), "seed {seed}: read_request panicked on {raw:?}");
+            assert!(
+                outcome.is_ok(),
+                "seed {seed}: read_request panicked on {raw:?}"
+            );
         }
     }
 
@@ -387,7 +400,9 @@ mod tests {
     #[test]
     fn responses_carry_length_and_connection_headers() {
         let mut out = Vec::new();
-        Response::json("{}".into()).write_to(&mut out, true).unwrap();
+        Response::json("{}".into())
+            .write_to(&mut out, true)
+            .unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("Content-Length: 2\r\n"));

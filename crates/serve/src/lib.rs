@@ -65,6 +65,6 @@ mod handlers;
 mod http;
 mod server;
 
-pub use handlers::{handle, predict_json, top_k_json, AppState, ApiError};
+pub use handlers::{handle, predict_json, top_k_json, ApiError, AppState};
 pub use http::{read_request, HttpError, Request, Response, MAX_BODY_BYTES};
 pub use server::{serve, ServerHandle};

@@ -96,7 +96,9 @@ pub fn serve<A: ToSocketAddrs>(
             reason = "I/O workers over an immutable bundle: no compute to route through \
                       tweetmob-par and no chunk order to keep"
         )]
-        handles.push(std::thread::spawn(move || worker_loop(&listener, &state, &stop)));
+        handles.push(std::thread::spawn(move || {
+            worker_loop(&listener, &state, &stop)
+        }));
     }
     Ok(ServerHandle {
         addr,

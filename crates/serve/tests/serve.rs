@@ -209,7 +209,10 @@ fn every_shape_of_bad_input_is_a_typed_4xx() {
     // Unknown model: bad request, message lists the spellings.
     let (status, body) = get(addr, "/predict?model=newton&origin=0&dest=1");
     assert_eq!(status, 400, "{body}");
-    assert!(body.contains("gravity4|gravity2|radiation|opportunities"), "{body}");
+    assert!(
+        body.contains("gravity4|gravity2|radiation|opportunities"),
+        "{body}"
+    );
 
     // Self pair.
     let (status, body) = get(addr, "/predict?origin=2&dest=2");
@@ -416,9 +419,18 @@ fn health_population_and_metrics_answer_from_the_bundle() {
     // this very test populated (the registry is process-global).
     let (status, body) = get(addr, "/metrics");
     assert_eq!(status, 200);
-    assert!(body.contains("serve/healthz/requests"), "metrics missing healthz counter");
-    assert!(body.contains("serve/population/latency_ns"), "metrics missing latency histogram");
-    assert!(body.contains("\"overflow\""), "latency histograms must render overflow");
+    assert!(
+        body.contains("serve/healthz/requests"),
+        "metrics missing healthz counter"
+    );
+    assert!(
+        body.contains("serve/population/latency_ns"),
+        "metrics missing latency histogram"
+    );
+    assert!(
+        body.contains("\"overflow\""),
+        "latency histograms must render overflow"
+    );
 
     server.stop();
 }

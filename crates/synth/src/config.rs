@@ -229,17 +229,83 @@ mod tests {
     fn validation_catches_each_bad_knob() {
         let ok = GeneratorConfig::small();
         let cases: Vec<(&str, GeneratorConfig)> = vec![
-            ("n_users", GeneratorConfig { n_users: 0, ..ok.clone() }),
-            ("alpha", GeneratorConfig { activity_alpha: 1.0, ..ok.clone() }),
-            ("max_tweets", GeneratorConfig { max_tweets_per_user: 0, ..ok.clone() }),
-            ("span", GeneratorConfig { activity_span_fraction: 0.0, ..ok.clone() }),
-            ("span_hi", GeneratorConfig { activity_span_fraction: 1.5, ..ok.clone() }),
-            ("sigma", GeneratorConfig { waiting_sigma: 0.0, ..ok.clone() }),
-            ("move_p", GeneratorConfig { move_probability: 1.5, ..ok.clone() }),
-            ("return_p", GeneratorConfig { return_probability: -0.1, ..ok.clone() }),
-            ("gamma", GeneratorConfig { gravity_gamma: 0.0, ..ok.clone() }),
-            ("dest_exp", GeneratorConfig { gravity_dest_exponent: 0.0, ..ok.clone() }),
-            ("pair_noise", GeneratorConfig { pair_noise_sigma: -1.0, ..ok.clone() }),
+            (
+                "n_users",
+                GeneratorConfig {
+                    n_users: 0,
+                    ..ok.clone()
+                },
+            ),
+            (
+                "alpha",
+                GeneratorConfig {
+                    activity_alpha: 1.0,
+                    ..ok.clone()
+                },
+            ),
+            (
+                "max_tweets",
+                GeneratorConfig {
+                    max_tweets_per_user: 0,
+                    ..ok.clone()
+                },
+            ),
+            (
+                "span",
+                GeneratorConfig {
+                    activity_span_fraction: 0.0,
+                    ..ok.clone()
+                },
+            ),
+            (
+                "span_hi",
+                GeneratorConfig {
+                    activity_span_fraction: 1.5,
+                    ..ok.clone()
+                },
+            ),
+            (
+                "sigma",
+                GeneratorConfig {
+                    waiting_sigma: 0.0,
+                    ..ok.clone()
+                },
+            ),
+            (
+                "move_p",
+                GeneratorConfig {
+                    move_probability: 1.5,
+                    ..ok.clone()
+                },
+            ),
+            (
+                "return_p",
+                GeneratorConfig {
+                    return_probability: -0.1,
+                    ..ok.clone()
+                },
+            ),
+            (
+                "gamma",
+                GeneratorConfig {
+                    gravity_gamma: 0.0,
+                    ..ok.clone()
+                },
+            ),
+            (
+                "dest_exp",
+                GeneratorConfig {
+                    gravity_dest_exponent: 0.0,
+                    ..ok.clone()
+                },
+            ),
+            (
+                "pair_noise",
+                GeneratorConfig {
+                    pair_noise_sigma: -1.0,
+                    ..ok.clone()
+                },
+            ),
             (
                 "window",
                 GeneratorConfig {

@@ -33,19 +33,70 @@ fn city_name(index: usize) -> &'static str {
     // A static pool large enough for the default grids; names beyond the
     // pool reuse the last entry (experiments only need stable labels).
     const NAMES: [&str; 64] = [
-        "Evenville", "Gridford", "Planum", "Meanwood", "Centroid City",
-        "Uniforma", "Lattice Springs", "Isotropia", "Flatrock", "Parity",
-        "Homogen", "Tessell", "Quadrant", "Steady", "Regular Falls",
-        "Balance", "Midpoint", "Arraytown", "Cell City", "Spacing",
-        "Evenmore", "Gridley", "Planefield", "Meanmont", "Centrum",
-        "Unity", "Latticeburg", "Isomont", "Flatfield", "Parityville",
-        "Homestead", "Tessera", "Quadra", "Steadfast", "Regulus",
-        "Balancia", "Midville", "Arrayford", "Cellmont", "Spacerock",
-        "Evenfield", "Gridmont", "Planville", "Meanford", "Centerton",
-        "Uniburg", "Latticemont", "Isoville", "Flatburg", "Parityfield",
-        "Homeville", "Tessmont", "Quadville", "Steadmont", "Regton",
-        "Balford", "Midburg", "Arrayville", "Cellford", "Spaceton",
-        "Evenburg", "Gridville", "Planmont", "Meanville",
+        "Evenville",
+        "Gridford",
+        "Planum",
+        "Meanwood",
+        "Centroid City",
+        "Uniforma",
+        "Lattice Springs",
+        "Isotropia",
+        "Flatrock",
+        "Parity",
+        "Homogen",
+        "Tessell",
+        "Quadrant",
+        "Steady",
+        "Regular Falls",
+        "Balance",
+        "Midpoint",
+        "Arraytown",
+        "Cell City",
+        "Spacing",
+        "Evenmore",
+        "Gridley",
+        "Planefield",
+        "Meanmont",
+        "Centrum",
+        "Unity",
+        "Latticeburg",
+        "Isomont",
+        "Flatfield",
+        "Parityville",
+        "Homestead",
+        "Tessera",
+        "Quadra",
+        "Steadfast",
+        "Regulus",
+        "Balancia",
+        "Midville",
+        "Arrayford",
+        "Cellmont",
+        "Spacerock",
+        "Evenfield",
+        "Gridmont",
+        "Planville",
+        "Meanford",
+        "Centerton",
+        "Uniburg",
+        "Latticemont",
+        "Isoville",
+        "Flatburg",
+        "Parityfield",
+        "Homeville",
+        "Tessmont",
+        "Quadville",
+        "Steadmont",
+        "Regton",
+        "Balford",
+        "Midburg",
+        "Arrayville",
+        "Cellford",
+        "Spaceton",
+        "Evenburg",
+        "Gridville",
+        "Planmont",
+        "Meanville",
     ];
     NAMES[index.min(NAMES.len() - 1)]
 }
@@ -90,8 +141,9 @@ pub fn uniform_country_places(
                 UNIFORM_LAT.0 + (gy as f64 + 0.5) * lat_step + jlat,
                 UNIFORM_LON.0 + (gx as f64 + 0.5) * lon_step + jlon,
             );
-            let population =
-                ((weights[i] / weight_sum) * total_population as f64).round().max(1.0) as u64;
+            let population = ((weights[i] / weight_sum) * total_population as f64)
+                .round()
+                .max(1.0) as u64;
             let area = Area {
                 name: city_name(i),
                 center,
@@ -194,7 +246,10 @@ mod tests {
             }
         }
         dists.sort_by(f64::total_cmp);
-        let duplicates = dists.windows(2).filter(|w| (w[0] - w[1]).abs() < 1e-6).count();
+        let duplicates = dists
+            .windows(2)
+            .filter(|w| (w[0] - w[1]).abs() < 1e-6)
+            .count();
         assert_eq!(duplicates, 0, "jitter should break lattice degeneracy");
     }
 

@@ -230,7 +230,10 @@ pub fn world_places() -> Vec<Place> {
                 // users into neighbouring suburbs' search discs.
                 radius = radius.min(2.0);
             }
-            Place { area: a, radius_km: radius }
+            Place {
+                area: a,
+                radius_km: radius,
+            }
         })
         .collect()
 }
@@ -266,7 +269,11 @@ mod tests {
 
     #[test]
     fn scale_lists_sorted_by_population_descending() {
-        for list in [&NATIONAL_TOP20[..], &NSW_TOP20[..], &SYDNEY_SUBURBS_TOP20[..]] {
+        for list in [
+            &NATIONAL_TOP20[..],
+            &NSW_TOP20[..],
+            &SYDNEY_SUBURBS_TOP20[..],
+        ] {
             for w in list.windows(2) {
                 assert!(
                     w[0].population >= w[1].population,
@@ -341,7 +348,11 @@ mod tests {
         // Sydney must be decomposed into suburbs, not aggregated.
         assert!(!world.iter().any(|p| p.area.name == "Sydney"));
         // Everything else from the study scales must be present.
-        for a in NATIONAL_TOP20.iter().skip(1).chain(NSW_TOP20.iter().skip(1)) {
+        for a in NATIONAL_TOP20
+            .iter()
+            .skip(1)
+            .chain(NSW_TOP20.iter().skip(1))
+        {
             assert!(
                 world.iter().any(|p| p.area.name == a.name),
                 "missing {}",

@@ -497,11 +497,7 @@ mod tests {
         let ds = TweetGenerator::new(GeneratorConfig::default()).generate();
         let sydney = Point::new_unchecked(-33.8688, 151.2093);
         let alice = Point::new_unchecked(-23.6980, 133.8807);
-        let near = |c: Point, r: f64| {
-            ds.iter_points()
-                .filter(|&p| haversine_km(c, p) < r)
-                .count()
-        };
+        let near = |c: Point, r: f64| ds.iter_points().filter(|&p| haversine_km(c, p) < r).count();
         let sydney_tweets = near(sydney, 50.0);
         let alice_tweets = near(alice, 50.0);
         assert!(

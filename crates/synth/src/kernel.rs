@@ -227,7 +227,10 @@ mod tests {
             .iter()
             .position(|p| p.area.name == "Marrickville") // inner Sydney
             .unwrap();
-        let melbourne = places.iter().position(|p| p.area.name == "Melbourne").unwrap();
+        let melbourne = places
+            .iter()
+            .position(|p| p.area.name == "Melbourne")
+            .unwrap();
         let perth = places.iter().position(|p| p.area.name == "Perth").unwrap();
         let mut rng = SplitMix64::new(7);
         let (mut mel, mut per) = (0u32, 0u32);
@@ -250,8 +253,7 @@ mod tests {
         // both regime totals.
         for origin in [0, 25, 60] {
             let total: f64 = (0..k.n).map(|j| k.ground_truth_weight(origin, j)).sum();
-            let expect =
-                k.local_cdf[origin].last().unwrap() + k.far_cdf[origin].last().unwrap();
+            let expect = k.local_cdf[origin].last().unwrap() + k.far_cdf[origin].last().unwrap();
             assert!((total - expect).abs() < 1e-9 * expect.max(1.0));
             assert_eq!(k.ground_truth_weight(origin, origin), 0.0);
         }
@@ -262,7 +264,10 @@ mod tests {
         let a = frozen_pair_noise(1, 3, 9, 0.5);
         let b = frozen_pair_noise(1, 3, 9, 0.5);
         assert_eq!(a, b);
-        assert_ne!(frozen_pair_noise(1, 3, 9, 0.5), frozen_pair_noise(1, 9, 3, 0.5));
+        assert_ne!(
+            frozen_pair_noise(1, 3, 9, 0.5),
+            frozen_pair_noise(1, 9, 3, 0.5)
+        );
         assert_ne!(frozen_pair_noise(2, 3, 9, 0.5), a);
         assert_eq!(frozen_pair_noise(1, 3, 9, 0.0), 1.0);
         let n = 20_000;
@@ -278,7 +283,9 @@ mod tests {
         let k = kernel();
         let seq = |seed: u64| -> Vec<usize> {
             let mut rng = SplitMix64::new(seed);
-            (0..50).map(|_| k.sample_destination(&mut rng, 0).unwrap()).collect()
+            (0..50)
+                .map(|_| k.sample_destination(&mut rng, 0).unwrap())
+                .collect()
         };
         assert_eq!(seq(11), seq(11));
         assert_ne!(seq(11), seq(12));
@@ -319,7 +326,10 @@ mod tests {
             .filter(|_| k.sample_destination(&mut rng, perth).is_some())
             .count();
         let frac = moved as f64 / n as f64;
-        assert!((0.22..0.28).contains(&frac), "Perth moved on {frac} of draws");
+        assert!(
+            (0.22..0.28).contains(&frac),
+            "Perth moved on {frac} of draws"
+        );
     }
 
     #[test]

@@ -120,7 +120,9 @@ mod tests {
     #[test]
     fn pareto_respects_xmin_and_tail() {
         let mut r = rng(4);
-        let xs: Vec<f64> = (0..50_000).map(|_| sample_pareto(&mut r, 2.0, 2.5)).collect();
+        let xs: Vec<f64> = (0..50_000)
+            .map(|_| sample_pareto(&mut r, 2.0, 2.5))
+            .collect();
         assert!(xs.iter().all(|&x| x >= 2.0));
         // Analytic: P(X > 2·2^(1/1.5)) = 0.5 → median = 2·2^(2/3).
         let mut sorted = xs.clone();

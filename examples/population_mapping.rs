@@ -18,7 +18,10 @@ fn main() {
     // Density map (Fig. 1).
     let mut grid = DensityGrid::new(AUSTRALIA_BBOX, 0.25);
     grid.extend(dataset.iter_points());
-    println!("tweet-density map ({} tweets, log scale, north up):", grid.total());
+    println!(
+        "tweet-density map ({} tweets, log scale, north up):",
+        grid.total()
+    );
     print!("{}", grid.render_ascii(3));
     println!();
 

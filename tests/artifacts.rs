@@ -171,11 +171,17 @@ fn pipeline_fit_save_load_predict_is_bit_identical_at_1_and_8_threads() {
                     report.gravity2.predict_flow(&obs).to_bits()
                 );
                 assert_eq!(
-                    loaded.predict(ModelKind::Radiation, i, j).unwrap().to_bits(),
+                    loaded
+                        .predict(ModelKind::Radiation, i, j)
+                        .unwrap()
+                        .to_bits(),
                     report.radiation.predict_flow(&obs).to_bits()
                 );
                 assert_eq!(
-                    loaded.predict(ModelKind::Opportunities, i, j).unwrap().to_bits(),
+                    loaded
+                        .predict(ModelKind::Opportunities, i, j)
+                        .unwrap()
+                        .to_bits(),
                     report.opportunities.predict_flow(&obs).to_bits()
                 );
             }

@@ -69,8 +69,7 @@ fn radiation_recovers_on_even_geography() {
         .expect("uniform state mobility");
 
     let gap = |r: &tweetmob::core::MobilityReport| {
-        r.evaluation("Gravity 2Param").unwrap().pearson
-            - r.evaluation("Radiation").unwrap().pearson
+        r.evaluation("Gravity 2Param").unwrap().pearson - r.evaluation("Radiation").unwrap().pearson
     };
     let aus_gap = gap(&aus);
     let uni_gap = gap(&uni);

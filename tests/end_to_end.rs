@@ -112,7 +112,11 @@ fn effective_distance_beats_geography_as_arrival_predictor() {
         c_eff.correlation.r,
         c_geo.correlation.r
     );
-    assert!(c_eff.correlation.r > 0.9, "effective r = {}", c_eff.correlation.r);
+    assert!(
+        c_eff.correlation.r > 0.9,
+        "effective r = {}",
+        c_eff.correlation.r
+    );
 }
 
 #[test]

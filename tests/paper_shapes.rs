@@ -121,7 +121,10 @@ fn fig2b_waiting_times_span_many_decades() {
     }
     let decades = (hi / lo).log10();
     // Paper: "span at least eight decades".
-    assert!(decades >= 6.0, "waiting times span only {decades:.1} decades");
+    assert!(
+        decades >= 6.0,
+        "waiting times span only {decades:.1} decades"
+    );
 }
 
 /// Fig. 3 on the default corpus (20,000 users, default seed). The
