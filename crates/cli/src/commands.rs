@@ -2,12 +2,12 @@
 
 use crate::args::{ArgError, Args};
 use std::fs::File;
-use std::io::{BufRead, BufReader, BufWriter};
+use std::io::{BufRead as _, BufReader, BufWriter};
 use tweetmob_core::{
     correlation_json, data_funnel, deterrence_ablation, AreaSet, Experiment, PopulationSource,
     Scale,
 };
-use tweetmob_data::{io as dataio, DatasetSummary, ModelBundle, TweetDataset};
+use tweetmob_data::{columnar, io as dataio, DatasetSummary, ModelBundle, TweetDataset};
 use tweetmob_epidemic::{MobilityNetwork, OutbreakScenario, SeirParams};
 use tweetmob_models::ModelKind;
 use tweetmob_obs::{Json, ToJson};
@@ -64,9 +64,8 @@ pub fn export(args: &Args) -> Result<()> {
 }
 
 /// Loads a dataset: the columnar `TWC0` format is detected by its
-/// leading magic whatever the file is named; text files dispatch by
-/// extension (`.csv` → CSV, anything else
-/// → JSONL). Every failure names the path and how far the read got, and
+/// leading magic whatever the file is named; anything else is read as
+/// JSONL. Every failure names the path and how far the read got, and
 /// bumps the `data/load_errors` counter.
 fn load(path: &str) -> Result<TweetDataset> {
     let _span = tweetmob_obs::span!("load");
@@ -88,70 +87,62 @@ fn load(path: &str) -> Result<TweetDataset> {
     }
 }
 
-/// The raw format-dispatched read behind [`load`]: sniffs the leading
-/// four bytes for the `TWC0` magic first (so a `.twc` renamed to `.dat`
-/// still loads), then falls back to extension dispatch for the text
-/// formats.
+/// The raw read behind [`load`]: sniffs the leading four bytes for the
+/// `TWC0` magic (so a `.twc` renamed to `.dat` still loads), else JSONL.
 fn read_dataset(path: &str) -> Result<TweetDataset> {
     let file = File::open(path).map_err(|e| format!("cannot open: {e}"))?;
     let mut reader = BufReader::new(file);
-    // fill_buf peeks without consuming, so each branch's reader starts
-    // at byte 0 and validates the full header itself.
-    let head = reader
-        .peek_fill_buf()
-        .map_err(|e| format!("cannot read: {e}"))?;
-    Ok(if head.starts_with(&tweetmob_data::columnar::MAGIC) {
-        tweetmob_data::columnar::read_columnar(reader)?
-    } else if path.ends_with(".csv") {
-        dataio::read_csv(reader)?
+    // fill_buf peeks without consuming, so either reader starts at byte 0
+    // and validates the full header itself.
+    let is_columnar = reader
+        .fill_buf()
+        .map_err(|e| format!("cannot read: {e}"))?
+        .starts_with(&columnar::MAGIC);
+    Ok(if is_columnar {
+        columnar::read_columnar(reader)?
     } else {
         dataio::read_jsonl(reader)?
     })
 }
 
-/// Peek adapter: `BufRead::fill_buf` without the borrow fight of
-/// calling it inline on a reader we immediately hand elsewhere.
-trait PeekFillBuf: BufRead {
-    fn peek_fill_buf(&mut self) -> std::io::Result<Vec<u8>> {
-        Ok(self.fill_buf()?.to_vec())
+/// Whether a dataset written to `out_path` is `TWC0` (`.twc`) or JSONL
+/// (`.jsonl`). The extension is the only format switch, so any other
+/// one is a usage error, caught before any work is done.
+fn writes_columnar(out_path: &str) -> Result<bool> {
+    match out_path.rsplit_once('.').map(|(_, ext)| ext) {
+        Some("twc") => Ok(true),
+        Some("jsonl") => Ok(false),
+        _ => Err(ArgError(format!(
+            "{out_path}: the output extension picks the dataset format, .jsonl or .twc"
+        ))
+        .into()),
     }
 }
 
-impl<T: BufRead> PeekFillBuf for T {}
-
-/// Writes a dataset in the format named by `format`, or chosen by the
-/// output extension when `format` is `None`: `csv`, `twc` (columnar
-/// binary), `jsonl` (the default).
-fn write_dataset(ds: &TweetDataset, out_path: &str, format: Option<&str>) -> Result<()> {
-    let format = match format {
-        Some(f) => f,
-        None if out_path.ends_with(".csv") => "csv",
-        None if out_path.ends_with(".twc") => "twc",
-        None => "jsonl",
-    };
+/// Writes a dataset as `TWC0` when `as_columnar`, else as JSONL.
+fn write_dataset(ds: &TweetDataset, out_path: &str, as_columnar: bool) -> Result<()> {
     let file = File::create(out_path).map_err(|e| format!("cannot create {out_path}: {e}"))?;
     let writer = BufWriter::new(file);
-    match format {
-        "csv" => dataio::write_csv(ds, writer)?,
-        "twc" | "columnar" => tweetmob_data::columnar::write_columnar(ds, writer)?,
-        "jsonl" | "json" => dataio::write_jsonl(ds, writer)?,
-        other => return Err(format!("unknown format {other:?} (jsonl|csv|twc)").into()),
+    if as_columnar {
+        columnar::write_columnar(ds, writer)?;
+    } else {
+        dataio::write_jsonl(ds, writer)?;
     }
     tweetmob_obs::manifest::record_output(out_path);
     Ok(())
 }
 
-/// `tweetmob convert --in <dataset> --out <dataset> [--format F]` —
-/// re-encode a dataset between the text and binary formats. The input
-/// format is detected like every other load (`TWC0` magic first, then
-/// extension); the output format follows `--format` or the output
-/// extension. Conversion is lossless: loading the output yields the
-/// same dataset, which the round-trip tests assert byte-for-byte.
+/// `tweetmob convert --in <dataset> --out <out.{jsonl,twc}>` —
+/// re-encode a dataset between JSONL and `TWC0`. The input format is
+/// detected like every other load; the output format follows the output
+/// extension. Conversion is lossless: a JSONL → `TWC0` → JSONL trip
+/// gives back the same bytes.
 pub fn convert(args: &Args) -> Result<()> {
     let input = args.get("in").ok_or("missing --in PATH")?;
     let out_path = args.get("out").ok_or("missing --out PATH")?;
+    let as_columnar = writes_columnar(out_path)?;
     let ds = load(input)?;
-    write_dataset(&ds, out_path, args.get("format"))?;
+    write_dataset(&ds, out_path, as_columnar)?;
     println!(
         "converted {} tweets from {} users: {input} → {out_path}",
         ds.n_tweets(),
@@ -198,12 +189,12 @@ fn build_manifest(args: &Args, subcommand: &str, outcome: &str) -> tweetmob_obs:
     }
 }
 
-/// The portable manifest a fit-style command embeds in its artifact's
-/// `PROV` section: built before the artifact is written (the artifact
-/// cannot stamp itself), rendered without outputs, outcome or thread
-/// count so artifact bytes stay invariant across thread counts.
-fn embedded_provenance(args: &Args, subcommand: &str) -> String {
-    build_manifest(args, subcommand, "ok")
+/// The portable manifest `fit` embeds in its artifact's `PROV` section:
+/// built before the artifact is written (the artifact cannot stamp
+/// itself), rendered without outputs, outcome or thread count so
+/// artifact bytes stay invariant across thread counts.
+fn embedded_provenance(args: &Args) -> String {
+    build_manifest(args, "fit", "ok")
         .to_embedded_json()
         .to_pretty()
 }
@@ -249,11 +240,7 @@ pub fn emit_observability(args: &Args, subcommand: &str, ok: bool) -> Result<()>
 /// files as they exist now.
 pub fn provenance(args: &Args) -> Result<()> {
     let path = args.positional(0).ok_or("missing artifact argument")?;
-    tweetmob_obs::manifest::record_input(path);
-    let bundle = {
-        let _span = tweetmob_obs::span!("artifact_in");
-        ModelBundle::load_file(path)?
-    };
+    let bundle = load_artifact(path)?;
     let Some(manifest) = bundle.provenance() else {
         return Err(format!(
             "{path}: artifact carries no PROV section (written before provenance support)"
@@ -324,33 +311,33 @@ fn fit_bundle(
     )?)
 }
 
-/// Resolves the bundle a predict-style command works from: either a
-/// saved artifact (`--artifact-in PATH`, no dataset and no refit) or an
-/// inline fit (`--fit DATASET`) — the two produce bit-identical
-/// predictions, which the CI artifacts job asserts.
-fn bundle_arg(args: &Args) -> Result<ModelBundle> {
-    match (args.get("artifact-in"), args.get("fit")) {
-        (Some(path), None) => {
-            let _span = tweetmob_obs::span!("artifact_in");
-            tweetmob_obs::manifest::record_input(path);
-            Ok(ModelBundle::load_file(path)?)
-        }
-        (None, Some(dataset)) => {
-            let ds = load(dataset)?;
-            Ok(fit_bundle(args, &ds)?.1)
-        }
-        _ => Err("need exactly one of --artifact-in PATH or --fit DATASET".into()),
-    }
+/// Loads a fitted artifact under the `artifact_in` span. The path is
+/// recorded as a run input before the read, so a corrupt artifact still
+/// appears in the failure manifest.
+fn load_artifact(path: &str) -> Result<ModelBundle> {
+    let _span = tweetmob_obs::span!("artifact_in");
+    tweetmob_obs::manifest::record_input(path);
+    Ok(ModelBundle::load_file(path)?)
 }
 
-/// `tweetmob generate <out> [--users N] [--seed N] [--format F]`
+/// The artifact named by `--artifact-in`: the only model source of
+/// `predict`, `epidemic` and `serve`, which never fit.
+fn artifact_in(args: &Args) -> Result<ModelBundle> {
+    load_artifact(
+        args.get("artifact-in")
+            .ok_or("missing --artifact-in PATH")?,
+    )
+}
+
+/// `tweetmob generate <out.{jsonl,twc}> [--users N] [--seed N]`
 pub fn generate(args: &Args) -> Result<()> {
     let out_path = args.positional(0).ok_or("missing output path")?;
+    let as_columnar = writes_columnar(out_path)?;
     let mut cfg = GeneratorConfig::default();
     cfg.n_users = args.get_parsed("users", cfg.n_users)?;
     cfg.seed = args.get_parsed("seed", cfg.seed)?;
     let ds = TweetGenerator::try_new(cfg)?.generate();
-    write_dataset(&ds, out_path, args.get("format"))?;
+    write_dataset(&ds, out_path, as_columnar)?;
     println!(
         "wrote {} tweets from {} users to {out_path}",
         ds.n_tweets(),
@@ -394,11 +381,11 @@ pub fn population(args: &Args) -> Result<()> {
     Ok(())
 }
 
-/// `tweetmob mobility <dataset> [--scale S] [--census] [--extended]
-/// [--artifact-out PATH]`
+/// `tweetmob mobility <dataset> [--scale S] [--census] [--extended]` —
+/// print the fitted models' report; `fit` is the command that saves them.
 pub fn mobility(args: &Args) -> Result<()> {
     let ds = dataset_arg(args)?;
-    let (report, mut bundle) = fit_bundle(args, &ds)?;
+    let (report, _) = fit_bundle(args, &ds)?;
     print!("{report}");
     if args.has("extended") {
         let ablation = deterrence_ablation(&report);
@@ -409,26 +396,21 @@ pub fn mobility(args: &Args) -> Result<()> {
             println!("  (IPF converged in {iters} sweeps)");
         }
     }
-    if let Some(path) = args.get("artifact-out") {
-        bundle.set_provenance(embedded_provenance(args, "mobility"));
-        bundle.save_file(path)?;
-        tweetmob_obs::manifest::record_output(path);
-        println!("artifact written to {path}");
-    }
     Ok(())
 }
 
 /// `tweetmob fit <dataset> --artifact-out PATH [--scale S] [--census]`
 /// — the fit half of the fit-once / predict-many split: run the
 /// mobility experiment and persist the fitted models with their
-/// geometry so later `predict` / `epidemic` runs need no dataset.
+/// geometry so later `predict` / `epidemic` / `serve` runs need no
+/// dataset. It is the only command that writes an artifact.
 pub fn fit(args: &Args) -> Result<()> {
     let out = args
         .get("artifact-out")
         .ok_or("missing --artifact-out PATH")?;
     let ds = dataset_arg(args)?;
     let (report, mut bundle) = fit_bundle(args, &ds)?;
-    bundle.set_provenance(embedded_provenance(args, "fit"));
+    bundle.set_provenance(embedded_provenance(args));
     bundle.save_file(out)?;
     tweetmob_obs::manifest::record_output(out);
     print!("{report}");
@@ -441,12 +423,11 @@ pub fn fit(args: &Args) -> Result<()> {
     Ok(())
 }
 
-/// `tweetmob predict (--artifact-in PATH | --fit DATASET) --origin NAME
-/// [--dest NAME | --top K] [--model M|all] [--json]` — answer pairwise
-/// or top-k flow queries from fitted models, without refitting when an
-/// artifact is supplied.
+/// `tweetmob predict --artifact-in PATH --origin NAME [--dest NAME |
+/// --top K] [--model M|all] [--json]` — answer pairwise or top-k flow
+/// queries from a saved artifact, without a dataset or a refit.
 pub fn predict(args: &Args) -> Result<()> {
-    let bundle = bundle_arg(args)?;
+    let bundle = artifact_in(args)?;
     let model_flag = args.get("model").unwrap_or("all");
     let kinds: Vec<ModelKind> = if model_flag.eq_ignore_ascii_case("all") {
         ModelKind::ALL.to_vec()
@@ -492,29 +473,19 @@ pub fn predict(args: &Args) -> Result<()> {
     Ok(())
 }
 
-/// `tweetmob epidemic (<dataset> | --artifact-in PATH) [--beta X]
-/// [--gamma X] [--sigma X] [--seed-city NAME] [--days N]
-/// [--restrict DAY:FACTOR]`
+/// `tweetmob epidemic --artifact-in PATH [--beta X] [--gamma X]
+/// [--sigma X] [--seed-city NAME] [--days N] [--restrict DAY:FACTOR]
+/// [--immune F]`
 pub fn epidemic(args: &Args) -> Result<()> {
     let beta: f64 = args.get_parsed("beta", 0.5)?;
     let gamma: f64 = args.get_parsed("gamma", 0.2)?;
     let days: f64 = args.get_parsed("days", 365.0)?;
     let seed_city = args.get("seed-city").unwrap_or("Sydney");
 
-    // The outbreak runs over the gravity flows of a fitted national
-    // model. With --artifact-in the fit comes straight off disk — no
-    // dataset, no refit; otherwise fit gravity on national flows now.
-    // Either way the network is built from the bundle over census
-    // populations (the paper's proposed pipeline), bit-identically.
-    let bundle = if let Some(path) = args.get("artifact-in") {
-        let _span = tweetmob_obs::span!("artifact_in");
-        tweetmob_obs::manifest::record_input(path);
-        ModelBundle::load_file(path)?
-    } else {
-        let ds = dataset_arg(args)?;
-        let exp = Experiment::new(&ds);
-        exp.fit(Scale::National)?.1
-    };
+    // The outbreak runs over the gravity flows of a saved fit, with the
+    // network built from the bundle over census populations (the
+    // paper's proposed pipeline).
+    let bundle = artifact_in(args)?;
     let seed_patch = bundle
         .area_index(seed_city)
         .ok_or_else(|| format!("unknown seed city {seed_city:?}"))?;
@@ -579,13 +550,7 @@ pub fn epidemic(args: &Args) -> Result<()> {
 /// flushed) before serving starts, so a supervisor binding port `0` can
 /// read where the kernel put us.
 pub fn serve(args: &Args) -> Result<()> {
-    let path = args
-        .get("artifact-in")
-        .ok_or("missing --artifact-in PATH")?;
-    let _span = tweetmob_obs::span!("artifact_in");
-    tweetmob_obs::manifest::record_input(path);
-    let bundle = ModelBundle::load_file(path)?;
-    drop(_span);
+    let bundle = artifact_in(args)?;
     let bind = args.get("bind").unwrap_or("127.0.0.1:8787");
     let workers = tweetmob_par::resolved_threads();
     let areas = bundle.len();

@@ -2,7 +2,7 @@
 //! estimation pipeline.
 //!
 //! ```text
-//! tweetmob generate --users 20000 --seed 7 out.jsonl   # or .csv / .twc
+//! tweetmob generate --users 20000 --seed 7 out.jsonl   # or out.twc
 //! tweetmob summary out.jsonl
 //! tweetmob population out.jsonl --scale national
 //! tweetmob mobility out.jsonl --scale state --extended
@@ -14,11 +14,15 @@
 //! tweetmob serve --artifact-in models.tma --bind 127.0.0.1:8787
 //! ```
 //!
-//! Datasets are JSONL (default), CSV, or the columnar binary `.twc`
-//! format. Writers choose by file extension (or `--format`); readers
-//! detect `.twc` by its leading magic and fall back to extension dispatch, so
-//! `tweetmob convert --in tweets.jsonl --out tweets.twc` round-trips
-//! through any pair of formats.
+//! Datasets are JSONL, the Twitter-shaped text format, or the columnar
+//! binary `TWC0` format. Writers choose by the output extension (`.jsonl`
+//! or `.twc`; any other is a usage error); readers detect `TWC0` by its
+//! leading magic and read anything else as JSONL, so
+//! `tweetmob convert --in tweets.jsonl --out tweets.twc` and back gives
+//! the same bytes.
+//!
+//! `fit` is the only command that writes a model artifact; `predict`,
+//! `epidemic` and `serve` read one with `--artifact-in` and never fit.
 
 mod args;
 mod commands;
@@ -33,14 +37,12 @@ USAGE:
     tweetmob <command> [args]
 
 COMMANDS:
-    generate <out.{jsonl,csv,twc}>      generate a synthetic Australian tweet stream
+    generate <out.{jsonl,twc}>   generate a synthetic Australian tweet stream
         --users N                user count                    [default 20000]
         --seed N                 generator seed                [calibrated preset]
-        --format F               jsonl | csv | twc             [default: by extension]
-    convert                      re-encode a dataset between formats
+    convert                      re-encode a dataset between JSONL and TWC0
         --in PATH                input dataset (format auto-detected) [required]
-        --out PATH               output dataset                [required]
-        --format F               jsonl | csv | twc             [default: by extension]
+        --out PATH               output dataset, .jsonl or .twc [required]
     summary <dataset>            Table-I statistics of a dataset
     population <dataset>         Fig.-3 population estimation
         --scale S                national | state | metro      [default national]
@@ -49,22 +51,19 @@ COMMANDS:
         --scale S                national | state | metro      [default national]
         --census                 use census (not Twitter) populations
         --extended               add Exp/Tanner/IPF model ablations
-        --artifact-out PATH      also save the fitted models as an artifact
     fit <dataset>                fit models and save a reusable artifact
         --artifact-out PATH      where to write the artifact   [required]
         --scale S                national | state | metro      [default national]
         --census                 use census (not Twitter) populations
     predict                      answer flow queries from fitted models
-        --artifact-in PATH       load a saved artifact (no dataset, no refit)
-        --fit DATASET            ... or fit inline from a dataset
+        --artifact-in PATH       load a saved artifact         [required]
         --origin AREA            origin area name              [required]
         --dest AREA              pairwise query to one destination
         --top K                  ... or rank the top-K destinations [default 5]
         --model M                gravity4|gravity2|radiation|opportunities|all
         --json                   machine-readable output
-        --scale S / --census     scale and populations for --fit
-    epidemic <dataset>           SIR/SEIR outbreak over fitted gravity flows
-        --artifact-in PATH       use a saved artifact instead of a dataset
+    epidemic                     SIR/SEIR outbreak over fitted gravity flows
+        --artifact-in PATH       load a saved artifact         [required]
         --beta X                 transmission rate per day     [default 0.5]
         --gamma X                recovery rate per day         [default 0.2]
         --sigma X                incubation rate (enables SEIR)
@@ -121,28 +120,16 @@ fn run(raw: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
     let command = raw.first().cloned().unwrap_or_else(|| "help".into());
     let rest = raw.into_iter().skip(1);
     let (handler, valued, switches): (CommandFn, &[&str], &[&str]) = match command.as_str() {
-        "generate" => (commands::generate, &["users", "seed", "format"], &[]),
-        "convert" => (commands::convert, &["in", "out", "format"], &[]),
+        "generate" => (commands::generate, &["users", "seed"], &[]),
+        "convert" => (commands::convert, &["in", "out"], &[]),
         "summary" => (commands::summary, &[], &[]),
         "population" => (commands::population, &["scale", "radius"], &[]),
-        "mobility" => (
-            commands::mobility,
-            &["scale", "artifact-out"],
-            &["census", "extended"],
-        ),
+        "mobility" => (commands::mobility, &["scale"], &["census", "extended"]),
         "fit" => (commands::fit, &["scale", "artifact-out"], &["census"]),
         "predict" => (
             commands::predict,
-            &[
-                "artifact-in",
-                "fit",
-                "scale",
-                "model",
-                "origin",
-                "dest",
-                "top",
-            ],
-            &["census", "json"],
+            &["artifact-in", "model", "origin", "dest", "top"],
+            &["json"],
         ),
         "epidemic" => (
             commands::epidemic,

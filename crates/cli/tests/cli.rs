@@ -20,6 +20,32 @@ fn run(args: &[&str]) -> Output {
     bin().args(args).output().expect("spawn tweetmob")
 }
 
+/// Runs `generate` into `tmp(name)` with `args` and returns the path.
+fn generated(name: &str, args: &[&str]) -> PathBuf {
+    let path = tmp(name);
+    let mut argv = vec!["generate", path.to_str().unwrap()];
+    argv.extend_from_slice(args);
+    let out = run(&argv);
+    assert!(out.status.success(), "generate: {}", stderr(&out));
+    path
+}
+
+/// Runs `fit` on `data` with `args` and returns the artifact path:
+/// `data` with a `.tma` extension.
+fn fitted(data: &std::path::Path, args: &[&str]) -> PathBuf {
+    let artifact = data.with_extension("tma");
+    let mut argv = vec![
+        "fit",
+        data.to_str().unwrap(),
+        "--artifact-out",
+        artifact.to_str().unwrap(),
+    ];
+    argv.extend_from_slice(args);
+    let out = run(&argv);
+    assert!(out.status.success(), "fit: {}", stderr(&out));
+    artifact
+}
+
 fn stdout(out: &Output) -> String {
     String::from_utf8_lossy(&out.stdout).into_owned()
 }
@@ -102,30 +128,70 @@ fn binary_format_roundtrips_via_cli() {
 }
 
 #[test]
-fn csv_format_roundtrips_via_cli() {
-    let path = tmp("roundtrip.csv");
-    let path_str = path.to_str().unwrap();
-    let out = run(&["generate", path_str, "--users", "300", "--seed", "6"]);
-    assert!(out.status.success(), "{}", stderr(&out));
-    let head = std::fs::read_to_string(&path).unwrap();
-    assert!(head.starts_with("user,time_secs,lat,lon"));
-    let out = run(&["summary", path_str]);
-    assert!(out.status.success(), "{}", stderr(&out));
-    std::fs::remove_file(&path).ok();
+fn convert_roundtrips_jsonl_through_twc_byte_for_byte() {
+    let jsonl = generated("convert-a.jsonl", &["--users", "300", "--seed", "6"]);
+    let twc = tmp("convert-b.twc");
+    let back = tmp("convert-c.jsonl");
+    for (from, to) in [(&jsonl, &twc), (&twc, &back)] {
+        let out = run(&[
+            "convert",
+            "--in",
+            from.to_str().unwrap(),
+            "--out",
+            to.to_str().unwrap(),
+        ]);
+        assert!(out.status.success(), "{}", stderr(&out));
+    }
+    assert!(std::fs::read(&twc).unwrap().starts_with(b"TWC0"));
+    assert_eq!(
+        std::fs::read(&back).unwrap(),
+        std::fs::read(&jsonl).unwrap(),
+        "JSONL -> TWC0 -> JSONL must give back the same bytes"
+    );
+
+    // The output extension is the only format switch.
+    let csv = tmp("convert.csv");
+    let out = run(&["generate", csv.to_str().unwrap(), "--users", "10"]);
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(err.contains(".jsonl") && err.contains(".twc"), "{err}");
+    assert!(!csv.exists(), "a rejected run must write nothing");
+    for path in [&jsonl, &twc, &back] {
+        std::fs::remove_file(path).ok();
+    }
+}
+
+#[test]
+fn removed_flags_are_unknown_flags() {
+    for (command, flag) in [
+        ("generate", "--format"),
+        ("convert", "--format"),
+        ("predict", "--fit"),
+        ("predict", "--scale"),
+        ("predict", "--census"),
+        ("mobility", "--artifact-out"),
+    ] {
+        let out = run(&[command, flag, "x"]);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(1), "{command} {flag}: {err}");
+        assert!(
+            err.contains(&format!("unknown flag {flag}")),
+            "{command} {flag}: {err}"
+        );
+    }
+    // `epidemic` takes no dataset: its model comes from `fit`.
+    let err = stderr(&run(&["epidemic", "data.jsonl"]));
+    assert!(err.contains("missing --artifact-in PATH"), "{err}");
 }
 
 #[test]
 fn epidemic_command_runs_with_restriction() {
-    let path = tmp("epi.jsonl");
-    let path_str = path.to_str().unwrap();
-    assert!(
-        run(&["generate", path_str, "--users", "3000", "--seed", "8"])
-            .status
-            .success()
-    );
+    let path = generated("epi.jsonl", &["--users", "3000", "--seed", "8"]);
+    let artifact = fitted(&path, &[]);
     let out = run(&[
         "epidemic",
-        path_str,
+        "--artifact-in",
+        artifact.to_str().unwrap(),
         "--beta",
         "0.5",
         "--gamma",
@@ -142,22 +208,13 @@ fn epidemic_command_runs_with_restriction() {
     assert!(text.contains("Melbourne"));
     assert!(text.contains("arrival(day)"));
     std::fs::remove_file(&path).ok();
+    std::fs::remove_file(&artifact).ok();
 }
 
 #[test]
 fn export_writes_machine_readable_results() {
-    let data = tmp("export.jsonl");
+    let data = generated("export.jsonl", &["--users", "4000", "--seed", "13"]);
     let out_json = tmp("export-results.json");
-    assert!(run(&[
-        "generate",
-        data.to_str().unwrap(),
-        "--users",
-        "4000",
-        "--seed",
-        "13"
-    ])
-    .status
-    .success());
     let out = run(&["export", data.to_str().unwrap(), out_json.to_str().unwrap()]);
     assert!(out.status.success(), "{}", stderr(&out));
     let text = std::fs::read_to_string(&out_json).unwrap();
@@ -175,18 +232,8 @@ fn export_writes_machine_readable_results() {
 
 #[test]
 fn metrics_out_writes_stage_spans_and_counters() {
-    let data = tmp("metrics.jsonl");
+    let data = generated("metrics.jsonl", &["--users", "1200", "--seed", "3"]);
     let metrics = tmp("metrics-out.json");
-    assert!(run(&[
-        "generate",
-        data.to_str().unwrap(),
-        "--users",
-        "1200",
-        "--seed",
-        "3"
-    ])
-    .status
-    .success());
     let out = run(&[
         "mobility",
         data.to_str().unwrap(),
@@ -254,17 +301,7 @@ fn redact_durations(v: &mut Json) {
 
 #[test]
 fn metrics_identical_across_same_seed_runs_modulo_durations() {
-    let data = tmp("det.jsonl");
-    assert!(run(&[
-        "generate",
-        data.to_str().unwrap(),
-        "--users",
-        "900",
-        "--seed",
-        "21"
-    ])
-    .status
-    .success());
+    let data = generated("det.jsonl", &["--users", "900", "--seed", "21"]);
     let mut docs = Vec::new();
     for name in ["det-a.json", "det-b.json"] {
         let metrics = tmp(name);
@@ -314,17 +351,7 @@ fn redact_run_identity(v: &mut Json) {
 
 #[test]
 fn results_byte_identical_across_thread_counts() {
-    let data = tmp("threads.jsonl");
-    assert!(run(&[
-        "generate",
-        data.to_str().unwrap(),
-        "--users",
-        "4000",
-        "--seed",
-        "17"
-    ])
-    .status
-    .success());
+    let data = generated("threads.jsonl", &["--users", "4000", "--seed", "17"]);
     let mut exports = Vec::new();
     let mut metric_docs = Vec::new();
     for (name, threads) in [("threads-1", "1"), ("threads-8", "8")] {
@@ -501,17 +528,7 @@ fn successful_run_manifest_records_outcome_inputs_and_seed() {
 
 #[test]
 fn redacted_metrics_byte_identical_across_thread_counts() {
-    let data = tmp("redacted.jsonl");
-    assert!(run(&[
-        "generate",
-        data.to_str().unwrap(),
-        "--users",
-        "2500",
-        "--seed",
-        "31"
-    ])
-    .status
-    .success());
+    let data = generated("redacted.jsonl", &["--users", "2500", "--seed", "31"]);
     let mut docs = Vec::new();
     let mut stacks = Vec::new();
     for (name, threads) in [("red-1", "1"), ("red-8", "8")] {
@@ -551,17 +568,7 @@ fn redacted_metrics_byte_identical_across_thread_counts() {
 
 #[test]
 fn trace_out_writes_collapsed_stacks_whatever_the_extension() {
-    let data = tmp("traceout.jsonl");
-    assert!(run(&[
-        "generate",
-        data.to_str().unwrap(),
-        "--users",
-        "600",
-        "--seed",
-        "12"
-    ])
-    .status
-    .success());
+    let data = generated("traceout.jsonl", &["--users", "600", "--seed", "12"]);
     for name in ["trace.json", "trace.folded"] {
         let path = tmp(name);
         let out = run(&[
@@ -587,27 +594,8 @@ fn trace_out_writes_collapsed_stacks_whatever_the_extension() {
 
 #[test]
 fn fit_embeds_provenance_and_provenance_command_verifies_it() {
-    let data = tmp("prov.jsonl");
-    let artifact = tmp("prov.tma");
-    assert!(run(&[
-        "generate",
-        data.to_str().unwrap(),
-        "--users",
-        "1200",
-        "--seed",
-        "19"
-    ])
-    .status
-    .success());
-    let out = run(&[
-        "fit",
-        data.to_str().unwrap(),
-        "--artifact-out",
-        artifact.to_str().unwrap(),
-        "--scale",
-        "national",
-    ]);
-    assert!(out.status.success(), "fit: {}", stderr(&out));
+    let data = generated("prov.jsonl", &["--users", "1200", "--seed", "19"]);
+    let artifact = fitted(&data, &["--scale", "national"]);
 
     // provenance prints the embedded manifest and verifies the input.
     let out = run(&["provenance", artifact.to_str().unwrap()]);
@@ -651,17 +639,7 @@ fn fit_embeds_provenance_and_provenance_command_verifies_it() {
 
 #[test]
 fn artifacts_byte_identical_across_thread_counts_with_provenance() {
-    let data = tmp("prov-threads.jsonl");
-    assert!(run(&[
-        "generate",
-        data.to_str().unwrap(),
-        "--users",
-        "1500",
-        "--seed",
-        "29"
-    ])
-    .status
-    .success());
+    let data = generated("prov-threads.jsonl", &["--users", "1500", "--seed", "29"]);
     let mut artifacts = Vec::new();
     for (name, threads) in [("prov-t1", "1"), ("prov-t8", "8")] {
         let artifact = tmp(&format!("{name}.tma"));
@@ -697,30 +675,39 @@ fn bad_flag_values_report_the_flag() {
     assert!(!out.status.success());
     assert!(stderr(&out).contains("users"));
 
-    let path = tmp("flags.jsonl");
+    let path = generated("flags.jsonl", &["--users", "200"]);
     let path_str = path.to_str().unwrap();
-    assert!(run(&["generate", path_str, "--users", "200"])
-        .status
-        .success());
     let out = run(&["population", path_str, "--scale", "galactic"]);
     assert!(!out.status.success());
     assert!(stderr(&out).contains("unknown scale"));
-    let out = run(&["epidemic", path_str, "--restrict", "nonsense"]);
+    let artifact = fitted(&path, &[]);
+    let artifact_str = artifact.to_str().unwrap();
+    let out = run(&[
+        "epidemic",
+        "--artifact-in",
+        artifact_str,
+        "--restrict",
+        "nonsense",
+    ]);
     assert!(!out.status.success());
     assert!(stderr(&out).contains("DAY:FACTOR"));
-    let out = run(&["epidemic", path_str, "--seed-city", "Atlantis"]);
+    let out = run(&[
+        "epidemic",
+        "--artifact-in",
+        artifact_str,
+        "--seed-city",
+        "Atlantis",
+    ]);
     assert!(!out.status.success());
     assert!(stderr(&out).contains("Atlantis"));
     std::fs::remove_file(&path).ok();
+    std::fs::remove_file(&artifact).ok();
 }
 
 #[test]
 fn population_rejects_a_radius_that_is_not_positive_and_finite() {
-    let path = tmp("radius.jsonl");
+    let path = generated("radius.jsonl", &["--users", "200"]);
     let path_str = path.to_str().unwrap();
-    assert!(run(&["generate", path_str, "--users", "200"])
-        .status
-        .success());
     for radius in ["0", "-1", "NaN", "inf"] {
         let out = run(&["population", path_str, "--radius", radius]);
         let err = stderr(&out);
@@ -733,16 +720,17 @@ fn population_rejects_a_radius_that_is_not_positive_and_finite() {
 
 #[test]
 fn epidemic_rejects_an_unbounded_horizon() {
-    let path = tmp("epi-inf.jsonl");
-    let path_str = path.to_str().unwrap();
-    assert!(
-        run(&["generate", path_str, "--users", "1500", "--seed", "8"])
-            .status
-            .success()
-    );
+    let path = generated("epi-inf.jsonl", &["--users", "1500", "--seed", "8"]);
+    let artifact = fitted(&path, &[]);
     // 1e12 days is finite, but would be a 4·10¹²-step timeline.
     for days in ["inf", "1e12"] {
-        let out = run(&["epidemic", path_str, "--days", days]);
+        let out = run(&[
+            "epidemic",
+            "--artifact-in",
+            artifact.to_str().unwrap(),
+            "--days",
+            days,
+        ]);
         let err = stderr(&out);
         assert_eq!(out.status.code(), Some(1), "--days {days}: {err}");
         assert!(
@@ -752,6 +740,7 @@ fn epidemic_rejects_an_unbounded_horizon() {
         assert!(!err.contains("panicked"), "{err}");
     }
     std::fs::remove_file(&path).ok();
+    std::fs::remove_file(&artifact).ok();
 }
 
 /// Kills the serve child on drop so a failed assertion can't leak it.
@@ -803,25 +792,8 @@ fn http_get(addr: &str, target: &str) -> (u16, String) {
 fn serve_answers_http_queries_in_parity_with_predict_json() {
     use std::io::BufRead;
 
-    let data = tmp("serve.twc");
-    let artifact = tmp("serve.tma");
-    assert!(run(&[
-        "generate",
-        data.to_str().unwrap(),
-        "--users",
-        "1500",
-        "--seed",
-        "13"
-    ])
-    .status
-    .success());
-    let out = run(&[
-        "fit",
-        data.to_str().unwrap(),
-        "--artifact-out",
-        artifact.to_str().unwrap(),
-    ]);
-    assert!(out.status.success(), "fit: {}", stderr(&out));
+    let data = generated("serve.twc", &["--users", "1500", "--seed", "13"]);
+    let artifact = fitted(&data, &[]);
 
     // Bind port 0 and read the resolved address off the first line.
     let mut child = ServeChild(

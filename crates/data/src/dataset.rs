@@ -366,12 +366,6 @@ impl TweetDataset {
     }
 }
 
-impl FromIterator<Tweet> for TweetDataset {
-    fn from_iter<I: IntoIterator<Item = Tweet>>(iter: I) -> Self {
-        Self::from_tweets(iter.into_iter().collect())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -626,14 +620,5 @@ mod tests {
         let ds = TweetDataset::from_tweets(vec![t(1, 100, -33.0, 151.0), t(1, 100, -34.0, 152.0)]);
         assert_eq!(ds.n_tweets(), 2);
         assert_eq!(ds.waiting_times_secs(), vec![0]);
-    }
-
-    #[test]
-    fn from_iterator_collects() {
-        let ds: TweetDataset = vec![t(5, 1, 0.0, 0.0), t(4, 2, 1.0, 1.0)]
-            .into_iter()
-            .collect();
-        assert_eq!(ds.n_users(), 2);
-        assert_eq!(ds.unique_users(), &[UserId(4), UserId(5)]);
     }
 }

@@ -1,9 +1,10 @@
-//! Dataset serialisation: JSON Lines and CSV.
+//! Dataset serialisation: JSON Lines.
 //!
-//! JSONL is the interchange format (one tweet object per line — the shape
-//! real tweet-collection pipelines emit); CSV is provided for spreadsheet
-//! interop. Both stream through `BufRead`/`Write` so multi-gigabyte
-//! datasets never need to fit into one allocation beyond the decoded rows.
+//! JSONL is the text interchange format: one tweet object per line, the
+//! shape the Twitter streaming API and real tweet-collection pipelines
+//! emit. It streams through `BufRead`/`Write` so multi-gigabyte datasets
+//! never need to fit into one allocation beyond the decoded rows. The
+//! binary `TWC0` format lives in [`crate::columnar`].
 
 use crate::dataset::TweetDataset;
 use crate::time::Timestamp;
@@ -23,13 +24,6 @@ pub enum IoError {
         /// 1-based line number.
         line: usize,
         /// Decoder message.
-        message: String,
-    },
-    /// Malformed CSV row.
-    Csv {
-        /// 1-based line number (header is line 1).
-        line: usize,
-        /// What was wrong.
         message: String,
     },
     /// A row decoded fine but held an invalid coordinate.
@@ -72,7 +66,6 @@ impl fmt::Display for IoError {
         match self {
             IoError::Io(e) => write!(f, "i/o failure: {e}"),
             IoError::Json { line, message } => write!(f, "line {line}: bad JSON: {message}"),
-            IoError::Csv { line, message } => write!(f, "line {line}: bad CSV: {message}"),
             IoError::BadCoordinate { line, source } => {
                 write!(f, "line {line}: invalid coordinate: {source}")
             }
@@ -185,99 +178,6 @@ fn tweet_fields(doc: &Json) -> Result<(u32, i64, f64, f64), String> {
     Ok((user, time, coord("lat")?, coord("lon")?))
 }
 
-/// CSV header emitted by [`write_csv`].
-const CSV_HEADER: &str = "user,time_secs,lat,lon";
-
-/// Writes the dataset as CSV with header `user,time_secs,lat,lon`.
-///
-/// # Errors
-///
-/// Propagates write failures.
-pub fn write_csv<W: Write>(ds: &TweetDataset, mut w: W) -> Result<(), IoError> {
-    writeln!(w, "{CSV_HEADER}")?;
-    for t in ds.iter_tweets() {
-        writeln!(
-            w,
-            "{},{},{},{}",
-            t.user.0,
-            t.time.as_secs(),
-            t.location.lat,
-            t.location.lon
-        )?;
-    }
-    Ok(())
-}
-
-/// Reads CSV produced by [`write_csv`]. The header row is required and
-/// validated; fields never contain commas so no quoting dialect is needed.
-///
-/// # Errors
-///
-/// Bad header, wrong field count, unparseable numbers, or invalid
-/// coordinates — each with a line number.
-pub fn read_csv<R: BufRead>(r: R) -> Result<TweetDataset, IoError> {
-    let _span = tweetmob_obs::span!("read_csv");
-    let mut lines = r.lines().enumerate();
-    match lines.next() {
-        Some((_, Ok(h))) if h.trim() == CSV_HEADER => {}
-        Some((_, Ok(h))) => {
-            return Err(IoError::Csv {
-                line: 1,
-                message: format!("expected header {CSV_HEADER:?}, found {h:?}"),
-            })
-        }
-        Some((_, Err(e))) => return Err(e.into()),
-        None => return Ok(TweetDataset::from_tweets(Vec::new())),
-    }
-    let mut tweets = Vec::new();
-    for (i, line) in lines {
-        let line = line?;
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
-        let lineno = i + 1;
-        let mut fields = trimmed.split(',');
-        let mut next_field = |name: &str| {
-            fields.next().ok_or_else(|| IoError::Csv {
-                line: lineno,
-                message: format!("missing field {name}"),
-            })
-        };
-        let user: u32 = parse_field(next_field("user")?, lineno, "user")?;
-        let secs: i64 = parse_field(next_field("time_secs")?, lineno, "time_secs")?;
-        let lat: f64 = parse_field(next_field("lat")?, lineno, "lat")?;
-        let lon: f64 = parse_field(next_field("lon")?, lineno, "lon")?;
-        if fields.next().is_some() {
-            return Err(IoError::Csv {
-                line: lineno,
-                message: "too many fields".into(),
-            });
-        }
-        let location = Point::new(lat, lon).map_err(|source| IoError::BadCoordinate {
-            line: lineno,
-            source,
-        })?;
-        tweets.push(Tweet::new(
-            UserId(user),
-            Timestamp::from_secs(secs),
-            location,
-        ));
-    }
-    tweetmob_obs::counter!("data/tweets_read").add(tweets.len() as u64);
-    Ok(TweetDataset::from_tweets(tweets))
-}
-
-fn parse_field<T: std::str::FromStr>(s: &str, line: usize, name: &str) -> Result<T, IoError>
-where
-    T::Err: fmt::Display,
-{
-    s.trim().parse().map_err(|e: T::Err| IoError::Csv {
-        line,
-        message: format!("field {name}: {e}"),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -342,67 +242,14 @@ mod tests {
     }
 
     #[test]
-    fn csv_roundtrip() {
-        let ds = sample();
-        let mut buf = Vec::new();
-        write_csv(&ds, &mut buf).unwrap();
-        let text = String::from_utf8(buf.clone()).unwrap();
-        assert!(text.starts_with("user,time_secs,lat,lon\n"));
-        let back = read_csv(&buf[..]).unwrap();
-        assert!(datasets_equal(&ds, &back));
-    }
-
-    #[test]
-    fn csv_empty_input_gives_empty_dataset() {
-        let ds = read_csv("".as_bytes()).unwrap();
-        assert!(ds.is_empty());
-        let ds = read_csv("user,time_secs,lat,lon\n".as_bytes()).unwrap();
-        assert!(ds.is_empty());
-    }
-
-    #[test]
-    fn csv_rejects_wrong_header() {
-        match read_csv("a,b,c\n1,2,3\n".as_bytes()) {
-            Err(IoError::Csv { line: 1, .. }) => {}
-            other => panic!("expected header error, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn csv_rejects_bad_field_counts_and_types() {
-        let base = "user,time_secs,lat,lon\n";
-        match read_csv(format!("{base}1,2,3\n").as_bytes()) {
-            Err(IoError::Csv { line: 2, .. }) => {}
-            other => panic!("missing field: {other:?}"),
-        }
-        match read_csv(format!("{base}1,2,3,4,5\n").as_bytes()) {
-            Err(IoError::Csv { line: 2, .. }) => {}
-            other => panic!("extra field: {other:?}"),
-        }
-        match read_csv(format!("{base}x,2,3.0,4.0\n").as_bytes()) {
-            Err(IoError::Csv { line: 2, .. }) => {}
-            other => panic!("bad number: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn csv_rejects_out_of_range_latitude() {
-        let text = "user,time_secs,lat,lon\n1,2,-95.0,140.0\n";
-        match read_csv(text.as_bytes()) {
-            Err(IoError::BadCoordinate { line: 2, .. }) => {}
-            other => panic!("expected BadCoordinate, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn error_display_is_informative() {
-        let e = IoError::Csv {
+        let e = IoError::Json {
             line: 7,
-            message: "field lat: invalid float".into(),
+            message: "missing field `location`".into(),
         };
         let text = e.to_string();
         assert!(text.contains("line 7"));
-        assert!(text.contains("lat"));
+        assert!(text.contains("location"));
     }
 
     #[test]
@@ -481,17 +328,6 @@ mod tests {
                 let mut buf = Vec::new();
                 write_jsonl(&ds, &mut buf).unwrap();
                 assert_bit_identical(seed, &ds, &read_jsonl(&buf[..]).unwrap());
-            }
-        }
-
-        #[test]
-        fn csv_roundtrip_any_tweets() {
-            for seed in 0..48 {
-                let ds = random_dataset(&mut SplitMix64::new(seed), 80);
-                let mut buf = Vec::new();
-                write_csv(&ds, &mut buf).unwrap();
-                // CSV prints f64 with full shortest-roundtrip precision.
-                assert_bit_identical(seed, &ds, &read_csv(&buf[..]).unwrap());
             }
         }
 

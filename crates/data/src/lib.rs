@@ -13,12 +13,11 @@
 //! * *whole-dataset coordinate scans* for density maps and spatial
 //!   indexing (flat `lat[]` / `lon[]` columns).
 //!
-//! Serialisation: JSONL and CSV ([`io`]) for interchange, the columnar
-//! `TWC0` format ([`columnar`]) that mirrors the in-memory layout for
-//! zero-parse full-scale loads, and the versioned model-artifact
-//! container ([`artifact`])
-//! that persists fitted models with their geometry for the
-//! fit-once / predict-many workflow.
+//! Serialisation: JSON Lines ([`io`]), the Twitter-shaped text format;
+//! the columnar `TWC0` format ([`columnar`]) that mirrors the in-memory
+//! layout for zero-parse full-scale loads; and the versioned
+//! model-artifact container ([`artifact`]) that persists fitted models
+//! with their geometry for the fit-once / predict-many workflow.
 //!
 //! [`DatasetSummary`] reproduces the paper's Table I (coordinate ranges,
 //! tweet/user counts, average tweets per user, average waiting time,

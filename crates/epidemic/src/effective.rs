@@ -68,14 +68,6 @@ pub fn effective_distance_from(net: &MobilityNetwork, source: usize) -> Vec<f64>
     dist
 }
 
-/// Full effective-distance matrix (`out[i][j]` = effective distance
-/// i → j).
-pub fn effective_distance_matrix(net: &MobilityNetwork) -> Vec<Vec<f64>> {
-    (0..net.n_patches())
-        .map(|i| effective_distance_from(net, i))
-        .collect()
-}
-
 /// Correlation between a distance vector and epidemic arrival times.
 #[derive(Debug, Clone, Copy)]
 pub struct ArrivalCorrelation {
@@ -182,16 +174,6 @@ mod tests {
         let d = effective_distance_from(&net, 0);
         assert!(d[1].is_finite());
         assert!(d[2].is_infinite());
-    }
-
-    #[test]
-    fn matrix_is_row_consistent() {
-        let net = line_with_shortcut();
-        let m = effective_distance_matrix(&net);
-        for (i, row) in m.iter().enumerate() {
-            assert_eq!(row, &effective_distance_from(&net, i));
-            assert_eq!(row[i], 0.0);
-        }
     }
 
     #[test]

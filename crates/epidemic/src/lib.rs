@@ -46,10 +46,7 @@ pub mod r0;
 pub mod scenario;
 mod stochastic;
 
-pub use effective::{
-    arrival_time_correlation, effective_distance_from, effective_distance_matrix,
-    ArrivalCorrelation,
-};
+pub use effective::{arrival_time_correlation, effective_distance_from, ArrivalCorrelation};
 pub use network::{MobilityNetwork, NetworkError};
 pub use r0::{estimate_r0, R0Estimate};
 pub use scenario::{

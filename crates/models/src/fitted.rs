@@ -35,11 +35,6 @@ pub trait FittedModel {
     /// Predicted flow for the observation's `(m, n, d, s)`; the
     /// observation's `observed_flow` is ignored.
     fn predict_flow(&self, obs: &FlowObservation) -> f64;
-
-    /// Predicted flows for a batch of observations, in order.
-    fn predict_batch(&self, observations: &[FlowObservation]) -> Vec<f64> {
-        observations.iter().map(|o| self.predict_flow(o)).collect()
-    }
 }
 
 /// The four models of the paper's comparison, as a closed enum — the
@@ -219,19 +214,6 @@ mod tests {
                 set.predict(ModelKind::Opportunities, o).to_bits(),
                 set.opportunities.predict_flow(o).to_bits()
             );
-        }
-    }
-
-    #[test]
-    fn batch_prediction_matches_scalar() {
-        let data = synthetic();
-        let set = FittedModelSet::fit(&data).unwrap();
-        for kind in ModelKind::ALL {
-            let batch = set.model(kind).predict_batch(&data);
-            assert_eq!(batch.len(), data.len());
-            for (o, b) in data.iter().zip(&batch) {
-                assert_eq!(set.predict(kind, o).to_bits(), b.to_bits());
-            }
         }
     }
 

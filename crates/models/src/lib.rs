@@ -23,7 +23,7 @@
 //!
 //! Fitting and prediction are split: every fitted parameter struct is an
 //! immutable, serializable artifact implementing [`FittedModel`]
-//! (`model_name` / `predict_flow` / `predict_batch`), so the evaluation
+//! (`model_name` / `predict_flow`), so the evaluation
 //! harness ([`evaluate`]) can score any of them with the
 //! paper's two Table-II metrics (log-space Pearson, HitRate@50%) plus
 //! the extra metrics the paper's future work calls for. The four

@@ -73,15 +73,19 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a 64 prime.
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// FNV-1a 64 over a byte slice.
-#[must_use]
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = FNV_OFFSET;
+/// Folds `bytes` into a running FNV-1a 64 state.
+fn fnv1a64_fold(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= u64::from(b);
         hash = hash.wrapping_mul(FNV_PRIME);
     }
     hash
+}
+
+/// FNV-1a 64 over a byte slice.
+#[must_use]
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    fnv1a64_fold(FNV_OFFSET, bytes)
 }
 
 /// Streams a file through FNV-1a 64, returning `(size, hash)`.
@@ -100,10 +104,7 @@ pub fn fnv1a64_file(path: &str) -> std::io::Result<(u64, u64)> {
             break;
         }
         size += n as u64;
-        for &b in &buf[..n] {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(FNV_PRIME);
-        }
+        hash = fnv1a64_fold(hash, &buf[..n]);
     }
     Ok((size, hash))
 }

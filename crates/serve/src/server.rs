@@ -97,7 +97,7 @@ pub fn serve<A: ToSocketAddrs>(
                       tweetmob-par and no chunk order to keep"
         )]
         handles.push(std::thread::spawn(move || {
-            worker_loop(&listener, &state, &stop)
+            worker_loop(&listener, &state, &stop);
         }));
     }
     Ok(ServerHandle {

@@ -3,7 +3,7 @@
 
 use std::sync::{Arc, OnceLock};
 use tweetmob::core::{AreaSet, Experiment, PopulationSource, Scale};
-use tweetmob::data::{io, DatasetSummary, TweetDataset};
+use tweetmob::data::{io, TweetDataset};
 use tweetmob::epidemic::{MobilityNetwork, OutbreakScenario};
 use tweetmob::geo::{DensityGrid, AUSTRALIA_BBOX};
 use tweetmob::models::InterveningPopulation;
@@ -35,20 +35,6 @@ fn jsonl_roundtrip_preserves_experiment_results() {
     for (x, y) in a.areas.iter().zip(&b.areas) {
         assert_eq!(x.twitter_users, y.twitter_users, "{}", x.name);
     }
-}
-
-#[test]
-fn csv_roundtrip_preserves_dataset() {
-    let ds = dataset();
-    let mut buf = Vec::new();
-    io::write_csv(ds, &mut buf).expect("serialise");
-    let back = io::read_csv(&buf[..]).expect("deserialise");
-    assert_eq!(ds.n_tweets(), back.n_tweets());
-    assert_eq!(ds.n_users(), back.n_users());
-    let sa = DatasetSummary::of(ds);
-    let sb = DatasetSummary::of(&back);
-    assert_eq!(sa.n_tweets, sb.n_tweets);
-    assert!((sa.avg_waiting_time_hours - sb.avg_waiting_time_hours).abs() < 1e-9);
 }
 
 #[test]

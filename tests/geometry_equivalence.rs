@@ -1,10 +1,8 @@
-//! Equivalence suite for the fitting path (DESIGN.md §11): the shared
-//! `PairGeometry` cache and the columnar `FitColumns` kernel must
-//! produce **byte-identical** model fits on every paper scale at one
-//! worker thread and at eight. (The cache itself is compared to the
-//! scalar per-pair distances bit for bit in `tweetmob-geo`, and the
-//! columnar grid search to its scalar reference fitter in
-//! `tweetmob-models`.)
+//! Equivalence suite for the fitting path (DESIGN.md §11): the mobility
+//! report built on the shared `PairGeometry` cache must hold
+//! **byte-identical** model fits on every paper scale at one worker
+//! thread and at eight. (The cache itself is compared to the scalar
+//! per-pair distances bit for bit in `tweetmob-geo`.)
 //!
 //! `with_threads` serialises callers on a global lock, so these tests
 //! are safe under the parallel test runner.
