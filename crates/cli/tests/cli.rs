@@ -117,11 +117,8 @@ fn generate_summary_population_mobility_pipeline() {
 
 #[test]
 fn binary_format_roundtrips_via_cli() {
-    let path = tmp("roundtrip.twc");
-    let path_str = path.to_str().unwrap();
-    let out = run(&["generate", path_str, "--users", "400", "--seed", "5"]);
-    assert!(out.status.success(), "{}", stderr(&out));
-    let out = run(&["summary", path_str]);
+    let path = generated("roundtrip.twc", &["--users", "400", "--seed", "5"]);
+    let out = run(&["summary", path.to_str().unwrap()]);
     assert!(out.status.success(), "{}", stderr(&out));
     assert!(stdout(&out).contains("No. unique users   : 400"));
     std::fs::remove_file(&path).ok();
