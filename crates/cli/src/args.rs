@@ -64,13 +64,17 @@ const MANIFEST_EXCLUDED: &[&str] = &[
 impl Args {
     /// Parses raw arguments with the global flags ([`METRICS_OUT`],
     /// [`METRICS_REDACTED`], [`TRACE`], [`TRACE_OUT`], [`THREADS`])
-    /// appended to the accepted lists — every subcommand takes them.
+    /// appended to the accepted lists — every subcommand takes them —
+    /// and at most `positionals` positional arguments.
     ///
     /// # Errors
     ///
-    /// As [`Args::parse`].
+    /// As [`Args::parse`], and an [`ArgError`] naming the first
+    /// positional past `positionals` (a stray word is a typo, not input
+    /// to ignore).
     pub fn parse_with_observability(
         raw: impl IntoIterator<Item = String>,
+        positionals: usize,
         valued: &[&str],
         switches: &[&str],
     ) -> Result<Self, ArgError> {
@@ -81,7 +85,13 @@ impl Args {
         let mut switches: Vec<&str> = switches.to_vec();
         switches.push(TRACE);
         switches.push(METRICS_REDACTED);
-        Self::parse(raw, &valued, &switches)
+        let args = Self::parse(raw, &valued, &switches)?;
+        match args.positionals.get(positionals) {
+            Some(extra) => Err(ArgError(format!(
+                "unexpected argument {extra:?}: the command takes {positionals} positional argument(s)"
+            ))),
+            None => Ok(args),
+        }
     }
 
     /// Parses raw arguments. `valued` lists flags that take a value;
@@ -244,8 +254,9 @@ mod tests {
     #[test]
     fn observability_flags_accepted_on_any_command() {
         let raw = ["out.jsonl", "--metrics-out", "m.json", "--trace"];
-        let a = Args::parse_with_observability(raw.iter().map(|s| s.to_string()), &["users"], &[])
-            .unwrap();
+        let a =
+            Args::parse_with_observability(raw.iter().map(|s| s.to_string()), 1, &["users"], &[])
+                .unwrap();
         assert_eq!(a.get(METRICS_OUT), Some("m.json"));
         assert!(a.has(TRACE));
         assert_eq!(a.positional(0), Some("out.jsonl"));
@@ -259,7 +270,7 @@ mod tests {
     fn new_observability_flags_parse() {
         let raw = ["out.jsonl", "--trace-out", "t.folded", "--metrics-redacted"];
         let a =
-            Args::parse_with_observability(raw.iter().map(|s| s.to_string()), &[], &[]).unwrap();
+            Args::parse_with_observability(raw.iter().map(|s| s.to_string()), 1, &[], &[]).unwrap();
         assert_eq!(a.get(TRACE_OUT), Some("t.folded"));
         assert!(a.has(METRICS_REDACTED));
     }
@@ -286,6 +297,7 @@ mod tests {
         ];
         let a = Args::parse_with_observability(
             raw.iter().map(|s| s.to_string()),
+            1,
             &["scale", "radius", "artifact-out"],
             &["census"],
         )

@@ -203,18 +203,19 @@ fn embedded_provenance(args: &Args) -> String {
 /// (`--trace-out`) and prints the span tree (`--trace`) after a
 /// command — including after one that failed, so a partial run's
 /// counters and spans are still inspectable. Sets the `run/outcome`
-/// gauge (0 ok, 1 error) and attaches the run manifest first, so both
-/// land in the metrics document.
+/// gauge (0 ok, 1 error); the run manifest, whose stamps re-read every
+/// input and output, is built only when the metrics document that
+/// carries it is written.
 pub fn emit_observability(args: &Args, subcommand: &str, ok: bool) -> Result<()> {
     let registry = tweetmob_obs::global();
     tweetmob_obs::gauge!("run/outcome").set(i64::from(!ok));
-    registry.set_manifest(build_manifest(
-        args,
-        subcommand,
-        if ok { "ok" } else { "error" },
-    ));
     let redact = args.has(crate::args::METRICS_REDACTED);
     if let Some(path) = args.get(crate::args::METRICS_OUT) {
+        registry.set_manifest(build_manifest(
+            args,
+            subcommand,
+            if ok { "ok" } else { "error" },
+        ));
         let mut json = if redact {
             registry.to_json_redacted()
         } else {

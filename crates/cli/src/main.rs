@@ -116,23 +116,34 @@ fn main() {
 /// A subcommand implementation in `commands`.
 type CommandFn = fn(&Args) -> Result<(), Box<dyn std::error::Error>>;
 
+/// A dispatch-table row: the handler, how many positionals the command
+/// reads, its valued flags and its switches.
+type Command = (
+    CommandFn,
+    usize,
+    &'static [&'static str],
+    &'static [&'static str],
+);
+
 fn run(raw: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
     let command = raw.first().cloned().unwrap_or_else(|| "help".into());
     let rest = raw.into_iter().skip(1);
-    let (handler, valued, switches): (CommandFn, &[&str], &[&str]) = match command.as_str() {
-        "generate" => (commands::generate, &["users", "seed"], &[]),
-        "convert" => (commands::convert, &["in", "out"], &[]),
-        "summary" => (commands::summary, &[], &[]),
-        "population" => (commands::population, &["scale", "radius"], &[]),
-        "mobility" => (commands::mobility, &["scale"], &["census", "extended"]),
-        "fit" => (commands::fit, &["scale", "artifact-out"], &["census"]),
+    let (handler, positionals, valued, switches): Command = match command.as_str() {
+        "generate" => (commands::generate, 1, &["users", "seed"], &[]),
+        "convert" => (commands::convert, 0, &["in", "out"], &[]),
+        "summary" => (commands::summary, 1, &[], &[]),
+        "population" => (commands::population, 1, &["scale", "radius"], &[]),
+        "mobility" => (commands::mobility, 1, &["scale"], &["census", "extended"]),
+        "fit" => (commands::fit, 1, &["scale", "artifact-out"], &["census"]),
         "predict" => (
             commands::predict,
+            0,
             &["artifact-in", "model", "origin", "dest", "top"],
             &["json"],
         ),
         "epidemic" => (
             commands::epidemic,
+            0,
             &[
                 "artifact-in",
                 "beta",
@@ -145,9 +156,9 @@ fn run(raw: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
             ],
             &[],
         ),
-        "serve" => (commands::serve, &["artifact-in", "bind"], &[]),
-        "export" => (commands::export, &[], &[]),
-        "provenance" => (commands::provenance, &[], &[]),
+        "serve" => (commands::serve, 0, &["artifact-in", "bind"], &[]),
+        "export" => (commands::export, 2, &[], &[]),
+        "provenance" => (commands::provenance, 1, &[], &[]),
         "help" | "--help" | "-h" => {
             print!("{USAGE}");
             return Ok(());
@@ -155,7 +166,7 @@ fn run(raw: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
         other => return Err(format!("unknown command {other:?}").into()),
     };
     // Every subcommand also accepts the global observability flags.
-    let args = Args::parse_with_observability(rest, valued, switches)?;
+    let args = Args::parse_with_observability(rest, positionals, valued, switches)?;
     if let Some(n) = args.get(args::THREADS) {
         let n = tweetmob_par::parse_threads(n).ok_or_else(|| {
             args::ArgError(format!(

@@ -178,7 +178,41 @@ fn removed_flags_are_unknown_flags() {
     }
     // `epidemic` takes no dataset: its model comes from `fit`.
     let err = stderr(&run(&["epidemic", "data.jsonl"]));
+    assert!(err.contains("unexpected argument \"data.jsonl\""), "{err}");
+    let err = stderr(&run(&["epidemic"]));
     assert!(err.contains("missing --artifact-in PATH"), "{err}");
+}
+
+#[test]
+fn stray_positionals_are_usage_errors_and_write_nothing() {
+    let data = generated("stray.twc", &["--users", "300", "--seed", "5"]);
+    let artifact = fitted(&data, &[]);
+    let data = data.to_str().unwrap();
+    let out_path = tmp("stray-out.tma");
+    let out = out_path.to_str().unwrap();
+    let fit = run(&["fit", data, "other.twc", "--artifact-out", out]);
+    assert_eq!(fit.status.code(), Some(1), "{}", stderr(&fit));
+    assert!(stderr(&fit).contains("\"other.twc\""), "{}", stderr(&fit));
+    assert!(!out_path.exists(), "a rejected fit wrote {out}");
+    let predict = run(&[
+        "predict",
+        "stray",
+        "--artifact-in",
+        artifact.to_str().unwrap(),
+        "--origin",
+        "Sydney",
+        "--dest",
+        "Melbourne",
+    ]);
+    assert_eq!(predict.status.code(), Some(1), "{}", stderr(&predict));
+    assert!(
+        stderr(&predict).contains("\"stray\""),
+        "{}",
+        stderr(&predict)
+    );
+    assert!(stdout(&predict).is_empty(), "{}", stdout(&predict));
+    std::fs::remove_file(data).ok();
+    std::fs::remove_file(&artifact).ok();
 }
 
 #[test]

@@ -8,19 +8,18 @@
 //! geometry so all threads predict from the same immutable state.
 //!
 //! The container opens with a magic and stores little-endian
-//! fixed-width fields (std `to_le_bytes` / `from_le_bytes`), in a
-//! section layout for forward compatibility:
+//! fixed-width fields (std `to_le_bytes` / `from_le_bytes`) in tagged
+//! sections:
 //!
 //! ```text
 //! offset size  field
 //! 0      4     magic  b"TMA0"
 //! 4      4     schema version (u32 LE) — currently 1
-//! 8      4     section count (u32 LE)
+//! 8      4     section count (u32 LE) — 5, or 6 with PROV
 //! 12     …     sections: tag [u8;4] | payload len (u64 LE) | payload
 //! ```
 //!
-//! Sections (order not significant; unknown tags are skipped so older
-//! readers survive additive extensions):
+//! Sections, in this order (the reader accepts no other):
 //!
 //! * `META` — label, population source (u16-length strings), search
 //!   radius (f64 bits);
@@ -28,14 +27,18 @@
 //!   population;
 //! * `POPS` — the population vector the models were fitted against;
 //! * `MODL` — the fitted parameters of all four models;
-//! * `GEOM` — the serialized [`PairGeometry`]
-//!   ([`PairGeometry::to_bytes`], itself versioned);
+//! * `GEOM` — the [`PairGeometry`] of the area centres
+//!   ([`PairGeometry::to_bytes`]). The reader rebuilds the geometry
+//!   from `AREA` and rejects the artifact unless this payload equals
+//!   the rebuilt geometry's bytes;
 //! * `PROV` (optional) — run provenance: the portable
 //!   `tweetmob-obs` manifest JSON (UTF-8, stored verbatim) describing
 //!   the exact fit run — subcommand, normalized args, seed, input
-//!   content hashes, crate versions. Written by readers that set it
-//!   ([`ModelBundle::set_provenance`]); absent from older artifacts and
-//!   skipped by readers that predate it.
+//!   content hashes, crate versions. Written when the caller sets it
+//!   ([`ModelBundle::set_provenance`]).
+//!
+//! A layout change bumps [`ARTIFACT_VERSION`]; readers reject versions
+//! they do not know.
 //!
 //! Every float travels as its IEEE-754 bit pattern, so a loaded bundle
 //! predicts **bit-identically** to the in-memory fit it was saved from
@@ -179,7 +182,8 @@ pub struct BundleArea {
 ///
 /// The intervening-population structure is **derived** state — it is a
 /// deterministic function of the geometry and populations — so it is
-/// rebuilt on construction and never serialized; a loaded bundle is
+/// rebuilt on construction and never serialized; the geometry is
+/// rebuilt on load from the area centres. A loaded bundle is
 /// indistinguishable from the one that was saved.
 #[derive(Debug, Clone)]
 pub struct ModelBundle {
@@ -490,7 +494,15 @@ impl ModelBundle {
         out
     }
 
-    /// Parses a container produced by [`ModelBundle::encode`].
+    /// Parses a container produced by [`ModelBundle::encode`], which
+    /// writes `META`, `AREA`, `POPS`, `MODL` and `GEOM` in that order,
+    /// then `PROV` when it has provenance. Any other section count, tag
+    /// or order is a format error.
+    ///
+    /// `GEOM` is not decoded: the geometry is a function of the `AREA`
+    /// centres, so it is rebuilt from them (like the intervening
+    /// rankings), and the stored payload must equal the rebuilt
+    /// geometry's bytes — a tampered distance cannot reach a prediction.
     fn decode(bytes: &[u8]) -> Result<Self, IoError> {
         let mut r = Reader { rem: bytes };
         let magic = r.take(4, "magic")?;
@@ -506,49 +518,23 @@ impl ModelBundle {
             )));
         }
         let n_sections = r.u32("section count")?;
-
-        let mut meta: Option<BundleMeta> = None;
-        let mut areas: Option<Vec<BundleArea>> = None;
-        let mut populations: Option<Vec<f64>> = None;
-        let mut models: Option<FittedModelSet> = None;
-        let mut geometry: Option<Arc<PairGeometry>> = None;
-        let mut provenance: Option<String> = None;
-
-        for _ in 0..n_sections {
-            let mut tag = [0u8; 4];
-            tag.copy_from_slice(r.take(4, "section tag")?);
-            let len = r.u64("section length")?;
-            let len = usize::try_from(len)
-                .map_err(|_| format_err(format!("implausible section length {len}")))?;
-            let payload = r.take(len, "section payload")?;
-            match tag {
-                TAG_META => {
-                    set_once(&mut meta, decode_meta(payload)?, "META")?;
-                }
-                TAG_AREA => {
-                    set_once(&mut areas, decode_areas(payload)?, "AREA")?;
-                }
-                TAG_POPS => {
-                    set_once(&mut populations, decode_pops(payload)?, "POPS")?;
-                }
-                TAG_MODL => {
-                    set_once(&mut models, decode_models(payload)?, "MODL")?;
-                }
-                TAG_GEOM => {
-                    let geo =
-                        PairGeometry::from_bytes(payload).map_err(|e| format_err(e.to_string()))?;
-                    set_once(&mut geometry, Arc::new(geo), "GEOM")?;
-                }
-                TAG_PROV => {
-                    let json = String::from_utf8(payload.to_vec())
-                        .map_err(|_| format_err("PROV section is not valid UTF-8".into()))?;
-                    set_once(&mut provenance, json, "PROV")?;
-                }
-                // Unknown section: a newer writer added something this
-                // reader does not understand — skip it.
-                _ => {}
-            }
+        if n_sections != 5 && n_sections != 6 {
+            return Err(format_err(format!(
+                "section count {n_sections}: the writer stores 5 sections, or 6 with PROV"
+            )));
         }
+        let meta = decode_meta(r.section(TAG_META)?)?;
+        let areas = decode_areas(r.section(TAG_AREA)?)?;
+        let populations = decode_pops(r.section(TAG_POPS)?)?;
+        let models = decode_models(r.section(TAG_MODL)?)?;
+        let geom = r.section(TAG_GEOM)?;
+        let provenance = if n_sections == 6 {
+            let json = String::from_utf8(r.section(TAG_PROV)?.to_vec())
+                .map_err(|_| format_err("PROV section is not valid UTF-8".into()))?;
+            Some(json)
+        } else {
+            None
+        };
         if !r.rem.is_empty() {
             return Err(format_err(format!(
                 "{} trailing bytes after final section",
@@ -556,19 +542,19 @@ impl ModelBundle {
             )));
         }
 
-        let meta = meta.ok_or_else(|| format_err("missing META section".into()))?;
-        let areas = areas.ok_or_else(|| format_err("missing AREA section".into()))?;
-        let populations = populations.ok_or_else(|| format_err("missing POPS section".into()))?;
-        let models = models.ok_or_else(|| format_err("missing MODL section".into()))?;
-        let geometry = geometry.ok_or_else(|| format_err("missing GEOM section".into()))?;
-
-        if areas.len() != populations.len() || geometry.len() != populations.len() {
+        if areas.len() != populations.len() {
             return Err(format_err(format!(
-                "section length mismatch: {} areas, {} populations, {} geometry points",
+                "section length mismatch: {} areas, {} populations",
                 areas.len(),
-                populations.len(),
-                geometry.len()
+                populations.len()
             )));
+        }
+        let centers: Vec<Point> = areas.iter().map(|a| a.center).collect();
+        let geometry = PairGeometry::shared(&centers);
+        if geom != geometry.to_bytes() {
+            return Err(format_err(
+                "GEOM section does not match the geometry of the AREA centres".into(),
+            ));
         }
         let mut bundle = Self::new(meta, areas, populations, models, geometry);
         bundle.provenance = provenance;
@@ -643,14 +629,6 @@ fn format_err(message: String) -> IoError {
     }
 }
 
-fn set_once<T>(slot: &mut Option<T>, value: T, tag: &str) -> Result<(), IoError> {
-    if slot.is_some() {
-        return Err(format_err(format!("duplicate {tag} section")));
-    }
-    *slot = Some(value);
-    Ok(())
-}
-
 /// Area/population counts fit in u32 by construction (the paper's
 /// scales have ≤ 20 areas); saturate rather than truncate if a caller
 /// somehow exceeds it — the load-side length cross-check then rejects
@@ -712,6 +690,20 @@ impl<'a> Reader<'a> {
         let raw = self.take(len, what)?;
         String::from_utf8(raw.to_vec())
             .map_err(|_| format_err(format!("{what} is not valid UTF-8")))
+    }
+
+    /// The payload of the next section, which must carry `tag`.
+    fn section(&mut self, tag: [u8; 4]) -> Result<&'a [u8], IoError> {
+        let found: [u8; 4] = self.array("section tag")?;
+        if found != tag {
+            return Err(format_err(format!(
+                "expected section {}, found {}",
+                String::from_utf8_lossy(&tag),
+                String::from_utf8_lossy(&found)
+            )));
+        }
+        let len = self.usize_from_u64("section length")?;
+        self.take(len, "section payload")
     }
 
     fn usize_from_u64(&mut self, what: &str) -> Result<usize, IoError> {
@@ -1053,22 +1045,6 @@ mod tests {
     }
 
     #[test]
-    fn unknown_sections_are_skipped() {
-        let bundle = sample_bundle(4, 53);
-        let mut buf = Vec::new();
-        bundle.save(&mut buf).unwrap();
-        // Append an unknown section and bump the section count.
-        let count = u32::from_le_bytes([buf[8], buf[9], buf[10], buf[11]]);
-        buf[8..12].copy_from_slice(&(count + 1).to_le_bytes());
-        buf.extend_from_slice(b"XTRA");
-        buf.extend_from_slice(&3u64.to_le_bytes());
-        buf.extend_from_slice(b"abc");
-        let loaded = ModelBundle::load(&buf[..]).unwrap();
-        assert_eq!(loaded.meta(), bundle.meta());
-        assert_eq!(loaded.models(), bundle.models());
-    }
-
-    #[test]
     fn provenance_round_trips_byte_identically() {
         let mut bundle = sample_bundle(4, 67);
         assert_eq!(bundle.provenance(), None);
@@ -1086,24 +1062,6 @@ mod tests {
     }
 
     #[test]
-    fn provenance_is_invisible_to_old_readers() {
-        // An old reader sees PROV as just another unknown tag. Emulate
-        // one by renaming the tag so this reader's PROV arm never fires.
-        let mut bundle = sample_bundle(4, 67);
-        bundle.set_provenance("{\"seed\": 1}".to_string());
-        let mut buf = Vec::new();
-        bundle.save(&mut buf).unwrap();
-        let pos = buf
-            .windows(4)
-            .position(|w| w == b"PROV")
-            .expect("PROV tag present");
-        buf[pos..pos + 4].copy_from_slice(b"XPRV");
-        let loaded = ModelBundle::load(&buf[..]).unwrap();
-        assert_eq!(loaded.provenance(), None);
-        assert_eq!(loaded.models(), bundle.models());
-    }
-
-    #[test]
     fn duplicate_prov_sections_are_rejected() {
         let mut bundle = sample_bundle(4, 67);
         bundle.set_provenance("{}".to_string());
@@ -1116,9 +1074,69 @@ mod tests {
         buf.extend_from_slice(b"{}");
         match ModelBundle::load(&buf[..]) {
             Err(IoError::Format { message, .. }) => {
-                assert!(message.contains("duplicate PROV"), "{message}");
+                assert!(message.contains("section count 7"), "{message}");
             }
-            other => panic!("expected duplicate-section error, got {other:?}"),
+            other => panic!("expected section-count error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn sections_out_of_the_writer_order_are_rejected() {
+        let bundle = sample_bundle(4, 53);
+        let mut buf = Vec::new();
+        bundle.save(&mut buf).unwrap();
+        for (tag, renamed) in [(b"META", b"XTRA"), (b"GEOM", b"PROV")] {
+            let mut bad = buf.clone();
+            let pos = bad.windows(4).position(|w| w == tag).unwrap();
+            bad[pos..pos + 4].copy_from_slice(renamed);
+            match ModelBundle::load(&bad[..]) {
+                Err(IoError::Format { message, .. }) => {
+                    assert!(message.contains("expected section"), "{message}");
+                }
+                other => panic!("expected a section-tag error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn every_truncation_is_a_format_error() {
+        let mut bundle = sample_bundle(4, 59);
+        let mut plain = Vec::new();
+        bundle.save(&mut plain).unwrap();
+        bundle.set_provenance(r#"{"seed": 3}"#.to_string());
+        let mut with_prov = Vec::new();
+        bundle.save(&mut with_prov).unwrap();
+        for buf in [plain, with_prov] {
+            for cut in 0..buf.len() {
+                assert!(
+                    matches!(ModelBundle::load(&buf[..cut]), Err(IoError::Format { .. })),
+                    "prefix of {cut} of {} bytes",
+                    buf.len()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn every_byte_change_in_geom_is_rejected() {
+        let bundle = sample_bundle(5, 61);
+        let mut buf = Vec::new();
+        bundle.save(&mut buf).unwrap();
+        let tag = buf.windows(4).position(|w| w == TAG_GEOM).unwrap();
+        let len = u64::from_le_bytes(buf[tag + 4..tag + 12].try_into().unwrap());
+        let payload = tag + 12..tag + 12 + usize::try_from(len).unwrap();
+        assert_eq!(&buf[payload.clone()], bundle.geometry().to_bytes());
+        for at in payload {
+            for flip in 1..=u8::MAX {
+                let mut bad = buf.clone();
+                bad[at] ^= flip;
+                match ModelBundle::load(&bad[..]) {
+                    Err(IoError::Format { message, .. }) => {
+                        assert!(message.contains("GEOM"), "byte {at} ^ {flip}: {message}");
+                    }
+                    other => panic!("byte {at} ^ {flip}: expected GEOM error, got {other:?}"),
+                }
+            }
         }
     }
 

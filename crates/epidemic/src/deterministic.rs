@@ -19,20 +19,20 @@ use crate::network::MobilityNetwork;
 /// Full system state: compartment values per patch, flattened as
 /// `[S..., E..., I..., R...]` (E block absent in SIR mode).
 #[derive(Debug, Clone, PartialEq)]
-pub struct State {
+pub(crate) struct State {
     /// Susceptible per patch.
-    pub s: Vec<f64>,
+    pub(crate) s: Vec<f64>,
     /// Exposed per patch (empty in SIR mode).
-    pub e: Vec<f64>,
+    pub(crate) e: Vec<f64>,
     /// Infectious per patch.
-    pub i: Vec<f64>,
+    pub(crate) i: Vec<f64>,
     /// Recovered per patch.
-    pub r: Vec<f64>,
+    pub(crate) r: Vec<f64>,
 }
 
 impl State {
     /// All-susceptible state over the network's populations.
-    pub fn susceptible(net: &MobilityNetwork, seir: bool) -> Self {
+    pub(crate) fn susceptible(net: &MobilityNetwork, seir: bool) -> Self {
         let n = net.n_patches();
         Self {
             s: net.populations().to_vec(),
@@ -44,14 +44,15 @@ impl State {
 
     /// Moves `count` people from S to I in `patch` (clamped to available
     /// susceptibles).
-    pub fn seed_infection(&mut self, patch: usize, count: f64) {
+    pub(crate) fn seed_infection(&mut self, patch: usize, count: f64) {
         let c = count.min(self.s[patch]);
         self.s[patch] -= c;
         self.i[patch] += c;
     }
 
     /// Total population across compartments and patches.
-    pub fn total(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn total(&self) -> f64 {
         self.s.iter().sum::<f64>()
             + self.e.iter().sum::<f64>()
             + self.i.iter().sum::<f64>()
@@ -85,13 +86,13 @@ impl State {
 
 /// Epidemic rate parameters for the deterministic engine.
 #[derive(Debug, Clone, Copy)]
-pub struct Rates {
+pub(crate) struct Rates {
     /// Transmission rate β (per day).
-    pub beta: f64,
+    pub(crate) beta: f64,
     /// Recovery rate γ (per day).
-    pub gamma: f64,
+    pub(crate) gamma: f64,
     /// Incubation rate σ (per day); `None` selects SIR.
-    pub sigma: Option<f64>,
+    pub(crate) sigma: Option<f64>,
 }
 
 /// Computes the time derivative of `state`.
@@ -146,7 +147,7 @@ fn derivative(net: &MobilityNetwork, rates: &Rates, state: &State, out: &mut Sta
 }
 
 /// One RK4 step of size `dt` days.
-pub fn rk4_step(net: &MobilityNetwork, rates: &Rates, state: &State, dt: f64) -> State {
+pub(crate) fn rk4_step(net: &MobilityNetwork, rates: &Rates, state: &State, dt: f64) -> State {
     let mut k1 = state.zeros_like();
     derivative(net, rates, state, &mut k1);
 

@@ -8,8 +8,8 @@
 //! The pipeline: fit a mobility model on Twitter-extracted flows
 //! (`tweetmob-core`), convert the predicted flows into per-capita
 //! migration rates ([`MobilityNetwork`]), then simulate SIR/SEIR dynamics
-//! across the patches with either a deterministic RK4 integrator
-//! ([`deterministic`]) or a stochastic binomial chain.
+//! across the patches with either a deterministic RK4 integrator or a
+//! stochastic binomial chain ([`OutbreakScenario`] runs both).
 //!
 //! ## Example
 //!
@@ -39,7 +39,7 @@
     reason = "`!(x > 0.0)` guards are deliberate: they also reject NaN"
 )]
 
-pub mod deterministic;
+mod deterministic;
 pub mod effective;
 pub mod network;
 pub mod r0;

@@ -24,31 +24,15 @@
 use crate::distance::haversine_km;
 use crate::distance::EARTH_RADIUS_KM;
 use crate::point::Point;
-use std::fmt;
 use std::sync::Arc;
 
 /// Magic bytes opening a serialized [`PairGeometry`] ("TweetMob Pair
 /// Geometry").
 const GEOMETRY_MAGIC: [u8; 4] = *b"TMPG";
 
-/// Schema version of the [`PairGeometry`] wire format. Bump on any
-/// layout change; readers reject versions they do not know.
+/// Schema version of the [`PairGeometry`] byte layout, written into
+/// every [`PairGeometry::to_bytes`] output.
 const GEOMETRY_VERSION: u32 = 1;
-
-/// A malformed or unsupported serialized [`PairGeometry`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GeometryFormatError {
-    /// What was wrong with the byte stream.
-    pub message: String,
-}
-
-impl fmt::Display for GeometryFormatError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "bad pair-geometry encoding: {}", self.message)
-    }
-}
-
-impl std::error::Error for GeometryFormatError {}
 
 /// A point with its trigonometry precomputed: radian coordinates plus
 /// the cosine of the latitude.
@@ -258,9 +242,9 @@ impl PairGeometry {
     /// distance as its `f64::to_bits` in LE order.
     ///
     /// Only the triangle travels — the rank lists are a deterministic
-    /// function of it and are rebuilt on load, so a round-tripped cache
-    /// is indistinguishable (to the bit, rank ties included) from the
-    /// freshly built one.
+    /// function of it. There is no decoder: the geometry is a function
+    /// of the points, so a reader rebuilds it from them and compares
+    /// bytes.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(4 + 4 + 8 + 8 * self.tri.len());
@@ -271,67 +255,6 @@ impl PairGeometry {
             out.extend_from_slice(&d.to_bits().to_le_bytes());
         }
         out
-    }
-
-    /// Deserializes a cache written by [`PairGeometry::to_bytes`],
-    /// rebuilding the per-origin rank lists from the decoded triangle.
-    ///
-    /// # Errors
-    ///
-    /// [`GeometryFormatError`] on wrong magic, an unknown version, or a
-    /// byte length that does not match the declared point count.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, GeometryFormatError> {
-        let header_len = 4 + 4 + 8;
-        if bytes.len() < header_len {
-            return Err(GeometryFormatError {
-                message: format!("truncated header: {} bytes", bytes.len()),
-            });
-        }
-        if bytes[..4] != GEOMETRY_MAGIC {
-            return Err(GeometryFormatError {
-                message: format!("bad magic {:?}, expected {GEOMETRY_MAGIC:?}", &bytes[..4]),
-            });
-        }
-        let version = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]);
-        if version != GEOMETRY_VERSION {
-            return Err(GeometryFormatError {
-                message: format!(
-                    "unsupported version {version} (reader supports {GEOMETRY_VERSION})"
-                ),
-            });
-        }
-        let mut count_raw = [0u8; 8];
-        count_raw.copy_from_slice(&bytes[8..16]);
-        let declared = u64::from_le_bytes(count_raw);
-        // An implausible count can't pretend to be valid: the byte
-        // length must match n(n−1)/2 triangle entries exactly, and the
-        // arithmetic is checked so giant counts fail cleanly.
-        let n = usize::try_from(declared).ok();
-        let pairs = n
-            .and_then(|n| n.checked_mul(n.saturating_sub(1)))
-            .map(|p| p / 2);
-        let expected = pairs
-            .and_then(|p| p.checked_mul(8))
-            .and_then(|b| b.checked_add(header_len));
-        if expected != Some(bytes.len()) {
-            return Err(GeometryFormatError {
-                message: format!(
-                    "length mismatch: {} bytes for {declared} points",
-                    bytes.len()
-                ),
-            });
-        }
-        let tri: Vec<f64> = bytes[header_len..]
-            .chunks_exact(8)
-            .map(|c| {
-                let mut raw = [0u8; 8];
-                raw.copy_from_slice(c);
-                f64::from_bits(u64::from_le_bytes(raw))
-            })
-            .collect();
-        // `n` is Some here: usize::try_from(declared) succeeded or the
-        // length check above would have failed.
-        Ok(Self::from_triangle(n.unwrap_or(0), tri))
     }
 }
 
@@ -467,65 +390,6 @@ mod tests {
         let geo = PairGeometry::shared(&scatter(8, 1));
         let other = Arc::clone(&geo);
         assert_eq!(geo.distance(0, 5).to_bits(), other.distance(0, 5).to_bits());
-    }
-
-    #[test]
-    fn codec_round_trip_is_bit_exact() {
-        let pts = scatter(14, 41);
-        let geo = PairGeometry::build(&pts);
-        let bytes = geo.to_bytes();
-        let back = PairGeometry::from_bytes(&bytes).unwrap();
-        assert_eq!(back.len(), geo.len());
-        assert_eq!(back.tri.len(), geo.tri.len());
-        for (a, b) in geo.tri.iter().zip(&back.tri) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        for i in 0..geo.len() {
-            assert_eq!(geo.ranked(i), back.ranked(i));
-        }
-        // Re-encoding is byte-identical — the format is canonical.
-        assert_eq!(bytes, back.to_bytes());
-    }
-
-    #[test]
-    fn codec_round_trips_empty_and_single_point() {
-        for count in [0, 1] {
-            let geo = PairGeometry::build(&scatter(count, 3));
-            let back = PairGeometry::from_bytes(&geo.to_bytes()).unwrap();
-            assert_eq!(back.len(), count);
-            assert!(back.tri.is_empty());
-        }
-    }
-
-    #[test]
-    fn codec_rejects_bad_magic() {
-        let mut bytes = PairGeometry::build(&scatter(4, 9)).to_bytes();
-        bytes[0] = b'X';
-        let err = PairGeometry::from_bytes(&bytes).unwrap_err();
-        assert!(err.to_string().contains("magic"), "{err}");
-    }
-
-    #[test]
-    fn codec_rejects_unknown_version() {
-        let mut bytes = PairGeometry::build(&scatter(4, 9)).to_bytes();
-        bytes[4] = 99;
-        let err = PairGeometry::from_bytes(&bytes).unwrap_err();
-        assert!(err.to_string().contains("version"), "{err}");
-    }
-
-    #[test]
-    fn codec_rejects_truncation_and_length_mismatch() {
-        let bytes = PairGeometry::build(&scatter(5, 13)).to_bytes();
-        assert!(PairGeometry::from_bytes(&bytes[..10]).is_err());
-        assert!(PairGeometry::from_bytes(&bytes[..bytes.len() - 8]).is_err());
-        let mut extended = bytes.clone();
-        extended.extend_from_slice(&[0u8; 8]);
-        assert!(PairGeometry::from_bytes(&extended).is_err());
-        // Implausibly huge declared count fails cleanly, no allocation.
-        let mut huge = bytes;
-        huge[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
-        let err = PairGeometry::from_bytes(&huge).unwrap_err();
-        assert!(err.to_string().contains("length mismatch"), "{err}");
     }
 
     #[test]

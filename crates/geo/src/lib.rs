@@ -19,10 +19,9 @@
 //!   [`TrigPoint`] hoists per-point trigonometry out of pair loops and
 //!   [`PairGeometry`] holds the build-once pairwise distance matrix and
 //!   per-origin distance rankings, bit-identical to [`haversine_km`].
-//!   The cache serializes to a versioned byte format
-//!   ([`PairGeometry::to_bytes`] / [`PairGeometry::from_bytes`]) so it
-//!   persists across processes inside model-artifact bundles, with
-//!   f64 bit-exact round-trips.
+//!   [`PairGeometry::to_bytes`] renders it as a versioned byte layout
+//!   that model-artifact bundles store; a reader rebuilds the cache from
+//!   the area centres and checks those bytes rather than decoding them.
 //!
 //! All distances are in kilometres, all angles in degrees unless a function
 //! name says otherwise. Latitude is constrained to `[-90, 90]` and
@@ -55,7 +54,7 @@ mod distance;
 mod point;
 
 pub use bbox::{BoundingBox, AUSTRALIA_BBOX};
-pub use cache::{GeometryFormatError, PairGeometry, TrigPoint};
+pub use cache::{PairGeometry, TrigPoint};
 pub use density::{DensityCell, DensityGrid};
 pub use distance::{destination, equirectangular_km, haversine_km, EARTH_RADIUS_KM};
 pub use point::{GeoError, Point};

@@ -26,9 +26,14 @@ use crate::model::Model;
 pub fn render_api(model: &Model) -> String {
     let mut lines: Vec<String> = Vec::new();
     for item in &model.items {
+        let sig = if item.kind == "reexport" {
+            canonical_use(&item.sig)
+        } else {
+            item.sig.clone()
+        };
         lines.push(format!(
             "{} {} {} {}",
-            item.crate_name, item.kind, item.path, item.sig
+            item.crate_name, item.kind, item.path, sig
         ));
     }
     for f in &model.fns {
@@ -58,6 +63,28 @@ pub fn render_api(model: &Model) -> String {
         out.push('\n');
     }
     out
+}
+
+/// One rendering of a `pub use` whatever its source layout: the
+/// statement up to its `;`, with a brace group's names sorted,
+/// `, `-separated, unpadded and without a trailing comma — so a
+/// rustfmt reflow or reorder is not API drift.
+fn canonical_use(sig: &str) -> String {
+    let sig = sig.find(';').map_or(sig, |end| &sig[..=end]);
+    let (Some(open), Some(close)) = (sig.find('{'), sig.rfind('}')) else {
+        return sig.to_string();
+    };
+    let inner = &sig[open + 1..close];
+    if inner.contains('{') {
+        return sig.to_string();
+    }
+    let mut names: Vec<&str> = inner
+        .split(',')
+        .map(str::trim)
+        .filter(|n| !n.is_empty())
+        .collect();
+    names.sort_unstable();
+    format!("{}{}{}", &sig[..=open], names.join(", "), &sig[close..])
 }
 
 /// Diffs two snapshots, returning human-readable `+`/`-` lines (empty when

@@ -198,6 +198,25 @@ fn free_private() {}
 }
 
 #[test]
+fn api_snapshot_renders_both_reexport_layouts_as_one_line() {
+    let snap = |body: &str| {
+        api_snapshot(&[sf(
+            "crates/fix/src/lib.rs",
+            "tweetmob-fixture",
+            FileKind::LibRoot,
+            body,
+        )])
+    };
+    let one_line = snap("pub use scenario::{Timeline, run, ScenarioError};\n");
+    let rustfmt = snap(
+        "pub use scenario::{\n    run, ScenarioError,\n    Timeline,\n};\n\n/// Next item.\npub use a::b;\n",
+    );
+    let line = "tweetmob-fixture reexport  pub use scenario::{ScenarioError, Timeline, run};";
+    assert!(one_line.lines().any(|l| l == line), "got:\n{one_line}");
+    assert!(rustfmt.lines().any(|l| l == line), "got:\n{rustfmt}");
+}
+
+#[test]
 fn api_diff_reports_drift_both_ways() {
     let old = "# header\nalpha fn a sig\nalpha fn b sig\n";
     let same = diff_api(old, "alpha fn a sig\nalpha fn b sig\n# other header\n");
