@@ -481,17 +481,7 @@ impl ModelBundle {
         if let Some(prov) = &self.provenance {
             sections.push((&TAG_PROV, prov.as_bytes()));
         }
-        let body: usize = sections.iter().map(|(_, p)| 4 + 8 + p.len()).sum();
-        let mut out = Vec::with_capacity(12 + body);
-        out.extend_from_slice(&ARTIFACT_MAGIC);
-        out.extend_from_slice(&ARTIFACT_VERSION.to_le_bytes());
-        out.extend_from_slice(&clamp_u32(sections.len()).to_le_bytes());
-        for (tag, payload) in sections {
-            out.extend_from_slice(tag);
-            out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-            out.extend_from_slice(payload);
-        }
-        out
+        container(&sections)
     }
 
     /// Parses a container produced by [`ModelBundle::encode`], which
@@ -548,6 +538,13 @@ impl ModelBundle {
                 areas.len(),
                 populations.len()
             )));
+        }
+        // The O(n²) rebuild first needs the writer's n(n−1)/2 distances,
+        // so its work is bounded by the file's size, not a declared count.
+        let (n, len) = (areas.len(), geom.len());
+        let pairs = n.checked_mul(n.saturating_sub(1)).map(|p| p / 2);
+        if pairs.and_then(|p| p.checked_mul(8)?.checked_add(16)) != Some(len) {
+            return Err(format_err(format!("GEOM is {len} bytes for {n} areas")));
         }
         let centers: Vec<Point> = areas.iter().map(|a| a.center).collect();
         let geometry = PairGeometry::shared(&centers);
@@ -620,6 +617,22 @@ impl ModelBundle {
         let file = std::fs::File::open(path).map_err(IoError::Io)?;
         Self::load(std::io::BufReader::new(file)).map_err(|e| e.with_path(path))
     }
+}
+
+/// The TMA0 container: magic, version, section count, then each
+/// section as its tag, u64 payload length and payload.
+fn container(sections: &[(&[u8; 4], &[u8])]) -> Vec<u8> {
+    let body: usize = sections.iter().map(|(_, p)| 4 + 8 + p.len()).sum();
+    let mut out = Vec::with_capacity(12 + body);
+    out.extend_from_slice(&ARTIFACT_MAGIC);
+    out.extend_from_slice(&ARTIFACT_VERSION.to_le_bytes());
+    out.extend_from_slice(&clamp_u32(sections.len()).to_le_bytes());
+    for (tag, payload) in sections {
+        out.extend_from_slice(*tag);
+        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        out.extend_from_slice(payload);
+    }
+    out
 }
 
 fn format_err(message: String) -> IoError {
@@ -1137,6 +1150,28 @@ mod tests {
                     other => panic!("byte {at} ^ {flip}: expected GEOM error, got {other:?}"),
                 }
             }
+        }
+    }
+
+    #[test]
+    fn a_large_area_count_with_a_short_geom_is_a_format_error() {
+        // 100k areas take ~3.4 MB of AREA and POPS but would take ~240 GB
+        // of geometry: the GEOM length is checked before the rebuild.
+        let n = 100_000u32;
+        let mut area = n.to_le_bytes().to_vec();
+        let mut pops = area.clone();
+        area.resize(4 + 26 * n as usize, 0); // empty names, centres at (0, 0)
+        pops.resize(4 + 8 * n as usize, 0);
+        let sections = [
+            (&TAG_META, &[0; 12][..]),
+            (&TAG_AREA, &area),
+            (&TAG_POPS, &pops),
+            (&TAG_MODL, &[0; 14 * 8]),
+            (&TAG_GEOM, &[0; 16]),
+        ];
+        match ModelBundle::load(&container(&sections)[..]) {
+            Err(IoError::Format { message, .. }) => assert!(message.contains("100000 areas")),
+            other => panic!("expected a GEOM length error, got {other:?}"),
         }
     }
 
