@@ -124,10 +124,11 @@ fn write_dataset(ds: &TweetDataset, out_path: &str, as_columnar: bool) -> Result
     let file = File::create(out_path).map_err(|e| format!("cannot create {out_path}: {e}"))?;
     let writer = BufWriter::new(file);
     if as_columnar {
-        columnar::write_columnar(ds, writer)?;
+        columnar::write_columnar(ds, writer)
     } else {
-        dataio::write_jsonl(ds, writer)?;
+        dataio::write_jsonl(ds, writer)
     }
+    .map_err(|e| format!("cannot write {out_path}: {e}"))?;
     tweetmob_obs::manifest::record_output(out_path);
     Ok(())
 }
@@ -155,11 +156,13 @@ pub fn convert(args: &Args) -> Result<()> {
 /// resolved thread count, outcome, content stamps of every recorded
 /// input/output, and the (workspace-shared) crate versions.
 ///
-/// Stamping re-reads each file at manifest time; a recorded path that
-/// has since vanished or never existed (the failure case) is skipped
-/// rather than failing the manifest itself.
+/// Stamping re-reads each file at manifest time, under the
+/// `manifest/stamp` span; a recorded path that has since vanished or
+/// never existed (the failure case) is skipped rather than failing the
+/// manifest itself.
 fn build_manifest(args: &Args, subcommand: &str, outcome: &str) -> tweetmob_obs::RunManifest {
     let stamp = |paths: Vec<String>| -> Vec<tweetmob_obs::FileStamp> {
+        let _span = tweetmob_obs::span!("manifest/stamp");
         paths
             .iter()
             .filter_map(|p| tweetmob_obs::FileStamp::of_file(p).ok())
@@ -412,7 +415,9 @@ pub fn fit(args: &Args) -> Result<()> {
     let ds = dataset_arg(args)?;
     let (report, mut bundle) = fit_bundle(args, &ds)?;
     bundle.set_provenance(embedded_provenance(args));
-    bundle.save_file(out)?;
+    bundle
+        .save_file(out)
+        .map_err(|e| format!("cannot write {out}: {e}"))?;
     tweetmob_obs::manifest::record_output(out);
     print!("{report}");
     println!(

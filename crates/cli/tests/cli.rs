@@ -293,6 +293,7 @@ fn metrics_out_writes_stage_spans_and_counters() {
         "fit/radiation",
         "fit/opportunities",
         "evaluate",
+        "manifest/stamp",
     ] {
         assert!(
             doc["timing"]["spans"].get(span).is_some(),
@@ -691,6 +692,50 @@ fn artifacts_byte_identical_across_thread_counts_with_provenance() {
         "PROV-carrying artifacts must stay byte-identical across thread counts"
     );
     std::fs::remove_file(&data).ok();
+}
+
+/// A write whose bytes never reach the device is a failed command: the
+/// writers flush and report the flush's error instead of dropping it.
+#[cfg(unix)]
+#[test]
+fn writes_into_a_full_device_fail_with_an_io_error() {
+    if !std::path::Path::new("/dev/full").exists() {
+        return;
+    }
+    let full = |name: &str| {
+        let link = tmp(name);
+        std::fs::remove_file(&link).ok();
+        std::os::unix::fs::symlink("/dev/full", &link).unwrap();
+        link
+    };
+    let twc = full("full.twc");
+    let generate = run(&["generate", "--users", "3", twc.to_str().unwrap()]);
+    assert_eq!(generate.status.code(), Some(1), "{}", stdout(&generate));
+    assert!(
+        stderr(&generate).contains("i/o failure"),
+        "{}",
+        stderr(&generate)
+    );
+    assert!(
+        !stdout(&generate).contains("wrote"),
+        "{}",
+        stdout(&generate)
+    );
+
+    let data = generated("full-input.twc", &["--users", "300", "--seed", "5"]);
+    let tma = full("full.tma");
+    let fit = run(&[
+        "fit",
+        data.to_str().unwrap(),
+        "--artifact-out",
+        tma.to_str().unwrap(),
+    ]);
+    assert_eq!(fit.status.code(), Some(1), "{}", stdout(&fit));
+    assert!(stderr(&fit).contains("i/o failure"), "{}", stderr(&fit));
+    assert!(!stdout(&fit).contains("artifact:"), "{}", stdout(&fit));
+    for path in [twc, tma, data] {
+        std::fs::remove_file(path).ok();
+    }
 }
 
 #[test]

@@ -563,13 +563,14 @@ impl ModelBundle {
     ///
     /// # Errors
     ///
-    /// [`IoError::Io`] on write failure.
+    /// [`IoError::Io`] on write failure, including the final flush's.
     pub fn save<W: Write>(&self, mut w: W) -> Result<(), IoError> {
         let encoded = {
             let _span = tweetmob_obs::span!("artifact/save");
             self.encode()
         };
         w.write_all(&encoded)?;
+        w.flush()?;
         tweetmob_obs::gauge!("artifact/bytes")
             .set(i64::try_from(encoded.len()).unwrap_or(i64::MAX));
         Ok(())

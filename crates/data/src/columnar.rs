@@ -3,10 +3,11 @@
 //! `TWC0` serialises the in-memory [`TweetDataset`] layout *directly*:
 //! four contiguous value columns plus the CSR user index, already sorted
 //! by `(user, time)`.
-//! Loading is one bulk read, a fixed-size header validation, and a
-//! straight little-endian decode of each column — no per-record branch,
-//! no `Point` construction, no re-sort. At the paper's 6.3 M tweets
-//! that turns load from the pipeline's slowest stage into a memory-copy.
+//! Loading streams: a fixed-size header validation, then a straight
+//! little-endian decode of each section into its column through one
+//! reused ~1 MiB buffer — no per-record branch, no `Point` construction,
+//! no re-sort, and no second image of the file. At the paper's 6.3 M
+//! tweets a load holds the ~160 MB of columns plus that one buffer.
 //!
 //! Layout (all integers little-endian):
 //!
@@ -23,9 +24,11 @@
 //! …                 8·n       longitudes (f64)
 //! ```
 //!
-//! The file length is fully determined by the header, so truncation and
-//! padding are both detected before any column is decoded. The sort
-//! invariant is *verified* on load (cheap columnwise scans via
+//! The file length is fully determined by the header, so a body that
+//! ends early or runs past it is a format error. Columns grow from the
+//! bytes actually read, so a header that overstates its body costs no
+//! more memory than the body itself. The sort invariant is *verified*
+//! on load (cheap columnwise scans via
 //! [`TweetDataset::from_sorted_columns`]), never re-established — an
 //! unsorted file is a format error, not a dataset to fix up.
 
@@ -33,7 +36,7 @@ use crate::dataset::TweetDataset;
 use crate::io::IoError;
 use crate::time::Timestamp;
 use crate::tweet::UserId;
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 
 /// File magic.
 pub const MAGIC: [u8; 4] = *b"TWC0";
@@ -43,7 +46,7 @@ const VERSION: u32 = 1;
 const HEADER_BYTES: usize = 24;
 
 /// Upper bound on the declared tweet count — a plausibility guard that
-/// rejects corrupt headers before any allocation.
+/// rejects corrupt headers before any section is read.
 const MAX_RECORDS: u64 = 2_000_000_000;
 
 /// Writes the dataset in columnar form. Column order matches the
@@ -52,7 +55,7 @@ const MAX_RECORDS: u64 = 2_000_000_000;
 ///
 /// # Errors
 ///
-/// Propagates write failures.
+/// Propagates write failures, including the final flush's.
 pub fn write_columnar<W: Write>(ds: &TweetDataset, mut w: W) -> Result<(), IoError> {
     let _span = tweetmob_obs::span!("write_columnar");
     let mut header = Vec::with_capacity(HEADER_BYTES);
@@ -66,6 +69,7 @@ pub fn write_columnar<W: Write>(ds: &TweetDataset, mut w: W) -> Result<(), IoErr
     write_column(&mut w, ds.times().iter().map(|t| t.as_secs().to_le_bytes()))?;
     write_column(&mut w, ds.lats().iter().map(|v| v.to_le_bytes()))?;
     write_column(&mut w, ds.lons().iter().map(|v| v.to_le_bytes()))?;
+    w.flush()?;
     Ok(())
 }
 
@@ -88,79 +92,151 @@ fn write_column<W: Write, const N: usize>(
     Ok(())
 }
 
-/// Reads a columnar dataset written by [`write_columnar`]: one bulk read
-/// to the end of the stream, then [`decode_columnar`].
+/// Reads a columnar dataset written by [`write_columnar`], streaming:
+/// the 24-byte header is validated first, then each section is decoded
+/// straight into its column through one reused [`CHUNK_BYTES`] buffer,
+/// and a final one-byte read must find the end of the stream. Columns
+/// grow from the bytes actually read, never from the header's counts,
+/// so a header that overstates its body fails on the first short read.
 ///
 /// # Errors
 ///
 /// * [`IoError::Io`] — underlying read failure.
-/// * [`IoError::Format`] — anything [`decode_columnar`] rejects.
+/// * [`IoError::Format`] — bad magic, unsupported version, implausible
+///   counts, a body shorter or longer than the header declares, or
+///   columns that violate the sort/range invariants checked by
+///   [`TweetDataset::from_sorted_columns`]. No path is attached; callers
+///   that know the file name add it with [`IoError::with_path`].
 pub fn read_columnar<R: Read>(mut r: R) -> Result<TweetDataset, IoError> {
-    let mut bytes = Vec::new();
-    r.read_to_end(&mut bytes)?;
-    decode_columnar(&bytes)
+    let _span = tweetmob_obs::span!("read_columnar");
+    let mut header = [0; HEADER_BYTES];
+    let got = fill(&mut r, &mut header)?;
+    if got < HEADER_BYTES {
+        return Err(format_error(format!(
+            "truncated header: {got} bytes, need {HEADER_BYTES}"
+        )));
+    }
+    let magic = &header[0..4];
+    if magic != MAGIC {
+        return Err(format_error(format!(
+            "bad magic {magic:?}, expected {MAGIC:?}"
+        )));
+    }
+    let version = u32::from_le_bytes(le(&header[4..8]));
+    if version != VERSION {
+        return Err(format_error(format!("unsupported version {version}")));
+    }
+    let n = u64::from_le_bytes(le(&header[8..16]));
+    let u = u64::from_le_bytes(le(&header[16..24]));
+    if n > MAX_RECORDS || u > n.max(1) {
+        return Err(format_error(format!(
+            "implausible counts: {n} tweets, {u} users"
+        )));
+    }
+    let mut body = Sections {
+        r,
+        buf: vec![0; CHUNK_BYTES],
+        at: HEADER_BYTES as u64,
+        expected: HEADER_BYTES as u64 + 4 * u + 4 * (u + 1) + 3 * 8 * n,
+    };
+    let unique_users = body.column(u, |b| UserId(u32::from_le_bytes(b)))?;
+    let user_starts = body.column(u + 1, u32::from_le_bytes)?;
+    let times = body.column(n, |b| Timestamp::from_secs(i64::from_le_bytes(b)))?;
+    let lats = body.column(n, f64::from_le_bytes)?;
+    let lons = body.column(n, f64::from_le_bytes)?;
+    body.end()?;
+    let ds = TweetDataset::from_sorted_columns(unique_users, user_starts, times, lats, lons)
+        .map_err(format_error)?;
+    tweetmob_obs::counter!("data/tweets_read").add(ds.n_tweets() as u64);
+    Ok(ds)
 }
 
-/// Decodes a complete in-memory `TWC0` image. This is the whole load
-/// path: header validation, an exact-length check (the header fully
-/// determines the file size), bulk little-endian column decodes, and
-/// the sort-invariant verification in
-/// [`TweetDataset::from_sorted_columns`].
+/// Decodes a complete in-memory `TWC0` image: [`read_columnar`] over the
+/// slice, so both entry points share one decoder and one set of checks.
 ///
 /// # Errors
 ///
-/// [`IoError::Format`] for bad magic, unsupported version, implausible
-/// counts, a length that disagrees with the header, or columns that
-/// violate the sort/range invariants. No path is attached; callers that
-/// know the file name add it with [`IoError::with_path`].
+/// [`IoError::Format`] for anything [`read_columnar`] rejects (a slice
+/// read never fails with [`IoError::Io`]).
 pub fn decode_columnar(bytes: &[u8]) -> Result<TweetDataset, IoError> {
-    let _span = tweetmob_obs::span!("read_columnar");
-    let fail = |message: String| IoError::Format {
+    read_columnar(bytes)
+}
+
+/// Bytes per read while decoding the sections: a multiple of every
+/// column's element size, and the only memory a load holds beyond the
+/// columns themselves.
+const CHUNK_BYTES: usize = 1 << 20;
+
+fn format_error(message: String) -> IoError {
+    IoError::Format {
         path: String::new(),
         message,
-    };
-    if bytes.len() < HEADER_BYTES {
-        return Err(fail(format!(
-            "truncated header: {} bytes, need {HEADER_BYTES}",
-            bytes.len()
-        )));
     }
-    let magic = &bytes[0..4];
-    if magic != MAGIC {
-        return Err(fail(format!("bad magic {magic:?}, expected {MAGIC:?}")));
+}
+
+/// The section body of one `TWC0` stream: the reader, the reused chunk
+/// buffer, and the byte position against the header's declared length.
+struct Sections<R> {
+    r: R,
+    buf: Vec<u8>,
+    at: u64,
+    expected: u64,
+}
+
+impl<R: Read> Sections<R> {
+    /// Decodes the next `count` fixed-width values into a column, one
+    /// full chunk at a time. A chunk is decoded only once every byte of
+    /// it has arrived, so a short body allocates nothing for its tail.
+    fn column<T, const N: usize>(
+        &mut self,
+        count: u64,
+        decode: impl Fn([u8; N]) -> T,
+    ) -> Result<Vec<T>, IoError> {
+        let mut out = Vec::new();
+        // count ≤ MAX_RECORDS + 1 and N ≤ 8, so this cannot overflow.
+        let mut left = count * N as u64;
+        while left > 0 {
+            let want = left.min(self.buf.len() as u64) as usize;
+            let chunk = &mut self.buf[..want];
+            let got = fill(&mut self.r, chunk)?;
+            self.at += got as u64;
+            if got < want {
+                return Err(format_error(format!(
+                    "section layout: {} bytes, header declares {}",
+                    self.at, self.expected
+                )));
+            }
+            out.extend(chunk.chunks_exact(N).map(|c| decode(le(c))));
+            left -= want as u64;
+        }
+        Ok(out)
     }
-    let version = u32::from_le_bytes(le(&bytes[4..8]));
-    if version != VERSION {
-        return Err(fail(format!("unsupported version {version}")));
+
+    /// Checks that the stream ends exactly where the header says.
+    fn end(mut self) -> Result<(), IoError> {
+        if fill(&mut self.r, &mut self.buf[..1])? == 0 {
+            return Ok(());
+        }
+        Err(format_error(format!(
+            "section layout: more than the {} bytes the header declares",
+            self.expected
+        )))
     }
-    let n = u64::from_le_bytes(le(&bytes[8..16]));
-    let u = u64::from_le_bytes(le(&bytes[16..24]));
-    if n > MAX_RECORDS || u > n.max(1) {
-        return Err(fail(format!("implausible counts: {n} tweets, {u} users")));
+}
+
+/// Reads until `buf` is full or the stream ends, returning the bytes
+/// read; only a short return tells the caller the stream ended.
+fn fill(r: &mut impl Read, buf: &mut [u8]) -> Result<usize, IoError> {
+    let mut filled = 0;
+    while filled < buf.len() {
+        match r.read(&mut buf[filled..]) {
+            Ok(0) => break,
+            Ok(k) => filled += k,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e.into()),
+        }
     }
-    let (n, u) = (n as usize, u as usize);
-    let expected = HEADER_BYTES + 4 * u + 4 * (u + 1) + 3 * 8 * n;
-    if bytes.len() != expected {
-        return Err(fail(format!(
-            "section layout: {} bytes, header declares {expected}",
-            bytes.len()
-        )));
-    }
-    let mut at = HEADER_BYTES;
-    let mut take = |len: usize| {
-        let s = &bytes[at..at + len];
-        at += len;
-        s
-    };
-    let unique_users: Vec<UserId> = decode_u32s(take(4 * u)).map(UserId).collect();
-    let user_starts: Vec<u32> = decode_u32s(take(4 * (u + 1))).collect();
-    let times: Vec<Timestamp> = decode_i64s(take(8 * n)).map(Timestamp::from_secs).collect();
-    let lats: Vec<f64> = decode_f64s(take(8 * n)).collect();
-    let lons: Vec<f64> = decode_f64s(take(8 * n)).collect();
-    let ds = TweetDataset::from_sorted_columns(unique_users, user_starts, times, lats, lons)
-        .map_err(fail)?;
-    tweetmob_obs::counter!("data/tweets_read").add(ds.n_tweets() as u64);
-    Ok(ds)
+    Ok(filled)
 }
 
 // Callers pass exactly `N` bytes (`chunks_exact` chunks or fixed header
@@ -169,18 +245,6 @@ fn le<const N: usize>(chunk: &[u8]) -> [u8; N] {
     let mut out = [0; N];
     out.copy_from_slice(chunk);
     out
-}
-
-fn decode_u32s(bytes: &[u8]) -> impl Iterator<Item = u32> + '_ {
-    bytes.chunks_exact(4).map(|c| u32::from_le_bytes(le(c)))
-}
-
-fn decode_i64s(bytes: &[u8]) -> impl Iterator<Item = i64> + '_ {
-    bytes.chunks_exact(8).map(|c| i64::from_le_bytes(le(c)))
-}
-
-fn decode_f64s(bytes: &[u8]) -> impl Iterator<Item = f64> + '_ {
-    bytes.chunks_exact(8).map(|c| f64::from_le_bytes(le(c)))
 }
 
 #[cfg(test)]
@@ -351,21 +415,26 @@ mod tests {
         assert!(err.to_string().contains("x.twc"));
     }
 
+    /// A corpus of up to 120 random tweets over 500 users.
+    fn random_corpus(seed: u64) -> TweetDataset {
+        let mut rng = tweetmob_stats::rng::SplitMix64::new(seed);
+        let tweets: Vec<Tweet> = (0..rng.next_below(120))
+            .map(|_| {
+                t(
+                    rng.next_below(500) as u32,
+                    rng.next_below(2_001_000_000) as i64 - 1_000_000,
+                    rng.range_f64(-89.9, 89.9),
+                    rng.range_f64(-179.9, 179.9),
+                )
+            })
+            .collect();
+        TweetDataset::from_tweets(tweets)
+    }
+
     #[test]
     fn columnar_roundtrip_any_tweets() {
         for seed in 0..48 {
-            let mut rng = tweetmob_stats::rng::SplitMix64::new(seed);
-            let tweets: Vec<Tweet> = (0..rng.next_below(120))
-                .map(|_| {
-                    t(
-                        rng.next_below(500) as u32,
-                        rng.next_below(2_001_000_000) as i64 - 1_000_000,
-                        rng.range_f64(-89.9, 89.9),
-                        rng.range_f64(-179.9, 179.9),
-                    )
-                })
-                .collect();
-            let ds = TweetDataset::from_tweets(tweets);
+            let ds = random_corpus(seed);
             let back = read_columnar(&encode(&ds)[..]).unwrap();
             assert_eq!(ds.unique_users(), back.unique_users(), "seed {seed}");
             assert_eq!(ds.user_starts(), back.user_starts(), "seed {seed}");
@@ -385,6 +454,86 @@ mod tests {
             // And the re-encode is byte-identical — no information is
             // lost or renormalised anywhere in the cycle.
             assert_eq!(encode(&back), encode(&ds), "seed {seed}");
+        }
+    }
+
+    /// A reader that hands out 1, 2, …, 7, 1, 2, … bytes per call, so
+    /// every chunk and header read is split at awkward offsets.
+    struct Dribble<'a> {
+        bytes: &'a [u8],
+        step: usize,
+    }
+
+    impl Read for Dribble<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.step = self.step % 7 + 1;
+            let k = self.step.min(buf.len()).min(self.bytes.len());
+            buf[..k].copy_from_slice(&self.bytes[..k]);
+            self.bytes = &self.bytes[k..];
+            Ok(k)
+        }
+    }
+
+    fn dribble(bytes: &[u8]) -> Dribble<'_> {
+        Dribble { bytes, step: 0 }
+    }
+
+    #[test]
+    fn dribbled_reads_decode_like_the_slice() {
+        for seed in 0..48 {
+            let buf = encode(&random_corpus(seed));
+            let streamed = read_columnar(dribble(&buf)).unwrap();
+            let sliced = decode_columnar(&buf).unwrap();
+            // The encoding is the columns' exact bits, so equal bytes
+            // mean bit-identical datasets.
+            assert_eq!(encode(&streamed), encode(&sliced), "seed {seed}");
+            assert_eq!(encode(&streamed), buf, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn every_strict_prefix_is_a_format_error() {
+        let buf = encode(&sample());
+        for cut in 0..buf.len() {
+            match read_columnar(dribble(&buf[..cut])) {
+                Err(IoError::Format { message, .. }) => assert!(
+                    message.contains("truncated") || message.contains("layout"),
+                    "cut {cut}: {message}"
+                ),
+                other => panic!("cut {cut}: expected Format error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_trailing_byte_is_a_format_error() {
+        let mut padded = encode(&sample());
+        padded.push(0);
+        match read_columnar(dribble(&padded)) {
+            Err(IoError::Format { message, .. }) => {
+                assert!(message.contains("layout"), "{message}");
+            }
+            other => panic!("expected layout error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_header_overstating_its_body_fails_without_allocating_it() {
+        // The largest plausible header over a 100-byte body: the load
+        // must stop at the short read, not reserve 48 GB of columns.
+        for users in [1, MAX_RECORDS] {
+            let mut buf = Vec::new();
+            buf.extend_from_slice(&MAGIC);
+            buf.extend_from_slice(&VERSION.to_le_bytes());
+            buf.extend_from_slice(&MAX_RECORDS.to_le_bytes());
+            buf.extend_from_slice(&users.to_le_bytes());
+            buf.extend_from_slice(&[0; 100]);
+            match read_columnar(dribble(&buf)) {
+                Err(IoError::Format { message, .. }) => {
+                    assert!(message.contains("layout"), "{users} users: {message}");
+                }
+                other => panic!("{users} users: expected layout error, got {other:?}"),
+            }
         }
     }
 }

@@ -101,7 +101,7 @@ impl From<io::Error> for IoError {
 ///
 /// # Errors
 ///
-/// Propagates write failures.
+/// Propagates write failures, including the final flush's.
 pub fn write_jsonl<W: Write>(ds: &TweetDataset, mut w: W) -> Result<(), IoError> {
     for t in ds.iter_tweets() {
         writeln!(
@@ -113,6 +113,7 @@ pub fn write_jsonl<W: Write>(ds: &TweetDataset, mut w: W) -> Result<(), IoError>
             t.location.lon
         )?;
     }
+    w.flush()?;
     Ok(())
 }
 

@@ -65,12 +65,10 @@ pub fn render_api(model: &Model) -> String {
     out
 }
 
-/// One rendering of a `pub use` whatever its source layout: the
-/// statement up to its `;`, with a brace group's names sorted,
-/// `, `-separated, unpadded and without a trailing comma — so a
-/// rustfmt reflow or reorder is not API drift.
+/// One rendering of a `pub use` whatever its source layout: a brace
+/// group's names sorted, `, `-separated, unpadded and without a
+/// trailing comma — so a rustfmt reflow or reorder is not API drift.
 fn canonical_use(sig: &str) -> String {
-    let sig = sig.find(';').map_or(sig, |end| &sig[..=end]);
     let (Some(open), Some(close)) = (sig.find('{'), sig.rfind('}')) else {
         return sig.to_string();
     };

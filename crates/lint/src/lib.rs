@@ -405,6 +405,19 @@ fn push_blank(buf: &mut String, c: char) {
 /// by a space (newlines preserved), so offsets map 1:1 to raw bytes and
 /// line numbers.
 pub(crate) fn strip_non_code(src: &str) -> String {
+    blank_source(src, true)
+}
+
+/// The source with only its comments blanked: the text item signatures
+/// are sliced from, so a doc comment between an item's tokens is not
+/// part of its public-API line. Byte-preserving like [`strip_non_code`].
+pub(crate) fn strip_comments(src: &str) -> String {
+    blank_source(src, false)
+}
+
+/// Blanks comments, and string and char literals too when
+/// `blank_literals`; a kept literal is copied through unchanged.
+fn blank_source(src: &str, blank_literals: bool) -> String {
     enum St {
         Code,
         LineComment,
@@ -413,6 +426,13 @@ pub(crate) fn strip_non_code(src: &str) -> String {
         Quoted(char),
         RawStr(usize),
     }
+    let literal = |buf: &mut String, c: char| {
+        if blank_literals {
+            push_blank(buf, c);
+        } else {
+            buf.push(c);
+        }
+    };
     let chars: Vec<char> = src.chars().collect();
     let mut code = String::with_capacity(src.len());
     let mut st = St::Code;
@@ -434,7 +454,7 @@ pub(crate) fn strip_non_code(src: &str) -> String {
                 }
                 '"' => {
                     st = St::Quoted('"');
-                    code.push(' ');
+                    literal(&mut code, c);
                 }
                 'r' | 'b' if is_raw_string_start(&chars, i) => {
                     // Consume the prefix (r, br) and hashes up to the quote.
@@ -447,14 +467,16 @@ pub(crate) fn strip_non_code(src: &str) -> String {
                         hashes += 1;
                         j += 1;
                     }
-                    code.push_str(&" ".repeat(j + 1 - i));
+                    for &p in &chars[i..=j] {
+                        literal(&mut code, p);
+                    }
                     st = St::RawStr(hashes);
                     i = j + 1;
                     continue;
                 }
                 '\'' => {
                     // Distinguish char literals from lifetimes: 'x' or '\..'.
-                    code.push(' ');
+                    literal(&mut code, c);
                     if next == Some('\\') || chars.get(i + 2) == Some(&'\'') {
                         st = St::Quoted('\'');
                     }
@@ -488,11 +510,11 @@ pub(crate) fn strip_non_code(src: &str) -> String {
                 push_blank(&mut code, c);
             }
             St::Quoted(quote) => {
-                push_blank(&mut code, c);
+                literal(&mut code, c);
                 if c == '\\' {
                     // Skip the escaped character.
                     if let Some(n) = next {
-                        push_blank(&mut code, n);
+                        literal(&mut code, n);
                     }
                     i += 2;
                     continue;
@@ -502,9 +524,11 @@ pub(crate) fn strip_non_code(src: &str) -> String {
                 }
             }
             St::RawStr(hashes) => {
-                push_blank(&mut code, c);
+                literal(&mut code, c);
                 if c == '"' && (1..=hashes).all(|k| chars.get(i + k) == Some(&'#')) {
-                    code.push_str(&" ".repeat(hashes));
+                    for _ in 0..hashes {
+                        literal(&mut code, '#');
+                    }
                     st = St::Code;
                     i += 1 + hashes;
                     continue;

@@ -164,7 +164,9 @@ pub(crate) struct ParsedFile {
     pub label: String,
     pub crate_name: String,
     pub kind: FileKind,
-    pub raw: String,
+    /// The source with comments blanked (byte-preserving): the text
+    /// signatures are sliced from.
+    pub decommented: String,
     /// Stripped code (comments/strings blanked, byte-preserving).
     pub code: String,
     pub toks: Vec<Tok>,
@@ -221,7 +223,7 @@ pub(crate) fn parse_workspace(files: &[SourceFile]) -> (Vec<ParsedFile>, Model) 
             label: sf.label.clone(),
             crate_name: sf.crate_name.clone(),
             kind: sf.kind,
-            raw: sf.source.clone(),
+            decommented: crate::strip_comments(&sf.source),
             code,
             toks,
             tests,
@@ -365,7 +367,8 @@ impl Parser<'_> {
     }
 
     fn normalize(&self, start: usize, end: usize) -> String {
-        normalize_ws(&self.pf.raw[start.min(self.pf.raw.len())..end.min(self.pf.raw.len())])
+        let text = &self.pf.decommented;
+        normalize_ws(&text[start.min(text.len())..end.min(text.len())])
     }
 
     fn module_path(&self, ctx: &Ctx) -> String {

@@ -217,6 +217,25 @@ fn api_snapshot_renders_both_reexport_layouts_as_one_line() {
 }
 
 #[test]
+fn editing_a_variant_field_doc_is_not_api_drift() {
+    let snap = |doc: &str| {
+        api_snapshot(&[sf(
+            "crates/fix/src/lib.rs",
+            "tweetmob-fixture",
+            FileKind::LibRoot,
+            &format!(
+                "/// Errors.\npub enum E {{\n    /// A bad index.\n    Bad {{\n        /// {doc}\n        index: usize, /* inline */ len: usize,\n    }},\n}}\n"
+            ),
+        )])
+    };
+    let before = snap("The rejected index.");
+    let after = snap("The index that was rejected // with a \"quote\".");
+    assert!(diff_api(&before, &after).is_empty(), "{before}\n{after}");
+    let line = "tweetmob-fixture variant E::Bad Bad { index: usize, len: usize, }";
+    assert!(before.lines().any(|l| l == line), "got:\n{before}");
+}
+
+#[test]
 fn api_diff_reports_drift_both_ways() {
     let old = "# header\nalpha fn a sig\nalpha fn b sig\n";
     let same = diff_api(old, "alpha fn a sig\nalpha fn b sig\n# other header\n");
