@@ -9,7 +9,7 @@ use std::collections::BTreeMap;
 
 /// Parsed command-line arguments: positionals in order, flags by name.
 #[derive(Debug, Default)]
-pub struct Args {
+pub(crate) struct Args {
     positionals: Vec<String>,
     flags: BTreeMap<String, String>,
     switches: Vec<String>,
@@ -17,7 +17,7 @@ pub struct Args {
 
 /// A parse failure with a user-facing message.
 #[derive(Debug)]
-pub struct ArgError(pub String);
+pub(crate) struct ArgError(pub(crate) String);
 
 impl std::fmt::Display for ArgError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -30,22 +30,22 @@ impl std::error::Error for ArgError {}
 /// The `--metrics-out <path>` flag every subcommand accepts: where to
 /// write the pipeline metrics JSON (counters, gauges, histograms, run
 /// manifest and `timing/spans`) after the run.
-pub const METRICS_OUT: &str = "metrics-out";
+pub(crate) const METRICS_OUT: &str = "metrics-out";
 /// The `--trace` switch every subcommand accepts: print the span trace
 /// tree to stderr after the run.
-pub const TRACE: &str = "trace";
+pub(crate) const TRACE: &str = "trace";
 /// The `--threads <n>` flag every subcommand accepts: pin the shared
 /// worker pool's thread count (overrides `TWEETMOB_THREADS`).
-pub const THREADS: &str = "threads";
+pub(crate) const THREADS: &str = "threads";
 /// The `--trace-out <path>` flag every subcommand accepts: write the span
 /// tree as collapsed flamegraph stacks after the run, whatever the
 /// path's extension.
-pub const TRACE_OUT: &str = "trace-out";
+pub(crate) const TRACE_OUT: &str = "trace-out";
 /// The `--metrics-redacted` switch every subcommand accepts: write the
 /// redacted metrics document (durations and execution-shape fields
 /// zeroed) and collapsed stacks weighted by call count instead of self
 /// time, so same-seed runs are byte-comparable.
-pub const METRICS_REDACTED: &str = "metrics-redacted";
+pub(crate) const METRICS_REDACTED: &str = "metrics-redacted";
 
 /// Observability flags excluded from the normalized argument list a run
 /// manifest records: they route or shape the *observation* of a run, not
@@ -72,7 +72,7 @@ impl Args {
     /// As [`Args::parse`], and an [`ArgError`] naming the first
     /// positional past `positionals` (a stray word is a typo, not input
     /// to ignore).
-    pub fn parse_with_observability(
+    pub(crate) fn parse_with_observability(
         raw: impl IntoIterator<Item = String>,
         positionals: usize,
         valued: &[&str],
@@ -97,7 +97,7 @@ impl Args {
     /// Parses raw arguments. `valued` lists flags that take a value;
     /// `switches` lists boolean flags. Anything else starting with `--`
     /// is rejected.
-    pub fn parse(
+    pub(crate) fn parse(
         raw: impl IntoIterator<Item = String>,
         valued: &[&str],
         switches: &[&str],
@@ -135,17 +135,17 @@ impl Args {
     }
 
     /// Positional argument `i`, if present.
-    pub fn positional(&self, i: usize) -> Option<&str> {
+    pub(crate) fn positional(&self, i: usize) -> Option<&str> {
         self.positionals.get(i).map(String::as_str)
     }
 
     /// Raw string value of a flag.
-    pub fn get(&self, name: &str) -> Option<&str> {
+    pub(crate) fn get(&self, name: &str) -> Option<&str> {
         self.flags.get(name).map(String::as_str)
     }
 
     /// Whether a boolean switch was given.
-    pub fn has(&self, name: &str) -> bool {
+    pub(crate) fn has(&self, name: &str) -> bool {
         self.switches.iter().any(|s| s == name)
     }
 
@@ -156,7 +156,7 @@ impl Args {
     /// order or in where they send metrics normalize identically.
     ///
     /// [`RunManifest`]: tweetmob_obs::RunManifest
-    pub fn normalized(&self) -> Vec<String> {
+    pub(crate) fn normalized(&self) -> Vec<String> {
         let mut out = self.positionals.clone();
         out.extend(
             self.flags
@@ -180,7 +180,11 @@ impl Args {
     /// # Errors
     ///
     /// [`ArgError`] when the value does not parse.
-    pub fn get_parsed<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, ArgError>
+    pub(crate) fn get_parsed<T: std::str::FromStr>(
+        &self,
+        name: &str,
+        default: T,
+    ) -> Result<T, ArgError>
     where
         T::Err: std::fmt::Display,
     {

@@ -18,9 +18,9 @@ type Result<T> = std::result::Result<T, Box<dyn std::error::Error>>;
 
 /// `tweetmob export <dataset> <out.json>` — machine-readable results of
 /// every scale's population and mobility experiment.
-pub fn export(args: &Args) -> Result<()> {
+pub(crate) fn export(args: &Args) -> Result<()> {
     let ds = dataset_arg(args)?;
-    let out_path = args.positional(1).ok_or("missing output path")?;
+    let out_path = args.positional(1).ok_or_else(|| missing("output path"))?;
     let exp = Experiment::new(&ds);
     let mut scales = Vec::new();
     for scale in Scale::ALL {
@@ -138,9 +138,9 @@ fn write_dataset(ds: &TweetDataset, out_path: &str, as_columnar: bool) -> Result
 /// detected like every other load; the output format follows the output
 /// extension. Conversion is lossless: a JSONL → `TWC0` → JSONL trip
 /// gives back the same bytes.
-pub fn convert(args: &Args) -> Result<()> {
-    let input = args.get("in").ok_or("missing --in PATH")?;
-    let out_path = args.get("out").ok_or("missing --out PATH")?;
+pub(crate) fn convert(args: &Args) -> Result<()> {
+    let input = args.get("in").ok_or_else(|| missing("--in PATH"))?;
+    let out_path = args.get("out").ok_or_else(|| missing("--out PATH"))?;
     let as_columnar = writes_columnar(out_path)?;
     let ds = load(input)?;
     write_dataset(&ds, out_path, as_columnar)?;
@@ -209,7 +209,7 @@ fn embedded_provenance(args: &Args) -> String {
 /// gauge (0 ok, 1 error); the run manifest, whose stamps re-read every
 /// input and output, is built only when the metrics document that
 /// carries it is written.
-pub fn emit_observability(args: &Args, subcommand: &str, ok: bool) -> Result<()> {
+pub(crate) fn emit_observability(args: &Args, subcommand: &str, ok: bool) -> Result<()> {
     let registry = tweetmob_obs::global();
     tweetmob_obs::gauge!("run/outcome").set(i64::from(!ok));
     let redact = args.has(crate::args::METRICS_REDACTED);
@@ -242,8 +242,10 @@ pub fn emit_observability(args: &Args, subcommand: &str, ok: bool) -> Result<()>
 /// `tweetmob provenance <artifact.tma>` — print the `PROV` manifest an
 /// artifact carries and verify its recorded input hashes against the
 /// files as they exist now.
-pub fn provenance(args: &Args) -> Result<()> {
-    let path = args.positional(0).ok_or("missing artifact argument")?;
+pub(crate) fn provenance(args: &Args) -> Result<()> {
+    let path = args
+        .positional(0)
+        .ok_or_else(|| missing("artifact argument"))?;
     let bundle = load_artifact(path)?;
     let Some(manifest) = bundle.provenance() else {
         return Err(format!(
@@ -278,8 +280,15 @@ pub fn provenance(args: &Args) -> Result<()> {
     Ok(())
 }
 
+/// The usage error for a required argument that was not given.
+fn missing(what: &str) -> ArgError {
+    ArgError(format!("missing {what}"))
+}
+
 fn dataset_arg(args: &Args) -> Result<TweetDataset> {
-    let path = args.positional(0).ok_or("missing dataset argument")?;
+    let path = args
+        .positional(0)
+        .ok_or_else(|| missing("dataset argument"))?;
     load(path)
 }
 
@@ -288,7 +297,7 @@ fn scale_arg(args: &Args) -> Result<Scale> {
         "national" => Ok(Scale::National),
         "state" => Ok(Scale::State),
         "metro" | "metropolitan" => Ok(Scale::Metropolitan),
-        other => Err(format!("unknown scale {other:?} (national|state|metro)").into()),
+        other => Err(ArgError(format!("unknown scale {other:?} (national|state|metro)")).into()),
     }
 }
 
@@ -329,13 +338,13 @@ fn load_artifact(path: &str) -> Result<ModelBundle> {
 fn artifact_in(args: &Args) -> Result<ModelBundle> {
     load_artifact(
         args.get("artifact-in")
-            .ok_or("missing --artifact-in PATH")?,
+            .ok_or_else(|| missing("--artifact-in PATH"))?,
     )
 }
 
 /// `tweetmob generate <out.{jsonl,twc}> [--users N] [--seed N]`
-pub fn generate(args: &Args) -> Result<()> {
-    let out_path = args.positional(0).ok_or("missing output path")?;
+pub(crate) fn generate(args: &Args) -> Result<()> {
+    let out_path = args.positional(0).ok_or_else(|| missing("output path"))?;
     let as_columnar = writes_columnar(out_path)?;
     let mut cfg = GeneratorConfig::default();
     cfg.n_users = args.get_parsed("users", cfg.n_users)?;
@@ -353,7 +362,7 @@ pub fn generate(args: &Args) -> Result<()> {
 /// `tweetmob summary <dataset>` — Table I statistics, then one data
 /// funnel line per scale: tweets inside at least one area, and where the
 /// consecutive same-user pairs go.
-pub fn summary(args: &Args) -> Result<()> {
+pub(crate) fn summary(args: &Args) -> Result<()> {
     let ds = dataset_arg(args)?;
     println!("{}", DatasetSummary::of(&ds));
     for scale in Scale::ALL {
@@ -368,7 +377,7 @@ pub fn summary(args: &Args) -> Result<()> {
 }
 
 /// `tweetmob population <dataset> [--scale S] [--radius KM]`
-pub fn population(args: &Args) -> Result<()> {
+pub(crate) fn population(args: &Args) -> Result<()> {
     let scale = scale_arg(args)?;
     let radius = args.get_parsed("radius", scale.search_radius_km())?;
     if !(radius.is_finite() && radius > 0.0) {
@@ -387,7 +396,7 @@ pub fn population(args: &Args) -> Result<()> {
 
 /// `tweetmob mobility <dataset> [--scale S] [--census] [--extended]` —
 /// print the fitted models' report; `fit` is the command that saves them.
-pub fn mobility(args: &Args) -> Result<()> {
+pub(crate) fn mobility(args: &Args) -> Result<()> {
     let ds = dataset_arg(args)?;
     let (report, _) = fit_bundle(args, &ds)?;
     print!("{report}");
@@ -408,10 +417,10 @@ pub fn mobility(args: &Args) -> Result<()> {
 /// mobility experiment and persist the fitted models with their
 /// geometry so later `predict` / `epidemic` / `serve` runs need no
 /// dataset. It is the only command that writes an artifact.
-pub fn fit(args: &Args) -> Result<()> {
+pub(crate) fn fit(args: &Args) -> Result<()> {
     let out = args
         .get("artifact-out")
-        .ok_or("missing --artifact-out PATH")?;
+        .ok_or_else(|| missing("--artifact-out PATH"))?;
     let ds = dataset_arg(args)?;
     let (report, mut bundle) = fit_bundle(args, &ds)?;
     bundle.set_provenance(embedded_provenance(args));
@@ -432,7 +441,7 @@ pub fn fit(args: &Args) -> Result<()> {
 /// `tweetmob predict --artifact-in PATH --origin NAME [--dest NAME |
 /// --top K] [--model M|all] [--json]` — answer pairwise or top-k flow
 /// queries from a saved artifact, without a dataset or a refit.
-pub fn predict(args: &Args) -> Result<()> {
+pub(crate) fn predict(args: &Args) -> Result<()> {
     let bundle = artifact_in(args)?;
     let model_flag = args.get("model").unwrap_or("all");
     let kinds: Vec<ModelKind> = if model_flag.eq_ignore_ascii_case("all") {
@@ -442,7 +451,7 @@ pub fn predict(args: &Args) -> Result<()> {
         // CLI adds the `all` alias it layers on top.
         vec![ModelBundle::resolve_model(model_flag).map_err(|e| format!("{e}, or all"))?]
     };
-    let origin_name = args.get("origin").ok_or("missing --origin AREA")?;
+    let origin_name = args.get("origin").ok_or_else(|| missing("--origin AREA"))?;
     let origin = bundle.resolve_area(origin_name)?;
     let origin_name = bundle.areas()[origin].name.clone();
 
@@ -482,7 +491,7 @@ pub fn predict(args: &Args) -> Result<()> {
 /// `tweetmob epidemic --artifact-in PATH [--beta X] [--gamma X]
 /// [--sigma X] [--seed-city NAME] [--days N] [--restrict DAY:FACTOR]
 /// [--immune F]`
-pub fn epidemic(args: &Args) -> Result<()> {
+pub(crate) fn epidemic(args: &Args) -> Result<()> {
     let beta: f64 = args.get_parsed("beta", 0.5)?;
     let gamma: f64 = args.get_parsed("gamma", 0.2)?;
     let days: f64 = args.get_parsed("days", 365.0)?;
@@ -505,18 +514,21 @@ pub fn epidemic(args: &Args) -> Result<()> {
         scenario = scenario.with_initial_immunity(immune);
     }
     if let Some(sigma) = args.get("sigma") {
-        let sigma: f64 = sigma.parse().map_err(|e| format!("--sigma: {e}"))?;
+        let sigma: f64 = sigma
+            .parse()
+            .map_err(|e| ArgError(format!("--sigma: {e}")))?;
         scenario = scenario.with_seir(SeirParams { sigma });
     }
     if let Some(spec) = args.get("restrict") {
         let (day, factor) = spec
             .split_once(':')
-            .ok_or("--restrict wants DAY:FACTOR, e.g. 30:0.1")?;
+            .ok_or_else(|| ArgError("--restrict wants DAY:FACTOR, e.g. 30:0.1".into()))?;
         scenario = scenario.with_travel_restriction(
-            day.parse().map_err(|e| format!("--restrict day: {e}"))?,
+            day.parse()
+                .map_err(|e| ArgError(format!("--restrict day: {e}")))?,
             factor
                 .parse()
-                .map_err(|e| format!("--restrict factor: {e}"))?,
+                .map_err(|e| ArgError(format!("--restrict factor: {e}")))?,
         );
     }
     let timeline = scenario.run_deterministic(days, 0.25)?;
@@ -555,7 +567,7 @@ pub fn epidemic(args: &Args) -> Result<()> {
 /// other command; the resolved listen address is printed (and stdout
 /// flushed) before serving starts, so a supervisor binding port `0` can
 /// read where the kernel put us.
-pub fn serve(args: &Args) -> Result<()> {
+pub(crate) fn serve(args: &Args) -> Result<()> {
     let bundle = artifact_in(args)?;
     let bind = args.get("bind").unwrap_or("127.0.0.1:8787");
     let workers = tweetmob_par::resolved_threads();

@@ -105,8 +105,11 @@ fn main() {
         Ok(()) => 0,
         Err(e) => {
             eprintln!("error: {e}");
-            eprintln!();
-            eprintln!("run `tweetmob help` for usage");
+            // Only a usage error earns the pointer to the usage text.
+            if e.is::<args::ArgError>() {
+                eprintln!();
+                eprintln!("run `tweetmob help` for usage");
+            }
             1
         }
     };
@@ -163,7 +166,7 @@ fn run(raw: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
             print!("{USAGE}");
             return Ok(());
         }
-        other => return Err(format!("unknown command {other:?}").into()),
+        other => return Err(args::ArgError(format!("unknown command {other:?}")).into()),
     };
     // Every subcommand also accepts the global observability flags.
     let args = Args::parse_with_observability(rest, positionals, valued, switches)?;

@@ -72,6 +72,25 @@ fn unknown_command_fails_with_hint() {
     assert!(stderr(&out).contains("help"));
 }
 
+/// Usage errors end with a pointer to `tweetmob help`; other failures,
+/// such as a dataset that cannot be read, do not.
+#[test]
+fn usage_hint_follows_usage_errors_only() {
+    const HINT: &str = "run `tweetmob help` for usage";
+    let unknown = run(&["frobnicate"]);
+    assert!(stderr(&unknown).contains(HINT), "{}", stderr(&unknown));
+    let no_artifact = run(&["fit", "data.twc"]);
+    assert_eq!(no_artifact.status.code(), Some(1));
+    let err = stderr(&no_artifact);
+    assert!(err.contains("missing --artifact-out PATH"), "{err}");
+    assert!(err.contains(HINT), "{err}");
+    let unreadable = run(&["summary", "/nonexistent/nowhere.jsonl"]);
+    assert_eq!(unreadable.status.code(), Some(1));
+    let err = stderr(&unreadable);
+    assert!(err.contains("cannot open"), "{err}");
+    assert!(!err.contains(HINT), "{err}");
+}
+
 #[test]
 fn generate_summary_population_mobility_pipeline() {
     let path = tmp("pipeline.jsonl");
@@ -713,6 +732,11 @@ fn writes_into_a_full_device_fail_with_an_io_error() {
     assert_eq!(generate.status.code(), Some(1), "{}", stdout(&generate));
     assert!(
         stderr(&generate).contains("i/o failure"),
+        "{}",
+        stderr(&generate)
+    );
+    assert!(
+        !stderr(&generate).contains("tweetmob help"),
         "{}",
         stderr(&generate)
     );

@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
-use tweetmob_geo::{equirectangular_km, PairGeometry, Point, TrigPoint, EARTH_RADIUS_KM};
+use tweetmob_geo::{PairGeometry, Point, TrigPoint, EARTH_RADIUS_KM};
 use tweetmob_synth::{Area, NATIONAL_TOP20, NSW_TOP20, SYDNEY_SUBURBS_TOP20};
 
 /// The paper's three geographic scales (§III).
@@ -66,53 +66,54 @@ pub struct AreaSet {
 }
 
 /// Per-area state precomputed once for [`AreaSet::assign_batch`]: a
-/// conservative degree-space bounding window plus the centre's hoisted
-/// trigonometry.
+/// conservative degree-space bounding window around the disc of radius
+/// ε, plus the centre's hoisted trigonometry.
 ///
-/// The window is derived *from* the equirectangular pre-filter, never
-/// replacing it: `equirectangular_km ≥ R·|Δlat_rad|` always, and (once
-/// the latitude window has passed) `≥ R·|Δlon_rad|·cos_min` with
-/// `cos_min` the cosine lower bound over the admissible latitude band —
-/// so a point outside the window is guaranteed to be outside the
-/// equirectangular gate too (the 0.1 % inflation absorbs rounding).
-/// Survivors still run the exact equirectangular gate and the exact
-/// haversine (via [`TrigPoint`], bit-identical by its contract), which
-/// makes batch assignments decision-identical to [`AreaSet::assign`].
-/// The window also bounds the area's reach in the [`CellTable`].
+/// A point `p` is in the disc iff `haversine(c, p) ≤ ε`, that is iff
+/// `sin²(Δφ/2) + cos φ_c · cos φ_p · sin²(Δλ/2) ≤ sin²(ε/2R)`. Both
+/// terms are non-negative, so every point of the disc has
+/// `|Δφ| ≤ ε/R`, and, with `cos φ_min` the cosine lower bound over that
+/// latitude band, `sin(|Δλ|/2) ≤ sin(ε/2R) / √(cos φ_c · cos φ_min)`.
+/// Both half-windows are inflated by 0.1 % to absorb rounding, so a
+/// point outside the window is outside the disc. Survivors run the
+/// exact haversine (via [`TrigPoint`], bit-identical by its contract),
+/// which makes batch assignments decision-identical to
+/// [`AreaSet::assign`]. The window also bounds the area's reach in the
+/// [`CellTable`].
 #[derive(Debug, Clone)]
 struct AreaFilter {
     lat: f64,
     lon: f64,
-    /// Latitude half-window, degrees: beyond it the equirectangular
-    /// pre-filter necessarily rejects.
+    /// Latitude half-window, degrees.
     dlat_max: f64,
-    /// Longitude half-window, degrees, valid only after the latitude
-    /// window passed; `INFINITY` when the latitude band nears a pole.
+    /// Longitude half-window, degrees; `INFINITY` when the latitude
+    /// band reaches a pole or the window crosses ±180°, where the
+    /// haversine alone decides.
     dlon_max: f64,
     trig: TrigPoint,
 }
 
 impl AreaFilter {
-    fn new(center: Point, prefilter_km: f64) -> Self {
-        // Kilometres per degree of latitude: R·π/180.
-        let km_per_deg = EARTH_RADIUS_KM.to_radians();
-        let dlat_max = prefilter_km / km_per_deg * 1.001;
-        let lo = (center.lat - dlat_max).clamp(-90.0, 90.0);
-        let hi = (center.lat + dlat_max).clamp(-90.0, 90.0);
+    fn new(center: Point, radius_km: f64) -> Self {
+        // The disc's angular radius ε/R.
+        let angle = radius_km / EARTH_RADIUS_KM;
+        let dlat_max = angle.to_degrees() * 1.001;
+        let (lo, hi) = (center.lat - dlat_max, center.lat + dlat_max);
         // cos is unimodal on [-90°, 90°], so its minimum over the band is
-        // at an endpoint. The equirectangular mean latitude of any point
-        // inside the latitude window stays inside [lo, hi].
+        // at an endpoint.
         let cos_min = lo.to_radians().cos().min(hi.to_radians().cos());
-        let dlon_max = if cos_min > 1e-6 {
-            prefilter_km / (km_per_deg * cos_min) * 1.001
-        } else {
-            f64::INFINITY
-        };
+        let sin_half_dlon = (angle / 2.0).sin() / (center.lat.to_radians().cos() * cos_min).sqrt();
+        let dlon_max = 2.0 * sin_half_dlon.asin().to_degrees() * 1.001;
+        let bounded = lo > -90.0
+            && hi < 90.0
+            && sin_half_dlon < 1.0
+            && center.lon - dlon_max > -180.0
+            && center.lon + dlon_max < 180.0;
         Self {
             lat: center.lat,
             lon: center.lon,
             dlat_max,
-            dlon_max,
+            dlon_max: if bounded { dlon_max } else { f64::INFINITY },
             trig: TrigPoint::new(center),
         }
     }
@@ -128,7 +129,7 @@ const MAX_CELLS: usize = 1 << 19;
 const CELL_PAD_DEG: f64 = 1e-9;
 
 /// Kilometres by which every distance bound is widened, absorbing the
-/// rounding of the haversine and equirectangular expressions.
+/// rounding of the haversine expressions.
 const BOUND_TOL_KM: f64 = 1e-6;
 
 /// Cell code of an empty cell. Codes `1..MIXED` are interior cells of
@@ -143,9 +144,8 @@ const MIXED: u16 = 0x8000;
 ///
 /// Each cell is one of three kinds:
 /// - *empty*: no disc reaches the cell;
-/// - *interior(i)*: every point of the cell is within ε of area `i` and
-///   passes its window and equirectangular gate, and no other disc
-///   reaches the cell;
+/// - *interior(i)*: every point of the cell is within ε of area `i`,
+///   and no other disc reaches the cell;
 /// - *mixed*: an ascending list of candidate areas for the exact path.
 ///
 /// The classification is conservative, so the batch path stays
@@ -157,11 +157,12 @@ const MIXED: u16 = 0x8000;
 /// cell's latitude band. The triangle inequality bounds the distance
 /// from a centre `c` to `p` by `d(c, m) ± r`, widened by
 /// [`BOUND_TOL_KM`]. An area is dropped from a cell only when its lower
-/// bound exceeds ε; a cell is interior only when its one candidate's
-/// upper bound and equirectangular upper bound both clear their gates.
+/// bound exceeds ε; a cell is interior only when it has one candidate
+/// and that candidate's upper bound is below ε.
 ///
-/// If a window reaches a pole, or the grid cannot be encoded, the table
-/// is a single mixed cell that lists every area.
+/// If a window is unbounded (it reaches a pole or crosses ±180°), or the
+/// grid cannot be encoded, the table is a single mixed cell that lists
+/// every area.
 #[derive(Clone)]
 struct CellTable {
     /// South-west corner of the grid, degrees.
@@ -206,7 +207,7 @@ impl CellTable {
         clippy::cast_possible_truncation,
         reason = "grid sizes are bounded by MAX_CELLS and area indices by MIXED before any cast"
     )]
-    fn new(filters: &[AreaFilter], radius_km: f64, prefilter_km: f64) -> Self {
+    fn new(filters: &[AreaFilter], radius_km: f64) -> Self {
         let n = filters.len();
         if n >= usize::from(MIXED) || filters.iter().any(|f| !f.dlon_max.is_finite()) {
             return Self::single_mixed(n);
@@ -263,16 +264,7 @@ impl CellTable {
                     TrigPoint::new(Point::new_unchecked(lat0 + (row as f64 + 0.5) * dlat, 0.0));
                 let reach_km =
                     EARTH_RADIUS_KM * (h_rad + w_rad * cos_max(cell_lat_lo, cell_lat_hi));
-                let dy_rad = (cell_lat_lo - f.lat)
-                    .abs()
-                    .max((cell_lat_hi - f.lat).abs())
-                    .to_radians();
-                let mean_cos = cos_max((f.lat + cell_lat_lo) / 2.0, (f.lat + cell_lat_hi) / 2.0);
-                let lat_inside =
-                    cell_lat_lo >= f.lat - f.dlat_max && cell_lat_hi <= f.lat + f.dlat_max;
                 for col in lon_span.clone() {
-                    let cell_lon_lo = lon0 + col as f64 * dlon - CELL_PAD_DEG;
-                    let cell_lon_hi = lon0 + (col + 1) as f64 * dlon + CELL_PAD_DEG;
                     let m = TrigPoint {
                         lon_rad: (lon0 + (col as f64 + 0.5) * dlon).to_radians(),
                         ..mid
@@ -281,18 +273,7 @@ impl CellTable {
                     if d_km - reach_km - BOUND_TOL_KM > radius_km {
                         continue;
                     }
-                    let dx_rad = (cell_lon_lo - f.lon)
-                        .abs()
-                        .max((cell_lon_hi - f.lon).abs())
-                        .to_radians()
-                        * mean_cos;
-                    let interior = d_km + reach_km + BOUND_TOL_KM < radius_km
-                        && EARTH_RADIUS_KM * (dx_rad * dx_rad + dy_rad * dy_rad).sqrt()
-                            + BOUND_TOL_KM
-                            < prefilter_km
-                        && lat_inside
-                        && cell_lon_lo >= f.lon - f.dlon_max
-                        && cell_lon_hi <= f.lon + f.dlon_max;
+                    let interior = d_km + reach_km + BOUND_TOL_KM < radius_km;
                     let cell = row * cols + col;
                     hits.push((cell as u64) << 32 | (i as u64) << 1 | u64::from(interior));
                 }
@@ -407,12 +388,11 @@ impl AreaSet {
         );
         let centers: Vec<Point> = areas.iter().map(|a| a.center).collect();
         let geometry = PairGeometry::shared(&centers);
-        let prefilter = radius_km * 1.05 + 1.0;
         let filters: Vec<AreaFilter> = centers
             .iter()
-            .map(|&c| AreaFilter::new(c, prefilter))
+            .map(|&c| AreaFilter::new(c, radius_km))
             .collect();
-        let cells = CellTable::new(&filters, radius_km, prefilter);
+        let cells = CellTable::new(&filters, radius_km);
         Self {
             areas,
             radius_km,
@@ -477,20 +457,13 @@ impl AreaSet {
         self.geometry.total_distance_km() / (n * (n - 1) / 2) as f64
     }
 
-    /// Assigns a point to the nearest area whose centre is within ε, or
-    /// `None` when no area covers it: the scalar reference
-    /// [`AreaSet::assign_batch`] is checked against.
-    ///
-    /// A cheap equirectangular pre-filter at 1.05× the radius rejects
-    /// far-away areas before the exact haversine test.
+    /// Assigns a point to the nearest area whose centre is within ε
+    /// (`haversine_km ≤ ε`), or `None` when no area covers it: the scalar
+    /// reference [`AreaSet::assign_batch`] is checked against.
     #[cfg(test)]
     pub(crate) fn assign(&self, p: Point) -> Option<usize> {
         let mut best: Option<(usize, f64)> = None;
-        let prefilter = self.radius_km * 1.05 + 1.0;
         for (i, a) in self.areas.iter().enumerate() {
-            if equirectangular_km(a.center, p) > prefilter {
-                continue;
-            }
             let d = tweetmob_geo::haversine_km(a.center, p);
             if d <= self.radius_km && best.is_none_or(|(_, bd)| d < bd) {
                 best = Some((i, d));
@@ -508,12 +481,12 @@ impl AreaSet {
     /// scale), and population counting needs all of them. The calls for
     /// one point come in ascending area order.
     ///
-    /// Decision-identical to calling the scalar `assign` per point, but
-    /// structured for columnar callers: one lookup in the build-once
-    /// [`CellTable`] settles empty and interior cells with no
-    /// trigonometry, and only points in mixed cells run the exact
-    /// window → equirectangular gate → haversine path, over the cell's
-    /// candidate areas alone.
+    /// A point is within ε of an area iff `haversine_km(centre, p) ≤ ε`;
+    /// this is the only membership rule. One lookup in a build-once
+    /// lat/lon cell table settles the points of empty and interior cells
+    /// with no trigonometry, and only points in mixed cells run the
+    /// degree window and the exact haversine, over the cell's candidate
+    /// areas alone.
     ///
     /// # Panics
     ///
@@ -550,8 +523,8 @@ impl AreaSet {
 
     /// The exact path for point `k` over `candidates`: the nearest area
     /// within ε, calling `covered(k, i)` for every candidate within ε.
-    /// The equirectangular gate and the haversine comparison are the
-    /// same float expressions as the scalar `assign`.
+    /// The haversine comparison is the same float expression as the
+    /// scalar `assign`.
     fn assign_exact(
         &self,
         k: usize,
@@ -560,18 +533,14 @@ impl AreaSet {
         candidates: &[usize],
         covered: &mut impl FnMut(usize, usize),
     ) -> Option<usize> {
-        let prefilter = self.radius_km * 1.05 + 1.0;
         let mut best: Option<(usize, f64)> = None;
         let mut point_trig: Option<TrigPoint> = None;
         let p = Point::new_unchecked(lat, lon);
         for &i in candidates {
             let f = &self.filters[i];
-            // Conservative window: can only skip what the
-            // equirectangular gate below would skip anyway.
+            // Conservative window: can only skip what the haversine
+            // below would reject anyway.
             if (lat - f.lat).abs() > f.dlat_max || (lon - f.lon).abs() > f.dlon_max {
-                continue;
-            }
-            if equirectangular_km(Point::new_unchecked(f.lat, f.lon), p) > prefilter {
                 continue;
             }
             // The point's trigonometry is hoisted lazily: a point that
@@ -752,23 +721,20 @@ mod tests {
     }
 
     /// Checks `assign_batch` against brute force: every code against the
-    /// scalar `assign`, and the whole `covered` sequence against an
-    /// equirectangular-gate + `haversine_km` loop over every area.
+    /// scalar `assign`, and the whole `covered` sequence against a
+    /// `haversine_km ≤ ε` loop over every area.
     /// Returns how many points two or more discs cover.
     fn assert_batch_matches_brute_force(set: &AreaSet, lats: &[f64], lons: &[f64]) -> usize {
         let mut codes = Vec::new();
         let mut got = Vec::new();
         set.assign_batch(lats, lons, &mut codes, |k, a| got.push((k, a)));
-        let prefilter = set.radius_km() * 1.05 + 1.0;
         let mut want = Vec::new();
         let mut overlapped = 0;
         for k in 0..lats.len() {
             let p = Point::new_unchecked(lats[k], lons[k]);
             let before = want.len();
             for (i, a) in set.areas().iter().enumerate() {
-                if equirectangular_km(a.center, p) <= prefilter
-                    && tweetmob_geo::haversine_km(a.center, p) <= set.radius_km()
-                {
+                if tweetmob_geo::haversine_km(a.center, p) <= set.radius_km() {
                     want.push((k, i));
                 }
             }
@@ -938,6 +904,25 @@ mod tests {
             });
             assert!(codes.iter().all(|&c| c == -1), "{codes:?}");
         }
+    }
+
+    #[test]
+    fn discs_wrap_across_the_antimeridian() {
+        let fiji = |name, lat, lon| Area {
+            name,
+            center: Point::new_unchecked(lat, lon),
+            population: 1_000,
+        };
+        let set = AreaSet::new(
+            vec![fiji("Suva", -18.14, 178.44), fiji("Rabi", -16.8, 179.98)],
+            50.0,
+        );
+        let (lats, lons) = table_probe_points(&set, 7);
+        assert_batch_matches_brute_force(&set, &lats, &lons);
+        // 13 km east of Rabi's centre, on the other side of ±180°.
+        let mut codes = Vec::new();
+        set.assign_batch(&[-16.8], &[-179.9], &mut codes, |_, _| {});
+        assert_eq!(codes, vec![1]);
     }
 
     #[test]

@@ -282,25 +282,22 @@ impl<'a> Experiment<'a> {
                 .set(i64::try_from(od.nonzero_pairs()).unwrap_or(i64::MAX));
             build_observations(areas, &populations, od)
         };
-        let gravity4 = Gravity4Fit::fit(&observations)?;
-        let gravity2 = Gravity2Fit::fit(&observations)?;
-        let radiation = RadiationFit::fit_columnar(&observations)?;
-        let opportunities = OpportunitiesFit::fit_columnar(&observations)?;
+        let models = FittedModelSet::fit(&observations)?;
         let evaluations = vec![
-            evaluate(&gravity4, &observations)?,
-            evaluate(&gravity2, &observations)?,
-            evaluate(&radiation, &observations)?,
-            evaluate(&opportunities, &observations)?,
+            evaluate(&models.gravity4, &observations)?,
+            evaluate(&models.gravity2, &observations)?,
+            evaluate(&models.radiation, &observations)?,
+            evaluate(&models.opportunities, &observations)?,
         ];
         let report = MobilityReport {
             label: label.clone(),
             od_total: od.total(),
             nonzero_pairs: od.nonzero_pairs(),
             observations,
-            gravity4,
-            gravity2,
-            radiation,
-            opportunities,
+            gravity4: models.gravity4,
+            gravity2: models.gravity2,
+            radiation: models.radiation,
+            opportunities: models.opportunities,
             evaluations,
         };
         let bundle = ModelBundle::new(
@@ -319,12 +316,7 @@ impl<'a> Experiment<'a> {
                 })
                 .collect(),
             populations,
-            FittedModelSet {
-                gravity4,
-                gravity2,
-                radiation,
-                opportunities,
-            },
+            models,
             Arc::clone(areas.geometry()),
         );
         Ok((report, bundle))

@@ -118,17 +118,17 @@ pub struct PooledPopulation {
 /// Estimates populations for one area set.
 ///
 /// Runs the shared population-and-trips scan ([`crate::scan`]) over the
-/// dataset's CSR user ranges: every tweet is tested against every area
-/// (degree window, equirectangular gate, exact haversine) and each user
-/// is counted at most once per area whose disc holds one of their
-/// tweets. The scan publishes no `trips/*` counters, so a population
-/// estimate never inflates the run's trips funnel. Counts are integer
-/// sums over disjoint user ranges, identical at every thread count.
+/// dataset's CSR user ranges: a tweet is in an area iff its haversine
+/// distance to the centre is at most ε, and each user is counted at most
+/// once per area whose disc holds one of their tweets. The scan
+/// publishes no `trips/*` counters, so a population estimate never
+/// inflates the run's trips funnel. Counts are integer sums over
+/// disjoint user ranges, identical at every thread count.
 ///
 /// # Errors
 ///
 /// As [`population_from_counts`].
-pub fn estimate_population(
+pub(crate) fn estimate_population(
     dataset: &TweetDataset,
     areas: &AreaSet,
 ) -> Result<PopulationCorrelation, StatsError> {
@@ -191,7 +191,7 @@ pub(crate) fn population_from_counts(
 /// # Errors
 ///
 /// Correlation failures on the pooled samples.
-pub fn pool_population(
+pub(crate) fn pool_population(
     per_scale: Vec<PopulationCorrelation>,
 ) -> Result<PooledPopulation, StatsError> {
     let mut est = Vec::new();
@@ -359,7 +359,7 @@ mod tests {
 
     /// Brute-force oracle for the per-area distinct-user counts: every
     /// tweet × every area, `haversine_km(center, p) <= ε`. No degree
-    /// window, no equirectangular gate and no spatial index.
+    /// window, no cell table and no spatial index.
     fn population_reference(ds: &TweetDataset, areas: &AreaSet) -> Vec<u64> {
         let mut counts = vec![0u64; areas.len()];
         for view in ds.iter_users() {

@@ -14,14 +14,13 @@ use tweetmob_data::TweetDataset;
 /// Extracts the directed OD matrix of a dataset over an area set and
 /// publishes the run's data funnel (`trips/*` counters).
 ///
-/// This is the shared population-and-trips scan ([`crate::scan`]):
-/// users are sharded by index range over the dataset's CSR user offsets
-/// and each user's coordinate columns go through
-/// [`AreaSet::assign_batch`] in one call. The result is
-/// identical at every thread count because each trip increments an
-/// independent integer cell count and the funnel tallies are
-/// commutative sums, and identical to a serial row-struct walk over
-/// scalar [`AreaSet::assign`] (the tests' reference) because the batch
+/// This is the shared population-and-trips scan: users are sharded by
+/// index range over the dataset's CSR user offsets and each user's
+/// coordinate columns go through [`AreaSet::assign_batch`] in one call.
+/// The result is identical at every thread count because each trip
+/// increments an independent integer cell count and the funnel tallies
+/// are commutative sums, and identical to a serial row-struct walk over
+/// the scalar, test-only `AreaSet::assign` reference because the batch
 /// assignment is decision-identical to it.
 pub fn extract_trips(dataset: &TweetDataset, areas: &AreaSet) -> OdMatrix {
     trips_scan(dataset, areas).od

@@ -94,10 +94,10 @@ fn write_column<W: Write, const N: usize>(
 
 /// Reads a columnar dataset written by [`write_columnar`], streaming:
 /// the 24-byte header is validated first, then each section is decoded
-/// straight into its column through one reused [`CHUNK_BYTES`] buffer,
-/// and a final one-byte read must find the end of the stream. Columns
-/// grow from the bytes actually read, never from the header's counts,
-/// so a header that overstates its body fails on the first short read.
+/// straight into its column through one reused 1 MiB buffer, and a
+/// final one-byte read must find the end of the stream. Columns grow
+/// from the bytes actually read, never from the header's counts, so a
+/// header that overstates its body fails on the first short read.
 ///
 /// # Errors
 ///

@@ -3,9 +3,10 @@
 //! The paper measures inter-area distances of 7.5 km (Sydney suburbs) to
 //! 1422 km (national scale); haversine is accurate to well under 0.5 % over
 //! that whole range on the spherical model, which is far below the noise of
-//! tweet geotags. For radius filtering in hot loops the equirectangular
-//! approximation is ~3x cheaper and accurate to <0.2 % under 100 km at
-//! Australian latitudes (DESIGN.md §6.2).
+//! tweet geotags. It is also the one membership rule of the radius
+//! filter: a tweet is within ε of an area centre iff its haversine
+//! distance is at most ε. Hot loops hoist each point's trigonometry into
+//! a [`TrigPoint`](crate::TrigPoint) rather than approximate the distance.
 
 use crate::point::Point;
 
@@ -26,21 +27,6 @@ pub fn haversine_km(a: Point, b: Point) -> f64 {
     let sin_dlon = (dlon / 2.0).sin();
     let h = sin_dlat * sin_dlat + lat1.cos() * lat2.cos() * sin_dlon * sin_dlon;
     2.0 * EARTH_RADIUS_KM * h.clamp(0.0, 1.0).sqrt().asin()
-}
-
-/// Fast equirectangular-projection distance approximation, km.
-///
-/// Error grows with separation and latitude difference; intended for radius
-/// *pre-filtering* of nearby points (≲ 100 km), where it under/over-states
-/// haversine by well under 1 %. Falls apart near the poles and across the
-/// antimeridian — Australian data (lat −55…−9, lon 112…160) never hits
-/// either regime.
-#[inline]
-pub fn equirectangular_km(a: Point, b: Point) -> f64 {
-    let mean_lat = ((a.lat + b.lat) / 2.0).to_radians();
-    let x = (b.lon - a.lon).to_radians() * mean_lat.cos();
-    let y = (b.lat - a.lat).to_radians();
-    EARTH_RADIUS_KM * (x * x + y * y).sqrt()
 }
 
 /// Destination point reached travelling `distance_km` from `start` on the
@@ -135,25 +121,6 @@ mod tests {
         let b = Point::new_unchecked(-31.0, 150.0);
         let d = haversine_km(a, b);
         assert!((d - 111.195).abs() < 0.01, "got {d}");
-    }
-
-    #[test]
-    fn equirectangular_close_to_haversine_for_short_range() {
-        let a = sydney();
-        // ~20 km east of Sydney.
-        let b = Point::new_unchecked(-33.8688, 151.4253);
-        let h = haversine_km(a, b);
-        let e = equirectangular_km(a, b);
-        assert!((h - e).abs() / h < 0.002, "h={h} e={e}");
-    }
-
-    #[test]
-    fn equirectangular_within_one_percent_at_100km() {
-        let a = sydney();
-        let b = destination(a, 37.0, 100.0);
-        let h = haversine_km(a, b);
-        let e = equirectangular_km(a, b);
-        assert!((h - e).abs() / h < 0.01, "h={h} e={e}");
     }
 
     #[test]

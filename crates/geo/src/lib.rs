@@ -8,11 +8,11 @@
 //! here:
 //!
 //! * **great-circle distances** between tweet locations and area centres
-//!   ([`haversine_km`], with a fast [`equirectangular_km`] approximation
-//!   for hot loops over nearby points). Radius extraction — "number of
-//!   Tweets / users within a search radius ε of an area centre" — needs
-//!   no spatial index: `tweetmob-core` tests every tweet against the
-//!   ≈20 study areas in one columnar scan;
+//!   ([`haversine_km`]). Radius extraction — "number of Tweets / users
+//!   within a search radius ε of an area centre" — counts a tweet toward
+//!   an area iff its haversine distance is at most ε, and needs no
+//!   spatial index: `tweetmob-core` tests every tweet against the ≈20
+//!   study areas in one columnar scan;
 //! * **density rasterisation** for the paper's Figure 1 tweet-density map
 //!   ([`DensityGrid`]);
 //! * a **columnar geometry cache** for the model-fitting path —
@@ -56,5 +56,5 @@ mod point;
 pub use bbox::{BoundingBox, AUSTRALIA_BBOX};
 pub use cache::{PairGeometry, TrigPoint};
 pub use density::{DensityCell, DensityGrid};
-pub use distance::{destination, equirectangular_km, haversine_km, EARTH_RADIUS_KM};
+pub use distance::{destination, haversine_km, EARTH_RADIUS_KM};
 pub use point::{GeoError, Point};

@@ -23,7 +23,7 @@ use crate::model::Model;
 
 /// Renders the public-surface snapshot from a parsed workspace model.
 #[must_use]
-pub fn render_api(model: &Model) -> String {
+pub(crate) fn render_api(model: &Model) -> String {
     let mut lines: Vec<String> = Vec::new();
     for item in &model.items {
         let sig = if item.kind == "reexport" {

@@ -106,7 +106,7 @@ pub(crate) fn lex(code: &str) -> Vec<Tok> {
 
 /// One `fn` item anywhere in the workspace.
 #[derive(Debug, Clone)]
-pub struct FnInfo {
+pub(crate) struct FnInfo {
     /// Index into the parsed-file list.
     pub file: usize,
     /// Package name of the owning crate.
@@ -137,7 +137,7 @@ pub struct FnInfo {
 
 /// A non-`fn` public item recorded for the API snapshot.
 #[derive(Debug, Clone)]
-pub struct PubItem {
+pub(crate) struct PubItem {
     /// Package name of the owning crate.
     pub crate_name: String,
     /// Item kind keyword (`struct`, `enum`, `variant`, `field`, `trait`,
@@ -151,7 +151,7 @@ pub struct PubItem {
 
 /// The parsed workspace: every function plus the public item surface.
 #[derive(Debug, Default)]
-pub struct Model {
+pub(crate) struct Model {
     /// All functions, in file order.
     pub fns: Vec<FnInfo>,
     /// All public non-`fn` items, in file order.
@@ -175,11 +175,11 @@ pub(crate) struct ParsedFile {
 }
 
 impl ParsedFile {
-    pub fn in_test(&self, off: usize) -> bool {
+    pub(crate) fn in_test(&self, off: usize) -> bool {
         self.tests.iter().any(|&(s, e)| off >= s && off < e)
     }
 
-    pub fn line_of(&self, off: usize) -> usize {
+    pub(crate) fn line_of(&self, off: usize) -> usize {
         crate::line_of(&self.code, off)
     }
 }

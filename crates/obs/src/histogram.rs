@@ -99,16 +99,6 @@ impl Histogram {
             .map_or(0, |b| b.load(Ordering::Relaxed))
     }
 
-    /// Estimated value at quantile `q` in `[0, 1]` by linear
-    /// interpolation within the bucket the quantile rank lands in.
-    /// See [`HistogramInner::quantile`] for the exact semantics.
-    #[must_use]
-    pub fn quantile(&self, q: f64) -> u64 {
-        self.inner.quantile(q)
-    }
-}
-
-impl HistogramInner {
     /// Estimated value at quantile `q` in `[0, 1]`.
     ///
     /// The quantile rank `r = q * count` is walked through the
@@ -125,6 +115,14 @@ impl HistogramInner {
     ///
     /// The result is rounded to the nearest integer so it can live in
     /// the integer-only JSON document.
+    #[must_use]
+    pub fn quantile(&self, q: f64) -> u64 {
+        self.inner.quantile(q)
+    }
+}
+
+impl HistogramInner {
+    /// [`Histogram::quantile`], over the shared state.
     pub(crate) fn quantile(&self, q: f64) -> u64 {
         let count = self.count.load(Ordering::Relaxed);
         if count == 0 || self.bounds.is_empty() {

@@ -25,7 +25,7 @@ pub enum HttpError {
     /// The request line was missing, overlong, or not `METHOD TARGET
     /// HTTP/1.x`.
     BadRequestLine,
-    /// More than [`MAX_HEADERS`] header lines, a header without `:`, or
+    /// More than 64 header lines, a header without `:`, or
     /// a `Transfer-Encoding` header (only `Content-Length` framing is
     /// supported).
     BadHeader,
