@@ -361,12 +361,20 @@ pub(crate) fn generate(args: &Args) -> Result<()> {
 
 /// `tweetmob summary <dataset>` — Table I statistics, then one data
 /// funnel line per scale: tweets inside at least one area, and where the
-/// consecutive same-user pairs go.
+/// consecutive same-user pairs go. The statistics run under the
+/// `summary` span and each scale's scan under `funnel/<scale>`.
 pub(crate) fn summary(args: &Args) -> Result<()> {
     let ds = dataset_arg(args)?;
-    println!("{}", DatasetSummary::of(&ds));
+    let table = {
+        let _span = tweetmob_obs::span!("summary");
+        DatasetSummary::of(&ds)
+    };
+    println!("{table}");
     for scale in Scale::ALL {
-        let funnel = data_funnel(&ds, &AreaSet::of_scale(scale));
+        let funnel = {
+            let _span = tweetmob_obs::span!(&format!("funnel/{}", scale.name().to_lowercase()));
+            data_funnel(&ds, &AreaSet::of_scale(scale))
+        };
         println!(
             "Funnel {} (ε = {} km): {funnel}",
             scale.name(),
@@ -424,9 +432,12 @@ pub(crate) fn fit(args: &Args) -> Result<()> {
     let ds = dataset_arg(args)?;
     let (report, mut bundle) = fit_bundle(args, &ds)?;
     bundle.set_provenance(embedded_provenance(args));
-    bundle
-        .save_file(out)
-        .map_err(|e| format!("cannot write {out}: {e}"))?;
+    {
+        let _span = tweetmob_obs::span!("artifact_out");
+        bundle
+            .save_file(out)
+            .map_err(|e| format!("cannot write {out}: {e}"))?;
+    }
     tweetmob_obs::manifest::record_output(out);
     print!("{report}");
     println!(

@@ -328,8 +328,44 @@ fn metrics_out_writes_stage_spans_and_counters() {
         "{in_area} of {tweets_read}"
     );
     assert!(doc["gauges"]["odmatrix/nonzero_pairs"].as_f64().unwrap() > 0.0);
+
+    // `summary` times its statistics and each funnel scan; `fit` times
+    // the artifact write, the counterpart of `artifact_in`.
+    let artifact = tmp("metrics-out.tma");
+    for (command, extra, spans) in [
+        (
+            "summary",
+            &[][..],
+            &[
+                "load",
+                "summary",
+                "funnel/national",
+                "funnel/state",
+                "funnel/metropolitan",
+            ][..],
+        ),
+        (
+            "fit",
+            &["--artifact-out", artifact.to_str().unwrap()][..],
+            &["load", "trips", "artifact_out", "manifest/stamp"][..],
+        ),
+    ] {
+        let mut argv = vec![command, data.to_str().unwrap()];
+        argv.extend_from_slice(extra);
+        argv.extend_from_slice(&["--metrics-out", metrics.to_str().unwrap()]);
+        let out = run(&argv);
+        assert!(out.status.success(), "{command}: {}", stderr(&out));
+        let doc = Json::parse(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
+        for span in spans {
+            assert!(
+                doc["timing"]["spans"].get(span).is_some(),
+                "{command}: missing span {span}"
+            );
+        }
+    }
     std::fs::remove_file(&data).ok();
     std::fs::remove_file(&metrics).ok();
+    std::fs::remove_file(&artifact).ok();
 }
 
 /// Zeroes every `*_ns` field (span durations and latency histograms) so

@@ -10,13 +10,18 @@
 //!   128 arrays or objects is refused, so a hostile body cannot exhaust the
 //!   stack, and every failure is a [`JsonError`] carrying the byte
 //!   offset where reading stopped.
+//! * [`JsonReader`] is that reader, walked without building a tree: the
+//!   caller picks members by name and reads scalars; every other value
+//!   is checked and skipped without allocating. It accepts and rejects
+//!   exactly what [`Json::parse`] does. `tweetmob_data::io` reads JSONL
+//!   tweets with it.
 //! * [`ToJson`] is implemented by the result types the CLI and the HTTP
 //!   server emit.
 
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
 
-/// Deepest array/object nesting [`Json::parse`] accepts.
+/// Deepest array/object nesting [`JsonReader`] accepts.
 const MAX_DEPTH: usize = 128;
 
 /// A JSON document.
@@ -158,15 +163,9 @@ impl Json {
     ///
     /// A [`JsonError`] naming what was wrong and at which byte.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut r = Reader {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        let value = r.value(0)?;
-        r.skip_ws();
-        if r.pos < r.bytes.len() {
-            return Err(r.err(JsonErrorKind::UnexpectedByte));
-        }
+        let mut r = JsonReader::new(text);
+        let value = r.value()?;
+        r.finish()?;
         Ok(value)
     }
 }
@@ -333,12 +332,163 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// Where the text of a JSON string goes as [`JsonReader`] unescapes it:
+/// into a `String` when building a [`Json`] tree, nowhere when the string
+/// is only checked, and into a comparison when it is a member key.
+trait StrSink {
+    /// A run copied verbatim from the input: no quote, backslash or
+    /// control character.
+    fn push_run(&mut self, run: &str);
+    /// One escaped character.
+    fn push_char(&mut self, c: char);
 }
 
-impl Reader<'_> {
+impl StrSink for String {
+    fn push_run(&mut self, run: &str) {
+        self.push_str(run);
+    }
+
+    fn push_char(&mut self, c: char) {
+        self.push(c);
+    }
+}
+
+/// The sink of a string that is checked and skipped. It notes whether
+/// the string held an escape.
+struct Discard {
+    escaped: bool,
+}
+
+impl StrSink for Discard {
+    fn push_run(&mut self, _: &str) {}
+
+    fn push_char(&mut self, _: char) {
+        self.escaped = true;
+    }
+}
+
+/// Compares a string's text with `expected` as the string is read.
+struct Spells<'e> {
+    rest: &'e [u8],
+    equal: bool,
+}
+
+impl StrSink for Spells<'_> {
+    fn push_run(&mut self, run: &str) {
+        match self.rest.strip_prefix(run.as_bytes()) {
+            Some(rest) if self.equal => self.rest = rest,
+            _ => self.equal = false,
+        }
+    }
+
+    fn push_char(&mut self, c: char) {
+        self.push_run(c.encode_utf8(&mut [0; 4]));
+    }
+}
+
+/// Whether the JSON string `quoted` (quotes included) unescapes to
+/// `name`. Keys with escapes are rare, so this re-reads the key.
+#[cold]
+fn unescapes_to(quoted: &str, name: &str) -> bool {
+    let mut text = Spells {
+        rest: name.as_bytes(),
+        equal: true,
+    };
+    let read = JsonReader::new(quoted).string_into(&mut text);
+    read.is_ok() && text.equal && text.rest.is_empty()
+}
+
+/// The workspace's one JSON reader. [`Json::parse`] builds a tree with
+/// it. Its public methods walk a document without building one: a
+/// caller reads the members it names and the values it wants, and every
+/// other value is checked against the same grammar and skipped without
+/// allocating. Errors, offsets and the 128-level nesting limit are the
+/// same either way.
+pub struct JsonReader<'a> {
+    text: &'a str,
+    /// `text`'s bytes.
+    bytes: &'a [u8],
+    pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
+}
+
+impl<'a> JsonReader<'a> {
+    /// A reader at the start of `text`.
+    #[must_use]
+    pub fn new(text: &'a str) -> Self {
+        JsonReader {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+            depth: 0,
+        }
+    }
+
+    /// `text[start..self.pos]`, which begins and ends at ASCII bytes.
+    #[inline]
+    fn since(&self, start: usize) -> &'a str {
+        self.text.get(start..self.pos).unwrap_or_default()
+    }
+
+    /// Reads the next value. A number, `true`, `false` or `null` comes
+    /// back as a [`Json`], which for these owns no heap memory. A string,
+    /// array or object is checked and skipped, and reads as `None`.
+    ///
+    /// # Errors
+    ///
+    /// The [`JsonError`] that [`Json::parse`] gives for the same text.
+    #[inline]
+    pub fn scalar(&mut self) -> Result<Option<Json>, JsonError> {
+        self.skip_ws();
+        match self.peek()? {
+            b'"' | b'[' | b'{' => self.skip().map(|()| None),
+            _ => self.atom().map(Some),
+        }
+    }
+
+    /// Reads the next value without building it, and returns whether it
+    /// was an object. For an object, `member(self, i)` runs at the value
+    /// of each member whose key, unescaped, is `names[i]`; `member` must
+    /// read that value with one call of [`JsonReader::scalar`] or
+    /// [`JsonReader::object`]. Every other member, and any value that is
+    /// not an object, is checked and skipped.
+    ///
+    /// # Errors
+    ///
+    /// The [`JsonError`] that [`Json::parse`] gives for the same text, or
+    /// the first error `member` returns.
+    pub fn object<const N: usize>(
+        &mut self,
+        names: &[&str; N],
+        mut member: impl FnMut(&mut Self, usize) -> Result<(), JsonError>,
+    ) -> Result<bool, JsonError> {
+        self.skip_ws();
+        if self.peek()? != b'{' {
+            self.skip()?;
+            return Ok(false);
+        }
+        self.nested(b'}', |r| match r.key_among(names)? {
+            Some(i) => member(r, i),
+            None => r.skip(),
+        })?;
+        Ok(true)
+    }
+
+    /// Checks that only whitespace follows the values read.
+    ///
+    /// # Errors
+    ///
+    /// An [`JsonErrorKind::UnexpectedByte`] error at the first other byte.
+    pub fn finish(mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.pos < self.bytes.len() {
+            return Err(self.err(JsonErrorKind::UnexpectedByte));
+        }
+        Ok(())
+    }
+
+    #[inline]
     fn err(&self, kind: JsonErrorKind) -> JsonError {
         JsonError {
             kind,
@@ -346,12 +496,14 @@ impl Reader<'_> {
         }
     }
 
+    #[inline]
     fn skip_ws(&mut self) {
         while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.bytes.get(self.pos) {
             self.pos += 1;
         }
     }
 
+    #[inline]
     fn peek(&self) -> Result<u8, JsonError> {
         self.bytes
             .get(self.pos)
@@ -359,6 +511,7 @@ impl Reader<'_> {
             .ok_or_else(|| self.err(JsonErrorKind::UnexpectedEnd))
     }
 
+    #[inline]
     fn eat(&mut self, b: u8) -> Result<(), JsonError> {
         if self.peek()? == b {
             self.pos += 1;
@@ -375,85 +528,151 @@ impl Reader<'_> {
         Ok(value)
     }
 
-    fn value(&mut self, depth: usize) -> Result<Json, JsonError> {
+    fn value(&mut self) -> Result<Json, JsonError> {
         self.skip_ws();
+        match self.peek()? {
+            b'"' => self.string().map(Json::Str),
+            b'[' => {
+                let mut items = Vec::new();
+                self.nested(b']', |r| {
+                    items.push(r.value()?);
+                    Ok(())
+                })?;
+                Ok(Json::Arr(items))
+            }
+            b'{' => {
+                let mut map = BTreeMap::new();
+                // A repeated key keeps its last value.
+                self.nested(b'}', |r| {
+                    let mut key = String::new();
+                    r.key(&mut key)?;
+                    map.insert(key, r.value()?);
+                    Ok(())
+                })?;
+                Ok(Json::Obj(map))
+            }
+            _ => self.atom(),
+        }
+    }
+
+    /// Checks and skips the next value, allocating nothing.
+    fn skip(&mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        match self.peek()? {
+            b'"' => self.string_into(&mut Discard { escaped: false }),
+            b'[' => self.nested(b']', Self::skip),
+            b'{' => self.nested(b'}', |r| {
+                r.key(&mut Discard { escaped: false })?;
+                r.skip()
+            }),
+            _ => self.atom().map(drop),
+        }
+    }
+
+    /// At a byte that opens no string, array or object: `null`, `true`,
+    /// `false` or a number.
+    #[inline]
+    fn atom(&mut self) -> Result<Json, JsonError> {
         match self.peek()? {
             b'n' => self.literal(b"null", Json::Null),
             b't' => self.literal(b"true", Json::Bool(true)),
             b'f' => self.literal(b"false", Json::Bool(false)),
-            b'"' => self.string().map(Json::Str),
             b'-' | b'0'..=b'9' => self.number(),
-            open @ (b'[' | b'{') => {
-                if depth >= MAX_DEPTH {
-                    return Err(self.err(JsonErrorKind::TooDeep));
-                }
-                self.pos += 1;
-                if open == b'[' {
-                    self.array(depth + 1)
-                } else {
-                    self.object(depth + 1)
-                }
-            }
             _ => Err(self.err(JsonErrorKind::UnexpectedByte)),
         }
     }
 
-    /// After `[`: elements up to and including `]`.
-    fn array(&mut self, depth: usize) -> Result<Json, JsonError> {
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek()? == b']' {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
+    /// At `[` or `{`: one level deeper, the comma-separated items up to
+    /// and including `close`, each read by `item`.
+    fn nested(
+        &mut self,
+        close: u8,
+        mut item: impl FnMut(&mut Self) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        if self.depth >= MAX_DEPTH {
+            return Err(self.err(JsonErrorKind::TooDeep));
         }
-        loop {
-            items.push(self.value(depth)?);
-            self.skip_ws();
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b']' => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
+        self.pos += 1;
+        self.depth += 1;
+        self.skip_ws();
+        if self.peek()? == close {
+            self.pos += 1;
+        } else {
+            loop {
+                item(self)?;
+                self.skip_ws();
+                match self.peek()? {
+                    b',' => self.pos += 1,
+                    b if b == close => {
+                        self.pos += 1;
+                        break;
+                    }
+                    _ => return Err(self.err(JsonErrorKind::UnexpectedByte)),
                 }
-                _ => return Err(self.err(JsonErrorKind::UnexpectedByte)),
             }
         }
+        self.depth -= 1;
+        Ok(())
     }
 
-    /// After `{`: members up to and including `}`. A repeated key keeps
-    /// its last value.
-    fn object(&mut self, depth: usize) -> Result<Json, JsonError> {
-        let mut map = BTreeMap::new();
+    /// A member's key and the `:` after it: which of `names` the key
+    /// spells, if any.
+    fn key_among<const N: usize>(&mut self, names: &[&str; N]) -> Result<Option<usize>, JsonError> {
         self.skip_ws();
-        if self.peek()? == b'}' {
-            self.pos += 1;
-            return Ok(Json::Obj(map));
-        }
-        loop {
-            self.skip_ws();
-            if self.peek()? != b'"' {
-                return Err(self.err(JsonErrorKind::UnexpectedByte));
-            }
-            let key = self.string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            map.insert(key, self.value(depth)?);
-            self.skip_ws();
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b'}' => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(map));
-                }
-                _ => return Err(self.err(JsonErrorKind::UnexpectedByte)),
+        // Most keys are one of `names` written without escapes: match
+        // them in place. A name with a quote, a backslash or a control
+        // character cannot be written that way.
+        if self.peek()? == b'"' {
+            let rest = &self.bytes[self.pos + 1..];
+            let written = |name: &&str| {
+                rest.get(name.len()) == Some(&b'"')
+                    && name
+                        .bytes()
+                        .zip(rest)
+                        .all(|(a, &b)| a == b && a >= 0x20 && a != b'"' && a != b'\\')
+            };
+            if let Some(i) = names.iter().position(written) {
+                self.pos += names[i].len() + 2;
+                self.skip_ws();
+                self.eat(b':')?;
+                return Ok(Some(i));
             }
         }
+        let mut key = Discard { escaped: false };
+        let quoted = self.key(&mut key)?;
+        // A key without escapes that spelled a name matched above.
+        Ok(if key.escaped {
+            names.iter().position(|name| unescapes_to(quoted, name))
+        } else {
+            None
+        })
+    }
+
+    /// A member's key, its text going to `out`, and the `:` after it.
+    /// Returns the key as written, quotes included.
+    fn key(&mut self, out: &mut impl StrSink) -> Result<&'a str, JsonError> {
+        self.skip_ws();
+        if self.peek()? != b'"' {
+            return Err(self.err(JsonErrorKind::UnexpectedByte));
+        }
+        let start = self.pos;
+        self.string_into(out)?;
+        let quoted = self.since(start);
+        self.skip_ws();
+        self.eat(b':')?;
+        Ok(quoted)
     }
 
     /// At `"`: the unescaped string, consuming the closing quote.
     fn string(&mut self) -> Result<String, JsonError> {
-        self.pos += 1;
         let mut out = String::new();
+        self.string_into(&mut out)?;
+        Ok(out)
+    }
+
+    /// At `"`: the string's text into `out`, consuming the closing quote.
+    fn string_into(&mut self, out: &mut impl StrSink) -> Result<(), JsonError> {
+        self.pos += 1;
         loop {
             let start = self.pos;
             while let Some(&b) = self.bytes.get(self.pos) {
@@ -462,12 +681,11 @@ impl Reader<'_> {
                 }
                 self.pos += 1;
             }
-            // The run stops only at ASCII bytes, so it is whole UTF-8.
-            out.push_str(std::str::from_utf8(&self.bytes[start..self.pos]).unwrap_or_default());
+            out.push_run(self.since(start));
             match self.peek()? {
                 b'"' => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(());
                 }
                 b'\\' => {
                     self.pos += 1;
@@ -482,13 +700,13 @@ impl Reader<'_> {
                         b't' => '\t',
                         b'u' => {
                             self.pos += 1;
-                            out.push(self.unicode_escape()?);
+                            out.push_char(self.unicode_escape()?);
                             continue;
                         }
                         _ => return Err(self.err(JsonErrorKind::InvalidString)),
                     };
                     self.pos += 1;
-                    out.push(c);
+                    out.push_char(c);
                 }
                 _ => return Err(self.err(JsonErrorKind::InvalidString)),
             }
@@ -526,6 +744,7 @@ impl Reader<'_> {
         Ok(v)
     }
 
+    #[inline]
     fn digits(&mut self) -> usize {
         let start = self.pos;
         while self.bytes.get(self.pos).is_some_and(u8::is_ascii_digit) {
@@ -535,6 +754,7 @@ impl Reader<'_> {
     }
 
     /// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`
+    #[inline]
     fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.pos;
         if self.bytes[self.pos] == b'-' {
@@ -563,8 +783,19 @@ impl Reader<'_> {
                 return Err(self.err(JsonErrorKind::InvalidNumber));
             }
         }
-        // The token is ASCII by construction.
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap_or_default();
+        if integral && int_digits <= 18 {
+            // Fits `i64`: the same value `parse` gives, without a second
+            // pass over the digits.
+            let magnitude = self.bytes[int_start..self.pos]
+                .iter()
+                .fold(0, |v: i64, &d| v * 10 + i64::from(d - b'0'));
+            return Ok(Json::Int(if int_start > start {
+                -magnitude
+            } else {
+                magnitude
+            }));
+        }
+        let text = self.since(start);
         if integral {
             if let Ok(i) = text.parse::<i64>() {
                 return Ok(Json::Int(i));
@@ -657,14 +888,69 @@ mod tests {
     fn nesting_is_bounded() {
         let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
         assert!(Json::parse(&ok).is_ok());
+        assert_eq!(walk(&ok), Ok(()));
         let deep = "[".repeat(1 << 20);
+        let too_deep = Err(JsonError {
+            kind: JsonErrorKind::TooDeep,
+            offset: MAX_DEPTH,
+        });
+        assert_eq!(Json::parse(&deep).map(drop), too_deep);
+        assert_eq!(walk(&deep), too_deep);
+    }
+
+    /// Walks `text` with [`JsonReader`], reading member `a` as a scalar
+    /// and the `c` member of object member `b`, skipping all else.
+    fn walk(text: &str) -> Result<(), JsonError> {
+        let mut r = JsonReader::new(text);
+        r.object(&["a", "b"], |r, i| {
+            if i == 0 {
+                r.scalar().map(drop)
+            } else {
+                r.object(&["c"], |r, _| r.scalar().map(drop)).map(drop)
+            }
+        })?;
+        r.finish()
+    }
+
+    #[test]
+    fn reader_picks_members_by_unescaped_name() {
+        let text =
+            r#"{"a":1,"ab":"s","":2,"\u0061":3,"b":{"c":[4],"c":5.5,"cc":6},"b\u0000":7,"a\"b":8}"#;
+        let mut seen = Vec::new();
+        let mut r = JsonReader::new(text);
+        let names = ["a", "b", "ab", "a\"b"];
+        let was_object = r.object(&names, |r, i| {
+            if names[i] == "b" {
+                r.object(&["c"], |r, _| {
+                    seen.push(("c", r.scalar()?));
+                    Ok(())
+                })?;
+            } else {
+                seen.push((names[i], r.scalar()?));
+            }
+            Ok(())
+        });
+        assert_eq!(was_object, Ok(true));
+        assert_eq!(r.finish(), Ok(()));
         assert_eq!(
-            Json::parse(&deep),
-            Err(JsonError {
-                kind: JsonErrorKind::TooDeep,
-                offset: MAX_DEPTH
-            })
+            seen,
+            [
+                ("a", Some(Json::Int(1))),
+                ("ab", None),
+                ("a", Some(Json::Int(3))),
+                ("c", None),
+                ("c", Some(Json::Num(5.5))),
+                ("a\"b", Some(Json::Int(8))),
+            ]
         );
+        let mut r = JsonReader::new(" [1, {\"a\": 2}] ");
+        let mut calls = 0;
+        let read = r.object(&["a"], |r, _| {
+            calls += 1;
+            r.scalar().map(drop)
+        });
+        assert_eq!((read, calls), (Ok(false), 0));
+        assert_eq!(r.finish(), Ok(()));
     }
 
     #[test]
@@ -701,6 +987,7 @@ mod tests {
         for cut in (0..VALID.len()).filter(|&c| VALID.is_char_boundary(c)) {
             let err = Json::parse(&VALID[..cut]).expect_err("a strict prefix is incomplete");
             assert!(err.offset <= cut, "cut {cut}: {err}");
+            assert_eq!(walk(&VALID[..cut]), Err(err), "cut {cut}");
         }
     }
 
@@ -723,9 +1010,11 @@ mod tests {
             }
             // ASCII document, ASCII mutations: the text stays UTF-8.
             let text = String::from_utf8(bytes).expect("ASCII text");
-            if let Err(e) = Json::parse(&text) {
+            let parsed = Json::parse(&text);
+            if let Err(e) = parsed {
                 assert!(e.offset <= text.len(), "seed {seed}: {e}");
             }
+            assert_eq!(walk(&text), parsed.map(drop), "seed {seed}: {text}");
         }
     }
 }
