@@ -343,6 +343,29 @@ fn epidemic_scenarios_run_deterministically_over_the_artifact() {
     server.stop();
 }
 
+/// One `POST /epidemic` answer pinned byte for byte, as recorded once:
+/// a change to the epidemic engine or the document that moves any
+/// digit of any city fails here.
+#[test]
+fn epidemic_response_body_matches_the_golden_bytes() {
+    let server = start(bundle(6, 17), 1);
+    let body = "{\"seed_city\": \"City 2\", \"days\": 365}";
+    let (status, reply) = exchange(server.addr(), "POST", "/epidemic", body);
+    assert_eq!(status, 200, "{reply}");
+    assert_eq!(reply, GOLDEN_EPIDEMIC_BODY);
+    server.stop();
+}
+
+const GOLDEN_EPIDEMIC_BODY: &str = "\
+    {\"beta\":0.5,\"cities\":[\
+    {\"arrival_day\":13.0,\"final_size\":110083.10348356671,\"name\":\"City 0\",\"peak_infected\":98639.05209341395},\
+    {\"arrival_day\":22.75,\"final_size\":55790.3428024533,\"name\":\"City 1\",\"peak_infected\":18757.154207456573},\
+    {\"arrival_day\":5.75,\"final_size\":151715.3024746903,\"name\":\"City 2\",\"peak_infected\":169144.28055473557},\
+    {\"arrival_day\":17.75,\"final_size\":205104.46147214423,\"name\":\"City 3\",\"peak_infected\":166254.29681935586},\
+    {\"arrival_day\":15.75,\"final_size\":2178323.9146435927,\"name\":\"City 4\",\"peak_infected\":398371.3581972092},\
+    {\"arrival_day\":15.25,\"final_size\":2214808.5278081493,\"name\":\"City 5\",\"peak_infected\":436675.8875626804}],\
+    \"days\":365.0,\"gamma\":0.2,\"model\":\"gravity2\",\"r0\":2.5,\"seed_city\":\"City 2\"}";
+
 #[test]
 fn epidemic_horizon_outside_the_scenario_bound_is_a_400() {
     let server = start(bundle(5, 17), 1);
