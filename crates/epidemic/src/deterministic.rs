@@ -9,82 +9,41 @@
 //! dRᵢ/dt =  γ Iᵢ + Σⱼ (mⱼᵢ Rⱼ − mᵢⱼ Rᵢ)
 //! ```
 //!
-//! SIR is the σ → ∞ special case, implemented by skipping the E
-//! compartment entirely (`sigma = None`). Integration is classic
+//! SIR is the σ → ∞ special case: infections go straight to I and the E
+//! lane stays `+0.0` (`sigma = None`). Integration is classic
 //! fixed-step RK4 — plenty for the smooth, stiff-free dynamics here, and
 //! dependency-free.
+//!
+//! [`Rk4`] owns every buffer a run needs, so a step allocates nothing.
+//! A patch's compartments are one lane array `[S, E, I, R]`. The
+//! migration term walks the network's nonzero rates row by row
+//! ([`Edges`]): the origin's derivative is held in a local accumulator,
+//! and each edge's flux `m·xᵢ` is computed once, subtracted from it and
+//! added to the destination.
+//!
+//! That order is the textbook double loop's order, so every number is
+//! bit-identical to it: the derivative of patch `k` starts from its
+//! local terms, gains the inflows of origins `i < k` in ascending `i`,
+//! loses its own outflows in ascending destination, then gains the
+//! inflows of origins `i > k`. No operation is fused (`mul_add`) or
+//! reassociated, and the SIR population `S + I + R + E` adds the E
+//! lane's `+0.0` exactly where the textbook form adds a literal `0.0`.
 
-use crate::network::MobilityNetwork;
+use crate::network::Edges;
 
-/// Full system state: compartment values per patch, flattened as
-/// `[S..., E..., I..., R...]` (E block absent in SIR mode).
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct State {
-    /// Susceptible per patch.
-    pub(crate) s: Vec<f64>,
-    /// Exposed per patch (empty in SIR mode).
-    pub(crate) e: Vec<f64>,
-    /// Infectious per patch.
-    pub(crate) i: Vec<f64>,
-    /// Recovered per patch.
-    pub(crate) r: Vec<f64>,
-}
+/// Lane of the susceptible count in a [`Patch`].
+pub(crate) const S: usize = 0;
+/// Lane of the exposed count (always `+0.0` in SIR mode).
+pub(crate) const E: usize = 1;
+/// Lane of the infectious count.
+pub(crate) const I: usize = 2;
+/// Lane of the recovered count.
+pub(crate) const R: usize = 3;
 
-impl State {
-    /// All-susceptible state over the network's populations.
-    pub(crate) fn susceptible(net: &MobilityNetwork, seir: bool) -> Self {
-        let n = net.n_patches();
-        Self {
-            s: net.populations().to_vec(),
-            e: if seir { vec![0.0; n] } else { Vec::new() },
-            i: vec![0.0; n],
-            r: vec![0.0; n],
-        }
-    }
+/// One patch's compartments as lanes `[S, E, I, R]`.
+pub(crate) type Patch = [f64; 4];
 
-    /// Moves `count` people from S to I in `patch` (clamped to available
-    /// susceptibles).
-    pub(crate) fn seed_infection(&mut self, patch: usize, count: f64) {
-        let c = count.min(self.s[patch]);
-        self.s[patch] -= c;
-        self.i[patch] += c;
-    }
-
-    /// Total population across compartments and patches.
-    #[cfg(test)]
-    pub(crate) fn total(&self) -> f64 {
-        self.s.iter().sum::<f64>()
-            + self.e.iter().sum::<f64>()
-            + self.i.iter().sum::<f64>()
-            + self.r.iter().sum::<f64>()
-    }
-
-    fn zeros_like(&self) -> State {
-        State {
-            s: vec![0.0; self.s.len()],
-            e: vec![0.0; self.e.len()],
-            i: vec![0.0; self.i.len()],
-            r: vec![0.0; self.r.len()],
-        }
-    }
-
-    fn axpy(&mut self, a: f64, other: &State) {
-        for (x, y) in self.s.iter_mut().zip(&other.s) {
-            *x += a * y;
-        }
-        for (x, y) in self.e.iter_mut().zip(&other.e) {
-            *x += a * y;
-        }
-        for (x, y) in self.i.iter_mut().zip(&other.i) {
-            *x += a * y;
-        }
-        for (x, y) in self.r.iter_mut().zip(&other.r) {
-            *x += a * y;
-        }
-    }
-}
-
-/// Epidemic rate parameters for the deterministic engine.
+/// Epidemic rate parameters, shared by both engines.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Rates {
     /// Transmission rate β (per day).
@@ -95,100 +54,148 @@ pub(crate) struct Rates {
     pub(crate) sigma: Option<f64>,
 }
 
-/// Computes the time derivative of `state`.
-fn derivative(net: &MobilityNetwork, rates: &Rates, state: &State, out: &mut State) {
-    let n = net.n_patches();
-    let seir = rates.sigma.is_some();
-    // Current patch populations (conserved by migration, but recompute
-    // for force-of-infection correctness during transients).
-    for p in 0..n {
-        let n_p = state.s[p] + state.i[p] + state.r[p] + if seir { state.e[p] } else { 0.0 };
-        let lambda = if n_p > 0.0 {
-            rates.beta * state.i[p] / n_p
-        } else {
-            0.0
-        };
-        let infections = lambda * state.s[p];
-        let recoveries = rates.gamma * state.i[p];
-        if let Some(sigma) = rates.sigma {
-            let incubations = sigma * state.e[p];
-            out.s[p] = -infections;
-            out.e[p] = infections - incubations;
-            out.i[p] = incubations - recoveries;
-            out.r[p] = recoveries;
-        } else {
-            out.s[p] = -infections;
-            out.i[p] = infections - recoveries;
-            out.r[p] = recoveries;
+/// The all-susceptible state over patch `populations`.
+pub(crate) fn susceptible(populations: &[f64]) -> Vec<Patch> {
+    populations.iter().map(|&p| [p, 0.0, 0.0, 0.0]).collect()
+}
+
+/// Moves `count` people from S to I in `patch` (clamped to available
+/// susceptibles).
+pub(crate) fn seed_infection(state: &mut [Patch], patch: usize, count: f64) {
+    let x = &mut state[patch];
+    let c = count.min(x[S]);
+    x[S] -= c;
+    x[I] += c;
+}
+
+/// The RK4 integrator and its workspace, built once per run.
+#[derive(Debug, Clone)]
+pub(crate) struct Rk4 {
+    rates: Rates,
+    /// The state at the start of the current step.
+    x: Vec<Patch>,
+    /// The point the next derivative is evaluated at.
+    stage: Vec<Patch>,
+    /// The derivative at `stage`.
+    k: Vec<Patch>,
+    /// The weighted sum of derivatives that becomes the next state.
+    next: Vec<Patch>,
+}
+
+impl Rk4 {
+    /// An integrator starting from `state`.
+    pub(crate) fn new(rates: Rates, state: Vec<Patch>) -> Self {
+        let zeros = vec![[0.0; 4]; state.len()];
+        Self {
+            rates,
+            stage: zeros.clone(),
+            k: zeros.clone(),
+            next: zeros,
+            x: state,
         }
     }
-    // Migration fluxes.
-    for i in 0..n {
-        for j in 0..n {
-            if i == j {
-                continue;
-            }
-            let m = net.rate(i, j);
-            if m == 0.0 {
-                continue;
-            }
-            out.s[i] -= m * state.s[i];
-            out.s[j] += m * state.s[i];
-            out.i[i] -= m * state.i[i];
-            out.i[j] += m * state.i[i];
-            out.r[i] -= m * state.r[i];
-            out.r[j] += m * state.r[i];
-            if seir {
-                out.e[i] -= m * state.e[i];
-                out.e[j] += m * state.e[i];
-            }
+
+    /// The current state.
+    pub(crate) fn state(&self) -> &[Patch] {
+        &self.x
+    }
+
+    /// Advances the state by one RK4 step of `dt` days over the
+    /// migration `edges`.
+    ///
+    /// Per element this is `next = x + dt/6·k1`, then `+ dt/3·k2`,
+    /// `+ dt/3·k3` and `+ dt/6·k4` in that order, each stage at
+    /// `x + dt/2·k1`, `x + dt/2·k2` and `x + dt·k3`, and tiny negative
+    /// values from floating-point error are clamped to zero.
+    pub(crate) fn step(&mut self, edges: &Edges, dt: f64) {
+        let (half, third, sixth) = (dt / 2.0, dt / 3.0, dt / 6.0);
+        let Self {
+            rates,
+            x,
+            stage,
+            k,
+            next,
+        } = self;
+        derivative(rates, edges, x, k);
+        for (((n, s), x), k) in next.iter_mut().zip(stage.iter_mut()).zip(&*x).zip(&*k) {
+            *n = lanes(|l| x[l] + sixth * k[l]);
+            *s = lanes(|l| x[l] + half * k[l]);
         }
+        derivative(rates, edges, stage, k);
+        for (((n, s), x), k) in next.iter_mut().zip(stage.iter_mut()).zip(&*x).zip(&*k) {
+            *n = lanes(|l| n[l] + third * k[l]);
+            *s = lanes(|l| x[l] + half * k[l]);
+        }
+        derivative(rates, edges, stage, k);
+        for (((n, s), x), k) in next.iter_mut().zip(stage.iter_mut()).zip(&*x).zip(&*k) {
+            *n = lanes(|l| n[l] + third * k[l]);
+            *s = lanes(|l| x[l] + dt * k[l]);
+        }
+        derivative(rates, edges, stage, k);
+        for (n, k) in next.iter_mut().zip(&*k) {
+            *n = lanes(|l| {
+                let v = n[l] + sixth * k[l];
+                if v < 0.0 {
+                    0.0
+                } else {
+                    v
+                }
+            });
+        }
+        std::mem::swap(x, next);
     }
 }
 
-/// One RK4 step of size `dt` days.
-pub(crate) fn rk4_step(net: &MobilityNetwork, rates: &Rates, state: &State, dt: f64) -> State {
-    let mut k1 = state.zeros_like();
-    derivative(net, rates, state, &mut k1);
+/// A lane array whose lane `l` is `f(l)`.
+#[inline(always)]
+fn lanes(f: impl Fn(usize) -> f64) -> Patch {
+    [f(S), f(E), f(I), f(R)]
+}
 
-    let mut mid = state.clone();
-    mid.axpy(dt / 2.0, &k1);
-    let mut k2 = state.zeros_like();
-    derivative(net, rates, &mid, &mut k2);
-
-    let mut mid2 = state.clone();
-    mid2.axpy(dt / 2.0, &k2);
-    let mut k3 = state.zeros_like();
-    derivative(net, rates, &mid2, &mut k3);
-
-    let mut end = state.clone();
-    end.axpy(dt, &k3);
-    let mut k4 = state.zeros_like();
-    derivative(net, rates, &end, &mut k4);
-
-    let mut next = state.clone();
-    next.axpy(dt / 6.0, &k1);
-    next.axpy(dt / 3.0, &k2);
-    next.axpy(dt / 3.0, &k3);
-    next.axpy(dt / 6.0, &k4);
-    // Clamp tiny negative values arising from floating-point error.
-    for v in next
-        .s
-        .iter_mut()
-        .chain(next.e.iter_mut())
-        .chain(next.i.iter_mut())
-        .chain(next.r.iter_mut())
-    {
-        if *v < 0.0 {
-            *v = 0.0;
-        }
+/// Writes the time derivative of `x` into `out`.
+fn derivative(rates: &Rates, edges: &Edges, x: &[Patch], out: &mut [Patch]) {
+    for (o, p) in out.iter_mut().zip(x) {
+        // Current patch population (conserved by migration, but
+        // recomputed for force-of-infection correctness in transients).
+        let n_p = p[S] + p[I] + p[R] + p[E];
+        let lambda = if n_p > 0.0 {
+            rates.beta * p[I] / n_p
+        } else {
+            0.0
+        };
+        let infections = lambda * p[S];
+        let recoveries = rates.gamma * p[I];
+        *o = match rates.sigma {
+            Some(sigma) => {
+                let incubations = sigma * p[E];
+                [
+                    -infections,
+                    infections - incubations,
+                    incubations - recoveries,
+                    recoveries,
+                ]
+            }
+            None => [-infections, 0.0, infections - recoveries, recoveries],
+        };
     }
-    next
+    // Migration fluxes.
+    for (i, row) in edges.rows().enumerate() {
+        let xi = x[i];
+        let mut outflow = out[i];
+        for &(j, m) in row {
+            let flux = lanes(|l| m * xi[l]);
+            outflow = lanes(|l| outflow[l] - flux[l]);
+            let dest = &mut out[j];
+            *dest = lanes(|l| dest[l] + flux[l]);
+        }
+        out[i] = outflow;
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::network::MobilityNetwork;
 
     fn single_patch(pop: f64) -> MobilityNetwork {
         MobilityNetwork::from_flows(vec![pop], &[], 0.0).unwrap()
@@ -199,26 +206,40 @@ mod tests {
             .unwrap()
     }
 
-    fn run(net: &MobilityNetwork, rates: &Rates, mut state: State, days: f64, dt: f64) -> State {
-        let steps = (days / dt).round() as usize;
-        for _ in 0..steps {
-            state = rk4_step(net, rates, &state, dt);
+    fn sir(beta: f64, gamma: f64) -> Rates {
+        Rates {
+            beta,
+            gamma,
+            sigma: None,
         }
+    }
+
+    /// `net`'s all-susceptible state with `count` infections in patch 0.
+    fn seeded(net: &MobilityNetwork, count: f64) -> Vec<Patch> {
+        let mut state = susceptible(net.populations());
+        seed_infection(&mut state, 0, count);
         state
+    }
+
+    fn run(net: &MobilityNetwork, rates: Rates, state: Vec<Patch>, days: f64, dt: f64) -> Rk4 {
+        let edges = net.edges(1.0);
+        let mut rk4 = Rk4::new(rates, state);
+        for _ in 0..(days / dt).round() as usize {
+            rk4.step(&edges, dt);
+        }
+        rk4
+    }
+
+    fn total(state: &[Patch]) -> f64 {
+        state.iter().flatten().sum()
     }
 
     #[test]
     fn population_is_conserved() {
         let net = two_patches(0.1);
-        let rates = Rates {
-            beta: 0.5,
-            gamma: 0.2,
-            sigma: None,
-        };
-        let mut state = State::susceptible(&net, false);
-        state.seed_infection(0, 50.0);
-        let before = state.total();
-        let after = run(&net, &rates, state, 100.0, 0.1).total();
+        let state = seeded(&net, 50.0);
+        let before = total(&state);
+        let after = total(run(&net, sir(0.5, 0.2), state, 100.0, 0.1).state());
         assert!(
             (before - after).abs() / before < 1e-9,
             "Δ = {}",
@@ -231,15 +252,8 @@ mod tests {
         // Single patch SIR with R0 = 2: the final-size equation gives
         // z = 1 − exp(−R0 z) → z ≈ 0.7968.
         let net = single_patch(1e6);
-        let rates = Rates {
-            beta: 0.4,
-            gamma: 0.2,
-            sigma: None,
-        };
-        let mut state = State::susceptible(&net, false);
-        state.seed_infection(0, 10.0);
-        let end = run(&net, &rates, state, 400.0, 0.05);
-        let attack = end.r[0] / 1e6;
+        let end = run(&net, sir(0.4, 0.2), seeded(&net, 10.0), 400.0, 0.05);
+        let attack = end.state()[0][R] / 1e6;
         assert!((attack - 0.7968).abs() < 0.01, "attack rate {attack}");
     }
 
@@ -247,50 +261,34 @@ mod tests {
     fn below_threshold_epidemic_dies_out() {
         // R0 = 0.5: no outbreak.
         let net = single_patch(1e6);
-        let rates = Rates {
-            beta: 0.1,
-            gamma: 0.2,
-            sigma: None,
-        };
-        let mut state = State::susceptible(&net, false);
-        state.seed_infection(0, 100.0);
-        let end = run(&net, &rates, state, 200.0, 0.1);
-        assert!(end.r[0] < 300.0, "final recovered {}", end.r[0]);
-        assert!(end.i[0] < 1.0);
+        let end = run(&net, sir(0.1, 0.2), seeded(&net, 100.0), 200.0, 0.1);
+        let [_, _, i, r] = end.state()[0];
+        assert!(r < 300.0, "final recovered {r}");
+        assert!(i < 1.0);
     }
 
     #[test]
     fn seir_delays_the_peak() {
         let net = single_patch(1e5);
-        let mut sir = State::susceptible(&net, false);
-        sir.seed_infection(0, 10.0);
-        let mut seir = State::susceptible(&net, true);
-        seir.seed_infection(0, 10.0);
-        let rates_sir = Rates {
-            beta: 0.5,
-            gamma: 0.2,
-            sigma: None,
-        };
-        let rates_seir = Rates {
-            beta: 0.5,
-            gamma: 0.2,
-            sigma: Some(0.3),
-        };
-        // Track the peak day of I.
-        let peak_day = |rates: &Rates, mut st: State, seir_mode: bool| {
-            let _ = seir_mode;
+        let edges = net.edges(1.0);
+        let peak_day = |rates: Rates| {
+            let mut rk4 = Rk4::new(rates, seeded(&net, 10.0));
             let mut best = (0.0, 0.0);
             let dt = 0.1;
             for step in 0..3_000 {
-                st = rk4_step(&net, rates, &st, dt);
-                if st.i[0] > best.1 {
-                    best = (step as f64 * dt, st.i[0]);
+                rk4.step(&edges, dt);
+                let i = rk4.state()[0][I];
+                if i > best.1 {
+                    best = (step as f64 * dt, i);
                 }
             }
             best.0
         };
-        let sir_peak = peak_day(&rates_sir, sir, false);
-        let seir_peak = peak_day(&rates_seir, seir, true);
+        let sir_peak = peak_day(sir(0.5, 0.2));
+        let seir_peak = peak_day(Rates {
+            sigma: Some(0.3),
+            ..sir(0.5, 0.2)
+        });
         assert!(
             seir_peak > sir_peak + 5.0,
             "sir peak {sir_peak}, seir peak {seir_peak}"
@@ -298,41 +296,39 @@ mod tests {
     }
 
     #[test]
+    fn sir_keeps_the_exposed_lane_at_positive_zero() {
+        let net = two_patches(0.05);
+        let end = run(&net, sir(0.5, 0.2), seeded(&net, 20.0), 50.0, 0.25);
+        for patch in end.state() {
+            assert_eq!(patch[E].to_bits(), 0.0f64.to_bits());
+        }
+    }
+
+    #[test]
     fn migration_spreads_infection_to_coupled_patch() {
         let net = two_patches(0.05);
-        let rates = Rates {
-            beta: 0.5,
-            gamma: 0.2,
-            sigma: None,
-        };
-        let mut state = State::susceptible(&net, false);
-        state.seed_infection(0, 20.0);
-        let end = run(&net, &rates, state, 150.0, 0.1);
-        assert!(end.r[1] > 1_000.0, "patch 1 recovered {}", end.r[1]);
+        let end = run(&net, sir(0.5, 0.2), seeded(&net, 20.0), 150.0, 0.1);
+        assert!(
+            end.state()[1][R] > 1_000.0,
+            "patch 1 recovered {}",
+            end.state()[1][R]
+        );
     }
 
     #[test]
     fn no_migration_keeps_uninfected_patch_clean() {
         let net = MobilityNetwork::from_flows(vec![1e4, 1e4], &[], 0.0).unwrap();
-        let rates = Rates {
-            beta: 0.5,
-            gamma: 0.2,
-            sigma: None,
-        };
-        let mut state = State::susceptible(&net, false);
-        state.seed_infection(0, 20.0);
-        let end = run(&net, &rates, state, 150.0, 0.1);
-        assert_eq!(end.i[1], 0.0);
-        assert_eq!(end.r[1], 0.0);
-        assert!(end.r[0] > 100.0);
+        let end = run(&net, sir(0.5, 0.2), seeded(&net, 20.0), 150.0, 0.1);
+        assert_eq!(end.state()[1][I], 0.0);
+        assert_eq!(end.state()[1][R], 0.0);
+        assert!(end.state()[0][R] > 100.0);
     }
 
     #[test]
     fn seed_clamps_to_population() {
         let net = single_patch(100.0);
-        let mut state = State::susceptible(&net, false);
-        state.seed_infection(0, 1e9);
-        assert_eq!(state.i[0], 100.0);
-        assert_eq!(state.s[0], 0.0);
+        let state = seeded(&net, 1e9);
+        assert_eq!(state[0][I], 100.0);
+        assert_eq!(state[0][S], 0.0);
     }
 }

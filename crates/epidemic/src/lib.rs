@@ -49,6 +49,4 @@ mod stochastic;
 pub use effective::{arrival_time_correlation, effective_distance_from, ArrivalCorrelation};
 pub use network::{MobilityNetwork, NetworkError};
 pub use r0::{estimate_r0, R0Estimate};
-pub use scenario::{
-    EpidemicTimeline, OutbreakScenario, ScenarioError, SeirParams, TravelRestriction,
-};
+pub use scenario::{EpidemicTimeline, OutbreakScenario, ScenarioError, SeirParams};

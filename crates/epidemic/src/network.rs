@@ -193,26 +193,50 @@ impl MobilityNetwork {
         self.rates[i * n + j]
     }
 
-    /// A copy of the network with every migration rate multiplied by
-    /// `factor` (populations unchanged). `factor` in `[0, 1]` models a
-    /// travel restriction; the total leave rate scales accordingly.
-    ///
-    /// # Panics
-    ///
-    /// If `factor` is negative or non-finite.
-    pub fn scaled(&self, factor: f64) -> MobilityNetwork {
-        assert!(factor >= 0.0 && factor.is_finite(), "bad rate factor");
-        MobilityNetwork {
-            populations: self.populations.clone(),
-            rates: self.rates.iter().map(|r| r * factor).collect(),
-        }
-    }
-
     /// Total per-capita leave rate of patch `i`.
-    pub fn leave_rate(&self, i: usize) -> f64 {
+    pub(crate) fn leave_rate(&self, i: usize) -> f64 {
         let n = self.n_patches();
         assert!(i < n, "patch index out of range");
         self.rates[i * n..(i + 1) * n].iter().sum()
+    }
+
+    /// The nonzero migration rates, each multiplied by `factor` (1 for
+    /// the network as it is, less under a travel restriction), as the
+    /// compressed rows both engines step over.
+    pub(crate) fn edges(&self, factor: f64) -> Edges {
+        let n = self.n_patches();
+        let mut row_start = Vec::with_capacity(n + 1);
+        let mut edges = Vec::new();
+        row_start.push(0);
+        for (i, row) in self.rates.chunks_exact(n).enumerate() {
+            for (j, &rate) in row.iter().enumerate() {
+                let m = rate * factor;
+                if j != i && m != 0.0 {
+                    edges.push((j, m));
+                }
+            }
+            row_start.push(edges.len());
+        }
+        Edges { row_start, edges }
+    }
+}
+
+/// The nonzero off-diagonal migration rates of a network as compressed
+/// rows: row `i` lists `(j, mᵢⱼ)` in ascending `j`. A rate that is zero,
+/// or becomes zero under a restriction, has no edge, so an engine skips
+/// exactly the pairs the dense `i, j` loop would skip, in the same
+/// order.
+#[derive(Debug, Clone)]
+pub(crate) struct Edges {
+    /// Row `i` is `edges[row_start[i]..row_start[i + 1]]`.
+    row_start: Vec<usize>,
+    edges: Vec<(usize, f64)>,
+}
+
+impl Edges {
+    /// The rows in origin order.
+    pub(crate) fn rows(&self) -> impl Iterator<Item = &[(usize, f64)]> {
+        self.row_start.windows(2).map(|w| &self.edges[w[0]..w[1]])
     }
 }
 
@@ -277,23 +301,32 @@ mod tests {
     }
 
     #[test]
-    fn scaled_network_multiplies_rates() {
-        let net =
-            MobilityNetwork::from_flows(vec![1_000.0, 2_000.0], &[(0, 1, 1.0), (1, 0, 3.0)], 0.1)
-                .unwrap();
-        let half = net.scaled(0.5);
-        assert!((half.rate(0, 1) - net.rate(0, 1) * 0.5).abs() < 1e-15);
-        assert!((half.leave_rate(1) - 0.05).abs() < 1e-12);
-        assert_eq!(half.populations(), net.populations());
-        let shut = net.scaled(0.0);
-        assert_eq!(shut.leave_rate(0), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "bad rate factor")]
-    fn scaled_rejects_negative_factor() {
-        let net = MobilityNetwork::from_flows(vec![1.0], &[], 0.0).unwrap();
-        net.scaled(-1.0);
+    fn edges_list_the_nonzero_rates_row_by_row() {
+        let net = MobilityNetwork::from_flows(
+            vec![1_000.0, 2_000.0, 500.0],
+            &[(0, 2, 1.0), (0, 1, 3.0), (1, 0, 3.0)],
+            0.1,
+        )
+        .unwrap();
+        let rows = |factor: f64| -> Vec<Vec<(usize, f64)>> {
+            net.edges(factor).rows().map(<[_]>::to_vec).collect()
+        };
+        let full = rows(1.0);
+        assert_eq!(
+            full,
+            vec![
+                vec![(1, net.rate(0, 1)), (2, net.rate(0, 2))],
+                vec![(0, net.rate(1, 0))],
+                vec![],
+            ]
+        );
+        let half = rows(0.5);
+        assert_eq!(
+            half[0],
+            vec![(1, net.rate(0, 1) * 0.5), (2, net.rate(0, 2) * 0.5)]
+        );
+        // A full closure leaves no edge at all.
+        assert!(rows(0.0).iter().all(Vec::is_empty));
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Outbreak scenarios and timelines: the user-facing simulation API.
 
-use crate::deterministic::{rk4_step, Rates as DetRates, State};
-use crate::network::MobilityNetwork;
-use crate::stochastic::{step as stochastic_step, DiscreteState, Rates as StochRates};
+use crate::deterministic::{seed_infection, susceptible, Rates, Rk4, I, R, S};
+use crate::network::{Edges, MobilityNetwork};
+use crate::stochastic::{step as stochastic_step, DiscreteState};
 use std::fmt;
 use tweetmob_stats::rng::SplitMix64;
 
@@ -39,11 +39,11 @@ impl std::error::Error for ScenarioError {}
 /// A travel restriction: from `start_day` onward every migration rate
 /// is multiplied by `rate_factor` (0 = full border closure).
 #[derive(Debug, Clone, Copy)]
-pub struct TravelRestriction {
+struct TravelRestriction {
     /// Day the restriction takes effect.
-    pub start_day: f64,
+    start_day: f64,
     /// Multiplier applied to all migration rates, in `[0, 1]`.
-    pub rate_factor: f64,
+    rate_factor: f64,
 }
 
 /// Longest horizon a scenario may run, days. Both engines record one
@@ -113,11 +113,6 @@ impl OutbreakScenario {
         self
     }
 
-    /// The underlying network.
-    pub fn network(&self) -> &MobilityNetwork {
-        &self.network
-    }
-
     fn validate(&self, days: f64, dt: f64) -> Result<(), ScenarioError> {
         if !(self.beta > 0.0) || !self.beta.is_finite() {
             return Err(ScenarioError::BadRate("beta", self.beta));
@@ -167,6 +162,24 @@ impl OutbreakScenario {
         Ok(())
     }
 
+    /// The engines' rate parameters.
+    fn rates(&self) -> Rates {
+        Rates {
+            beta: self.beta,
+            gamma: self.gamma,
+            sigma: self.seir.map(|s| s.sigma),
+        }
+    }
+
+    /// The migration edges of the network as it is, and the restricted
+    /// ones with the day they take over, if a restriction is set.
+    fn edges(&self) -> (Edges, Option<(f64, Edges)>) {
+        let restricted = self
+            .restriction
+            .map(|r| (r.start_day, self.network.edges(r.rate_factor)));
+        (self.network.edges(1.0), restricted)
+    }
+
     /// Runs the deterministic RK4 engine, recording one snapshot per
     /// step.
     ///
@@ -176,36 +189,30 @@ impl OutbreakScenario {
     pub fn run_deterministic(&self, days: f64, dt: f64) -> Result<EpidemicTimeline, ScenarioError> {
         let _span = tweetmob_obs::span!("epidemic/run_deterministic");
         self.validate(days, dt)?;
-        let rates = DetRates {
-            beta: self.beta,
-            gamma: self.gamma,
-            sigma: self.seir.map(|s| s.sigma),
-        };
-        let mut state = State::susceptible(&self.network, self.seir.is_some());
+        let mut state = susceptible(self.network.populations());
         if self.initial_immunity > 0.0 {
-            for p in 0..self.network.n_patches() {
-                let immune = state.s[p] * self.initial_immunity;
-                state.s[p] -= immune;
-                state.r[p] += immune;
+            for patch in &mut state {
+                let immune = patch[S] * self.initial_immunity;
+                patch[S] -= immune;
+                patch[R] += immune;
             }
         }
         for &(p, c) in &self.seeds {
-            state.seed_infection(p, c);
+            seed_infection(&mut state, p, c);
         }
         let steps = (days / dt).round() as usize;
-        let restricted = self
-            .restriction
-            .map(|r| (r.start_day, self.network.scaled(r.rate_factor)));
-        let mut timeline = EpidemicTimeline::new(self.network.n_patches());
-        timeline.push(0.0, &state);
+        let (free, restricted) = self.edges();
+        let mut rk4 = Rk4::new(self.rates(), state);
+        let mut timeline = EpidemicTimeline::new(self.network.n_patches(), steps + 1);
+        timeline.push(0.0, rk4.state().iter().map(|x| (x[I], x[R])));
         for k in 1..=steps {
             let t = k as f64 * dt;
-            let net = match &restricted {
-                Some((start, scaled)) if t > *start => scaled,
-                _ => &self.network,
+            let edges = match &restricted {
+                Some((start, edges)) if t > *start => edges,
+                _ => &free,
             };
-            state = rk4_step(net, &rates, &state, dt);
-            timeline.push(t, &state);
+            rk4.step(edges, dt);
+            timeline.push(t, rk4.state().iter().map(|x| (x[I], x[R])));
         }
         Ok(timeline)
     }
@@ -224,11 +231,7 @@ impl OutbreakScenario {
     ) -> Result<EpidemicTimeline, ScenarioError> {
         let _span = tweetmob_obs::span!("epidemic/run_stochastic");
         self.validate(days, dt)?;
-        let rates = StochRates {
-            beta: self.beta,
-            gamma: self.gamma,
-            sigma: self.seir.map(|s| s.sigma),
-        };
+        let rates = self.rates();
         let mut rng = SplitMix64::new(rng_seed);
         let mut state = DiscreteState::susceptible(&self.network, self.seir.is_some());
         if self.initial_immunity > 0.0 {
@@ -243,19 +246,17 @@ impl OutbreakScenario {
             state.seed_infection(p, c.round() as u64);
         }
         let steps = (days / dt).round() as usize;
-        let restricted = self
-            .restriction
-            .map(|r| (r.start_day, self.network.scaled(r.rate_factor)));
-        let mut timeline = EpidemicTimeline::new(self.network.n_patches());
-        timeline.push(0.0, &state.to_state());
+        let (free, restricted) = self.edges();
+        let mut timeline = EpidemicTimeline::new(self.network.n_patches(), steps + 1);
+        timeline.push(0.0, state.snapshot());
         for k in 1..=steps {
             let t = k as f64 * dt;
-            let net = match &restricted {
-                Some((start, scaled)) if t > *start => scaled,
-                _ => &self.network,
+            let edges = match &restricted {
+                Some((start, edges)) if t > *start => edges,
+                _ => &free,
             };
-            stochastic_step(net, &rates, &mut state, dt, &mut rng);
-            timeline.push(t, &state.to_state());
+            stochastic_step(edges, &rates, &mut state, dt, &mut rng);
+            timeline.push(t, state.snapshot());
         }
         Ok(timeline)
     }
@@ -273,21 +274,32 @@ pub struct EpidemicTimeline {
 }
 
 impl EpidemicTimeline {
-    fn new(n_patches: usize) -> Self {
+    /// An empty timeline with room for `snapshots` per curve.
+    fn new(n_patches: usize, snapshots: usize) -> Self {
+        let curves = || {
+            (0..n_patches)
+                .map(|_| Vec::with_capacity(snapshots))
+                .collect()
+        };
         Self {
-            times: Vec::new(),
-            infected: vec![Vec::new(); n_patches],
-            recovered: vec![Vec::new(); n_patches],
+            times: Vec::with_capacity(snapshots),
+            infected: curves(),
+            recovered: curves(),
         }
     }
 
-    fn push(&mut self, t: f64, state: &State) {
+    /// Records the snapshot at `t` from each patch's `(infected,
+    /// recovered)` pair, in patch order.
+    fn push(&mut self, t: f64, patches: impl Iterator<Item = (f64, f64)>) {
         self.times.push(t);
-        for (p, v) in state.i.iter().enumerate() {
-            self.infected[p].push(*v);
-        }
-        for (p, v) in state.r.iter().enumerate() {
-            self.recovered[p].push(*v);
+        for ((infected, recovered), (i, r)) in self
+            .infected
+            .iter_mut()
+            .zip(&mut self.recovered)
+            .zip(patches)
+        {
+            infected.push(i);
+            recovered.push(r);
         }
     }
 

@@ -14,8 +14,8 @@
 //! [`SplitMix64`]: Bernoulli summation for small `n·p`, normal
 //! approximation for large.
 
-use crate::deterministic::State;
-use crate::network::MobilityNetwork;
+use crate::deterministic::Rates;
+use crate::network::{Edges, MobilityNetwork};
 use tweetmob_stats::rng::SplitMix64;
 
 /// Draws `Binomial(n, p)`.
@@ -118,40 +118,27 @@ impl DiscreteState {
         self.i.iter().sum()
     }
 
-    /// Converts to the dense float state (for shared reporting).
-    pub(crate) fn to_state(&self) -> State {
-        State {
-            s: self.s.iter().map(|&v| v as f64).collect(),
-            e: self.e.iter().map(|&v| v as f64).collect(),
-            i: self.i.iter().map(|&v| v as f64).collect(),
-            r: self.r.iter().map(|&v| v as f64).collect(),
-        }
+    /// Each patch's `(infected, recovered)` counts as floats, the
+    /// pairs a timeline records.
+    pub(crate) fn snapshot(&self) -> impl Iterator<Item = (f64, f64)> + '_ {
+        self.i
+            .iter()
+            .zip(&self.r)
+            .map(|(&i, &r)| (i as f64, r as f64))
     }
 }
 
-/// Rate parameters (same semantics as the deterministic engine).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Rates {
-    /// Transmission rate β per day.
-    pub(crate) beta: f64,
-    /// Recovery rate γ per day.
-    pub(crate) gamma: f64,
-    /// Incubation rate σ per day; `None` selects SIR.
-    pub(crate) sigma: Option<f64>,
-}
-
-/// Advances the chain by one step of `dt` days.
+/// Advances the chain by one step of `dt` days, migrating over `edges`.
 pub(crate) fn step(
-    net: &MobilityNetwork,
+    edges: &Edges,
     rates: &Rates,
     state: &mut DiscreteState,
     dt: f64,
     rng: &mut SplitMix64,
 ) {
-    let n = net.n_patches();
     let seir = rates.sigma.is_some();
     // Epidemic transitions first (per patch, using start-of-step counts).
-    for p in 0..n {
+    for p in 0..state.s.len() {
         let pop = state.s[p] + state.i[p] + state.r[p] + if seir { state.e[p] } else { 0 };
         if pop == 0 {
             continue;
@@ -175,15 +162,8 @@ pub(crate) fn step(
         state.r[p] += recoveries;
     }
     // Migration.
-    for i in 0..n {
-        for j in 0..n {
-            if i == j {
-                continue;
-            }
-            let m = net.rate(i, j);
-            if m == 0.0 {
-                continue;
-            }
+    for (i, row) in edges.rows().enumerate() {
+        for &(j, m) in row {
             let p_move = 1.0 - (-m * dt).exp();
             let ms = binomial(rng, state.s[i], p_move);
             state.s[i] -= ms;
@@ -246,6 +226,7 @@ mod tests {
     #[test]
     fn population_conserved_exactly() {
         let net = net_two();
+        let edges = net.edges(1.0);
         let rates = Rates {
             beta: 0.5,
             gamma: 0.2,
@@ -256,7 +237,7 @@ mod tests {
         let before = state.total();
         let mut rng = SplitMix64::new(3);
         for _ in 0..1_000 {
-            step(&net, &rates, &mut state, 0.25, &mut rng);
+            step(&edges, &rates, &mut state, 0.25, &mut rng);
         }
         assert_eq!(state.total(), before);
     }
@@ -265,6 +246,7 @@ mod tests {
     fn large_outbreak_approaches_deterministic_final_size() {
         // R0 = 2 in one big patch: attack rate ≈ 0.7968.
         let net = MobilityNetwork::from_flows(vec![200_000.0], &[], 0.0).unwrap();
+        let edges = net.edges(1.0);
         let rates = Rates {
             beta: 0.4,
             gamma: 0.2,
@@ -274,7 +256,7 @@ mod tests {
         state.seed_infection(0, 50);
         let mut rng = SplitMix64::new(4);
         for _ in 0..4_000 {
-            step(&net, &rates, &mut state, 0.1, &mut rng);
+            step(&edges, &rates, &mut state, 0.1, &mut rng);
         }
         let attack = state.r[0] as f64 / 200_000.0;
         assert!((attack - 0.7968).abs() < 0.03, "attack {attack}");
@@ -285,6 +267,7 @@ mod tests {
         // With R0 = 1.5 and a single index case, extinction probability
         // is ~1/R0 ≈ 0.67 — across 40 runs we must see both outcomes.
         let net = MobilityNetwork::from_flows(vec![10_000.0], &[], 0.0).unwrap();
+        let edges = net.edges(1.0);
         let rates = Rates {
             beta: 0.3,
             gamma: 0.2,
@@ -297,7 +280,7 @@ mod tests {
             let mut state = DiscreteState::susceptible(&net, false);
             state.seed_infection(0, 1);
             for _ in 0..2_000 {
-                step(&net, &rates, &mut state, 0.2, &mut rng);
+                step(&edges, &rates, &mut state, 0.2, &mut rng);
                 if state.total_infected() == 0 {
                     break;
                 }
@@ -315,6 +298,7 @@ mod tests {
     #[test]
     fn migration_carries_outbreak_across_patches() {
         let net = net_two();
+        let edges = net.edges(1.0);
         let rates = Rates {
             beta: 0.6,
             gamma: 0.2,
@@ -324,7 +308,7 @@ mod tests {
         state.seed_infection(0, 100);
         let mut rng = SplitMix64::new(7);
         for _ in 0..1_500 {
-            step(&net, &rates, &mut state, 0.2, &mut rng);
+            step(&edges, &rates, &mut state, 0.2, &mut rng);
         }
         assert!(state.r[1] > 5_000, "patch 1 recovered {}", state.r[1]);
     }
@@ -354,6 +338,7 @@ mod tests {
                 .flat_map(|i| (0..n).filter(move |&j| j != i).map(move |j| (i, j, 1.0)))
                 .collect();
             let net = MobilityNetwork::from_flows(populations, &flows, 0.05).unwrap();
+            let edges = net.edges(1.0);
             let rates = Rates {
                 beta,
                 gamma,
@@ -363,7 +348,7 @@ mod tests {
             state.seed_infection(0, 10);
             let before = state.total();
             for _ in 0..50 {
-                step(&net, &rates, &mut state, 0.25, &mut rng);
+                step(&edges, &rates, &mut state, 0.25, &mut rng);
             }
             assert_eq!(state.total(), before, "seed {seed}");
         }
@@ -372,6 +357,7 @@ mod tests {
     #[test]
     fn deterministic_seeding_is_reproducible() {
         let net = net_two();
+        let edges = net.edges(1.0);
         let rates = Rates {
             beta: 0.5,
             gamma: 0.2,
@@ -382,7 +368,7 @@ mod tests {
             let mut state = DiscreteState::susceptible(&net, false);
             state.seed_infection(0, 10);
             for _ in 0..500 {
-                step(&net, &rates, &mut state, 0.25, &mut rng);
+                step(&edges, &rates, &mut state, 0.25, &mut rng);
             }
             state
         };
