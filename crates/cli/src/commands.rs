@@ -1,6 +1,7 @@
 //! Command implementations.
 
 use crate::args::{ArgError, Args};
+use crate::Out;
 use std::fs::File;
 use std::io::{BufRead as _, BufReader, BufWriter};
 use tweetmob_core::{
@@ -18,7 +19,7 @@ type Result<T> = std::result::Result<T, Box<dyn std::error::Error>>;
 
 /// `tweetmob export <dataset> <out.json>` — machine-readable results of
 /// every scale's population and mobility experiment.
-pub(crate) fn export(args: &Args) -> Result<()> {
+pub(crate) fn export(args: &Args, out: &mut Out) -> Result<()> {
     let ds = dataset_arg(args)?;
     let out_path = args.positional(1).ok_or_else(|| missing("output path"))?;
     let exp = Experiment::new(&ds);
@@ -59,7 +60,7 @@ pub(crate) fn export(args: &Args) -> Result<()> {
     std::fs::write(out_path, doc.to_pretty())
         .map_err(|e| format!("cannot write {out_path}: {e}"))?;
     tweetmob_obs::manifest::record_output(out_path);
-    println!("wrote experiment results to {out_path}");
+    writeln!(out, "wrote experiment results to {out_path}")?;
     Ok(())
 }
 
@@ -138,17 +139,18 @@ fn write_dataset(ds: &TweetDataset, out_path: &str, as_columnar: bool) -> Result
 /// detected like every other load; the output format follows the output
 /// extension. Conversion is lossless: a JSONL → `TWC0` → JSONL trip
 /// gives back the same bytes.
-pub(crate) fn convert(args: &Args) -> Result<()> {
+pub(crate) fn convert(args: &Args, out: &mut Out) -> Result<()> {
     let input = args.get("in").ok_or_else(|| missing("--in PATH"))?;
     let out_path = args.get("out").ok_or_else(|| missing("--out PATH"))?;
     let as_columnar = writes_columnar(out_path)?;
     let ds = load(input)?;
     write_dataset(&ds, out_path, as_columnar)?;
-    println!(
+    writeln!(
+        out,
         "converted {} tweets from {} users: {input} → {out_path}",
         ds.n_tweets(),
         ds.n_users()
-    );
+    )?;
     Ok(())
 }
 
@@ -242,7 +244,7 @@ pub(crate) fn emit_observability(args: &Args, subcommand: &str, ok: bool) -> Res
 /// `tweetmob provenance <artifact.tma>` — print the `PROV` manifest an
 /// artifact carries and verify its recorded input hashes against the
 /// files as they exist now.
-pub(crate) fn provenance(args: &Args) -> Result<()> {
+pub(crate) fn provenance(args: &Args, out: &mut Out) -> Result<()> {
     let path = args
         .positional(0)
         .ok_or_else(|| missing("artifact argument"))?;
@@ -253,7 +255,7 @@ pub(crate) fn provenance(args: &Args) -> Result<()> {
         )
         .into());
     };
-    println!("{manifest}");
+    writeln!(out, "{manifest}")?;
     let doc = Json::parse(manifest)
         .map_err(|e| format!("{path}: PROV payload is not valid JSON: {e}"))?;
     let mut mismatches = 0u32;
@@ -343,7 +345,7 @@ fn artifact_in(args: &Args) -> Result<ModelBundle> {
 }
 
 /// `tweetmob generate <out.{jsonl,twc}> [--users N] [--seed N]`
-pub(crate) fn generate(args: &Args) -> Result<()> {
+pub(crate) fn generate(args: &Args, out: &mut Out) -> Result<()> {
     let out_path = args.positional(0).ok_or_else(|| missing("output path"))?;
     let as_columnar = writes_columnar(out_path)?;
     let mut cfg = GeneratorConfig::default();
@@ -351,11 +353,12 @@ pub(crate) fn generate(args: &Args) -> Result<()> {
     cfg.seed = args.get_parsed("seed", cfg.seed)?;
     let ds = TweetGenerator::try_new(cfg)?.generate();
     write_dataset(&ds, out_path, as_columnar)?;
-    println!(
+    writeln!(
+        out,
         "wrote {} tweets from {} users to {out_path}",
         ds.n_tweets(),
         ds.n_users()
-    );
+    )?;
     Ok(())
 }
 
@@ -363,29 +366,30 @@ pub(crate) fn generate(args: &Args) -> Result<()> {
 /// funnel line per scale: tweets inside at least one area, and where the
 /// consecutive same-user pairs go. The statistics run under the
 /// `summary` span and each scale's scan under `funnel/<scale>`.
-pub(crate) fn summary(args: &Args) -> Result<()> {
+pub(crate) fn summary(args: &Args, out: &mut Out) -> Result<()> {
     let ds = dataset_arg(args)?;
     let table = {
         let _span = tweetmob_obs::span!("summary");
         DatasetSummary::of(&ds)
     };
-    println!("{table}");
+    writeln!(out, "{table}")?;
     for scale in Scale::ALL {
         let funnel = {
             let _span = tweetmob_obs::span!(&format!("funnel/{}", scale.name().to_lowercase()));
             data_funnel(&ds, &AreaSet::of_scale(scale))
         };
-        println!(
+        writeln!(
+            out,
             "Funnel {} (ε = {} km): {funnel}",
             scale.name(),
             scale.search_radius_km()
-        );
+        )?;
     }
     Ok(())
 }
 
 /// `tweetmob population <dataset> [--scale S] [--radius KM]`
-pub(crate) fn population(args: &Args) -> Result<()> {
+pub(crate) fn population(args: &Args, out: &mut Out) -> Result<()> {
     let scale = scale_arg(args)?;
     let radius = args.get_parsed("radius", scale.search_radius_km())?;
     if !(radius.is_finite() && radius > 0.0) {
@@ -397,24 +401,24 @@ pub(crate) fn population(args: &Args) -> Result<()> {
     let ds = dataset_arg(args)?;
     let exp = Experiment::new(&ds);
     let pop = exp.population_correlation_with_radius(scale, radius)?;
-    println!("{} scale, ε = {radius} km", scale.name());
-    println!("{pop}");
+    writeln!(out, "{} scale, ε = {radius} km", scale.name())?;
+    writeln!(out, "{pop}")?;
     Ok(())
 }
 
 /// `tweetmob mobility <dataset> [--scale S] [--census] [--extended]` —
 /// print the fitted models' report; `fit` is the command that saves them.
-pub(crate) fn mobility(args: &Args) -> Result<()> {
+pub(crate) fn mobility(args: &Args, out: &mut Out) -> Result<()> {
     let ds = dataset_arg(args)?;
     let (report, _) = fit_bundle(args, &ds)?;
-    print!("{report}");
+    write!(out, "{report}")?;
     if args.has("extended") {
         let ablation = deterrence_ablation(&report);
         for e in ablation.evaluations() {
-            println!("  {e}");
+            writeln!(out, "  {e}")?;
         }
         if let Ok((iters, _)) = &ablation.ipf {
-            println!("  (IPF converged in {iters} sweeps)");
+            writeln!(out, "  (IPF converged in {iters} sweeps)")?;
         }
     }
     Ok(())
@@ -425,8 +429,8 @@ pub(crate) fn mobility(args: &Args) -> Result<()> {
 /// mobility experiment and persist the fitted models with their
 /// geometry so later `predict` / `epidemic` / `serve` runs need no
 /// dataset. It is the only command that writes an artifact.
-pub(crate) fn fit(args: &Args) -> Result<()> {
-    let out = args
+pub(crate) fn fit(args: &Args, out: &mut Out) -> Result<()> {
+    let artifact_out = args
         .get("artifact-out")
         .ok_or_else(|| missing("--artifact-out PATH"))?;
     let ds = dataset_arg(args)?;
@@ -435,24 +439,25 @@ pub(crate) fn fit(args: &Args) -> Result<()> {
     {
         let _span = tweetmob_obs::span!("artifact_out");
         bundle
-            .save_file(out)
-            .map_err(|e| format!("cannot write {out}: {e}"))?;
+            .save_file(artifact_out)
+            .map_err(|e| format!("cannot write {artifact_out}: {e}"))?;
     }
-    tweetmob_obs::manifest::record_output(out);
-    print!("{report}");
-    println!(
-        "artifact: {} areas, {} populations, models fitted on {} trips → {out}",
+    tweetmob_obs::manifest::record_output(artifact_out);
+    write!(out, "{report}")?;
+    writeln!(
+        out,
+        "artifact: {} areas, {} populations, models fitted on {} trips → {artifact_out}",
         bundle.len(),
         bundle.meta().population_source,
         report.od_total
-    );
+    )?;
     Ok(())
 }
 
 /// `tweetmob predict --artifact-in PATH --origin NAME [--dest NAME |
 /// --top K] [--model M|all] [--json]` — answer pairwise or top-k flow
 /// queries from a saved artifact, without a dataset or a refit.
-pub(crate) fn predict(args: &Args) -> Result<()> {
+pub(crate) fn predict(args: &Args, out: &mut Out) -> Result<()> {
     let bundle = artifact_in(args)?;
     let model_flag = args.get("model").unwrap_or("all");
     let kinds: Vec<ModelKind> = if model_flag.eq_ignore_ascii_case("all") {
@@ -472,26 +477,36 @@ pub(crate) fn predict(args: &Args) -> Result<()> {
             return Err("--origin and --dest name the same area".into());
         }
         if args.has("json") {
-            println!("{}", predict_json(&bundle, &kinds, origin, dest)?);
+            writeln!(out, "{}", predict_json(&bundle, &kinds, origin, dest)?)?;
         } else {
-            println!(
+            writeln!(
+                out,
                 "{origin_name} → {} ({:.1} km)",
                 bundle.areas()[dest].name,
                 bundle.geometry().distance(origin, dest)
-            );
+            )?;
             for &k in &kinds {
-                println!("  {:<14} {:.3}", k.key(), bundle.predict(k, origin, dest)?);
+                writeln!(
+                    out,
+                    "  {:<14} {:.3}",
+                    k.key(),
+                    bundle.predict(k, origin, dest)?
+                )?;
             }
         }
     } else {
         let k: usize = args.get_parsed("top", 5)?;
         if args.has("json") {
-            println!("{}", top_k_json(&bundle, &kinds, origin, k)?);
+            writeln!(out, "{}", top_k_json(&bundle, &kinds, origin, k)?)?;
         } else {
             for &kind in &kinds {
-                println!("top {k} destinations from {origin_name} ({}):", kind.key());
+                writeln!(
+                    out,
+                    "top {k} destinations from {origin_name} ({}):",
+                    kind.key()
+                )?;
                 for (dest, flow) in bundle.top_k(kind, origin, k)? {
-                    println!("  {:<16} {flow:.3}", bundle.areas()[dest].name);
+                    writeln!(out, "  {:<16} {flow:.3}", bundle.areas()[dest].name)?;
                 }
             }
         }
@@ -502,7 +517,7 @@ pub(crate) fn predict(args: &Args) -> Result<()> {
 /// `tweetmob epidemic --artifact-in PATH [--beta X] [--gamma X]
 /// [--sigma X] [--seed-city NAME] [--days N] [--restrict DAY:FACTOR]
 /// [--immune F]`
-pub(crate) fn epidemic(args: &Args) -> Result<()> {
+pub(crate) fn epidemic(args: &Args, out: &mut Out) -> Result<()> {
     let beta: f64 = args.get_parsed("beta", 0.5)?;
     let gamma: f64 = args.get_parsed("gamma", 0.2)?;
     let days: f64 = args.get_parsed("days", 365.0)?;
@@ -544,15 +559,17 @@ pub(crate) fn epidemic(args: &Args) -> Result<()> {
     }
     let timeline = scenario.run_deterministic(days, 0.25)?;
 
-    println!(
+    writeln!(
+        out,
         "outbreak seeded in {seed_city} (β = {beta}, γ = {gamma}, R0 ≈ {:.1}), gravity γ = {:.2}",
         beta / gamma,
         gravity_gamma
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "{:<16} {:>12} {:>14} {:>14}",
         "city", "arrival(day)", "peak infected", "final size"
-    );
+    )?;
     let mut rows: Vec<(usize, Option<f64>)> = (0..n)
         .map(|p| (p, timeline.arrival_time(p, 100.0)))
         .collect();
@@ -561,13 +578,14 @@ pub(crate) fn epidemic(args: &Args) -> Result<()> {
             .total_cmp(&b.1.unwrap_or(f64::INFINITY))
     });
     for (p, arrival) in rows {
-        println!(
+        writeln!(
+            out,
             "{:<16} {:>12} {:>14.0} {:>14.0}",
             bundle.areas()[p].name,
             arrival.map_or("never".into(), |t| format!("{t:.0}")),
             timeline.peak_infected(p),
             timeline.final_size(p)
-        );
+        )?;
     }
     Ok(())
 }
@@ -578,20 +596,20 @@ pub(crate) fn epidemic(args: &Args) -> Result<()> {
 /// other command; the resolved listen address is printed (and stdout
 /// flushed) before serving starts, so a supervisor binding port `0` can
 /// read where the kernel put us.
-pub(crate) fn serve(args: &Args) -> Result<()> {
+pub(crate) fn serve(args: &Args, out: &mut Out) -> Result<()> {
     let bundle = artifact_in(args)?;
     let bind = args.get("bind").unwrap_or("127.0.0.1:8787");
     let workers = tweetmob_par::resolved_threads();
     let areas = bundle.len();
     let state = tweetmob_serve::AppState::new(std::sync::Arc::new(bundle));
     let handle = tweetmob_serve::serve(bind, state, workers)?;
-    println!(
+    writeln!(
+        out,
         "listening on {} ({areas} areas, {} worker threads)",
         handle.addr(),
         handle.workers()
-    );
-    use std::io::Write as _;
-    std::io::stdout().flush()?;
+    )?;
+    out.flush()?;
     handle.join();
     Ok(())
 }

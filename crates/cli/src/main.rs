@@ -23,11 +23,61 @@
 //!
 //! `fit` is the only command that writes a model artifact; `predict`,
 //! `epidemic` and `serve` read one with `--artifact-in` and never fit.
+//!
+//! Every command writes its standard output through one [`Out`], so a
+//! closed stdout (`tweetmob summary d.twc | head -1`) ends the run
+//! quietly with status 0 instead of a `println!` panic.
+
+#![deny(clippy::print_stdout)]
 
 mod args;
 mod commands;
 
 use args::Args;
+use std::fmt;
+use std::io::{self, BufWriter, StdoutLock, Write as _};
+
+/// A command's standard output: one locked, buffered writer. Its
+/// `write_fmt` and `flush` fail with [`OutputError`], so
+/// `writeln!(out, ..)?` turns a failed write into a typed error where
+/// `println!` would panic.
+pub(crate) struct Out(BufWriter<StdoutLock<'static>>);
+
+impl Out {
+    fn stdout() -> Self {
+        Out(BufWriter::new(io::stdout().lock()))
+    }
+
+    /// Writes formatted text; the target of `write!` and `writeln!`.
+    pub(crate) fn write_fmt(&mut self, args: fmt::Arguments<'_>) -> Result<(), OutputError> {
+        self.0.write_fmt(args).map_err(OutputError)
+    }
+
+    /// Writes out everything buffered so far.
+    pub(crate) fn flush(&mut self) -> Result<(), OutputError> {
+        self.0.flush().map_err(OutputError)
+    }
+}
+
+/// Writing to standard output failed.
+#[derive(Debug)]
+pub(crate) struct OutputError(io::Error);
+
+impl OutputError {
+    /// Whether the reader of stdout has gone away (`| head`): it has
+    /// read all it wanted, so this ends the run without an error.
+    fn is_closed_pipe(&self) -> bool {
+        self.0.kind() == io::ErrorKind::BrokenPipe
+    }
+}
+
+impl fmt::Display for OutputError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "cannot write to stdout: {}", self.0)
+    }
+}
+
+impl std::error::Error for OutputError {}
 
 const USAGE: &str = "\
 tweetmob — multi-scale population and mobility estimation from tweet streams
@@ -103,6 +153,12 @@ fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let code = match run(raw) {
         Ok(()) => 0,
+        Err(e)
+            if e.downcast_ref::<OutputError>()
+                .is_some_and(OutputError::is_closed_pipe) =>
+        {
+            0
+        }
         Err(e) => {
             eprintln!("error: {e}");
             // Only a usage error earns the pointer to the usage text.
@@ -117,7 +173,7 @@ fn main() {
 }
 
 /// A subcommand implementation in `commands`.
-type CommandFn = fn(&Args) -> Result<(), Box<dyn std::error::Error>>;
+type CommandFn = fn(&Args, &mut Out) -> Result<(), Box<dyn std::error::Error>>;
 
 /// A dispatch-table row: the handler, how many positionals the command
 /// reads, its valued flags and its switches.
@@ -129,6 +185,7 @@ type Command = (
 );
 
 fn run(raw: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
+    let mut out = Out::stdout();
     let command = raw.first().cloned().unwrap_or_else(|| "help".into());
     let rest = raw.into_iter().skip(1);
     let (handler, positionals, valued, switches): Command = match command.as_str() {
@@ -163,8 +220,8 @@ fn run(raw: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
         "export" => (commands::export, 2, &[], &[]),
         "provenance" => (commands::provenance, 1, &[], &[]),
         "help" | "--help" | "-h" => {
-            print!("{USAGE}");
-            return Ok(());
+            write!(out, "{USAGE}")?;
+            return Ok(out.flush()?);
         }
         other => return Err(args::ArgError(format!("unknown command {other:?}")).into()),
     };
@@ -179,7 +236,7 @@ fn run(raw: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
         })?;
         tweetmob_par::set_threads_override(Some(n));
     }
-    let result = handler(&args);
+    let result = handler(&args, &mut out).and_then(|()| Ok(out.flush()?));
     // Metrics are emitted even after a failed command — a partial run's
     // counters, spans and manifest are exactly what is needed to debug
     // it, with `run/outcome` recording how the run ended.

@@ -3,7 +3,7 @@
 //! first.
 
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 use tweetmob_obs::Json;
 
 fn bin() -> Command {
@@ -258,6 +258,48 @@ fn epidemic_command_runs_with_restriction() {
     assert!(text.contains("Melbourne"));
     assert!(text.contains("arrival(day)"));
     std::fs::remove_file(&path).ok();
+    std::fs::remove_file(&artifact).ok();
+}
+
+/// A reader that stops reading is not a crash. Each command's stdout is
+/// a pipe whose read end is closed before the command writes a byte, as
+/// `| head -1` leaves it once `head` has its line: the write fails with
+/// a broken pipe, and the command ends quietly with status 0 where a
+/// `println!` would panic and exit 101.
+#[test]
+fn closed_stdout_ends_the_run_quietly() {
+    let data = generated("closed-stdout.twc", &["--users", "2000", "--seed", "5"]);
+    let artifact = fitted(&data, &[]);
+    let (data_arg, artifact_arg) = (data.to_str().unwrap(), artifact.to_str().unwrap());
+    for args in [
+        &["summary", data_arg][..],
+        &["epidemic", "--artifact-in", artifact_arg],
+        &[
+            "predict",
+            "--artifact-in",
+            artifact_arg,
+            "--origin",
+            "Sydney",
+            "--top",
+            "20",
+        ],
+        &["help"],
+    ] {
+        let mut child = bin()
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn tweetmob");
+        drop(child.stdout.take());
+        let out = child.wait_with_output().expect("wait for tweetmob");
+        let err = stderr(&out);
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+        assert_ne!(out.status.code(), Some(101), "{args:?}: {err}");
+        assert!(out.status.success(), "{args:?}: {err}");
+        assert!(err.is_empty(), "{args:?}: {err}");
+    }
+    std::fs::remove_file(&data).ok();
     std::fs::remove_file(&artifact).ok();
 }
 
