@@ -835,6 +835,23 @@ fn writes_into_a_full_device_fail_with_an_io_error() {
     assert_eq!(fit.status.code(), Some(1), "{}", stdout(&fit));
     assert!(stderr(&fit).contains("i/o failure"), "{}", stderr(&fit));
     assert!(!stdout(&fit).contains("artifact:"), "{}", stdout(&fit));
+
+    // A full stdout is a failed write, not a reader that went away.
+    let dev_full = std::fs::OpenOptions::new()
+        .write(true)
+        .open("/dev/full")
+        .unwrap();
+    let help = bin()
+        .arg("help")
+        .stdout(dev_full)
+        .output()
+        .expect("spawn tweetmob");
+    assert_eq!(help.status.code(), Some(1), "{}", stderr(&help));
+    assert!(
+        stderr(&help).contains("error: cannot write to stdout"),
+        "{}",
+        stderr(&help)
+    );
     for path in [twc, tma, data] {
         std::fs::remove_file(path).ok();
     }
