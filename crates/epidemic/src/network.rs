@@ -222,10 +222,9 @@ impl MobilityNetwork {
 }
 
 /// The nonzero off-diagonal migration rates of a network as compressed
-/// rows: row `i` lists `(j, mᵢⱼ)` in ascending `j`. A rate that is zero,
-/// or becomes zero under a restriction, has no edge, so an engine skips
-/// exactly the pairs the dense `i, j` loop would skip, in the same
-/// order.
+/// rows: row `i` lists `(j, mᵢⱼ)` in ascending `j`, and a rate that is
+/// zero, or becomes zero under a restriction, has no edge. The engines'
+/// results depend on that order to the last bit.
 #[derive(Debug, Clone)]
 pub(crate) struct Edges {
     /// Row `i` is `edges[row_start[i]..row_start[i + 1]]`.
