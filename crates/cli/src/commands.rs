@@ -1,7 +1,7 @@
 //! Command implementations.
 
 use crate::args::{ArgError, Args};
-use crate::Out;
+use crate::{stderr, Out};
 use std::fs::File;
 use std::io::{BufRead as _, BufReader, BufWriter};
 use tweetmob_core::{
@@ -228,15 +228,15 @@ pub(crate) fn emit_observability(args: &Args, subcommand: &str, ok: bool) -> Res
         };
         json.push('\n');
         std::fs::write(path, json).map_err(|e| format!("cannot write metrics to {path}: {e}"))?;
-        eprintln!("wrote pipeline metrics to {path}");
+        stderr(format_args!("wrote pipeline metrics to {path}\n"));
     }
     if let Some(path) = args.get(crate::args::TRACE_OUT) {
         std::fs::write(path, registry.to_collapsed_stacks(redact))
             .map_err(|e| format!("cannot write trace to {path}: {e}"))?;
-        eprintln!("wrote collapsed span stacks to {path}");
+        stderr(format_args!("wrote collapsed span stacks to {path}\n"));
     }
     if args.has(crate::args::TRACE) {
-        eprint!("{}", registry.render_trace());
+        stderr(format_args!("{}", registry.render_trace()));
     }
     Ok(())
 }
@@ -267,13 +267,15 @@ pub(crate) fn provenance(args: &Args, out: &mut Out) -> Result<()> {
             Ok((_, hash)) => {
                 let actual = format!("{hash:016x}");
                 if actual == expected {
-                    eprintln!("input {p}: fnv1a64 {actual} verified");
+                    stderr(format_args!("input {p}: fnv1a64 {actual} verified\n"));
                 } else {
-                    eprintln!("input {p}: MISMATCH manifest {expected} != file {actual}");
+                    stderr(format_args!(
+                        "input {p}: MISMATCH manifest {expected} != file {actual}\n"
+                    ));
                     mismatches += 1;
                 }
             }
-            Err(e) => eprintln!("input {p}: not verifiable here ({e})"),
+            Err(e) => stderr(format_args!("input {p}: not verifiable here ({e})\n")),
         }
     }
     if mismatches > 0 {

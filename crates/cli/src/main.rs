@@ -26,9 +26,11 @@
 //!
 //! Every command writes its standard output through one [`Out`], so a
 //! closed stdout (`tweetmob summary d.twc | head -1`) ends the run
-//! quietly with status 0 instead of a `println!` panic.
+//! quietly with status 0 instead of a `println!` panic. Standard error
+//! goes through [`stderr`], which drops what a closed stderr cannot
+//! take where `eprintln!` would panic.
 
-#![deny(clippy::print_stdout)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 
 mod args;
 mod commands;
@@ -78,6 +80,13 @@ impl fmt::Display for OutputError {
 }
 
 impl std::error::Error for OutputError {}
+
+/// Writes a diagnostic to standard error, ignoring a failed write: once
+/// stderr's reader has gone there is nobody left to tell, and the exit
+/// status still reports how the run ended.
+pub(crate) fn stderr(args: fmt::Arguments<'_>) {
+    io::stderr().write_fmt(args).ok();
+}
 
 const USAGE: &str = "\
 tweetmob — multi-scale population and mobility estimation from tweet streams
@@ -160,11 +169,10 @@ fn main() {
             0
         }
         Err(e) => {
-            eprintln!("error: {e}");
+            stderr(format_args!("error: {e}\n"));
             // Only a usage error earns the pointer to the usage text.
             if e.is::<args::ArgError>() {
-                eprintln!();
-                eprintln!("run `tweetmob help` for usage");
+                stderr(format_args!("\nrun `tweetmob help` for usage\n"));
             }
             1
         }

@@ -303,6 +303,30 @@ fn closed_stdout_ends_the_run_quietly() {
     std::fs::remove_file(&artifact).ok();
 }
 
+/// A closed stderr is not a crash either. An error message (an unknown
+/// command) and a `--trace` tree each go to a stderr pipe whose read end
+/// is closed before the command starts writing: the text is lost, and
+/// the command ends with its own status, not a panic's 101.
+#[test]
+fn closed_stderr_is_not_a_panic() {
+    let data = generated("closed-stderr.twc", &["--users", "2000", "--seed", "5"]);
+    for (args, code) in [
+        (&["frobnicate"][..], 1),
+        (&["summary", data.to_str().unwrap(), "--trace"], 0),
+    ] {
+        let mut child = bin()
+            .args(args)
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn tweetmob");
+        drop(child.stderr.take());
+        let status = child.wait().expect("wait for tweetmob");
+        assert_eq!(status.code(), Some(code), "{args:?}");
+    }
+    std::fs::remove_file(&data).ok();
+}
+
 #[test]
 fn export_writes_machine_readable_results() {
     let data = generated("export.jsonl", &["--users", "4000", "--seed", "13"]);

@@ -58,16 +58,16 @@ pub struct AreaSet {
     /// Build-once pairwise centre geometry, shared with every model
     /// consumer (observations, intervening population, epidemic network).
     geometry: Arc<PairGeometry>,
-    /// Per-area precomputed assignment filters for the batch path.
+    /// Per-area precomputed assignment filters for the exact path.
     filters: Vec<AreaFilter>,
-    /// Build-once lat/lon grid that resolves most points of the batch
-    /// path without trigonometry.
+    /// Build-once lat/lon grid that resolves most points without
+    /// trigonometry.
     cells: CellTable,
 }
 
-/// Per-area state precomputed once for [`AreaSet::assign_batch`]: a
-/// conservative degree-space bounding window around the disc of radius
-/// ε, plus the centre's hoisted trigonometry.
+/// Per-area state precomputed once for the exact path of
+/// `AreaSet::slot`: a conservative degree-space bounding window around
+/// the disc of radius ε, plus the centre's hoisted trigonometry.
 ///
 /// A point `p` is in the disc iff `haversine(c, p) ≤ ε`, that is iff
 /// `sin²(Δφ/2) + cos φ_c · cos φ_p · sin²(Δλ/2) ≤ sin²(ε/2R)`. Both
@@ -77,8 +77,8 @@ pub struct AreaSet {
 /// Both half-windows are inflated by 0.1 % to absorb rounding, so a
 /// point outside the window is outside the disc. Survivors run the
 /// exact haversine (via [`TrigPoint`], bit-identical by its contract),
-/// which makes batch assignments decision-identical to
-/// [`AreaSet::assign`]. The window also bounds the area's reach in the
+/// which makes every slot decision-identical to the scalar
+/// `AreaSet::assign`. The window also bounds the area's reach in the
 /// [`CellTable`].
 #[derive(Debug, Clone)]
 struct AreaFilter {
@@ -123,9 +123,8 @@ impl AreaFilter {
 const MAX_CELLS: usize = 1 << 19;
 
 /// Degrees by which every cell is widened on each side when it is
-/// classified, so that the rounding of the `floor()` in
-/// [`CellTable::cell`] cannot carry a point into a cell whose kind does
-/// not hold for it.
+/// classified, so that the rounding of the index in [`CellTable::code`]
+/// cannot carry a point into a cell whose kind does not hold for it.
 const CELL_PAD_DEG: f64 = 1e-9;
 
 /// Kilometres by which every distance bound is widened, absorbing the
@@ -133,14 +132,18 @@ const CELL_PAD_DEG: f64 = 1e-9;
 const BOUND_TOL_KM: f64 = 1e-6;
 
 /// Cell code of an empty cell. Codes `1..MIXED` are interior cells of
-/// area `code - 1`; codes `MIXED..` are mixed cells with candidate list
-/// `code - MIXED`.
+/// area `code - 1`, so an interior code is that area's slot; codes
+/// `MIXED..` are mixed cells with candidate list `code - MIXED`.
 const EMPTY: u16 = 0;
 const MIXED: u16 = 0x8000;
 
 /// A build-once lat/lon grid over the union of the [`AreaFilter`]
-/// windows, padded by one cell, that tells [`AreaSet::assign_batch`]
-/// which areas a point can be within ε of.
+/// windows, padded by two cells, that tells `AreaSet::slot` which
+/// areas a point can be within ε of.
+///
+/// The outer ring of cells is never classified, so it is always empty:
+/// [`CellTable::code`] clamps a point's row and column to the grid, and
+/// a point outside the grid, or a non-finite one, lands in that ring.
 ///
 /// Each cell is one of three kinds:
 /// - *empty*: no disc reaches the cell;
@@ -148,7 +151,7 @@ const MIXED: u16 = 0x8000;
 ///   and no other disc reaches the cell;
 /// - *mixed*: an ascending list of candidate areas for the exact path.
 ///
-/// The classification is conservative, so the batch path stays
+/// The classification is conservative, so every slot stays
 /// decision-identical to the exact one. For a cell with centre `m`,
 /// half-height `h` and half-width `w` (radians, padded by
 /// [`CELL_PAD_DEG`]), a point `p` of the cell is reached from `m` by a
@@ -173,22 +176,19 @@ struct CellTable {
     inv_dlon: f64,
     rows: usize,
     cols: usize,
+    /// `rows - 1` and `cols - 1`, the caps of [`CellTable::code`].
+    last_row: f64,
+    last_col: f64,
     /// One code per cell, row-major from the south-west corner.
     cells: Vec<u16>,
     /// Distinct candidate lists of the mixed cells, each ascending.
     candidates: Vec<Box<[usize]>>,
 }
 
-/// What the [`CellTable`] knows about one point.
-enum Cell<'a> {
-    Empty,
-    Interior(usize),
-    Mixed(&'a [usize]),
-}
-
 impl CellTable {
     /// The table whose one mixed cell lists all `n` areas: with zero
-    /// cells per degree every finite point falls in it.
+    /// cells per degree every point falls in it, and the exact path
+    /// rejects a non-finite one (its haversine is NaN).
     fn single_mixed(n: usize) -> Self {
         Self {
             lat0: 0.0,
@@ -197,6 +197,8 @@ impl CellTable {
             inv_dlon: 0.0,
             rows: 1,
             cols: 1,
+            last_row: 0.0,
+            last_col: 0.0,
             cells: vec![MIXED],
             candidates: vec![(0..n).collect()],
         }
@@ -228,8 +230,8 @@ impl CellTable {
         let mut dlon = dlat / ((lat_lo + lat_hi) / 2.0).to_radians().cos();
         let shape = |dlat: f64, dlon: f64| {
             (
-                ((lat_hi - lat_lo) / dlat).ceil() + 2.0,
-                ((lon_hi - lon_lo) / dlon).ceil() + 2.0,
+                ((lat_hi - lat_lo) / dlat).ceil() + 4.0,
+                ((lon_hi - lon_lo) / dlon).ceil() + 4.0,
             )
         };
         let (mut rows_f, mut cols_f) = shape(dlat, dlon);
@@ -239,20 +241,21 @@ impl CellTable {
             (rows_f, cols_f) = shape(dlat, dlon);
         }
         let (rows, cols) = (rows_f as usize, cols_f as usize);
-        let (lat0, lon0) = (lat_lo - dlat, lon_lo - dlon);
+        let (lat0, lon0) = (lat_lo - 2.0 * dlat, lon_lo - 2.0 * dlon);
         if lat0 <= -90.0 || lat0 + rows as f64 * dlat >= 90.0 {
             return Self::single_mixed(n);
         }
 
         // One packed `cell << 32 | area << 1 | interior` word per
         // (cell, area) pair that survives the lower bound. Each area
-        // visits only the cells of its window, plus one on every side.
+        // visits only the cells of its window, plus one on every side,
+        // and never the outer ring.
         let h_rad = (dlat / 2.0 + CELL_PAD_DEG).to_radians();
         let w_rad = (dlon / 2.0 + CELL_PAD_DEG).to_radians();
         let span = |lo: f64, hi: f64, origin: f64, step: f64, len: usize| {
             let first = ((lo - origin) / step).floor() - 1.0;
             let last = ((hi - origin) / step).floor() + 1.0;
-            (first.max(0.0) as usize)..=(last.min(len as f64 - 1.0) as usize)
+            (first.max(1.0) as usize)..=(last.min(len as f64 - 2.0) as usize)
         };
         let mut hits: Vec<u64> = Vec::new();
         for (i, f) in filters.iter().enumerate() {
@@ -310,30 +313,27 @@ impl CellTable {
             inv_dlon: 1.0 / dlon,
             rows,
             cols,
+            last_row: rows_f - 1.0,
+            last_col: cols_f - 1.0,
             cells,
             candidates,
         }
     }
 
-    /// The cell of point `(lat, lon)`. Points outside the grid, and
-    /// non-finite ones, are in no window and so in no disc.
+    /// The code of the cell holding `(lat, lon)`, with no branch: each
+    /// offset is capped at the last row or column in floating point (a
+    /// NaN offset takes the cap) and then truncated by a saturating cast
+    /// (a negative one becomes 0), so a point outside the grid, and a
+    /// non-finite one, reads the empty outer ring.
     #[inline]
     #[expect(
         clippy::cast_possible_truncation,
-        reason = "both offsets are checked to lie in [0, rows) and [0, cols) first"
+        reason = "float-to-int casts saturate, and both offsets are capped inside the grid"
     )]
-    fn cell(&self, lat: f64, lon: f64) -> Cell<'_> {
-        let r = (lat - self.lat0) * self.inv_dlat;
-        let c = (lon - self.lon0) * self.inv_dlon;
-        if r >= 0.0 && c >= 0.0 && r < self.rows as f64 && c < self.cols as f64 {
-            match self.cells[r as usize * self.cols + c as usize] {
-                EMPTY => Cell::Empty,
-                code if code < MIXED => Cell::Interior(usize::from(code - 1)),
-                code => Cell::Mixed(&self.candidates[usize::from(code - MIXED)]),
-            }
-        } else {
-            Cell::Empty
-        }
+    fn code(&self, lat: f64, lon: f64) -> u16 {
+        let row = ((lat - self.lat0) * self.inv_dlat).min(self.last_row) as u32;
+        let col = ((lon - self.lon0) * self.inv_dlon).min(self.last_col) as u32;
+        self.cells[row as usize * self.cols + col as usize]
     }
 }
 
@@ -459,7 +459,7 @@ impl AreaSet {
 
     /// Assigns a point to the nearest area whose centre is within ε
     /// (`haversine_km ≤ ε`), or `None` when no area covers it: the scalar
-    /// reference [`AreaSet::assign_batch`] is checked against.
+    /// reference `AreaSet::slot` is checked against.
     #[cfg(test)]
     pub(crate) fn assign(&self, p: Point) -> Option<usize> {
         let mut best: Option<(usize, f64)> = None;
@@ -472,67 +472,43 @@ impl AreaSet {
         best.map(|(i, _)| i)
     }
 
-    /// Assigns a whole coordinate-column slice at once, appending one
-    /// code per point to `out`: the assigned area index, or `-1` when no
-    /// area covers the point. Also calls `covered(k, area)` for every
-    /// area whose centre lies within ε of point `k` (an index into the
-    /// columns), not just the nearest one: discs overlap wherever two
-    /// centres are less than 2ε apart (Sydney and Wollongong at national
-    /// scale), and population counting needs all of them. The calls for
-    /// one point come in ascending area order.
-    ///
-    /// A point is within ε of an area iff `haversine_km(centre, p) ≤ ε`;
-    /// this is the only membership rule. One lookup in a build-once
-    /// lat/lon cell table settles the points of empty and interior cells
-    /// with no trigonometry, and only points in mixed cells run the
-    /// degree window and the exact haversine, over the cell's candidate
-    /// areas alone.
-    ///
-    /// # Panics
-    ///
-    /// If the columns have different lengths.
-    pub fn assign_batch(
-        &self,
-        lats: &[f64],
-        lons: &[f64],
-        out: &mut Vec<i32>,
-        mut covered: impl FnMut(usize, usize),
-    ) {
-        assert_eq!(
-            lats.len(),
-            lons.len(),
-            "coordinate columns must be parallel"
-        );
-        out.reserve(lats.len());
-        for (k, (&lat, &lon)) in lats.iter().zip(lons.iter()).enumerate() {
-            let best = match self.cells.cell(lat, lon) {
-                Cell::Empty => None,
-                Cell::Interior(i) => {
-                    covered(k, i);
-                    Some(i)
-                }
-                Cell::Mixed(candidates) => self.assign_exact(k, lat, lon, candidates, &mut covered),
-            };
-            #[expect(
-                clippy::cast_possible_truncation,
-                reason = "an area index is below the area count, a few dozen at most"
-            )]
-            out.push(best.map_or(-1, |i| i as i32));
-        }
+    /// `u64` words in a covered-slot bitset: one bit per slot `0..=n`.
+    pub(crate) fn slot_words(&self) -> usize {
+        (self.len() + 1).div_ceil(64)
     }
 
-    /// The exact path for point `k` over `candidates`: the nearest area
-    /// within ε, calling `covered(k, i)` for every candidate within ε.
-    /// The haversine comparison is the same float expression as the
-    /// scalar `assign`.
-    fn assign_exact(
-        &self,
-        k: usize,
-        lat: f64,
-        lon: f64,
-        candidates: &[usize],
-        covered: &mut impl FnMut(usize, usize),
-    ) -> Option<usize> {
+    /// The *slot* of point `(lat, lon)`: `a + 1` for the nearest area
+    /// `a` within ε, `0` when no area covers it. Sets the bit of the
+    /// returned slot in `covered` (a [`AreaSet::slot_words`]-word
+    /// bitset), and the bit of every other area within ε of the point:
+    /// discs overlap wherever two centres are less than 2ε apart
+    /// (Sydney and Wollongong at national scale), and population
+    /// counting needs all of them.
+    ///
+    /// A point is within ε of an area iff `haversine_km(centre, p) ≤ ε`;
+    /// this is the only membership rule. One load from the build-once
+    /// cell table settles the points of empty and interior cells, whose
+    /// code is the slot itself, with no trigonometry. Only points in
+    /// mixed cells run the degree window and the exact haversine, over
+    /// the cell's candidate areas alone.
+    #[inline]
+    pub(crate) fn slot(&self, lat: f64, lon: f64, covered: &mut [u64]) -> usize {
+        let code = self.cells.code(lat, lon);
+        let slot = if code < MIXED {
+            usize::from(code)
+        } else {
+            let candidates = &self.cells.candidates[usize::from(code - MIXED)];
+            self.assign_exact(lat, lon, candidates, covered)
+        };
+        covered[slot >> 6] |= 1 << (slot & 63);
+        slot
+    }
+
+    /// The exact path over `candidates`: the slot of the nearest area
+    /// within ε (`0` for none), setting the bit of every candidate
+    /// within ε in `covered`. The haversine comparison is the same float
+    /// expression as the scalar `assign`.
+    fn assign_exact(&self, lat: f64, lon: f64, candidates: &[usize], covered: &mut [u64]) -> usize {
         let mut best: Option<(usize, f64)> = None;
         let mut point_trig: Option<TrigPoint> = None;
         let p = Point::new_unchecked(lat, lon);
@@ -548,13 +524,14 @@ impl AreaSet {
             let pt = *point_trig.get_or_insert_with(|| TrigPoint::new(p));
             let d = f.trig.distance_km(&pt);
             if d <= self.radius_km {
-                covered(k, i);
+                let slot = i + 1;
+                covered[slot >> 6] |= 1 << (slot & 63);
                 if best.is_none_or(|(_, bd)| d < bd) {
-                    best = Some((i, d));
+                    best = Some((slot, d));
                 }
             }
         }
-        best.map(|(i, _)| i)
+        best.map_or(0, |(slot, _)| slot)
     }
 
     /// Census populations as `f64`, aligned with [`AreaSet::areas`].
@@ -569,7 +546,7 @@ impl AreaSet {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -683,10 +660,30 @@ mod tests {
         AreaSet::new(Scale::National.areas().to_vec(), f64::INFINITY);
     }
 
+    /// Runs every point through `AreaSet::slot`, each with a fresh
+    /// bitset: its nearest area and every area whose bit it set,
+    /// ascending.
+    fn classify(set: &AreaSet, lats: &[f64], lons: &[f64]) -> Vec<(Option<usize>, Vec<usize>)> {
+        let mut covered = vec![0; set.slot_words()];
+        lats.iter()
+            .zip(lons)
+            .map(|(&lat, &lon)| {
+                covered.fill(0);
+                let slot = set.slot(lat, lon, &mut covered);
+                assert_eq!(covered[slot >> 6] >> (slot & 63) & 1, 1, "slot {slot} bit");
+                let areas = (1..=set.len())
+                    .filter(|&s| covered[s >> 6] >> (s & 63) & 1 == 1)
+                    .map(|s| s - 1)
+                    .collect();
+                (slot.checked_sub(1), areas)
+            })
+            .collect()
+    }
+
     #[test]
-    fn batch_assign_matches_scalar_everywhere() {
+    fn slots_match_scalar_everywhere() {
         // A coarse sweep over the whole continent at every scale: the
-        // batch path must make the identical decision for every point,
+        // slot must make the identical decision for every point,
         // including boundary points far outside any window.
         for scale in Scale::ALL {
             let set = AreaSet::of_scale(scale);
@@ -709,48 +706,30 @@ mod tests {
                     lons.push(a.center.lon - off);
                 }
             }
-            let mut codes = Vec::new();
-            set.assign_batch(&lats, &lons, &mut codes, |_, _| {});
-            assert_eq!(codes.len(), lats.len());
-            for k in 0..lats.len() {
+            for (k, (nearest, _)) in classify(&set, &lats, &lons).into_iter().enumerate() {
                 let p = Point::new_unchecked(lats[k], lons[k]);
-                let batch = usize::try_from(codes[k]).ok();
-                assert_eq!(batch, set.assign(p), "{scale:?} point {p:?}");
+                assert_eq!(nearest, set.assign(p), "{scale:?} point {p:?}");
             }
         }
     }
 
-    /// Checks `assign_batch` against brute force: every code against the
-    /// scalar `assign`, and the whole `covered` sequence against a
-    /// `haversine_km ≤ ε` loop over every area.
+    /// Checks `AreaSet::slot` against brute force, point by point: the
+    /// nearest area against the scalar `assign`, and the set bits against
+    /// a `haversine_km ≤ ε` loop over every area.
     /// Returns how many points two or more discs cover.
-    fn assert_batch_matches_brute_force(set: &AreaSet, lats: &[f64], lons: &[f64]) -> usize {
-        let mut codes = Vec::new();
-        let mut got = Vec::new();
-        set.assign_batch(lats, lons, &mut codes, |k, a| got.push((k, a)));
-        let mut want = Vec::new();
+    fn assert_slots_match_brute_force(set: &AreaSet, lats: &[f64], lons: &[f64]) -> usize {
         let mut overlapped = 0;
-        for k in 0..lats.len() {
+        for (k, (nearest, got)) in classify(set, lats, lons).into_iter().enumerate() {
             let p = Point::new_unchecked(lats[k], lons[k]);
-            let before = want.len();
-            for (i, a) in set.areas().iter().enumerate() {
-                if tweetmob_geo::haversine_km(a.center, p) <= set.radius_km() {
-                    want.push((k, i));
-                }
-            }
-            overlapped += usize::from(want.len() - before > 1);
-            let batch = usize::try_from(codes[k]).ok();
-            assert_eq!(batch, set.assign(p), "ε {} point {p:?}", set.radius_km());
+            let want: Vec<usize> = (0..set.len())
+                .filter(|&i| {
+                    tweetmob_geo::haversine_km(set.areas()[i].center, p) <= set.radius_km()
+                })
+                .collect();
+            overlapped += usize::from(want.len() > 1);
+            assert_eq!(got, want, "ε {} point {k} {p:?}", set.radius_km());
+            assert_eq!(nearest, set.assign(p), "ε {} point {p:?}", set.radius_km());
         }
-        if let Some(at) = got.iter().zip(&want).position(|(g, w)| g != w) {
-            panic!(
-                "ε {}: covered call {at} is {:?}, brute force {:?}",
-                set.radius_km(),
-                got[at],
-                want[at]
-            );
-        }
-        assert_eq!(got.len(), want.len(), "ε {}", set.radius_km());
         overlapped
     }
 
@@ -759,7 +738,7 @@ mod tests {
     /// rings at 0.97–1.03 ε (and exactly ε) around every centre, points
     /// in every overlap lens, points within 1.5 ε of every centre, and
     /// uniform points over the continent.
-    fn table_probe_points(set: &AreaSet, seed: u64) -> (Vec<f64>, Vec<f64>) {
+    pub(crate) fn table_probe_points(set: &AreaSet, seed: u64) -> (Vec<f64>, Vec<f64>) {
         let t = &set.cells;
         let mut rng = tweetmob_stats::rng::SplitMix64::new(seed);
         let (mut lats, mut lons) = (Vec::new(), Vec::new());
@@ -860,7 +839,7 @@ mod tests {
                 "{scale:?} ε {eps}: no mixed cell: {t:?}"
             );
             let (lats, lons) = table_probe_points(&set, seed);
-            let overlapped = assert_batch_matches_brute_force(&set, &lats, &lons);
+            let overlapped = assert_slots_match_brute_force(&set, &lats, &lons);
             if scale == Scale::National && eps == 50.0 {
                 // The Sydney/Wollongong lens (centres ~68 km apart).
                 assert!(overlapped > 100, "{overlapped} lens points");
@@ -887,8 +866,9 @@ mod tests {
         assert_eq!((t.rows, t.cols, t.cells.as_slice()), (1, 1, &[MIXED][..]));
         assert_eq!(t.candidates, vec![Box::from([0, 1, 2])]);
         let (lats, lons) = table_probe_points(&set, 99);
-        assert_batch_matches_brute_force(&set, &lats, &lons);
-        // Non-finite coordinates are in no disc on either path.
+        assert_slots_match_brute_force(&set, &lats, &lons);
+        // Non-finite coordinates are in no disc, through the empty ring of
+        // a grid and through the exact path of a single mixed cell.
         for set in [set, AreaSet::of_scale(Scale::National)] {
             let odd = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
             let (mut lats, mut lons) = (Vec::new(), Vec::new());
@@ -898,12 +878,37 @@ mod tests {
                     lons.push(lon);
                 }
             }
-            let mut codes = Vec::new();
-            set.assign_batch(&lats, &lons, &mut codes, |k, a| {
-                panic!("point {k} in area {a}")
-            });
-            assert!(codes.iter().all(|&c| c == -1), "{codes:?}");
+            let slots = classify(&set, &lats, &lons);
+            assert!(slots.iter().all(|s| *s == (None, Vec::new())), "{slots:?}");
         }
+    }
+
+    #[test]
+    fn points_outside_the_grid_read_the_empty_ring() {
+        let set = AreaSet::of_scale(Scale::National);
+        let t = &set.cells;
+        let ring = (0..t.rows * t.cols).filter(|c| {
+            [0, t.rows - 1].contains(&(c / t.cols)) || [0, t.cols - 1].contains(&(c % t.cols))
+        });
+        assert!(ring.clone().all(|c| t.cells[c] == EMPTY), "{t:?}");
+        let (lat_hi, lon_hi) = (
+            t.lat0 + t.rows as f64 / t.inv_dlat,
+            t.lon0 + t.cols as f64 / t.inv_dlon,
+        );
+        for (lat, lon) in [
+            (t.lat0 - 1.0, -33.8688),
+            (-33.8688, t.lon0 - 1e-9),
+            (lat_hi, 151.2093),
+            (-33.8688, lon_hi + 50.0),
+            (-90.0, -180.0),
+            (90.0, 180.0),
+            (f64::MAX, f64::MIN),
+        ] {
+            assert_eq!(t.code(lat, lon), EMPTY, "({lat}, {lon})");
+        }
+        // Sydney's centre is interior: its code is its slot.
+        let sydney = set.areas()[0].center;
+        assert_eq!(t.code(sydney.lat, sydney.lon), 1);
     }
 
     #[test]
@@ -917,12 +922,15 @@ mod tests {
             vec![fiji("Suva", -18.14, 178.44), fiji("Rabi", -16.8, 179.98)],
             50.0,
         );
+        let t = &set.cells;
+        assert_eq!((t.rows, t.cols, t.cells.as_slice()), (1, 1, &[MIXED][..]));
         let (lats, lons) = table_probe_points(&set, 7);
-        assert_batch_matches_brute_force(&set, &lats, &lons);
+        assert_slots_match_brute_force(&set, &lats, &lons);
         // 13 km east of Rabi's centre, on the other side of ±180°.
-        let mut codes = Vec::new();
-        set.assign_batch(&[-16.8], &[-179.9], &mut codes, |_, _| {});
-        assert_eq!(codes, vec![1]);
+        assert_eq!(
+            classify(&set, &[-16.8], &[-179.9]),
+            vec![(Some(1), vec![1])]
+        );
     }
 
     #[test]
@@ -937,28 +945,42 @@ mod tests {
     }
 
     #[test]
-    fn batch_assign_appends_without_clearing() {
-        let set = AreaSet::of_scale(Scale::National);
-        let mut codes = vec![7];
-        set.assign_batch(&[-33.8688], &[151.2093], &mut codes, |_, _| {});
-        assert_eq!(codes, vec![7, 0]);
-    }
-
-    #[test]
-    fn batch_assign_matches_scalar_on_random_points() {
+    fn slots_match_scalar_on_random_points() {
         let set = AreaSet::of_scale(Scale::State);
         for seed in 0..48 {
             let mut rng = tweetmob_stats::rng::SplitMix64::new(seed);
             let n = rng.next_below(80);
             let lats: Vec<f64> = (0..n).map(|_| rng.range_f64(-55.0, -8.0)).collect();
             let lons: Vec<f64> = (0..n).map(|_| rng.range_f64(110.0, 160.0)).collect();
-            let mut codes = Vec::new();
-            set.assign_batch(&lats, &lons, &mut codes, |_, _| {});
-            for k in 0..n {
-                let batch = usize::try_from(codes[k]).ok();
+            for (k, (nearest, _)) in classify(&set, &lats, &lons).into_iter().enumerate() {
                 let scalar = set.assign(Point::new_unchecked(lats[k], lons[k]));
-                assert_eq!(batch, scalar, "seed {seed}, point {k}");
+                assert_eq!(nearest, scalar, "seed {seed}, point {k}");
             }
+        }
+    }
+
+    #[test]
+    fn random_area_sets_match_brute_force() {
+        // Up to 90 areas, so the covered bitset spans one or two words,
+        // and radii from 10 m to 2,000 km, so discs range from isolated
+        // to all overlapping.
+        for seed in 0..64 {
+            let mut rng = tweetmob_stats::rng::SplitMix64::new(seed);
+            let areas: Vec<Area> = (0..1 + rng.next_below(90))
+                .map(|_| Area {
+                    name: "area",
+                    center: Point::new_unchecked(
+                        rng.range_f64(-44.0, -10.0),
+                        rng.range_f64(113.0, 154.0),
+                    ),
+                    population: 1,
+                })
+                .collect();
+            let set = AreaSet::new(areas, rng.range_f64(0.01, 2_000.0));
+            let n = 1 + rng.next_below(200);
+            let lats: Vec<f64> = (0..n).map(|_| rng.range_f64(-46.0, -8.0)).collect();
+            let lons: Vec<f64> = (0..n).map(|_| rng.range_f64(110.0, 156.0)).collect();
+            assert_slots_match_brute_force(&set, &lats, &lons);
         }
     }
 

@@ -37,9 +37,18 @@ impl OdMatrix {
     /// is not a trip).
     #[inline]
     pub fn record(&mut self, origin: usize, dest: usize) {
+        self.add(origin, dest, 1);
+    }
+
+    /// Records `count` trips of one directed pair.
+    ///
+    /// # Panics
+    ///
+    /// As [`OdMatrix::record`].
+    pub(crate) fn add(&mut self, origin: usize, dest: usize, count: u64) {
         assert!(origin < self.n && dest < self.n, "area index out of range");
         assert_ne!(origin, dest, "diagonal entries are not trips");
-        self.counts[origin * self.n + dest] += 1;
+        self.counts[origin * self.n + dest] += count;
     }
 
     /// Trip count of a directed pair.

@@ -212,7 +212,7 @@ pub(crate) fn pool_population(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::areaset::Scale;
     use tweetmob_data::{Timestamp, Tweet, UserId};
@@ -360,7 +360,7 @@ mod tests {
     /// Brute-force oracle for the per-area distinct-user counts: every
     /// tweet × every area, `haversine_km(center, p) <= ε`. No degree
     /// window, no cell table and no spatial index.
-    fn population_reference(ds: &TweetDataset, areas: &AreaSet) -> Vec<u64> {
+    pub(crate) fn population_reference(ds: &TweetDataset, areas: &AreaSet) -> Vec<u64> {
         let mut counts = vec![0u64; areas.len()];
         for view in ds.iter_users() {
             for (a, count) in counts.iter_mut().enumerate() {

@@ -15,13 +15,13 @@ use tweetmob_data::TweetDataset;
 /// publishes the run's data funnel (`trips/*` counters).
 ///
 /// This is the shared population-and-trips scan: users are sharded by
-/// index range over the dataset's CSR user offsets and each user's
-/// coordinate columns go through [`AreaSet::assign_batch`] in one call.
+/// index range over the dataset's CSR user offsets and each tweet is
+/// resolved to its nearest area through the area set's cell table.
 /// The result is identical at every thread count because each trip
 /// increments an independent integer cell count and the funnel tallies
 /// are commutative sums, and identical to a serial row-struct walk over
-/// the scalar, test-only `AreaSet::assign` reference because the batch
-/// assignment is decision-identical to it.
+/// the scalar, test-only `AreaSet::assign` reference because the table
+/// lookup is decision-identical to it.
 pub fn extract_trips(dataset: &TweetDataset, areas: &AreaSet) -> OdMatrix {
     trips_scan(dataset, areas).od
 }
@@ -36,7 +36,7 @@ pub(crate) fn trips_scan(dataset: &TweetDataset, areas: &AreaSet) -> AreaScan {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::areaset::Scale;
     use crate::scan::DataFunnel;
@@ -44,20 +44,23 @@ mod tests {
     use tweetmob_geo::Point;
     use tweetmob_synth::{GeneratorConfig, TweetGenerator};
 
-    /// Serial row-struct reference for [`extract_trips`]: per-point scalar
-    /// assignment, one user at a time. The batch path must produce a
-    /// byte-identical matrix.
-    fn extract_trips_reference(dataset: &TweetDataset, areas: &AreaSet) -> OdMatrix {
+    /// Serial row-struct reference for [`extract_trips`] and the data
+    /// funnel: per-point scalar assignment, one user at a time. The scan
+    /// must produce a byte-identical matrix and the same funnel.
+    pub(crate) fn extract_trips_reference(
+        dataset: &TweetDataset,
+        areas: &AreaSet,
+    ) -> (OdMatrix, DataFunnel) {
         let mut od = OdMatrix::new(areas.len());
         let mut funnel = DataFunnel::default();
         for view in dataset.iter_users() {
             extract_user(&view, areas, &mut od, &mut funnel);
         }
-        od
+        (od, funnel)
     }
 
     /// Extracts one user's trips into `od` through the scalar assignment
-    /// path, tallying every consecutive pair in `funnel`.
+    /// path, tallying every tweet and every consecutive pair in `funnel`.
     fn extract_user(
         view: &UserTweets<'_>,
         areas: &AreaSet,
@@ -68,6 +71,8 @@ mod tests {
         let mut seen_any = false;
         for p in view.iter_points() {
             let cur = areas.assign(p);
+            funnel.tweets += 1;
+            funnel.tweets_in_area += u64::from(cur.is_some());
             if seen_any {
                 match (prev, cur) {
                     (Some(a), Some(b)) if a != b => {
@@ -207,7 +212,7 @@ mod tests {
             extract_user(&view, &areas, &mut serial, &mut funnel);
         }
         assert_eq!(parallel, serial);
-        assert_eq!(parallel, extract_trips_reference(&ds, &areas));
+        assert_eq!(parallel, extract_trips_reference(&ds, &areas).0);
     }
 
     #[test]
@@ -225,7 +230,7 @@ mod tests {
         let one = tweetmob_par::with_threads(1, || extract_trips(&ds, &areas));
         let eight = tweetmob_par::with_threads(8, || extract_trips(&ds, &areas));
         assert_eq!(one, eight);
-        assert_eq!(one, extract_trips_reference(&ds, &areas));
+        assert_eq!(one, extract_trips_reference(&ds, &areas).0);
     }
 
     #[test]
@@ -235,7 +240,7 @@ mod tests {
         let ds = TweetGenerator::new(GeneratorConfig::small()).generate();
         for scale in Scale::ALL {
             let areas = AreaSet::of_scale(scale);
-            let reference = extract_trips_reference(&ds, &areas);
+            let (reference, _) = extract_trips_reference(&ds, &areas);
             assert!(reference.total() > 0, "{scale:?} corpus has trips");
             for threads in [1, 8] {
                 let od = tweetmob_par::with_threads(threads, || extract_trips(&ds, &areas));

@@ -6,8 +6,11 @@
 //! Loading streams: a fixed-size header validation, then a straight
 //! little-endian decode of each section into its column through one
 //! reused ~1 MiB buffer — no per-record branch, no `Point` construction,
-//! no re-sort, and no second image of the file. At the paper's 6.3 M
-//! tweets a load holds the ~160 MB of columns plus that one buffer.
+//! no re-sort, and no second image of the file. Each decoded chunk is
+//! checked against the dataset's invariants while it is still in cache,
+//! so the columns are never scanned a second time. At the paper's
+//! 6.3 M tweets a load holds the ~160 MB of columns plus that one
+//! buffer.
 //!
 //! Layout (all integers little-endian):
 //!
@@ -27,12 +30,16 @@
 //! The file length is fully determined by the header, so a body that
 //! ends early or runs past it is a format error. Columns grow from the
 //! bytes actually read, so a header that overstates its body costs no
-//! more memory than the body itself. The sort invariant is *verified*
-//! on load (cheap columnwise scans via
-//! [`TweetDataset::from_sorted_columns`]), never re-established — an
-//! unsorted file is a format error, not a dataset to fix up.
+//! more memory than the body itself. The sort and range invariants of
+//! [`TweetDataset::from_sorted_columns`] are *verified* on load, never
+//! re-established — an unsorted file is a format error, not a dataset
+//! to fix up. The same checker serves both, fed one chunk at a time
+//! here, and it reports the same first fault. The layout is settled
+//! first: a body shorter or longer than the header declares is a
+//! section-layout error even when its bytes also break an invariant.
 
 use crate::dataset::TweetDataset;
+use crate::invariants::ColumnCheck;
 use crate::io::IoError;
 use crate::time::Timestamp;
 use crate::tweet::UserId;
@@ -94,10 +101,12 @@ fn write_column<W: Write, const N: usize>(
 
 /// Reads a columnar dataset written by [`write_columnar`], streaming:
 /// the 24-byte header is validated first, then each section is decoded
-/// straight into its column through one reused 1 MiB buffer, and a
-/// final one-byte read must find the end of the stream. Columns grow
-/// from the bytes actually read, never from the header's counts, so a
-/// header that overstates its body fails on the first short read.
+/// straight into its column through one reused 1 MiB buffer and checked
+/// chunk by chunk, and a final one-byte read must find the end of the
+/// stream. Columns grow from the bytes actually read, never from the
+/// header's counts, so a header that overstates its body fails on the
+/// first short read. An invariant fault is reported only once the
+/// layout has been found sound.
 ///
 /// # Errors
 ///
@@ -139,14 +148,21 @@ pub fn read_columnar<R: Read>(mut r: R) -> Result<TweetDataset, IoError> {
         at: HEADER_BYTES as u64,
         expected: HEADER_BYTES as u64 + 4 * u + 4 * (u + 1) + 3 * 8 * n,
     };
-    let unique_users = body.column(u, |b| UserId(u32::from_le_bytes(b)))?;
-    let user_starts = body.column(u + 1, u32::from_le_bytes)?;
-    let times = body.column(n, |b| Timestamp::from_secs(i64::from_le_bytes(b)))?;
-    let lats = body.column(n, f64::from_le_bytes)?;
-    let lons = body.column(n, f64::from_le_bytes)?;
+    // Both counts are at most MAX_RECORDS, well inside usize.
+    let (users, rows) = (u as usize, n as usize);
+    let mut check = ColumnCheck::new(users, users + 1, rows, rows, rows);
+    let unique_users = body.column(u, |b| UserId(u32::from_le_bytes(b)), |c| check.users(c))?;
+    let user_starts = body.column(u + 1, u32::from_le_bytes, |c| check.offsets(c))?;
+    let times = body.column(
+        n,
+        |b| Timestamp::from_secs(i64::from_le_bytes(b)),
+        |c| check.times(c, &user_starts),
+    )?;
+    let lats = body.column(n, f64::from_le_bytes, |c| check.lats(c))?;
+    let lons = body.column(n, f64::from_le_bytes, |c| check.lons(c))?;
     body.end()?;
-    let ds = TweetDataset::from_sorted_columns(unique_users, user_starts, times, lats, lons)
-        .map_err(format_error)?;
+    check.finish(&unique_users).map_err(format_error)?;
+    let ds = TweetDataset::from_checked_columns(unique_users, user_starts, times, lats, lons);
     tweetmob_obs::counter!("data/tweets_read").add(ds.n_tweets() as u64);
     Ok(ds)
 }
@@ -185,12 +201,14 @@ struct Sections<R> {
 
 impl<R: Read> Sections<R> {
     /// Decodes the next `count` fixed-width values into a column, one
-    /// full chunk at a time. A chunk is decoded only once every byte of
-    /// it has arrived, so a short body allocates nothing for its tail.
+    /// full chunk at a time, handing each decoded chunk to `check`. A
+    /// chunk is decoded only once every byte of it has arrived, so a
+    /// short body allocates nothing for its tail.
     fn column<T, const N: usize>(
         &mut self,
         count: u64,
         decode: impl Fn([u8; N]) -> T,
+        mut check: impl FnMut(&[T]),
     ) -> Result<Vec<T>, IoError> {
         let mut out = Vec::new();
         // count ≤ MAX_RECORDS + 1 and N ≤ 8, so this cannot overflow.
@@ -206,7 +224,9 @@ impl<R: Read> Sections<R> {
                     self.at, self.expected
                 )));
             }
+            let start = out.len();
             out.extend(chunk.chunks_exact(N).map(|c| decode(le(c))));
+            check(&out[start..]);
             left -= want as u64;
         }
         Ok(out)
@@ -533,6 +553,87 @@ mod tests {
                     assert!(message.contains("layout"), "{users} users: {message}");
                 }
                 other => panic!("{users} users: expected layout error, got {other:?}"),
+            }
+        }
+    }
+
+    /// Rows in one chunk of an 8-byte column.
+    const ROWS_PER_CHUNK: usize = CHUNK_BYTES / 8;
+
+    /// The encoding of `ROWS_PER_CHUNK + 4,000` rows, so each 8-byte
+    /// column spans two chunks: user 10 owns rows `0..split` and users
+    /// 11, 12, … own 100 rows each after it. Times rise by one second per
+    /// row.
+    fn two_chunk_corpus(split: usize) -> (Vec<u8>, usize, usize) {
+        let rows = ROWS_PER_CHUNK + 4_000;
+        let mut offsets: Vec<u32> = vec![0];
+        offsets.extend((split..rows).step_by(100).map(|r| r as u32));
+        offsets.push(rows as u32);
+        let users: Vec<UserId> = (10..).take(offsets.len() - 1).map(UserId).collect();
+        let ds = TweetDataset::from_sorted_columns(
+            users,
+            offsets,
+            (0..rows as i64).map(Timestamp::from_secs).collect(),
+            vec![-33.0; rows],
+            vec![151.0; rows],
+        )
+        .unwrap();
+        let times_at = HEADER_BYTES + 4 * ds.n_users() + 4 * (ds.n_users() + 1);
+        (encode(&ds), times_at, rows)
+    }
+
+    #[test]
+    fn faults_across_the_chunk_boundary() {
+        // A decrease inside user 10 whose two rows straddle the boundary
+        // between the first and second chunk of the times section.
+        let (mut buf, times_at, _) = two_chunk_corpus(ROWS_PER_CHUNK + 50);
+        let at = times_at + 8 * ROWS_PER_CHUNK;
+        buf[at..at + 8].copy_from_slice(&0i64.to_le_bytes());
+        match decode_columnar(&buf) {
+            Err(IoError::Format { message, .. }) => assert_eq!(
+                message,
+                "unsorted input: timestamps of user 10 are not non-decreasing"
+            ),
+            other => panic!("expected time-order rejection, got {other:?}"),
+        }
+        // The same decrease where user 11 starts is a new user's first
+        // tweet, not a fault.
+        let (mut buf, times_at, rows) = two_chunk_corpus(ROWS_PER_CHUNK);
+        let at = times_at + 8 * ROWS_PER_CHUNK;
+        buf[at..at + 8].copy_from_slice(&0i64.to_le_bytes());
+        let ds = decode_columnar(&buf).unwrap();
+        assert_eq!(ds.n_tweets(), rows);
+        assert_eq!(encode(&ds), buf);
+        // An out-of-range longitude on the last row, in the last chunk.
+        let (mut buf, _, rows) = two_chunk_corpus(ROWS_PER_CHUNK + 50);
+        let at = buf.len() - 8;
+        buf[at..].copy_from_slice(&180.5f64.to_le_bytes());
+        match decode_columnar(&buf) {
+            Err(IoError::Format { message, .. }) => {
+                assert_eq!(
+                    message,
+                    format!("row {}: invalid longitude 180.5", rows - 1)
+                );
+            }
+            other => panic!("expected longitude rejection, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_layout_fault_outranks_an_invariant_fault() {
+        // Unsorted user ids, and a body one byte short or long: the
+        // layout error is reported, not the invariant the bytes break.
+        let mut buf = encode(&sample());
+        buf[HEADER_BYTES..HEADER_BYTES + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(
+            matches!(decode_columnar(&buf), Err(IoError::Format { message, .. }) if message.contains("unsorted"))
+        );
+        for body in [&buf[..buf.len() - 1], &[&buf[..], &[0]].concat()[..]] {
+            match read_columnar(dribble(body)) {
+                Err(IoError::Format { message, .. }) => {
+                    assert!(message.starts_with("section layout"), "{message}");
+                }
+                other => panic!("expected layout error, got {other:?}"),
             }
         }
     }

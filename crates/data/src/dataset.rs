@@ -1,5 +1,6 @@
 //! Columnar tweet storage sorted by `(user, time)`.
 
+use crate::invariants::ColumnCheck;
 use crate::time::Timestamp;
 use crate::tweet::{Tweet, UserId};
 use std::collections::BTreeSet;
@@ -108,7 +109,8 @@ impl TweetDataset {
     ///
     /// The caller asserts the `(user, time)` sort invariant; this
     /// constructor *verifies* it with cheap columnwise scans instead of
-    /// re-sorting:
+    /// re-sorting, through the same checker the `TWC0` reader feeds one
+    /// decoded chunk at a time:
     ///
     /// * all value columns the same length, at most `u32::MAX` rows;
     /// * `user_starts` is a valid CSR over the rows: starts at 0, ends at
@@ -131,70 +133,43 @@ impl TweetDataset {
         lats: Vec<f64>,
         lons: Vec<f64>,
     ) -> Result<Self, String> {
-        let n = times.len();
-        if lats.len() != n || lons.len() != n {
-            return Err(format!(
-                "column length mismatch: {n} times, {} lats, {} lons",
-                lats.len(),
-                lons.len()
-            ));
-        }
-        if n > u32::MAX as usize {
-            return Err(format!("row count {n} exceeds the u32 offset space"));
-        }
-        if user_starts.len() != unique_users.len() + 1 {
-            return Err(format!(
-                "user index shape: {} users need {} offsets, found {}",
-                unique_users.len(),
-                unique_users.len() + 1,
-                user_starts.len()
-            ));
-        }
-        if user_starts.first() != Some(&0) {
-            return Err("user offsets must start at 0".to_string());
-        }
-        if *user_starts.last().unwrap_or(&0) as usize != n {
-            return Err(format!(
-                "user offsets must end at the row count {n}, found {}",
-                user_starts.last().copied().unwrap_or(0)
-            ));
-        }
-        if user_starts.windows(2).any(|w| w[0] >= w[1]) {
-            return Err("user offsets must be strictly increasing (no empty users)".to_string());
-        }
-        if unique_users.windows(2).any(|w| w[0] >= w[1]) {
-            return Err("unsorted input: user ids must be strictly ascending".to_string());
-        }
-        for (i, w) in user_starts.windows(2).enumerate() {
-            let slice = &times[w[0] as usize..w[1] as usize];
-            if slice.windows(2).any(|t| t[0] > t[1]) {
-                return Err(format!(
-                    "unsorted input: timestamps of user {} are not non-decreasing",
-                    unique_users[i].0
-                ));
-            }
-        }
-        // Columnwise range scans — branch-predictable passes over flat
-        // f64 arrays, far cheaper than a per-record Point::new parse.
-        if let Some(i) = lats
-            .iter()
-            .position(|&v| !v.is_finite() || !(-90.0..=90.0).contains(&v))
-        {
-            return Err(format!("row {i}: invalid latitude {}", lats[i]));
-        }
-        if let Some(i) = lons
-            .iter()
-            .position(|&v| !v.is_finite() || !(-180.0..=180.0).contains(&v))
-        {
-            return Err(format!("row {i}: invalid longitude {}", lons[i]));
-        }
-        Ok(Self {
+        let mut check = ColumnCheck::new(
+            unique_users.len(),
+            user_starts.len(),
+            times.len(),
+            lats.len(),
+            lons.len(),
+        );
+        check.users(&unique_users);
+        check.offsets(&user_starts);
+        check.times(&times, &user_starts);
+        check.lats(&lats);
+        check.lons(&lons);
+        check.finish(&unique_users)?;
+        Ok(Self::from_checked_columns(
+            unique_users,
+            user_starts,
+            times,
+            lats,
+            lons,
+        ))
+    }
+
+    /// Assembles columns a [`ColumnCheck`] has passed.
+    pub(crate) fn from_checked_columns(
+        unique_users: Vec<UserId>,
+        user_starts: Vec<u32>,
+        times: Vec<Timestamp>,
+        lats: Vec<f64>,
+        lons: Vec<f64>,
+    ) -> Self {
+        Self {
             times,
             lats,
             lons,
             unique_users,
             user_starts,
-        })
+        }
     }
 
     /// Total number of tweets.

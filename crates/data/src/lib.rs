@@ -51,6 +51,7 @@
 pub mod artifact;
 pub mod columnar;
 mod dataset;
+mod invariants;
 pub mod io;
 mod summary;
 mod time;

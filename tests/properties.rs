@@ -2,7 +2,7 @@
 //! inputs, not just the synthetic presets. Each test runs a seeded loop
 //! of cases drawn from `SplitMix64`; a failure names its seed.
 
-use tweetmob::core::AreaSet;
+use tweetmob::core::{data_funnel, AreaSet, Experiment, Scale};
 use tweetmob::data::{Timestamp, Tweet, TweetDataset, UserId};
 use tweetmob::geo::{destination, haversine_km, BoundingBox, Point};
 use tweetmob::models::{FittedModel, FlowObservation, Gravity2Fit};
@@ -64,8 +64,22 @@ fn destination_inverts_distance() {
     }
 }
 
+/// One user per point, each with a single tweet there.
+fn one_user_per_point(pts: &[Point]) -> TweetDataset {
+    let tweets = (0u32..)
+        .zip(pts)
+        .map(|(u, &p)| Tweet::new(UserId(u), Timestamp::from_secs(0), p))
+        .collect();
+    TweetDataset::from_tweets(tweets)
+}
+
 #[test]
 fn area_coverage_matches_brute_force() {
+    // The scan's cover of every area, seen through public results, with
+    // one user per point. Random areas: the tweets within ε of any area,
+    // and of each area on its own (the data funnel). The national areas
+    // at a random ε, so discs overlap: the distinct users within ε of
+    // each area, every covering area and not only the nearest.
     for seed in 0..CASES {
         let mut rng = SplitMix64::new(seed);
         let areas = vec_of(&mut rng, 1, 21, |rng| tweetmob::synth::Area {
@@ -73,22 +87,44 @@ fn area_coverage_matches_brute_force() {
             center: aus_point(rng),
             population: 1,
         });
-        let pts = vec_of(&mut rng, 1, 200, aus_point);
+        let mut pts = vec_of(&mut rng, 1, 200, aus_point);
         let radius = rng.range_f64(0.01, 2_000.0);
+        let ds = one_user_per_point(&pts);
+        let covers = |area: &tweetmob::synth::Area, p: &Point, radius: f64| {
+            haversine_km(area.center, *p) <= radius
+        };
+        let any = pts
+            .iter()
+            .filter(|p| areas.iter().any(|a| covers(a, p, radius)))
+            .count();
         let set = AreaSet::new(areas.clone(), radius);
-        let lats: Vec<f64> = pts.iter().map(|p| p.lat).collect();
-        let lons: Vec<f64> = pts.iter().map(|p| p.lon).collect();
-        let mut got = Vec::new();
-        set.assign_batch(&lats, &lons, &mut Vec::new(), |k, a| got.push((k, a)));
-        let mut want = Vec::new();
-        for (k, &p) in pts.iter().enumerate() {
-            for (a, area) in areas.iter().enumerate() {
-                if haversine_km(area.center, p) <= radius {
-                    want.push((k, a));
-                }
-            }
+        assert_eq!(
+            data_funnel(&ds, &set).tweets_in_area,
+            any as u64,
+            "seed {seed}"
+        );
+        for (a, area) in areas.iter().enumerate() {
+            let want = pts.iter().filter(|p| covers(area, p, radius)).count();
+            let one = AreaSet::new(vec![*area], radius);
+            let got = data_funnel(&ds, &one).tweets_in_area;
+            assert_eq!(got, want as u64, "seed {seed}, area {a}");
         }
-        assert_eq!(got, want, "seed {seed}");
+
+        // Area i also gets i + 1 users at its centre, so every count is
+        // positive and the counts differ.
+        let national = Scale::National.areas();
+        for (i, area) in national.iter().enumerate() {
+            pts.extend(std::iter::repeat_n(area.center, i + 1));
+        }
+        let radius = rng.range_f64(0.01, 300.0);
+        let ds = one_user_per_point(&pts);
+        let pop = Experiment::new(&ds)
+            .population_correlation_with_radius(Scale::National, radius)
+            .unwrap();
+        for (area, got) in national.iter().zip(&pop.areas) {
+            let want = pts.iter().filter(|p| covers(area, p, radius)).count();
+            assert_eq!(got.twitter_users, want as u64, "seed {seed}, {}", area.name);
+        }
     }
 }
 
