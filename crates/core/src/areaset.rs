@@ -370,7 +370,7 @@ impl AreaSet {
 
     /// Builds the area set of a scale with a custom search radius (the
     /// paper's Fig. 3(b) uses the metropolitan areas with ε = 0.5 km).
-    pub fn of_scale_with_radius(scale: Scale, radius_km: f64) -> Self {
+    pub(crate) fn of_scale_with_radius(scale: Scale, radius_km: f64) -> Self {
         Self::new(scale.areas().to_vec(), radius_km)
     }
 

@@ -50,7 +50,7 @@ pub struct DisplacementProfile {
 /// user's trace would otherwise pay the degree→radian and cosine work
 /// twice. Distances stay bit-identical to per-pair
 /// [`haversine_km`](tweetmob_geo::haversine_km).
-pub fn displacements_km(dataset: &TweetDataset) -> Vec<f64> {
+pub(crate) fn displacements_km(dataset: &TweetDataset) -> Vec<f64> {
     let mut out = Vec::new();
     for view in dataset.iter_users() {
         let mut prev: Option<TrigPoint> = None;

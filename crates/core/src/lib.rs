@@ -50,9 +50,7 @@ mod trips;
 
 pub use ablation::{deterrence_ablation, DeterrenceAblation};
 pub use areaset::{AreaSet, Scale};
-pub use displacement::{
-    displacement_profile, displacements_km, DisplacementProfile, DisplacementShares,
-};
+pub use displacement::{displacement_profile, DisplacementProfile, DisplacementShares};
 pub use experiment::{
     Experiment, ExperimentError, MobilityReport, PopulationSource, ScaleComparison,
 };

@@ -71,7 +71,7 @@ impl BoundingBox {
 
     /// Latitude span in degrees.
     #[inline]
-    pub fn lat_span(&self) -> f64 {
+    pub(crate) fn lat_span(&self) -> f64 {
         self.max_lat - self.min_lat
     }
 

@@ -15,9 +15,10 @@
 //! added/removed listing instead of surfacing as a downstream compile
 //! error three PRs later.
 //!
-//! The snapshot is derived from the same item model as the semantic
-//! passes: whitespace-normalised signatures, no bodies, no private items,
-//! byte-for-byte deterministic (sorted, deduplicated, trailing newline).
+//! The snapshot is derived from the workspace item model (the crate's
+//! `model` module): whitespace-normalised signatures, no bodies, no
+//! private items, byte-for-byte deterministic (sorted, deduplicated,
+//! trailing newline).
 
 use crate::model::Model;
 

@@ -27,18 +27,14 @@
 //!   `TrigPoint::distance_km`, which hoists each point's trigonometry
 //!   out of the loop.
 //!
-//! One semantic rule runs over a parsed workspace model (lexer → item
-//! parser; the architecture and its soundness caveats are in DESIGN.md
-//! §12):
-//!
-//! * **`unit-measure`** — tracks degree/radian/km conventions through
-//!   parameter and binding suffixes plus known conversions, flagging
-//!   mixed-unit arithmetic, double conversions and trig-on-degrees in the
-//!   geographic crates.
+//! Both rules are textual: [`lint_files`] runs them over each file on
+//! its own, so no rule needs a model of the workspace.
 //!
 //! The workspace's public surface is additionally snapshotted into a
 //! committed `API.lock` (see [`api_snapshot`] / [`diff_api`]); the binary's
-//! `--check-api` mode fails on any uncommitted drift.
+//! `--check-api` mode fails on any uncommitted drift. The snapshot is the
+//! one reader of the item parser (lexer → item parser; its architecture
+//! and caveats are in DESIGN.md §12).
 //!
 //! No rule has an escape hatch: a finding is fixed, not annotated.
 //!
@@ -56,7 +52,6 @@
 
 mod api_lock;
 mod model;
-mod units;
 
 pub use api_lock::diff_api;
 
@@ -80,15 +75,13 @@ const GEOMETRY_CACHE_CRATES: &[&str] = &["tweetmob-models", "tweetmob-epidemic"]
 /// legitimately measure single pairs during construction and queries.
 const BATCH_KERNEL_CRATES: &[&str] = &["tweetmob-geo", "tweetmob-core"];
 
-/// The three rule families.
+/// The two rule families.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
     /// NaN-unsafe float ordering.
     FloatOrd,
     /// Scalar `haversine_km` call in a crate that must use the geometry cache.
     RawHaversine,
-    /// Degree/radian/km convention violation in the geographic crates.
-    UnitMeasure,
 }
 
 impl Rule {
@@ -98,7 +91,6 @@ impl Rule {
         match self {
             Rule::FloatOrd => "float-ord",
             Rule::RawHaversine => "raw-haversine",
-            Rule::UnitMeasure => "unit-measure",
         }
     }
 }
@@ -112,8 +104,8 @@ impl fmt::Display for Rule {
 /// One finding: `file:line: [rule] message`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
-    /// Path of the offending file (workspace-relative when produced by
-    /// [`lint_workspace`]).
+    /// Path of the offending file (workspace-relative when loaded through
+    /// [`load_workspace`]).
     pub file: String,
     /// 1-based line number.
     pub line: usize,
@@ -147,8 +139,8 @@ pub enum FileKind {
 }
 
 impl FileKind {
-    /// Library code (crate root or module) — the scope of `raw-haversine`,
-    /// `unit-measure` and the `API.lock` snapshot.
+    /// Library code (crate root or module) — the scope of `raw-haversine`
+    /// and the `API.lock` snapshot.
     #[must_use]
     pub fn is_library(self) -> bool {
         matches!(self, FileKind::LibRoot | FileKind::Library)
@@ -170,10 +162,30 @@ pub struct SourceFile {
     pub source: String,
 }
 
-/// The one sort order every path shares: findings compare by
-/// `(file, line, rule, message)`, so multi-rule output on a single line is
-/// byte-stable across runs and entry points.
-fn sort_findings(out: &mut [Diagnostic]) {
+/// Runs the textual rules over one file, appending its findings
+/// unsorted.
+fn lint_source(file: &SourceFile, out: &mut Vec<Diagnostic>) {
+    let code = strip_non_code(&file.source);
+    let tests = find_test_regions(&code);
+    check_float_ord(&file.label, &code, &tests, out);
+    let crate_name = file.crate_name.as_str();
+    if file.kind.is_library()
+        && (GEOMETRY_CACHE_CRATES.contains(&crate_name)
+            || BATCH_KERNEL_CRATES.contains(&crate_name))
+    {
+        check_raw_haversine(&file.label, crate_name, &code, &tests, out);
+    }
+}
+
+/// Lints a loaded file set, file by file. Findings come out ordered by
+/// `(file, line, rule, message)`, so multi-rule output on a single line
+/// is byte-stable across runs.
+#[must_use]
+pub fn lint_files(files: &[SourceFile]) -> Vec<Diagnostic> {
+    let mut out = Vec::new();
+    for file in files {
+        lint_source(file, &mut out);
+    }
     out.sort_by(|a, b| {
         (a.file.as_str(), a.line, a.rule, a.message.as_str()).cmp(&(
             b.file.as_str(),
@@ -182,63 +194,6 @@ fn sort_findings(out: &mut [Diagnostic]) {
             b.message.as_str(),
         ))
     });
-}
-
-/// Runs the per-file textual rules (no sorting).
-fn textual_checks(
-    label: &str,
-    crate_name: &str,
-    kind: FileKind,
-    code: &str,
-    in_test: &dyn Fn(usize) -> bool,
-    out: &mut Vec<Diagnostic>,
-) {
-    check_float_ord(label, code, in_test, out);
-    if kind.is_library()
-        && (GEOMETRY_CACHE_CRATES.contains(&crate_name)
-            || BATCH_KERNEL_CRATES.contains(&crate_name))
-    {
-        check_raw_haversine(label, crate_name, code, in_test, out);
-    }
-}
-
-/// Lints one source file given its crate name (the `name` in the package's
-/// `Cargo.toml`) and [`FileKind`]. `label` is used verbatim in
-/// diagnostics. This is the core entry point the fixture tests drive.
-///
-/// Only the textual rules run here: the semantic pass (`unit-measure`)
-/// needs the workspace model and runs through
-/// [`lint_files`] / [`lint_workspace`].
-#[must_use]
-pub fn lint_source(label: &str, crate_name: &str, kind: FileKind, source: &str) -> Vec<Diagnostic> {
-    let code = strip_non_code(source);
-    let test_regions = find_test_regions(&code);
-    let mut out = Vec::new();
-    let in_test = |off: usize| test_regions.iter().any(|&(s, e)| off >= s && off < e);
-    textual_checks(label, crate_name, kind, &code, &in_test, &mut out);
-    sort_findings(&mut out);
-    out
-}
-
-/// Lints a loaded file set: textual rules per file, then the semantic
-/// pass over the parsed workspace model.
-#[must_use]
-pub fn lint_files(files: &[SourceFile]) -> Vec<Diagnostic> {
-    let (pfs, model) = model::parse_workspace(files);
-    let mut out = Vec::new();
-    for pf in &pfs {
-        let in_test = |off: usize| pf.in_test(off);
-        textual_checks(
-            &pf.label,
-            &pf.crate_name,
-            pf.kind,
-            &pf.code,
-            &in_test,
-            &mut out,
-        );
-    }
-    units::check_units(&pfs, &model, &mut out);
-    sort_findings(&mut out);
     out
 }
 
@@ -266,22 +221,11 @@ pub fn load_workspace(root: &Path) -> io::Result<Vec<SourceFile>> {
     Ok(files)
 }
 
-/// Lints every workspace source file under `root`, returning all findings
-/// in the unified `(file, line, rule, message)` order.
-///
-/// # Errors
-///
-/// Propagates I/O failures reading the source tree.
-pub fn lint_workspace(root: &Path) -> io::Result<Vec<Diagnostic>> {
-    Ok(lint_files(&load_workspace(root)?))
-}
-
 /// Renders the public-API snapshot (`API.lock` contents) of a loaded file
 /// set. Deterministic: sorted, deduplicated, newline-terminated.
 #[must_use]
 pub fn api_snapshot(files: &[SourceFile]) -> String {
-    let (_, model) = model::parse_workspace(files);
-    api_lock::render_api(&model)
+    api_lock::render_api(&model::parse_workspace(files))
 }
 
 /// Enumerates the workspace's lintable `.rs` files: the root package's
@@ -625,6 +569,11 @@ pub(crate) fn find_test_regions(code: &str) -> Vec<(usize, usize)> {
     regions
 }
 
+/// Does any of the half-open byte `regions` contain `off`?
+pub(crate) fn in_regions(regions: &[(usize, usize)], off: usize) -> bool {
+    regions.iter().any(|&(s, e)| off >= s && off < e)
+}
+
 /// Does an attribute body mark a test-only item? True for `test`,
 /// `cfg(test)` and `cfg(all(.., test, ..))`; false for every attribute
 /// whose item also compiles outside tests (`cfg(not(test))`,
@@ -670,7 +619,7 @@ fn is_ident_byte(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b == b'_'
 }
 
-pub(crate) fn line_of(code: &str, offset: usize) -> usize {
+fn line_of(code: &str, offset: usize) -> usize {
     code.as_bytes()[..offset.min(code.len())]
         .iter()
         .filter(|&&b| b == b'\n')
@@ -680,7 +629,7 @@ pub(crate) fn line_of(code: &str, offset: usize) -> usize {
 
 /// All offsets of `token` in `code` at identifier boundaries (the char
 /// before the token's first ident char must not be an ident char).
-pub(crate) fn find_token(code: &str, token: &str) -> Vec<usize> {
+fn find_token(code: &str, token: &str) -> Vec<usize> {
     let mut found = Vec::new();
     let bytes = code.as_bytes();
     let mut start = 0;
@@ -704,14 +653,9 @@ pub(crate) fn find_token(code: &str, token: &str) -> Vec<usize> {
 // float-ord: NaN-safe float ordering.
 // ---------------------------------------------------------------------------
 
-fn check_float_ord(
-    label: &str,
-    code: &str,
-    in_test: &dyn Fn(usize) -> bool,
-    out: &mut Vec<Diagnostic>,
-) {
+fn check_float_ord(label: &str, code: &str, tests: &[(usize, usize)], out: &mut Vec<Diagnostic>) {
     for off in find_token(code, "partial_cmp") {
-        if in_test(off) {
+        if in_regions(tests, off) {
             continue;
         }
         out.push(Diagnostic {
@@ -726,7 +670,7 @@ fn check_float_ord(
     for method in ["sort_by", "sort_unstable_by", "max_by", "min_by"] {
         let needle = format!(".{method}(");
         for off in find_token(code, &needle) {
-            if in_test(off) {
+            if in_regions(tests, off) {
                 continue;
             }
             let open = off + needle.len() - 1;
@@ -799,7 +743,7 @@ fn check_raw_haversine(
     label: &str,
     crate_name: &str,
     code: &str,
-    in_test: &dyn Fn(usize) -> bool,
+    tests: &[(usize, usize)],
     out: &mut Vec<Diagnostic>,
 ) {
     let cache_crate = GEOMETRY_CACHE_CRATES.contains(&crate_name);
@@ -810,7 +754,7 @@ fn check_raw_haversine(
     };
     let bytes = code.as_bytes();
     for off in find_token(code, "haversine_km") {
-        if in_test(off) {
+        if in_regions(tests, off) {
             continue;
         }
         if cache_crate {
@@ -934,8 +878,18 @@ pub fn render_report(diagnostics: &[Diagnostic]) -> String {
 mod tests {
     use super::*;
 
+    /// Lints one in-memory file through [`lint_files`].
+    fn lint(label: &str, crate_name: &str, kind: FileKind, source: &str) -> Vec<Diagnostic> {
+        lint_files(&[SourceFile {
+            label: label.to_string(),
+            crate_name: crate_name.to_string(),
+            kind,
+            source: source.to_string(),
+        }])
+    }
+
     fn lint_lib(src: &str) -> Vec<Diagnostic> {
-        lint_source("fixture.rs", "tweetmob-stats", FileKind::Library, src)
+        lint("fixture.rs", "tweetmob-stats", FileKind::Library, src)
     }
 
     fn rules(diags: &[Diagnostic]) -> Vec<Rule> {
@@ -983,7 +937,7 @@ mod tests {
     #[test]
     fn float_ord_applies_to_binaries_too() {
         let bad = "fn main() { let mut v = vec![1.0]; v.sort_by(|a, b| cmpish(a, b)); }\n";
-        let d = lint_source("bin/x.rs", "tweetmob-bench", FileKind::Binary, bad);
+        let d = lint("bin/x.rs", "tweetmob-bench", FileKind::Binary, bad);
         assert_eq!(rules(&d), vec![Rule::FloatOrd]);
     }
 
@@ -994,7 +948,7 @@ mod tests {
         let bad = "use tweetmob_geo::haversine_km;\n\
                    fn f(a: Point, b: Point) -> f64 { haversine_km(a, b) }\n";
         for crate_name in ["tweetmob-models", "tweetmob-epidemic"] {
-            let d = lint_source("m.rs", crate_name, FileKind::Library, bad);
+            let d = lint("m.rs", crate_name, FileKind::Library, bad);
             assert_eq!(rules(&d), vec![Rule::RawHaversine, Rule::RawHaversine]);
             assert_eq!(d[0].line, 1);
             assert_eq!(d[1].line, 2);
@@ -1003,7 +957,7 @@ mod tests {
         // The geo crate defines the function; core/synth route through the
         // cache by convention but keep the scalar path for construction.
         for crate_name in ["tweetmob-geo", "tweetmob-core", "tweetmob-synth"] {
-            let d = lint_source("m.rs", crate_name, FileKind::Library, bad);
+            let d = lint("m.rs", crate_name, FileKind::Library, bad);
             assert!(d.is_empty(), "{d:?}");
         }
     }
@@ -1014,10 +968,10 @@ mod tests {
                     fn f() {}\n\
                     #[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {\n        \
                     let _ = tweetmob_geo::haversine_km(a, b);\n    }\n}\n";
-        let d = lint_source("m.rs", "tweetmob-models", FileKind::Library, good);
+        let d = lint("m.rs", "tweetmob-models", FileKind::Library, good);
         assert!(d.is_empty(), "{d:?}");
         let bin = "fn main() { let _ = tweetmob_geo::haversine_km(a, b); }\n";
-        let b = lint_source("bin/x.rs", "tweetmob-epidemic", FileKind::Binary, bin);
+        let b = lint("bin/x.rs", "tweetmob-epidemic", FileKind::Binary, bin);
         assert!(b.is_empty(), "{b:?}");
     }
 
@@ -1029,17 +983,17 @@ mod tests {
                       sum += haversine_km(o, *p);\n    \
                       }\n    sum\n}\n";
         for crate_name in ["tweetmob-geo", "tweetmob-core"] {
-            let d = lint_source("m.rs", crate_name, FileKind::Library, looped);
+            let d = lint("m.rs", crate_name, FileKind::Library, looped);
             assert_eq!(rules(&d), vec![Rule::RawHaversine], "{d:?}");
             assert_eq!(d[0].line, 4);
             assert!(d[0].message.contains("TrigPoint"), "{}", d[0].message);
         }
         // One-off pair measurements outside loops stay legal there...
         let pair = "fn f(a: Point, b: Point) -> f64 { haversine_km(a, b) }\n";
-        let d = lint_source("m.rs", "tweetmob-geo", FileKind::Library, pair);
+        let d = lint("m.rs", "tweetmob-geo", FileKind::Library, pair);
         assert!(d.is_empty(), "{d:?}");
         // ...and crates on neither list never see the rule.
-        let d = lint_source("m.rs", "tweetmob-synth", FileKind::Library, looped);
+        let d = lint("m.rs", "tweetmob-synth", FileKind::Library, looped);
         assert!(d.is_empty(), "{d:?}");
     }
 
@@ -1051,7 +1005,7 @@ mod tests {
                    s += haversine_km(o, pts[i]);\n        i += 1;\n    }\n    \
                    loop {\n        \
                    s += haversine_km(o, pts[0]);\n        break;\n    }\n    s\n}\n";
-        let d = lint_source("m.rs", "tweetmob-core", FileKind::Library, src);
+        let d = lint("m.rs", "tweetmob-core", FileKind::Library, src);
         assert_eq!(
             rules(&d),
             vec![Rule::RawHaversine, Rule::RawHaversine],
@@ -1067,14 +1021,14 @@ mod tests {
         let longer = "fn f(pts: &[Point], o: Point, out: &mut Vec<f64>) {\n    \
                       for p in pts {\n        \
                       out.push(haversine_km_direct(o, *p));\n    }\n}\n";
-        let d = lint_source("m.rs", "tweetmob-geo", FileKind::Library, longer);
+        let d = lint("m.rs", "tweetmob-geo", FileKind::Library, longer);
         assert!(d.is_empty(), "{d:?}");
         // `impl Trait for Type` is not a loop: a straight-line call in a
         // method body stays legal.
         let imp = "impl Distance for Ruler {\n    \
                    fn measure(&self, a: Point, b: Point) -> f64 {\n        \
                    haversine_km(a, b)\n    }\n}\n";
-        let d = lint_source("m.rs", "tweetmob-core", FileKind::Library, imp);
+        let d = lint("m.rs", "tweetmob-core", FileKind::Library, imp);
         assert!(d.is_empty(), "{d:?}");
     }
 

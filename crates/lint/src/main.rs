@@ -8,8 +8,9 @@
 //! ```
 //!
 //! Exits 0 when the workspace is clean, 1 with `file:line: [rule] message`
-//! diagnostics (or an API diff) otherwise, and 2 on I/O errors. See the
-//! crate docs of `tweetmob_lint` (or `DESIGN.md` §12) for the rules.
+//! diagnostics (or an API diff) otherwise, and 2 on I/O errors or a usage
+//! error (an unknown flag, both API modes, or more than one root). See
+//! the crate docs of `tweetmob_lint` (or `DESIGN.md` §12) for the rules.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -29,8 +30,16 @@ fn main() -> ExitCode {
                 eprintln!("tweetmob-lint: unknown flag {other}");
                 return ExitCode::from(2);
             }
+            path if root.is_some() => {
+                eprintln!("tweetmob-lint: takes at most one workspace root, got a second: {path}");
+                return ExitCode::from(2);
+            }
             path => root = Some(PathBuf::from(path)),
         }
+    }
+    if gen_api && check_api {
+        eprintln!("tweetmob-lint: --check-api and --gen-api exclude each other; pass one");
+        return ExitCode::from(2);
     }
     let root = root.unwrap_or_else(workspace_root);
 

@@ -1,16 +1,16 @@
 //! Workspace item model: a dependency-free lexer and brace-aware item
 //! parser that turns stripped source text into crates → modules →
-//! functions (with signatures, parameters, bodies and attribute context)
-//! plus the public items needed for the `API.lock` snapshot.
+//! functions (with signatures and attribute context) plus the public
+//! items needed for the `API.lock` snapshot, its one reader.
 //!
 //! The parser is deliberately *recognising*, not *validating*: it walks a
 //! token stream, matches the handful of item shapes the workspace uses
 //! (`fn`, `impl`, `mod`, `struct`, `enum`, `trait`, `const`, `static`,
 //! `type`, `use`, `macro_rules!`), and skips anything it does not
 //! understand by advancing one token. It never panics and never rejects a
-//! file — on confusion it simply models less, which for every downstream
-//! rule is the conservative direction (fewer functions, fewer
-//! findings). Soundness caveats are catalogued in DESIGN.md §12.
+//! file — on confusion it simply models less, so an item it cannot read
+//! is absent from `API.lock` rather than an error. Soundness caveats are
+//! catalogued in DESIGN.md §12.
 
 use crate::{FileKind, SourceFile};
 
@@ -22,18 +22,18 @@ use crate::{FileKind, SourceFile};
 /// literals have already been blanked, so only identifiers, numbers and
 /// punctuation remain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Tok {
+struct Tok {
     /// Byte offset of the first byte in the stripped (and raw) source.
-    pub start: usize,
+    start: usize,
     /// Byte offset one past the last byte.
-    pub end: usize,
+    end: usize,
     /// Token class.
-    pub kind: TokKind,
+    kind: TokKind,
 }
 
 /// Token classes the parser distinguishes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum TokKind {
+enum TokKind {
     /// Identifier or keyword.
     Ident,
     /// Numeric literal (possibly with suffix, e.g. `1_000u64`, `2.5`).
@@ -52,7 +52,7 @@ fn is_ident_continue(b: u8) -> bool {
 
 /// Lexes stripped code into a token stream. Byte offsets index both the
 /// stripped and the raw source (the stripper is byte-preserving).
-pub(crate) fn lex(code: &str) -> Vec<Tok> {
+fn lex(code: &str) -> Vec<Tok> {
     let bytes = code.as_bytes();
     let mut toks = Vec::new();
     let mut i = 0;
@@ -107,8 +107,6 @@ pub(crate) fn lex(code: &str) -> Vec<Tok> {
 /// One `fn` item anywhere in the workspace.
 #[derive(Debug, Clone)]
 pub(crate) struct FnInfo {
-    /// Index into the parsed-file list.
-    pub file: usize,
     /// Package name of the owning crate.
     pub crate_name: String,
     /// How the owning file participates in its crate.
@@ -125,12 +123,6 @@ pub(crate) struct FnInfo {
     /// Whitespace-normalised signature text (qualifiers through return
     /// type, excluding the body and `where` clause).
     pub sig: String,
-    /// Parameter binding names, `self` excluded (`_` when the pattern
-    /// is not a simple identifier). Unit inference keys off their
-    /// suffixes.
-    pub params: Vec<String>,
-    /// Byte span of the body including braces, `None` for bodiless sigs.
-    pub body: Option<(usize, usize)>,
     /// Inside `#[cfg(test)]` / `#[test]` context.
     pub in_test: bool,
 }
@@ -158,29 +150,23 @@ pub(crate) struct Model {
     pub items: Vec<PubItem>,
 }
 
-/// A source file with its derived text layers and token stream, shared by
-/// every semantic pass.
-pub(crate) struct ParsedFile {
-    pub label: String,
-    pub crate_name: String,
-    pub kind: FileKind,
+/// A source file with its derived text layers and token stream.
+struct ParsedFile {
+    crate_name: String,
+    kind: FileKind,
     /// The source with comments blanked (byte-preserving): the text
     /// signatures are sliced from.
-    pub decommented: String,
+    decommented: String,
     /// Stripped code (comments/strings blanked, byte-preserving).
-    pub code: String,
-    pub toks: Vec<Tok>,
+    code: String,
+    toks: Vec<Tok>,
     /// Byte ranges of `#[test]` / `#[cfg(test)]` items.
-    pub tests: Vec<(usize, usize)>,
+    tests: Vec<(usize, usize)>,
 }
 
 impl ParsedFile {
-    pub(crate) fn in_test(&self, off: usize) -> bool {
-        self.tests.iter().any(|&(s, e)| off >= s && off < e)
-    }
-
-    pub(crate) fn line_of(&self, off: usize) -> usize {
-        crate::line_of(&self.code, off)
+    fn in_test(&self, off: usize) -> bool {
+        crate::in_regions(&self.tests, off)
     }
 }
 
@@ -212,15 +198,13 @@ fn file_module_path(label: &str) -> Vec<String> {
 }
 
 /// Parses every file and assembles the workspace model.
-pub(crate) fn parse_workspace(files: &[SourceFile]) -> (Vec<ParsedFile>, Model) {
-    let mut pfs = Vec::with_capacity(files.len());
+pub(crate) fn parse_workspace(files: &[SourceFile]) -> Model {
     let mut model = Model::default();
-    for (idx, sf) in files.iter().enumerate() {
+    for sf in files {
         let code = crate::strip_non_code(&sf.source);
         let tests = crate::find_test_regions(&code);
         let toks = lex(&code);
         let pf = ParsedFile {
-            label: sf.label.clone(),
             crate_name: sf.crate_name.clone(),
             kind: sf.kind,
             decommented: crate::strip_comments(&sf.source),
@@ -236,15 +220,13 @@ pub(crate) fn parse_workspace(files: &[SourceFile]) -> (Vec<ParsedFile>, Model) 
         };
         let mut p = Parser {
             pf: &pf,
-            file: idx,
             out: &mut model,
         };
         let end = pf.toks.len();
         let mut i = 0;
         p.parse_items(&mut i, end, &ctx, 0);
-        pfs.push(pf);
     }
-    (pfs, model)
+    model
 }
 
 // ---------------------------------------------------------------------------
@@ -265,7 +247,6 @@ const MAX_DEPTH: usize = 64;
 
 struct Parser<'a> {
     pf: &'a ParsedFile,
-    file: usize,
     out: &'a mut Model,
 }
 
@@ -443,7 +424,7 @@ impl Parser<'_> {
                         }
                         "fn" => {
                             let start = sig_start.take().unwrap_or(self.pf.toks[at].start);
-                            self.parse_fn(i, ctx, start, vis_pub, pending_test, depth);
+                            self.parse_fn(i, ctx, start, vis_pub, pending_test);
                             vis_pub = false;
                             pending_test = false;
                         }
@@ -566,7 +547,6 @@ impl Parser<'_> {
         sig_start: usize,
         vis_pub: bool,
         pending_test: bool,
-        _depth: usize,
     ) {
         let fn_at = *i;
         let name_at = fn_at + 1;
@@ -589,10 +569,7 @@ impl Parser<'_> {
             *i = name_at + 1;
             return;
         }
-        let params_open = j;
-        let params_close = self.skip_balanced(j, b'(', b')');
-        let params = self.parse_params(params_open + 1, params_close.saturating_sub(1));
-        j = params_close;
+        j = self.skip_balanced(j, b'(', b')');
 
         // Return type: `-> Type` until `{`, `;`, or `where`.
         if self.punct(j) == Some(b'-') && self.punct(j + 1) == Some(b'>') {
@@ -630,24 +607,13 @@ impl Parser<'_> {
             }
         }
         let sig_end = self.offset(j);
-        let body = if self.punct(j) == Some(b'{') {
-            let close = self.skip_balanced(j, b'{', b'}');
-            let span = (
-                self.offset(j),
-                self.pf
-                    .toks
-                    .get(close.saturating_sub(1))
-                    .map_or(self.pf.code.len(), |t| t.end),
-            );
-            j = close;
-            Some(span)
+        if self.punct(j) == Some(b'{') {
+            j = self.skip_balanced(j, b'{', b'}');
         } else {
             j += 1; // `;`
-            None
-        };
+        }
         let fn_off = self.pf.toks[fn_at].start;
         self.out.fns.push(FnInfo {
-            file: self.file,
             crate_name: self.pf.crate_name.clone(),
             kind: self.pf.kind,
             module: ctx.module.clone(),
@@ -655,77 +621,9 @@ impl Parser<'_> {
             name,
             is_pub: vis_pub || ctx.in_pub_trait,
             sig: self.normalize(sig_start, sig_end),
-            params,
-            body,
             in_test: ctx.in_test || pending_test || self.pf.in_test(fn_off),
         });
         *i = j;
-    }
-
-    /// Parses a parameter token range (exclusive of the parens).
-    fn parse_params(&self, start: usize, end: usize) -> Vec<String> {
-        let mut params = Vec::new();
-        let mut seg_start = start;
-        let (mut angles, mut pars, mut brks) = (0i64, 0i64, 0i64);
-        let mut k = start;
-        while k <= end {
-            let boundary =
-                k == end || (angles <= 0 && pars == 0 && brks == 0 && self.punct(k) == Some(b','));
-            if boundary {
-                if seg_start < k {
-                    self.parse_one_param(seg_start, k, &mut params);
-                }
-                seg_start = k + 1;
-                if k == end {
-                    break;
-                }
-            } else {
-                match self.punct(k) {
-                    Some(b'<') => angles += 1,
-                    Some(b'>') => {
-                        let arrow = k > 0
-                            && self.punct(k - 1) == Some(b'-')
-                            && self.pf.toks[k - 1].end == self.pf.toks[k].start;
-                        if !arrow {
-                            angles -= 1;
-                        }
-                    }
-                    Some(b'(') => pars += 1,
-                    Some(b')') => pars -= 1,
-                    Some(b'[') => brks += 1,
-                    Some(b']') => brks -= 1,
-                    _ => {}
-                }
-            }
-            k += 1;
-        }
-        params
-    }
-
-    fn parse_one_param(&self, start: usize, end: usize, params: &mut Vec<String>) {
-        // `self`, `&self`, `&mut self`, `mut self` in the leading tokens.
-        if (start..end.min(start + 4)).any(|k| self.is_ident(k, "self")) {
-            return;
-        }
-        // Simple `name: Type`; anything else (destructuring patterns)
-        // records as `_`.
-        let mut k = start;
-        if self.is_ident(k, "mut") {
-            k += 1;
-        }
-        let name = if matches!(
-            self.pf.toks.get(k),
-            Some(Tok {
-                kind: TokKind::Ident,
-                ..
-            })
-        ) && self.punct(k + 1) == Some(b':')
-        {
-            self.text(k).to_string()
-        } else {
-            "_".to_string()
-        };
-        params.push(name);
     }
 
     /// Parses `impl<...> [Trait for] Type { items }` with `*i` at `impl`.

@@ -1,11 +1,11 @@
-//! Integration tests for the workspace semantic pass (unit-of-measure
-//! inference), the API snapshot, and the unified finding sort order.
+//! Integration tests for the API snapshot and the finding sort order.
 //!
-//! These run `lint_files` on in-memory fixtures (no disk, no scratch
-//! dirs), which exercises exactly the workspace path the binary uses.
+//! These run `lint_files` and `api_snapshot` on in-memory fixtures (no
+//! disk, no scratch dirs), which exercises exactly the path the binary
+//! uses.
 
 use tweetmob_lint::{
-    api_snapshot, diff_api, lint_files, lint_source, render_report, FileKind, Rule, SourceFile,
+    api_snapshot, diff_api, lint_files, render_report, FileKind, Rule, SourceFile,
 };
 
 /// Crate-root doc line shared by fixtures.
@@ -28,106 +28,6 @@ fn lint_one(crate_name: &str, body: &str) -> Vec<tweetmob_lint::Diagnostic> {
         body,
     )];
     lint_files(&files)
-}
-
-// ---------------------------------------------------------------------------
-// unit-measure: degree/radian/km conventions in the geographic crates.
-// ---------------------------------------------------------------------------
-
-#[test]
-fn unit_measure_flags_trig_on_degrees() {
-    let body = "\
-/// Sine of a latitude handed over in degrees.
-pub fn bad(lat_deg: f64) -> f64 {
-    lat_deg.sin()
-}
-";
-    let diags = lint_one("tweetmob-geo", body);
-    assert!(
-        diags
-            .iter()
-            .any(|d| d.rule == Rule::UnitMeasure && d.message.contains("degrees")),
-        "{}",
-        render_report(&diags)
-    );
-}
-
-#[test]
-fn unit_measure_flags_double_conversion() {
-    let body = "\
-/// Converts a value that is already in radians.
-pub fn bad(lat_rad: f64) -> f64 {
-    lat_rad.to_radians()
-}
-";
-    let diags = lint_one("tweetmob-geo", body);
-    assert!(
-        diags.iter().any(|d| d.rule == Rule::UnitMeasure),
-        "{}",
-        render_report(&diags)
-    );
-}
-
-#[test]
-fn unit_measure_flags_mixed_arithmetic() {
-    let body = "\
-/// Adds a degree quantity to a radian quantity.
-pub fn bad(a_deg: f64, b_rad: f64) -> f64 {
-    a_deg + b_rad
-}
-";
-    let diags = lint_one("tweetmob-models", body);
-    assert!(
-        diags.iter().any(|d| d.rule == Rule::UnitMeasure),
-        "{}",
-        render_report(&diags)
-    );
-}
-
-#[test]
-fn unit_measure_accepts_clean_code_and_other_crates() {
-    let body = "\
-/// Correct conversion chain, and a km quantity left alone.
-pub fn good(lat_deg: f64, radius_km: f64) -> f64 {
-    let lat_rad = lat_deg.to_radians();
-    lat_rad.sin() * radius_km
-}
-";
-    let diags = lint_one("tweetmob-geo", body);
-    assert!(diags.is_empty(), "{}", render_report(&diags));
-
-    // The same violation outside the unit-checked crates is not this
-    // rule's business.
-    let bad = "\
-/// Sine of degrees, but in a crate with no unit contract.
-pub fn bad(lat_deg: f64) -> f64 {
-    lat_deg.sin()
-}
-";
-    let diags = lint_one("tweetmob-fixture", bad);
-    assert!(
-        !diags.iter().any(|d| d.rule == Rule::UnitMeasure),
-        "{}",
-        render_report(&diags)
-    );
-}
-
-#[test]
-fn unit_measure_division_resets_the_unit() {
-    // `radius_km / KM_PER_DEG` is no longer kilometres; converting the
-    // quotient must not be flagged (the real geo crate does exactly this).
-    let body = "\
-/// Kilometres per degree of latitude.
-pub const KM_PER_DEG: f64 = 111.32;
-
-/// Radius window in degrees, then radians.
-pub fn window(radius_km: f64) -> f64 {
-    let dlat = radius_km / KM_PER_DEG;
-    dlat.to_radians()
-}
-";
-    let diags = lint_one("tweetmob-geo", body);
-    assert!(diags.is_empty(), "{}", render_report(&diags));
 }
 
 // ---------------------------------------------------------------------------
@@ -246,7 +146,7 @@ fn api_diff_reports_drift_both_ways() {
 }
 
 // ---------------------------------------------------------------------------
-// Unified sort order: single-file and workspace paths agree.
+// Sort order: same-line findings are rule-ordered and repeatable.
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -258,23 +158,13 @@ pub fn sort(xs: &mut [Point], o: Point) {
     xs.sort_by(|a, b| haversine_km(o, *a).partial_cmp(&haversine_km(o, *b)).unwrap());
 }
 ";
-    let via_files = lint_one("tweetmob-models", body);
-    let source = format!("{HEADER}{body}");
-    let via_source = lint_source(
-        "crates/fix/src/lib.rs",
-        "tweetmob-models",
-        FileKind::LibRoot,
-        &source,
-    );
-
-    // Both paths produce the same findings in the same order.
-    assert_eq!(via_files, via_source, "paths must agree byte-for-byte");
+    let diags = lint_one("tweetmob-models", body);
 
     // Same-line findings come out rule-ordered, and repeat runs are
     // byte-identical.
     // The shared header is two lines; the violating line is body line 3.
-    let same_line: Vec<_> = via_files.iter().filter(|d| d.line == 5).collect();
-    assert_eq!(same_line.len(), 4, "{}", render_report(&via_files));
+    let same_line: Vec<_> = diags.iter().filter(|d| d.line == 5).collect();
+    assert_eq!(same_line.len(), 4, "{}", render_report(&diags));
     let rules: Vec<Rule> = same_line.iter().map(|d| d.rule).collect();
     assert_eq!(
         rules,
@@ -286,5 +176,5 @@ pub fn sort(xs: &mut [Point], o: Point) {
         ],
         "same-line findings sorted by rule"
     );
-    assert_eq!(via_files, lint_one("tweetmob-models", body));
+    assert_eq!(diags, lint_one("tweetmob-models", body));
 }

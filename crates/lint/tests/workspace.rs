@@ -1,11 +1,13 @@
-//! Integration tests: the linter against the real workspace (self-check)
-//! and against on-disk bad-fixture crates, including the binary's exit
-//! codes.
+//! Integration tests: the linter against the real workspace (self-check
+//! and `API.lock`) and against on-disk bad-fixture crates, including the
+//! binary's exit codes.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use tweetmob_lint::{lint_workspace, render_report, Rule};
+use tweetmob_lint::{
+    api_snapshot, diff_api, lint_files, load_workspace, render_report, Diagnostic, Rule,
+};
 
 /// The enclosing real workspace root (`crates/lint/../..`).
 fn real_root() -> PathBuf {
@@ -14,6 +16,11 @@ fn real_root() -> PathBuf {
         .nth(2)
         .expect("crates/lint has two ancestors")
         .to_path_buf()
+}
+
+/// Lints every workspace source file under `root`, as the binary does.
+fn lint_root(root: &Path) -> Vec<Diagnostic> {
+    lint_files(&load_workspace(root).expect("load the workspace"))
 }
 
 /// A scratch directory unique to this test, removed on drop.
@@ -106,7 +113,7 @@ mod tests {
 
 #[test]
 fn real_workspace_is_clean() {
-    let diags = lint_workspace(&real_root()).expect("lint the real workspace");
+    let diags = lint_root(&real_root());
     assert!(
         diags.is_empty(),
         "the workspace must self-lint clean, found:\n{}",
@@ -115,10 +122,24 @@ fn real_workspace_is_clean() {
 }
 
 #[test]
+fn api_lock_matches_the_workspace() {
+    let root = real_root();
+    let committed = fs::read_to_string(root.join("API.lock")).expect("read API.lock");
+    let current = api_snapshot(&load_workspace(&root).expect("load the real workspace"));
+    let diff = diff_api(&committed, &current);
+    assert!(
+        diff.is_empty(),
+        "the public API drifted from API.lock; review it and regenerate with \
+         `cargo run -p tweetmob-lint -- --gen-api`:\n{}",
+        diff.join("\n")
+    );
+}
+
+#[test]
 fn good_fixture_is_clean() {
     let scratch = Scratch::new("good");
     write_fixture(scratch.path(), MODELS, GOOD_FIXTURE);
-    let diags = lint_workspace(scratch.path()).expect("lint good fixture");
+    let diags = lint_root(scratch.path());
     assert!(diags.is_empty(), "unexpected:\n{}", render_report(&diags));
 }
 
@@ -126,7 +147,7 @@ fn good_fixture_is_clean() {
 fn bad_fixture_is_flagged_on_exact_lines() {
     let scratch = Scratch::new("bad");
     write_fixture(scratch.path(), MODELS, BAD_FIXTURE);
-    let diags = lint_workspace(scratch.path()).expect("lint bad fixture");
+    let diags = lint_root(scratch.path());
     let found: Vec<(usize, Rule)> = diags.iter().map(|d| (d.line, d.rule)).collect();
     assert_eq!(
         found,
@@ -158,7 +179,7 @@ pub fn total(points: &[Point]) -> f64 {
 ";
     let scratch = Scratch::new("raw-haversine");
     write_fixture(scratch.path(), MODELS, FIXTURE);
-    let diags = lint_workspace(scratch.path()).expect("lint raw-haversine fixture");
+    let diags = lint_root(scratch.path());
     assert_eq!(
         diags.len(),
         1,
@@ -172,7 +193,7 @@ pub fn total(points: &[Point]) -> f64 {
     // hoist-onto-`TrigPoint` message (the call sits inside `for`
     // bodies)...
     write_fixture(scratch.path(), "tweetmob-geo", FIXTURE);
-    let geo = lint_workspace(scratch.path()).expect("lint under tweetmob-geo");
+    let geo = lint_root(scratch.path());
     assert_eq!(geo.len(), 1, "{}", render_report(&geo));
     assert_eq!(geo[0].rule, Rule::RawHaversine);
     assert_eq!(geo[0].line, 8);
@@ -180,7 +201,7 @@ pub fn total(points: &[Point]) -> f64 {
 
     // ...while a crate on neither list never sees the rule.
     write_fixture(scratch.path(), "tweetmob-synth", FIXTURE);
-    let synth = lint_workspace(scratch.path()).expect("lint under tweetmob-synth");
+    let synth = lint_root(scratch.path());
     assert!(synth.is_empty(), "{}", render_report(&synth));
 }
 
@@ -221,5 +242,38 @@ fn binary_reports_diagnostics_and_exit_codes() {
     assert!(
         String::from_utf8_lossy(&missing.stderr).contains("not a workspace root"),
         "stderr must explain the failure"
+    );
+
+    // Asking to check and to regenerate at once is a usage error: the
+    // check must not quietly become a write that exits 0.
+    let both = std::process::Command::new(bin)
+        .args(["--check-api", "--gen-api"])
+        .arg(scratch.path())
+        .output()
+        .expect("run tweetmob-lint with both API modes");
+    assert_eq!(
+        both.status.code(),
+        Some(2),
+        "--check-api --gen-api must exit 2"
+    );
+    assert!(
+        String::from_utf8_lossy(&both.stderr).contains("--gen-api"),
+        "stderr must name the conflict"
+    );
+    assert!(
+        !scratch.path().join("API.lock").exists(),
+        "a rejected run must not write API.lock"
+    );
+
+    // A second root must not silently replace the first.
+    let two_roots = std::process::Command::new(bin)
+        .arg(scratch.path())
+        .arg(real_root())
+        .output()
+        .expect("run tweetmob-lint with two roots");
+    assert_eq!(two_roots.status.code(), Some(2), "two roots must exit 2");
+    assert!(
+        String::from_utf8_lossy(&two_roots.stderr).contains("one workspace root"),
+        "stderr must name the extra root"
     );
 }

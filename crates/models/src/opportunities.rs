@@ -30,7 +30,7 @@ pub struct OpportunitiesFit {
 
 impl OpportunitiesFit {
     /// The structural factor `m n / (s + n)`.
-    pub fn structural_factor(obs: &FlowObservation) -> f64 {
+    pub(crate) fn structural_factor(obs: &FlowObservation) -> f64 {
         obs.origin_population * obs.dest_population
             / (obs.intervening_population + obs.dest_population)
     }

@@ -173,7 +173,7 @@ pub struct RadiationFit {
 impl RadiationFit {
     /// The structural factor `φ = m n / ((m+s)(m+n+s))`.
     #[must_use]
-    pub fn structural_factor(obs: &FlowObservation) -> f64 {
+    pub(crate) fn structural_factor(obs: &FlowObservation) -> f64 {
         let (m, n, s) = (
             obs.origin_population,
             obs.dest_population,

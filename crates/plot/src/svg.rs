@@ -76,7 +76,15 @@ impl SvgCanvas {
     }
 
     /// A dashed line segment (used for reference diagonals).
-    pub fn dashed_line(&mut self, x1: f64, y1: f64, x2: f64, y2: f64, stroke: &str, width: f64) {
+    pub(crate) fn dashed_line(
+        &mut self,
+        x1: f64,
+        y1: f64,
+        x2: f64,
+        y2: f64,
+        stroke: &str,
+        width: f64,
+    ) {
         let _ = writeln!(
             self.body,
             r#"<line x1="{x1:.2}" y1="{y1:.2}" x2="{x2:.2}" y2="{y2:.2}" stroke="{}" stroke-width="{width:.2}" stroke-dasharray="6 4"/>"#,

@@ -9,7 +9,7 @@ use crate::{Result, StatsError};
 /// # Errors
 ///
 /// [`StatsError::Degenerate`] for `df ≤ 0`.
-pub fn student_t_two_tailed(t: f64, df: f64) -> Result<f64> {
+pub(crate) fn student_t_two_tailed(t: f64, df: f64) -> Result<f64> {
     if df <= 0.0 || df.is_nan() {
         return Err(StatsError::Degenerate("student t requires df > 0"));
     }

@@ -60,7 +60,7 @@ pub fn beta(a: f64, b: f64) -> f64 {
 /// Continued-fraction evaluation (modified Lentz), using the symmetry
 /// `I_x(a,b) = 1 − I_{1−x}(b,a)` to stay in the rapidly-converging region.
 /// NaN inputs propagate as NaN.
-pub fn inc_beta(a: f64, b: f64, x: f64) -> f64 {
+pub(crate) fn inc_beta(a: f64, b: f64, x: f64) -> f64 {
     if x.is_nan() || a.is_nan() || b.is_nan() {
         return f64::NAN;
     }

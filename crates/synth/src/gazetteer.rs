@@ -180,7 +180,7 @@ pub struct Place {
 /// spills a large share of Melbourne into the 50 km search discs of
 /// Geelong (65 km away) and Ballarat (110 km) and drags the national
 /// Fig. 3 correlation down.
-pub fn settlement_radius_km(population: u64) -> f64 {
+pub(crate) fn settlement_radius_km(population: u64) -> f64 {
     1.5 * (population.max(1) as f64 / 1_000.0).powf(0.30)
 }
 
