@@ -1,6 +1,6 @@
 //! Scatter/series charts with the paper's log-log layout.
 
-use crate::axes::{Axis, AxisKind};
+use crate::axes::Axis;
 use crate::svg::SvgCanvas;
 
 const WIDTH: f64 = 560.0;
@@ -12,19 +12,20 @@ const MARGIN_BOTTOM: f64 = 52.0;
 
 /// Visual style of one series.
 #[derive(Debug, Clone, Copy)]
-pub struct SeriesStyle {
+struct SeriesStyle {
     /// CSS colour.
-    pub color: &'static str,
+    color: &'static str,
     /// Marker radius, px.
-    pub radius: f64,
+    radius: f64,
     /// Marker fill opacity (the paper's grey clouds are translucent).
-    pub opacity: f64,
+    opacity: f64,
     /// Whether consecutive points are joined by a line (PDF curves).
-    pub joined: bool,
+    joined: bool,
 }
 
-/// The default palette, cycled across series.
-const PALETTE: [SeriesStyle; 4] = [
+/// The palette, cycled across series: grey pair clouds, red binned
+/// means, then a joined blue curve.
+const PALETTE: [SeriesStyle; 3] = [
     SeriesStyle {
         color: "#888888",
         radius: 2.2,
@@ -43,12 +44,6 @@ const PALETTE: [SeriesStyle; 4] = [
         opacity: 0.9,
         joined: true,
     },
-    SeriesStyle {
-        color: "#2ca02c",
-        radius: 3.0,
-        opacity: 0.9,
-        joined: true,
-    },
 ];
 
 struct Series {
@@ -57,62 +52,45 @@ struct Series {
     style: SeriesStyle,
 }
 
-/// A builder for one chart panel.
-pub struct ScatterChart {
+/// A builder for one log-log chart panel.
+pub(crate) struct ScatterChart {
     title: String,
     x_label: String,
     y_label: String,
-    x_kind: AxisKind,
-    y_kind: AxisKind,
     diagonal: bool,
     series: Vec<Series>,
 }
 
 impl ScatterChart {
     /// Starts a chart with a title and axis labels.
-    pub fn new(title: &str, x_label: &str, y_label: &str) -> Self {
+    pub(crate) fn new(title: &str, x_label: &str, y_label: &str) -> Self {
         Self {
             title: title.to_string(),
             x_label: x_label.to_string(),
             y_label: y_label.to_string(),
-            x_kind: AxisKind::Linear,
-            y_kind: AxisKind::Linear,
             diagonal: false,
             series: Vec::new(),
         }
     }
 
-    /// Sets the x-axis kind.
-    pub fn x_axis(mut self, kind: AxisKind) -> Self {
-        self.x_kind = kind;
-        self
-    }
-
-    /// Sets the y-axis kind.
-    pub fn y_axis(mut self, kind: AxisKind) -> Self {
-        self.y_kind = kind;
-        self
-    }
-
     /// Draws the `y = x` reference diagonal (the paper's red line).
-    pub fn with_diagonal(mut self) -> Self {
+    pub(crate) fn with_diagonal(mut self) -> Self {
         self.diagonal = true;
         self
     }
 
     /// Adds a series with the next palette style.
-    pub fn series(self, label: &str, points: &[(f64, f64)]) -> Self {
+    pub(crate) fn series(self, label: &str, points: &[(f64, f64)]) -> Self {
         let style = PALETTE[self.series.len() % PALETTE.len()];
-        self.series_with_style(label, points, style)
+        self.push(label, points, style)
     }
 
-    /// Adds a series with an explicit style.
-    pub fn series_with_style(
-        mut self,
-        label: &str,
-        points: &[(f64, f64)],
-        style: SeriesStyle,
-    ) -> Self {
+    /// Adds a joined curve (a Fig. 2 PDF) in the palette's blue.
+    pub(crate) fn curve(self, label: &str, points: &[(f64, f64)]) -> Self {
+        self.push(label, points, PALETTE[2])
+    }
+
+    fn push(mut self, label: &str, points: &[(f64, f64)], style: SeriesStyle) -> Self {
         self.series.push(Series {
             label: label.to_string(),
             points: points.to_vec(),
@@ -126,9 +104,7 @@ impl ScatterChart {
         let mut yb = (f64::INFINITY, f64::NEG_INFINITY);
         for s in &self.series {
             for &(x, y) in &s.points {
-                let x_ok = self.x_kind == AxisKind::Linear || x > 0.0;
-                let y_ok = self.y_kind == AxisKind::Linear || y > 0.0;
-                if x.is_finite() && y.is_finite() && x_ok && y_ok {
+                if x.is_finite() && y.is_finite() && x > 0.0 && y > 0.0 {
                     xb.0 = xb.0.min(x);
                     xb.1 = xb.1.max(x);
                     yb.0 = yb.0.min(y);
@@ -144,7 +120,7 @@ impl ScatterChart {
     }
 
     /// Renders the SVG document.
-    pub fn render(self) -> String {
+    pub(crate) fn render(self) -> String {
         let ((mut x_lo, mut x_hi), (mut y_lo, mut y_hi)) = self.data_bounds();
         if self.diagonal {
             // A shared range makes the diagonal meaningful.
@@ -152,8 +128,8 @@ impl ScatterChart {
             let hi = x_hi.max(y_hi);
             (x_lo, y_lo, x_hi, y_hi) = (lo, lo, hi, hi);
         }
-        let x_axis = Axis::new(self.x_kind, x_lo, x_hi, MARGIN_LEFT, WIDTH - MARGIN_RIGHT);
-        let y_axis = Axis::new(self.y_kind, y_lo, y_hi, HEIGHT - MARGIN_BOTTOM, MARGIN_TOP);
+        let x_axis = Axis::new(x_lo, x_hi, MARGIN_LEFT, WIDTH - MARGIN_RIGHT);
+        let y_axis = Axis::new(y_lo, y_hi, HEIGHT - MARGIN_BOTTOM, MARGIN_TOP);
 
         let mut c = SvgCanvas::new(WIDTH, HEIGHT);
         // Frame.
@@ -260,8 +236,6 @@ mod tests {
     #[test]
     fn renders_scatter_with_all_elements() {
         let svg = ScatterChart::new("Fig X", "estimated", "extracted")
-            .x_axis(AxisKind::Log)
-            .y_axis(AxisKind::Log)
             .with_diagonal()
             .series("pairs", &[(1.0, 1.5), (10.0, 9.0), (500.0, 620.0)])
             .series("binned means", &[(3.0, 3.2), (100.0, 95.0)])
@@ -277,8 +251,6 @@ mod tests {
     #[test]
     fn nonpositive_points_are_skipped_on_log_axes() {
         let svg = ScatterChart::new("t", "x", "y")
-            .x_axis(AxisKind::Log)
-            .y_axis(AxisKind::Log)
             .series("s", &[(0.0, 5.0), (-2.0, 1.0), (10.0, 10.0)])
             .render();
         // One data point + one legend dot.
@@ -295,16 +267,7 @@ mod tests {
     #[test]
     fn joined_series_draws_segments() {
         let svg = ScatterChart::new("t", "x", "y")
-            .series_with_style(
-                "pdf",
-                &[(1.0, 1.0), (2.0, 4.0), (3.0, 9.0)],
-                SeriesStyle {
-                    color: "#1f77b4",
-                    radius: 2.0,
-                    opacity: 1.0,
-                    joined: true,
-                },
-            )
+            .curve("pdf", &[(1.0, 1.0), (2.0, 4.0), (3.0, 9.0)])
             .render();
         // 2 joining segments + frame ticks; count colored strokes.
         assert!(svg.matches(r##"stroke="#1f77b4""##).count() >= 2);
@@ -315,8 +278,6 @@ mod tests {
         // x spans 1..10, y spans 100..1000; with a diagonal both axes
         // share 1..1000, so 1e2 appears as a tick on the x axis too.
         let svg = ScatterChart::new("t", "x", "y")
-            .x_axis(AxisKind::Log)
-            .y_axis(AxisKind::Log)
             .with_diagonal()
             .series("s", &[(1.0, 100.0), (10.0, 1000.0)])
             .render();

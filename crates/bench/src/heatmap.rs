@@ -4,7 +4,7 @@ use crate::svg::SvgCanvas;
 
 /// A rectangular heatmap over cell counts, rendered with a log colour
 /// ramp (the paper's 10⁰…10⁵ scale).
-pub struct Heatmap {
+pub(crate) struct Heatmap {
     title: String,
     ncols: usize,
     nrows: usize,
@@ -18,7 +18,7 @@ impl Heatmap {
     /// # Panics
     ///
     /// If `counts.len() != ncols * nrows` or either dimension is zero.
-    pub fn new(title: &str, ncols: usize, nrows: usize, counts: Vec<u64>) -> Self {
+    pub(crate) fn new(title: &str, ncols: usize, nrows: usize, counts: Vec<u64>) -> Self {
         assert!(ncols > 0 && nrows > 0, "heatmap needs positive dimensions");
         assert_eq!(counts.len(), ncols * nrows, "counts shape mismatch");
         Self {
@@ -55,7 +55,7 @@ impl Heatmap {
 
     /// Renders the SVG (one rect per non-empty cell over an ocean
     /// background — sparse rasters stay small).
-    pub fn render(self) -> String {
+    pub(crate) fn render(self) -> String {
         const CELL_PX: f64 = 4.0;
         const MARGIN: f64 = 28.0;
         let width = self.ncols as f64 * CELL_PX + 2.0 * MARGIN;

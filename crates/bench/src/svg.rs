@@ -5,7 +5,7 @@ use std::fmt::Write as _;
 /// An SVG document under construction (pixel coordinates, origin
 /// top-left).
 #[derive(Debug, Clone)]
-pub struct SvgCanvas {
+pub(crate) struct SvgCanvas {
     width: f64,
     height: f64,
     body: String,
@@ -29,7 +29,7 @@ pub(crate) fn escape(text: &str) -> String {
 
 impl SvgCanvas {
     /// An empty canvas of the given pixel size.
-    pub fn new(width: f64, height: f64) -> Self {
+    pub(crate) fn new(width: f64, height: f64) -> Self {
         Self {
             width,
             height,
@@ -37,18 +37,8 @@ impl SvgCanvas {
         }
     }
 
-    /// Canvas width in pixels.
-    pub fn width(&self) -> f64 {
-        self.width
-    }
-
-    /// Canvas height in pixels.
-    pub fn height(&self) -> f64 {
-        self.height
-    }
-
     /// A filled, stroked rectangle.
-    pub fn rect(&mut self, x: f64, y: f64, w: f64, h: f64, fill: &str, stroke: &str) {
+    pub(crate) fn rect(&mut self, x: f64, y: f64, w: f64, h: f64, fill: &str, stroke: &str) {
         let _ = writeln!(
             self.body,
             r#"<rect x="{x:.2}" y="{y:.2}" width="{w:.2}" height="{h:.2}" fill="{}" stroke="{}"/>"#,
@@ -58,7 +48,7 @@ impl SvgCanvas {
     }
 
     /// A filled circle.
-    pub fn circle(&mut self, cx: f64, cy: f64, r: f64, fill: &str, opacity: f64) {
+    pub(crate) fn circle(&mut self, cx: f64, cy: f64, r: f64, fill: &str, opacity: f64) {
         let _ = writeln!(
             self.body,
             r#"<circle cx="{cx:.2}" cy="{cy:.2}" r="{r:.2}" fill="{}" fill-opacity="{opacity:.2}"/>"#,
@@ -67,7 +57,7 @@ impl SvgCanvas {
     }
 
     /// A straight line segment.
-    pub fn line(&mut self, x1: f64, y1: f64, x2: f64, y2: f64, stroke: &str, width: f64) {
+    pub(crate) fn line(&mut self, x1: f64, y1: f64, x2: f64, y2: f64, stroke: &str, width: f64) {
         let _ = writeln!(
             self.body,
             r#"<line x1="{x1:.2}" y1="{y1:.2}" x2="{x2:.2}" y2="{y2:.2}" stroke="{}" stroke-width="{width:.2}"/>"#,
@@ -94,7 +84,7 @@ impl SvgCanvas {
 
     /// Text anchored per `anchor` ("start" | "middle" | "end"), optionally
     /// rotated by `rotate_deg` about its anchor point.
-    pub fn text(
+    pub(crate) fn text(
         &mut self,
         x: f64,
         y: f64,
@@ -117,7 +107,7 @@ impl SvgCanvas {
     }
 
     /// Finishes the document.
-    pub fn render(self) -> String {
+    pub(crate) fn render(self) -> String {
         format!(
             "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"{:.0}\" height=\"{:.0}\" viewBox=\"0 0 {:.0} {:.0}\">\n<rect width=\"100%\" height=\"100%\" fill=\"white\"/>\n{}</svg>\n",
             self.width, self.height, self.width, self.height, self.body

@@ -78,7 +78,7 @@ impl OdMatrix {
     /// Iterates over every ordered off-diagonal pair `(origin, dest,
     /// count)`, including zero-count pairs (fitting wants to know which
     /// pairs were never observed).
-    pub fn iter_pairs(&self) -> impl Iterator<Item = (usize, usize, u64)> + '_ {
+    pub(crate) fn iter_pairs(&self) -> impl Iterator<Item = (usize, usize, u64)> + '_ {
         (0..self.n).flat_map(move |i| {
             (0..self.n)
                 .filter(move |&j| j != i)

@@ -50,7 +50,7 @@ impl UserTweets<'_> {
     }
 
     /// Whether the view is empty (never true for views produced by
-    /// [`TweetDataset::user_tweets`]).
+    /// [`TweetDataset::user_view`]).
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.times.is_empty()
@@ -237,12 +237,6 @@ impl TweetDataset {
         &self.unique_users
     }
 
-    /// The time-ordered tweets of `user`, or `None` if unknown.
-    pub fn user_tweets(&self, user: UserId) -> Option<UserTweets<'_>> {
-        let i = self.unique_users.binary_search(&user).ok()?;
-        Some(self.user_view(i))
-    }
-
     /// The view of the `i`-th distinct user (index into
     /// [`TweetDataset::unique_users`]).
     ///
@@ -387,13 +381,15 @@ mod tests {
     #[test]
     fn user_views_are_time_ordered_slices() {
         let ds = sample();
-        let v = ds.user_tweets(UserId(1)).unwrap();
+        assert_eq!(ds.unique_users(), &[UserId(1), UserId(2), UserId(3)]);
+        let v = ds.user_view(0);
+        assert_eq!(v.user, UserId(1));
         assert_eq!(v.len(), 3);
         assert_eq!(v.times[0].as_secs(), 100);
         assert_eq!(v.times[2].as_secs(), 9_000);
         assert_eq!(v.lats[0], -33.9);
         assert_eq!(v.point(0), Point::new_unchecked(-33.9, 151.2));
-        assert!(ds.user_tweets(UserId(99)).is_none());
+        assert!(!ds.unique_users().contains(&UserId(99)));
     }
 
     #[test]
@@ -573,7 +569,7 @@ mod tests {
         // Keeps: u1@100, u1@4000, u2@50; drops u3@10 and u1@9000.
         assert_eq!(sliced.n_tweets(), 3);
         assert_eq!(sliced.n_users(), 2);
-        assert!(sliced.user_tweets(UserId(3)).is_none());
+        assert_eq!(sliced.unique_users(), &[UserId(1), UserId(2)]);
         // An empty window yields an empty dataset.
         let none =
             ds.filter_time_range(Timestamp::from_secs(100_000), Timestamp::from_secs(200_000));

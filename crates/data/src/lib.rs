@@ -38,7 +38,8 @@
 //! let ds = TweetDataset::from_tweets(tweets);
 //! assert_eq!(ds.n_tweets(), 3);
 //! assert_eq!(ds.n_users(), 2);
-//! assert_eq!(ds.user_tweets(UserId(1)).unwrap().len(), 2);
+//! assert_eq!(ds.unique_users(), &[UserId(1), UserId(2)]);
+//! assert_eq!(ds.user_view(0).len(), 2);
 //! ```
 
 #![deny(

@@ -678,14 +678,10 @@ fn check_float_ord(label: &str, code: &str, tests: &[(usize, usize)], out: &mut 
                 continue;
             };
             let span = &code[open..close];
-            let safe = span.contains("total_cmp")
-                || span.contains(".cmp(")
-                || span.contains("cmp::")
-                || span.contains("Ordering");
-            // Comparator closures built from `<`/`>` on floats are the
-            // NaN-unsafe pattern; any raw comparison inside the span that
-            // never reaches a total order is rejected.
-            if !safe {
+            // Only a call to a total order counts: naming `Ordering` does
+            // not, since a comparator built from `<`/`>` on floats returns
+            // `Ordering` values and is still NaN-unsafe.
+            if !span.contains("total_cmp") && !span.contains(".cmp(") {
                 out.push(Diagnostic {
                     file: label.to_string(),
                     line: line_of(code, off),
@@ -914,8 +910,7 @@ mod tests {
         let bad = "fn best(xs: &[f64]) -> Option<&f64> {\n    \
                    xs.iter().max_by(|a, b| if a < b { std::cmp::Ordering::Less } \
                    else { std::cmp::Ordering::Greater })\n}\n";
-        // `Ordering` appears in the span, so this one is treated as routed
-        // through a total order; strip it to see the rejection.
+        // Returning `Ordering` values does not make `<` a total order.
         let worse = "fn f(v: &mut [f64]) { v.sort_by(|a, b| b.total_cmp(a)); }\n\
                      fn g(v: &mut [(f64, u8)]) { v.sort_by(|a, b| a.1.cmp(&b.1)); }\n";
         assert!(lint_lib(worse).is_empty());
@@ -923,7 +918,7 @@ mod tests {
                      xs.iter().max_by(|a, b| panicky(a, b))\n}\n";
         let d = lint_lib(naked);
         assert_eq!(rules(&d), vec![Rule::FloatOrd]);
-        assert!(lint_lib(bad).is_empty());
+        assert_eq!(rules(&lint_lib(bad)), vec![Rule::FloatOrd]);
     }
 
     #[test]

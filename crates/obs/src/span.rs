@@ -50,7 +50,7 @@ pub struct SpanStat {
 impl SpanStat {
     /// The span's self time: total minus time attributed to children.
     #[must_use]
-    pub fn self_ns(&self) -> u64 {
+    pub(crate) fn self_ns(&self) -> u64 {
         self.total_ns.saturating_sub(self.child_ns)
     }
 
