@@ -5,8 +5,8 @@ use crate::{stderr, Out};
 use std::fs::File;
 use std::io::{BufRead as _, BufReader, BufWriter};
 use tweetmob_core::{
-    correlation_json, data_funnel, deterrence_ablation, AreaSet, Experiment, PopulationSource,
-    Scale,
+    correlation_json, data_funnel, deterrence_ablation, AreaSet, Experiment, ExperimentError,
+    PooledPopulation, PopulationSource, Scale,
 };
 use tweetmob_data::{columnar, io as dataio, DatasetSummary, ModelBundle, TweetDataset};
 use tweetmob_epidemic::{MobilityNetwork, OutbreakScenario, SeirParams};
@@ -24,6 +24,7 @@ pub(crate) fn export(args: &Args, out: &mut Out) -> Result<()> {
     let out_path = args.positional(1).ok_or_else(|| missing("output path"))?;
     let exp = Experiment::new(&ds);
     let mut scales = Vec::new();
+    let mut populations = Vec::new();
     for scale in Scale::ALL {
         let population = exp.population_correlation(scale)?;
         let mobility = exp.mobility(scale)?;
@@ -45,8 +46,9 @@ pub(crate) fn export(args: &Args, out: &mut Out) -> Result<()> {
                 ]),
             ),
         ]));
+        populations.push(population);
     }
-    let pooled = exp.pooled_population()?;
+    let pooled = PooledPopulation::of(populations).map_err(ExperimentError::from)?;
     let doc = Json::obj([
         ("n_tweets", ds.n_tweets().into()),
         ("n_users", ds.n_users().into()),
@@ -346,14 +348,21 @@ fn artifact_in(args: &Args) -> Result<ModelBundle> {
     )
 }
 
+/// The synthetic-corpus generator of `generate` and `paper`: the
+/// calibrated preset with the `--users` and `--seed` overrides. A value
+/// that does not parse or that the generator rejects is a usage error.
+pub(crate) fn generator(args: &Args) -> Result<TweetGenerator> {
+    let mut cfg = GeneratorConfig::default();
+    cfg.n_users = args.get_parsed("users", cfg.n_users)?;
+    cfg.seed = args.get_parsed("seed", cfg.seed)?;
+    Ok(TweetGenerator::try_new(cfg).map_err(|e| ArgError(e.to_string()))?)
+}
+
 /// `tweetmob generate <out.{jsonl,twc}> [--users N] [--seed N]`
 pub(crate) fn generate(args: &Args, out: &mut Out) -> Result<()> {
     let out_path = args.positional(0).ok_or_else(|| missing("output path"))?;
     let as_columnar = writes_columnar(out_path)?;
-    let mut cfg = GeneratorConfig::default();
-    cfg.n_users = args.get_parsed("users", cfg.n_users)?;
-    cfg.seed = args.get_parsed("seed", cfg.seed)?;
-    let ds = TweetGenerator::try_new(cfg)?.generate();
+    let ds = generator(args)?.generate();
     write_dataset(&ds, out_path, as_columnar)?;
     writeln!(
         out,

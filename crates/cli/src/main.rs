@@ -12,6 +12,7 @@
 //! tweetmob predict --artifact-in models.tma --origin Sydney --top 5
 //! tweetmob epidemic --artifact-in models.tma --beta 0.5 --gamma 0.2
 //! tweetmob serve --artifact-in models.tma --bind 127.0.0.1:8787
+//! tweetmob paper all --users 20000                   # the paper's tables and figures
 //! ```
 //!
 //! Datasets are JSONL, the Twitter-shaped text format, or the columnar
@@ -24,6 +25,10 @@
 //! `fit` is the only command that writes a model artifact; `predict`,
 //! `epidemic` and `serve` read one with `--artifact-in` and never fit.
 //!
+//! `paper <artifact>` regenerates one of the paper's tables, figures or
+//! extension experiments (the [`paper`] module lists them) on a corpus
+//! generated in process, as `generate` would write it.
+//!
 //! Every command writes its standard output through one [`Out`], so a
 //! closed stdout (`tweetmob summary d.twc | head -1`) ends the run
 //! quietly with status 0 instead of a `println!` panic. Standard error
@@ -31,9 +36,16 @@
 //! take where `eprintln!` would panic.
 
 #![deny(clippy::print_stdout, clippy::print_stderr)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 
 mod args;
 mod commands;
+mod paper;
 
 use args::Args;
 use std::fmt;
@@ -139,6 +151,15 @@ COMMANDS:
     export <dataset> <out.json>  machine-readable results of all experiments
     provenance <artifact.tma>    print an artifact's embedded run manifest
                              and verify its recorded input hashes
+    paper <artifact>             regenerate a table, figure or experiment of
+                             the paper on a generated corpus; artifacts:
+                             table1 fig1 fig2 fig3 fig4 table2
+                             counterfactual temporal ablation_models
+                             displacement, figures (SVGs under
+                             figures/) and all (the ten text ones)
+        --users N                user count                    [default 20000]
+        --seed N                 generator seed                [calibrated preset]
+        --sweep                  fig3 only: add the metro ε sweep
     help                         this text
 
 GLOBAL FLAGS (accepted by every command):
@@ -227,6 +248,7 @@ fn run(raw: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
         "serve" => (commands::serve, 0, &["artifact-in", "bind"], &[]),
         "export" => (commands::export, 2, &[], &[]),
         "provenance" => (commands::provenance, 1, &[], &[]),
+        "paper" => (paper::paper, 1, &["users", "seed"], &["sweep"]),
         "help" | "--help" | "-h" => {
             write!(out, "{USAGE}")?;
             return Ok(out.flush()?);

@@ -1,7 +1,7 @@
 //! Scatter/series charts with the paper's log-log layout.
 
-use crate::axes::Axis;
-use crate::svg::SvgCanvas;
+use super::axes::Axis;
+use super::svg::SvgCanvas;
 
 const WIDTH: f64 = 560.0;
 const HEIGHT: f64 = 420.0;

@@ -1,6 +1,7 @@
 //! Experiments E11–E14: the paper's claims tested beyond its own figures.
 
-use crate::{Outcome, Study};
+use super::{Outcome, Study, RULE};
+use crate::Out;
 use tweetmob_core::{
     deterrence_ablation, displacement_profile, temporal_stability, waiting_time_stationarity,
     AreaSet, Experiment, PopulationSource, Scale,
@@ -50,11 +51,14 @@ fn central_region(places: &[Place], k: usize) -> Vec<Area> {
 /// ε = 25 km — NSW for Australia, the cities nearest the grid centre for
 /// the uniform country). If the paper's causal story is right, the
 /// Gravity-vs-Radiation gap must shrink in the uniform world.
-pub(crate) fn counterfactual(study: &Study) -> Outcome {
-    let cfg = &study.cfg;
-    println!("================================================================");
-    println!("E11 — geographic counterfactual: Australia vs a uniform country");
-    println!("================================================================");
+pub(crate) fn counterfactual(study: &Study, out: &mut Out) -> Outcome {
+    let cfg = study.generator.config();
+    writeln!(out, "{RULE}")?;
+    writeln!(
+        out,
+        "E11 — geographic counterfactual: Australia vs a uniform country"
+    )?;
+    writeln!(out, "{RULE}")?;
 
     let australia = world_places();
     let total_pop: u64 = australia.iter().map(|p| p.area.population).sum();
@@ -62,12 +66,21 @@ pub(crate) fn counterfactual(study: &Study) -> Outcome {
 
     let apops: Vec<f64> = australia.iter().map(|p| p.area.population as f64).collect();
     let upops: Vec<f64> = uniform.iter().map(|p| p.area.population as f64).collect();
-    println!("population concentration   Gini      Theil    (0 = even)");
+    writeln!(
+        out,
+        "population concentration   Gini      Theil    (0 = even)"
+    )?;
     let (agini, atheil) = (gini(&apops)?, theil(&apops)?);
-    println!("  Australia (coastal)     {agini:>6.3}   {atheil:>7.3}");
+    writeln!(
+        out,
+        "  Australia (coastal)     {agini:>6.3}   {atheil:>7.3}"
+    )?;
     let (ugini, utheil) = (gini(&upops)?, theil(&upops)?);
-    println!("  uniform country         {ugini:>6.3}   {utheil:>7.3}");
-    println!();
+    writeln!(
+        out,
+        "  uniform country         {ugini:>6.3}   {utheil:>7.3}"
+    )?;
+    writeln!(out)?;
 
     // (world label, study label, areas, radius)
     let setups: Vec<(&str, &str, Vec<Area>, f64)> = vec![
@@ -122,44 +135,72 @@ pub(crate) fn counterfactual(study: &Study) -> Outcome {
                     .evaluation("Radiation")
                     .ok_or("no Radiation evaluation")?;
                 let gap = g2.pearson - rad.pearson;
-                println!("--- {world}: {region}, ε = {radius} km ---");
-                println!(
+                writeln!(out, "--- {world}: {region}, ε = {radius} km ---")?;
+                writeln!(
+                    out,
                     "  Gravity 2Param  r = {:.3}  hit@50% = {:.3}",
                     g2.pearson, g2.hit_rate_50
-                );
-                println!(
+                )?;
+                writeln!(
+                    out,
                     "  Radiation       r = {:.3}  hit@50% = {:.3}",
                     rad.pearson, rad.hit_rate_50
-                );
-                println!(
+                )?;
+                writeln!(
+                    out,
                     "  gravity − radiation gap = {gap:+.3}   ({} trips, {} pairs)",
                     report.od_total, report.nonzero_pairs
-                );
-                println!();
+                )?;
+                writeln!(out)?;
                 let e = gap_sum.entry(world).or_insert((0.0, 0));
                 e.0 += gap;
                 e.1 += 1;
             }
-            Err(e) => println!("{world} / {region}: {e}"),
+            Err(e) => writeln!(out, "{world} / {region}: {e}")?,
         }
     }
 
-    let mean = |w: &str| {
-        gap_sum
-            .get(w)
-            .map(|&(s, n)| s / n.max(1) as f64)
-            .unwrap_or(f64::NAN)
-    };
-    let aus = mean("Australia");
-    let uni = mean("uniform");
-    println!("verdict: mean gravity-over-radiation gap");
-    println!("  Australia       {aus:+.3}");
-    println!("  uniform country {uni:+.3}");
-    if uni < aus {
-        println!("→ the gap shrinks on even geography: Radiation's deficit in the");
-        println!("  paper is geographic, exactly as §IV argues.");
-    } else {
-        println!("→ the gap did NOT shrink — investigate before citing E11.");
+    // A world with no successful fit has no gap, so no verdict either.
+    let mean = |w: &str| gap_sum.get(w).map(|&(s, n)| s / n as f64);
+    let (aus, uni) = (mean("Australia"), mean("uniform"));
+    writeln!(out, "verdict: mean gravity-over-radiation gap")?;
+    for (label, gap) in [("Australia", aus), ("uniform country", uni)] {
+        match gap {
+            Some(gap) => writeln!(out, "  {label:<15} {gap:+.3}")?,
+            None => writeln!(out, "  {label:<15} no successful fit")?,
+        }
+    }
+    match (aus, uni) {
+        (Some(aus), Some(uni)) if uni < aus => {
+            writeln!(
+                out,
+                "→ the gap shrinks on even geography: Radiation's deficit in the"
+            )?;
+            writeln!(out, "  paper is geographic, exactly as §IV argues.")?;
+        }
+        (Some(_), Some(_)) => {
+            writeln!(
+                out,
+                "→ the gap did NOT shrink — investigate before citing E11."
+            )?;
+        }
+        _ => {
+            let unfitted: Vec<&str> = [("Australia", aus), ("uniform", uni)]
+                .into_iter()
+                .filter_map(|(world, gap)| gap.is_none().then_some(world))
+                .collect();
+            let worlds = if unfitted.len() == 1 {
+                "world"
+            } else {
+                "worlds"
+            };
+            let unfitted = format!("the {} {worlds}", unfitted.join(" and "));
+            writeln!(
+                out,
+                "→ inconclusive: no successful fit in {unfitted}, so no gap to compare."
+            )?;
+            return Err(format!("inconclusive: no successful fit in {unfitted}").into());
+        }
     }
     Ok(())
 }
@@ -171,45 +212,60 @@ pub(crate) fn counterfactual(study: &Study) -> Outcome {
 /// mobility". This quantifies the claim the paper itself never tests:
 /// how much collection time does the population estimate need? It slices
 /// the 8-month window into months and repeats Fig. 3 inside each.
-pub(crate) fn temporal(study: &Study) -> Outcome {
-    let ds = study.header("E12 — temporal responsiveness of population estimation");
+pub(crate) fn temporal(study: &Study, out: &mut Out) -> Outcome {
+    let ds = study.header(
+        out,
+        "E12 — temporal responsiveness of population estimation",
+    )?;
     for scale in [Scale::National, Scale::Metropolitan] {
-        println!("--- {} scale, 8 monthly windows ---", scale.name());
+        writeln!(out, "--- {} scale, 8 monthly windows ---", scale.name())?;
         match temporal_stability(ds, scale, 8) {
             Ok(st) => {
-                println!(
+                writeln!(
+                    out,
                     "{:>7} {:>10} {:>9} {:>12} {:>12}",
                     "window", "tweets", "users", "r(census)", "r(full)"
-                );
+                )?;
                 for (k, w) in st.windows.iter().enumerate() {
-                    println!(
+                    writeln!(
+                        out,
                         "{:>7} {:>10} {:>9} {:>12.3} {:>12.3}",
                         k + 1,
                         w.n_tweets,
                         w.n_users,
                         w.vs_census.r,
                         w.vs_full_period.r
-                    );
+                    )?;
                 }
-                println!(
+                writeln!(
+                    out,
                     "worst single-month census correlation: {:.3}",
                     st.worst_census_r()
-                );
+                )?;
             }
-            Err(e) => println!("unavailable: {e}"),
+            Err(e) => writeln!(out, "unavailable: {e}")?,
         }
-        println!();
+        writeln!(out)?;
     }
     match waiting_time_stationarity(ds) {
-        Ok((ks, p)) => println!(
+        Ok((ks, p)) => writeln!(out,
             "waiting-time stationarity (first vs second half, per-user capped): KS = {ks:.3}, p = {p:.3}"
-        ),
-        Err(e) => println!("stationarity test unavailable: {e}"),
+        )?,
+        Err(e) => writeln!(out, "stationarity test unavailable: {e}")?,
     }
-    println!();
-    println!("reading: if every monthly r(census) is close to the full-period");
-    println!("value, one month of tweets already suffices for a responsive");
-    println!("population estimate — the feasibility the paper argues for.");
+    writeln!(out)?;
+    writeln!(
+        out,
+        "reading: if every monthly r(census) is close to the full-period"
+    )?;
+    writeln!(
+        out,
+        "value, one month of tweets already suffices for a responsive"
+    )?;
+    writeln!(
+        out,
+        "population estimate — the feasibility the paper argues for."
+    )?;
     Ok(())
 }
 
@@ -219,43 +275,52 @@ pub(crate) fn temporal(study: &Study) -> Outcome {
 /// Adds to the paper's three models: intervening opportunities,
 /// exponential-deterrence gravity, the Tanner combination, and
 /// doubly-constrained gravity (IPF). Prints one table per scale.
-pub(crate) fn ablation_models(study: &Study) -> Outcome {
-    study.header("extended model ablation (7 models × 3 scales)");
+pub(crate) fn ablation_models(study: &Study, out: &mut Out) -> Outcome {
+    study.header(out, "extended model ablation (7 models × 3 scales)")?;
     for (scale, mobility) in Scale::ALL.iter().zip(study.mobility()) {
         let report = match mobility {
             Ok(m) => &m.report,
             Err(e) => {
-                println!("{}: {e}", scale.name());
+                writeln!(out, "{}: {e}", scale.name())?;
                 continue;
             }
         };
-        println!("=== {} ({} trips) ===", scale.name(), report.od_total);
-        println!(
+        writeln!(out, "=== {} ({} trips) ===", scale.name(), report.od_total)?;
+        writeln!(
+            out,
             "{:<16} {:>9} {:>9} {:>9} {:>9} {:>9}",
             "model", "Pearson", "hit@50%", "logRMSE", "rank-ρ", "SSI"
-        );
+        )?;
         let ablation = deterrence_ablation(report);
         for e in report.evaluations.iter().chain(ablation.evaluations()) {
-            println!(
+            writeln!(
+                out,
                 "{:<16} {:>9.3} {:>9.3} {:>9.3} {:>9.3} {:>9.3}",
                 e.model, e.pearson, e.hit_rate_50, e.log_rmse, e.spearman, e.sorensen
-            );
+            )?;
         }
         if let Ok((tanner, _)) = &ablation.tanner {
-            println!(
+            writeln!(
+                out,
                 "deterrence read-out: γ = {:.2}, 1/κ = {:+.2e}/km (κ ≈ {:.0} km)",
                 tanner.gamma,
                 tanner.inv_kappa,
                 1.0 / tanner.inv_kappa.abs().max(1e-12)
-            );
+            )?;
         }
         if let Ok((iters, _)) = &ablation.ipf {
-            println!("IPF converged in {iters} sweeps");
+            writeln!(out, "IPF converged in {iters} sweeps")?;
         }
-        println!();
+        writeln!(out)?;
     }
-    println!("expected shape: the gravity family tops every scale; IPF wins the");
-    println!("Sørensen index by construction (matched marginals); Radiation trails.");
+    writeln!(
+        out,
+        "expected shape: the gravity family tops every scale; IPF wins the"
+    )?;
+    writeln!(
+        out,
+        "Sørensen index by construction (matched marginals); Radiation trails."
+    )?;
     Ok(())
 }
 
@@ -266,49 +331,68 @@ pub(crate) fn ablation_models(study: &Study) -> Outcome {
 /// ref.\[9\], Hawelka et al. 2014, reports a truncated power law for
 /// global tweets). This prints the log-binned PDF, its tail exponent, and
 /// the mass per distance regime.
-pub(crate) fn displacement(study: &Study) -> Outcome {
-    let ds = study.header("E14 — consecutive-tweet displacement profile");
+pub(crate) fn displacement(study: &Study, out: &mut Out) -> Outcome {
+    let ds = study.header(out, "E14 — consecutive-tweet displacement profile")?;
     let profile = match displacement_profile(ds) {
         Ok(profile) => profile,
         Err(e) => {
-            println!("unavailable: {e}");
+            writeln!(out, "unavailable: {e}")?;
             return Ok(());
         }
     };
-    println!(
+    writeln!(
+        out,
         "{} jumps, median {:.2} km",
         profile.n_jumps, profile.median_km
-    );
-    println!();
-    println!("{:>14} {:>14} {:>10}", "Δr (km)", "density", "count");
+    )?;
+    writeln!(out)?;
+    writeln!(out, "{:>14} {:>14} {:>10}", "Δr (km)", "density", "count")?;
     for b in profile.pdf.iter().filter(|b| b.count > 0) {
-        println!("{:>14.3e} {:>14.3e} {:>10}", b.center, b.density, b.count);
+        writeln!(
+            out,
+            "{:>14.3e} {:>14.3e} {:>10}",
+            b.center, b.density, b.count
+        )?;
     }
-    println!();
+    writeln!(out)?;
     if let Some(tail) = profile.tail {
-        println!(
+        writeln!(
+            out,
             "tail: alpha = {:.2} above {:.1} km (n = {}, KS = {:.3})",
             tail.alpha, tail.xmin, tail.n_tail, tail.ks_distance
-        );
+        )?;
     }
     let shares = &profile.shares;
-    println!("mass per regime:");
-    println!("  local (<5 km)            {:.1} %", shares.local * 100.0);
-    println!(
+    writeln!(out, "mass per regime:")?;
+    writeln!(
+        out,
+        "  local (<5 km)            {:.1} %",
+        shares.local * 100.0
+    )?;
+    writeln!(
+        out,
         "  metropolitan (5–100)     {:.1} %",
         shares.metropolitan * 100.0
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "  inter-city (100–1000)    {:.1} %",
         shares.intercity * 100.0
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "  continental (≥1000)      {:.1} %",
         shares.continental * 100.0
-    );
-    println!();
-    println!("expected shape: heavy tail across four decades with most mass");
-    println!("local — the multi-scale structure the paper's three study scales");
-    println!("slice through.");
+    )?;
+    writeln!(out)?;
+    writeln!(
+        out,
+        "expected shape: heavy tail across four decades with most mass"
+    )?;
+    writeln!(
+        out,
+        "local — the multi-scale structure the paper's three study scales"
+    )?;
+    writeln!(out, "slice through.")?;
     Ok(())
 }

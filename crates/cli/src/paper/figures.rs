@@ -6,24 +6,26 @@
 //! estimated-vs-extracted panels with grey pair clouds, red binned means
 //! and the `y = x` diagonal, matching the paper's layout.
 
-use crate::chart::ScatterChart;
-use crate::heatmap::Heatmap;
-use crate::{Outcome, Pdf, Study};
+use super::chart::ScatterChart;
+use super::heatmap::Heatmap;
+use super::{warn, Outcome, Pdf, Study};
+use crate::{Out, OutputError};
 use std::fs;
 use std::path::Path;
 use tweetmob_core::Scale;
 
-pub(crate) fn figures(study: &Study) -> Outcome {
-    study.header("SVG figure export");
+pub(crate) fn figures(study: &Study, out: &mut Out) -> Outcome {
+    study.header(out, "SVG figure export")?;
     let out_dir = Path::new("figures");
     fs::create_dir_all(out_dir).map_err(|e| format!("cannot create {}: {e}", out_dir.display()))?;
     let mut written = Vec::new();
-    let mut save = |name: &str, svg: String| {
+    let mut save = |out: &mut Out, name: &str, svg: String| {
         let path = out_dir.join(name);
         match fs::write(&path, svg) {
             Ok(()) => written.push(path.display().to_string()),
-            Err(e) => eprintln!("cannot write {}: {e}", path.display()),
+            Err(e) => warn(out, format_args!("cannot write {}: {e}\n", path.display()))?,
         }
+        Ok::<(), OutputError>(())
     };
 
     // ---- Fig. 1: density heatmap ----------------------------------
@@ -33,24 +35,27 @@ pub(crate) fn figures(study: &Study) -> Outcome {
         .flat_map(|row| (0..w).map(move |col| grid.count(col, row).unwrap_or(0)))
         .collect();
     save(
+        out,
         "fig1_density.svg",
         Heatmap::new("Fig. 1 — tweet density (log colour scale)", w, h, counts).render(),
-    );
+    )?;
 
     // ---- Fig. 2: tweeting dynamics --------------------------------
     let [counts, waits] = study.dynamics();
-    save(
-        "fig2a_tweets_per_user.svg",
-        pdf_chart(
-            "Fig. 2(a) — P(no. tweets per user)",
-            "tweets per user",
-            counts,
-        ),
-    );
-    save(
-        "fig2b_waiting_times.svg",
-        pdf_chart("Fig. 2(b) — P(DT), seconds", "waiting time DT (s)", waits),
-    );
+    let svg = pdf_chart(
+        out,
+        "Fig. 2(a) — P(no. tweets per user)",
+        "tweets per user",
+        counts,
+    )?;
+    save(out, "fig2a_tweets_per_user.svg", svg)?;
+    let svg = pdf_chart(
+        out,
+        "Fig. 2(b) — P(DT), seconds",
+        "waiting time DT (s)",
+        waits,
+    )?;
+    save(out, "fig2b_waiting_times.svg", svg)?;
 
     // ---- Fig. 3: population correlation ----------------------------
     let mut chart = ScatterChart::new(
@@ -66,17 +71,17 @@ pub(crate) fn figures(study: &Study) -> Outcome {
                     pop.areas.iter().map(|a| (a.rescaled, a.census)).collect();
                 chart = chart.series(scale.name(), &pts);
             }
-            Err(e) => eprintln!("{}: {e}", scale.name()),
+            Err(e) => warn(out, format_args!("{}: {e}\n", scale.name()))?,
         }
     }
-    save("fig3_population.svg", chart.render());
+    save(out, "fig3_population.svg", chart.render())?;
 
     // ---- Fig. 4: nine model panels ---------------------------------
     for (scale, mobility) in Scale::ALL.iter().zip(study.mobility()) {
         let mobility = match mobility {
             Ok(m) => m,
             Err(e) => {
-                eprintln!("{}: {e}", scale.name());
+                warn(out, format_args!("{}: {e}\n", scale.name()))?;
                 continue;
             }
         };
@@ -98,26 +103,26 @@ pub(crate) fn figures(study: &Study) -> Outcome {
                 scale.name().to_lowercase(),
                 panel.model.to_lowercase().replace(' ', "_")
             );
-            save(&file, chart.render());
+            save(out, &file, chart.render())?;
         }
     }
 
-    println!("wrote {} SVG files:", written.len());
+    writeln!(out, "wrote {} SVG files:", written.len())?;
     for p in written {
-        println!("  {p}");
+        writeln!(out, "  {p}")?;
     }
     Ok(())
 }
 
 /// A log-log PDF chart of a Fig. 2 series.
-fn pdf_chart(title: &str, x_label: &str, pdf: &Pdf) -> String {
+fn pdf_chart(out: &mut Out, title: &str, x_label: &str, pdf: &Pdf) -> Result<String, OutputError> {
     let mut chart = ScatterChart::new(title, x_label, "probability density");
     match &pdf.bins {
         Ok(bins) => {
             let pts: Vec<(f64, f64)> = bins.iter().map(|b| (b.center, b.density)).collect();
             chart = chart.curve("log-binned PDF", &pts);
         }
-        Err(e) => eprintln!("{title}: {e}"),
+        Err(e) => warn(out, format_args!("{title}: {e}\n"))?,
     }
-    chart.render()
+    Ok(chart.render())
 }

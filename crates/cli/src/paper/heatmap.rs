@@ -1,6 +1,6 @@
 //! Log-colour heatmaps for the Fig. 1 density map.
 
-use crate::svg::SvgCanvas;
+use super::svg::SvgCanvas;
 
 /// A rectangular heatmap over cell counts, rendered with a log colour
 /// ramp (the paper's 10⁰…10⁵ scale).

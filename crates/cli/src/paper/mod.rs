@@ -1,7 +1,5 @@
-//! # tweetmob-bench
-//!
-//! The paper-regeneration binary. Its one argument names the artifact
-//! (`cargo run --release -p tweetmob-bench -- <artifact>`):
+//! `tweetmob paper <artifact>`: regenerates the paper's tables and
+//! figures from a synthetic corpus.
 //!
 //! | artifact          | regenerates                                               |
 //! |-------------------|-----------------------------------------------------------|
@@ -18,21 +16,8 @@
 //! | `figures`         | Figs. 1–4 drawn as SVG files under `figures/`             |
 //! | `all`             | the ten text artifacts above, in order, on one dataset    |
 //!
-//! Environment knobs (all optional):
-//!
-//! * `TWEETMOB_USERS` — synthetic user count (default 20,000; the paper's
-//!   own scale is 473,956 — pass it for a full-scale run).
-//! * `TWEETMOB_SEED` — generator seed (default the calibrated preset).
-//!
-//! A missing or unknown artifact, or an extra argument, prints the list of
-//! artifacts and exits 2; a failed artifact exits 1.
-
-#![deny(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic,
-    clippy::unreachable
-)]
+//! The corpus is `generate`'s: `--users N` (default 20,000; the paper's
+//! own scale is 473,956) and `--seed N` (default the calibrated preset).
 
 mod axes;
 mod chart;
@@ -42,22 +27,24 @@ mod heatmap;
 mod svg;
 mod text;
 
+use crate::args::{ArgError, Args};
+use crate::{stderr, Out, OutputError};
 use std::cell::OnceCell;
 use std::error::Error;
-use std::process::ExitCode;
+use std::fmt;
 use tweetmob_core::{Experiment, ExperimentError, MobilityReport, PopulationCorrelation, Scale};
 use tweetmob_data::TweetDataset;
 use tweetmob_geo::{DensityGrid, AUSTRALIA_BBOX};
 use tweetmob_models::{FittedModel, FlowObservation};
 use tweetmob_stats::binning::{BinStat, LogBins};
 use tweetmob_stats::StatsError;
-use tweetmob_synth::{GeneratorConfig, TweetGenerator};
+use tweetmob_synth::TweetGenerator;
 
-/// An artifact's outcome: an error is reported on stderr.
+/// An artifact's outcome: an error fails the run.
 type Outcome = Result<(), Box<dyn Error>>;
 
-/// An artifact: prints to stdout, or (`figures`) writes files.
-type Artifact = fn(&Study) -> Outcome;
+/// An artifact: prints to `out`, or (`figures`) writes files.
+type Artifact = fn(&Study, &mut Out) -> Outcome;
 
 /// Every artifact by name; `all` runs the first ten, in this order.
 const ARTIFACTS: [(&str, Artifact); 12] = [
@@ -75,40 +62,35 @@ const ARTIFACTS: [(&str, Artifact); 12] = [
     ("all", all),
 ];
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (name, sweep) = match args.iter().map(String::as_str).collect::<Vec<_>>()[..] {
-        [name] => (name, false),
-        ["fig3", "--sweep"] => ("fig3", true),
-        _ => return usage(),
-    };
+/// `tweetmob paper <artifact> [--users N] [--seed N] [--sweep]`, where
+/// `--sweep` (fig3 only) appends the metropolitan ε sweep.
+pub(crate) fn paper(args: &Args, out: &mut Out) -> Outcome {
+    let names = || ARTIFACTS.map(|(name, _)| name).join(" ");
+    let name = args
+        .positional(0)
+        .ok_or_else(|| ArgError(format!("missing artifact, one of: {}", names())))?;
     let Some(&(_, run)) = ARTIFACTS.iter().find(|(n, _)| *n == name) else {
-        return usage();
+        return Err(ArgError(format!("unknown artifact {name:?}, one of: {}", names())).into());
     };
-    match run(&Study::new(config(), sweep)) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("tweetmob-bench {name}: {e}");
-            ExitCode::FAILURE
-        }
+    let sweep = args.has("sweep");
+    if sweep && name != "fig3" {
+        return Err(ArgError(format!("--sweep applies to fig3 only, not {name}")).into());
     }
-}
-
-fn usage() -> ExitCode {
-    let names: Vec<&str> = ARTIFACTS.iter().map(|(n, _)| *n).collect();
-    eprintln!("usage: tweetmob-bench <artifact>, or tweetmob-bench fig3 --sweep");
-    eprintln!("artifacts: {}", names.join(" "));
-    ExitCode::from(2)
+    run(&Study::new(crate::commands::generator(args)?, sweep), out)
 }
 
 /// Runs the ten text artifacts in order on one study, each after a blank
-/// line; a failed artifact does not stop the ones after it.
-fn all(study: &Study) -> Outcome {
+/// line; a failed artifact does not stop the ones after it, but a failed
+/// write to `out` ends the run.
+fn all(study: &Study, out: &mut Out) -> Outcome {
     let mut failed = Vec::new();
     for &(name, run) in &ARTIFACTS[..10] {
-        println!();
-        if let Err(e) = run(study) {
-            eprintln!("{name}: {e}");
+        writeln!(out)?;
+        if let Err(e) = run(study, out) {
+            if e.is::<OutputError>() {
+                return Err(e);
+            }
+            warn(out, format_args!("{name}: {e}\n"))?;
             failed.push(name);
         }
     }
@@ -119,25 +101,22 @@ fn all(study: &Study) -> Outcome {
     }
 }
 
-/// The generator configuration of every artifact: the calibrated preset
-/// with the `TWEETMOB_USERS` (at least 1) and `TWEETMOB_SEED` overrides.
-fn config() -> GeneratorConfig {
-    let env_u64 = |name| std::env::var(name).ok()?.trim().parse::<u64>().ok();
-    let mut cfg = GeneratorConfig::default();
-    if let Some(n) = env_u64("TWEETMOB_USERS") {
-        cfg.n_users = u32::try_from(n.max(1)).unwrap_or(u32::MAX);
-    }
-    if let Some(seed) = env_u64("TWEETMOB_SEED") {
-        cfg.seed = seed;
-    }
-    cfg
+/// Writes a diagnostic to stderr after flushing `out`, so a terminal
+/// shows it after the text printed before it.
+fn warn(out: &mut Out, args: fmt::Arguments<'_>) -> Result<(), OutputError> {
+    out.flush()?;
+    stderr(args);
+    Ok(())
 }
+
+/// The line above and below every artifact's title.
+const RULE: &str = "================================================================";
 
 /// The generated dataset and the series the artifacts share. Each is
 /// computed on first use, so `all` computes it once and the text and SVG
 /// renderings read the same values.
 struct Study {
-    cfg: GeneratorConfig,
+    generator: TweetGenerator,
     /// fig3's `--sweep`: append the metropolitan ε sweep.
     sweep: bool,
     dataset: OnceCell<TweetDataset>,
@@ -168,9 +147,9 @@ struct Panel {
 }
 
 impl Study {
-    fn new(cfg: GeneratorConfig, sweep: bool) -> Self {
+    fn new(generator: TweetGenerator, sweep: bool) -> Self {
         Self {
-            cfg,
+            generator,
             sweep,
             dataset: OnceCell::new(),
             grid: OnceCell::new(),
@@ -181,8 +160,7 @@ impl Study {
     }
 
     fn dataset(&self) -> &TweetDataset {
-        self.dataset
-            .get_or_init(|| TweetGenerator::new(self.cfg.clone()).generate())
+        self.dataset.get_or_init(|| self.generator.generate())
     }
 
     fn experiment(&self) -> Experiment<'_> {
@@ -191,18 +169,19 @@ impl Study {
 
     /// Prints the run header (dataset provenance) every artifact on the
     /// standard dataset starts with.
-    fn header(&self, title: &str) -> &TweetDataset {
+    fn header(&self, out: &mut Out, title: &str) -> Result<&TweetDataset, OutputError> {
         let ds = self.dataset();
-        println!("================================================================");
-        println!("{title}");
-        println!(
+        writeln!(out, "{RULE}")?;
+        writeln!(out, "{title}")?;
+        writeln!(
+            out,
             "synthetic dataset: {} users, {} tweets (seed 0x{:X})",
             ds.n_users(),
             ds.n_tweets(),
-            self.cfg.seed
-        );
-        println!("================================================================");
-        ds
+            self.generator.config().seed
+        )?;
+        writeln!(out, "{RULE}")?;
+        Ok(ds)
     }
 
     /// Fig. 1: tweet counts on a 0.2° raster over Australia.

@@ -284,6 +284,7 @@ fn closed_stdout_ends_the_run_quietly() {
             "20",
         ],
         &["help"],
+        &["paper", "table1", "--users", "200"],
     ] {
         let mut child = bin()
             .args(args)

@@ -2,10 +2,7 @@
 
 use crate::areaset::{AreaSet, Scale};
 use crate::odmatrix::OdMatrix;
-use crate::population::{
-    estimate_population, pool_population, population_from_counts, PooledPopulation,
-    PopulationCorrelation,
-};
+use crate::population::{estimate_population, population_from_counts, PopulationCorrelation};
 use crate::trips::trips_scan;
 use std::fmt;
 use std::sync::Arc;
@@ -116,15 +113,6 @@ impl fmt::Display for MobilityReport {
     }
 }
 
-/// One row of the paper's Table II: a scale with its three model scores.
-#[derive(Debug, Clone)]
-pub struct ScaleComparison {
-    /// Scale name.
-    pub scale: &'static str,
-    /// The full mobility report for the scale.
-    pub report: MobilityReport,
-}
-
 /// Errors from the experiment runner.
 #[derive(Debug)]
 pub enum ExperimentError {
@@ -201,20 +189,6 @@ impl<'a> Experiment<'a> {
     ) -> Result<PopulationCorrelation, ExperimentError> {
         let areas = AreaSet::of_scale_with_radius(scale, radius_km);
         Ok(estimate_population(self.dataset, &areas)?)
-    }
-
-    /// The paper's pooled 60-sample population correlation (Fig. 3(a)):
-    /// all three scales at their canonical radii, rescaled per scale.
-    ///
-    /// # Errors
-    ///
-    /// As [`Experiment::population_correlation`].
-    pub fn pooled_population(&self) -> Result<PooledPopulation, ExperimentError> {
-        let per_scale = Scale::ALL
-            .iter()
-            .map(|&s| self.population_correlation(s))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(pool_population(per_scale)?)
     }
 
     /// §IV: mobility extraction + model fitting at one scale, using
@@ -321,23 +295,6 @@ impl<'a> Experiment<'a> {
         );
         Ok((report, bundle))
     }
-
-    /// Table II: the three scales with their model scores.
-    ///
-    /// # Errors
-    ///
-    /// As [`Experiment::mobility`].
-    pub fn scale_comparison(&self) -> Result<Vec<ScaleComparison>, ExperimentError> {
-        Scale::ALL
-            .iter()
-            .map(|&s| {
-                Ok(ScaleComparison {
-                    scale: s.name(),
-                    report: self.mobility(s)?,
-                })
-            })
-            .collect()
-    }
 }
 
 /// Assembles `FlowObservation`s for every ordered pair of areas: `m`, `n`
@@ -370,6 +327,7 @@ fn build_observations(areas: &AreaSet, populations: &[f64], od: &OdMatrix) -> Ve
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::population::PooledPopulation;
     use std::sync::OnceLock;
     use tweetmob_synth::{GeneratorConfig, TweetGenerator};
 
@@ -401,7 +359,8 @@ mod tests {
     #[test]
     fn pooled_population_matches_paper_shape() {
         let exp = Experiment::new(medium());
-        let pooled = exp.pooled_population().unwrap();
+        let per_scale = Scale::ALL.map(|s| exp.population_correlation(s).unwrap());
+        let pooled = PooledPopulation::of(per_scale.into()).unwrap();
         assert_eq!(pooled.pooled.n, 60, "paper pools 60 samples");
         assert!(
             pooled.pooled.r > 0.7,
@@ -474,17 +433,16 @@ mod tests {
     }
 
     #[test]
-    fn scale_comparison_produces_table_two() {
+    fn mobility_at_every_scale_produces_table_two() {
         let exp = Experiment::new(medium());
-        let table = exp.scale_comparison().unwrap();
-        assert_eq!(table.len(), 3);
-        assert_eq!(table[0].scale, "National");
-        for row in &table {
-            let g2 = row.report.evaluation("Gravity 2Param").unwrap();
+        for scale in Scale::ALL {
+            let report = exp.mobility(scale).unwrap();
+            assert_eq!(report.label, scale.name());
+            let g2 = report.evaluation("Gravity 2Param").unwrap();
             assert!(
                 g2.pearson > 0.5,
                 "{}: gravity r = {}",
-                row.scale,
+                scale.name(),
                 g2.pearson
             );
         }

@@ -51,9 +51,7 @@ mod trips;
 pub use ablation::{deterrence_ablation, DeterrenceAblation};
 pub use areaset::{AreaSet, Scale};
 pub use displacement::{displacement_profile, DisplacementProfile, DisplacementShares};
-pub use experiment::{
-    Experiment, ExperimentError, MobilityReport, PopulationSource, ScaleComparison,
-};
+pub use experiment::{Experiment, ExperimentError, MobilityReport, PopulationSource};
 pub use odmatrix::OdMatrix;
 pub use population::{correlation_json, AreaPopulation, PooledPopulation, PopulationCorrelation};
 pub use scan::{data_funnel, DataFunnel};

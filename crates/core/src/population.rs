@@ -115,6 +115,33 @@ pub struct PooledPopulation {
     pub pooled_raw: Correlation,
 }
 
+impl PooledPopulation {
+    /// Pools per-scale results (each already rescaled by its own `C`)
+    /// into the paper's 60-sample correlation, keeping them in input
+    /// order as [`PooledPopulation::per_scale`].
+    ///
+    /// # Errors
+    ///
+    /// Correlation failures on the pooled samples.
+    pub fn of(per_scale: Vec<PopulationCorrelation>) -> Result<Self, StatsError> {
+        let mut est = Vec::new();
+        let mut census = Vec::new();
+        for scale in &per_scale {
+            for a in &scale.areas {
+                est.push(a.rescaled);
+                census.push(a.census);
+            }
+        }
+        let pooled = log_pearson(&est, &census)?;
+        let pooled_raw = pearson(&est, &census)?;
+        Ok(Self {
+            per_scale,
+            pooled,
+            pooled_raw,
+        })
+    }
+}
+
 /// Estimates populations for one area set.
 ///
 /// Runs the shared population-and-trips scan ([`crate::scan`]) over the
@@ -182,32 +209,6 @@ pub(crate) fn population_from_counts(
         correlation,
         correlation_raw,
         median_users,
-    })
-}
-
-/// Pools several per-scale results into the paper's 60-sample
-/// correlation.
-///
-/// # Errors
-///
-/// Correlation failures on the pooled samples.
-pub(crate) fn pool_population(
-    per_scale: Vec<PopulationCorrelation>,
-) -> Result<PooledPopulation, StatsError> {
-    let mut est = Vec::new();
-    let mut census = Vec::new();
-    for scale in &per_scale {
-        for a in &scale.areas {
-            est.push(a.rescaled);
-            census.push(a.census);
-        }
-    }
-    let pooled = log_pearson(&est, &census)?;
-    let pooled_raw = pearson(&est, &census)?;
-    Ok(PooledPopulation {
-        per_scale,
-        pooled,
-        pooled_raw,
     })
 }
 
@@ -336,7 +337,7 @@ pub(crate) mod tests {
         let ds = dataset_with_users(&users);
         let a = estimate_population(&ds, &areas).unwrap();
         let b = estimate_population(&ds, &areas).unwrap();
-        let pooled = pool_population(vec![a, b]).unwrap();
+        let pooled = PooledPopulation::of(vec![a, b]).unwrap();
         assert_eq!(pooled.per_scale.len(), 2);
         assert_eq!(pooled.pooled.n, 40);
         assert!(pooled.pooled.r > 0.999);

@@ -582,9 +582,8 @@ impl ModelBundle {
     /// # Errors
     ///
     /// [`IoError::Io`] on read failure; [`IoError::Format`] on a
-    /// malformed or version-incompatible container (no path attached —
-    /// callers that know the file name add it with
-    /// [`IoError::with_path`]).
+    /// malformed or version-incompatible container (no path attached;
+    /// [`ModelBundle::load_file`] attaches the file name).
     pub fn load<R: Read>(mut r: R) -> Result<Self, IoError> {
         let mut bytes = Vec::new();
         r.read_to_end(&mut bytes)?;

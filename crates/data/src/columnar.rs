@@ -115,7 +115,7 @@ fn write_column<W: Write, const N: usize>(
 ///   counts, a body shorter or longer than the header declares, or
 ///   columns that violate the sort/range invariants checked by
 ///   [`TweetDataset::from_sorted_columns`]. No path is attached; callers
-///   that know the file name add it with [`IoError::with_path`].
+///   that know the file name add it to the message.
 pub fn read_columnar<R: Read>(mut r: R) -> Result<TweetDataset, IoError> {
     let _span = tweetmob_obs::span!("read_columnar");
     let mut header = [0; HEADER_BYTES];

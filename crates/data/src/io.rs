@@ -61,7 +61,7 @@ impl IoError {
     /// produced from an anonymous stream; other variants pass through
     /// unchanged.
     #[must_use]
-    pub fn with_path(self, path: &str) -> Self {
+    pub(crate) fn with_path(self, path: &str) -> Self {
         match self {
             IoError::Format { message, .. } => IoError::Format {
                 path: path.to_string(),

@@ -932,7 +932,7 @@ mod tests {
     #[test]
     fn float_ord_applies_to_binaries_too() {
         let bad = "fn main() { let mut v = vec![1.0]; v.sort_by(|a, b| cmpish(a, b)); }\n";
-        let d = lint("bin/x.rs", "tweetmob-bench", FileKind::Binary, bad);
+        let d = lint("bin/x.rs", "tweetmob-cli", FileKind::Binary, bad);
         assert_eq!(rules(&d), vec![Rule::FloatOrd]);
     }
 

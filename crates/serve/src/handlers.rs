@@ -50,7 +50,7 @@ pub struct ApiError {
 impl ApiError {
     /// `400 Bad Request`.
     #[must_use]
-    pub fn bad_request(message: String) -> Self {
+    pub(crate) fn bad_request(message: String) -> Self {
         ApiError {
             status: 400,
             message,
@@ -77,7 +77,7 @@ impl ApiError {
 
     /// Renders the error as its JSON response.
     #[must_use]
-    pub fn into_response(self) -> Response {
+    pub(crate) fn into_response(self) -> Response {
         Response {
             status: self.status,
             content_type: "application/json",

@@ -4,7 +4,7 @@
 //! reproduction: if one fails, EXPERIMENTS.md is out of date.
 
 use std::sync::OnceLock;
-use tweetmob::core::{Experiment, Scale};
+use tweetmob::core::{Experiment, PooledPopulation, Scale};
 use tweetmob::data::{DatasetSummary, TweetDataset};
 use tweetmob::geo::{haversine_km, DensityGrid, Point, AUSTRALIA_BBOX};
 use tweetmob::stats::powerlaw::fit_scan_xmin;
@@ -134,7 +134,8 @@ fn fig2b_waiting_times_span_many_decades() {
 #[test]
 fn fig3_population_correlation_strong_and_ordered() {
     let exp = experiment();
-    let pooled = exp.pooled_population().expect("pooled correlation");
+    let per_scale = Scale::ALL.map(|s| exp.population_correlation(s).expect("fig 3"));
+    let pooled = PooledPopulation::of(per_scale.into()).expect("pooled correlation");
     // Paper: r = 0.816, p = 2.06e-15 over 60 samples.
     assert_eq!(pooled.pooled.n, 60);
     assert!(pooled.pooled.r > 0.75, "pooled r = {}", pooled.pooled.r);
@@ -212,22 +213,22 @@ fn fig3b_metro_correlation_degrades_at_half_km_radius() {
 #[test]
 fn table2_gravity_beats_radiation() {
     let exp = experiment();
-    let table = exp.scale_comparison().expect("table II");
     let mut gravity_hit_sum = 0.0;
     let mut radiation_hit_sum = 0.0;
-    for row in &table {
-        let g2 = row.report.evaluation("Gravity 2Param").unwrap();
-        let rad = row.report.evaluation("Radiation").unwrap();
+    for scale in Scale::ALL {
+        let report = exp.mobility(scale).expect("table II");
+        let g2 = report.evaluation("Gravity 2Param").unwrap();
+        let rad = report.evaluation("Radiation").unwrap();
         // Pearson ordering holds at every scale (paper Table II).
         assert!(
             g2.pearson > rad.pearson,
             "{}: g2 {} vs radiation {}",
-            row.scale,
+            scale.name(),
             g2.pearson,
             rad.pearson
         );
         // All models stay in the paper's credible band.
-        assert!(g2.pearson > 0.6, "{}: g2 r = {}", row.scale, g2.pearson);
+        assert!(g2.pearson > 0.6, "{}: g2 r = {}", scale.name(), g2.pearson);
         gravity_hit_sum += g2.hit_rate_50;
         radiation_hit_sum += rad.hit_rate_50;
     }
