@@ -112,14 +112,15 @@ fn warn(out: &mut Out, args: fmt::Arguments<'_>) -> Result<(), OutputError> {
 /// The line above and below every artifact's title.
 const RULE: &str = "================================================================";
 
-/// The generated dataset and the series the artifacts share. Each is
-/// computed on first use, so `all` computes it once and the text and SVG
-/// renderings read the same values.
+/// The generated dataset and the series the artifacts share. Every
+/// artifact reads the dataset, so it is generated up front; each series
+/// is computed on first use, so `all` computes it once and the text and
+/// SVG renderings read the same values.
 struct Study {
     generator: TweetGenerator,
     /// fig3's `--sweep`: append the metropolitan ε sweep.
     sweep: bool,
-    dataset: OnceCell<TweetDataset>,
+    dataset: TweetDataset,
     grid: OnceCell<DensityGrid>,
     dynamics: OnceCell<[Pdf; 2]>,
     populations: OnceCell<Vec<Result<PopulationCorrelation, ExperimentError>>>,
@@ -149,9 +150,9 @@ struct Panel {
 impl Study {
     fn new(generator: TweetGenerator, sweep: bool) -> Self {
         Self {
+            dataset: generator.generate(),
             generator,
             sweep,
-            dataset: OnceCell::new(),
             grid: OnceCell::new(),
             dynamics: OnceCell::new(),
             populations: OnceCell::new(),
@@ -159,18 +160,14 @@ impl Study {
         }
     }
 
-    fn dataset(&self) -> &TweetDataset {
-        self.dataset.get_or_init(|| self.generator.generate())
-    }
-
     fn experiment(&self) -> Experiment<'_> {
-        Experiment::new(self.dataset())
+        Experiment::new(&self.dataset)
     }
 
     /// Prints the run header (dataset provenance) every artifact on the
     /// standard dataset starts with.
     fn header(&self, out: &mut Out, title: &str) -> Result<&TweetDataset, OutputError> {
-        let ds = self.dataset();
+        let ds = &self.dataset;
         writeln!(out, "{RULE}")?;
         writeln!(out, "{title}")?;
         writeln!(
@@ -188,7 +185,7 @@ impl Study {
     fn grid(&self) -> &DensityGrid {
         self.grid.get_or_init(|| {
             let mut grid = DensityGrid::new(AUSTRALIA_BBOX, 0.2);
-            grid.extend(self.dataset().iter_points());
+            grid.extend(self.dataset.iter_points());
             grid
         })
     }
@@ -196,7 +193,7 @@ impl Study {
     /// Fig. 2: (a) tweets per user, (b) positive waiting times in seconds.
     fn dynamics(&self) -> &[Pdf; 2] {
         self.dynamics.get_or_init(|| {
-            let ds = self.dataset();
+            let ds = &self.dataset;
             let counts = ds.tweets_per_user().iter().map(|&c| c as f64).collect();
             let waits = ds.waiting_times_secs();
             let waits = waits.iter().map(|&s| s as f64).filter(|&s| s > 0.0);

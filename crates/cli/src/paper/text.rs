@@ -221,7 +221,8 @@ pub(crate) fn fig3(study: &Study, out: &mut Out) -> Outcome {
     // The 2 km row is (a)'s metropolitan entry, the last of `Scale::ALL`:
     // 2 km is that scale's own radius.
     let half_km = exp.population_correlation_with_radius(Scale::Metropolitan, 0.5);
-    for (radius, pop) in [(2.0, &populations[2]), (0.5, &half_km)] {
+    let known = [(2.0, &populations[2]), (0.5, &half_km)];
+    for (radius, pop) in known {
         match pop {
             Ok(pop) => writeln!(
                 out,
@@ -245,7 +246,16 @@ pub(crate) fn fig3(study: &Study, out: &mut Out) -> Outcome {
             "ε (km)", "r(log)", "median users"
         )?;
         for radius in [0.25, 0.5, 1.0, 2.0, 5.0, 10.0] {
-            match exp.population_correlation_with_radius(Scale::Metropolitan, radius) {
+            // The 2 km and 0.5 km rows are (a)'s and (b)'s.
+            let scanned;
+            let pop = match known.iter().find(|&&(r, _)| r == radius) {
+                Some(&(_, pop)) => pop,
+                None => {
+                    scanned = exp.population_correlation_with_radius(Scale::Metropolitan, radius);
+                    &scanned
+                }
+            };
+            match pop {
                 Ok(pop) => writeln!(
                     out,
                     "{:>8} {:>10.3} {:>16.0}",

@@ -1,7 +1,8 @@
 //! Runs `tweetmob paper` end to end on small corpora: `all` prints
 //! exactly what the ten text artifacts print one by one, `figures`
-//! writes the 13 SVG files, a bad invocation is a usage error, and an
-//! E11 run with no successful fit fails instead of printing a verdict.
+//! writes the 13 SVG files, a bad invocation is a usage error, an E11
+//! run with no successful fit fails instead of printing a verdict, and a
+//! run computes each corpus, fit and population once.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -134,23 +135,49 @@ fn counterfactual_without_a_fit_is_inconclusive_and_fails() {
     );
 }
 
+/// The metrics document of a successful `tweetmob paper <args> --users
+/// 1000 --metrics-out m.json` run in `cwd`.
+fn metrics_of(cwd: &Path, args: &[&str]) -> Json {
+    let mut argv = args.to_vec();
+    argv.extend(["--users", "1000", "--metrics-out", "m.json"]);
+    let out = run(cwd, &argv);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{args:?}: {}\n{stderr}", out.status);
+    let doc = std::fs::read_to_string(cwd.join("m.json")).expect("metrics written");
+    Json::parse(&doc).expect("metrics JSON")
+}
+
 /// The global flags apply to a paper run: its manifest names the
 /// `paper` subcommand, and fig3 runs four population scans (three
 /// scales, then the 0.5 km metro row).
 #[test]
 fn metrics_out_records_a_paper_run() {
     let dir = scratch("paper-metrics");
-    let out = run(
-        &dir,
-        &["fig3", "--users", "1000", "--metrics-out", "m.json"],
-    );
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let doc = std::fs::read_to_string(dir.join("m.json")).expect("metrics written");
-    let doc = Json::parse(&doc).expect("metrics JSON");
+    let doc = metrics_of(&dir, &["fig3"]);
     assert_eq!(doc["manifest"]["subcommand"], "paper");
     assert_eq!(doc["timing"]["spans"]["population"]["calls"], 4);
+}
+
+/// Each corpus, fit and population is computed once per run. `all`
+/// generates two corpora: the study's, which E11 reads as its Australia,
+/// and E11's uniform world. It fits five times: the study's three scales
+/// and the uniform world's two regions. The fig3 sweep takes its 2 km
+/// and 0.5 km rows from parts (a) and (b), so it scans 8 distinct radius
+/// and scale pairs once each.
+#[test]
+fn a_paper_run_computes_each_corpus_fit_and_population_once() {
+    let dir = scratch("paper-work");
+    for (args, counts) in [
+        (&["all"][..], &[("synth/generate", 2), ("trips", 5)][..]),
+        (&["counterfactual"], &[("synth/generate", 2)]),
+        (&["fig3", "--sweep"], &[("population", 8)]),
+    ] {
+        let doc = metrics_of(&dir, args);
+        for &(span, calls) in counts {
+            assert_eq!(
+                doc["timing"]["spans"][span]["calls"], calls,
+                "{args:?}: {span}"
+            );
+        }
+    }
 }

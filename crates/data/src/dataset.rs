@@ -3,7 +3,6 @@
 use crate::invariants::ColumnCheck;
 use crate::time::Timestamp;
 use crate::tweet::{Tweet, UserId};
-use std::collections::BTreeSet;
 use tweetmob_geo::{BoundingBox, Point};
 
 /// A struct-of-arrays tweet dataset, sorted by `(user, time)`.
@@ -320,15 +319,18 @@ impl TweetDataset {
     pub fn distinct_locations_per_user(&self, grain_deg: f64) -> Vec<u32> {
         let grain = grain_deg.max(1e-9);
         let mut out = Vec::with_capacity(self.n_users());
-        // BTreeSet (not a hash set): summary statistics must not depend on
-        // hash iteration order anywhere, and the per-user venue counts are
-        // tiny, so the ordered set costs nothing.
-        let mut seen: BTreeSet<(i64, i64)> = BTreeSet::new();
+        // One buffer reused across users: sort and dedup count the distinct
+        // cells without a per-tweet allocation or any hash order.
+        let mut seen: Vec<(i64, i64)> = Vec::new();
         for view in self.iter_users() {
             seen.clear();
-            for (&lat, &lon) in view.lats.iter().zip(view.lons.iter()) {
-                seen.insert(((lat / grain).round() as i64, (lon / grain).round() as i64));
-            }
+            seen.extend(
+                view.lats.iter().zip(view.lons.iter()).map(|(&lat, &lon)| {
+                    ((lat / grain).round() as i64, (lon / grain).round() as i64)
+                }),
+            );
+            seen.sort_unstable();
+            seen.dedup();
             out.push(seen.len() as u32);
         }
         out

@@ -23,9 +23,8 @@
 //! * **HitRate@q and friends** — Table II's HitRate@50% plus RMSE/SSI
 //!   used as additional metrics ([`metrics`]), answering the paper's
 //!   future-work call for "more metrics".
-//! * **Bootstrap confidence intervals** ([`bootstrap`]) with a tiny
-//!   embedded SplitMix64 generator ([`rng`]) so the crate stays
-//!   dependency-free.
+//! * **A tiny embedded SplitMix64 generator** ([`rng`]) so the crate
+//!   stays dependency-free.
 //! * **Concentration indices** ([`concentration`]) — Gini and Theil —
 //!   quantifying the "sparse and uneven population distribution" the
 //!   paper blames for Radiation's misfit.
@@ -62,7 +61,6 @@
 )]
 
 pub mod binning;
-pub mod bootstrap;
 pub mod check;
 pub mod concentration;
 pub mod correlation;

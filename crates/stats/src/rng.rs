@@ -3,9 +3,9 @@
 //! SplitMix64 (Steele, Lea & Flood 2014) is a 64-bit splittable
 //! generator with excellent statistical quality for its size and a
 //! one-line step function. It is the workspace's one random stream: the
-//! synthetic corpus, the stochastic epidemic engine, bootstrap
-//! resampling and every seeded property-test loop draw from it, so a
-//! seed fixes every bit of their output on every platform.
+//! synthetic corpus, the stochastic epidemic engine and every seeded
+//! property-test loop draw from it, so a seed fixes every bit of their
+//! output on every platform.
 
 /// SplitMix64 generator state.
 #[derive(Debug, Clone)]
@@ -42,8 +42,8 @@ impl SplitMix64 {
     }
 
     /// Uniform integer in `[0, bound)` via Lemire's multiply-shift
-    /// (unbiased enough for bootstrap resampling; the modulo bias of the
-    /// plain approach would be < 2⁻⁵³ anyway for realistic bounds).
+    /// (unbiased enough for index sampling; the modulo bias of the plain
+    /// approach would be < 2⁻⁵³ anyway for realistic bounds).
     ///
     /// # Panics
     ///

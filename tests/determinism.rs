@@ -48,7 +48,7 @@ fn different_seed_changes_everything_downstream() {
 
 #[test]
 fn per_user_location_counts_are_reproducible() {
-    // `distinct_locations_per_user` dedups venues through an ordered set;
+    // `distinct_locations_per_user` dedups venues by sorting each user's cells;
     // its output must be identical across runs and across repeated calls
     // on the same dataset (no hash-iteration-order dependence).
     let a = TweetGenerator::new(config()).generate();
