@@ -35,7 +35,7 @@ pub(crate) const METRICS_OUT: &str = "metrics-out";
 /// tree to stderr after the run.
 pub(crate) const TRACE: &str = "trace";
 /// The `--threads <n>` flag every subcommand accepts: pin the shared
-/// worker pool's thread count (overrides `TWEETMOB_THREADS`).
+/// worker pool's thread count (default: the host's core count).
 pub(crate) const THREADS: &str = "threads";
 /// The `--trace-out <path>` flag every subcommand accepts: write the span
 /// tree as collapsed flamegraph stacks after the run, whatever the

@@ -29,21 +29,22 @@ pub(crate) fn export(args: &Args, out: &mut Out) -> Result<()> {
         let population = exp.population_correlation(scale)?;
         let mobility = exp.mobility(scale)?;
         let evaluations = mobility.evaluations.iter().map(ToJson::to_json).collect();
+        let fits = ModelKind::ALL.map(|kind| (kind.key(), mobility.models.params_json(kind)));
         scales.push(Json::obj([
             ("scale", scale.name().into()),
             ("search_radius_km", scale.search_radius_km().into()),
             ("population", population.to_json()),
             (
                 "mobility",
-                Json::obj([
-                    ("od_total", mobility.od_total.into()),
-                    ("nonzero_pairs", mobility.nonzero_pairs.into()),
-                    ("gravity4", mobility.gravity4.to_json()),
-                    ("gravity2", mobility.gravity2.to_json()),
-                    ("radiation", mobility.radiation.to_json()),
-                    ("opportunities", mobility.opportunities.to_json()),
-                    ("evaluations", Json::Arr(evaluations)),
-                ]),
+                Json::obj(
+                    [
+                        ("od_total", mobility.od_total.into()),
+                        ("nonzero_pairs", mobility.nonzero_pairs.into()),
+                        ("evaluations", Json::Arr(evaluations)),
+                    ]
+                    .into_iter()
+                    .chain(fits),
+                ),
             ),
         ]));
         populations.push(population);
@@ -603,10 +604,10 @@ pub(crate) fn epidemic(args: &Args, out: &mut Out) -> Result<()> {
 
 /// `tweetmob serve --artifact-in PATH [--bind ADDR]` — load a fitted
 /// artifact once and answer flow queries over HTTP until killed. The
-/// worker-pool size follows `--threads` / `TWEETMOB_THREADS` like every
-/// other command; the resolved listen address is printed (and stdout
-/// flushed) before serving starts, so a supervisor binding port `0` can
-/// read where the kernel put us.
+/// worker-pool size follows `--threads` like every other command; the
+/// resolved listen address is printed (and stdout flushed) before
+/// serving starts, so a supervisor binding port `0` can read where the
+/// kernel put us.
 pub(crate) fn serve(args: &Args, out: &mut Out) -> Result<()> {
     let bundle = artifact_in(args)?;
     let bind = args.get("bind").unwrap_or("127.0.0.1:8787");

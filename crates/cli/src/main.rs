@@ -175,8 +175,9 @@ GLOBAL FLAGS (accepted by every command):
                              stacks (`frame;frame weight`, weight = self
                              time in ns)
     --threads N              worker threads for parallel stages, 1 to
-                             256 (overrides TWEETMOB_THREADS; results
-                             are identical at every thread count)
+                             256 (default: the host's core count;
+                             results are identical at every thread
+                             count)
 ";
 
 fn main() {

@@ -7,6 +7,7 @@ use tweetmob_core::{
     AreaSet, Experiment, PopulationSource, Scale,
 };
 use tweetmob_geo::haversine_km;
+use tweetmob_models::ModelKind;
 use tweetmob_stats::concentration::{gini, theil};
 use tweetmob_synth::counterfactual::{top_areas, uniform_country_places};
 use tweetmob_synth::{Area, Place, TweetGenerator};
@@ -139,24 +140,17 @@ pub(crate) fn counterfactual(study: &Study, out: &mut Out) -> Outcome {
                     continue;
                 }
             };
-            let g2 = report
-                .evaluation("Gravity 2Param")
-                .ok_or("no Gravity 2Param evaluation")?;
-            let rad = report
-                .evaluation("Radiation")
-                .ok_or("no Radiation evaluation")?;
+            let [g2, rad] =
+                [ModelKind::Gravity2, ModelKind::Radiation].map(|k| report.evaluation(k));
             let gap = g2.pearson - rad.pearson;
             writeln!(out, "--- {world}: {region}, ε = {radius} km ---")?;
-            writeln!(
-                out,
-                "  Gravity 2Param  r = {:.3}  hit@50% = {:.3}",
-                g2.pearson, g2.hit_rate_50
-            )?;
-            writeln!(
-                out,
-                "  Radiation       r = {:.3}  hit@50% = {:.3}",
-                rad.pearson, rad.hit_rate_50
-            )?;
+            for e in [g2, rad] {
+                writeln!(
+                    out,
+                    "  {:<16}r = {:.3}  hit@50% = {:.3}",
+                    e.model, e.pearson, e.hit_rate_50
+                )?;
+            }
             writeln!(
                 out,
                 "  gravity − radiation gap = {gap:+.3}   ({} trips, {} pairs)",

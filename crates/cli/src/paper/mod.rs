@@ -35,7 +35,7 @@ use std::fmt;
 use tweetmob_core::{Experiment, ExperimentError, MobilityReport, PopulationCorrelation, Scale};
 use tweetmob_data::TweetDataset;
 use tweetmob_geo::{DensityGrid, AUSTRALIA_BBOX};
-use tweetmob_models::{FittedModel, FlowObservation};
+use tweetmob_models::{FittedModel, FlowObservation, ModelKind};
 use tweetmob_stats::binning::{BinStat, LogBins};
 use tweetmob_stats::StatsError;
 use tweetmob_synth::TweetGenerator;
@@ -236,10 +236,11 @@ impl Mobility {
     fn new(report: MobilityReport) -> Self {
         let obs = &report.observations;
         let panels = [
-            Panel::new("Gravity 4Param", &report.gravity4, obs),
-            Panel::new("Gravity 2Param", &report.gravity2, obs),
-            Panel::new("Radiation", &report.radiation, obs),
-        ];
+            ModelKind::Gravity4,
+            ModelKind::Gravity2,
+            ModelKind::Radiation,
+        ]
+        .map(|kind| Panel::new(kind.name(), report.models.model(kind), obs));
         Self { report, panels }
     }
 }

@@ -6,6 +6,7 @@ use crate::{Out, OutputError};
 use tweetmob_core::{ExperimentError, PooledPopulation, Scale};
 use tweetmob_data::DatasetSummary;
 use tweetmob_geo::{haversine_km, AUSTRALIA_BBOX};
+use tweetmob_models::ModelKind;
 use tweetmob_stats::powerlaw::fit_scan_xmin;
 use tweetmob_synth::NATIONAL_TOP20;
 
@@ -378,32 +379,20 @@ pub(crate) fn table2(study: &Study, out: &mut Out) -> Outcome {
         }
     }
 
-    let model_names = [
-        "Gravity 4Param",
-        "Gravity 2Param",
-        "Radiation",
-        "Opportunities",
-    ];
     write!(out, "{:<14}", "")?;
-    for m in model_names {
-        write!(out, "{m:>16}")?;
+    for kind in ModelKind::ALL {
+        write!(out, "{:>16}", kind.name())?;
     }
     writeln!(out)?;
     for (scale, report) in &table {
         write!(out, "{scale:<14}")?;
-        for m in model_names {
-            match report.evaluation(m) {
-                Some(e) => write!(out, "{:>16.3}", e.pearson)?,
-                None => write!(out, "{:>16}", "-")?,
-            }
+        for e in &report.evaluations {
+            write!(out, "{:>16.3}", e.pearson)?;
         }
         writeln!(out, "  (Pearson, log)")?;
         write!(out, "{:<14}", "")?;
-        for m in model_names {
-            match report.evaluation(m) {
-                Some(e) => write!(out, "{:>16.3}", e.hit_rate_50)?,
-                None => write!(out, "{:>16}", "-")?,
-            }
+        for e in &report.evaluations {
+            write!(out, "{:>16.3}", e.hit_rate_50)?;
         }
         writeln!(out, "  (HitRate@50%)")?;
     }
@@ -425,10 +414,10 @@ pub(crate) fn table2(study: &Study, out: &mut Out) -> Outcome {
             out,
             "  {:<14} G4: α={:.2} β={:.2} γ={:.2} | G2: γ={:.2} | trips={}",
             scale,
-            r.gravity4.alpha,
-            r.gravity4.beta,
-            r.gravity4.gamma,
-            r.gravity2.gamma,
+            r.models.gravity4.alpha,
+            r.models.gravity4.beta,
+            r.models.gravity4.gamma,
+            r.models.gravity2.gamma,
             r.od_total
         )?;
     }

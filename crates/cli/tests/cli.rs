@@ -542,21 +542,6 @@ fn results_byte_identical_across_thread_counts() {
         metric_docs[0], metric_docs[1],
         "metrics must agree modulo durations and par/ execution-shape gauges"
     );
-
-    // The TWEETMOB_THREADS env var is an equivalent control.
-    let out_json = tmp("threads-env.json");
-    let out = bin()
-        .args(["export", data.to_str().unwrap(), out_json.to_str().unwrap()])
-        .env("TWEETMOB_THREADS", "8")
-        .output()
-        .expect("spawn tweetmob");
-    assert!(out.status.success(), "{}", stderr(&out));
-    assert_eq!(
-        std::fs::read(&out_json).unwrap(),
-        exports[0],
-        "env-pinned run must match the flag-pinned runs"
-    );
-    std::fs::remove_file(&out_json).ok();
     std::fs::remove_file(&data).ok();
 }
 

@@ -59,9 +59,9 @@ fn n_areas_of(report: &MobilityReport) -> usize {
 /// Runs the ablation on a finished mobility report.
 pub fn deterrence_ablation(report: &MobilityReport) -> DeterrenceAblation {
     let gravity_exp = GravityExpFit::fit(&report.observations)
-        .and_then(|fit| evaluate(&fit, &report.observations).map(|e| (fit, e)));
+        .and_then(|fit| evaluate("Gravity Exp", &fit, &report.observations).map(|e| (fit, e)));
     let tanner = TannerFit::fit(&report.observations)
-        .and_then(|fit| evaluate(&fit, &report.observations).map(|e| (fit, e)));
+        .and_then(|fit| evaluate("Gravity Tanner", &fit, &report.observations).map(|e| (fit, e)));
 
     // Rebuild the OD and distance matrices from the observation list
     // (which enumerates ordered pairs in row-major order, diagonal
@@ -81,7 +81,7 @@ pub fn deterrence_ablation(report: &MobilityReport) -> DeterrenceAblation {
                 k += 1;
             }
         }
-        match DoublyConstrainedFit::fit(n, &observed, &distances, report.gravity2.gamma) {
+        match DoublyConstrainedFit::fit(n, &observed, &distances, report.models.gravity2.gamma) {
             Ok(fit) => {
                 // Score only off-diagonal pairs, matching the others.
                 let mut est = Vec::with_capacity(n * (n - 1));
@@ -118,6 +118,7 @@ mod tests {
     use crate::experiment::Experiment;
     use std::sync::OnceLock;
     use tweetmob_data::TweetDataset;
+    use tweetmob_models::ModelKind;
     use tweetmob_synth::{GeneratorConfig, TweetGenerator};
 
     fn medium() -> &'static TweetDataset {
@@ -134,16 +135,16 @@ mod tests {
         // as well (in R² terms) as the pure power law.
         let (tanner_fit, tanner_eval) = ab.tanner.as_ref().expect("tanner fits");
         assert!(
-            tanner_fit.log_r_squared >= report.gravity2.log_r_squared - 1e-9,
+            tanner_fit.log_r_squared >= report.models.gravity2.log_r_squared - 1e-9,
             "tanner R² {} < gravity2 R² {}",
             tanner_fit.log_r_squared,
-            report.gravity2.log_r_squared
+            report.models.gravity2.log_r_squared
         );
         assert!(tanner_eval.pearson > 0.5);
         // IPF matches marginals, so its Sørensen index (common part of
         // commuters) must beat the unconstrained gravity's.
         let (_iters, ipf_eval) = ab.ipf.as_ref().expect("ipf converges");
-        let g2_eval = report.evaluation("Gravity 2Param").unwrap();
+        let g2_eval = report.evaluation(ModelKind::Gravity2);
         assert!(
             ipf_eval.sorensen > g2_eval.sorensen,
             "ipf SSI {} vs g2 SSI {}",

@@ -8,8 +8,8 @@ use std::fmt;
 use std::sync::Arc;
 use tweetmob_data::{BundleArea, BundleMeta, ModelBundle, TweetDataset};
 use tweetmob_models::{
-    evaluate, FittedModelSet, FlowObservation, Gravity2Fit, Gravity4Fit, InterveningPopulation,
-    ModelError, ModelEvaluation, OpportunitiesFit, RadiationFit,
+    evaluate, FittedModelSet, FlowObservation, InterveningPopulation, ModelError, ModelEvaluation,
+    ModelKind,
 };
 use tweetmob_stats::StatsError;
 
@@ -64,23 +64,17 @@ pub struct MobilityReport {
     pub od_total: u64,
     /// Ordered pairs with at least one trip.
     pub nonzero_pairs: usize,
-    /// Fitted 4-parameter gravity model (Eq. 1).
-    pub gravity4: Gravity4Fit,
-    /// Fitted 2-parameter gravity model (Eq. 2).
-    pub gravity2: Gravity2Fit,
-    /// Fitted radiation model (Eq. 3).
-    pub radiation: RadiationFit,
-    /// Fitted intervening-opportunities model (extension).
-    pub opportunities: OpportunitiesFit,
-    /// Scores, in the order gravity4, gravity2, radiation, opportunities
-    /// (the first three are the paper's Table II row).
-    pub evaluations: Vec<ModelEvaluation>,
+    /// The four fitted models.
+    pub models: FittedModelSet,
+    /// One score per model, in [`ModelKind::ALL`] order (the first
+    /// three are the paper's Table II row).
+    pub evaluations: [ModelEvaluation; 4],
 }
 
 impl MobilityReport {
-    /// The evaluation of a model by display name, if present.
-    pub fn evaluation(&self, name: &str) -> Option<&ModelEvaluation> {
-        self.evaluations.iter().find(|e| e.model == name)
+    /// The evaluation of one model.
+    pub fn evaluation(&self, kind: ModelKind) -> &ModelEvaluation {
+        &self.evaluations[kind.index()]
     }
 }
 
@@ -91,21 +85,31 @@ impl fmt::Display for MobilityReport {
             "{}: {} trips over {} nonzero pairs",
             self.label, self.od_total, self.nonzero_pairs
         )?;
+        let (g4, g2) = (&self.models.gravity4, &self.models.gravity2);
         writeln!(
             f,
-            "  Gravity 4Param: C={:.3e} α={:.2} β={:.2} γ={:.2} (R²={:.3})",
-            self.gravity4.c,
-            self.gravity4.alpha,
-            self.gravity4.beta,
-            self.gravity4.gamma,
-            self.gravity4.log_r_squared
+            "  {}: C={:.3e} α={:.2} β={:.2} γ={:.2} (R²={:.3})",
+            ModelKind::Gravity4.name(),
+            g4.c,
+            g4.alpha,
+            g4.beta,
+            g4.gamma,
+            g4.log_r_squared
         )?;
         writeln!(
             f,
-            "  Gravity 2Param: C={:.3e} γ={:.2} (R²={:.3})",
-            self.gravity2.c, self.gravity2.gamma, self.gravity2.log_r_squared
+            "  {}: C={:.3e} γ={:.2} (R²={:.3})",
+            ModelKind::Gravity2.name(),
+            g2.c,
+            g2.gamma,
+            g2.log_r_squared
         )?;
-        writeln!(f, "  Radiation:      C={:.3e}", self.radiation.c)?;
+        writeln!(
+            f,
+            "  {}:      C={:.3e}",
+            ModelKind::Radiation.name(),
+            self.models.radiation.c
+        )?;
         for e in &self.evaluations {
             writeln!(f, "  {e}")?;
         }
@@ -257,22 +261,15 @@ impl<'a> Experiment<'a> {
             build_observations(areas, &populations, od)
         };
         let models = FittedModelSet::fit(&observations)?;
-        let evaluations = vec![
-            evaluate(&models.gravity4, &observations)?,
-            evaluate(&models.gravity2, &observations)?,
-            evaluate(&models.radiation, &observations)?,
-            evaluate(&models.opportunities, &observations)?,
-        ];
+        let [g4, g2, radiation, opportunities] =
+            ModelKind::ALL.map(|kind| evaluate(kind.name(), models.model(kind), &observations));
         let report = MobilityReport {
             label: label.clone(),
             od_total: od.total(),
             nonzero_pairs: od.nonzero_pairs(),
             observations,
-            gravity4: models.gravity4,
-            gravity2: models.gravity2,
-            radiation: models.radiation,
-            opportunities: models.opportunities,
-            evaluations,
+            models,
+            evaluations: [g4?, g2?, radiation?, opportunities?],
         };
         let bundle = ModelBundle::new(
             BundleMeta {
@@ -395,9 +392,13 @@ mod tests {
         let report = exp.mobility(Scale::National).unwrap();
         assert!(report.od_total > 100, "od total {}", report.od_total);
         assert_eq!(report.observations.len(), 380); // 20·19 ordered pairs
-        assert!(report.gravity2.gamma > 0.5 && report.gravity2.gamma < 4.0);
+        assert!(report.models.gravity2.gamma > 0.5 && report.models.gravity2.gamma < 4.0);
         assert_eq!(report.evaluations.len(), 4);
-        assert!(report.evaluation("Radiation").is_some());
+        // Evaluations follow `ModelKind::ALL`, each under its kind's name.
+        for (kind, e) in ModelKind::ALL.into_iter().zip(&report.evaluations) {
+            assert_eq!(e.model, kind.name());
+            assert!(std::ptr::eq(report.evaluation(kind), e));
+        }
     }
 
     #[test]
@@ -412,8 +413,8 @@ mod tests {
         let mut rad_hits = 0.0;
         for scale in Scale::ALL {
             let report = exp.mobility(scale).unwrap();
-            let g2 = report.evaluation("Gravity 2Param").unwrap();
-            let rad = report.evaluation("Radiation").unwrap();
+            let g2 = report.evaluation(ModelKind::Gravity2);
+            let rad = report.evaluation(ModelKind::Radiation);
             assert!(
                 g2.pearson > rad.pearson,
                 "{}: gravity r = {} vs radiation r = {}",
@@ -438,7 +439,7 @@ mod tests {
         for scale in Scale::ALL {
             let report = exp.mobility(scale).unwrap();
             assert_eq!(report.label, scale.name());
-            let g2 = report.evaluation("Gravity 2Param").unwrap();
+            let g2 = report.evaluation(ModelKind::Gravity2);
             assert!(
                 g2.pearson > 0.5,
                 "{}: gravity r = {}",
@@ -450,12 +451,12 @@ mod tests {
 
     #[test]
     fn fit_bundle_round_trips_and_bit_matches_report() {
-        use tweetmob_models::{FittedModel, ModelKind};
+        use tweetmob_models::FittedModel;
         let exp = Experiment::new(medium());
         let (report, bundle) = exp.fit(Scale::National).unwrap();
         assert_eq!(bundle.len(), 20);
         assert_eq!(bundle.meta().population_source, "twitter");
-        assert_eq!(bundle.models().gravity2, report.gravity2);
+        assert_eq!(bundle.models().gravity2, report.models.gravity2);
         let mut buf = Vec::new();
         bundle.save(&mut buf).unwrap();
         let loaded = ModelBundle::load(&buf[..]).unwrap();
@@ -464,14 +465,14 @@ mod tests {
             let obs = bundle.observation(i, j).unwrap();
             assert_eq!(
                 loaded.predict(ModelKind::Gravity4, i, j).unwrap().to_bits(),
-                report.gravity4.predict_flow(&obs).to_bits()
+                report.models.gravity4.predict_flow(&obs).to_bits()
             );
             assert_eq!(
                 loaded
                     .predict(ModelKind::Radiation, i, j)
                     .unwrap()
                     .to_bits(),
-                report.radiation.predict_flow(&obs).to_bits()
+                report.models.radiation.predict_flow(&obs).to_bits()
             );
         }
     }
@@ -498,7 +499,7 @@ mod tests {
                 "census".into(),
             )
             .unwrap();
-        let g2 = report.evaluation("Gravity 2Param").unwrap();
+        let g2 = report.evaluation(ModelKind::Gravity2);
         assert!(g2.pearson > 0.5, "census-fed gravity r = {}", g2.pearson);
     }
 

@@ -16,9 +16,7 @@
 //! to the scalar path it replaces; the tests build the same cache from
 //! per-pair [`haversine_km`](crate::haversine_km) distances and assert both agree to the bit.
 //!
-//! Observability: the `cache/pairgeo/build` span times each build, and
-//! the `cache/pairgeo/hits` counter counts distance lookups served from
-//! a built cache.
+//! Observability: the `cache/pairgeo/build` span times each build.
 
 #[cfg(test)]
 use crate::distance::haversine_km;
@@ -139,7 +137,6 @@ pub struct PairGeometry {
     tri: Vec<f64>,
     /// Per origin: `(distance to other point, its index)`, ascending.
     ranked: Vec<Vec<(f64, usize)>>,
-    hits: tweetmob_obs::Counter,
 }
 
 impl PairGeometry {
@@ -180,12 +177,7 @@ impl PairGeometry {
         for row in &mut ranked {
             row.sort_by(|a, b| a.0.total_cmp(&b.0));
         }
-        Self {
-            n,
-            tri,
-            ranked,
-            hits: tweetmob_obs::counter!("cache/pairgeo/hits"),
-        }
+        Self { n, tri, ranked }
     }
 
     /// Number of points the cache covers.
@@ -212,7 +204,6 @@ impl PairGeometry {
     #[must_use]
     pub fn distance(&self, i: usize, j: usize) -> f64 {
         assert!(i < self.n && j < self.n, "point index out of range");
-        self.hits.incr();
         if i == j {
             return 0.0;
         }
@@ -390,17 +381,5 @@ mod tests {
         let geo = PairGeometry::shared(&scatter(8, 1));
         let other = Arc::clone(&geo);
         assert_eq!(geo.distance(0, 5).to_bits(), other.distance(0, 5).to_bits());
-    }
-
-    #[test]
-    fn cache_metrics_are_recorded() {
-        let geo = PairGeometry::build(&scatter(5, 77));
-        let before_hits = tweetmob_obs::counter!("cache/pairgeo/hits").value();
-        let _ = geo.distance(0, 1);
-        let _ = geo.distance(2, 2);
-        assert_eq!(
-            tweetmob_obs::counter!("cache/pairgeo/hits").value(),
-            before_hits + 2
-        );
     }
 }

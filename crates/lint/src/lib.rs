@@ -19,9 +19,9 @@
 //!   `#[derive(PartialOrd)]`.
 //! * **`raw-haversine`** — no direct `haversine_km` calls in the
 //!   model-fitting crates (`models`, `epidemic`): pairwise distances
-//!   there route through the shared `PairGeometry` cache so the hot path
-//!   never recomputes transcendentals and the `cache/pairgeo/*` metrics
-//!   stay honest. In the batch-kernel crates (`geo`, `core`) the same
+//!   there route through the shared `PairGeometry` cache, which computes
+//!   each pair's distance once per point set, so the hot path never
+//!   recomputes transcendentals. In the batch-kernel crates (`geo`, `core`) the same
 //!   rule bans per-element `haversine_km` calls inside `for`/`while`/
 //!   `loop` bodies: per-element distances there go through
 //!   `TrigPoint::distance_km`, which hoists each point's trigonometry
@@ -725,8 +725,8 @@ fn matching_paren(code: &str, open: usize) -> Option<usize> {
 /// In [`GEOMETRY_CACHE_CRATES`] every call flags: `PairGeometry` builds
 /// the full pairwise triangle once and shares it; a scalar call in
 /// `models` or `epidemic` library code reintroduces the per-pair
-/// transcendental cost on the hot path and bypasses the
-/// `cache/pairgeo/hits` accounting.
+/// transcendental cost on the hot path and computes a distance the
+/// cache already holds.
 ///
 /// In [`BATCH_KERNEL_CRATES`] only calls inside `for`/`while`/`loop`
 /// bodies flag — per-element loops belong on `TrigPoint::distance_km` —

@@ -64,10 +64,6 @@ impl GravityExpFit {
 }
 
 impl FittedModel for GravityExpFit {
-    fn model_name(&self) -> &'static str {
-        "Gravity Exp"
-    }
-
     fn predict_flow(&self, obs: &FlowObservation) -> f64 {
         self.c
             * obs.origin_population
@@ -125,10 +121,6 @@ impl TannerFit {
 }
 
 impl FittedModel for TannerFit {
-    fn model_name(&self) -> &'static str {
-        "Gravity Tanner"
-    }
-
     fn predict_flow(&self, obs: &FlowObservation) -> f64 {
         self.c
             * obs.origin_population
@@ -240,24 +232,5 @@ mod tests {
             TannerFit::fit(&data),
             Err(ModelError::DegenerateFit(_))
         ));
-    }
-
-    #[test]
-    fn model_names() {
-        let g = GravityExpFit {
-            c: 1.0,
-            kappa_km: 100.0,
-            log_r_squared: 1.0,
-            n_used: 0,
-        };
-        assert_eq!(g.model_name(), "Gravity Exp");
-        let t = TannerFit {
-            c: 1.0,
-            gamma: 2.0,
-            inv_kappa: 0.001,
-            log_r_squared: 1.0,
-            n_used: 0,
-        };
-        assert_eq!(t.model_name(), "Gravity Tanner");
     }
 }

@@ -72,7 +72,8 @@ impl fmt::Display for ModelEvaluation {
     }
 }
 
-/// Scores `model` against the observed flows.
+/// Scores `model` against the observed flows, under the display name
+/// `name` (the paper models' is [`ModelKind::name`](crate::ModelKind::name)).
 ///
 /// Only observations with a positive observed flow enter the metrics
 /// (pairs with zero observed flow cannot be scored by relative error or
@@ -87,7 +88,8 @@ impl fmt::Display for ModelEvaluation {
 ///
 /// [`ModelError::TooFewObservations`] when fewer than 3 scorable pairs
 /// remain (Pearson needs 3).
-pub fn evaluate<M: FittedModel>(
+pub fn evaluate<M: FittedModel + ?Sized>(
+    name: &'static str,
     model: &M,
     observations: &[FlowObservation],
 ) -> Result<ModelEvaluation, ModelError> {
@@ -102,7 +104,7 @@ pub fn evaluate<M: FittedModel>(
             obs.push(o.observed_flow);
         }
     }
-    evaluate_vectors(model.model_name(), &est, &obs)
+    evaluate_vectors(name, &est, &obs)
 }
 
 /// Scores pre-computed prediction/observation vectors with the same
@@ -214,7 +216,7 @@ mod tests {
     fn perfect_model_scores_perfectly() {
         let data = gravity_world(|_| 1.0);
         let fit = Gravity2Fit::fit(&data).unwrap();
-        let e = evaluate(&fit, &data).unwrap();
+        let e = evaluate("Gravity 2Param", &fit, &data).unwrap();
         assert!(e.pearson > 0.999_999);
         assert_eq!(e.hit_rate_50, 1.0);
         assert!(e.log_rmse < 1e-6);
@@ -226,7 +228,7 @@ mod tests {
     fn noise_degrades_scores_monotonically() {
         let noisy = gravity_world(|i| if i % 2 == 0 { 3.0 } else { 1.0 / 3.0 });
         let fit = Gravity2Fit::fit(&noisy).unwrap();
-        let e = evaluate(&fit, &noisy).unwrap();
+        let e = evaluate("Gravity 2Param", &fit, &noisy).unwrap();
         // 3x multiplicative noise → hit rate collapses, correlation holds.
         assert!(e.hit_rate_50 < 0.3, "hit rate {}", e.hit_rate_50);
         assert!(e.pearson > 0.9, "pearson {}", e.pearson);
@@ -239,7 +241,7 @@ mod tests {
         let n_before = data.len();
         data.push(obs(1e4, 1e4, 100.0, 0.0));
         let fit = Gravity2Fit::fit(&data).unwrap();
-        let e = evaluate(&fit, &data).unwrap();
+        let e = evaluate("Gravity 2Param", &fit, &data).unwrap();
         assert_eq!(e.n_pairs, n_before);
     }
 
@@ -248,7 +250,7 @@ mod tests {
         let data = gravity_world(|_| 1.0);
         let fit = Gravity2Fit::fit(&data).unwrap();
         assert!(matches!(
-            evaluate(&fit, &data[..2]),
+            evaluate("Gravity 2Param", &fit, &data[..2]),
             Err(ModelError::TooFewObservations { .. })
         ));
     }
@@ -300,7 +302,7 @@ mod tests {
     fn display_contains_metrics() {
         let data = gravity_world(|_| 1.0);
         let fit = Gravity2Fit::fit(&data).unwrap();
-        let text = evaluate(&fit, &data).unwrap().to_string();
+        let text = evaluate("Gravity 2Param", &fit, &data).unwrap().to_string();
         assert!(text.contains("Gravity 2Param"));
         assert!(text.contains("hit@50%"));
     }

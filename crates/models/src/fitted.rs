@@ -19,6 +19,7 @@ use crate::gravity::{Gravity2Fit, Gravity4Fit};
 use crate::opportunities::OpportunitiesFit;
 use crate::radiation::RadiationFit;
 use crate::traits::{FlowObservation, ModelError};
+use tweetmob_obs::{Json, ToJson};
 
 /// A fitted, immutable mobility-model artifact: everything needed to
 /// predict a flow, nothing needed to fit one.
@@ -26,19 +27,23 @@ use crate::traits::{FlowObservation, ModelError};
 /// Implementors are plain `Copy` parameter structs — loading one from
 /// an artifact file and predicting
 /// with it is bit-identical to predicting with the freshly fitted
-/// value, because prediction touches only the stored parameters.
+/// value, because prediction touches only the stored parameters. A
+/// model's name is not its own: the four paper models are named by
+/// [`ModelKind::name`], and [`evaluate`](crate::evaluate) takes the
+/// name from its caller.
 pub trait FittedModel {
-    /// Short display name ("Gravity 4Param", …) used in report tables
-    /// and artifact queries.
-    fn model_name(&self) -> &'static str;
-
     /// Predicted flow for the observation's `(m, n, d, s)`; the
     /// observation's `observed_flow` is ignored.
     fn predict_flow(&self, obs: &FlowObservation) -> f64;
 }
 
 /// The four models of the paper's comparison, as a closed enum — the
-/// dispatch key for artifact queries (`tweetmob predict --model …`).
+/// one identity of each model: it names it ([`ModelKind::name`]),
+/// orders it ([`ModelKind::ALL`]), indexes it ([`ModelKind::index`])
+/// and is the dispatch key for artifact queries
+/// (`tweetmob predict --model …`).
+///
+/// Variants are declared in [`ModelKind::ALL`] order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ModelKind {
     /// 4-parameter gravity (Eq. 1).
@@ -59,6 +64,23 @@ impl ModelKind {
         ModelKind::Radiation,
         ModelKind::Opportunities,
     ];
+
+    /// Position of the kind in [`ModelKind::ALL`].
+    #[must_use]
+    pub const fn index(self) -> usize {
+        self as usize
+    }
+
+    /// Display name, as report tables and evaluations print it.
+    #[must_use]
+    pub const fn name(self) -> &'static str {
+        match self {
+            ModelKind::Gravity4 => "Gravity 4Param",
+            ModelKind::Gravity2 => "Gravity 2Param",
+            ModelKind::Radiation => "Radiation",
+            ModelKind::Opportunities => "Opportunities",
+        }
+    }
 
     /// The CLI/flag spelling of the kind.
     #[must_use]
@@ -130,6 +152,17 @@ impl FittedModelSet {
             ModelKind::Gravity2 => &self.gravity2,
             ModelKind::Radiation => &self.radiation,
             ModelKind::Opportunities => &self.opportunities,
+        }
+    }
+
+    /// The fitted parameters of one kind, as JSON.
+    #[must_use]
+    pub fn params_json(&self, kind: ModelKind) -> Json {
+        match kind {
+            ModelKind::Gravity4 => self.gravity4.to_json(),
+            ModelKind::Gravity2 => self.gravity2.to_json(),
+            ModelKind::Radiation => self.radiation.to_json(),
+            ModelKind::Opportunities => self.opportunities.to_json(),
         }
     }
 
@@ -218,22 +251,20 @@ mod tests {
     }
 
     #[test]
-    fn model_names_stay_stable() {
-        let data = synthetic();
-        let set = FittedModelSet::fit(&data).unwrap();
+    fn kind_names_and_indexes_stay_stable() {
+        let names = ModelKind::ALL.map(ModelKind::name);
         assert_eq!(
-            set.model(ModelKind::Gravity4).model_name(),
-            "Gravity 4Param"
+            names,
+            [
+                "Gravity 4Param",
+                "Gravity 2Param",
+                "Radiation",
+                "Opportunities"
+            ]
         );
-        assert_eq!(
-            set.model(ModelKind::Gravity2).model_name(),
-            "Gravity 2Param"
-        );
-        assert_eq!(set.model(ModelKind::Radiation).model_name(), "Radiation");
-        assert_eq!(
-            set.model(ModelKind::Opportunities).model_name(),
-            "Opportunities"
-        );
+        for (i, kind) in ModelKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind.index(), i);
+        }
     }
 
     #[test]

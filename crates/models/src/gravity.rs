@@ -90,10 +90,6 @@ impl ToJson for Gravity4Fit {
 }
 
 impl FittedModel for Gravity4Fit {
-    fn model_name(&self) -> &'static str {
-        "Gravity 4Param"
-    }
-
     fn predict_flow(&self, obs: &FlowObservation) -> f64 {
         self.c * obs.origin_population.powf(self.alpha) * obs.dest_population.powf(self.beta)
             / obs.distance_km.powf(self.gamma)
@@ -137,10 +133,6 @@ impl ToJson for Gravity2Fit {
 }
 
 impl FittedModel for Gravity2Fit {
-    fn model_name(&self) -> &'static str {
-        "Gravity 2Param"
-    }
-
     fn predict_flow(&self, obs: &FlowObservation) -> f64 {
         self.c * obs.origin_population * obs.dest_population / obs.distance_km.powf(self.gamma)
     }
@@ -265,18 +257,5 @@ mod tests {
             Gravity2Fit::fit(&data),
             Err(ModelError::DegenerateFit(_))
         ));
-    }
-
-    #[test]
-    fn model_names() {
-        let data = synthetic(0.01, 1.0, 1.0, 2.0, 50);
-        assert_eq!(
-            Gravity4Fit::fit(&data).unwrap().model_name(),
-            "Gravity 4Param"
-        );
-        assert_eq!(
-            Gravity2Fit::fit(&data).unwrap().model_name(),
-            "Gravity 2Param"
-        );
     }
 }

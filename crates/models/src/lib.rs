@@ -23,13 +23,15 @@
 //!
 //! Fitting and prediction are split: every fitted parameter struct is an
 //! immutable, serializable artifact implementing [`FittedModel`]
-//! (`model_name` / `predict_flow`), so the evaluation
+//! (one method, `predict_flow`), so the evaluation
 //! harness ([`evaluate`]) can score any of them with the
 //! paper's two Table-II metrics (log-space Pearson, HitRate@50%) plus
 //! the extra metrics the paper's future work calls for. The four
-//! paper-comparison fits travel together as a [`FittedModelSet`],
-//! addressed by [`ModelKind`] — the unit the artifact container in
-//! `tweetmob-data` persists for fit-once / predict-many serving.
+//! paper-comparison fits travel together as a [`FittedModelSet`] — the
+//! unit the artifact container in `tweetmob-data` persists for
+//! fit-once / predict-many serving. [`ModelKind`] is each one's
+//! identity: it names, orders and indexes them, and a caller passes
+//! its [`ModelKind::name`] to [`evaluate`].
 //!
 //! ## Example
 //!

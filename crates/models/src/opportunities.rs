@@ -57,10 +57,6 @@ impl ToJson for OpportunitiesFit {
 }
 
 impl FittedModel for OpportunitiesFit {
-    fn model_name(&self) -> &'static str {
-        "Opportunities"
-    }
-
     fn predict_flow(&self, obs: &FlowObservation) -> f64 {
         self.c * Self::structural_factor(obs)
     }
@@ -110,11 +106,5 @@ mod tests {
     fn fit_requires_usable_observations() {
         assert!(OpportunitiesFit::fit_columnar(&[]).is_err());
         assert!(OpportunitiesFit::fit_columnar(&[obs(1e4, 1e3, 0.0, 0.0)]).is_err());
-    }
-
-    #[test]
-    fn name_is_stable() {
-        let fit = OpportunitiesFit { c: 1.0, n_used: 0 };
-        assert_eq!(fit.model_name(), "Opportunities");
     }
 }

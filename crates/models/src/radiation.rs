@@ -206,10 +206,6 @@ impl ToJson for RadiationFit {
 }
 
 impl FittedModel for RadiationFit {
-    fn model_name(&self) -> &'static str {
-        "Radiation"
-    }
-
     fn predict_flow(&self, obs: &FlowObservation) -> f64 {
         self.c * Self::structural_factor(obs)
     }
@@ -384,11 +380,5 @@ mod tests {
         ));
         let zero_flow = vec![obs(1e4, 1e4, 10.0, 0.0, 0.0)];
         assert!(RadiationFit::fit_columnar(&zero_flow).is_err());
-    }
-
-    #[test]
-    fn model_name() {
-        let fit = RadiationFit { c: 1.0, n_used: 1 };
-        assert_eq!(fit.model_name(), "Radiation");
     }
 }

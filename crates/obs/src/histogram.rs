@@ -80,9 +80,11 @@ impl Histogram {
         &self.inner.bounds
     }
 
-    /// Per-bucket counts: one entry per bound, then the overflow count.
+    /// Per-bucket counts: one entry per bound, then the overflow count
+    /// (a test oracle; the JSON document renders the same cells).
+    #[cfg(test)]
     #[must_use]
-    pub fn bucket_counts(&self) -> Vec<u64> {
+    pub(crate) fn bucket_counts(&self) -> Vec<u64> {
         self.inner
             .buckets
             .iter()

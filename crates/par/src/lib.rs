@@ -32,10 +32,9 @@
 //! Highest priority first:
 //!
 //! 1. a process-local override installed by [`set_threads_override`] or
-//!    scoped by [`with_threads`] (the CLI's `--threads` flag and the
-//!    determinism tests use these),
-//! 2. the `TWEETMOB_THREADS` environment variable (a positive integer),
-//! 3. [`std::thread::available_parallelism`].
+//!    scoped by [`with_threads`] (the CLI's `--threads` flag, parsed by
+//!    [`parse_threads`], and the determinism tests use these),
+//! 2. [`std::thread::available_parallelism`].
 //!
 //! Every source is bounded by [`MAX_THREADS`]: [`parse_threads`] rejects
 //! larger values, and the overrides and the host count clamp to it, so
@@ -63,9 +62,6 @@
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
-
-/// Environment variable overriding the worker-thread count.
-pub const THREADS_ENV: &str = "TWEETMOB_THREADS";
 
 /// Upper bound on the worker-thread count from any source.
 pub const MAX_THREADS: usize = 256;
@@ -103,20 +99,14 @@ pub fn with_threads<T>(threads: usize, f: impl FnOnce() -> T) -> T {
     f()
 }
 
-/// The worker-thread count a dispatch would use right now: override,
-/// then [`THREADS_ENV`], then [`std::thread::available_parallelism`]
-/// (at most [`MAX_THREADS`]).
+/// The worker-thread count a dispatch would use right now: the
+/// override, else [`std::thread::available_parallelism`] (at most
+/// [`MAX_THREADS`]).
 #[must_use]
 pub fn resolved_threads() -> usize {
     let forced = OVERRIDE.load(Ordering::SeqCst);
     if forced > 0 {
         return forced;
-    }
-    if let Some(n) = std::env::var(THREADS_ENV)
-        .ok()
-        .and_then(|v| parse_threads(&v))
-    {
-        return n;
     }
     std::thread::available_parallelism()
         .map_or(1, std::num::NonZeroUsize::get)

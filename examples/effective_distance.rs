@@ -28,7 +28,8 @@ fn main() {
         Arc::clone(areas.geometry()),
         &areas.census_populations(),
     );
-    let network = MobilityNetwork::from_model(&report.gravity2, &census, 0.02).expect("network");
+    let network =
+        MobilityNetwork::from_model(&report.models.gravity2, &census, 0.02).expect("network");
 
     // Simulate an outbreak from Sydney and estimate R0 back from the
     // curve (surveillance sanity check).

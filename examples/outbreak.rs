@@ -27,7 +27,7 @@ fn main() {
         .expect("national mobility fit");
     println!(
         "fitted gravity model on {} extracted trips: gamma = {:.2}",
-        report.od_total, report.gravity2.gamma
+        report.od_total, report.models.gravity2.gamma
     );
 
     // 2. Build the metapopulation network from the *fitted* model over
@@ -38,7 +38,7 @@ fn main() {
         &areas.census_populations(),
     );
     let network = MobilityNetwork::from_model(
-        &report.gravity2,
+        &report.models.gravity2,
         &census,
         0.02, // 2 % of each city travels per day
     )

@@ -27,7 +27,7 @@
 //! * [`obs`] — structured spans, counters and pipeline metrics (the
 //!   instrumentation every stage above records into);
 //! * [`par`] — the shared deterministic worker pool every parallel
-//!   stage dispatches on (`TWEETMOB_THREADS`, scoped overrides).
+//!   stage dispatches on (`--threads`, scoped overrides).
 //!
 //! ## Quickstart
 //!

@@ -164,25 +164,25 @@ fn pipeline_fit_save_load_predict_is_bit_identical_at_1_and_8_threads() {
                 let obs = bundle.observation(i, j).unwrap();
                 assert_eq!(
                     loaded.predict(ModelKind::Gravity4, i, j).unwrap().to_bits(),
-                    report.gravity4.predict_flow(&obs).to_bits()
+                    report.models.gravity4.predict_flow(&obs).to_bits()
                 );
                 assert_eq!(
                     loaded.predict(ModelKind::Gravity2, i, j).unwrap().to_bits(),
-                    report.gravity2.predict_flow(&obs).to_bits()
+                    report.models.gravity2.predict_flow(&obs).to_bits()
                 );
                 assert_eq!(
                     loaded
                         .predict(ModelKind::Radiation, i, j)
                         .unwrap()
                         .to_bits(),
-                    report.radiation.predict_flow(&obs).to_bits()
+                    report.models.radiation.predict_flow(&obs).to_bits()
                 );
                 assert_eq!(
                     loaded
                         .predict(ModelKind::Opportunities, i, j)
                         .unwrap()
                         .to_bits(),
-                    report.opportunities.predict_flow(&obs).to_bits()
+                    report.models.opportunities.predict_flow(&obs).to_bits()
                 );
             }
         }

@@ -8,6 +8,7 @@
 
 use tweetmob::core::{AreaSet, Experiment, PopulationSource, Scale};
 use tweetmob::geo::haversine_km;
+use tweetmob::models::ModelKind;
 use tweetmob::stats::concentration::gini;
 use tweetmob::synth::counterfactual::uniform_country_places;
 use tweetmob::synth::gazetteer::world_places;
@@ -69,7 +70,7 @@ fn radiation_recovers_on_even_geography() {
         .expect("uniform state mobility");
 
     let gap = |r: &tweetmob::core::MobilityReport| {
-        r.evaluation("Gravity 2Param").unwrap().pearson - r.evaluation("Radiation").unwrap().pearson
+        r.evaluation(ModelKind::Gravity2).pearson - r.evaluation(ModelKind::Radiation).pearson
     };
     let aus_gap = gap(&aus);
     let uni_gap = gap(&uni);
@@ -79,8 +80,8 @@ fn radiation_recovers_on_even_geography() {
     );
 
     // Radiation's absolute accuracy also improves on the even world.
-    let aus_rad = aus.evaluation("Radiation").unwrap();
-    let uni_rad = uni.evaluation("Radiation").unwrap();
+    let aus_rad = aus.evaluation(ModelKind::Radiation);
+    let uni_rad = uni.evaluation(ModelKind::Radiation);
     assert!(
         uni_rad.hit_rate_50 > aus_rad.hit_rate_50,
         "radiation hit rate: australia {:.3}, uniform {:.3}",

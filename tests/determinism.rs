@@ -32,7 +32,7 @@ fn experiment_results_are_reproducible() {
     assert_eq!(pa.correlation.r, pb.correlation.r);
     let ma = ea.mobility(Scale::National).unwrap();
     let mb = eb.mobility(Scale::National).unwrap();
-    assert_eq!(ma.gravity2.gamma, mb.gravity2.gamma);
+    assert_eq!(ma.models.gravity2.gamma, mb.models.gravity2.gamma);
     assert_eq!(ma.od_total, mb.od_total);
 }
 
@@ -43,7 +43,7 @@ fn different_seed_changes_everything_downstream() {
     let ga = Experiment::new(&a).mobility(Scale::National).unwrap();
     let gb = Experiment::new(&b).mobility(Scale::National).unwrap();
     assert_ne!(ga.od_total, gb.od_total);
-    assert_ne!(ga.gravity2.gamma, gb.gravity2.gamma);
+    assert_ne!(ga.models.gravity2.gamma, gb.models.gravity2.gamma);
 }
 
 #[test]

@@ -6,7 +6,7 @@ use tweetmob::core::{AreaSet, Experiment, PopulationSource, Scale};
 use tweetmob::data::{io, TweetDataset};
 use tweetmob::epidemic::{MobilityNetwork, OutbreakScenario};
 use tweetmob::geo::{DensityGrid, AUSTRALIA_BBOX};
-use tweetmob::models::InterveningPopulation;
+use tweetmob::models::{InterveningPopulation, ModelKind};
 use tweetmob::synth::{GeneratorConfig, TweetGenerator};
 
 fn dataset() -> &'static TweetDataset {
@@ -57,7 +57,7 @@ fn mobility_fit_feeds_epidemic_simulation() {
         Arc::clone(areas.geometry()),
         &areas.census_populations(),
     );
-    let net = MobilityNetwork::from_model(&report.gravity2, &census, 0.02).expect("network");
+    let net = MobilityNetwork::from_model(&report.models.gravity2, &census, 0.02).expect("network");
     let tl = OutbreakScenario::new(net, 0.5, 0.2)
         .seed(0, 50.0)
         .run_deterministic(200.0, 0.25)
@@ -86,7 +86,7 @@ fn effective_distance_beats_geography_as_arrival_predictor() {
         Arc::clone(areas.geometry()),
         &areas.census_populations(),
     );
-    let net = MobilityNetwork::from_model(&report.gravity2, &census, 0.02).expect("network");
+    let net = MobilityNetwork::from_model(&report.models.gravity2, &census, 0.02).expect("network");
     let tl = OutbreakScenario::new(net.clone(), 0.5, 0.2)
         .seed(0, 20.0)
         .run_deterministic(365.0, 0.25)
@@ -124,7 +124,7 @@ fn columnar_format_roundtrips_through_full_pipeline() {
     let a = Experiment::new(ds).mobility(Scale::National).unwrap();
     let b = Experiment::new(&back).mobility(Scale::National).unwrap();
     assert_eq!(a.od_total, b.od_total);
-    assert_eq!(a.gravity2.gamma, b.gravity2.gamma);
+    assert_eq!(a.models.gravity2.gamma, b.models.gravity2.gamma);
 }
 
 #[test]
@@ -147,8 +147,8 @@ fn census_and_twitter_population_sources_agree_on_ordering() {
         .unwrap();
     // Both population sources must support a decent gravity fit — the
     // paper's census-swap proposal rests on this.
-    let tw_g2 = tw.evaluation("Gravity 2Param").unwrap().pearson;
-    let cs_g2 = cs.evaluation("Gravity 2Param").unwrap().pearson;
+    let tw_g2 = tw.evaluation(ModelKind::Gravity2).pearson;
+    let cs_g2 = cs.evaluation(ModelKind::Gravity2).pearson;
     assert!(tw_g2 > 0.5, "twitter-fed r = {tw_g2}");
     assert!(cs_g2 > 0.5, "census-fed r = {cs_g2}");
 }

@@ -7,6 +7,7 @@ use std::sync::OnceLock;
 use tweetmob::core::{Experiment, PooledPopulation, Scale};
 use tweetmob::data::{DatasetSummary, TweetDataset};
 use tweetmob::geo::{haversine_km, DensityGrid, Point, AUSTRALIA_BBOX};
+use tweetmob::models::ModelKind;
 use tweetmob::stats::powerlaw::fit_scan_xmin;
 use tweetmob::synth::{GeneratorConfig, TweetGenerator};
 
@@ -217,8 +218,8 @@ fn table2_gravity_beats_radiation() {
     let mut radiation_hit_sum = 0.0;
     for scale in Scale::ALL {
         let report = exp.mobility(scale).expect("table II");
-        let g2 = report.evaluation("Gravity 2Param").unwrap();
-        let rad = report.evaluation("Radiation").unwrap();
+        let g2 = report.evaluation(ModelKind::Gravity2);
+        let rad = report.evaluation(ModelKind::Radiation);
         // Pearson ordering holds at every scale (paper Table II).
         assert!(
             g2.pearson > rad.pearson,
@@ -248,13 +249,13 @@ fn table2_gravity_exponents_are_physical() {
         // Distance decay must be positive (flows fall with distance) and
         // below the implausible regime.
         assert!(
-            report.gravity2.gamma > 0.2 && report.gravity2.gamma < 4.0,
+            report.models.gravity2.gamma > 0.2 && report.models.gravity2.gamma < 4.0,
             "{}: gamma {}",
             scale.name(),
-            report.gravity2.gamma
+            report.models.gravity2.gamma
         );
         // Population exponents positive: bigger places exchange more.
-        assert!(report.gravity4.alpha > 0.0, "{}", scale.name());
-        assert!(report.gravity4.beta > 0.0, "{}", scale.name());
+        assert!(report.models.gravity4.alpha > 0.0, "{}", scale.name());
+        assert!(report.models.gravity4.beta > 0.0, "{}", scale.name());
     }
 }

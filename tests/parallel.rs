@@ -1,8 +1,7 @@
 //! Thread-count invariance of every parallel stage: the same inputs
 //! produce byte-identical JSON whether the shared pool runs on one
-//! worker or eight. This is the contract that lets `TWEETMOB_THREADS`
-//! (and `--threads`) change wall-clock time without changing a single
-//! published number.
+//! worker or eight. This is the contract that lets `--threads` change
+//! wall-clock time without changing a single published number.
 //!
 //! `with_threads` serialises callers on a global lock, so these tests
 //! are safe under the default parallel test runner.
@@ -74,8 +73,7 @@ fn whole_experiment_is_thread_invariant() {
         let report = exp.mobility(Scale::National).expect("mobility report");
         (
             report.od_total,
-            format!("{:?}", report.gravity4),
-            format!("{:?}", report.gravity2),
+            report.models,
             report
                 .evaluations
                 .iter()
