@@ -451,10 +451,12 @@ impl AreaSet {
         if n < 2 {
             return 0.0;
         }
-        // The cached upper triangle is stored in the same row-major
-        // i < j order the pre-cache loop summed in, so this stays
-        // bit-identical to the old implementation.
-        self.geometry.total_distance_km() / (n * (n - 1) / 2) as f64
+        // Each unordered pair once, in row-major i < j order.
+        let total: f64 = (0..n)
+            .flat_map(|i| (i + 1..n).map(move |j| (i, j)))
+            .map(|(i, j)| self.geometry.distance(i, j))
+            .sum();
+        total / (n * (n - 1) / 2) as f64
     }
 
     /// Assigns a point to the nearest area whose centre is within ε

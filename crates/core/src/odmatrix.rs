@@ -86,30 +86,6 @@ impl OdMatrix {
         })
     }
 
-    /// Total outflow of an area (row sum).
-    ///
-    /// # Panics
-    ///
-    /// If the index is out of range.
-    #[must_use]
-    pub fn outflow(&self, origin: usize) -> u64 {
-        assert!(origin < self.n, "area index out of range");
-        self.counts[origin * self.n..(origin + 1) * self.n]
-            .iter()
-            .sum()
-    }
-
-    /// Total inflow of an area (column sum).
-    ///
-    /// # Panics
-    ///
-    /// If the index is out of range.
-    #[must_use]
-    pub fn inflow(&self, dest: usize) -> u64 {
-        assert!(dest < self.n, "area index out of range");
-        (0..self.n).map(|i| self.counts[i * self.n + dest]).sum()
-    }
-
     /// Merges another matrix of the same dimension into this one.
     ///
     /// # Panics
@@ -175,10 +151,6 @@ mod tests {
         m.record(1, 0);
         assert_eq!(m.count(0, 1), 2);
         assert_eq!(m.count(1, 0), 1);
-        assert_eq!(m.outflow(0), 2);
-        assert_eq!(m.inflow(0), 1);
-        assert_eq!(m.outflow(1), 1);
-        assert_eq!(m.inflow(1), 2);
     }
 
     #[test]
@@ -204,7 +176,5 @@ mod tests {
         let m = OdMatrix::new(5);
         assert_eq!(m.total(), 0);
         assert_eq!(m.nonzero_pairs(), 0);
-        assert_eq!(m.outflow(4), 0);
-        assert_eq!(m.inflow(0), 0);
     }
 }

@@ -2,10 +2,11 @@
 //!
 //! A [`ModelBundle`] is everything a serving process needs to answer
 //! mobility queries without refitting: the four fitted model artifacts
-//! ([`FittedModelSet`]), the area metadata and populations they were
-//! fitted against, and the pairwise geometry cache — persisted in one
-//! versioned binary container and reloaded behind an [`Arc`]-shared
-//! geometry so all threads predict from the same immutable state.
+//! ([`FittedModelSet`]), and the area metadata and populations they were
+//! fitted against — persisted in one versioned binary container. The
+//! pairwise geometry is not stored: a load rebuilds it from the area
+//! centres behind an [`Arc`], so all threads predict from the same
+//! immutable state.
 //!
 //! The container opens with a magic and stores little-endian
 //! fixed-width fields (std `to_le_bytes` / `from_le_bytes`) in tagged
@@ -14,8 +15,8 @@
 //! ```text
 //! offset size  field
 //! 0      4     magic  b"TMA0"
-//! 4      4     schema version (u32 LE) — currently 1
-//! 8      4     section count (u32 LE) — 5, or 6 with PROV
+//! 4      4     schema version (u32 LE) — currently 2
+//! 8      4     section count (u32 LE) — 4, or 5 with PROV
 //! 12     …     sections: tag [u8;4] | payload len (u64 LE) | payload
 //! ```
 //!
@@ -23,14 +24,10 @@
 //!
 //! * `META` — label, population source (u16-length strings), search
 //!   radius (f64 bits);
-//! * `AREA` — count, then per area: name, centre lat/lon, census
-//!   population;
+//! * `AREA` — count (at most `MAX_AREAS`), then per area: name,
+//!   centre lat/lon, census population;
 //! * `POPS` — the population vector the models were fitted against;
 //! * `MODL` — the fitted parameters of all four models;
-//! * `GEOM` — the [`PairGeometry`] of the area centres
-//!   ([`PairGeometry::to_bytes`]). The reader rebuilds the geometry
-//!   from `AREA` and rejects the artifact unless this payload equals
-//!   the rebuilt geometry's bytes;
 //! * `PROV` (optional) — run provenance: the portable
 //!   `tweetmob-obs` manifest JSON (UTF-8, stored verbatim) describing
 //!   the exact fit run — subcommand, normalized args, seed, input
@@ -42,15 +39,16 @@
 //!
 //! Every float travels as its IEEE-754 bit pattern, so a loaded bundle
 //! predicts **bit-identically** to the in-memory fit it was saved from
-//! — the acceptance contract of the artifact layer, asserted end to end
-//! in `tests/artifacts.rs`.
+//! on the platform that wrote it — the acceptance contract of the
+//! artifact layer, asserted end to end in `tests/artifacts.rs`.
 //!
-//! Malformed containers surface as [`IoError::Format`]; saving and
-//! loading record `artifact/save`/`artifact/load` spans plus the
-//! `artifact/bytes` gauge.
+//! Malformed containers surface as [`IoError::Format`], and so does a
+//! bundle that [`ModelBundle::save`] cannot write so that it loads back
+//! unchanged; saving and loading record `artifact/save`/`artifact/load`
+//! spans plus the `artifact/bytes` gauge.
 
 use crate::io::IoError;
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 use std::sync::Arc;
 use tweetmob_geo::{PairGeometry, Point};
 use tweetmob_models::{
@@ -62,13 +60,21 @@ use tweetmob_models::{
 pub const ARTIFACT_MAGIC: [u8; 4] = *b"TMA0";
 /// Schema version of the bundle container. Bump on any layout change;
 /// readers reject versions they do not know.
-pub const ARTIFACT_VERSION: u32 = 1;
+pub const ARTIFACT_VERSION: u32 = 2;
+
+/// Most areas a bundle may hold, checked by [`ModelBundle::save`] and by
+/// the reader right after the `AREA` count, before anything is
+/// allocated. A load rebuilds O(n²) geometry and intervening rankings
+/// (~28 bytes per ordered pair), so the cap bounds what a small hostile
+/// file can cost: at 1,024 areas a ~35 KB file rebuilds ~30 MB. Every
+/// writer stays far below it — each scale and both E11 worlds fit 20
+/// areas, and the widest test set has 70.
+const MAX_AREAS: usize = 1024;
 
 const TAG_META: [u8; 4] = *b"META";
 const TAG_AREA: [u8; 4] = *b"AREA";
 const TAG_POPS: [u8; 4] = *b"POPS";
 const TAG_MODL: [u8; 4] = *b"MODL";
-const TAG_GEOM: [u8; 4] = *b"GEOM";
 const TAG_PROV: [u8; 4] = *b"PROV";
 
 /// Typed rejection of a malformed artifact query.
@@ -180,11 +186,12 @@ pub struct BundleArea {
 /// The persistable fit-once / predict-many artifact: fitted models,
 /// the data they were fitted against, and the shared geometry cache.
 ///
-/// The intervening-population structure is **derived** state — it is a
-/// deterministic function of the geometry and populations — so it is
-/// rebuilt on construction and never serialized; the geometry is
-/// rebuilt on load from the area centres. A loaded bundle is
-/// indistinguishable from the one that was saved.
+/// The geometry and the intervening-population rankings are **derived**
+/// state — deterministic functions of the area centres and populations
+/// — so neither is serialized: the rankings are rebuilt on construction
+/// and the geometry on load from the `AREA` centres. On the platform
+/// that wrote it, a loaded bundle is indistinguishable from the one
+/// that was saved.
 #[derive(Debug, Clone)]
 pub struct ModelBundle {
     meta: BundleMeta,
@@ -423,25 +430,31 @@ impl ModelBundle {
         Ok(scored)
     }
 
-    /// Serializes the bundle into the container format.
-    #[must_use]
-    fn encode(&self) -> Vec<u8> {
+    /// Serializes the bundle into the container format, or fails when
+    /// the container could not give the bundle back whole.
+    fn encode(&self) -> Result<Vec<u8>, IoError> {
         let mut meta = Vec::new();
-        put_str(&mut meta, &self.meta.label);
-        put_str(&mut meta, &self.meta.population_source);
+        put_str(&mut meta, &self.meta.label, "meta label")?;
+        put_str(
+            &mut meta,
+            &self.meta.population_source,
+            "meta population source",
+        )?;
         meta.extend_from_slice(&self.meta.radius_km.to_le_bytes());
 
-        let mut area = Vec::new();
-        area.extend_from_slice(&clamp_u32(self.areas.len()).to_le_bytes());
+        check_area_count(self.areas.len())?;
+        // Within MAX_AREAS, so the count fits its u32 field; `new`
+        // holds the population vector to the same length.
+        let count = (self.areas.len() as u32).to_le_bytes();
+        let mut area = count.to_vec();
         for a in &self.areas {
-            put_str(&mut area, &a.name);
+            put_str(&mut area, &a.name, "area name")?;
             area.extend_from_slice(&a.center.lat.to_le_bytes());
             area.extend_from_slice(&a.center.lon.to_le_bytes());
             area.extend_from_slice(&a.census_population.to_le_bytes());
         }
 
-        let mut pops = Vec::new();
-        pops.extend_from_slice(&clamp_u32(self.populations.len()).to_le_bytes());
+        let mut pops = count.to_vec();
         for &p in &self.populations {
             pops.extend_from_slice(&p.to_le_bytes());
         }
@@ -467,32 +480,28 @@ impl ModelBundle {
         modl.extend_from_slice(&m.opportunities.c.to_le_bytes());
         modl.extend_from_slice(&(m.opportunities.n_used as u64).to_le_bytes());
 
-        let geom = self.geometry.to_bytes();
-
         let mut sections: Vec<(&[u8; 4], &[u8])> = vec![
             (&TAG_META, &meta),
             (&TAG_AREA, &area),
             (&TAG_POPS, &pops),
             (&TAG_MODL, &modl),
-            (&TAG_GEOM, &geom),
         ];
         // Raw UTF-8 bytes under the section's own u64 length framing —
         // a u16-prefixed string would truncate a long manifest.
         if let Some(prov) = &self.provenance {
             sections.push((&TAG_PROV, prov.as_bytes()));
         }
-        container(&sections)
+        Ok(container(&sections))
     }
 
     /// Parses a container produced by [`ModelBundle::encode`], which
-    /// writes `META`, `AREA`, `POPS`, `MODL` and `GEOM` in that order,
-    /// then `PROV` when it has provenance. Any other section count, tag
-    /// or order is a format error.
+    /// writes `META`, `AREA`, `POPS` and `MODL` in that order, then
+    /// `PROV` when it has provenance. Any other section count, tag or
+    /// order is a format error.
     ///
-    /// `GEOM` is not decoded: the geometry is a function of the `AREA`
-    /// centres, so it is rebuilt from them (like the intervening
-    /// rankings), and the stored payload must equal the rebuilt
-    /// geometry's bytes — a tampered distance cannot reach a prediction.
+    /// The geometry is a function of the `AREA` centres, so it is
+    /// rebuilt from them, like the intervening rankings; the area cap
+    /// bounds that O(n²) work.
     fn decode(bytes: &[u8]) -> Result<Self, IoError> {
         let mut r = Reader { rem: bytes };
         let magic = r.take(4, "magic")?;
@@ -508,17 +517,16 @@ impl ModelBundle {
             )));
         }
         let n_sections = r.u32("section count")?;
-        if n_sections != 5 && n_sections != 6 {
+        if n_sections != 4 && n_sections != 5 {
             return Err(format_err(format!(
-                "section count {n_sections}: the writer stores 5 sections, or 6 with PROV"
+                "section count {n_sections}: the writer stores 4 sections, or 5 with PROV"
             )));
         }
         let meta = decode_meta(r.section(TAG_META)?)?;
         let areas = decode_areas(r.section(TAG_AREA)?)?;
         let populations = decode_pops(r.section(TAG_POPS)?)?;
         let models = decode_models(r.section(TAG_MODL)?)?;
-        let geom = r.section(TAG_GEOM)?;
-        let provenance = if n_sections == 6 {
+        let provenance = if n_sections == 5 {
             let json = String::from_utf8(r.section(TAG_PROV)?.to_vec())
                 .map_err(|_| format_err("PROV section is not valid UTF-8".into()))?;
             Some(json)
@@ -539,20 +547,8 @@ impl ModelBundle {
                 populations.len()
             )));
         }
-        // The O(n²) rebuild first needs the writer's n(n−1)/2 distances,
-        // so its work is bounded by the file's size, not a declared count.
-        let (n, len) = (areas.len(), geom.len());
-        let pairs = n.checked_mul(n.saturating_sub(1)).map(|p| p / 2);
-        if pairs.and_then(|p| p.checked_mul(8)?.checked_add(16)) != Some(len) {
-            return Err(format_err(format!("GEOM is {len} bytes for {n} areas")));
-        }
         let centers: Vec<Point> = areas.iter().map(|a| a.center).collect();
         let geometry = PairGeometry::shared(&centers);
-        if geom != geometry.to_bytes() {
-            return Err(format_err(
-                "GEOM section does not match the geometry of the AREA centres".into(),
-            ));
-        }
         let mut bundle = Self::new(meta, areas, populations, models, geometry);
         bundle.provenance = provenance;
         Ok(bundle)
@@ -563,12 +559,23 @@ impl ModelBundle {
     ///
     /// # Errors
     ///
-    /// [`IoError::Io`] on write failure, including the final flush's.
-    pub fn save<W: Write>(&self, mut w: W) -> Result<(), IoError> {
+    /// [`IoError::Format`], before anything is written, when the bundle
+    /// would not load back unchanged: more than `MAX_AREAS` (1,024)
+    /// areas, or a label, population source or area name longer than
+    /// 65,535 bytes. [`IoError::Io`] on write failure, including the
+    /// final flush's.
+    pub fn save<W: Write>(&self, w: W) -> Result<(), IoError> {
+        self.save_to(|| Ok(w))
+    }
+
+    /// Encodes the bundle, then opens the destination and writes it, so
+    /// a bundle that `save` refuses leaves the destination untouched.
+    fn save_to<W: Write>(&self, open: impl FnOnce() -> io::Result<W>) -> Result<(), IoError> {
         let encoded = {
             let _span = tweetmob_obs::span!("artifact/save");
-            self.encode()
+            self.encode()?
         };
+        let mut w = open()?;
         w.write_all(&encoded)?;
         w.flush()?;
         tweetmob_obs::gauge!("artifact/bytes")
@@ -600,10 +607,10 @@ impl ModelBundle {
     ///
     /// # Errors
     ///
-    /// As [`ModelBundle::save`].
+    /// As [`ModelBundle::save`]; a refused bundle leaves an existing
+    /// file unchanged.
     pub fn save_file(&self, path: &str) -> Result<(), IoError> {
-        let file = std::fs::File::create(path).map_err(IoError::Io)?;
-        self.save(std::io::BufWriter::new(file))
+        self.save_to(|| Ok(io::BufWriter::new(std::fs::File::create(path)?)))
             .map_err(|e| e.with_path(path))
     }
 
@@ -626,7 +633,7 @@ fn container(sections: &[(&[u8; 4], &[u8])]) -> Vec<u8> {
     let mut out = Vec::with_capacity(12 + body);
     out.extend_from_slice(&ARTIFACT_MAGIC);
     out.extend_from_slice(&ARTIFACT_VERSION.to_le_bytes());
-    out.extend_from_slice(&clamp_u32(sections.len()).to_le_bytes());
+    out.extend_from_slice(&(sections.len() as u32).to_le_bytes());
     for (tag, payload) in sections {
         out.extend_from_slice(*tag);
         out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
@@ -642,19 +649,30 @@ fn format_err(message: String) -> IoError {
     }
 }
 
-/// Area/population counts fit in u32 by construction (the paper's
-/// scales have ≤ 20 areas); saturate rather than truncate if a caller
-/// somehow exceeds it — the load-side length cross-check then rejects
-/// the container instead of silently corrupting it.
-fn clamp_u32(n: usize) -> u32 {
-    u32::try_from(n).unwrap_or(u32::MAX)
+/// The one area cap of writer and reader: a count over [`MAX_AREAS`]
+/// is a format error naming the count and the cap.
+fn check_area_count(n: usize) -> Result<(), IoError> {
+    if n > MAX_AREAS {
+        return Err(format_err(format!(
+            "{n} areas: an artifact holds at most {MAX_AREAS}"
+        )));
+    }
+    Ok(())
 }
 
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    let raw = s.as_bytes();
-    let len = u16::try_from(raw.len()).unwrap_or(u16::MAX);
+/// Appends `s` behind its u16 byte length; a longer string is a format
+/// error rather than one cut short (or mid-character).
+fn put_str(buf: &mut Vec<u8>, s: &str, what: &str) -> Result<(), IoError> {
+    let len = u16::try_from(s.len()).map_err(|_| {
+        format_err(format!(
+            "{what} is {} bytes: an artifact string holds at most {}",
+            s.len(),
+            u16::MAX
+        ))
+    })?;
     buf.extend_from_slice(&len.to_le_bytes());
-    buf.extend_from_slice(&raw[..usize::from(len)]);
+    buf.extend_from_slice(s.as_bytes());
+    Ok(())
 }
 
 /// Bounds-checked little-endian reader over a byte slice: malformed
@@ -751,8 +769,9 @@ fn decode_meta(payload: &[u8]) -> Result<BundleMeta, IoError> {
 
 fn decode_areas(payload: &[u8]) -> Result<Vec<BundleArea>, IoError> {
     let mut r = Reader { rem: payload };
-    let count = r.u32("area count")?;
-    let mut areas = Vec::with_capacity(count.min(1 << 16) as usize);
+    let count = r.u32("area count")? as usize;
+    check_area_count(count)?;
+    let mut areas = Vec::with_capacity(count);
     for _ in 0..count {
         let name = r.string("area name")?;
         let lat = r.f64("area latitude")?;
@@ -828,6 +847,14 @@ mod tests {
         (0..count)
             .map(|_| Point::new_unchecked(next(-44.0, -10.0), next(113.0, 154.0)))
             .collect()
+    }
+
+    /// The message of the format error `result` must be.
+    fn format_message<T: std::fmt::Debug>(result: Result<T, IoError>) -> String {
+        match result {
+            Err(IoError::Format { message, .. }) => message,
+            other => panic!("expected a format error, got {other:?}"),
+        }
     }
 
     fn sample_bundle(n: usize, seed: u64) -> ModelBundle {
@@ -1038,10 +1065,7 @@ mod tests {
 
         let mut bad = buf.clone();
         bad[4] = 99;
-        match ModelBundle::load(&bad[..]) {
-            Err(IoError::Format { message, .. }) => assert!(message.contains("version")),
-            other => panic!("expected version error, got {other:?}"),
-        }
+        assert!(format_message(ModelBundle::load(&bad[..])).contains("version"));
 
         let truncated = &buf[..buf.len() - 3];
         assert!(matches!(
@@ -1085,12 +1109,8 @@ mod tests {
         buf.extend_from_slice(b"PROV");
         buf.extend_from_slice(&2u64.to_le_bytes());
         buf.extend_from_slice(b"{}");
-        match ModelBundle::load(&buf[..]) {
-            Err(IoError::Format { message, .. }) => {
-                assert!(message.contains("section count 7"), "{message}");
-            }
-            other => panic!("expected section-count error, got {other:?}"),
-        }
+        let message = format_message(ModelBundle::load(&buf[..]));
+        assert!(message.contains("section count 6"), "{message}");
     }
 
     #[test]
@@ -1098,16 +1118,12 @@ mod tests {
         let bundle = sample_bundle(4, 53);
         let mut buf = Vec::new();
         bundle.save(&mut buf).unwrap();
-        for (tag, renamed) in [(b"META", b"XTRA"), (b"GEOM", b"PROV")] {
+        for (tag, renamed) in [(b"META", b"XTRA"), (b"MODL", b"PROV")] {
             let mut bad = buf.clone();
             let pos = bad.windows(4).position(|w| w == tag).unwrap();
             bad[pos..pos + 4].copy_from_slice(renamed);
-            match ModelBundle::load(&bad[..]) {
-                Err(IoError::Format { message, .. }) => {
-                    assert!(message.contains("expected section"), "{message}");
-                }
-                other => panic!("expected a section-tag error, got {other:?}"),
-            }
+            let message = format_message(ModelBundle::load(&bad[..]));
+            assert!(message.contains("expected section"), "{message}");
         }
     }
 
@@ -1131,32 +1147,32 @@ mod tests {
     }
 
     #[test]
-    fn every_byte_change_in_geom_is_rejected() {
-        let bundle = sample_bundle(5, 61);
+    fn every_byte_flip_is_a_format_error_or_loads_back_exactly() {
+        let mut bundle = sample_bundle(5, 61);
+        bundle.set_provenance(r#"{"seed": 3}"#.to_string());
         let mut buf = Vec::new();
         bundle.save(&mut buf).unwrap();
-        let tag = buf.windows(4).position(|w| w == TAG_GEOM).unwrap();
-        let len = u64::from_le_bytes(buf[tag + 4..tag + 12].try_into().unwrap());
-        let payload = tag + 12..tag + 12 + usize::try_from(len).unwrap();
-        assert_eq!(&buf[payload.clone()], bundle.geometry().to_bytes());
-        for at in payload {
+        for at in 0..buf.len() {
             for flip in 1..=u8::MAX {
                 let mut bad = buf.clone();
                 bad[at] ^= flip;
                 match ModelBundle::load(&bad[..]) {
-                    Err(IoError::Format { message, .. }) => {
-                        assert!(message.contains("GEOM"), "byte {at} ^ {flip}: {message}");
+                    Err(IoError::Format { .. }) => {}
+                    Ok(loaded) => {
+                        let mut again = Vec::new();
+                        loaded.save(&mut again).unwrap();
+                        assert!(again == bad, "byte {at} ^ {flip} loads as other bytes");
                     }
-                    other => panic!("byte {at} ^ {flip}: expected GEOM error, got {other:?}"),
+                    Err(other) => panic!("byte {at} ^ {flip}: {other:?}"),
                 }
             }
         }
     }
 
     #[test]
-    fn a_large_area_count_with_a_short_geom_is_a_format_error() {
+    fn a_large_area_count_is_a_format_error() {
         // 100k areas take ~3.4 MB of AREA and POPS but would take ~240 GB
-        // of geometry: the GEOM length is checked before the rebuild.
+        // of geometry: the count is checked as soon as it is read.
         let n = 100_000u32;
         let mut area = n.to_le_bytes().to_vec();
         let mut pops = area.clone();
@@ -1167,12 +1183,57 @@ mod tests {
             (&TAG_AREA, &area),
             (&TAG_POPS, &pops),
             (&TAG_MODL, &[0; 14 * 8]),
-            (&TAG_GEOM, &[0; 16]),
         ];
-        match ModelBundle::load(&container(&sections)[..]) {
-            Err(IoError::Format { message, .. }) => assert!(message.contains("100000 areas")),
-            other => panic!("expected a GEOM length error, got {other:?}"),
+        let message = format_message(ModelBundle::load(&container(&sections)[..]));
+        assert!(message.contains("100000 areas"), "{message}");
+        assert!(message.contains(&MAX_AREAS.to_string()), "{message}");
+    }
+
+    #[test]
+    fn save_writes_strings_up_to_the_length_limit_and_refuses_longer() {
+        let mut bundle = sample_bundle(3, 13);
+        bundle.meta.label = "x".repeat(usize::from(u16::MAX));
+        let mut first = Vec::new();
+        bundle.save(&mut first).unwrap();
+        let loaded = ModelBundle::load(&first[..]).unwrap();
+        assert_eq!(loaded.meta(), bundle.meta());
+        let mut second = Vec::new();
+        loaded.save(&mut second).unwrap();
+        assert_eq!(first, second);
+        // 65,536 ASCII bytes would load back one byte short; 32,768
+        // two-byte characters would be cut mid-character.
+        for label in ["x".repeat(1 << 16), "é".repeat(1 << 15)] {
+            bundle.meta.label = label;
+            let mut buf = Vec::new();
+            let message = format_message(bundle.save(&mut buf));
+            assert!(message.contains("meta label is 65536 bytes"), "{message}");
+            assert!(buf.is_empty(), "nothing is written");
         }
+        bundle.meta.label.clear();
+        bundle.areas[1].name = "é".repeat(40_000);
+        assert!(format_message(bundle.save(Vec::new())).contains("area name"));
+        // Refused before the file is opened, so an existing one survives.
+        let path = std::env::temp_dir().join("tweetmob_artifact_refused.tma");
+        std::fs::write(&path, &first).unwrap();
+        let path = path.to_string_lossy().into_owned();
+        assert!(format_message(bundle.save_file(&path)).contains("area name"));
+        assert_eq!(std::fs::read(&path).unwrap(), first);
+    }
+
+    #[test]
+    fn save_refuses_more_than_max_areas() {
+        let small = sample_bundle(3, 13);
+        let n = MAX_AREAS + 1;
+        let area = small.areas()[0].clone();
+        let bundle = ModelBundle::new(
+            small.meta().clone(),
+            vec![area.clone(); n],
+            vec![1.0; n],
+            *small.models(),
+            PairGeometry::shared(&vec![area.center; n]),
+        );
+        let message = format_message(bundle.save(Vec::new()));
+        assert!(message.contains("1025 areas"), "{message}");
     }
 
     #[test]
@@ -1185,12 +1246,8 @@ mod tests {
         buf.extend_from_slice(b"PROV");
         buf.extend_from_slice(&2u64.to_le_bytes());
         buf.extend_from_slice(&[0xff, 0xfe]);
-        match ModelBundle::load(&buf[..]) {
-            Err(IoError::Format { message, .. }) => {
-                assert!(message.contains("UTF-8"), "{message}");
-            }
-            other => panic!("expected UTF-8 error, got {other:?}"),
-        }
+        let message = format_message(ModelBundle::load(&buf[..]));
+        assert!(message.contains("UTF-8"), "{message}");
     }
 
     #[test]

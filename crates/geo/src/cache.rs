@@ -24,14 +24,6 @@ use crate::distance::EARTH_RADIUS_KM;
 use crate::point::Point;
 use std::sync::Arc;
 
-/// Magic bytes opening a serialized [`PairGeometry`] ("TweetMob Pair
-/// Geometry").
-const GEOMETRY_MAGIC: [u8; 4] = *b"TMPG";
-
-/// Schema version of the [`PairGeometry`] byte layout, written into
-/// every [`PairGeometry::to_bytes`] output.
-const GEOMETRY_VERSION: u32 = 1;
-
 /// A point with its trigonometry precomputed: radian coordinates plus
 /// the cosine of the latitude.
 ///
@@ -220,32 +212,6 @@ impl PairGeometry {
     #[must_use]
     pub fn ranked(&self, i: usize) -> &[(f64, usize)] {
         &self.ranked[i]
-    }
-
-    /// Sum of all pairwise distances (each unordered pair once).
-    #[must_use]
-    pub fn total_distance_km(&self) -> f64 {
-        self.tri.iter().sum()
-    }
-
-    /// Serializes the cache: the magic `TMPG`, the format version
-    /// (u32 LE), point count (u64 LE), then every upper-triangle
-    /// distance as its `f64::to_bits` in LE order.
-    ///
-    /// Only the triangle travels — the rank lists are a deterministic
-    /// function of it. There is no decoder: the geometry is a function
-    /// of the points, so a reader rebuilds it from them and compares
-    /// bytes.
-    #[must_use]
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(4 + 4 + 8 + 8 * self.tri.len());
-        out.extend_from_slice(&GEOMETRY_MAGIC);
-        out.extend_from_slice(&GEOMETRY_VERSION.to_le_bytes());
-        out.extend_from_slice(&(self.n as u64).to_le_bytes());
-        for &d in &self.tri {
-            out.extend_from_slice(&d.to_bits().to_le_bytes());
-        }
-        out
     }
 }
 

@@ -19,9 +19,8 @@
 //!   [`TrigPoint`] hoists per-point trigonometry out of pair loops and
 //!   [`PairGeometry`] holds the build-once pairwise distance matrix and
 //!   per-origin distance rankings, bit-identical to [`haversine_km`].
-//!   [`PairGeometry::to_bytes`] renders it as a versioned byte layout
-//!   that model-artifact bundles store; a reader rebuilds the cache from
-//!   the area centres and checks those bytes rather than decoding them.
+//!   It is never serialized: a model-artifact bundle stores the area
+//!   centres, and a reader rebuilds the cache from them.
 //!
 //! All distances are in kilometres, all angles in degrees unless a function
 //! name says otherwise. Latitude is constrained to `[-90, 90]` and

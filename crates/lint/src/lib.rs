@@ -65,7 +65,7 @@ use std::path::{Path, PathBuf};
 /// `PairGeometry` cache rather than calling `haversine_km` per pair: these
 /// sit on the model-fitting hot path, where a stray scalar call silently
 /// reintroduces the O(n²) transcendental cost the cache exists to remove.
-const GEOMETRY_CACHE_CRATES: &[&str] = &["tweetmob-models", "tweetmob-epidemic"];
+const PAIR_CACHE_CRATES: &[&str] = &["tweetmob-models", "tweetmob-epidemic"];
 
 /// Crates that own the columnar batch kernels. A scalar `haversine_km`
 /// call inside a `for`/`while`/`loop` body here is a per-element
@@ -170,8 +170,7 @@ fn lint_source(file: &SourceFile, out: &mut Vec<Diagnostic>) {
     check_float_ord(&file.label, &code, &tests, out);
     let crate_name = file.crate_name.as_str();
     if file.kind.is_library()
-        && (GEOMETRY_CACHE_CRATES.contains(&crate_name)
-            || BATCH_KERNEL_CRATES.contains(&crate_name))
+        && (PAIR_CACHE_CRATES.contains(&crate_name) || BATCH_KERNEL_CRATES.contains(&crate_name))
     {
         check_raw_haversine(&file.label, crate_name, &code, &tests, out);
     }
@@ -722,7 +721,7 @@ fn matching_paren(code: &str, open: usize) -> Option<usize> {
 /// Rejects direct `haversine_km` calls in the model-fitting crates, and
 /// per-element `haversine_km` loops in the batch-kernel crates.
 ///
-/// In [`GEOMETRY_CACHE_CRATES`] every call flags: `PairGeometry` builds
+/// In [`PAIR_CACHE_CRATES`] every call flags: `PairGeometry` builds
 /// the full pairwise triangle once and shares it; a scalar call in
 /// `models` or `epidemic` library code reintroduces the per-pair
 /// transcendental cost on the hot path and computes a distance the
@@ -742,7 +741,7 @@ fn check_raw_haversine(
     tests: &[(usize, usize)],
     out: &mut Vec<Diagnostic>,
 ) {
-    let cache_crate = GEOMETRY_CACHE_CRATES.contains(&crate_name);
+    let cache_crate = PAIR_CACHE_CRATES.contains(&crate_name);
     let loops = if cache_crate {
         Vec::new()
     } else {

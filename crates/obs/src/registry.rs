@@ -22,11 +22,6 @@ impl Counter {
         self.cell.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Adds one.
-    pub fn incr(&self) {
-        self.add(1);
-    }
-
     /// The current value.
     #[must_use]
     pub fn value(&self) -> u64 {
@@ -320,7 +315,7 @@ mod tests {
         let a = r.counter("x");
         let b = r.counter("x");
         a.add(3);
-        b.incr();
+        b.add(1);
         assert_eq!(r.counter_value("x"), Some(4));
         assert_eq!(a.value(), 4);
     }
@@ -407,7 +402,7 @@ mod tests {
     #[test]
     fn json_escapes_hostile_names() {
         let r = MetricsRegistry::new();
-        r.counter("we\"ird\\name").incr();
+        r.counter("we\"ird\\name").add(1);
         let json = r.to_json();
         assert!(json.contains("we\\\"ird\\\\name"));
     }

@@ -260,9 +260,9 @@ fn epidemic_network_from_artifact_matches_hand_assembly() {
 fn artifact_digests_match_golden_values_at_1_and_8_threads() {
     let ds = TweetGenerator::new(GeneratorConfig::small()).generate();
     let golden = [
-        (Scale::National, 0xa933_5ae5_a9ea_7aac_u64, 2_605),
-        (Scale::State, 0x74c8_0baa_e9f7_1610, 2_602),
-        (Scale::Metropolitan, 0x9e3e_f55c_ce73_a322, 2_605),
+        (Scale::National, 0x5a16_1309_1fec_d59d_u64, 1_057),
+        (Scale::State, 0x6d5c_df04_59b8_4660, 1_054),
+        (Scale::Metropolitan, 0x67dc_65fd_0508_0062, 1_057),
     ];
     for threads in [1usize, 8] {
         for (scale, digest, len) in golden {
