@@ -377,7 +377,7 @@ pub(crate) fn generate(args: &Args, out: &mut Out) -> Result<()> {
 /// `tweetmob summary <dataset>` — Table I statistics, then one data
 /// funnel line per scale: tweets inside at least one area, and where the
 /// consecutive same-user pairs go. The statistics run under the
-/// `summary` span and each scale's scan under `funnel/<scale>`.
+/// `summary` span and each scale's scan under `scan`.
 pub(crate) fn summary(args: &Args, out: &mut Out) -> Result<()> {
     let ds = dataset_arg(args)?;
     let table = {
@@ -386,10 +386,7 @@ pub(crate) fn summary(args: &Args, out: &mut Out) -> Result<()> {
     };
     writeln!(out, "{table}")?;
     for scale in Scale::ALL {
-        let funnel = {
-            let _span = tweetmob_obs::span!(&format!("funnel/{}", scale.name().to_lowercase()));
-            data_funnel(&ds, &AreaSet::of_scale(scale))
-        };
+        let funnel = data_funnel(&ds, &AreaSet::of_scale(scale));
         writeln!(
             out,
             "Funnel {} (ε = {} km): {funnel}",

@@ -221,7 +221,7 @@ pub(crate) fn temporal(study: &Study, out: &mut Out) -> Outcome {
     )?;
     for scale in [Scale::National, Scale::Metropolitan] {
         writeln!(out, "--- {} scale, 8 monthly windows ---", scale.name())?;
-        match temporal_stability(ds, scale, 8) {
+        match temporal_stability(&study.experiment, scale, 8) {
             Ok(st) => {
                 writeln!(
                     out,

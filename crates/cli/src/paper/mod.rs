@@ -44,7 +44,7 @@ use tweetmob_synth::TweetGenerator;
 type Outcome = Result<(), Box<dyn Error>>;
 
 /// An artifact: prints to `out`, or (`figures`) writes files.
-type Artifact = fn(&Study, &mut Out) -> Outcome;
+type Artifact = fn(&Study<'_>, &mut Out) -> Outcome;
 
 /// Every artifact by name; `all` runs the first ten, in this order.
 const ARTIFACTS: [(&str, Artifact); 12] = [
@@ -76,13 +76,15 @@ pub(crate) fn paper(args: &Args, out: &mut Out) -> Outcome {
     if sweep && name != "fig3" {
         return Err(ArgError(format!("--sweep applies to fig3 only, not {name}")).into());
     }
-    run(&Study::new(crate::commands::generator(args)?, sweep), out)
+    let generator = crate::commands::generator(args)?;
+    let dataset = generator.generate();
+    run(&Study::new(generator, &dataset, sweep), out)
 }
 
 /// Runs the ten text artifacts in order on one study, each after a blank
 /// line; a failed artifact does not stop the ones after it, but a failed
 /// write to `out` ends the run.
-fn all(study: &Study, out: &mut Out) -> Outcome {
+fn all(study: &Study<'_>, out: &mut Out) -> Outcome {
     let mut failed = Vec::new();
     for &(name, run) in &ARTIFACTS[..10] {
         writeln!(out)?;
@@ -112,18 +114,17 @@ fn warn(out: &mut Out, args: fmt::Arguments<'_>) -> Result<(), OutputError> {
 /// The line above and below every artifact's title.
 const RULE: &str = "================================================================";
 
-/// The generated dataset and the series the artifacts share. Every
-/// artifact reads the dataset, so it is generated up front; each series
-/// is computed on first use, so `all` computes it once and the text and
-/// SVG renderings read the same values.
-struct Study {
+/// The generated dataset's experiment and the series the artifacts
+/// share. The experiment scans each area set once, on first use, and
+/// each series is computed on first use, so `all` computes it once and
+/// the text and SVG renderings read the same values.
+struct Study<'a> {
     generator: TweetGenerator,
     /// fig3's `--sweep`: append the metropolitan ε sweep.
     sweep: bool,
-    dataset: TweetDataset,
+    experiment: Experiment<'a>,
     grid: OnceCell<DensityGrid>,
     dynamics: OnceCell<[Pdf; 2]>,
-    populations: OnceCell<Vec<Result<PopulationCorrelation, ExperimentError>>>,
     mobility: OnceCell<Vec<Result<Mobility, ExperimentError>>>,
 }
 
@@ -147,27 +148,22 @@ struct Panel {
     means: Result<Vec<BinStat>, StatsError>,
 }
 
-impl Study {
-    fn new(generator: TweetGenerator, sweep: bool) -> Self {
+impl<'a> Study<'a> {
+    fn new(generator: TweetGenerator, dataset: &'a TweetDataset, sweep: bool) -> Self {
         Self {
-            dataset: generator.generate(),
             generator,
             sweep,
+            experiment: Experiment::new(dataset),
             grid: OnceCell::new(),
             dynamics: OnceCell::new(),
-            populations: OnceCell::new(),
             mobility: OnceCell::new(),
         }
-    }
-
-    fn experiment(&self) -> Experiment<'_> {
-        Experiment::new(&self.dataset)
     }
 
     /// Prints the run header (dataset provenance) every artifact on the
     /// standard dataset starts with.
     fn header(&self, out: &mut Out, title: &str) -> Result<&TweetDataset, OutputError> {
-        let ds = &self.dataset;
+        let ds = self.experiment.dataset();
         writeln!(out, "{RULE}")?;
         writeln!(out, "{title}")?;
         writeln!(
@@ -185,7 +181,7 @@ impl Study {
     fn grid(&self) -> &DensityGrid {
         self.grid.get_or_init(|| {
             let mut grid = DensityGrid::new(AUSTRALIA_BBOX, 0.2);
-            grid.extend(self.dataset.iter_points());
+            grid.extend(self.experiment.dataset().iter_points());
             grid
         })
     }
@@ -193,7 +189,7 @@ impl Study {
     /// Fig. 2: (a) tweets per user, (b) positive waiting times in seconds.
     fn dynamics(&self) -> &[Pdf; 2] {
         self.dynamics.get_or_init(|| {
-            let ds = &self.dataset;
+            let ds = self.experiment.dataset();
             let counts = ds.tweets_per_user().iter().map(|&c| c as f64).collect();
             let waits = ds.waiting_times_secs();
             let waits = waits.iter().map(|&s| s as f64).filter(|&s| s > 0.0);
@@ -202,19 +198,15 @@ impl Study {
     }
 
     /// Fig. 3: the rescaled populations, one per [`Scale::ALL`] entry.
-    fn populations(&self) -> &[Result<PopulationCorrelation, ExperimentError>] {
-        self.populations.get_or_init(|| {
-            let exp = self.experiment();
-            Scale::ALL.map(|s| exp.population_correlation(s)).into()
-        })
+    fn populations(&self) -> [Result<PopulationCorrelation, ExperimentError>; 3] {
+        Scale::ALL.map(|s| self.experiment.population_correlation(s))
     }
 
     /// Fig. 4 and Table II: the fits, one per [`Scale::ALL`] entry.
     fn mobility(&self) -> &[Result<Mobility, ExperimentError>] {
         self.mobility.get_or_init(|| {
-            let exp = self.experiment();
             Scale::ALL
-                .map(|s| exp.mobility(s).map(Mobility::new))
+                .map(|s| self.experiment.mobility(s).map(Mobility::new))
                 .into()
         })
     }

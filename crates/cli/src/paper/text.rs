@@ -176,12 +176,11 @@ fn print_pdf(out: &mut Out, pdf: &Pdf) -> Result<(), OutputError> {
 /// `--sweep` adds the extended ε ablation (E9 in DESIGN.md).
 pub(crate) fn fig3(study: &Study, out: &mut Out) -> Outcome {
     study.header(out, "FIGURE 3 — population estimation")?;
-    let exp = study.experiment();
-
+    let exp = &study.experiment;
     writeln!(out, "(a) per-scale correlation at the paper's search radii")?;
     writeln!(out)?;
     let populations = study.populations();
-    for (scale, pop) in Scale::ALL.iter().zip(populations) {
+    for (scale, pop) in Scale::ALL.iter().zip(&populations) {
         match pop {
             Ok(pop) => {
                 writeln!(
@@ -198,10 +197,9 @@ pub(crate) fn fig3(study: &Study, out: &mut Out) -> Outcome {
         }
     }
     let pooled = populations
-        .iter()
-        .map(|pop| pop.as_ref().cloned())
+        .into_iter()
         .collect::<Result<Vec<_>, _>>()
-        .map_err(ToString::to_string)
+        .map_err(|e| e.to_string())
         .and_then(|per_scale| {
             PooledPopulation::of(per_scale).map_err(|e| ExperimentError::from(e).to_string())
         });
@@ -219,12 +217,8 @@ pub(crate) fn fig3(study: &Study, out: &mut Out) -> Outcome {
     writeln!(out)?;
 
     writeln!(out, "(b) metropolitan sensitivity: ε = 2 km vs ε = 0.5 km")?;
-    // The 2 km row is (a)'s metropolitan entry, the last of `Scale::ALL`:
-    // 2 km is that scale's own radius.
-    let half_km = exp.population_correlation_with_radius(Scale::Metropolitan, 0.5);
-    let known = [(2.0, &populations[2]), (0.5, &half_km)];
-    for (radius, pop) in known {
-        match pop {
+    for radius in [2.0, 0.5] {
+        match exp.population_correlation_with_radius(Scale::Metropolitan, radius) {
             Ok(pop) => writeln!(
                 out,
                 "  ε = {radius:>4} km: r(log) = {:+.3}, median users/area = {:.0}",
@@ -247,16 +241,7 @@ pub(crate) fn fig3(study: &Study, out: &mut Out) -> Outcome {
             "ε (km)", "r(log)", "median users"
         )?;
         for radius in [0.25, 0.5, 1.0, 2.0, 5.0, 10.0] {
-            // The 2 km and 0.5 km rows are (a)'s and (b)'s.
-            let scanned;
-            let pop = match known.iter().find(|&&(r, _)| r == radius) {
-                Some(&(_, pop)) => pop,
-                None => {
-                    scanned = exp.population_correlation_with_radius(Scale::Metropolitan, radius);
-                    &scanned
-                }
-            };
-            match pop {
+            match exp.population_correlation_with_radius(Scale::Metropolitan, radius) {
                 Ok(pop) => writeln!(
                     out,
                     "{:>8} {:>10.3} {:>16.0}",

@@ -134,6 +134,27 @@ fn generate_summary_population_mobility_pipeline() {
     std::fs::remove_file(&path).ok();
 }
 
+/// A time outside years 1–9999 is a load error naming its line, not an
+/// overflow: the difference of these two times does not fit in an `i64`.
+#[test]
+fn summary_rejects_times_outside_years_1_to_9999() {
+    let path = tmp("far-times.jsonl");
+    let line = |t: i64| {
+        format!("{{\"user\":1,\"time\":{t},\"location\":{{\"lat\":-33.0,\"lon\":151.0}}}}\n")
+    };
+    let text = line(-9_000_000_000_000_000_000) + &line(9_000_000_000_000_000_000);
+    std::fs::write(&path, text).unwrap();
+    let out = run(&["summary", path.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    let err = stderr(&out);
+    assert!(
+        err.contains("line 1") && err.contains("years 1–9999"),
+        "{err}"
+    );
+    assert!(stdout(&out).is_empty(), "{}", stdout(&out));
+    std::fs::remove_file(&path).ok();
+}
+
 #[test]
 fn binary_format_roundtrips_via_cli() {
     let path = generated("roundtrip.twc", &["--users", "400", "--seed", "5"]);
@@ -347,6 +368,30 @@ fn export_writes_machine_readable_results() {
     std::fs::remove_file(&out_json).ok();
 }
 
+/// `export` estimates the population and fits the models at each scale
+/// from one scan and one pair-geometry build per scale.
+#[test]
+fn export_scans_and_builds_each_scale_once() {
+    let data = generated("export-work.jsonl", &["--users", "2000", "--seed", "5"]);
+    let out_json = tmp("export-work.json");
+    let metrics = tmp("export-work-metrics.json");
+    let out = run(&[
+        "export",
+        data.to_str().unwrap(),
+        out_json.to_str().unwrap(),
+        "--metrics-out",
+        metrics.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let doc = Json::parse(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
+    for span in ["scan", "cache/pairgeo/build"] {
+        assert_eq!(doc["timing"]["spans"][span]["calls"], 3, "{span}");
+    }
+    for path in [&data, &out_json, &metrics] {
+        std::fs::remove_file(path).ok();
+    }
+}
+
 #[test]
 fn metrics_out_writes_stage_spans_and_counters() {
     let data = generated("metrics.jsonl", &["--users", "1200", "--seed", "3"]);
@@ -371,6 +416,7 @@ fn metrics_out_writes_stage_spans_and_counters() {
     for span in [
         "load",
         "load/read_jsonl",
+        "scan",
         "trips",
         "population",
         "odmatrix",
@@ -400,17 +446,7 @@ fn metrics_out_writes_stage_spans_and_counters() {
     // the artifact write, the counterpart of `artifact_in`.
     let artifact = tmp("metrics-out.tma");
     for (command, extra, spans) in [
-        (
-            "summary",
-            &[][..],
-            &[
-                "load",
-                "summary",
-                "funnel/national",
-                "funnel/state",
-                "funnel/metropolitan",
-            ][..],
-        ),
+        ("summary", &[][..], &["load", "summary", "scan"][..]),
         (
             "fit",
             &["--artifact-out", artifact.to_str().unwrap()][..],
@@ -429,6 +465,9 @@ fn metrics_out_writes_stage_spans_and_counters() {
                 "{command}: missing span {span}"
             );
         }
+        // One scan per scale for `summary`, one for the fit.
+        let scans = if command == "summary" { 3 } else { 1 };
+        assert_eq!(doc["timing"]["spans"]["scan"]["calls"], scans, "{command}");
     }
     std::fs::remove_file(&data).ok();
     std::fs::remove_file(&metrics).ok();

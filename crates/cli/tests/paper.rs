@@ -148,29 +148,34 @@ fn metrics_of(cwd: &Path, args: &[&str]) -> Json {
 }
 
 /// The global flags apply to a paper run: its manifest names the
-/// `paper` subcommand, and fig3 runs four population scans (three
-/// scales, then the 0.5 km metro row).
+/// `paper` subcommand, and fig3 runs four corpus scans (three scales,
+/// then the 0.5 km metro row; (b)'s 2 km row is (a)'s metro scan).
 #[test]
 fn metrics_out_records_a_paper_run() {
     let dir = scratch("paper-metrics");
     let doc = metrics_of(&dir, &["fig3"]);
     assert_eq!(doc["manifest"]["subcommand"], "paper");
-    assert_eq!(doc["timing"]["spans"]["population"]["calls"], 4);
+    assert_eq!(doc["timing"]["spans"]["scan"]["calls"], 4);
 }
 
-/// Each corpus, fit and population is computed once per run. `all`
-/// generates two corpora: the study's, which E11 reads as its Australia,
-/// and E11's uniform world. It fits five times: the study's three scales
-/// and the uniform world's two regions. The fig3 sweep takes its 2 km
-/// and 0.5 km rows from parts (a) and (b), so it scans 8 distinct radius
-/// and scale pairs once each.
+/// Each corpus, fit and scan is computed once per run. `all` generates
+/// two corpora: the study's, which E11 reads as its Australia, and E11's
+/// uniform world. It fits five times: the study's three scales and the
+/// uniform world's two regions. It scans 22 times: fig3's three scales
+/// and 0.5 km metro row, which the study's fits and E12's two
+/// full-period rows read again, E11's two regions, and E12's 16 monthly
+/// windows. The fig3 sweep scans its 8 distinct radius and scale pairs
+/// once each.
 #[test]
 fn a_paper_run_computes_each_corpus_fit_and_population_once() {
     let dir = scratch("paper-work");
     for (args, counts) in [
-        (&["all"][..], &[("synth/generate", 2), ("trips", 5)][..]),
+        (
+            &["all"][..],
+            &[("synth/generate", 2), ("trips", 5), ("scan", 22)][..],
+        ),
         (&["counterfactual"], &[("synth/generate", 2)]),
-        (&["fig3", "--sweep"], &[("population", 8)]),
+        (&["fig3", "--sweep"], &[("scan", 8)]),
     ] {
         let doc = metrics_of(&dir, args);
         for &(span, calls) in counts {

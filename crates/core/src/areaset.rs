@@ -540,11 +540,6 @@ impl AreaSet {
     pub fn census_populations(&self) -> Vec<f64> {
         self.areas.iter().map(|a| a.population as f64).collect()
     }
-
-    /// Area centres, aligned with [`AreaSet::areas`].
-    pub fn centers(&self) -> Vec<Point> {
-        self.areas.iter().map(|a| a.center).collect()
-    }
 }
 
 #[cfg(test)]
@@ -987,10 +982,9 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn census_and_centers_align() {
+    fn census_populations_align_with_areas() {
         let set = AreaSet::of_scale(Scale::State);
         assert_eq!(set.census_populations().len(), 20);
-        assert_eq!(set.centers().len(), 20);
         assert_eq!(set.census_populations()[0], 4_757_000.0); // Sydney
     }
 }

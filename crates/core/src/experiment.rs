@@ -2,10 +2,10 @@
 
 use crate::areaset::{AreaSet, Scale};
 use crate::odmatrix::OdMatrix;
-use crate::population::{estimate_population, population_from_counts, PopulationCorrelation};
-use crate::trips::trips_scan;
+use crate::population::{population_from_counts, PopulationCorrelation};
+use crate::scan::{scan, AreaScan};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use tweetmob_data::{BundleArea, BundleMeta, ModelBundle, TweetDataset};
 use tweetmob_models::{
     evaluate, FittedModelSet, FlowObservation, InterveningPopulation, ModelError, ModelEvaluation,
@@ -150,21 +150,48 @@ impl From<ModelError> for ExperimentError {
 }
 
 /// The experiment runner: borrows a dataset and exposes each of the
-/// paper's analyses as a method. Every analysis is one columnar scan of
-/// the dataset, so construction builds nothing.
+/// paper's analyses as a method. Each area set it is asked about (a
+/// paper scale at its own or a custom ε) is built and scanned once, on
+/// first use, and kept, so construction builds nothing.
 pub struct Experiment<'a> {
     dataset: &'a TweetDataset,
+    scanned: Mutex<Vec<Arc<Scanned>>>,
+}
+
+/// One area set an [`Experiment`] was asked about, and its scan.
+pub(crate) struct Scanned {
+    scale: Scale,
+    pub(crate) areas: AreaSet,
+    pub(crate) scan: AreaScan,
 }
 
 impl<'a> Experiment<'a> {
     /// Wraps the dataset.
     pub fn new(dataset: &'a TweetDataset) -> Self {
-        Self { dataset }
+        let scanned = Mutex::default();
+        Self { dataset, scanned }
     }
 
     /// The underlying dataset.
     pub fn dataset(&self) -> &TweetDataset {
         self.dataset
+    }
+
+    /// The areas of `scale` at `radius_km` and their scan, built and
+    /// scanned on the first call for that pair.
+    pub(crate) fn scanned(&self, scale: Scale, radius_km: f64) -> Arc<Scanned> {
+        // An entry is pushed only once its scan is complete, so a panic
+        // mid-scan leaves the list valid and a poisoned lock can be used.
+        let mut scanned = self.scanned.lock().unwrap_or_else(PoisonError::into_inner);
+        let key = |s: &&Arc<Scanned>| s.scale == scale && s.areas.radius_km() == radius_km;
+        if let Some(s) = scanned.iter().find(key) {
+            return Arc::clone(s);
+        }
+        let areas = AreaSet::of_scale_with_radius(scale, radius_km);
+        let scan = scan(self.dataset, &areas);
+        let s = Arc::new(Scanned { scale, areas, scan });
+        scanned.push(Arc::clone(&s));
+        s
     }
 
     /// Fig. 3: population correlation at one scale with its canonical ε.
@@ -191,8 +218,8 @@ impl<'a> Experiment<'a> {
         scale: Scale,
         radius_km: f64,
     ) -> Result<PopulationCorrelation, ExperimentError> {
-        let areas = AreaSet::of_scale_with_radius(scale, radius_km);
-        Ok(estimate_population(self.dataset, &areas)?)
+        let s = self.scanned(scale, radius_km);
+        Ok(population_from_counts(&s.areas, &s.scan.users)?)
     }
 
     /// §IV: mobility extraction + model fitting at one scale, using
@@ -207,14 +234,17 @@ impl<'a> Experiment<'a> {
     }
 
     /// [`Experiment::fit_with`] at a paper scale with Twitter-derived
-    /// populations — the fit side of the fit-once / predict-many split.
+    /// populations — the fit side of the fit-once / predict-many split —
+    /// on the scale's kept scan.
     ///
     /// # Errors
     ///
     /// As [`Experiment::mobility`].
     pub fn fit(&self, scale: Scale) -> Result<(MobilityReport, ModelBundle), ExperimentError> {
-        self.fit_with(
-            &AreaSet::of_scale(scale),
+        let s = self.scanned(scale, scale.search_radius_km());
+        Self::fit_scanned(
+            &s.areas,
+            &s.scan,
             PopulationSource::Twitter,
             scale.name().to_string(),
         )
@@ -239,18 +269,25 @@ impl<'a> Experiment<'a> {
         source: PopulationSource,
         label: String,
     ) -> Result<(MobilityReport, ModelBundle), ExperimentError> {
-        let scan = trips_scan(self.dataset, areas);
+        Self::fit_scanned(areas, &scan(self.dataset, areas), source, label)
+    }
+
+    /// [`Experiment::fit_with`] on a scan of `areas` already made.
+    fn fit_scanned(
+        areas: &AreaSet,
+        scan: &AreaScan,
+        source: PopulationSource,
+        label: String,
+    ) -> Result<(MobilityReport, ModelBundle), ExperimentError> {
+        scan.publish();
         let od = &scan.od;
         let populations = match source {
             PopulationSource::Census => areas.census_populations(),
-            PopulationSource::Twitter => {
-                let _span = tweetmob_obs::span!("population");
-                population_from_counts(areas, &scan.users)?
-                    .areas
-                    .iter()
-                    .map(|a| a.twitter_users as f64)
-                    .collect()
-            }
+            PopulationSource::Twitter => population_from_counts(areas, &scan.users)?
+                .areas
+                .iter()
+                .map(|a| a.twitter_users as f64)
+                .collect(),
         };
         let observations = {
             let _span = tweetmob_obs::span!("odmatrix");

@@ -4,8 +4,8 @@
 ///
 /// The paper's mobility is directed ("first at the source area and then
 /// the destination area"), so `T[i→j]` and `T[j→i]` are distinct cells.
-/// Diagonal cells (same-area consecutive pairs) are not trips and are
-/// rejected by [`OdMatrix::record`].
+/// Diagonal cells (same-area consecutive pairs) are not trips and hold
+/// no count.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OdMatrix {
     n: usize,
@@ -15,36 +15,19 @@ pub struct OdMatrix {
 impl OdMatrix {
     /// An all-zero `n × n` matrix.
     #[must_use]
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         Self {
             n,
             counts: vec![0; n * n],
         }
     }
 
-    /// Number of areas.
-    #[inline]
-    #[must_use]
-    pub fn n_areas(&self) -> usize {
-        self.n
-    }
-
-    /// Records one trip.
+    /// Records `count` trips of one directed pair.
     ///
     /// # Panics
     ///
     /// If an index is out of range or `origin == dest` (a same-area pair
     /// is not a trip).
-    #[inline]
-    pub fn record(&mut self, origin: usize, dest: usize) {
-        self.add(origin, dest, 1);
-    }
-
-    /// Records `count` trips of one directed pair.
-    ///
-    /// # Panics
-    ///
-    /// As [`OdMatrix::record`].
     pub(crate) fn add(&mut self, origin: usize, dest: usize, count: u64) {
         assert!(origin < self.n && dest < self.n, "area index out of range");
         assert_ne!(origin, dest, "diagonal entries are not trips");
@@ -91,7 +74,7 @@ impl OdMatrix {
     /// # Panics
     ///
     /// If dimensions differ.
-    pub fn merge(&mut self, other: &OdMatrix) {
+    pub(crate) fn merge(&mut self, other: &OdMatrix) {
         assert_eq!(self.n, other.n, "OD matrix dimensions differ");
         for (a, b) in self.counts.iter_mut().zip(&other.counts) {
             *a += b;
@@ -106,9 +89,9 @@ mod tests {
     #[test]
     fn record_and_count() {
         let mut m = OdMatrix::new(3);
-        m.record(0, 1);
-        m.record(0, 1);
-        m.record(2, 0);
+        m.add(0, 1, 1);
+        m.add(0, 1, 1);
+        m.add(2, 0, 1);
         assert_eq!(m.count(0, 1), 2);
         assert_eq!(m.count(1, 0), 0);
         assert_eq!(m.count(2, 0), 1);
@@ -119,19 +102,19 @@ mod tests {
     #[test]
     #[should_panic(expected = "diagonal entries are not trips")]
     fn diagonal_rejected() {
-        OdMatrix::new(3).record(1, 1);
+        OdMatrix::new(3).add(1, 1, 1);
     }
 
     #[test]
     #[should_panic(expected = "area index out of range")]
     fn out_of_range_rejected() {
-        OdMatrix::new(3).record(0, 3);
+        OdMatrix::new(3).add(0, 3, 1);
     }
 
     #[test]
     fn iter_pairs_covers_off_diagonal_exactly() {
         let mut m = OdMatrix::new(4);
-        m.record(1, 2);
+        m.add(1, 2, 1);
         let pairs: Vec<(usize, usize, u64)> = m.iter_pairs().collect();
         assert_eq!(pairs.len(), 12); // 4·3 ordered pairs
         assert!(pairs.iter().all(|&(i, j, _)| i != j));
@@ -146,9 +129,9 @@ mod tests {
     #[test]
     fn flows_are_directed() {
         let mut m = OdMatrix::new(2);
-        m.record(0, 1);
-        m.record(0, 1);
-        m.record(1, 0);
+        m.add(0, 1, 1);
+        m.add(0, 1, 1);
+        m.add(1, 0, 1);
         assert_eq!(m.count(0, 1), 2);
         assert_eq!(m.count(1, 0), 1);
     }
@@ -156,10 +139,10 @@ mod tests {
     #[test]
     fn merge_adds_cellwise() {
         let mut a = OdMatrix::new(2);
-        a.record(0, 1);
+        a.add(0, 1, 1);
         let mut b = OdMatrix::new(2);
-        b.record(0, 1);
-        b.record(1, 0);
+        b.add(0, 1, 1);
+        b.add(1, 0, 1);
         a.merge(&b);
         assert_eq!(a.count(0, 1), 2);
         assert_eq!(a.count(1, 0), 1);

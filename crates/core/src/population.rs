@@ -1,9 +1,7 @@
 //! Population estimation from unique Twitter users (paper §III, Fig. 3).
 
 use crate::areaset::AreaSet;
-use crate::scan::scan;
 use std::fmt;
-use tweetmob_data::TweetDataset;
 use tweetmob_obs::{Json, ToJson};
 use tweetmob_stats::correlation::{log_pearson, pearson, Correlation};
 use tweetmob_stats::StatsError;
@@ -142,29 +140,9 @@ impl PooledPopulation {
     }
 }
 
-/// Estimates populations for one area set.
-///
-/// Runs the shared population-and-trips scan ([`crate::scan`]) over the
-/// dataset's CSR user ranges: a tweet is in an area iff its haversine
-/// distance to the centre is at most ε, and each user is counted at most
-/// once per area whose disc holds one of their tweets. The scan
-/// publishes no `trips/*` counters, so a population estimate never
-/// inflates the run's trips funnel. Counts are integer sums over
-/// disjoint user ranges, identical at every thread count.
-///
-/// # Errors
-///
-/// As [`population_from_counts`].
-pub(crate) fn estimate_population(
-    dataset: &TweetDataset,
-    areas: &AreaSet,
-) -> Result<PopulationCorrelation, StatsError> {
-    let _span = tweetmob_obs::span!("population");
-    population_from_counts(areas, &scan("population", dataset, areas).users)
-}
-
 /// Rescales and correlates per-area distinct-user counts (aligned with
-/// `areas`) against census populations.
+/// `areas`, from a [`crate::scan`]) against census populations, under
+/// the `population` span.
 ///
 /// # Errors
 ///
@@ -177,6 +155,7 @@ pub(crate) fn population_from_counts(
     areas: &AreaSet,
     twitter: &[u64],
 ) -> Result<PopulationCorrelation, StatsError> {
+    let _span = tweetmob_obs::span!("population");
     let census = areas.census_populations();
     let census_total: f64 = census.iter().sum();
     let twitter_total: f64 = twitter.iter().map(|&u| u as f64).sum();
@@ -216,7 +195,16 @@ pub(crate) fn population_from_counts(
 pub(crate) mod tests {
     use super::*;
     use crate::areaset::Scale;
-    use tweetmob_data::{Timestamp, Tweet, UserId};
+    use crate::scan::scan;
+    use tweetmob_data::{Timestamp, Tweet, TweetDataset, UserId};
+
+    /// One scan of `dataset` over `areas`, rescaled and correlated.
+    fn estimate_population(
+        dataset: &TweetDataset,
+        areas: &AreaSet,
+    ) -> Result<PopulationCorrelation, StatsError> {
+        population_from_counts(areas, &scan(dataset, areas).users)
+    }
 
     /// Builds a dataset with `users_per_area[i]` distinct users tweeting
     /// at national area `i`'s centre.
@@ -423,7 +411,7 @@ pub(crate) mod tests {
             Tweet::new(UserId(1), Timestamp::from_secs(200), syd),
             Tweet::new(UserId(2), Timestamp::from_secs(100), wol),
         ]);
-        let users = scan("test", &ds, &areas).users;
+        let users = scan(&ds, &areas).users;
         assert_eq!(users, population_reference(&ds, &areas));
         assert_eq!((users[0], users[9]), (1, 2), "{users:?}");
         assert_eq!(users.iter().sum::<u64>(), 3);

@@ -10,6 +10,9 @@
 //! data funnel are read once per chunk, and sets a bit in the user's
 //! covered-area bitset, from which the distinct-user counts are read
 //! once per user.
+//!
+//! Every scan runs under one `scan` span and no other span wraps one, so
+//! that span's call count is the number of corpus scans a run made.
 
 use crate::areaset::AreaSet;
 use crate::odmatrix::OdMatrix;
@@ -87,6 +90,7 @@ impl AreaScan {
     /// this once per fit, so the counters' per-run deltas are the run's
     /// funnel.
     pub(crate) fn publish(&self) {
+        let _span = tweetmob_obs::span!("trips");
         tweetmob_obs::counter!("trips/extracted").add(self.funnel.trips);
         tweetmob_obs::counter!("trips/dropped_same_area").add(self.funnel.same_area);
         tweetmob_obs::counter!("trips/dropped_unassigned").add(self.funnel.unassigned);
@@ -128,8 +132,8 @@ impl AreaScan {
     }
 }
 
-/// Scans `dataset` over `areas` once, publishing nothing but the
-/// `par/<stage>/*` pool-shape gauges.
+/// Scans `dataset` over `areas` once, under the `scan` span, publishing
+/// nothing but the `par/scan/*` pool-shape gauges.
 ///
 /// Each chunk of users counts `pairs[prev · (n+1) + slot]` in one
 /// `(n+2) × (n+1)` table, where row `n+1` stands for "no previous
@@ -138,11 +142,12 @@ impl AreaScan {
 /// the end of each user, so a user is counted at most once per area.
 /// Every output is an integer sum over disjoint user ranges, so the
 /// result is identical at every thread count.
-pub(crate) fn scan(stage: &str, dataset: &TweetDataset, areas: &AreaSet) -> AreaScan {
+pub(crate) fn scan(dataset: &TweetDataset, areas: &AreaSet) -> AreaScan {
+    let _span = tweetmob_obs::span!("scan");
     let n = areas.len();
     let stride = n + 1;
     tweetmob_par::par_map_reduce(
-        stage,
+        "scan",
         dataset.n_users(),
         64,
         |range| {
@@ -182,7 +187,7 @@ pub(crate) fn scan(stage: &str, dataset: &TweetDataset, areas: &AreaSet) -> Area
 /// published (the `tweetmob summary` view of every scale).
 #[must_use]
 pub fn data_funnel(dataset: &TweetDataset, areas: &AreaSet) -> DataFunnel {
-    scan("funnel", dataset, areas).funnel
+    scan(dataset, areas).funnel
 }
 
 #[cfg(test)]
@@ -250,7 +255,7 @@ mod tests {
                 let users = population_reference(&ds, areas);
                 assert!(funnel.tweets_in_area > 0, "set {seed}");
                 for threads in [1, 3] {
-                    let got = tweetmob_par::with_threads(threads, || scan("test", &ds, areas));
+                    let got = tweetmob_par::with_threads(threads, || scan(&ds, areas));
                     let at = format!("set {seed}, corpus {k}, {threads} threads");
                     assert_eq!(got.od, od, "{at}");
                     assert_eq!(got.users, users, "{at}");

@@ -9,9 +9,10 @@
 //! each window alone correlates with census and (b) how stable the
 //! window estimates are against the full-period estimate.
 
-use crate::areaset::{AreaSet, Scale};
-use crate::experiment::ExperimentError;
-use crate::population::estimate_population;
+use crate::areaset::Scale;
+use crate::experiment::{Experiment, ExperimentError};
+use crate::population::population_from_counts;
+use crate::scan::scan;
 use tweetmob_data::{Timestamp, TweetDataset};
 use tweetmob_stats::correlation::{log_pearson, Correlation};
 use tweetmob_stats::distributions::ks_two_sample;
@@ -97,7 +98,8 @@ pub fn waiting_time_stationarity(dataset: &TweetDataset) -> Result<(f64, f64), E
 }
 
 /// Splits the dataset's observed time span into `n_windows` equal
-/// windows and repeats the population estimation at `scale` inside each.
+/// windows and repeats the population estimation at `scale` inside each,
+/// against the full-period counts of the experiment's scan of `scale`.
 ///
 /// # Errors
 ///
@@ -108,10 +110,11 @@ pub fn waiting_time_stationarity(dataset: &TweetDataset) -> Result<(f64, f64), E
 ///
 /// If `n_windows == 0` or the dataset is empty.
 pub fn temporal_stability(
-    dataset: &TweetDataset,
+    experiment: &Experiment<'_>,
     scale: Scale,
     n_windows: usize,
 ) -> Result<TemporalStability, ExperimentError> {
+    let dataset = experiment.dataset();
     assert!(n_windows > 0, "need at least one window");
     assert!(!dataset.is_empty(), "dataset is empty");
     let (mut t_min, mut t_max) = (i64::MAX, i64::MIN);
@@ -119,23 +122,28 @@ pub fn temporal_stability(
         t_min = t_min.min(t.as_secs());
         t_max = t_max.max(t.as_secs());
     }
-    let span = (t_max - t_min).max(1);
-    let areas = AreaSet::of_scale(scale);
+    // Window `k` starts `span · k / n_windows` seconds after `t_min`,
+    // computed in `i128` so that no corpus or window count overflows it.
+    let span = (i128::from(t_max) - i128::from(t_min)).max(1);
+    let start_of = |k: usize| {
+        let start = i128::from(t_min) + span * k as i128 / n_windows as i128;
+        Timestamp::from_secs(i64::try_from(start).unwrap_or(i64::MAX))
+    };
 
     // Full-period reference counts.
-    let full = estimate_population(dataset, &areas)?;
-    let full_counts: Vec<f64> = full.areas.iter().map(|a| a.twitter_users as f64).collect();
+    let full = experiment.scanned(scale, scale.search_radius_km());
+    let full_counts: Vec<f64> = full.scan.users.iter().map(|&u| u as f64).collect();
 
     let mut windows = Vec::with_capacity(n_windows);
     for k in 0..n_windows {
-        let start = Timestamp::from_secs(t_min + span * k as i64 / n_windows as i64);
+        let start = start_of(k);
         let end = if k + 1 == n_windows {
             Timestamp::from_secs(t_max)
         } else {
-            Timestamp::from_secs(t_min + span * (k + 1) as i64 / n_windows as i64 - 1)
+            start_of(k + 1).plus_secs(-1)
         };
         let slice = dataset.filter_time_range(start, end);
-        let pop = estimate_population(&slice, &areas)?;
+        let pop = population_from_counts(&full.areas, &scan(&slice, &full.areas).users)?;
         let counts: Vec<f64> = pop.areas.iter().map(|a| a.twitter_users as f64).collect();
         let vs_full = log_pearson(&counts, &full_counts)?;
         windows.push(WindowResult {
@@ -157,6 +165,7 @@ pub fn temporal_stability(
 mod tests {
     use super::*;
     use std::sync::OnceLock;
+    use tweetmob_data::{Tweet, UserId};
     use tweetmob_synth::{GeneratorConfig, TweetGenerator};
 
     fn medium() -> &'static TweetDataset {
@@ -169,7 +178,7 @@ mod tests {
         // 8 windows ≈ the paper's 8 collection months. Every single
         // month must already correlate strongly with census at the
         // national scale — this is the "responsive estimation" claim.
-        let stability = temporal_stability(medium(), Scale::National, 8).unwrap();
+        let stability = temporal_stability(&Experiment::new(medium()), Scale::National, 8).unwrap();
         assert_eq!(stability.windows.len(), 8);
         for w in &stability.windows {
             assert!(w.n_tweets > 0, "empty window");
@@ -191,7 +200,7 @@ mod tests {
 
     #[test]
     fn windows_partition_the_span() {
-        let stability = temporal_stability(medium(), Scale::National, 4).unwrap();
+        let stability = temporal_stability(&Experiment::new(medium()), Scale::National, 4).unwrap();
         let total: usize = stability.windows.iter().map(|w| w.n_tweets).sum();
         assert_eq!(total, medium().n_tweets());
         // Chronological and non-overlapping.
@@ -202,7 +211,7 @@ mod tests {
 
     #[test]
     fn single_window_equals_full_period() {
-        let stability = temporal_stability(medium(), Scale::National, 1).unwrap();
+        let stability = temporal_stability(&Experiment::new(medium()), Scale::National, 1).unwrap();
         let w = &stability.windows[0];
         assert_eq!(w.n_tweets, medium().n_tweets());
         // Perfect self-correlation.
@@ -212,7 +221,23 @@ mod tests {
     #[test]
     #[should_panic(expected = "need at least one window")]
     fn zero_windows_panics() {
-        let _ = temporal_stability(medium(), Scale::National, 0);
+        let _ = temporal_stability(&Experiment::new(medium()), Scale::National, 0);
+    }
+
+    #[test]
+    fn windows_of_extreme_times_do_not_overflow() {
+        // Neither reader loads these times, but a dataset built in memory
+        // can hold them: the span, 1.8e19 s, does not fit in an `i64`.
+        let sydney = tweetmob_geo::Point::new_unchecked(-33.87, 151.21);
+        let at = |secs: i64| Tweet::new(UserId(1), Timestamp::from_secs(secs), sydney);
+        let ds = TweetDataset::from_tweets(vec![
+            at(-9_000_000_000_000_000_000),
+            at(9_000_000_000_000_000_000),
+        ]);
+        // The windows between the two tweets are empty, so no window
+        // yields a correlation; the split itself must not overflow.
+        let got = temporal_stability(&Experiment::new(&ds), Scale::National, 8);
+        assert!(matches!(got, Err(ExperimentError::Stats(_))), "{got:?}");
     }
 
     #[test]

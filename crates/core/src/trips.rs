@@ -8,7 +8,7 @@
 
 use crate::areaset::AreaSet;
 use crate::odmatrix::OdMatrix;
-use crate::scan::{scan, AreaScan};
+use crate::scan::scan;
 use tweetmob_data::TweetDataset;
 
 /// Extracts the directed OD matrix of a dataset over an area set and
@@ -23,16 +23,9 @@ use tweetmob_data::TweetDataset;
 /// the scalar, test-only `AreaSet::assign` reference because the table
 /// lookup is decision-identical to it.
 pub fn extract_trips(dataset: &TweetDataset, areas: &AreaSet) -> OdMatrix {
-    trips_scan(dataset, areas).od
-}
-
-/// The scan behind [`extract_trips`], with everything it produced: runs
-/// under the `trips` span and publishes the funnel counters once.
-pub(crate) fn trips_scan(dataset: &TweetDataset, areas: &AreaSet) -> AreaScan {
-    let _span = tweetmob_obs::span!("trips");
-    let scan = scan("trips", dataset, areas);
+    let scan = scan(dataset, areas);
     scan.publish();
-    scan
+    scan.od
 }
 
 #[cfg(test)]
@@ -76,7 +69,7 @@ pub(crate) mod tests {
             if seen_any {
                 match (prev, cur) {
                     (Some(a), Some(b)) if a != b => {
-                        od.record(a, b);
+                        od.add(a, b, 1);
                         funnel.trips += 1;
                     }
                     (Some(_), Some(_)) => funnel.same_area += 1,
@@ -284,7 +277,6 @@ pub(crate) mod tests {
     #[test]
     fn empty_dataset_empty_matrix() {
         let od = extract_trips(&TweetDataset::from_tweets(Vec::new()), &national());
-        assert_eq!(od.total(), 0);
-        assert_eq!(od.n_areas(), 20);
+        assert_eq!(od, OdMatrix::new(20));
     }
 }

@@ -416,6 +416,29 @@ mod tests {
     }
 
     #[test]
+    fn times_outside_years_1_to_9999_rejected() {
+        // Row 3 is user 7's only tweet, so a bad time there breaks no
+        // order; the time fault outranks the latitude fault in row 1.
+        let ds = sample();
+        let times_at = HEADER_BYTES + 4 * ds.n_users() + 4 * (ds.n_users() + 1);
+        let lats_at = times_at + 8 * ds.n_tweets();
+        for secs in [i64::MIN, Timestamp::LAST_LOADABLE.as_secs() + 1] {
+            let mut buf = encode(&ds);
+            buf[times_at + 24..times_at + 32].copy_from_slice(&secs.to_le_bytes());
+            buf[lats_at + 8..lats_at + 16].copy_from_slice(&200.0f64.to_le_bytes());
+            match decode_columnar(&buf) {
+                Err(IoError::Format { message, .. }) => {
+                    assert_eq!(
+                        message,
+                        format!("row 3: time {secs} s is outside years 1–9999")
+                    );
+                }
+                other => panic!("expected a time-range rejection, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn out_of_range_latitude_rejected() {
         let ds = sample();
         let mut buf = encode(&ds);

@@ -116,7 +116,8 @@ impl TweetDataset {
     ///   the row count, strictly increasing (every user owns at least one
     ///   row), one more entry than `unique_users`;
     /// * `unique_users` strictly ascending;
-    /// * timestamps non-decreasing within each user's slice;
+    /// * timestamps non-decreasing within each user's slice, and within
+    ///   years 1–9999;
     /// * every coordinate finite and in range (same rules as
     ///   [`Point::new`]).
     ///

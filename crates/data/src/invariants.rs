@@ -38,6 +38,11 @@ enum Fault {
     Times {
         user: usize,
     },
+    /// A timestamp outside years 1–9999.
+    TimeRange {
+        row: usize,
+        value: i64,
+    },
     Latitude {
         row: usize,
         value: f64,
@@ -52,8 +57,9 @@ impl Fault {
     /// The ranks a feed checks against before it scans its chunk.
     const INDEX_SHAPE: u8 = 2;
     const TIMES: u8 = 7;
-    const LATITUDE: u8 = 8;
-    const LONGITUDE: u8 = 9;
+    const TIME_RANGE: u8 = 8;
+    const LATITUDE: u8 = 9;
+    const LONGITUDE: u8 = 10;
 
     fn rank(self) -> u8 {
         match self {
@@ -65,6 +71,7 @@ impl Fault {
             Fault::OffsetsOrder => 5,
             Fault::UserOrder => 6,
             Fault::Times { .. } => Self::TIMES,
+            Fault::TimeRange { .. } => Self::TIME_RANGE,
             Fault::Latitude { .. } => Self::LATITUDE,
             Fault::Longitude { .. } => Self::LONGITUDE,
         }
@@ -94,6 +101,9 @@ impl Fault {
                 "unsorted input: timestamps of user {} are not non-decreasing",
                 users[user].0
             ),
+            Fault::TimeRange { row, value } => {
+                format!("row {row}: time {value} s is outside years 1–9999")
+            }
             Fault::Latitude { row, value } => format!("row {row}: invalid latitude {value}"),
             Fault::Longitude { row, value } => format!("row {row}: invalid longitude {value}"),
         }
@@ -202,18 +212,26 @@ impl ColumnCheck {
     }
 
     /// The next chunk of timestamps, given the whole offsets column:
-    /// non-decreasing within each user.
+    /// non-decreasing within each user, and within years 1–9999.
     ///
-    /// Checked with no per-user branch: every decrease in the chunk is
-    /// counted, then every decrease at a user's first row; the two
-    /// counts differ only when a decrease lies inside a user, and only
-    /// then are the rows searched for it.
+    /// Order is checked with no per-user branch: every decrease in the
+    /// chunk is counted, then every decrease at a user's first row; the
+    /// two counts differ only when a decrease lies inside a user, and
+    /// only then are the rows searched for it.
     pub(crate) fn times(&mut self, chunk: &[Timestamp], offsets: &[u32]) {
         let lo = self.times_seen;
         let hi = lo + chunk.len();
         self.times_seen = hi;
         let prev = self.last_time;
         self.last_time = chunk.last().copied().or(prev);
+        if !self.settled(Fault::TIME_RANGE) && !Timestamp::all_loadable(chunk) {
+            if let Some(i) = chunk.iter().position(|t| !t.is_loadable()) {
+                self.record(Fault::TimeRange {
+                    row: lo + i,
+                    value: chunk[i].as_secs(),
+                });
+            }
+        }
         // Any lower-ranked fault outranks a time fault, and with none the
         // offsets have been fed whole and are a valid CSR index.
         if chunk.is_empty() || self.settled(Fault::TIMES) {
@@ -361,6 +379,12 @@ mod tests {
                 ));
             }
         }
+        if let Some(i) = c.times.iter().position(|t| !t.is_loadable()) {
+            return Err(format!(
+                "row {i}: time {} s is outside years 1–9999",
+                c.times[i].as_secs()
+            ));
+        }
         let bad = |v: f64, limit: f64| !v.is_finite() || !(-limit..=limit).contains(&v);
         if let Some(i) = c.lats.iter().position(|&v| bad(v, 90.0)) {
             return Err(format!("row {i}: invalid latitude {}", c.lats[i]));
@@ -420,9 +444,15 @@ mod tests {
             c.offsets.push(c.times.len() as u32);
         }
         let odd = [f64::NAN, f64::INFINITY, -95.0, 200.0, 90.0, -180.0];
+        let far = [
+            i64::MIN,
+            Timestamp::FIRST_LOADABLE.as_secs() - 1,
+            Timestamp::LAST_LOADABLE.as_secs() + 1,
+            i64::MAX,
+        ];
         for _ in 0..rng.next_below(4) {
             let n = c.times.len().max(1);
-            match rng.next_below(7) {
+            match rng.next_below(8) {
                 0 if !c.users.is_empty() => {
                     let i = rng.next_below(c.users.len());
                     c.users[i] = UserId(rng.next_below(100) as u32);
@@ -443,7 +473,11 @@ mod tests {
                     let i = rng.next_below(c.lons.len());
                     c.lons[i] = odd[rng.next_below(odd.len())];
                 }
-                5 => {
+                5 if !c.times.is_empty() => {
+                    let i = rng.next_below(c.times.len());
+                    c.times[i] = Timestamp::from_secs(far[rng.next_below(far.len())]);
+                }
+                6 => {
                     c.users.pop();
                 }
                 _ => {
@@ -464,6 +498,7 @@ mod tests {
             "strictly increasing",
             "user ids",
             "timestamps",
+            "years 1–9999",
             "latitude",
             "longitude",
         ];

@@ -138,15 +138,16 @@ pub fn write_jsonl<W: Write>(ds: &TweetDataset, mut w: W) -> Result<(), IoError>
 /// `location` (an object with numbers `lat` and `lon`). Members may come
 /// in any order, with any whitespace and with escaped keys. Other
 /// members, of any JSON type, are checked and skipped; a repeated member
-/// keeps its last value. Blank lines are skipped. Coordinates are
-/// validated.
+/// keeps its last value. Blank lines are skipped. Times must lie in
+/// years 1–9999 (UTC) and coordinates are validated.
 ///
 /// # Errors
 ///
 /// The first malformed line aborts the read with its line number: bad
 /// UTF-8 or bad JSON anywhere on the line first, then a missing or
 /// mistyped field (`user`, `time`, `location`, `lat`, `lon`, in that
-/// order), then an invalid coordinate.
+/// order), then a time outside years 1–9999 ([`IoError::Json`]), then
+/// an invalid coordinate.
 pub fn read_jsonl<R: BufRead>(mut r: R) -> Result<TweetDataset, IoError> {
     read_records(&mut r, tweet_fields)
 }
@@ -174,13 +175,18 @@ fn read_records<R: BufRead>(
             continue;
         }
         let (user, time, lat, lon) = decode(text).map_err(json_err)?;
+        let time = Timestamp::from_secs(time);
+        if !time.is_loadable() {
+            return Err(json_err(format!(
+                "field `time` must lie in years 1–9999 ({}..={} epoch seconds), found {}",
+                Timestamp::FIRST_LOADABLE.as_secs(),
+                Timestamp::LAST_LOADABLE.as_secs(),
+                time.as_secs()
+            )));
+        }
         let location =
             Point::new(lat, lon).map_err(|source| IoError::BadCoordinate { line, source })?;
-        tweets.push(Tweet::new(
-            UserId(user),
-            Timestamp::from_secs(time),
-            location,
-        ));
+        tweets.push(Tweet::new(UserId(user), time, location));
     }
     tweetmob_obs::counter!("data/tweets_read").add(tweets.len() as u64);
     Ok(TweetDataset::from_tweets(tweets))
@@ -347,6 +353,30 @@ mod tests {
         match read_checked(text.as_bytes()) {
             Err(IoError::BadCoordinate { line: 1, .. }) => {}
             other => panic!("expected BadCoordinate, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn jsonl_rejects_times_outside_years_1_to_9999() {
+        let line = |t: i64| {
+            format!("{{\"user\":1,\"time\":{t},\"location\":{{\"lat\":-33.0,\"lon\":151.0}}}}\n")
+        };
+        let (first, last) = (Timestamp::FIRST_LOADABLE, Timestamp::LAST_LOADABLE);
+        let ok = line(first.as_secs()) + &line(last.as_secs());
+        assert_eq!(read_checked(ok.as_bytes()).unwrap().n_tweets(), 2);
+        for bad in [
+            first.as_secs() - 1,
+            last.as_secs() + 1,
+            -9_000_000_000_000_000_000,
+            i64::MAX,
+        ] {
+            let text = line(0) + &line(bad);
+            match read_checked(text.as_bytes()) {
+                Err(e @ IoError::Json { line: 2, .. }) => {
+                    assert!(e.to_string().contains("years 1–9999"), "{e}");
+                }
+                other => panic!("time {bad}: expected a line-2 error, got {other:?}"),
+            }
         }
     }
 

@@ -46,7 +46,9 @@ pub struct DatasetSummary {
 }
 
 impl DatasetSummary {
-    /// Computes every Table-I statistic in one pass over the dataset.
+    /// Computes every Table-I statistic: one pass over each coordinate
+    /// column, one walk over the user index for the time range, activity
+    /// and waiting time, and one for the distinct locations.
     pub fn of(ds: &TweetDataset) -> Self {
         let (mut lon_min, mut lon_max) = (f64::INFINITY, f64::NEG_INFINITY);
         let (mut lat_min, mut lat_max) = (f64::INFINITY, f64::NEG_INFINITY);
@@ -64,36 +66,45 @@ impl DatasetSummary {
         } else {
             ((lon_min, lon_max), (lat_min, lat_max))
         };
-        let time_range_secs = if ds.is_empty() {
-            (0, 0)
-        } else {
-            let mut lo = i64::MAX;
-            let mut hi = i64::MIN;
-            for t in ds.times() {
-                lo = lo.min(t.as_secs());
-                hi = hi.max(t.as_secs());
-            }
-            (lo, hi)
-        };
 
-        let per_user = ds.tweets_per_user();
-        let activity = ActivityBuckets {
-            over_50: per_user.iter().filter(|&&c| c > 50).count(),
-            over_100: per_user.iter().filter(|&&c| c > 100).count(),
-            over_500: per_user.iter().filter(|&&c| c > 500).count(),
-            over_1000: per_user.iter().filter(|&&c| c > 1000).count(),
+        // Each user's times are sorted, so their first and last bound the
+        // time range, and the user's waiting times telescope to `last −
+        // first`. The sum runs in `i128`, which no dataset can overflow.
+        let (mut lo, mut hi) = (i64::MAX, i64::MIN);
+        let mut waited = 0i128;
+        let mut activity = ActivityBuckets {
+            over_50: 0,
+            over_100: 0,
+            over_500: 0,
+            over_1000: 0,
         };
+        for view in ds.iter_users() {
+            let (Some(first), Some(last)) = (view.times.first(), view.times.last()) else {
+                continue;
+            };
+            lo = lo.min(first.as_secs());
+            hi = hi.max(last.as_secs());
+            waited += i128::from(last.as_secs()) - i128::from(first.as_secs());
+            let n = view.times.len();
+            activity.over_50 += usize::from(n > 50);
+            activity.over_100 += usize::from(n > 100);
+            activity.over_500 += usize::from(n > 500);
+            activity.over_1000 += usize::from(n > 1000);
+        }
+        let time_range_secs = if ds.is_empty() { (0, 0) } else { (lo, hi) };
         let avg_tweets_per_user = if ds.n_users() > 0 {
             ds.n_tweets() as f64 / ds.n_users() as f64
         } else {
             f64::NAN
         };
-        let waits = ds.waiting_times_secs();
-        let avg_waiting_time_hours = if waits.is_empty() {
+        // Every user has a tweet, so each has one wait fewer than tweets.
+        // Below 2⁵³ s in total (paper scale is about 7e11 s) the mean is
+        // the one a sum of the individual waits gives, to the bit.
+        let waits = ds.n_tweets() - ds.n_users();
+        let avg_waiting_time_hours = if waits == 0 {
             f64::NAN
         } else {
-            waits.iter().map(|&s| s as f64).sum::<f64>()
-                / (waits.len() as f64 * SECS_PER_HOUR as f64)
+            waited as f64 / (waits as f64 * SECS_PER_HOUR as f64)
         };
         let locs = ds.distinct_locations_per_user(1e-3);
         let avg_locations_per_user = if locs.is_empty() {
@@ -259,6 +270,46 @@ mod tests {
         let ds = TweetDataset::from_tweets(vec![t(1, 0, -33.0, 151.0), t(2, 5, -34.0, 150.0)]);
         let s = DatasetSummary::of(&ds);
         assert!(s.avg_waiting_time_hours.is_nan());
+    }
+
+    #[test]
+    fn waiting_time_is_the_mean_of_the_individual_waits() {
+        use tweetmob_stats::rng::SplitMix64;
+        for seed in 0..32 {
+            let mut rng = SplitMix64::new(seed);
+            let tweets: Vec<Tweet> = (0..1 + rng.next_below(400))
+                .map(|_| {
+                    let user = rng.next_below(40) as u32;
+                    t(user, rng.next_below(30_000_000) as i64, -33.0, 151.0)
+                })
+                .collect();
+            let ds = TweetDataset::from_tweets(tweets);
+            let waits = ds.waiting_times_secs();
+            let s = DatasetSummary::of(&ds);
+            if waits.is_empty() {
+                assert!(s.avg_waiting_time_hours.is_nan(), "seed {seed}");
+                continue;
+            }
+            let want = waits.iter().map(|&w| w as f64).sum::<f64>()
+                / (waits.len() as f64 * SECS_PER_HOUR as f64);
+            assert_eq!(
+                s.avg_waiting_time_hours.to_bits(),
+                want.to_bits(),
+                "seed {seed}"
+            );
+        }
+    }
+
+    #[test]
+    fn extreme_times_do_not_overflow_the_waiting_time() {
+        // Neither reader accepts these times, but a dataset built in
+        // memory can hold them; the total wait is about 1.8e19 s.
+        let ds = TweetDataset::from_tweets(vec![
+            t(1, -9_000_000_000_000_000_000, -33.0, 151.0),
+            t(1, 9_000_000_000_000_000_000, -33.0, 151.0),
+        ]);
+        let s = DatasetSummary::of(&ds);
+        assert_eq!(s.avg_waiting_time_hours, 1.8e19 / 3_600.0);
     }
 
     #[test]

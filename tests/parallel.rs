@@ -55,10 +55,12 @@ fn trip_extraction_is_thread_invariant() {
 
 #[test]
 fn population_estimation_is_thread_invariant() {
+    // A fresh experiment per thread count: one shared across both runs
+    // would hand the second run the first run's kept scan.
     let ds = TweetGenerator::new(config()).generate();
-    let exp = Experiment::new(&ds);
     assert_thread_invariant("population", || {
-        exp.population_correlation(Scale::National)
+        Experiment::new(&ds)
+            .population_correlation(Scale::National)
             .expect("population correlation on the standard dataset")
     });
 }
@@ -67,10 +69,12 @@ fn population_estimation_is_thread_invariant() {
 fn whole_experiment_is_thread_invariant() {
     // The end-to-end composition: every stage above chained through
     // `Experiment::mobility`, compared as one document.
+    // A fresh experiment per thread count, as above.
     let ds = TweetGenerator::new(config()).generate();
-    let exp = Experiment::new(&ds);
     assert_thread_invariant("mobility", || {
-        let report = exp.mobility(Scale::National).expect("mobility report");
+        let report = Experiment::new(&ds)
+            .mobility(Scale::National)
+            .expect("mobility report");
         (
             report.od_total,
             report.models,
