@@ -543,11 +543,10 @@ pub(crate) fn epidemic(args: &Args, out: &mut Out) -> Result<()> {
     let gravity_gamma = bundle.models().gravity2.gamma;
     let network = MobilityNetwork::from_artifact(&bundle, ModelKind::Gravity2, 0.02)?;
 
-    let mut scenario = OutbreakScenario::new(network, beta, gamma).seed(seed_patch, 20.0);
     let immune: f64 = args.get_parsed("immune", 0.0)?;
-    if immune > 0.0 {
-        scenario = scenario.with_initial_immunity(immune);
-    }
+    let mut scenario = OutbreakScenario::new(network, beta, gamma)
+        .seed(seed_patch, 20.0)
+        .with_initial_immunity(immune);
     if let Some(sigma) = args.get("sigma") {
         let sigma: f64 = sigma
             .parse()

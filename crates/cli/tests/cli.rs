@@ -84,6 +84,13 @@ fn usage_hint_follows_usage_errors_only() {
     let err = stderr(&no_artifact);
     assert!(err.contains("missing --artifact-out PATH"), "{err}");
     assert!(err.contains(HINT), "{err}");
+    let empty_world = tmp("zero-users.twc");
+    let no_users = run(&["generate", empty_world.to_str().unwrap(), "--users", "0"]);
+    assert_eq!(no_users.status.code(), Some(1));
+    let err = stderr(&no_users);
+    assert!(err.contains("n_users must be > 0"), "{err}");
+    assert!(err.contains(HINT), "{err}");
+    assert!(!empty_world.exists(), "a rejected world writes no file");
     let unreadable = run(&["summary", "/nonexistent/nowhere.jsonl"]);
     assert_eq!(unreadable.status.code(), Some(1));
     let err = stderr(&unreadable);
@@ -966,21 +973,24 @@ fn population_rejects_a_radius_that_is_not_positive_and_finite() {
 fn epidemic_rejects_an_unbounded_horizon() {
     let path = generated("epi-inf.jsonl", &["--users", "1500", "--seed", "8"]);
     let artifact = fitted(&path, &[]);
-    // 1e12 days is finite, but would be a 4·10¹²-step timeline.
-    for days in ["inf", "1e12"] {
+    // 1e12 days is finite, but would be a 4·10¹²-step timeline. An
+    // immune fraction outside [0, 1) is rejected too, not run as 0.
+    for (flag, value, reason) in [
+        ("--days", "inf", "days must be finite and at most 3650"),
+        ("--days", "1e12", "days must be finite and at most 3650"),
+        ("--immune", "-0.5", "= -0.5 must be in [0, 1)"),
+        ("--immune", "NaN", "= NaN must be in [0, 1)"),
+    ] {
         let out = run(&[
             "epidemic",
             "--artifact-in",
             artifact.to_str().unwrap(),
-            "--days",
-            days,
+            flag,
+            value,
         ]);
         let err = stderr(&out);
-        assert_eq!(out.status.code(), Some(1), "--days {days}: {err}");
-        assert!(
-            err.contains("days must be finite and at most 3650"),
-            "{err}"
-        );
+        assert_eq!(out.status.code(), Some(1), "{flag} {value}: {err}");
+        assert!(err.contains(reason), "{flag} {value}: {err}");
         assert!(!err.contains("panicked"), "{err}");
     }
     std::fs::remove_file(&path).ok();

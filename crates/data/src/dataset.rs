@@ -313,29 +313,6 @@ impl TweetDataset {
         }
         out
     }
-
-    /// Distinct locations per user, quantised to `grain_deg` degrees —
-    /// Table I's "Avg.no. locations/user" counts a user tweeting from the
-    /// same venue as one location, which raw float equality would miss.
-    pub fn distinct_locations_per_user(&self, grain_deg: f64) -> Vec<u32> {
-        let grain = grain_deg.max(1e-9);
-        let mut out = Vec::with_capacity(self.n_users());
-        // One buffer reused across users: sort and dedup count the distinct
-        // cells without a per-tweet allocation or any hash order.
-        let mut seen: Vec<(i64, i64)> = Vec::new();
-        for view in self.iter_users() {
-            seen.clear();
-            seen.extend(
-                view.lats.iter().zip(view.lons.iter()).map(|(&lat, &lon)| {
-                    ((lat / grain).round() as i64, (lon / grain).round() as i64)
-                }),
-            );
-            seen.sort_unstable();
-            seen.dedup();
-            out.push(seen.len() as u32);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -551,18 +528,6 @@ mod tests {
         assert_eq!(filtered.n_tweets(), 3);
         assert_eq!(filtered.n_users(), 1);
         assert_eq!(filtered.unique_users(), &[UserId(1)]);
-    }
-
-    #[test]
-    fn distinct_locations_quantised() {
-        let ds = TweetDataset::from_tweets(vec![
-            t(1, 0, -33.90001, 151.20001), // same venue as next within 1e-3°
-            t(1, 10, -33.90002, 151.20003),
-            t(1, 20, -30.0, 140.0), // clearly different
-        ]);
-        assert_eq!(ds.distinct_locations_per_user(1e-3), vec![2]);
-        // At much finer grain the near-duplicates separate.
-        assert_eq!(ds.distinct_locations_per_user(1e-6), vec![3]);
     }
 
     #[test]

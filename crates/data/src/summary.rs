@@ -5,6 +5,11 @@ use crate::time::SECS_PER_HOUR;
 use std::fmt;
 use tweetmob_obs::{Json, ToJson};
 
+/// Grain of Table I's distinct locations, degrees (~100 m): a user
+/// tweeting from the same venue counts one location, which raw float
+/// equality would miss.
+const LOCATION_GRAIN_DEG: f64 = 1e-3;
+
 /// Counts of "enthusiast" users by activity threshold (paper §II: "the
 /// numbers of users with more than 50, 100, 500, 1000 Tweets being 23462,
 /// 10031, 766 and 180 respectively").
@@ -47,8 +52,8 @@ pub struct DatasetSummary {
 
 impl DatasetSummary {
     /// Computes every Table-I statistic: one pass over each coordinate
-    /// column, one walk over the user index for the time range, activity
-    /// and waiting time, and one for the distinct locations.
+    /// column, and one walk over the users for the time range, activity,
+    /// waiting time and distinct locations.
     pub fn of(ds: &TweetDataset) -> Self {
         let (mut lon_min, mut lon_max) = (f64::INFINITY, f64::NEG_INFINITY);
         let (mut lat_min, mut lat_max) = (f64::INFINITY, f64::NEG_INFINITY);
@@ -78,7 +83,23 @@ impl DatasetSummary {
             over_500: 0,
             over_1000: 0,
         };
+        // One buffer reused across users: sort and dedup count each
+        // user's distinct cells without a per-tweet allocation or any
+        // hash order. The total is an exact integer, so the mean does
+        // not depend on the order users are summed in.
+        let mut cells: Vec<(i64, i64)> = Vec::new();
+        let mut locations = 0u64;
         for view in ds.iter_users() {
+            cells.clear();
+            cells.extend(view.lats.iter().zip(view.lons.iter()).map(|(&lat, &lon)| {
+                (
+                    (lat / LOCATION_GRAIN_DEG).round() as i64,
+                    (lon / LOCATION_GRAIN_DEG).round() as i64,
+                )
+            }));
+            cells.sort_unstable();
+            cells.dedup();
+            locations += cells.len() as u64;
             let (Some(first), Some(last)) = (view.times.first(), view.times.last()) else {
                 continue;
             };
@@ -106,11 +127,10 @@ impl DatasetSummary {
         } else {
             waited as f64 / (waits as f64 * SECS_PER_HOUR as f64)
         };
-        let locs = ds.distinct_locations_per_user(1e-3);
-        let avg_locations_per_user = if locs.is_empty() {
+        let avg_locations_per_user = if ds.n_users() == 0 {
             f64::NAN
         } else {
-            locs.iter().map(|&c| c as f64).sum::<f64>() / locs.len() as f64
+            locations as f64 / ds.n_users() as f64
         };
 
         Self {
@@ -233,6 +253,18 @@ mod tests {
         assert!((s.avg_waiting_time_hours - 2.0).abs() < 1e-12);
         // User 1: two distinct locations; user 2: one → mean 1.5.
         assert!((s.avg_locations_per_user - 1.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn distinct_locations_are_quantised() {
+        let ds = TweetDataset::from_tweets(vec![
+            t(1, 0, -33.90001, 151.20001), // same venue as next within 1e-3°
+            t(1, 10, -33.90002, 151.20003),
+            t(1, 20, -30.0, 140.0), // clearly different
+            t(2, 0, -33.90001, 151.20001),
+        ]);
+        // User 1: two cells; user 2: one → mean 1.5.
+        assert_eq!(DatasetSummary::of(&ds).avg_locations_per_user, 1.5);
     }
 
     #[test]

@@ -16,8 +16,9 @@ pub struct SeirParams {
 /// Errors configuring or running a scenario.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ScenarioError {
-    /// A rate parameter was non-positive or non-finite.
-    BadRate(&'static str, f64),
+    /// A parameter was outside its valid range: its name, its value and
+    /// the range it must lie in.
+    BadRate(&'static str, f64, &'static str),
     /// Bad time-stepping parameters.
     BadTimestep(&'static str),
     /// Seed patch out of range.
@@ -27,7 +28,7 @@ pub enum ScenarioError {
 impl fmt::Display for ScenarioError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ScenarioError::BadRate(name, v) => write!(f, "rate {name} = {v} must be > 0"),
+            ScenarioError::BadRate(name, v, range) => write!(f, "{name} = {v} must be {range}"),
             ScenarioError::BadTimestep(what) => write!(f, "bad timestep: {what}"),
             ScenarioError::BadSeedPatch(p) => write!(f, "seed patch {p} out of range"),
         }
@@ -51,6 +52,10 @@ struct TravelRestriction {
 /// while an unbounded horizon would try to allocate a timeline of
 /// `days / dt` of them.
 const MAX_DAYS: f64 = 3650.0;
+
+/// The valid range of a rate (β, γ, σ), as [`ScenarioError::BadRate`]
+/// names it.
+const POSITIVE: &str = "finite and > 0";
 
 /// An outbreak configuration over a mobility network.
 #[derive(Debug, Clone)]
@@ -96,7 +101,8 @@ impl OutbreakScenario {
     /// Starts every patch with `fraction` of its population already
     /// immune (vaccination / prior exposure). The classic threshold
     /// result: an outbreak with basic number R₀ dies out when the
-    /// immune fraction exceeds `1 − 1/R₀`.
+    /// immune fraction exceeds `1 − 1/R₀`. A run rejects a `fraction`
+    /// outside `[0, 1)` with [`ScenarioError::BadRate`].
     pub fn with_initial_immunity(mut self, fraction: f64) -> Self {
         self.initial_immunity = fraction;
         self
@@ -115,14 +121,14 @@ impl OutbreakScenario {
 
     fn validate(&self, days: f64, dt: f64) -> Result<(), ScenarioError> {
         if !(self.beta > 0.0) || !self.beta.is_finite() {
-            return Err(ScenarioError::BadRate("beta", self.beta));
+            return Err(ScenarioError::BadRate("beta", self.beta, POSITIVE));
         }
         if !(self.gamma > 0.0) || !self.gamma.is_finite() {
-            return Err(ScenarioError::BadRate("gamma", self.gamma));
+            return Err(ScenarioError::BadRate("gamma", self.gamma, POSITIVE));
         }
         if let Some(s) = self.seir {
             if !(s.sigma > 0.0) || !s.sigma.is_finite() {
-                return Err(ScenarioError::BadRate("sigma", s.sigma));
+                return Err(ScenarioError::BadRate("sigma", s.sigma, POSITIVE));
             }
         }
         if !(dt > 0.0) || !dt.is_finite() {
@@ -147,11 +153,16 @@ impl OutbreakScenario {
             return Err(ScenarioError::BadRate(
                 "initial_immunity",
                 self.initial_immunity,
+                "in [0, 1)",
             ));
         }
         if let Some(r) = self.restriction {
             if !(0.0..=1.0).contains(&r.rate_factor) || !r.rate_factor.is_finite() {
-                return Err(ScenarioError::BadRate("rate_factor", r.rate_factor));
+                return Err(ScenarioError::BadRate(
+                    "rate_factor",
+                    r.rate_factor,
+                    "in [0, 1]",
+                ));
             }
             if !r.start_day.is_finite() || r.start_day < 0.0 {
                 return Err(ScenarioError::BadTimestep(
@@ -420,17 +431,17 @@ mod tests {
         let net = chain_network();
         assert!(matches!(
             OutbreakScenario::new(net.clone(), 0.0, 0.2).run_deterministic(10.0, 0.1),
-            Err(ScenarioError::BadRate("beta", _))
+            Err(ScenarioError::BadRate("beta", ..))
         ));
         assert!(matches!(
             OutbreakScenario::new(net.clone(), 0.5, -1.0).run_deterministic(10.0, 0.1),
-            Err(ScenarioError::BadRate("gamma", _))
+            Err(ScenarioError::BadRate("gamma", ..))
         ));
         assert!(matches!(
             OutbreakScenario::new(net.clone(), 0.5, 0.2)
                 .with_seir(SeirParams { sigma: 0.0 })
                 .run_deterministic(10.0, 0.1),
-            Err(ScenarioError::BadRate("sigma", _))
+            Err(ScenarioError::BadRate("sigma", ..))
         ));
         assert!(matches!(
             OutbreakScenario::new(net.clone(), 0.5, 0.2).run_deterministic(10.0, 0.0),
@@ -498,7 +509,7 @@ mod tests {
             base.clone()
                 .with_travel_restriction(5.0, 1.5)
                 .run_deterministic(10.0, 0.25),
-            Err(ScenarioError::BadRate("rate_factor", _))
+            Err(ScenarioError::BadRate("rate_factor", ..))
         ));
         assert!(matches!(
             base.clone()
@@ -547,12 +558,16 @@ mod tests {
     #[test]
     fn immunity_fraction_validated() {
         let base = OutbreakScenario::new(chain_network(), 0.5, 0.2).seed(0, 10.0);
+        let err = base
+            .clone()
+            .with_initial_immunity(1.0)
+            .run_deterministic(10.0, 0.25)
+            .unwrap_err();
         assert!(matches!(
-            base.clone()
-                .with_initial_immunity(1.0)
-                .run_deterministic(10.0, 0.25),
-            Err(ScenarioError::BadRate("initial_immunity", _))
+            err,
+            ScenarioError::BadRate("initial_immunity", ..)
         ));
+        assert_eq!(err.to_string(), "initial_immunity = 1 must be in [0, 1)");
         assert!(base
             .clone()
             .with_initial_immunity(0.0)

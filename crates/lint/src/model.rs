@@ -755,7 +755,7 @@ impl Parser<'_> {
                         sig,
                     });
                 }
-                *i = self.skip_to_semi(close.saturating_sub(1));
+                *i = self.skip_to_semi(close);
             }
             Some(b'{') => {
                 let close = self.skip_balanced(j, b'{', b'}');

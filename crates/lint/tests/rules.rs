@@ -59,6 +59,14 @@ pub fn dist(a: &P, b: &P) -> f64 {
 }
 
 fn free_private() {}
+
+/// A public tuple struct: the items after it are API too.
+pub struct Id(pub u32);
+
+/// Free function after a tuple struct.
+pub fn after_tuple(id: Id) -> u32 {
+    id.0
+}
 ";
     let files = [sf(
         "crates/fix/src/lib.rs",
@@ -83,6 +91,10 @@ fn free_private() {}
     assert!(
         lines.iter().any(|l| l.contains("field P.lat_rad")),
         "public field line, got:\n{snap}"
+    );
+    assert!(
+        lines.contains(&"tweetmob-fixture fn after_tuple pub fn after_tuple(id: Id) -> u32"),
+        "a function after a tuple struct, got:\n{snap}"
     );
     for private in ["hidden", "private_helper", "free_private"] {
         assert!(

@@ -411,10 +411,9 @@ fn epidemic(state: &AppState, req: &Request) -> Result<Response, ApiError> {
 
     let network = MobilityNetwork::from_artifact(bundle, kind, leave_rate)
         .map_err(|e| ApiError::bad_request(e.to_string()))?;
-    let mut scenario = OutbreakScenario::new(network, beta, gamma).seed(seed_patch, 20.0);
-    if immune > 0.0 {
-        scenario = scenario.with_initial_immunity(immune);
-    }
+    let mut scenario = OutbreakScenario::new(network, beta, gamma)
+        .seed(seed_patch, 20.0)
+        .with_initial_immunity(immune);
     match body.get("sigma") {
         None => {}
         Some(v) if v.is_null() => {}

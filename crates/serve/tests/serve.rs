@@ -369,11 +369,22 @@ const GOLDEN_EPIDEMIC_BODY: &str = "\
 #[test]
 fn epidemic_horizon_outside_the_scenario_bound_is_a_400() {
     let server = start(bundle(5, 17), 1);
-    for days in ["1e12", "3651", "0", "-5"] {
-        let body = format!("{{\"seed_city\": \"City 0\", \"days\": {days}}}");
+    for (field, value, reason) in [
+        ("days", "1e12", "bad timestep"),
+        ("days", "3651", "bad timestep"),
+        ("days", "0", "bad timestep"),
+        ("days", "-5", "bad timestep"),
+        (
+            "immune",
+            "-0.5",
+            "initial_immunity = -0.5 must be in [0, 1)",
+        ),
+        ("immune", "1", "initial_immunity = 1 must be in [0, 1)"),
+    ] {
+        let body = format!("{{\"seed_city\": \"City 0\", \"{field}\": {value}}}");
         let (status, reply) = exchange(server.addr(), "POST", "/epidemic", &body);
-        assert_eq!(status, 400, "days {days}: {reply}");
-        assert!(reply.contains("bad timestep"), "days {days}: {reply}");
+        assert_eq!(status, 400, "{field} {value}: {reply}");
+        assert!(reply.contains(reason), "{field} {value}: {reply}");
     }
     server.stop();
 }

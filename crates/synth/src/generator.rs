@@ -10,7 +10,7 @@
 //!    activity span covering a small fraction of the collection window,
 //!    and heavy-tailed gaps rescaled to that span (Fig. 2b, Table I).
 //! 3. **Movement** — a place-level random walk: each tweet moves with
-//!    `move_probability`, returning home or sampling the gravity kernel
+//!    [`MOVE_PROBABILITY`], returning home or sampling the gravity kernel
 //!    ([`crate::kernel::MobilityKernel`]).
 //! 4. **Venues** — within a place, a user tweets from up to three frozen
 //!    venues (home/work/leisure), sticky per sojourn, plus GPS jitter and
@@ -28,6 +28,56 @@ use std::collections::BTreeMap;
 use tweetmob_data::{Timestamp, TweetDataset, UserId};
 use tweetmob_geo::{Point, AUSTRALIA_BBOX};
 use tweetmob_stats::rng::SplitMix64;
+
+// The calibration of the synthetic world. Together these reproduce the
+// paper's Table I (13.3 tweets/user, 35.5 h mean wait, 4.76 locations
+// per user) and the shapes of Figs. 2–4; each one moves one behavioural
+// axis.
+
+/// Power-law exponent of the tweets-per-user distribution (continuous
+/// Pareto with an exponential cutoff at 350 tweets, floor'd to integers,
+/// capped; see `sampling::sample_tweet_count`) — the tail of Fig. 2a.
+/// 1.73 solves the paper's mean of 13.3 tweets/user together with its
+/// 180-of-473,956 (0.038 %) share of users over 1,000 tweets; the law's
+/// shares over 50 / 100 / 500 tweets are then 4.9 / 2.6 / 0.26 %
+/// (paper: 4.95 / 2.12 / 0.16 %).
+const ACTIVITY_ALPHA: f64 = 1.73;
+/// Hard cap on tweets per user (the paper's max observed is ~10⁴).
+const MAX_TWEETS_PER_USER: u32 = 20_000;
+/// Mean fraction of the collection window a user's activity spans
+/// (exponentially distributed, clipped to 0.95). 0.12 reproduces the
+/// paper's 35.5 h mean waiting time (Table I) once the ~half of users
+/// with a single tweet (who contribute no gaps) are accounted for.
+const ACTIVITY_SPAN_FRACTION: f64 = 0.12;
+/// Log-normal σ of the mean-one gap mixture: the burstiness of
+/// inter-tweet gaps (Fig. 2b). 2.0 spans 4+ decades per user; pooled
+/// across users the span exceeds 8 decades.
+const WAITING_SIGMA: f64 = 2.0;
+/// Probability that a tweet is preceded by a move to another place: how
+/// often a consecutive tweet pair is a trip (Fig. 4 sample size).
+const MOVE_PROBABILITY: f64 = 0.18;
+/// Probability that a move from *away* returns home rather than
+/// sampling a fresh destination.
+const RETURN_PROBABILITY: f64 = 0.6;
+/// Probability that a move uses the far (≥ 100 km, inter-city) kernel
+/// regime rather than the local one. Keeps national-scale OD matrices
+/// populated despite local moves dominating raw counts.
+const FAR_MOVE_PROBABILITY: f64 = 0.25;
+/// Ground-truth gravity exponent γ of the trip kernel: its distance
+/// decay.
+const GRAVITY_GAMMA: f64 = 2.0;
+/// Ground-truth destination-population exponent of the trip kernel.
+const GRAVITY_DEST_EXPONENT: f64 = 1.0;
+/// Log-normal σ of the frozen per-(origin, destination) flow noise: the
+/// irreducible per-pair noise that keeps model fits imperfect (Table II
+/// < 1.0).
+const PAIR_NOISE_SIGMA: f64 = 0.55;
+/// Log-normal σ of the frozen per-place Twitter-adoption bias: the
+/// scatter of Fig. 3 around `y = x`.
+const BIAS_SIGMA: f64 = 0.45;
+/// Fraction of tweets relocated uniformly inside the Australia bbox
+/// (GPS glitches, travellers in transit) — fills in the Fig. 1 map.
+const OUTBACK_NOISE: f64 = 0.004;
 
 /// GPS jitter around a venue, km (mean of the exponential scatter).
 const GPS_JITTER_KM: f64 = 0.02;
@@ -78,8 +128,8 @@ impl TweetGenerator {
     ///
     /// # Panics
     ///
-    /// On an invalid config; use [`TweetGenerator::try_new`] to handle the
-    /// error instead.
+    /// When `config.n_users` is 0; use [`TweetGenerator::try_new`] to
+    /// handle the error instead.
     #[expect(
         clippy::expect_used,
         reason = "documented panicking constructor; try_new is the fallible variant"
@@ -92,27 +142,29 @@ impl TweetGenerator {
     ///
     /// # Errors
     ///
-    /// [`ConfigError`] from [`GeneratorConfig::validate`].
+    /// [`ConfigError`] when `config.n_users` is 0.
     pub fn try_new(config: GeneratorConfig) -> Result<Self, ConfigError> {
-        config.validate()?;
+        if config.n_users == 0 {
+            return Err(ConfigError("n_users must be > 0".into()));
+        }
         Ok(Self::with_places(config, world_places()))
     }
 
     /// Builds a generator over a custom world (used by tests and the
-    /// radius-sensitivity ablations). The config must already be valid.
+    /// radius-sensitivity ablations).
     pub fn with_places(config: GeneratorConfig, places: Vec<Place>) -> Self {
         let kernel = MobilityKernel::build(
             &places,
-            config.gravity_gamma,
-            config.gravity_dest_exponent,
-            config.pair_noise_sigma,
-            config.far_move_probability,
+            GRAVITY_GAMMA,
+            GRAVITY_DEST_EXPONENT,
+            PAIR_NOISE_SIGMA,
+            FAR_MOVE_PROBABILITY,
             config.seed ^ 0xA5A5_5A5A,
         );
         let mut home_cdf = Vec::with_capacity(places.len());
         let mut acc = 0.0;
         for (i, p) in places.iter().enumerate() {
-            acc += p.area.population as f64 * frozen_place_bias(config.seed, i, config.bias_sigma);
+            acc += p.area.population as f64 * frozen_place_bias(config.seed, i, BIAS_SIGMA);
             home_cdf.push(acc);
         }
         let activity_centers: Vec<Point> = places
@@ -208,10 +260,9 @@ impl TweetGenerator {
 
     /// Generates one user's tweets into the column buffers.
     fn user_stream(&self, uid: u32, out: &mut UserColumns) {
-        let cfg = &self.config;
-        let mut rng = SplitMix64::new(user_seed(cfg.seed, uid));
+        let mut rng = SplitMix64::new(user_seed(self.config.seed, uid));
         let home = self.sample_home(&mut rng);
-        let k = sample_tweet_count(&mut rng, cfg.activity_alpha, cfg.max_tweets_per_user);
+        let k = sample_tweet_count(&mut rng, ACTIVITY_ALPHA, MAX_TWEETS_PER_USER);
         let times = self.sample_times(&mut rng, k);
 
         // BTreeMap (not HashMap): venue state must never depend on hash
@@ -226,14 +277,14 @@ impl TweetGenerator {
         // drown the genuine (gravity-law) mobility signal.
         let mut venue = self.pick_venue(&mut rng, &mut venues, current);
         for (i, &time) in times.iter().enumerate() {
-            if i > 0 && rng.next_f64() < cfg.move_probability {
+            if i > 0 && rng.next_f64() < MOVE_PROBABILITY {
                 let next = self.next_place(&mut rng, current, home);
                 if next != current {
                     current = next;
                     venue = self.pick_venue(&mut rng, &mut venues, current);
                 }
             }
-            let location = if rng.next_f64() < cfg.outback_noise {
+            let location = if rng.next_f64() < OUTBACK_NOISE {
                 uniform_in_bbox(&mut rng, &AUSTRALIA_BBOX)
             } else if rng.next_f64() < ERRAND_PROBABILITY {
                 scatter_point(&mut rng, venue, ERRAND_RADIUS_KM)
@@ -261,7 +312,7 @@ impl TweetGenerator {
 
     /// Movement step: return home, or sample the kernel.
     fn next_place(&self, rng: &mut SplitMix64, current: usize, home: usize) -> usize {
-        if current != home && rng.next_f64() < self.config.return_probability {
+        if current != home && rng.next_f64() < RETURN_PROBABILITY {
             return home;
         }
         self.kernel
@@ -294,26 +345,26 @@ impl TweetGenerator {
     /// exponential fraction of the window, heavy-tailed gaps rescaled to
     /// fill it exactly.
     fn sample_times(&self, rng: &mut SplitMix64, k: u32) -> Vec<Timestamp> {
-        let cfg = &self.config;
-        let window = (cfg.window_end.seconds_since(cfg.window_start)) as f64;
+        let window_start = Timestamp::COLLECTION_START;
+        let window = (Timestamp::COLLECTION_END.seconds_since(window_start)) as f64;
         if k == 1 {
             let at = rng.range_f64(0.0, window);
-            return vec![cfg.window_start.plus_secs(at as i64)];
+            return vec![window_start.plus_secs(at as i64)];
         }
-        let span_frac = sample_exponential(rng, cfg.activity_span_fraction).min(0.95);
+        let span_frac = sample_exponential(rng, ACTIVITY_SPAN_FRACTION).min(0.95);
         let span = (window * span_frac).max((k as f64) * 1.0); // ≥ 1 s per gap
         let raw: Vec<f64> = (0..k - 1)
-            .map(|_| sample_mean_one_lognormal(rng, cfg.waiting_sigma).max(1e-9))
+            .map(|_| sample_mean_one_lognormal(rng, WAITING_SIGMA).max(1e-9))
             .collect();
         let sum: f64 = raw.iter().sum();
         let scale = span / sum;
         let start = rng.range_f64(0.0, (window - span.min(window * 0.999)).max(1.0));
         let mut t = start;
         let mut times = Vec::with_capacity(k as usize);
-        times.push(cfg.window_start.plus_secs(t as i64));
+        times.push(window_start.plus_secs(t as i64));
         for g in raw {
             t += g * scale;
-            times.push(cfg.window_start.plus_secs(t.min(window) as i64));
+            times.push(window_start.plus_secs(t.min(window) as i64));
         }
         times
     }
@@ -434,15 +485,18 @@ mod tests {
 
     #[test]
     fn different_seeds_differ() {
-        let a = TweetGenerator::new(GeneratorConfig::small().with_seed(1)).generate();
-        let b = TweetGenerator::new(GeneratorConfig::small().with_seed(2)).generate();
+        let seeded = |seed| GeneratorConfig {
+            seed,
+            ..GeneratorConfig::small()
+        };
+        let a = TweetGenerator::new(seeded(1)).generate();
+        let b = TweetGenerator::new(seeded(2)).generate();
         assert_ne!(a.n_tweets(), b.n_tweets());
     }
 
     #[test]
     fn all_tweets_inside_australia_and_window() {
         let ds = small_dataset();
-        let cfg = GeneratorConfig::small();
         for t in ds.iter_tweets() {
             assert!(
                 AUSTRALIA_BBOX.contains(t.location),
@@ -450,7 +504,8 @@ mod tests {
                 t.location
             );
             assert!(
-                t.time.within(cfg.window_start, cfg.window_end),
+                t.time
+                    .within(Timestamp::COLLECTION_START, Timestamp::COLLECTION_END),
                 "tweet at {}",
                 t.time
             );
@@ -533,7 +588,7 @@ mod tests {
     /// The frozen per-place adoption biases a generator's home CDF uses.
     fn biases(g: &TweetGenerator) -> Vec<f64> {
         (0..g.places.len())
-            .map(|i| frozen_place_bias(g.config.seed, i, g.config.bias_sigma))
+            .map(|i| frozen_place_bias(g.config.seed, i, BIAS_SIGMA))
             .collect()
     }
 
@@ -543,18 +598,17 @@ mod tests {
         let g2 = TweetGenerator::new(GeneratorConfig::small());
         assert_eq!(biases(&g1), biases(&g2));
         assert!(biases(&g1).iter().all(|&b| b > 0.0));
-        let g3 = TweetGenerator::new(GeneratorConfig::small().with_seed(9));
+        let g3 = TweetGenerator::new(GeneratorConfig {
+            seed: 9,
+            ..GeneratorConfig::small()
+        });
         assert_ne!(biases(&g1), biases(&g3));
     }
 
     #[test]
     fn zero_bias_sigma_means_unit_bias() {
-        let cfg = GeneratorConfig {
-            bias_sigma: 0.0,
-            ..GeneratorConfig::small()
-        };
-        let g = TweetGenerator::new(cfg);
-        assert!(biases(&g).iter().all(|&b| b == 1.0));
+        let seed = GeneratorConfig::small().seed;
+        assert!((0..world_places().len()).all(|i| frozen_place_bias(seed, i, 0.0) == 1.0));
     }
 
     #[test]

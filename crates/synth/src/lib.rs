@@ -18,8 +18,12 @@
 //!   misfits because of the real coastal population layout — it is never
 //!   used in generation).
 //!
-//! Everything is deterministic given [`GeneratorConfig::seed`], including
-//! under multi-threaded generation.
+//! The calibration behind these properties is a set of crate-private
+//! constants in the generator (`ACTIVITY_ALPHA`, `ACTIVITY_SPAN_FRACTION`,
+//! `WAITING_SIGMA`, `MOVE_PROBABILITY`, `GRAVITY_GAMMA`,
+//! `PAIR_NOISE_SIGMA`, `BIAS_SIGMA`, …), so a [`GeneratorConfig`] picks
+//! only the user count and the seed. Everything is deterministic given
+//! [`GeneratorConfig::seed`], including under multi-threaded generation.
 //!
 //! ## Example
 //!
@@ -37,10 +41,6 @@
     clippy::expect_used,
     clippy::panic,
     clippy::unreachable
-)]
-#![expect(
-    clippy::neg_cmp_op_on_partial_ord,
-    reason = "`!(x > 0.0)` guards are deliberate: they also reject NaN"
 )]
 
 pub mod config;

@@ -15,8 +15,8 @@ use tweetmob::synth::{GeneratorConfig, TweetGenerator};
 
 fn main() {
     // 1. Generate a synthetic stream over real Australian geography.
-    //    (GeneratorConfig::paper_scale() reproduces the paper's 473,956
-    //    users; `small` keeps this example instant.)
+    //    (`tweetmob generate --users 473956` reproduces the paper's
+    //    473,956 users; `small` keeps this example instant.)
     let config = GeneratorConfig::small();
     let dataset = TweetGenerator::new(config).generate();
     println!(

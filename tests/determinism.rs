@@ -3,6 +3,7 @@
 //! EXPERIMENTS.md numbers reproducible on any machine and thread count.
 
 use tweetmob::core::{Experiment, Scale};
+use tweetmob::data::{DatasetSummary, TweetDataset};
 use tweetmob::epidemic::{MobilityNetwork, OutbreakScenario, SeirParams};
 use tweetmob::models::ModelKind;
 use tweetmob::synth::{GeneratorConfig, TweetGenerator};
@@ -39,7 +40,11 @@ fn experiment_results_are_reproducible() {
 #[test]
 fn different_seed_changes_everything_downstream() {
     let a = TweetGenerator::new(config()).generate();
-    let b = TweetGenerator::new(config().with_seed(424242)).generate();
+    let b = TweetGenerator::new(GeneratorConfig {
+        seed: 424242,
+        ..config()
+    })
+    .generate();
     let ga = Experiment::new(&a).mobility(Scale::National).unwrap();
     let gb = Experiment::new(&b).mobility(Scale::National).unwrap();
     assert_ne!(ga.od_total, gb.od_total);
@@ -48,15 +53,14 @@ fn different_seed_changes_everything_downstream() {
 
 #[test]
 fn per_user_location_counts_are_reproducible() {
-    // `distinct_locations_per_user` dedups venues by sorting each user's cells;
-    // its output must be identical across runs and across repeated calls
+    // Table I's locations/user dedups venues by sorting each user's
+    // cells; it must be identical across runs and across repeated calls
     // on the same dataset (no hash-iteration-order dependence).
     let a = TweetGenerator::new(config()).generate();
     let b = TweetGenerator::new(config()).generate();
-    let la = a.distinct_locations_per_user(0.01);
-    assert_eq!(la, b.distinct_locations_per_user(0.01));
-    assert_eq!(la, a.distinct_locations_per_user(0.01));
-    assert_eq!(la.len(), a.n_users());
+    let locations = |ds: &TweetDataset| DatasetSummary::of(ds).avg_locations_per_user.to_bits();
+    assert_eq!(locations(&a), locations(&b));
+    assert_eq!(locations(&a), locations(&a));
 }
 
 #[test]
@@ -66,7 +70,7 @@ fn venue_revisit_coordinates_are_bit_identical() {
     // coordinate stream at the bit level.
     let a = TweetGenerator::new(config()).generate();
     let b = TweetGenerator::new(config()).generate();
-    let coords = |ds: &tweetmob::data::TweetDataset| -> Vec<(u64, u64)> {
+    let coords = |ds: &TweetDataset| -> Vec<(u64, u64)> {
         ds.iter_tweets()
             .map(|t| (t.location.lat.to_bits(), t.location.lon.to_bits()))
             .collect()

@@ -174,7 +174,10 @@ fn fig3_national_beats_metro_on_the_median_of_five_seeds() {
     };
     let (mut national, mut metro) = (Vec::new(), Vec::new());
     for k in 0..SEEDS {
-        let cfg = base.clone().with_seed(base.seed + k);
+        let cfg = GeneratorConfig {
+            seed: base.seed + k,
+            ..base.clone()
+        };
         assert_eq!(cfg.n_users, 20_000);
         let ds = TweetGenerator::new(cfg).generate();
         let exp = Experiment::new(&ds);
