@@ -119,23 +119,33 @@ impl AreaFilter {
     }
 }
 
+/// Most areas an [`AreaSet`] holds, so that its slots `0..=MAX_AREAS`
+/// fit the one `u64` covered set of `AreaSet::slot`.
+const MAX_AREAS: usize = MIXED as usize - 1;
+
 /// Most cells a [`CellTable`] holds: 2¹⁹ `u16` codes, 1 MiB.
 const MAX_CELLS: usize = 1 << 19;
 
-/// Degrees by which every cell is widened on each side when it is
-/// classified, so that the rounding of the index in [`CellTable::code`]
-/// cannot carry a point into a cell whose kind does not hold for it.
+/// Sub-cells per side of a mixed cell's sub-grid.
+const SUB: usize = 4;
+
+/// Degrees by which every cell and sub-cell is widened on each side when
+/// it is classified, so that the rounding of the index in
+/// [`CellTable::code`] cannot carry a point into a cell whose kind does
+/// not hold for it.
 const CELL_PAD_DEG: f64 = 1e-9;
 
 /// Kilometres by which every distance bound is widened, absorbing the
 /// rounding of the haversine expressions.
 const BOUND_TOL_KM: f64 = 1e-6;
 
-/// Cell code of an empty cell. Codes `1..MIXED` are interior cells of
-/// area `code - 1`, so an interior code is that area's slot; codes
-/// `MIXED..` are mixed cells with candidate list `code - MIXED`.
+/// Code of an empty cell or sub-cell. Codes `1..MIXED` are interior
+/// cells of area `code - 1`, so an interior code is that area's slot.
+/// A cell coded `MIXED..` is mixed, with sub-grid `code - MIXED`; a
+/// sub-cell coded `MIXED..` is mixed, with candidate list
+/// `code - MIXED`.
 const EMPTY: u16 = 0;
-const MIXED: u16 = 0x8000;
+const MIXED: u16 = 64;
 
 /// A build-once lat/lon grid over the union of the [`AreaFilter`]
 /// windows, padded by two cells, that tells `AreaSet::slot` which
@@ -145,11 +155,13 @@ const MIXED: u16 = 0x8000;
 /// [`CellTable::code`] clamps a point's row and column to the grid, and
 /// a point outside the grid, or a non-finite one, lands in that ring.
 ///
-/// Each cell is one of three kinds:
-/// - *empty*: no disc reaches the cell;
-/// - *interior(i)*: every point of the cell is within ε of area `i`,
-///   and no other disc reaches the cell;
-/// - *mixed*: an ascending list of candidate areas for the exact path.
+/// Each cell, and each of the `SUB × SUB` sub-cells of a mixed cell, is
+/// one of three kinds:
+/// - *empty*: no disc reaches it;
+/// - *interior(i)*: every point of it is within ε of area `i`, and no
+///   other disc reaches it;
+/// - *mixed*: for a cell, a sub-grid; for a sub-cell, an ascending list
+///   of candidate areas for the exact path.
 ///
 /// The classification is conservative, so every slot stays
 /// decision-identical to the exact one. For a cell with centre `m`,
@@ -161,7 +173,10 @@ const MIXED: u16 = 0x8000;
 /// from a centre `c` to `p` by `d(c, m) ± r`, widened by
 /// [`BOUND_TOL_KM`]. An area is dropped from a cell only when its lower
 /// bound exceeds ε; a cell is interior only when it has one candidate
-/// and that candidate's upper bound is below ε.
+/// and that candidate's upper bound is below ε. A sub-cell is classified
+/// by the same bound over the candidates of its cell; a disc that covers
+/// the cell covers each sub-cell, so a cell that two discs cover is
+/// mixed in every sub-cell with the cell's candidates.
 ///
 /// If a window is unbounded (it reaches a pole or crosses ±180°), or the
 /// grid cannot be encoded, the table is a single mixed cell that lists
@@ -171,24 +186,111 @@ struct CellTable {
     /// South-west corner of the grid, degrees.
     lat0: f64,
     lon0: f64,
-    /// Cells per degree of latitude and of longitude.
+    /// Sub-cells per degree of latitude and of longitude: the fine grid
+    /// that [`CellTable::code`] indexes, `SUB` times finer than the
+    /// cells.
     inv_dlat: f64,
     inv_dlon: f64,
+    /// Cells per column and per row.
     rows: usize,
     cols: usize,
-    /// `rows - 1` and `cols - 1`, the caps of [`CellTable::code`].
+    /// `SUB · rows - 1` and `SUB · cols - 1`, the caps of the fine row
+    /// and column in [`CellTable::code`].
     last_row: f64,
     last_col: f64,
     /// One code per cell, row-major from the south-west corner.
     cells: Vec<u16>,
-    /// Distinct candidate lists of the mixed cells, each ascending.
+    /// One row-major `SUB × SUB` block of sub-cell codes per mixed cell.
+    sub_cells: Vec<u16>,
+    /// Distinct candidate lists of the mixed sub-cells, each ascending.
     candidates: Vec<Box<[usize]>>,
 }
 
+/// A lat/lon grid of `dlat × dlon` cells (degrees) from the south-west
+/// corner `(lat0, lon0)`.
+#[derive(Clone, Copy)]
+struct Grid {
+    lat0: f64,
+    lon0: f64,
+    dlat: f64,
+    dlon: f64,
+}
+
+impl Grid {
+    /// The centre of the cells of `row`, at longitude 0, and the reach
+    /// `r` of each of those cells, padded by [`CELL_PAD_DEG`].
+    fn row(&self, row: usize) -> (TrigPoint, f64) {
+        let h_rad = (self.dlat / 2.0 + CELL_PAD_DEG).to_radians();
+        let w_rad = (self.dlon / 2.0 + CELL_PAD_DEG).to_radians();
+        let lat_lo = self.lat0 + row as f64 * self.dlat - CELL_PAD_DEG;
+        let lat_hi = self.lat0 + (row + 1) as f64 * self.dlat + CELL_PAD_DEG;
+        let mid = TrigPoint::new(Point::new_unchecked(
+            self.lat0 + (row as f64 + 0.5) * self.dlat,
+            0.0,
+        ));
+        (
+            mid,
+            EARTH_RADIUS_KM * (h_rad + w_rad * cos_max(lat_lo, lat_hi)),
+        )
+    }
+
+    /// The centre of the cell at `col` in the row whose centre is `mid`.
+    fn centre(&self, mid: &TrigPoint, col: usize) -> TrigPoint {
+        TrigPoint {
+            lon_rad: (self.lon0 + (col as f64 + 0.5) * self.dlon).to_radians(),
+            ..*mid
+        }
+    }
+}
+
+/// How the disc of radius `radius_km` around `f` meets a cell with
+/// centre `mid` and reach `reach_km`: `None` when the disc misses the
+/// cell, `Some(true)` when it covers all of it, `Some(false)` when
+/// neither bound settles it.
+fn meets(f: &AreaFilter, mid: &TrigPoint, reach_km: f64, radius_km: f64) -> Option<bool> {
+    let d_km = f.trig.distance_km(mid);
+    if d_km - reach_km - BOUND_TOL_KM > radius_km {
+        None
+    } else {
+        Some(d_km + reach_km + BOUND_TOL_KM < radius_km)
+    }
+}
+
+/// The candidate lists of the mixed sub-cells, each stored once.
+#[derive(Default)]
+struct CandidateLists {
+    lists: Vec<Box<[usize]>>,
+    codes: BTreeMap<Box<[usize]>, u16>,
+}
+
+impl CandidateLists {
+    /// The code of a sub-cell that the discs of `reached` reach, each
+    /// ascending area flagged when its disc covers the whole sub-cell:
+    /// empty for none, the slot of one covering disc, and otherwise the
+    /// mixed code of the list of those areas. `None` when the codes run
+    /// out.
+    fn code(&mut self, reached: &[(usize, bool)]) -> Option<u16> {
+        match *reached {
+            [] => Some(EMPTY),
+            [(i, true)] => u16::try_from(i + 1).ok(),
+            _ => {
+                let list: Box<[usize]> = reached.iter().map(|&(i, _)| i).collect();
+                if let Some(&code) = self.codes.get(&list) {
+                    return Some(code);
+                }
+                let code = MIXED.checked_add(u16::try_from(self.lists.len()).ok()?)?;
+                self.lists.push(list.clone());
+                self.codes.insert(list, code);
+                Some(code)
+            }
+        }
+    }
+}
+
 impl CellTable {
-    /// The table whose one mixed cell lists all `n` areas: with zero
-    /// cells per degree every point falls in it, and the exact path
-    /// rejects a non-finite one (its haversine is NaN).
+    /// The table whose one mixed cell lists all `n` areas in every
+    /// sub-cell: with zero cells per degree every point falls in it, and
+    /// the exact path rejects a non-finite one (its haversine is NaN).
     fn single_mixed(n: usize) -> Self {
         Self {
             lat0: 0.0,
@@ -200,19 +302,25 @@ impl CellTable {
             last_row: 0.0,
             last_col: 0.0,
             cells: vec![MIXED],
+            sub_cells: vec![MIXED; SUB * SUB],
             candidates: vec![(0..n).collect()],
         }
     }
 
-    /// Sizes the grid, then classifies the cells of every area's window.
+    /// Sizes the grid, then classifies the cells of every area's window
+    /// and the sub-cells of every mixed cell.
+    fn new(filters: &[AreaFilter], radius_km: f64) -> Self {
+        Self::build(filters, radius_km).unwrap_or_else(|| Self::single_mixed(filters.len()))
+    }
+
+    /// [`CellTable::new`], or `None` for a single mixed cell.
     #[expect(
         clippy::cast_possible_truncation,
-        reason = "grid sizes are bounded by MAX_CELLS and area indices by MIXED before any cast"
+        reason = "grid sizes are bounded by MAX_CELLS and area indices by MAX_AREAS before any cast"
     )]
-    fn new(filters: &[AreaFilter], radius_km: f64) -> Self {
-        let n = filters.len();
-        if n >= usize::from(MIXED) || filters.iter().any(|f| !f.dlon_max.is_finite()) {
-            return Self::single_mixed(n);
+    fn build(filters: &[AreaFilter], radius_km: f64) -> Option<Self> {
+        if filters.iter().any(|f| !f.dlon_max.is_finite()) {
+            return None;
         }
         let (mut lat_lo, mut lat_hi) = (f64::INFINITY, f64::NEG_INFINITY);
         let (mut lon_lo, mut lon_hi) = (f64::INFINITY, f64::NEG_INFINITY);
@@ -243,15 +351,19 @@ impl CellTable {
         let (rows, cols) = (rows_f as usize, cols_f as usize);
         let (lat0, lon0) = (lat_lo - 2.0 * dlat, lon_lo - 2.0 * dlon);
         if lat0 <= -90.0 || lat0 + rows as f64 * dlat >= 90.0 {
-            return Self::single_mixed(n);
+            return None;
         }
+        let grid = Grid {
+            lat0,
+            lon0,
+            dlat,
+            dlon,
+        };
 
-        // One packed `cell << 32 | area << 1 | interior` word per
+        // One packed `cell << 32 | area << 1 | covers` word per
         // (cell, area) pair that survives the lower bound. Each area
         // visits only the cells of its window, plus one on every side,
         // and never the outer ring.
-        let h_rad = (dlat / 2.0 + CELL_PAD_DEG).to_radians();
-        let w_rad = (dlon / 2.0 + CELL_PAD_DEG).to_radians();
         let span = |lo: f64, hi: f64, origin: f64, step: f64, len: usize| {
             let first = ((lo - origin) / step).floor() - 1.0;
             let last = ((hi - origin) / step).floor() + 1.0;
@@ -261,69 +373,80 @@ impl CellTable {
         for (i, f) in filters.iter().enumerate() {
             let lon_span = span(f.lon - f.dlon_max, f.lon + f.dlon_max, lon0, dlon, cols);
             for row in span(f.lat - f.dlat_max, f.lat + f.dlat_max, lat0, dlat, rows) {
-                let cell_lat_lo = lat0 + row as f64 * dlat - CELL_PAD_DEG;
-                let cell_lat_hi = lat0 + (row + 1) as f64 * dlat + CELL_PAD_DEG;
-                let mid =
-                    TrigPoint::new(Point::new_unchecked(lat0 + (row as f64 + 0.5) * dlat, 0.0));
-                let reach_km =
-                    EARTH_RADIUS_KM * (h_rad + w_rad * cos_max(cell_lat_lo, cell_lat_hi));
+                let (mid, reach_km) = grid.row(row);
                 for col in lon_span.clone() {
-                    let m = TrigPoint {
-                        lon_rad: (lon0 + (col as f64 + 0.5) * dlon).to_radians(),
-                        ..mid
-                    };
-                    let d_km = f.trig.distance_km(&m);
-                    if d_km - reach_km - BOUND_TOL_KM > radius_km {
-                        continue;
+                    if let Some(covers) = meets(f, &grid.centre(&mid, col), reach_km, radius_km) {
+                        let cell = row * cols + col;
+                        hits.push((cell as u64) << 32 | (i as u64) << 1 | u64::from(covers));
                     }
-                    let interior = d_km + reach_km + BOUND_TOL_KM < radius_km;
-                    let cell = row * cols + col;
-                    hits.push((cell as u64) << 32 | (i as u64) << 1 | u64::from(interior));
                 }
             }
         }
         hits.sort_unstable();
 
+        // Each mixed cell gets the next sub-grid, classified over the
+        // cell's candidates on a grid SUB times finer.
+        let fine = Grid {
+            dlat: dlat / SUB as f64,
+            dlon: dlon / SUB as f64,
+            ..grid
+        };
         let mut cells = vec![EMPTY; rows * cols];
-        let mut candidates: Vec<Box<[usize]>> = Vec::new();
-        let mut list_ids: BTreeMap<Box<[usize]>, u16> = BTreeMap::new();
+        let mut sub_cells: Vec<u16> = Vec::new();
+        let mut lists = CandidateLists::default();
+        let (mut reached, mut sub_reached) = (Vec::new(), Vec::new());
         for group in hits.chunk_by(|a, b| a >> 32 == b >> 32) {
             let cell = (group[0] >> 32) as usize;
-            cells[cell] = if group.len() == 1 && group[0] & 1 == 1 {
-                ((group[0] >> 1) as u16) + 1
-            } else {
-                let list: Box<[usize]> = group.iter().map(|h| (h >> 1 & 0x7fff) as usize).collect();
-                if let Some(&id) = list_ids.get(&list) {
-                    id
-                } else {
-                    if candidates.len() == usize::from(MIXED) {
-                        return Self::single_mixed(n);
-                    }
-                    let id = MIXED + candidates.len() as u16;
-                    candidates.push(list.clone());
-                    list_ids.insert(list, id);
-                    id
+            reached.clear();
+            reached.extend(
+                group
+                    .iter()
+                    .map(|h| ((h >> 1 & 0x7fff_ffff) as usize, h & 1 == 1)),
+            );
+            if let [(i, true)] = reached[..] {
+                cells[cell] = u16::try_from(i + 1).ok()?;
+                continue;
+            }
+            cells[cell] = MIXED.checked_add(u16::try_from(sub_cells.len() / (SUB * SUB)).ok()?)?;
+            if reached.iter().filter(|&&(_, covers)| covers).count() > 1 {
+                let code = lists.code(&reached)?;
+                sub_cells.extend([code; SUB * SUB]);
+                continue;
+            }
+            let (row, col) = (cell / cols, cell % cols);
+            for fine_row in row * SUB..(row + 1) * SUB {
+                let (mid, reach_km) = fine.row(fine_row);
+                for fine_col in col * SUB..(col + 1) * SUB {
+                    let m = fine.centre(&mid, fine_col);
+                    sub_reached.clear();
+                    sub_reached.extend(reached.iter().filter_map(|&(i, covers)| {
+                        let covers = covers || meets(&filters[i], &m, reach_km, radius_km)?;
+                        Some((i, covers))
+                    }));
+                    sub_cells.push(lists.code(&sub_reached)?);
                 }
-            };
+            }
         }
-        Self {
+        Some(Self {
             lat0,
             lon0,
-            inv_dlat: 1.0 / dlat,
-            inv_dlon: 1.0 / dlon,
+            inv_dlat: 1.0 / fine.dlat,
+            inv_dlon: 1.0 / fine.dlon,
             rows,
             cols,
-            last_row: rows_f - 1.0,
-            last_col: cols_f - 1.0,
+            last_row: (SUB * rows - 1) as f64,
+            last_col: (SUB * cols - 1) as f64,
             cells,
-            candidates,
-        }
+            sub_cells,
+            candidates: lists.lists,
+        })
     }
 
-    /// The code of the cell holding `(lat, lon)`, with no branch: each
-    /// offset is capped at the last row or column in floating point (a
-    /// NaN offset takes the cap) and then truncated by a saturating cast
-    /// (a negative one becomes 0), so a point outside the grid, and a
+    /// The code of the sub-cell, or else of the cell, holding
+    /// `(lat, lon)`. The fine row and column have no branch: each offset
+    /// is capped at the last fine row or column in floating point (a NaN
+    /// offset takes the cap) and then truncated by a saturating cast (a
+    /// negative one becomes 0), so a point outside the grid, and a
     /// non-finite one, reads the empty outer ring.
     #[inline]
     #[expect(
@@ -333,7 +456,19 @@ impl CellTable {
     fn code(&self, lat: f64, lon: f64) -> u16 {
         let row = ((lat - self.lat0) * self.inv_dlat).min(self.last_row) as u32;
         let col = ((lon - self.lon0) * self.inv_dlon).min(self.last_col) as u32;
-        self.cells[row as usize * self.cols + col as usize]
+        self.code_at(row as usize, col as usize)
+    }
+
+    /// The code of the sub-cell at fine `row` and `col`, or else of the
+    /// cell holding it: their quotients by `SUB` pick the cell, and only
+    /// a mixed cell reads its sub-grid.
+    #[inline]
+    fn code_at(&self, row: usize, col: usize) -> u16 {
+        let code = self.cells[row / SUB * self.cols + col / SUB];
+        if code < MIXED {
+            return code;
+        }
+        self.sub_cells[usize::from(code - MIXED) * SUB * SUB + row % SUB * SUB + col % SUB]
     }
 }
 
@@ -350,13 +485,25 @@ fn cos_max(lo_deg: f64, hi_deg: f64) -> f64 {
 /// A summary: the derived `Debug` would print every cell.
 impl fmt::Debug for CellTable {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let count = |pred: fn(u16) -> bool| self.cells.iter().filter(|&&c| pred(c)).count();
+        // Empty, interior and mixed codes.
+        let kinds = |codes: &[u16]| {
+            let mut n = [0usize; 3];
+            for &c in codes {
+                n[usize::from(c != EMPTY) + usize::from(c >= MIXED)] += 1;
+            }
+            n
+        };
+        let ([empty, interior, mixed], [sub_empty, sub_interior, sub_mixed]) =
+            (kinds(&self.cells), kinds(&self.sub_cells));
         f.debug_struct("CellTable")
             .field("rows", &self.rows)
             .field("cols", &self.cols)
-            .field("empty", &count(|c| c == EMPTY))
-            .field("interior", &count(|c| c != EMPTY && c < MIXED))
-            .field("mixed", &count(|c| c >= MIXED))
+            .field("empty", &empty)
+            .field("interior", &interior)
+            .field("mixed", &mixed)
+            .field("sub_empty", &sub_empty)
+            .field("sub_interior", &sub_interior)
+            .field("sub_mixed", &sub_mixed)
             .field("candidate_lists", &self.candidates.len())
             .finish()
     }
@@ -378,10 +525,16 @@ impl AreaSet {
     ///
     /// # Panics
     ///
-    /// If `areas` is empty or `radius_km` is not a positive finite
-    /// number.
+    /// If `areas` is empty or holds more than 63 areas, or if
+    /// `radius_km` is not a positive finite number. With at most 63
+    /// areas, a point's slot and every area covering it fit one `u64`.
     pub fn new(areas: Vec<Area>, radius_km: f64) -> Self {
         assert!(!areas.is_empty(), "area set cannot be empty");
+        assert!(
+            areas.len() <= MAX_AREAS,
+            "area set holds at most {MAX_AREAS} areas, not {}",
+            areas.len()
+        );
         assert!(
             radius_km.is_finite() && radius_km > 0.0,
             "search radius must be positive and finite"
@@ -474,35 +627,38 @@ impl AreaSet {
         best.map(|(i, _)| i)
     }
 
-    /// `u64` words in a covered-slot bitset: one bit per slot `0..=n`.
-    pub(crate) fn slot_words(&self) -> usize {
-        (self.len() + 1).div_ceil(64)
-    }
-
     /// The *slot* of point `(lat, lon)`: `a + 1` for the nearest area
     /// `a` within ε, `0` when no area covers it. Sets the bit of the
-    /// returned slot in `covered` (a [`AreaSet::slot_words`]-word
-    /// bitset), and the bit of every other area within ε of the point:
-    /// discs overlap wherever two centres are less than 2ε apart
-    /// (Sydney and Wollongong at national scale), and population
-    /// counting needs all of them.
+    /// returned slot in `covered`, and the bit of every other area within
+    /// ε of the point: discs overlap wherever two centres are less than
+    /// 2ε apart (Sydney and Wollongong at national scale), and
+    /// population counting needs all of them. Adds 1 to `exact_path`
+    /// when the point takes the exact path.
     ///
     /// A point is within ε of an area iff `haversine_km(centre, p) ≤ ε`;
-    /// this is the only membership rule. One load from the build-once
-    /// cell table settles the points of empty and interior cells, whose
-    /// code is the slot itself, with no trigonometry. Only points in
-    /// mixed cells run the degree window and the exact haversine, over
-    /// the cell's candidate areas alone.
+    /// this is the only membership rule. One or two loads from the
+    /// build-once cell table settle the points of empty and interior
+    /// cells and sub-cells, whose code is the slot itself, with no
+    /// trigonometry. Only points in mixed sub-cells run the degree
+    /// window and the exact haversine, over the sub-cell's candidate
+    /// areas alone.
     #[inline]
-    pub(crate) fn slot(&self, lat: f64, lon: f64, covered: &mut [u64]) -> usize {
+    pub(crate) fn slot(
+        &self,
+        lat: f64,
+        lon: f64,
+        covered: &mut u64,
+        exact_path: &mut u64,
+    ) -> usize {
         let code = self.cells.code(lat, lon);
         let slot = if code < MIXED {
             usize::from(code)
         } else {
+            *exact_path += 1;
             let candidates = &self.cells.candidates[usize::from(code - MIXED)];
             self.assign_exact(lat, lon, candidates, covered)
         };
-        covered[slot >> 6] |= 1 << (slot & 63);
+        *covered |= 1 << slot;
         slot
     }
 
@@ -510,7 +666,7 @@ impl AreaSet {
     /// within ε (`0` for none), setting the bit of every candidate
     /// within ε in `covered`. The haversine comparison is the same float
     /// expression as the scalar `assign`.
-    fn assign_exact(&self, lat: f64, lon: f64, candidates: &[usize], covered: &mut [u64]) -> usize {
+    fn assign_exact(&self, lat: f64, lon: f64, candidates: &[usize], covered: &mut u64) -> usize {
         let mut best: Option<(usize, f64)> = None;
         let mut point_trig: Option<TrigPoint> = None;
         let p = Point::new_unchecked(lat, lon);
@@ -527,7 +683,7 @@ impl AreaSet {
             let d = f.trig.distance_km(&pt);
             if d <= self.radius_km {
                 let slot = i + 1;
-                covered[slot >> 6] |= 1 << (slot & 63);
+                *covered |= 1 << slot;
                 if best.is_none_or(|(_, bd)| d < bd) {
                     best = Some((slot, d));
                 }
@@ -646,6 +802,12 @@ pub(crate) mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "area set holds at most 63 areas, not 64")]
+    fn sixty_four_areas_panic() {
+        AreaSet::new(vec![Scale::National.areas()[0]; 64], 10.0);
+    }
+
+    #[test]
     #[should_panic(expected = "search radius must be positive")]
     fn zero_radius_panics() {
         AreaSet::new(Scale::National.areas().to_vec(), 0.0);
@@ -658,18 +820,17 @@ pub(crate) mod tests {
     }
 
     /// Runs every point through `AreaSet::slot`, each with a fresh
-    /// bitset: its nearest area and every area whose bit it set,
+    /// covered set: its nearest area and every area whose bit it set,
     /// ascending.
     fn classify(set: &AreaSet, lats: &[f64], lons: &[f64]) -> Vec<(Option<usize>, Vec<usize>)> {
-        let mut covered = vec![0; set.slot_words()];
         lats.iter()
             .zip(lons)
             .map(|(&lat, &lon)| {
-                covered.fill(0);
-                let slot = set.slot(lat, lon, &mut covered);
-                assert_eq!(covered[slot >> 6] >> (slot & 63) & 1, 1, "slot {slot} bit");
+                let (mut covered, mut exact_path) = (0, 0);
+                let slot = set.slot(lat, lon, &mut covered, &mut exact_path);
+                assert_eq!(covered >> slot & 1, 1, "slot {slot} bit");
                 let areas = (1..=set.len())
-                    .filter(|&s| covered[s >> 6] >> (s & 63) & 1 == 1)
+                    .filter(|&s| covered >> s & 1 == 1)
                     .map(|s| s - 1)
                     .collect();
                 (slot.checked_sub(1), areas)
@@ -723,18 +884,28 @@ pub(crate) mod tests {
                     tweetmob_geo::haversine_km(set.areas()[i].center, p) <= set.radius_km()
                 })
                 .collect();
-            overlapped += usize::from(want.len() > 1);
             assert_eq!(got, want, "ε {} point {k} {p:?}", set.radius_km());
-            assert_eq!(nearest, set.assign(p), "ε {} point {p:?}", set.radius_km());
+            // `assign` is the nearest of `want`, so only a point that two
+            // or more discs cover needs it.
+            let want_nearest = match want[..] {
+                [] => None,
+                [i] => Some(i),
+                _ => {
+                    overlapped += 1;
+                    set.assign(p)
+                }
+            };
+            assert_eq!(nearest, want_nearest, "ε {} point {p:?}", set.radius_km());
         }
         overlapped
     }
 
     /// Probe points for the cell table of `set`: exact cell edges and
     /// corners (and one ulp either side) through every area's window,
-    /// rings at 0.97–1.03 ε (and exactly ε) around every centre, points
-    /// in every overlap lens, points within 1.5 ε of every centre, and
-    /// uniform points over the continent.
+    /// the same for every sub-cell edge and corner of a mixed cell that
+    /// parts two codes, rings at 0.97–1.03 ε (and exactly ε) around every centre,
+    /// points in every overlap lens, points within 1.5 ε of every centre,
+    /// and uniform points over the continent.
     pub(crate) fn table_probe_points(set: &AreaSet, seed: u64) -> (Vec<f64>, Vec<f64>) {
         let t = &set.cells;
         let mut rng = tweetmob_stats::rng::SplitMix64::new(seed);
@@ -750,24 +921,55 @@ pub(crate) mod tests {
             }
         };
         let eps = set.radius_km();
+        // Cells per degree: the table indexes sub-cells, SUB times finer.
         // A single-mixed-cell table has no edges (zero cells per degree).
+        let (inv_dlat, inv_dlon) = (t.inv_dlat / SUB as f64, t.inv_dlon / SUB as f64);
         for f in set.filters.iter().filter(|_| t.inv_dlat > 0.0) {
-            let rows = ((f.lat - f.dlat_max - t.lat0) * t.inv_dlat).floor()
-                ..=((f.lat + f.dlat_max - t.lat0) * t.inv_dlat).ceil();
-            let cols = ((f.lon - f.dlon_max - t.lon0) * t.inv_dlon).floor()
-                ..=((f.lon + f.dlon_max - t.lon0) * t.inv_dlon).ceil();
+            let rows = ((f.lat - f.dlat_max - t.lat0) * inv_dlat).floor()
+                ..=((f.lat + f.dlat_max - t.lat0) * inv_dlat).ceil();
+            let cols = ((f.lon - f.dlon_max - t.lon0) * inv_dlon).floor()
+                ..=((f.lon + f.dlon_max - t.lon0) * inv_dlon).ceil();
             let mut row = *rows.start();
             while row <= *rows.end() {
-                let lat = t.lat0 + row / t.inv_dlat;
+                let lat = t.lat0 + row / inv_dlat;
                 let mut col = *cols.start();
                 while col <= *cols.end() {
-                    let lon = t.lon0 + col / t.inv_dlon;
+                    let lon = t.lon0 + col / inv_dlon;
                     push(lat, lon);
-                    push(lat, rng.range_f64(lon, lon + 1.0 / t.inv_dlon));
-                    push(rng.range_f64(lat, lat + 1.0 / t.inv_dlat), lon);
+                    push(lat, rng.range_f64(lon, lon + 1.0 / inv_dlon));
+                    push(rng.range_f64(lat, lat + 1.0 / inv_dlat), lon);
                     col += 1.0;
                 }
                 row += 1.0;
+            }
+        }
+        // Every sub-cell edge and corner of a mixed cell, its border
+        // included, that parts two codes: where the codes on both sides
+        // agree, the rounding of the lookup cannot change the answer.
+        // Mixed cells are never in the outer ring, so each neighbour
+        // below and to the left is on the grid; a single-mixed-cell
+        // table has no sub-cell edges.
+        let mixed = (0..t.cells.len()).filter(|&c| t.cells[c] >= MIXED && t.inv_dlat > 0.0);
+        for cell in mixed {
+            let (row, col) = (cell / t.cols * SUB, cell % t.cols * SUB);
+            for fine_row in row..=row + SUB {
+                let lat = t.lat0 + fine_row as f64 / t.inv_dlat;
+                for fine_col in col..=col + SUB {
+                    let lon = t.lon0 + fine_col as f64 / t.inv_dlon;
+                    let here = t.code_at(fine_row, fine_col);
+                    let below = t.code_at(fine_row - 1, fine_col);
+                    let left = t.code_at(fine_row, fine_col - 1);
+                    let diagonal = t.code_at(fine_row - 1, fine_col - 1);
+                    if here != below || here != left || here != diagonal {
+                        push(lat, lon);
+                    }
+                    if here != below && fine_col < col + SUB {
+                        push(lat, rng.range_f64(lon, lon + 1.0 / t.inv_dlon));
+                    }
+                    if here != left && fine_row < row + SUB {
+                        push(rng.range_f64(lat, lat + 1.0 / t.inv_dlat), lon);
+                    }
+                }
             }
         }
         for a in set.areas() {
@@ -845,6 +1047,23 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn national_table_holds_every_kind_of_sub_cell() {
+        let t = &AreaSet::of_scale(Scale::National).cells;
+        let mixed = t.cells.iter().filter(|&&c| c >= MIXED).count();
+        assert_eq!(t.sub_cells.len(), SUB * SUB * mixed, "{t:?}");
+        for (kind, holds) in [
+            ("empty", (|c| c == EMPTY) as fn(u16) -> bool),
+            ("interior", |c| c != EMPTY && c < MIXED),
+            ("mixed", |c| c >= MIXED),
+        ] {
+            assert!(
+                t.sub_cells.iter().any(|&c| holds(c)),
+                "no {kind} sub-cell: {t:?}"
+            );
+        }
+    }
+
+    #[test]
     fn cell_table_near_a_pole_is_one_mixed_cell() {
         let polar = |name, lat, lon| Area {
             name,
@@ -889,8 +1108,8 @@ pub(crate) mod tests {
         });
         assert!(ring.clone().all(|c| t.cells[c] == EMPTY), "{t:?}");
         let (lat_hi, lon_hi) = (
-            t.lat0 + t.rows as f64 / t.inv_dlat,
-            t.lon0 + t.cols as f64 / t.inv_dlon,
+            t.lat0 + (SUB * t.rows) as f64 / t.inv_dlat,
+            t.lon0 + (SUB * t.cols) as f64 / t.inv_dlon,
         );
         for (lat, lon) in [
             (t.lat0 - 1.0, -33.8688),
@@ -958,12 +1177,18 @@ pub(crate) mod tests {
 
     #[test]
     fn random_area_sets_match_brute_force() {
-        // Up to 90 areas, so the covered bitset spans one or two words,
-        // and radii from 10 m to 2,000 km, so discs range from isolated
-        // to all overlapping.
+        // Up to 63 areas, and 63 in every fourth set, so the covered
+        // set's top bit is in use, and radii from 10 m to 2,000 km, so
+        // discs range from isolated to all overlapping.
+        let mut top_bit = false;
         for seed in 0..64 {
             let mut rng = tweetmob_stats::rng::SplitMix64::new(seed);
-            let areas: Vec<Area> = (0..1 + rng.next_below(90))
+            let len = if seed % 4 == 0 {
+                MAX_AREAS
+            } else {
+                1 + rng.next_below(MAX_AREAS)
+            };
+            let areas: Vec<Area> = (0..len)
                 .map(|_| Area {
                     name: "area",
                     center: Point::new_unchecked(
@@ -978,7 +1203,11 @@ pub(crate) mod tests {
             let lats: Vec<f64> = (0..n).map(|_| rng.range_f64(-46.0, -8.0)).collect();
             let lons: Vec<f64> = (0..n).map(|_| rng.range_f64(110.0, 156.0)).collect();
             assert_slots_match_brute_force(&set, &lats, &lons);
+            top_bit |= classify(&set, &lats, &lons)
+                .iter()
+                .any(|(_, areas)| areas.contains(&(MAX_AREAS - 1)));
         }
+        assert!(top_bit, "no point in area {}", MAX_AREAS - 1);
     }
 
     #[test]

@@ -3,13 +3,17 @@
 //! Population (§III: distinct users with a tweet within ε of an area)
 //! and mobility (§IV: consecutive same-user tweets joining two areas)
 //! are both walks over each user's time-ordered tweets, so one scan
-//! produces both. Users are sharded by CSR index range, and each tweet
-//! costs one cell-table load and one counter increment: the point's
-//! *slot* (`a + 1` for its nearest area `a`, `0` for none) indexes a
-//! table of consecutive-slot pairs, from which the OD matrix and the
-//! data funnel are read once per chunk, and sets a bit in the user's
-//! covered-area bitset, from which the distinct-user counts are read
-//! once per user.
+//! produces both. Users are sharded by CSR index range, and most tweets
+//! cost one or two cell-table loads and one counter increment. The
+//! point's *slot* (`a + 1` for its nearest area `a`, `0` for none)
+//! indexes a table of consecutive-slot pairs, from which the OD matrix
+//! and the data funnel are read once per chunk. It also sets a bit in
+//! the user's covered set, one `u64` kept in a register (an area set
+//! holds at most 63 areas, so slots `0..=63` fit), from which the
+//! distinct-user counts are read once per user. Only a point in a mixed
+//! sub-cell of the cell table runs the exact haversine path; the scan
+//! counts those tweets, and `AreaScan::publish` reports the count as
+//! `scan/exact_path_tweets`.
 //!
 //! Every scan runs under one `scan` span and no other span wraps one, so
 //! that span's call count is the number of corpus scans a run made.
@@ -83,18 +87,21 @@ pub(crate) struct AreaScan {
     pub(crate) users: Vec<u64>,
     /// Tweet and pair tallies.
     pub(crate) funnel: DataFunnel,
+    /// Tweets that took the exact haversine path of `AreaSet::slot`.
+    pub(crate) exact_path_tweets: u64,
 }
 
 impl AreaScan {
-    /// Publishes the funnel to the global metrics registry. Callers do
-    /// this once per fit, so the counters' per-run deltas are the run's
-    /// funnel.
+    /// Publishes the funnel, and the tweets that took the exact path, to
+    /// the global metrics registry. Callers do this once per fit, so the
+    /// counters' per-run deltas are the run's funnel.
     pub(crate) fn publish(&self) {
         let _span = tweetmob_obs::span!("trips");
         tweetmob_obs::counter!("trips/extracted").add(self.funnel.trips);
         tweetmob_obs::counter!("trips/dropped_same_area").add(self.funnel.same_area);
         tweetmob_obs::counter!("trips/dropped_unassigned").add(self.funnel.unassigned);
         tweetmob_obs::counter!("trips/tweets_in_area").add(self.funnel.tweets_in_area);
+        tweetmob_obs::counter!("scan/exact_path_tweets").add(self.exact_path_tweets);
     }
 
     /// Reads a chunk's results off its pair table and per-slot user
@@ -104,7 +111,7 @@ impl AreaScan {
     /// - `1..=n` to a different `1..=n` slot is a trip;
     /// - the diagonal of `1..=n` is a same-area pair;
     /// - row `0` and column `0` are unassigned pairs.
-    fn from_pairs(n: usize, pairs: &[u64], slot_users: &[u64]) -> Self {
+    fn from_pairs(n: usize, pairs: &[u64], slot_users: &[u64], exact_path_tweets: u64) -> Self {
         let mut od = OdMatrix::new(n);
         let mut funnel = DataFunnel::default();
         for (prev, row) in pairs.chunks_exact(n + 1).enumerate() {
@@ -128,6 +135,7 @@ impl AreaScan {
             od,
             users: slot_users[1..].to_vec(),
             funnel,
+            exact_path_tweets,
         }
     }
 }
@@ -138,8 +146,8 @@ impl AreaScan {
 /// Each chunk of users counts `pairs[prev · (n+1) + slot]` in one
 /// `(n+2) × (n+1)` table, where row `n+1` stands for "no previous
 /// tweet", so a tweet is one increment whatever its pair is, and keeps
-/// one covered-slot bitset that is flushed into per-slot user counts at
-/// the end of each user, so a user is counted at most once per area.
+/// one covered set that is flushed into per-slot user counts at the end
+/// of each user, so a user is counted at most once per area.
 /// Every output is an integer sum over disjoint user ranges, so the
 /// result is identical at every thread count.
 pub(crate) fn scan(dataset: &TweetDataset, areas: &AreaSet) -> AreaScan {
@@ -153,24 +161,22 @@ pub(crate) fn scan(dataset: &TweetDataset, areas: &AreaSet) -> AreaScan {
         |range| {
             let mut pairs = vec![0u64; (n + 2) * stride];
             let mut slot_users = vec![0u64; stride];
-            let mut covered = vec![0u64; areas.slot_words()];
+            let mut exact_path = 0;
             for i in range {
                 let view = dataset.user_view(i);
                 let mut prev = n + 1;
+                let mut covered = 0u64;
                 for (&lat, &lon) in view.lats.iter().zip(view.lons) {
-                    let slot = areas.slot(lat, lon, &mut covered);
+                    let slot = areas.slot(lat, lon, &mut covered, &mut exact_path);
                     pairs[prev * stride + slot] += 1;
                     prev = slot;
                 }
-                for (w, word) in covered.iter_mut().enumerate() {
-                    let mut bits = std::mem::take(word);
-                    while bits != 0 {
-                        slot_users[w * 64 + bits.trailing_zeros() as usize] += 1;
-                        bits &= bits - 1;
-                    }
+                while covered != 0 {
+                    slot_users[covered.trailing_zeros() as usize] += 1;
+                    covered &= covered - 1;
                 }
             }
-            AreaScan::from_pairs(n, &pairs, &slot_users)
+            AreaScan::from_pairs(n, &pairs, &slot_users, exact_path)
         },
         |mut acc, chunk| {
             acc.od.merge(&chunk.od);
@@ -178,6 +184,7 @@ pub(crate) fn scan(dataset: &TweetDataset, areas: &AreaSet) -> AreaScan {
                 *a += b;
             }
             acc.funnel.merge(chunk.funnel);
+            acc.exact_path_tweets += chunk.exact_path_tweets;
             acc
         },
     )
@@ -233,11 +240,11 @@ mod tests {
             population: 1,
         };
         let mut rng = SplitMix64::new(17);
-        let many: Vec<Area> = (0..70)
+        let many: Vec<Area> = (0..63)
             .map(|_| area(rng.range_f64(-40.0, -15.0), rng.range_f64(115.0, 152.0)))
             .collect();
         let sets = [
-            // 70 areas: the covered bitset needs a second word.
+            // 63 areas: slot 63 is the covered set's top bit.
             AreaSet::new(many, 120.0),
             // Discs that overlap (Sydney, Wollongong, Newcastle, …).
             AreaSet::of_scale_with_radius(Scale::National, 200.0),
@@ -246,7 +253,6 @@ mod tests {
             // A window across ±180°: the table is one mixed cell.
             AreaSet::new(vec![area(-18.14, 178.44), area(-16.8, 179.98)], 50.0),
         ];
-        assert_eq!(sets[0].slot_words(), 2);
         for (seed, areas) in (0..).zip(&sets) {
             let probes = table_probe_points(areas, seed);
             for k in 0..3 {
@@ -254,12 +260,16 @@ mod tests {
                 let (od, funnel) = extract_trips_reference(&ds, areas);
                 let users = population_reference(&ds, areas);
                 assert!(funnel.tweets_in_area > 0, "set {seed}");
+                assert!(seed > 0 || users[62] > 0, "corpus {k}: slot 63 unused");
+                let exact = scan(&ds, areas).exact_path_tweets;
+                assert!(0 < exact && exact <= funnel.tweets, "set {seed}: {exact}");
                 for threads in [1, 3] {
                     let got = tweetmob_par::with_threads(threads, || scan(&ds, areas));
                     let at = format!("set {seed}, corpus {k}, {threads} threads");
                     assert_eq!(got.od, od, "{at}");
                     assert_eq!(got.users, users, "{at}");
                     assert_eq!(got.funnel, funnel, "{at}");
+                    assert_eq!(got.exact_path_tweets, exact, "{at}");
                 }
             }
         }

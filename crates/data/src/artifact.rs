@@ -34,7 +34,7 @@
 //!   content hashes, crate versions. Written when the caller sets it
 //!   ([`ModelBundle::set_provenance`]).
 //!
-//! A layout change bumps [`ARTIFACT_VERSION`]; readers reject versions
+//! A layout change bumps `ARTIFACT_VERSION`; readers reject versions
 //! they do not know.
 //!
 //! Every float travels as its IEEE-754 bit pattern, so a loaded bundle
@@ -57,10 +57,10 @@ use tweetmob_models::{
 };
 
 /// Magic bytes opening a model-artifact bundle ("TweetMob Artifact").
-pub const ARTIFACT_MAGIC: [u8; 4] = *b"TMA0";
+pub(crate) const ARTIFACT_MAGIC: [u8; 4] = *b"TMA0";
 /// Schema version of the bundle container. Bump on any layout change;
 /// readers reject versions they do not know.
-pub const ARTIFACT_VERSION: u32 = 2;
+pub(crate) const ARTIFACT_VERSION: u32 = 2;
 
 /// Most areas a bundle may hold, checked by [`ModelBundle::save`] and by
 /// the reader right after the `AREA` count, before anything is

@@ -58,10 +58,8 @@ mod summary;
 mod time;
 mod tweet;
 
-pub use artifact::{
-    BundleArea, BundleMeta, ModelBundle, QueryError, ARTIFACT_MAGIC, ARTIFACT_VERSION,
-};
+pub use artifact::{BundleArea, BundleMeta, ModelBundle, QueryError};
 pub use dataset::{TweetDataset, UserTweets};
 pub use summary::{ActivityBuckets, DatasetSummary};
-pub use time::{Timestamp, SECS_PER_DAY, SECS_PER_HOUR};
+pub use time::Timestamp;
 pub use tweet::{Tweet, UserId};

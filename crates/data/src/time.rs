@@ -9,9 +9,7 @@
 use std::fmt;
 
 /// Seconds per hour.
-pub const SECS_PER_HOUR: i64 = 3_600;
-/// Seconds per day.
-pub const SECS_PER_DAY: i64 = 86_400;
+pub(crate) const SECS_PER_HOUR: i64 = 3_600;
 
 /// A Unix timestamp in whole seconds.
 ///
@@ -73,12 +71,6 @@ impl Timestamp {
         self.0 - earlier.0
     }
 
-    /// Signed difference `self − earlier`, in fractional hours.
-    #[inline]
-    pub fn hours_since(self, earlier: Timestamp) -> f64 {
-        self.seconds_since(earlier) as f64 / SECS_PER_HOUR as f64
-    }
-
     /// This timestamp shifted forward by `secs` (negative shifts back).
     #[inline]
     pub const fn plus_secs(self, secs: i64) -> Timestamp {
@@ -104,8 +96,7 @@ mod tests {
 
     #[test]
     fn collection_window_is_about_seven_months() {
-        let days =
-            Timestamp::COLLECTION_END.seconds_since(Timestamp::COLLECTION_START) / SECS_PER_DAY;
+        let days = Timestamp::COLLECTION_END.seconds_since(Timestamp::COLLECTION_START) / 86_400;
         assert_eq!(days, 241); // Sep(30)+Oct(31)+Nov(30)+Dec(31)+Jan(31)+Feb(28)+Mar(31)+Apr(30)-1 full days
     }
 
@@ -116,7 +107,6 @@ mod tests {
         assert!(a < b);
         assert_eq!(b.seconds_since(a), 3_900);
         assert_eq!(a.seconds_since(b), -3_900);
-        assert!((b.hours_since(a) - 3_900.0 / 3_600.0).abs() < 1e-12);
     }
 
     #[test]
@@ -141,8 +131,8 @@ mod tests {
         let (first, last) = (Timestamp::FIRST_LOADABLE, Timestamp::LAST_LOADABLE);
         // 719,162 days from 0001-01-01 to 1970-01-01, and 2,932,897 from
         // 1970-01-01 to 10000-01-01 (proleptic Gregorian).
-        assert_eq!(first.as_secs(), -719_162 * SECS_PER_DAY);
-        assert_eq!(last.as_secs(), 2_932_897 * SECS_PER_DAY - 1);
+        assert_eq!(first.as_secs(), -719_162 * 86_400);
+        assert_eq!(last.as_secs(), 2_932_897 * 86_400 - 1);
         assert!(first.is_loadable() && last.is_loadable());
         assert!(!first.plus_secs(-1).is_loadable() && !last.plus_secs(1).is_loadable());
         for secs in [

@@ -943,7 +943,11 @@ impl Parser<'_> {
             && self.pf.kind.is_library()
             && !self.pf.in_test(self.pf.toks[kw_at].start)
         {
-            let name = self.text(kw_at + 1).to_string();
+            // An associated const is filed under its type, as a method is.
+            let name = match &ctx.self_ty {
+                Some(ty) => format!("{ty}::{}", self.text(kw_at + 1)),
+                None => self.text(kw_at + 1).to_string(),
+            };
             // Snapshot up to the `=` (the declared type, not the value).
             let mut eq = kw_at;
             while eq < stop && self.punct(eq) != Some(b'=') {

@@ -68,12 +68,38 @@ pub fn after_tuple(id: Id) -> u32 {
     id.0
 }
 ";
-    let files = [sf(
-        "crates/fix/src/lib.rs",
-        "tweetmob-fixture",
-        FileKind::LibRoot,
-        body,
-    )];
+    // Two types of one module with a same-named associated const.
+    let kinds = "\
+/// One kind.
+pub struct A;
+
+impl A {
+    /// Every A.
+    pub const ALL: [A; 1] = [A];
+}
+
+/// Another kind.
+pub struct B;
+
+impl B {
+    /// Every B.
+    pub const ALL: [B; 1] = [B];
+}
+";
+    let files = [
+        sf(
+            "crates/fix/src/lib.rs",
+            "tweetmob-fixture",
+            FileKind::LibRoot,
+            body,
+        ),
+        sf(
+            "crates/fix/src/kinds.rs",
+            "tweetmob-fixture",
+            FileKind::Library,
+            kinds,
+        ),
+    ];
     let snap = api_snapshot(&files);
     let lines: Vec<&str> = snap.lines().filter(|l| !l.starts_with('#')).collect();
     assert!(
@@ -96,6 +122,13 @@ pub fn after_tuple(id: Id) -> u32 {
         lines.contains(&"tweetmob-fixture fn after_tuple pub fn after_tuple(id: Id) -> u32"),
         "a function after a tuple struct, got:\n{snap}"
     );
+    for ty in ["A", "B"] {
+        let line = format!("tweetmob-fixture const kinds::{ty}::ALL pub const ALL: [{ty}; 1]");
+        assert!(
+            lines.contains(&line.as_str()),
+            "an associated const is filed under its type, got:\n{snap}"
+        );
+    }
     for private in ["hidden", "private_helper", "free_private"] {
         assert!(
             !snap.contains(private),

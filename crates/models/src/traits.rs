@@ -28,7 +28,7 @@ pub struct FlowObservation {
 impl FlowObservation {
     /// Whether the observation can enter a log-space fit: positive `m`,
     /// `n`, `d` and flow.
-    pub fn fittable(&self) -> bool {
+    pub(crate) fn fittable(&self) -> bool {
         self.origin_population > 0.0
             && self.dest_population > 0.0
             && self.distance_km > 0.0

@@ -65,7 +65,7 @@ mod trace;
 
 pub use histogram::Histogram;
 pub use json::{Json, ToJson};
-pub use manifest::{FileStamp, RunManifest, MANIFEST_SCHEMA_VERSION};
+pub use manifest::{FileStamp, RunManifest};
 pub use registry::{Counter, Gauge, MetricsRegistry};
 pub use span::{SpanGuard, SpanStat, Timer, SERVE_LATENCY_BOUNDS_NS};
 

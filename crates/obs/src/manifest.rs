@@ -31,7 +31,7 @@ use std::io::Read as _;
 use std::sync::Mutex;
 
 /// Version of the manifest JSON layout. Bump on any field change.
-pub const MANIFEST_SCHEMA_VERSION: u32 = 1;
+pub(crate) const MANIFEST_SCHEMA_VERSION: u32 = 1;
 
 /// A content stamp of one file: path as given, size, FNV-1a 64 hash.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -114,8 +114,10 @@ pub const SYDNEY_SUBURBS_TOP20: [Area; 20] = [
 
 /// Regional background towns: not part of any study scale, but present in
 /// the world so that (a) the Fig. 1 density map shows the real coastal
-/// settlement pattern and (b) the Radiation model's intervening-population
-/// term `s(i, j)` has genuine structure between the study areas.
+/// settlement pattern and (b) the generator's mobility kernel has homes
+/// and destinations outside the study areas, which draw trips away from
+/// them. The Radiation fit never sees the towns: its intervening
+/// population `s(i, j)` sums only the study areas.
 pub const BACKGROUND_TOWNS: [Area; 35] = [
     area("Mackay", -21.1411, 149.1860, 81_000),
     area("Rockhampton", -23.3781, 150.5100, 79_000),
