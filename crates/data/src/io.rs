@@ -9,12 +9,17 @@
 //! [`read_jsonl`] accepts any strict JSON object per line that carries
 //! `user`, `time` and `location.{lat,lon}`: members in any order, any
 //! whitespace, escaped keys, and extra members of any type (a tweet's
-//! text, say). It builds no JSON tree. Each line is walked once by
-//! [`tweetmob_obs::json::JsonReader`], the reader behind
-//! [`Json::parse`], which keeps the four numbers and checks and skips
-//! everything else without allocating. It accepts and rejects exactly the
-//! lines that parsing to a [`Json`] and looking the members up would,
-//! with the same error messages.
+//! text, say). It builds no JSON tree and copies no line that lies whole
+//! in the reader's buffer. A line in [`write_jsonl`]'s own layout,
+//! `{"user":U,"time":T,"location":{"lat":A,"lon":B}}`, is matched piece
+//! by piece against the literal pieces the writer prints, and its four
+//! numbers are read by [`JsonReader::scalar_after`]. Every other line is
+//! walked once by [`JsonReader`], the reader behind [`Json::parse`],
+//! which keeps the four numbers and checks and skips everything else
+//! without allocating. Either way a line is accepted or rejected exactly
+//! as parsing it to a [`Json`] and looking the members up would, with
+//! the same error messages. The counter `data/jsonl_template_misses`
+//! counts the non-blank lines that took the walk.
 
 use crate::dataset::TweetDataset;
 use crate::time::Timestamp;
@@ -106,6 +111,32 @@ impl From<io::Error> for IoError {
     }
 }
 
+/// The text [`write_jsonl`] writes around a tweet's user, time,
+/// latitude and longitude; [`read_jsonl`] matches these pieces first. A
+/// macro, not constants, so that each piece reaches `writeln!` as a
+/// literal and is printed as part of the format string.
+macro_rules! piece {
+    (user) => {
+        r#"{"user":"#
+    };
+    (time) => {
+        r#","time":"#
+    };
+    (lat) => {
+        r#","location":{"lat":"#
+    };
+    (lon) => {
+        r#","lon":"#
+    };
+    (end) => {
+        "}}"
+    };
+}
+
+/// A record's `user`, `time` (epoch seconds), `location.lat` and
+/// `location.lon`.
+type Fields = (u32, i64, f64, f64);
+
 /// Writes the dataset as JSON Lines (one tweet per line, `(user, time)`
 /// order): `{"user":…,"time":…,"location":{"lat":…,"lon":…}}`, with
 /// coordinates printed so they parse back to the same bits.
@@ -117,11 +148,16 @@ pub fn write_jsonl<W: Write>(ds: &TweetDataset, mut w: W) -> Result<(), IoError>
     for t in ds.iter_tweets() {
         writeln!(
             w,
-            "{{\"user\":{},\"time\":{},\"location\":{{\"lat\":{:?},\"lon\":{:?}}}}}",
+            "{}{}{}{}{}{:?}{}{:?}{}",
+            piece!(user),
             t.user.0,
+            piece!(time),
             t.time.as_secs(),
+            piece!(lat),
             t.location.lat,
-            t.location.lon
+            piece!(lon),
+            t.location.lon,
+            piece!(end)
         )?;
     }
     w.flush()?;
@@ -131,15 +167,20 @@ pub fn write_jsonl<W: Write>(ds: &TweetDataset, mut w: W) -> Result<(), IoError>
 /// Reads a JSON Lines stream: one tweet object per line, as
 /// [`write_jsonl`] writes it or as real tweet collections deliver it.
 ///
-/// Each line is walked once by [`tweetmob_obs::json::JsonReader`], the
-/// reader behind [`tweetmob_obs::Json::parse`], and no JSON tree is
-/// built. A line holds one object with the members `user` (an integer
-/// in `0..=4294967295`), `time` (an integer, epoch seconds) and
-/// `location` (an object with numbers `lat` and `lon`). Members may come
-/// in any order, with any whitespace and with escaped keys. Other
-/// members, of any JSON type, are checked and skipped; a repeated member
-/// keeps its last value. Blank lines are skipped. Times must lie in
-/// years 1–9999 (UTC) and coordinates are validated.
+/// A line holds one object with the members `user` (an integer in
+/// `0..=4294967295`), `time` (an integer, epoch seconds) and `location`
+/// (an object with numbers `lat` and `lon`). Members may come in any
+/// order, with any whitespace and with escaped keys. Other members, of
+/// any JSON type, are checked and skipped; a repeated member keeps its
+/// last value. Blank lines are skipped. Times must lie in years 1–9999
+/// (UTC) and coordinates are validated.
+///
+/// Each line is first matched against [`write_jsonl`]'s own layout,
+/// its four numbers read by [`JsonReader::scalar_after`]. Any other line
+/// is walked once by that reader, the one behind [`Json::parse`], and no
+/// JSON tree is built. Both paths give the same rows and the same
+/// errors. The counter `data/jsonl_template_misses` counts the non-blank
+/// lines that took the walk, published once per read.
 ///
 /// # Errors
 ///
@@ -148,33 +189,41 @@ pub fn write_jsonl<W: Write>(ds: &TweetDataset, mut w: W) -> Result<(), IoError>
 /// mistyped field (`user`, `time`, `location`, `lat`, `lon`, in that
 /// order), then a time outside years 1–9999 ([`IoError::Json`]), then
 /// an invalid coordinate.
-pub fn read_jsonl<R: BufRead>(mut r: R) -> Result<TweetDataset, IoError> {
-    read_records(&mut r, tweet_fields)
+pub fn read_jsonl<R: BufRead>(r: R) -> Result<TweetDataset, IoError> {
+    let mut misses = 0;
+    let read = read_records(r, template, tweet_fields, &mut misses);
+    tweetmob_obs::counter!("data/jsonl_template_misses").add(misses);
+    read
 }
 
-/// Reads the JSONL stream line by line, turning each non-blank,
-/// whitespace-trimmed line into a tweet through `decode`.
+/// Reads the JSONL stream line by line. `fast` reads the line at the
+/// start of the text it is given, if it can; any other line is trimmed
+/// and, unless blank, read by `walk` and counted in `misses`.
 fn read_records<R: BufRead>(
-    mut r: R,
-    decode: impl Fn(&str) -> Result<(u32, i64, f64, f64), String>,
+    r: R,
+    fast: fn(&str) -> Option<(Fields, usize)>,
+    walk: fn(&str) -> Result<Fields, String>,
+    misses: &mut u64,
 ) -> Result<TweetDataset, IoError> {
     let _span = tweetmob_obs::span!("read_jsonl");
     let mut tweets = Vec::new();
-    let mut buf = Vec::new();
-    let mut line = 0;
-    loop {
-        buf.clear();
-        if r.read_until(b'\n', &mut buf)? == 0 {
-            break;
-        }
-        line += 1;
+    for_each_line(r, |line, text| {
         let json_err = |message: String| IoError::Json { line, message };
-        let text = std::str::from_utf8(&buf).map_err(|e| json_err(e.to_string()))?;
-        let text = text.trim();
-        if text.is_empty() {
-            continue;
-        }
-        let (user, time, lat, lon) = decode(text).map_err(json_err)?;
+        let ((user, time, lat, lon), len) = match fast(text) {
+            Some(read) => read,
+            None => {
+                let Some(end) = text.find('\n') else {
+                    return Ok(0);
+                };
+                let len = end + 1;
+                let text = text[..len].trim();
+                if text.is_empty() {
+                    return Ok(len);
+                }
+                *misses += 1;
+                (walk(text).map_err(json_err)?, len)
+            }
+        };
         let time = Timestamp::from_secs(time);
         if !time.is_loadable() {
             return Err(json_err(format!(
@@ -187,9 +236,115 @@ fn read_records<R: BufRead>(
         let location =
             Point::new(lat, lon).map_err(|source| IoError::BadCoordinate { line, source })?;
         tweets.push(Tweet::new(UserId(user), time, location));
-    }
+        Ok(len)
+    })?;
     tweetmob_obs::counter!("data/tweets_read").add(tweets.len() as u64);
     Ok(TweetDataset::from_tweets(tweets))
+}
+
+/// Reads the stream's lines, cut as [`BufRead::read_until`] would cut
+/// them, through `f`. `f(line, text)` gets the text from the start of
+/// the line numbered `line` (from 1) to the end of what is known to be
+/// UTF-8; it reads that line and returns its length, `\n` included, or 0
+/// when `text` does not hold the line's `\n`. A last line without a
+/// `\n` is passed with one.
+///
+/// Each fill of the reader's buffer is checked as UTF-8 once, and the
+/// lines that lie whole in its valid part are read in place. The rest,
+/// a line that straddles a refill or holds a byte that is not UTF-8, is
+/// gathered and checked on its own; if it is not UTF-8, the read fails
+/// with that line's [`IoError::Json`].
+fn for_each_line<R: BufRead>(
+    mut r: R,
+    mut f: impl FnMut(usize, &str) -> Result<usize, IoError>,
+) -> Result<(), IoError> {
+    let mut line = 0;
+    // The start of a line that the buffer did not hold whole.
+    let mut pending = Vec::new();
+    loop {
+        let chunk = match r.fill_buf() {
+            Ok(chunk) => chunk,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e.into()),
+        };
+        if chunk.is_empty() {
+            break;
+        }
+        let mut used = 0;
+        if pending.is_empty() {
+            let valid = match std::str::from_utf8(chunk) {
+                Ok(text) => text,
+                Err(e) => std::str::from_utf8(&chunk[..e.valid_up_to()]).unwrap_or_default(),
+            };
+            loop {
+                let len = f(line + 1, &valid[used..])?;
+                if len == 0 {
+                    break;
+                }
+                line += 1;
+                used += len;
+            }
+        }
+        let tail = &chunk[used..];
+        match tail.iter().position(|&b| b == b'\n') {
+            Some(end) => {
+                pending.extend_from_slice(&tail[..=end]);
+                line += 1;
+                f(line, line_text(line, &pending)?)?;
+                pending.clear();
+                used += end + 1;
+            }
+            None => {
+                pending.extend_from_slice(tail);
+                used = chunk.len();
+            }
+        }
+        r.consume(used);
+    }
+    if !pending.is_empty() {
+        line += 1;
+        f(line, &format!("{}\n", line_text(line, &pending)?))?;
+    }
+    Ok(())
+}
+
+/// The bytes of line `line` as text.
+fn line_text(line: usize, bytes: &[u8]) -> Result<&str, IoError> {
+    std::str::from_utf8(bytes).map_err(|e| IoError::Json {
+        line,
+        message: e.to_string(),
+    })
+}
+
+/// The line at the start of `text` if it is in [`write_jsonl`]'s
+/// layout, read without the member walk: the layout's pieces in order,
+/// each followed directly by its number, then `\n` or `\r\n`. Returns
+/// the fields and the line's length; `None` for any other line, which
+/// [`tweet_fields`] then reads. A line this accepts reads the same there.
+fn template(text: &str) -> Option<(Fields, usize)> {
+    let mut r = JsonReader::new(text);
+    let user = as_user(&r.scalar_after(piece!(user))?)?;
+    let time = as_time(&r.scalar_after(piece!(time))?)?;
+    let lat = r.scalar_after(piece!(lat))?.as_f64()?;
+    let lon = r.scalar_after(piece!(lon))?.as_f64()?;
+    let rest = r.rest().strip_prefix(piece!(end))?;
+    let rest = rest
+        .strip_prefix('\n')
+        .or_else(|| rest.strip_prefix("\r\n"))?;
+    Some(((user, time, lat, lon), text.len() - rest.len()))
+}
+
+/// A `user` value: an integer in `0..=4294967295`.
+fn as_user(value: &Json) -> Option<u32> {
+    value.as_u64().and_then(|u| u32::try_from(u).ok())
+}
+
+/// A `time` value: an integer number of epoch seconds.
+fn as_time(value: &Json) -> Option<i64> {
+    match *value {
+        Json::Int(t) => Some(t),
+        _ => None,
+    }
 }
 
 /// The `user`, `time`, `location.lat` and `location.lon` members of one
@@ -197,7 +352,7 @@ fn read_records<R: BufRead>(
 /// repeated `location` replaces the whole object. The checks that can
 /// fail run once the record has been read, in member order, so a syntax
 /// error anywhere on the line wins over a field error.
-fn tweet_fields(text: &str) -> Result<(u32, i64, f64, f64), String> {
+fn tweet_fields(text: &str) -> Result<Fields, String> {
     // `None`: the member is missing. `Some(None)`: it is there but of the
     // wrong type or out of range.
     let (mut user, mut time, mut location) = (None, None, None);
@@ -205,14 +360,10 @@ fn tweet_fields(text: &str) -> Result<(u32, i64, f64, f64), String> {
     r.object(&["user", "time", "location"], |r, member| {
         match member {
             0 => {
-                let v = r.scalar()?.and_then(|v| v.as_u64());
-                user = Some(v.and_then(|u| u32::try_from(u).ok()));
+                user = Some(r.scalar()?.as_ref().and_then(as_user));
             }
             1 => {
-                time = Some(match r.scalar()? {
-                    Some(Json::Int(t)) => Some(t),
-                    _ => None,
-                });
+                time = Some(r.scalar()?.as_ref().and_then(as_time));
             }
             _ => {
                 let (mut lat, mut lon) = (None, None);
@@ -244,10 +395,11 @@ fn tweet_fields(text: &str) -> Result<(u32, i64, f64, f64), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tweetmob_stats::rng::SplitMix64;
 
     /// The reference decode: the whole line as a [`Json`] tree, then its
     /// members looked up.
-    fn dom_fields(text: &str) -> Result<(u32, i64, f64, f64), String> {
+    fn dom_fields(text: &str) -> Result<Fields, String> {
         fn field<'a>(v: &'a Json, name: &str) -> Result<&'a Json, String> {
             v.get(name).ok_or_else(|| format!("missing field `{name}`"))
         }
@@ -283,16 +435,30 @@ mod tests {
         }
     }
 
-    /// Reads `bytes` with [`read_jsonl`], asserts that the reference
-    /// decode reads them the same way, and returns the read.
+    /// Reads `bytes` with `walk` alone, the template never tried.
+    fn read_walked(
+        bytes: &[u8],
+        walk: fn(&str) -> Result<Fields, String>,
+    ) -> Result<TweetDataset, IoError> {
+        read_records(bytes, |_| None, walk, &mut 0)
+    }
+
+    /// Reads `bytes` with [`read_jsonl`], asserts that the member walk
+    /// alone and the reference decode read them the same way, and
+    /// returns the read.
     pub(super) fn read_checked(bytes: &[u8]) -> Result<TweetDataset, IoError> {
         let read = read_jsonl(bytes);
-        let want = outcome(&read_records(bytes, dom_fields));
+        let got = outcome(&read);
+        let input = String::from_utf8_lossy(bytes);
         assert_eq!(
-            outcome(&read),
-            want,
-            "input {:?}",
-            String::from_utf8_lossy(bytes)
+            got,
+            outcome(&read_walked(bytes, tweet_fields)),
+            "walk, input {input:?}"
+        );
+        assert_eq!(
+            got,
+            outcome(&read_walked(bytes, dom_fields)),
+            "reference, input {input:?}"
         );
         read
     }
@@ -626,12 +792,164 @@ mod tests {
         assert!(read_checked(accepted.as_bytes()).is_ok());
     }
 
+    /// A seeded corpus plus one tweet per edge value: users 0 and
+    /// 4294967295, a negative time and the first and last loadable
+    /// times, and coordinates that print with a sign, an exponent or at
+    /// the ends of their ranges.
+    fn edge_dataset() -> TweetDataset {
+        let seeded = properties::random_dataset(&mut SplitMix64::new(1), 12);
+        let mut tweets: Vec<Tweet> = seeded.iter_tweets().collect();
+        let at = |user, secs, lat, lon| {
+            Tweet::new(
+                UserId(user),
+                Timestamp::from_secs(secs),
+                Point::new_unchecked(lat, lon),
+            )
+        };
+        let (first, last) = (Timestamp::FIRST_LOADABLE, Timestamp::LAST_LOADABLE);
+        tweets.extend([
+            at(0, -1, 0.0, 0.0),
+            at(u32::MAX, first.as_secs(), 1.5, -2.5),
+            at(4, last.as_secs(), -33.9, 151.2),
+        ]);
+        let lats = [-0.0, 90.0, -90.0, 1e-7, 5e-324];
+        let lons = [-0.0, 180.0, -180.0, 1e-7, 5e-324, 90.0, -90.0];
+        for (i, &lon) in lons.iter().enumerate() {
+            tweets.push(at(5, i as i64, lats[i % lats.len()], lon));
+        }
+        TweetDataset::from_tweets(tweets)
+    }
+
+    /// The edge corpus as [`write_jsonl`] writes it.
+    fn edge_jsonl() -> Vec<u8> {
+        let mut buf = Vec::new();
+        write_jsonl(&edge_dataset(), &mut buf).unwrap();
+        buf
+    }
+
+    /// The writer's edge values, an exponent included, all read back
+    /// through the template.
+    #[test]
+    fn write_jsonl_output_takes_no_walk() {
+        let buf = edge_jsonl();
+        let text = std::str::from_utf8(&buf).unwrap();
+        for piece in [
+            r#"{"user":0,"time":-1,"#,
+            r#"{"user":4294967295,"time":-62135596800,"#,
+            r#""time":253402300799,"#,
+            r#"{"lat":-0.0,"lon":-0.0}"#,
+            r#"{"lat":90.0,"lon":180.0}"#,
+            r#"{"lat":-90.0,"lon":-180.0}"#,
+            r#"{"lat":1e-7,"lon":1e-7}"#,
+            r#"{"lat":5e-324,"lon":5e-324}"#,
+        ] {
+            assert!(text.contains(piece), "{piece} not in {text}");
+        }
+        let mut misses = 0;
+        let read = read_records(&buf[..], template, tweet_fields, &mut misses).unwrap();
+        assert_eq!(misses, 0);
+        assert!(datasets_equal(&read, &edge_dataset()));
+    }
+
+    /// Every single-byte deletion, duplication and substitution (by the
+    /// bytes that JSON numbers and the layout are made of, or a line
+    /// feed) of every edge line reads the same through the template, the
+    /// member walk and the reference decode.
+    #[test]
+    fn damaged_layout_lines_read_like_the_walk() {
+        // A line feed splits the line: no record may be read across it.
+        const SUBSTITUTES: &[u8] = b"{}\":,.-+eE09 \\u\n";
+        let buf = edge_jsonl();
+        let mut checked = 0;
+        for line in buf.split_inclusive(|&b| b == b'\n') {
+            let body = &line[..line.len() - 1];
+            let mut variants = Vec::new();
+            for at in 0..body.len() {
+                let mut deleted = body.to_vec();
+                deleted.remove(at);
+                variants.push(deleted);
+                let mut doubled = body.to_vec();
+                doubled.insert(at, body[at]);
+                variants.push(doubled);
+                for &b in SUBSTITUTES.iter().filter(|&&b| b != body[at]) {
+                    let mut swapped = body.to_vec();
+                    swapped[at] = b;
+                    variants.push(swapped);
+                }
+            }
+            for mut variant in variants {
+                variant.push(b'\n');
+                drop(read_checked(&variant));
+                checked += 1;
+            }
+        }
+        assert!(checked > 15_000, "{checked}");
+    }
+
+    /// Lines cut from the reader's buffer in place read the same as the
+    /// whole input at once, whatever the buffer size: straddling lines,
+    /// CRLF, blank, padded and reordered lines, multi-byte text, a last
+    /// line with no newline, and lines that are not UTF-8 or not JSON,
+    /// last or followed by more.
+    #[test]
+    fn any_buffer_size_reads_like_the_whole_input() {
+        let buf = edge_jsonl();
+        let lines: Vec<&[u8]> = buf.split_inclusive(|&b| b == b'\n').collect();
+        let (mut input, mut walked) = (Vec::new(), 0);
+        for (i, line) in lines.iter().enumerate() {
+            let body = &line[..line.len() - 1];
+            match i % 4 {
+                0 => input.extend_from_slice(line),
+                1 => {
+                    input.extend_from_slice(body);
+                    input.extend_from_slice(b"\r\n\n");
+                }
+                2 => {
+                    walked += 1;
+                    input.extend_from_slice(b" \t");
+                    input.extend_from_slice(body);
+                    input.extend_from_slice(b"  \n \t\r\n");
+                }
+                _ => {
+                    walked += 1;
+                    input.extend_from_slice(
+                        r#"{"text":"café 😀 \u00e9","user":3,"location":{"lon":2.5,"lat":-1},"time":7}"#
+                            .as_bytes(),
+                    );
+                    input.push(b'\n');
+                }
+            }
+        }
+        let mut misses = 0;
+        read_records(&input[..], template, tweet_fields, &mut misses).unwrap();
+        assert_eq!(misses, walked);
+        let mut variants = vec![input.clone()];
+        let mut unterminated = input.clone();
+        unterminated.extend_from_slice(&lines[0][..lines[0].len() - 1]);
+        variants.push(unterminated);
+        for tail in [&b"{\"text\":\"\xff\"}"[..], b"\xe2\x82", b"{\"user\":1}"] {
+            for next in [&b""[..], b"\n", lines[0]] {
+                let mut bad = input.clone();
+                bad.extend_from_slice(tail);
+                bad.extend_from_slice(next);
+                variants.push(bad);
+            }
+        }
+        for variant in &variants {
+            let want = outcome(&read_checked(variant));
+            for capacity in [1, 7, 64] {
+                let read = read_jsonl(io::BufReader::with_capacity(capacity, &variant[..]));
+                assert_eq!(outcome(&read), want, "capacity {capacity}");
+            }
+        }
+    }
+
     mod properties {
         use super::super::*;
         use super::read_checked;
         use tweetmob_stats::rng::SplitMix64;
 
-        fn random_dataset(rng: &mut SplitMix64, max_len: usize) -> TweetDataset {
+        pub(super) fn random_dataset(rng: &mut SplitMix64, max_len: usize) -> TweetDataset {
             let n = rng.next_below(max_len);
             let tweets = (0..n)
                 .map(|_| {

@@ -13,8 +13,10 @@
 //! * [`JsonReader`] is that reader, walked without building a tree: the
 //!   caller picks members by name and reads scalars; every other value
 //!   is checked and skipped without allocating. It accepts and rejects
-//!   exactly what [`Json::parse`] does. `tweetmob_data::io` reads JSONL
-//!   tweets with it.
+//!   exactly what [`Json::parse`] does. A caller that expects a fixed
+//!   layout can also match it piece by piece, each literal followed
+//!   directly by a scalar ([`JsonReader::scalar_after`]).
+//!   `tweetmob_data::io` reads JSONL tweets with it.
 //! * [`ToJson`] is implemented by the result types the CLI and the HTTP
 //!   server emit.
 
@@ -475,6 +477,29 @@ impl<'a> JsonReader<'a> {
         Ok(true)
     }
 
+    /// Consumes `literal` and the scalar that follows it directly, and
+    /// returns that scalar. No whitespace is skipped, before the literal
+    /// or after it, so a caller can match a fixed layout piece by piece,
+    /// one line of a longer text say, without reading past its end.
+    /// Returns `None` if the text does not continue with `literal` and
+    /// then a valid number, `true`, `false` or `null`; the reader's
+    /// position is then unspecified.
+    #[inline]
+    pub fn scalar_after(&mut self, literal: &str) -> Option<Json> {
+        let rest = self.bytes.get(self.pos..)?;
+        if !rest.starts_with(literal.as_bytes()) {
+            return None;
+        }
+        self.pos += literal.len();
+        self.atom().ok()
+    }
+
+    /// The text not read yet.
+    #[must_use]
+    pub fn rest(&self) -> &'a str {
+        self.text.get(self.pos..).unwrap_or_default()
+    }
+
     /// Checks that only whitespace follows the values read.
     ///
     /// # Errors
@@ -910,6 +935,35 @@ mod tests {
             }
         })?;
         r.finish()
+    }
+
+    #[test]
+    fn reader_reads_scalars_right_after_literals() {
+        let mut r = JsonReader::new(r#"{"x":-1.5e2,"y":7}"#);
+        assert_eq!(r.scalar_after(r#"{"x":"#), Some(Json::Num(-150.0)));
+        assert_eq!(r.rest(), r#","y":7}"#);
+        assert_eq!(r.scalar_after(r#","y":"#), Some(Json::Int(7)));
+        assert_eq!(r.rest(), "}");
+        assert_eq!(r.scalar_after("}"), None);
+        assert_eq!(
+            JsonReader::new("[null]").scalar_after("["),
+            Some(Json::Null)
+        );
+        // Only the literal, then directly a valid scalar that is not a
+        // string: no whitespace is skipped before either.
+        for (text, literal) in [
+            (r#"{"x":1}"#, r#"{"y":"#),
+            (r#" {"x":1}"#, r#"{"x":"#),
+            (r#"{"x": 1}"#, r#"{"x":"#),
+            ("{\"x\":\r\n1}", r#"{"x":"#),
+            (r#"{"x":"1"}"#, r#"{"x":"#),
+            (r#"{"x":[1]}"#, r#"{"x":"#),
+            (r#"{"x":01}"#, r#"{"x":"#),
+            (r#"{"x":1."#, r#"{"x":"#),
+            (r#"{"x":"#, r#"{"x":"#),
+        ] {
+            assert_eq!(JsonReader::new(text).scalar_after(literal), None, "{text}");
+        }
     }
 
     #[test]
